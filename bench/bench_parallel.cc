@@ -1,8 +1,9 @@
 /// \file bench_parallel.cc
 /// \brief E11: parallel semi-naive scaling. Transitive closure on a random
 /// graph with the delta partitioned across 1/2/4/8 worker threads
-/// (EngineOptions::num_threads). Multi-threading forces the direct NAIL!
-/// mode, so the single-thread row doubles as the serial baseline.
+/// (EngineOptions::num_threads). Every row runs the direct NAIL! mode (the
+/// only one that partitions), so the single-thread row doubles as the
+/// serial baseline.
 
 #include <benchmark/benchmark.h>
 

@@ -7,9 +7,10 @@
 ///   3. builds scopes (builtins+hosts <- all EDB declarations <- module
 ///      declarations and imports),
 ///   4. computes transitive procedure fixedness (§3.1),
-///   5. plans every procedure, and — in compiled-Glue mode — the
-///      generated NAIL! evaluation procedures, through the same planner
-///      ("the Glue optimizer runs over all the code", §11).
+///   5. plans every procedure through the same planner ("the Glue
+///      optimizer runs over all the code", §11) — and, only when
+///      LinkOptions::nail_mode asks for kCompiledGlue (the E10 artifact),
+///      the generated `$nail$*` NAIL! evaluation procedures too.
 
 #ifndef GLUENAIL_ANALYSIS_RESOLVER_H_
 #define GLUENAIL_ANALYSIS_RESOLVER_H_
@@ -29,7 +30,7 @@ namespace gluenail {
 
 struct LinkOptions {
   PlannerOptions planner;
-  NailMode nail_mode = NailMode::kCompiledGlue;
+  NailMode nail_mode = NailMode::kDirect;
   /// Cardinality oracle handed to the physical planner; may be nullptr
   /// (plans fall back to default cardinalities).
   const StatsProvider* stats = nullptr;

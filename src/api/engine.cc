@@ -5,7 +5,6 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "src/analysis/binding.h"
 #include "src/api/session.h"
@@ -64,14 +63,10 @@ Engine::Engine(EngineOptions options)
 }
 
 Engine::~Engine() {
-  // Stop the group-commit pump first (it never takes state_mu_, so this
-  // cannot deadlock with the drain below), then flush the tail of the log
-  // so a clean shutdown loses nothing even under kAsync (best effort —
-  // the Wal destructor fsyncs too, but draining here also settles the
-  // commit mirrors while waiters could still exist).
-  StopCommitPump();
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  if (WalActiveLocked()) (void)DrainCommitsLocked();
+  // Stops the pump and drains the log's tail (so a clean shutdown loses
+  // nothing even under kAsync) while the histogram it reports into is
+  // still alive.
+  commit_log_.reset();
 }
 
 void Engine::RegisterBuiltinMetrics() {
@@ -256,10 +251,10 @@ void Engine::RegisterBuiltinMetrics() {
             std::memory_order_relaxed);
       });
 
-  // Durability: engine-owned commit counters plus pulls over the WAL's and
-  // the recovery layer's own counters. wal_ is guarded like executor_: the
-  // callbacks run under DumpMetrics' shared lock, and only exclusive
-  // holders replace the pointer.
+  // Durability: engine-owned commit counters plus pulls over the commit
+  // log's and the recovery layer's own counters. commit_log_ is guarded
+  // like executor_: the callbacks run under DumpMetrics' shared lock, and
+  // only exclusive holders replace the pointer.
   m_wal_commits_ = metrics_.RegisterCounter(
       "gluenail_wal_commits_total",
       "mutation batches committed through the WAL write path");
@@ -268,33 +263,8 @@ void Engine::RegisterBuiltinMetrics() {
       "mutation batches rejected or not made durable");
   m_checkpoints_ = metrics_.RegisterCounter(
       "gluenail_checkpoints_total", "checkpoint saves with WAL rotation");
-  m_wal_group_size_ = metrics_.RegisterHistogram(
-      "gluenail_wal_group_commit_batches",
-      "batches made durable per fsync (group-commit amortization)");
-  auto wal_count = [this](std::atomic<uint64_t> WalCounters::* field) {
-    return [this, field]() -> uint64_t {
-      return wal_ != nullptr
-                 ? (wal_->counters().*field).load(std::memory_order_relaxed)
-                 : 0;
-    };
-  };
-  metrics_.RegisterPullCounter("gluenail_wal_appends_total",
-                               "records appended to the WAL",
-                               wal_count(&WalCounters::appends));
-  metrics_.RegisterPullCounter("gluenail_wal_appended_bytes_total",
-                               "bytes appended to the WAL",
-                               wal_count(&WalCounters::appended_bytes));
-  metrics_.RegisterPullCounter("gluenail_wal_append_failures_total",
-                               "failed WAL appends",
-                               wal_count(&WalCounters::append_failures));
-  metrics_.RegisterPullCounter("gluenail_wal_syncs_total", "WAL fsyncs",
-                               wal_count(&WalCounters::syncs));
-  metrics_.RegisterPullCounter("gluenail_wal_sync_failures_total",
-                               "failed WAL fsyncs (log marked broken)",
-                               wal_count(&WalCounters::sync_failures));
-  metrics_.RegisterPullCounter("gluenail_wal_rotations_total",
-                               "WAL rotations behind checkpoints",
-                               wal_count(&WalCounters::rotations));
+  m_wal_group_size_ = CommitLog::RegisterMetrics(
+      &metrics_, [this] { return commit_log_.get(); });
   metrics_.RegisterPullCounter(
       "gluenail_recovery_runs_total", "successful crash recoveries", [] {
         return GlobalRecoveryCounters().recoveries.load(
@@ -444,19 +414,18 @@ Status Engine::LoadProgram(std::string_view source) {
 
 Status Engine::LoadProgramLocked(std::string_view source) {
   auto start = std::chrono::steady_clock::now();
-  GLUENAIL_ASSIGN_OR_RETURN(ast::Program parsed, ParseProgram(source));
-
-  // The parallel evaluator partitions the direct fixpoint; the generated
-  // Glue driver cannot be split, so multi-threading forces direct mode
-  // (the modes are differential-tested equal).
-  NailMode nail_mode = options_.nail_mode;
-  if (options_.num_threads > 1 && nail_mode == NailMode::kCompiledGlue) {
-    nail_mode = NailMode::kDirect;
+  if (options_.num_threads > 1 &&
+      options_.nail_mode == NailMode::kCompiledGlue) {
+    // The parallel evaluator partitions the direct fixpoint; the generated
+    // Glue driver cannot be split.
+    return Status::InvalidArgument(
+        "nail_mode kCompiledGlue cannot run with num_threads > 1");
   }
+  GLUENAIL_ASSIGN_OR_RETURN(ast::Program parsed, ParseProgram(source));
 
   LinkOptions link_opts;
   link_opts.planner = options_.planner;
-  link_opts.nail_mode = nail_mode;
+  link_opts.nail_mode = options_.nail_mode;
   link_opts.stats = &stats_provider_;
   GLUENAIL_ASSIGN_OR_RETURN(
       LinkedProgram linked, LinkProgram(parsed, hosts_, &pool_, link_opts));
@@ -464,20 +433,15 @@ Status Engine::LoadProgramLocked(std::string_view source) {
 
   nail_engine_ = std::make_unique<NailEngine>(linked_->nail, &edb_, &idb_,
                                               &pool_);
-  nail_engine_->set_mode(nail_mode);
+  nail_engine_->set_mode(options_.nail_mode);
   nail_engine_->set_num_threads(options_.num_threads);
-  if (nail_mode == NailMode::kCompiledGlue) {
+  // The direct plans serve every delta refresh, so they are compiled in
+  // every mode; kCompiledGlue only adds its generated driver for full
+  // refreshes.
+  GLUENAIL_RETURN_NOT_OK(nail_engine_->CompileDirect(
+      linked_->builtin_scope.get(), options_.planner, &stats_provider_));
+  if (options_.nail_mode == NailMode::kCompiledGlue) {
     nail_engine_->set_driver_proc(linked_->nail_driver_proc);
-    if (options_.ivm_mode != IvmMode::kOff) {
-      // Delta maintenance drives the direct rule-version plans even when
-      // full refreshes run through the generated Glue driver, so compile
-      // them too (the modes are differential-tested equal).
-      GLUENAIL_RETURN_NOT_OK(nail_engine_->CompileDirect(
-          linked_->builtin_scope.get(), options_.planner, &stats_provider_));
-    }
-  } else {
-    GLUENAIL_RETURN_NOT_OK(nail_engine_->CompileDirect(
-        linked_->builtin_scope.get(), options_.planner, &stats_provider_));
   }
   nail_engine_->ConfigureIvm(options_.ivm_mode,
                              options_.ivm_max_delta_fraction, &ivm_log_);
@@ -841,42 +805,11 @@ Result<std::string> Engine::ExplainStatement(std::string_view statement,
 }
 
 Status Engine::AddFact(std::string_view fact) {
-  {
-    std::unique_lock<std::shared_mutex> lock(state_mu_);
-    if (!WalActiveLocked()) return AddFactLocked(fact);
-  }
-  // Durability on: route through the logged write path so ad-hoc facts
-  // honor the same ack promise as wire-protocol batches.
+  // A one-op batch, so ad-hoc facts take the one write path: captured for
+  // IVM, logged with the configured ack promise, fenced on replicas.
   MutationBatch batch;
   batch.Insert(fact);
   return ApplyBatch(batch).status();
-}
-
-Status Engine::AddFactLocked(std::string_view fact) {
-  std::string text(fact);
-  while (!text.empty() &&
-         (text.back() == ' ' || text.back() == '\n' || text.back() == '.')) {
-    text.pop_back();
-  }
-  GLUENAIL_ASSIGN_OR_RETURN(TermId t, ParseGroundTerm(&pool_, text));
-  TermId name;
-  Tuple row;
-  if (pool_.IsCompound(t)) {
-    std::span<const TermId> args = pool_.Args(t);
-    name = pool_.Functor(t);
-    row.assign(args.begin(), args.end());
-  } else if (pool_.IsSymbol(t)) {
-    name = t;
-  } else {
-    return Status::InvalidArgument(
-        "a fact must be a symbol or compound term");
-  }
-  const uint32_t arity = static_cast<uint32_t>(row.size());
-  if (edb_.GetOrCreate(name, arity)->Insert(row)) {
-    ivm_log_.CaptureInsert(name, arity, row);
-    ivm_log_.SealBatch(SnapshotEdbVersion(edb_));
-  }
-  return Status::OK();
 }
 
 Result<MutationBatch::ApplyReport> Engine::ApplyBatchCapturedLocked(
@@ -933,7 +866,7 @@ Status Engine::SaveEdbFile(const std::string& path) {
   // Flush in-flight commits first so the saved image is at or ahead of the
   // log's durable point (ignore a broken log — memory is the truth, and
   // the save captures it either way).
-  if (WalActiveLocked()) (void)DrainCommitsLocked();
+  if (commit_log_ != nullptr) (void)commit_log_->Drain();
   return SaveDatabaseToFile(edb_, path);
 }
 
@@ -964,7 +897,7 @@ Result<LoadReport> Engine::LoadEdbFile(const std::string& path,
   if (nail_engine_ != nullptr) nail_engine_->Invalidate();
   // Loaded facts bypassed the log; checkpoint immediately so the durable
   // state includes them (otherwise a crash would silently undo the load).
-  if (WalActiveLocked()) GLUENAIL_RETURN_NOT_OK(CheckpointLocked());
+  if (commit_log_ != nullptr) GLUENAIL_RETURN_NOT_OK(CheckpointLocked());
   return report;
 }
 
@@ -1031,15 +964,6 @@ StorageStats Engine::StorageStatsNoLock() const {
 }
 
 // --- Durability ------------------------------------------------------------
-//
-// Lock protocol. state_mu_ (outer) -> commit_mu_ (inner) -> the Wal's own
-// mutex (innermost). Commit *leaders* — the thread that fsyncs for a group,
-// and the kAsync piggyback syncer — hold only the commit_leader_ flag and
-// the Wal's internals, never state_mu_, which is what makes
-// DrainCommitsLocked (called with state_mu_ exclusive) deadlock-free: it
-// waits for the flag to clear, and the flag's owner needs nothing we hold.
-// Rotating or resetting wal_ happens only under state_mu_ *after* a drain,
-// so no leader can be mid-fsync on a closing fd.
 
 std::string Engine::checkpoint_path() const {
   return StrCat(options_.data_dir, "/checkpoint.facts");
@@ -1050,8 +974,8 @@ std::string Engine::wal_path() const {
 }
 
 uint64_t Engine::durable_lsn() const {
-  std::lock_guard<std::mutex> ql(commit_mu_);
-  return commit_durable_;
+  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  return commit_log_ != nullptr ? commit_log_->durable_lsn() : 0;
 }
 
 std::optional<RecoveryReport> Engine::last_recovery() const {
@@ -1059,61 +983,42 @@ std::optional<RecoveryReport> Engine::last_recovery() const {
   return last_recovery_;
 }
 
+Status Engine::OpenCommitLogLocked(std::unique_ptr<Wal> wal) {
+  CommitLogOptions opts;
+  opts.durability = options_.durability;
+  opts.fsync_interval = options_.wal_fsync_interval;
+  opts.group_linger = options_.wal_group_linger;
+  opts.group_size = m_wal_group_size_;
+  GLUENAIL_ASSIGN_OR_RETURN(commit_log_, CommitLog::Open(std::move(wal), opts));
+  return Status::OK();
+}
+
 Result<MutationBatch::ApplyReport> Engine::ApplyBatch(
     const MutationBatch& batch) {
   if (options_.replica) return ReplicaWriteFence("ApplyBatch");
   if (batch.empty()) return MutationBatch::ApplyReport{};
   auto commit_failed = [this](Status s) -> Status {
-    if (!s.ok() && m_wal_commit_failures_ != nullptr) {
-      m_wal_commit_failures_->Add();
-    }
+    if (!s.ok()) m_wal_commit_failures_->Add();
     return s;
   };
 
-  uint64_t lsn = 0;
-  uint64_t lsn_epoch = 0;
+  CommitLog* log = nullptr;
+  CommitLog::Ticket ticket;
   Result<MutationBatch::ApplyReport> applied =
       MutationBatch::ApplyReport{};
   {
     std::unique_lock<std::shared_mutex> lock(state_mu_);
-    if (!WalActiveLocked()) {
-      // Durability off: the batch is just a structured multi-op apply.
-      return ApplyBatchCapturedLocked(batch);
-    }
+    // Durability off: the batch is just a structured multi-op apply.
+    if (commit_log_ == nullptr) return ApplyBatchCapturedLocked(batch);
+    log = commit_log_.get();
     // Write-ahead: validate (so a malformed batch is never logged), log,
     // then apply to memory. The apply happens before the ack wait so the
     // writer lock is released during the fsync — the whole point of group
     // commit.
     GLUENAIL_RETURN_NOT_OK(commit_failed(batch.Validate(&pool_)));
-    Result<uint64_t> appended = wal_->Append(batch);
-    if (!appended.ok()) {
-      std::lock_guard<std::mutex> ql(commit_mu_);
-      commit_broken_ = commit_broken_ || wal_->broken();
-      commit_cv_.notify_all();
-      return commit_failed(appended.status());
-    }
-    lsn = *appended;
-    {
-      std::lock_guard<std::mutex> ql(commit_mu_);
-      lsn_epoch = commit_epoch_;
-      if (lsn > commit_appended_) commit_appended_ = lsn;
-      if (pump_running_) pump_cv_.notify_one();
-    }
-    if (options_.durability == DurabilityLevel::kSync) {
-      // The per-batch baseline: fsync inside the writer lock, commits
-      // fully serialized. Group commit is benchmarked against this.
-      Status synced = wal_->Sync();
-      {
-        std::lock_guard<std::mutex> ql(commit_mu_);
-        if (wal_->durable_lsn() > commit_durable_) {
-          commit_durable_ = wal_->durable_lsn();
-        }
-        commit_broken_ = commit_broken_ || wal_->broken();
-        commit_cv_.notify_all();
-      }
-      GLUENAIL_RETURN_NOT_OK(commit_failed(std::move(synced)));
-      if (m_wal_group_size_ != nullptr) m_wal_group_size_->Observe(1);
-    }
+    Result<CommitLog::Ticket> appended = log->Append(batch);
+    if (!appended.ok()) return commit_failed(appended.status());
+    ticket = *appended;
     applied = ApplyBatchCapturedLocked(batch);
     if (!applied.ok()) {
       // Validate passed, so this cannot happen short of an engine bug —
@@ -1122,254 +1027,9 @@ Result<MutationBatch::ApplyReport> Engine::ApplyBatch(
           "applied to log but not memory; recovery will replay it"));
     }
   }
-
-  switch (options_.durability) {
-    case DurabilityLevel::kGroupCommit:
-      GLUENAIL_RETURN_NOT_OK(commit_failed(WaitDurable(lsn, lsn_epoch)));
-      break;
-    case DurabilityLevel::kAsync:
-      MaybeAsyncSync();
-      break;
-    case DurabilityLevel::kSync:
-    case DurabilityLevel::kNone:
-      break;
-  }
-  if (m_wal_commits_ != nullptr) m_wal_commits_->Add();
+  GLUENAIL_RETURN_NOT_OK(commit_failed(log->Await(ticket)));
+  m_wal_commits_->Add();
   return applied;
-}
-
-Status Engine::WaitDurable(uint64_t lsn, uint64_t epoch) {
-  std::unique_lock<std::mutex> ql(commit_mu_);
-  for (;;) {
-    if (commit_epoch_ != epoch) {
-      // The log rotated while we waited: the checkpoint image that ended
-      // our epoch captured this batch (it was applied to memory before
-      // this wait), which is durability by other means. Our LSN is not
-      // comparable to the rotated log's numbering, so stop watching it.
-      return Status::OK();
-    }
-    if (commit_durable_ >= lsn) return Status::OK();
-    if (commit_broken_) {
-      return Status::IoError(StrCat(
-          "wal is broken; commit lsn=", lsn,
-          " is applied in memory but NOT durable — checkpoint to heal"));
-    }
-    if (!pump_running_ && !commit_leader_) {
-      // No pump (it starts when the WAL opens in kGroupCommit mode, so
-      // this is the bootstrap/fallback path): become the group's leader
-      // and issue one fsync for everyone appended so far. Committers that
-      // append while this leader waits on the disk park as followers and
-      // are absorbed into the next group — the in-flight fsync is itself
-      // a group window.
-      commit_leader_ = true;
-      LingerForGroupLocked(ql);
-      if (commit_broken_) {
-        commit_leader_ = false;
-        commit_cv_.notify_all();
-        continue;  // re-enter the broken branch above
-      }
-      const uint64_t durable_before = commit_durable_;
-      ql.unlock();
-      Status synced = wal_->Sync();
-      ql.lock();
-      commit_leader_ = false;
-      if (wal_->durable_lsn() > commit_durable_) {
-        commit_durable_ = wal_->durable_lsn();
-      }
-      commit_broken_ = commit_broken_ || wal_->broken();
-      if (m_wal_group_size_ != nullptr &&
-          commit_durable_ > durable_before) {
-        m_wal_group_size_->Observe(commit_durable_ - durable_before);
-      }
-      commit_cv_.notify_all();
-      if (!synced.ok() && commit_durable_ < lsn) return synced;
-      continue;
-    }
-    // Follow: wait for the durable LSN to advance past us, the log to
-    // break, or (when no pump runs) the leader seat to free up. With the
-    // pump running the ack arrives on fsync cadence — around a hundred
-    // microseconds — so a bounded yield-spin beats a futex park+wake:
-    // yielding hands the CPU straight to the pump or a fellow committer,
-    // and the whole group re-enters without paying per-thread wakeup
-    // latency. Park on the cv only if the spin overruns a few fsyncs'
-    // worth of time (slow disk, overloaded box).
-    if (pump_running_) {
-      constexpr auto kSpinCap = std::chrono::microseconds(1000);
-      const auto spin_deadline = std::chrono::steady_clock::now() + kSpinCap;
-      ql.unlock();
-      bool done = false;
-      for (;;) {
-        // Lock-free poll: commit_durable_ is atomic precisely so this
-        // spin never touches commit_mu_ (a broken log or a stopped pump
-        // is caught by the locked re-check after the spin ends).
-        if (commit_durable_.load(std::memory_order_acquire) >= lsn) {
-          done = true;
-          break;
-        }
-        if (std::chrono::steady_clock::now() >= spin_deadline) break;
-        std::this_thread::yield();
-      }
-      ql.lock();
-      if (done || commit_broken_) continue;  // re-enter the checks on top
-    }
-    commit_cv_.wait(ql, [this, lsn, epoch] {
-      return commit_epoch_ != epoch || commit_durable_ >= lsn ||
-             commit_broken_ || (!pump_running_ && !commit_leader_);
-    });
-  }
-}
-
-void Engine::LingerForGroupLocked(std::unique_lock<std::mutex>& ql) {
-  if (options_.wal_group_linger.count() <= 0) return;
-  // Yield-spin rather than a timed cv wait: the arrivals being collected
-  // land microseconds apart, far below what timed waits can resolve. The
-  // grace window refreshes on every new append and the lock is dropped
-  // between checks so appenders can land.
-  constexpr auto kGrace = std::chrono::microseconds(5);
-  const auto start = std::chrono::steady_clock::now();
-  const auto cap = start + options_.wal_group_linger;
-  auto grace_end = start + kGrace;
-  uint64_t group_end = commit_appended_;
-  while (!commit_broken_) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= cap || now >= grace_end) break;
-    ql.unlock();
-    std::this_thread::yield();
-    ql.lock();
-    if (commit_appended_ > group_end) {
-      group_end = commit_appended_;
-      grace_end = std::chrono::steady_clock::now() + kGrace;
-    }
-  }
-}
-
-void Engine::CommitPump() {
-  std::unique_lock<std::mutex> ql(commit_mu_);
-  for (;;) {
-    pump_cv_.wait(ql, [this] {
-      return pump_stop_ || (!commit_broken_ && !commit_leader_ &&
-                            commit_durable_ < commit_appended_);
-    });
-    if (pump_stop_) return;
-    // Claim the leader seat in the same critical section the wait
-    // released in — DrainCommitsLocked and the kAsync piggyback syncer
-    // respect it, and holding it is what keeps Rotate from closing the fd
-    // under the fsync below (rotation needs state_mu_ plus a drain, and
-    // the drain waits for this seat).
-    commit_leader_ = true;
-    LingerForGroupLocked(ql);
-    const uint64_t durable_before = commit_durable_;
-    ql.unlock();
-    Status synced = wal_->Sync();
-    (void)synced;  // a failure surfaces as commit_broken_ below
-    ql.lock();
-    commit_leader_ = false;
-    if (wal_->durable_lsn() > commit_durable_) {
-      commit_durable_ = wal_->durable_lsn();
-    }
-    commit_broken_ = commit_broken_ || wal_->broken();
-    if (m_wal_group_size_ != nullptr && commit_durable_ > durable_before) {
-      m_wal_group_size_->Observe(commit_durable_ - durable_before);
-    }
-    commit_cv_.notify_all();
-    // Loop straight into the next wait: if commits landed during the
-    // fsync, the predicate is already true and the next fsync starts
-    // immediately — the in-flight fsync is the group window, and
-    // back-to-back fsyncs fully overlap follower wakeup and re-entry.
-  }
-}
-
-void Engine::StartCommitPumpLocked() {
-  std::lock_guard<std::mutex> ql(commit_mu_);
-  if (pump_running_) return;
-  pump_running_ = true;
-  pump_stop_ = false;
-  commit_pump_ = std::thread([this] { CommitPump(); });
-}
-
-void Engine::StopCommitPump() {
-  {
-    std::lock_guard<std::mutex> ql(commit_mu_);
-    if (!pump_running_) return;
-    pump_stop_ = true;
-    pump_cv_.notify_one();
-  }
-  commit_pump_.join();
-  std::lock_guard<std::mutex> ql(commit_mu_);
-  pump_running_ = false;
-  pump_stop_ = false;
-  // Any still-parked waiter may now self-elect as a leader.
-  commit_cv_.notify_all();
-}
-
-void Engine::MaybeAsyncSync() {
-  const int64_t now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now().time_since_epoch())
-                          .count();
-  const int64_t interval =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          options_.wal_fsync_interval)
-          .count();
-  int64_t last = last_async_sync_ns_.load(std::memory_order_relaxed);
-  if (now - last < interval) return;
-  {
-    std::lock_guard<std::mutex> ql(commit_mu_);
-    // Decide the sync will actually run BEFORE claiming the interval:
-    // consuming it and then skipping would leave nothing synced until the
-    // interval after next, stretching kAsync's worst-case un-synced
-    // window toward two intervals. Skip entirely if someone is already
-    // syncing (their in-flight fsync covers our appends or the very next
-    // committer retries).
-    if (commit_leader_ || commit_broken_ ||
-        commit_durable_ >= commit_appended_) {
-      return;
-    }
-    if (!last_async_sync_ns_.compare_exchange_strong(
-            last, now, std::memory_order_relaxed)) {
-      return;  // another committer claimed this interval's sync
-    }
-    // Take the leader seat so Rotate can never close the fd under our
-    // fsync.
-    commit_leader_ = true;
-  }
-  Status synced = wal_->Sync();  // errors surface as broken on next commit
-  (void)synced;
-  std::lock_guard<std::mutex> ql(commit_mu_);
-  commit_leader_ = false;
-  if (wal_->durable_lsn() > commit_durable_) {
-    commit_durable_ = wal_->durable_lsn();
-  }
-  commit_broken_ = commit_broken_ || wal_->broken();
-  commit_cv_.notify_all();
-}
-
-Status Engine::DrainCommitsLocked() {
-  if (!WalActiveLocked()) return Status::OK();
-  std::unique_lock<std::mutex> ql(commit_mu_);
-  commit_cv_.wait(ql, [this] { return !commit_leader_; });
-  Status synced;
-  if (!commit_broken_ && commit_durable_ < commit_appended_) {
-    // Claim the seat in the same critical section the wait released in,
-    // so no parked waiter can slip in between check and claim.
-    commit_leader_ = true;
-    ql.unlock();
-    synced = wal_->Sync();
-    ql.lock();
-    commit_leader_ = false;
-    if (wal_->durable_lsn() > commit_durable_) {
-      commit_durable_ = wal_->durable_lsn();
-    }
-    commit_broken_ = commit_broken_ || wal_->broken();
-    commit_cv_.notify_all();
-  }
-  // After this point no new leader can appear until state_mu_ is released:
-  // every parked waiter's LSN is either durable (exits OK) or the log is
-  // broken (exits with the error), and new appends need state_mu_.
-  if (!synced.ok()) return synced.WithContext("draining wal commits");
-  if (commit_broken_) {
-    return Status::IoError("wal is broken; checkpoint to heal");
-  }
-  return Status::OK();
 }
 
 Status Engine::Checkpoint() {
@@ -1382,40 +1042,21 @@ Status Engine::CheckpointLocked() {
     return Status::InvalidArgument(
         "Checkpoint needs EngineOptions::data_dir");
   }
-  // Drain best-effort: a broken log is exactly what a checkpoint heals
-  // (memory is the truth and the image below captures it), so drain
-  // errors do not stop the save.
-  if (WalActiveLocked()) (void)DrainCommitsLocked();
+  // The image holds every appended batch (each was applied to memory under
+  // this lock), including batches whose fsync failed — so the rotation
+  // behind it heals a broken log, and waiters on the old log's LSNs are
+  // released by the new epoch.
   GLUENAIL_RETURN_NOT_OK(SaveDatabaseToFile(edb_, checkpoint_path()));
-  if (options_.durability != DurabilityLevel::kNone) {
-    if (WalActiveLocked()) {
-      GLUENAIL_RETURN_NOT_OK(wal_->Rotate(wal_->next_lsn()));
-    } else {
-      // Durability configured but Recover() never ran (fresh directory
-      // bootstrap): bring the log up now.
-      GLUENAIL_ASSIGN_OR_RETURN(wal_, Wal::Create(wal_path(), 1));
-    }
-    std::lock_guard<std::mutex> ql(commit_mu_);
-    // Everything appended so far is durable *via the checkpoint image*,
-    // including batches whose fsync failed — but a failed sync also
-    // rolled the log's next LSN back, so the old mirrors can sit ABOVE
-    // the rotated log's numbering. Re-seed both from the log rather than
-    // force-promoting commit_durable_: an inflated watermark would ack
-    // post-rotation appends instantly with no fsync ever issued (the
-    // pump's durable < appended predicate could never fire again). Any
-    // waiter still parked on a pre-rotation LSN is released by the epoch
-    // bump — its batch is in the image just saved.
-    commit_epoch_++;
-    commit_appended_ = wal_->next_lsn() - 1;
-    commit_durable_ = commit_appended_;
-    commit_broken_ = false;
-    commit_cv_.notify_all();
+  if (commit_log_ != nullptr) {
+    GLUENAIL_RETURN_NOT_OK(commit_log_->Rotate());
+  } else if (options_.durability != DurabilityLevel::kNone) {
+    // Durability configured but Recover() never ran (fresh directory
+    // bootstrap): bring the log up now.
+    GLUENAIL_ASSIGN_OR_RETURN(std::unique_ptr<Wal> wal,
+                              Wal::Create(wal_path(), 1));
+    GLUENAIL_RETURN_NOT_OK(OpenCommitLogLocked(std::move(wal)));
   }
-  if (WalActiveLocked() &&
-      options_.durability == DurabilityLevel::kGroupCommit) {
-    StartCommitPumpLocked();  // idempotent; covers the bootstrap path
-  }
-  if (m_checkpoints_ != nullptr) m_checkpoints_->Add();
+  m_checkpoints_->Add();
   return Status::OK();
 }
 
@@ -1434,14 +1075,7 @@ Result<RecoveryReport> Engine::Recover() {
         StrCat("cannot recover while ", live,
                " live snapshot(s) are outstanding; drop them first"));
   }
-  if (WalActiveLocked()) (void)DrainCommitsLocked();
-  wal_.reset();
-  {
-    std::lock_guard<std::mutex> ql(commit_mu_);
-    commit_appended_ = 0;
-    commit_durable_ = 0;
-    commit_broken_ = false;
-  }
+  commit_log_.reset();  // drains in-flight commits, closes the log
   // Clear in place so relation version counters stay monotone — cached
   // NAIL! memos and relation snapshots key off versions, and a fresh
   // Database would reset them.
@@ -1460,25 +1094,18 @@ Result<RecoveryReport> Engine::Recover() {
       RecoverDatabase(&edb_, &pool_, checkpoint_path(), wal_path(), ropts));
 
   if (options_.durability != DurabilityLevel::kNone) {
+    std::unique_ptr<Wal> wal;
     if (report.needs_reset) {
       // The old log is damaged past repair: capture the salvaged truth as
       // a fresh checkpoint and rotate to a clean log.
       GLUENAIL_RETURN_NOT_OK(SaveDatabaseToFile(edb_, checkpoint_path()));
       GLUENAIL_ASSIGN_OR_RETURN(
-          wal_, Wal::Create(wal_path(), report.last_lsn + 1));
+          wal, Wal::Create(wal_path(), report.last_lsn + 1));
     } else {
       GLUENAIL_ASSIGN_OR_RETURN(
-          wal_, Wal::Open(wal_path(), report.last_lsn + 1));
+          wal, Wal::Open(wal_path(), report.last_lsn + 1));
     }
-    {
-      std::lock_guard<std::mutex> ql(commit_mu_);
-      commit_appended_ = wal_->next_lsn() - 1;
-      commit_durable_ = wal_->durable_lsn();
-      commit_broken_ = false;
-    }
-    if (options_.durability == DurabilityLevel::kGroupCommit) {
-      StartCommitPumpLocked();
-    }
+    GLUENAIL_RETURN_NOT_OK(OpenCommitLogLocked(std::move(wal)));
   }
   last_recovery_ = report;
   return report;
@@ -1557,12 +1184,12 @@ Result<Engine::CheckpointImage> Engine::ReadCheckpointImage() const {
   // under the exclusive lock, so (file bytes, wal start_lsn) read here are
   // one consistent pair.
   std::shared_lock<std::shared_mutex> lock(state_mu_);
-  if (wal_ == nullptr) {
+  if (commit_log_ == nullptr) {
     return Status::FailedPrecondition(
         "no WAL open; a primary needs durability on to ship snapshots");
   }
   CheckpointImage img;
-  img.covers_lsn = wal_->start_lsn() - 1;
+  img.covers_lsn = commit_log_->wal().start_lsn() - 1;
   std::ifstream in(checkpoint_path(), std::ios::binary);
   if (!in) {
     return Status::IoError(

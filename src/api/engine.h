@@ -27,12 +27,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -45,6 +43,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/slow_query.h"
 #include "src/obs/trace.h"
+#include "src/storage/commit_log.h"
 #include "src/storage/database.h"
 #include "src/storage/delta_log.h"
 #include "src/storage/mutation_batch.h"
@@ -251,7 +250,8 @@ class Engine {
   /// replays the WAL tail (EngineOptions::wal_recovery decides how much
   /// damage is tolerated), and opens the log for appending. Refuses while
   /// live EngineSnapshots are outstanding — readers must drop their views
-  /// of the old history first. Call once at boot, before serving.
+  /// of the old history first. Call once at boot, before serving: no
+  /// ApplyBatch may be in flight.
   Result<RecoveryReport> Recover();
 
   /// Writes an atomic checkpoint of the EDB to the data directory and
@@ -261,8 +261,10 @@ class Engine {
   Status Checkpoint();
 
   /// The open WAL, or nullptr when durability is off. The pointer stays
-  /// valid while the engine is alive (Rotate happens in place).
-  const Wal* wal() const { return wal_.get(); }
+  /// valid until the next Recover (Checkpoint rotates in place).
+  const Wal* wal() const {
+    return commit_log_ != nullptr ? &commit_log_->wal() : nullptr;
+  }
   /// Highest LSN known durable (0 = no WAL or nothing synced).
   uint64_t durable_lsn() const;
   /// The report of the last successful Recover(), if any.
@@ -395,10 +397,9 @@ class Engine {
 
   Status LoadProgramLocked(std::string_view source);
   Status ExecuteStatementLocked(std::string_view statement);
-  Status AddFactLocked(std::string_view fact);
   /// Applies \p batch with every actual change captured into ivm_log_ and
-  /// the log sealed at the post-batch EDB snapshot. The single apply both
-  /// WAL paths of ApplyBatch share.
+  /// the log sealed at the post-batch EDB snapshot. The single apply behind
+  /// ApplyBatch (logged or not) and ApplyReplicatedBatch.
   Result<MutationBatch::ApplyReport> ApplyBatchCapturedLocked(
       const MutationBatch& batch);
 
@@ -419,38 +420,10 @@ class Engine {
       std::string_view name_term, uint32_t arity);
   EngineSnapshot SnapshotLocked();
 
-  // --- Durability internals (see ApplyBatch in engine.cc for the lock
-  // protocol: state_mu_ -> commit_mu_ nests; commit leaders take only
-  // commit_mu_ + the WAL's internal mutex, never state_mu_) ---------------
-  /// True when a WAL is open and mutations must be logged.
-  bool WalActiveLocked() const { return wal_ != nullptr; }
-  /// Blocks until every appended LSN is durable (or the log is broken).
-  /// Called with state_mu_ held exclusively — safe because commit leaders
-  /// never take state_mu_, so they can finish while we wait.
-  Status DrainCommitsLocked();
-  /// Group-commit wait: returns once \p lsn is durable, or once the log
-  /// has rotated out from under the wait (\p epoch, captured under
-  /// commit_mu_ when the LSN was appended, no longer matches) — a
-  /// rotation means a checkpoint image captured the batch, which is
-  /// durability by other means. While the commit pump runs, committers
-  /// are pure followers; without it (pump not yet started, or after a
-  /// failed start) waiters elect a leader among themselves that syncs
-  /// once for the whole group and wakes everyone.
-  Status WaitDurable(uint64_t lsn, uint64_t epoch);
-  /// kAsync: piggybacked background sync, at most once per fsync interval.
-  void MaybeAsyncSync();
-  /// Optional pre-fsync linger (wal_group_linger > 0): yield-spins with
-  /// commit_mu_ dropped between checks, extending while new appends keep
-  /// arriving. \p ql must hold commit_mu_ and holds it again on return.
-  void LingerForGroupLocked(std::unique_lock<std::mutex>& ql);
-  /// The kGroupCommit syncer thread: back-to-back fsyncs whenever there
-  /// are unsynced appends, so the in-flight fsync is the group window —
-  /// commits landing during one fsync are absorbed into the next.
-  void CommitPump();
-  /// Starts the pump once (kGroupCommit; called when the WAL opens).
-  void StartCommitPumpLocked();
-  /// Stops and joins the pump; called before teardown drains.
-  void StopCommitPump();
+  // --- Durability internals (the commit pipeline and its lock protocol
+  // live in src/storage/commit_log.h) -----------------------------------
+  /// Wraps \p wal in commit_log_ with the configured durability.
+  Status OpenCommitLogLocked(std::unique_ptr<Wal> wal);
   /// Checkpoint body; requires state_mu_ held exclusively.
   Status CheckpointLocked();
 
@@ -480,41 +453,11 @@ class Engine {
   CompileStats compile_stats_;
 
   // --- Durability --------------------------------------------------------
-  /// Open WAL (null when durability is off). Guarded by state_mu_ for
-  /// open/rotate/reset; Append/Sync are internally synchronized so commit
-  /// leaders use it without state_mu_.
-  std::unique_ptr<Wal> wal_;
-  /// Group-commit state. commit_mu_ nests *inside* state_mu_; the
-  /// condition variable carries both "a new group leader may be needed"
-  /// and "the durable LSN advanced".
-  mutable std::mutex commit_mu_;
-  std::condition_variable commit_cv_;
-  /// Mirrors of the WAL's progress, maintained under commit_mu_ so waiters
-  /// never need the WAL's own mutex.
-  uint64_t commit_appended_ = 0;  ///< highest LSN appended
-  /// Highest LSN fsynced. Written under commit_mu_ like the rest, but
-  /// atomic so WaitDurable's follower spin can poll it without taking the
-  /// lock — eight spinners hammering commit_mu_ would starve the pump's
-  /// post-fsync mirror update, which is exactly what they are waiting for.
-  std::atomic<uint64_t> commit_durable_{0};
-  bool commit_broken_ = false;    ///< sticky mirror of wal_->broken()
-  bool commit_leader_ = false;    ///< a leader (pump/async/drain) owns the fd
-  /// Bumped under commit_mu_ when a checkpoint rotates the log. LSNs from
-  /// different epochs are not comparable (a failed sync rolls next_lsn
-  /// back, so post-rotation LSNs can collide with pre-rotation ones), and
-  /// a batch appended in an earlier epoch is durable via the checkpoint
-  /// image that ended it. Captured at append time, checked by WaitDurable.
-  uint64_t commit_epoch_ = 0;
-  /// Last piggybacked async sync, for kAsync's interval gate
-  /// (steady_clock ns; atomic so the check needs no lock).
-  std::atomic<int64_t> last_async_sync_ns_{0};
-  /// kGroupCommit's dedicated syncer (see CommitPump). pump_cv_ is the
-  /// pump's wake channel: group-commit appends nudge it after updating
-  /// commit_appended_. pump_running_ is guarded by commit_mu_.
-  std::thread commit_pump_;
-  std::condition_variable pump_cv_;
-  bool pump_running_ = false;
-  bool pump_stop_ = false;
+  /// The WAL and its commit pipeline; null while durability is off or the
+  /// log is not open yet. Replaced only under state_mu_ held exclusively
+  /// (Recover, the first Checkpoint); commits Await it after releasing
+  /// state_mu_.
+  std::unique_ptr<CommitLog> commit_log_;
   /// Live-snapshot guard: SnapshotLocked hands each EngineSnapshot a copy;
   /// use_count() - 1 is the number of outstanding snapshots Recover must
   /// refuse over.

@@ -25,18 +25,20 @@ namespace gluenail {
 struct EngineOptions {
   ExecOptions exec;
   PlannerOptions planner;
-  /// How NAIL! predicates are evaluated (§1: the shipping architecture is
-  /// compilation into Glue; direct and naive are test/bench baselines).
-  NailMode nail_mode = NailMode::kCompiledGlue;
+  /// How NAIL! predicates are evaluated. kDirect drives the per-SCC plans
+  /// from C++ and is the only runtime path the engine needs; kCompiledGlue
+  /// (§1: compilation into generated Glue procedures) is the E10 artifact
+  /// and kNaive the E5 baseline, both selected only on request.
+  NailMode nail_mode = NailMode::kDirect;
   /// Back-end index policy for newly created relations (§10).
   IndexPolicy index_policy = IndexPolicy::kAdaptive;
   AdaptiveConfig adaptive;
   /// Worker threads for the parallel semi-naive evaluator: each fixpoint
   /// iteration partitions the delta across this many workers. 1 (the
-  /// default) is exactly the old serial behavior. Values > 1 force the
-  /// direct NAIL! mode (the compiled-Glue driver runs the fixpoint through
-  /// generated Glue procedures, which the partitioner cannot split); the
-  /// two modes are differential-tested equal.
+  /// default) is exactly the old serial behavior. Values > 1 need the
+  /// direct or naive NAIL! mode: the compiled-Glue driver runs the fixpoint
+  /// through generated Glue procedures, which the partitioner cannot
+  /// split, so LoadProgram refuses kCompiledGlue with num_threads > 1.
   int num_threads = 1;
 
   // --- Incremental view maintenance (src/nail/ivm.cc,

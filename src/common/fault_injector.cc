@@ -18,6 +18,8 @@ std::string_view FaultOpName(FaultOp op) {
       return "alloc";
     case FaultOp::kTruncate:
       return "truncate";
+    case FaultOp::kThreadStart:
+      return "thread_start";
   }
   return "unknown";
 }

@@ -2,8 +2,9 @@
 /// \brief Deterministic fault injection for robustness testing.
 ///
 /// A process-wide seam that the storage layer's failure-prone operations
-/// consult: file writes, fsyncs, renames (persistence.cc) and arena chunk
-/// allocations (tuple_arena.h). Tests arm the injector to fail the Nth
+/// consult: file writes, fsyncs, renames (persistence.cc), arena chunk
+/// allocations (tuple_arena.h) and the commit pump's thread start
+/// (commit_log.cc). Tests arm the injector to fail the Nth
 /// subsequent operation of a kind, or seed a deterministic pseudo-random
 /// schedule, then assert that every injected failure yields a clean error
 /// status, an intact pre-existing on-disk file, and a still-usable engine
@@ -34,8 +35,9 @@ enum class FaultOp : int {
   kRename = 2,    ///< the rename that publishes a saved file or rotated log
   kAlloc = 3,     ///< a tuple-arena chunk allocation
   kTruncate = 4,  ///< a WAL ftruncate (torn-tail or failed-append rollback)
+  kThreadStart = 5,  ///< starting the group-commit pump thread
 };
-inline constexpr int kNumFaultOps = 5;
+inline constexpr int kNumFaultOps = 6;
 
 std::string_view FaultOpName(FaultOp op);
 

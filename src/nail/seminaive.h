@@ -8,12 +8,14 @@
 /// demand recomputes (relation versions are monotone, so a snapshot is
 /// just the (count, version-sum) pair).
 ///
-/// Two modes:
-///  * kDirect — C++ drives the semi-naive fixpoint per SCC over compiled
-///    rule-version plans (the differential-testing oracle and baseline);
-///  * kCompiledGlue — the paper's architecture: generated Glue procedures
-///    (nail_to_glue.h) run the fixpoint through the ordinary Glue
-///    executor, repeat/until and all.
+/// Three modes:
+///  * kDirect — the default and the engine's runtime path: C++ drives the
+///    semi-naive fixpoint per SCC over compiled rule-version plans. Full
+///    refreshes, delta (IVM) refreshes and the parallel fixpoint all run
+///    through RunSccFixpoint;
+///  * kCompiledGlue — the paper's architecture, kept as the E10 artifact:
+///    generated Glue procedures (nail_to_glue.h) run the full fixpoint
+///    through the ordinary Glue executor, repeat/until and all;
 ///  * kNaive — ablation baseline for bench E5: every iteration re-derives
 ///    from full relations; no deltas.
 ///

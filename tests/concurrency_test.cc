@@ -340,17 +340,16 @@ TEST(ConcurrencyTest, ParallelWithStratifiedNegationMatchesSerial) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ConcurrencyTest, NumThreadsForcesDirectModeTransparently) {
-  // kCompiledGlue + num_threads > 1 silently runs the direct evaluator;
-  // the observable results are mode-independent.
+TEST(ConcurrencyTest, CompiledGlueWithNumThreadsIsRefused) {
+  // The generated Glue driver cannot be partitioned, so the engine refuses
+  // the combination instead of switching modes behind the caller's back.
   EngineOptions opts;
   opts.nail_mode = NailMode::kCompiledGlue;
   opts.num_threads = 4;
   Engine engine(opts);
-  ASSERT_TRUE(engine.LoadProgram(DenseGraphModule()).ok());
-  Result<Engine::QueryResult> r = engine.Query("path(0, Y)");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_FALSE(r->rows.empty());
+  Status s = engine.LoadProgram(DenseGraphModule());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+  EXPECT_EQ(engine.program(), nullptr);
 }
 
 // --- Atomic relation versions --------------------------------------------

@@ -105,8 +105,7 @@ TEST(EngineApiTest, EdbPersistenceBetweenRuns) {
 }
 
 TEST(EngineApiTest, CompileStatsArePopulated) {
-  Engine engine;
-  ASSERT_TRUE(engine.LoadProgram(R"(
+  constexpr std::string_view kProgram = R"(
 module kb;
 edb edge(X,Y);
 export go(:);
@@ -116,15 +115,26 @@ proc go(:)
   return(:) := true.
 end
 end
-)").ok());
+)";
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgram(kProgram).ok());
   const CompileStats& cs = engine.compile_stats();
   EXPECT_EQ(cs.modules, 1u);
   EXPECT_EQ(cs.procedures, 1u);
-  EXPECT_GE(cs.generated_procedures, 2u);  // stratum + driver
+  // The direct NAIL! driver needs no generated Glue procedures.
+  EXPECT_EQ(cs.generated_procedures, 0u);
   EXPECT_EQ(cs.nail_rules, 2u);
   EXPECT_EQ(cs.nail_predicates, 1u);
   EXPECT_GT(cs.statements, 0u);
   EXPECT_FALSE(FormatCompileStats(cs).empty());
+
+  // The compiled-Glue driver (the E10 artifact) still compiles on request.
+  EngineOptions opts;
+  opts.nail_mode = NailMode::kCompiledGlue;
+  Engine compiled(opts);
+  ASSERT_TRUE(compiled.LoadProgram(kProgram).ok());
+  EXPECT_GE(compiled.compile_stats().generated_procedures,
+            2u);  // stratum + driver
 }
 
 TEST(EngineApiTest, ExecStatsAccumulateAndReset) {

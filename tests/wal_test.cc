@@ -680,6 +680,35 @@ TEST_F(WalTest, GroupCommitEightConcurrentWriters) {
   EXPECT_EQ(Facts(&engine), expected);
 }
 
+TEST_F(WalTest, CommitPumpStartFailureIsReturnedAndLogClosed) {
+  // Regression: a pump thread that failed to start used to leave the
+  // engine believing it ran — group commits waited forever and the
+  // destructor joined a thread that never existed (std::terminate).
+  const std::string dir = FreshDir("pump_start");
+  {
+    Engine engine(DurableOpts(dir, DurabilityLevel::kGroupCommit));
+    // Both places that open a log: the bootstrap checkpoint and Recover.
+    FaultInjector::Instance().ArmNth(FaultOp::kThreadStart, 1);
+    Status cp = engine.Checkpoint();
+    EXPECT_EQ(cp.code(), StatusCode::kResourceExhausted) << cp;
+    EXPECT_EQ(engine.wal(), nullptr);
+    FaultInjector::Instance().ArmNth(FaultOp::kThreadStart, 1);
+    Result<RecoveryReport> boot = engine.Recover();
+    EXPECT_EQ(boot.status().code(), StatusCode::kResourceExhausted)
+        << boot.status();
+    EXPECT_EQ(engine.wal(), nullptr);
+    EXPECT_EQ(FaultInjector::Instance().injected(FaultOp::kThreadStart), 2u);
+    FaultInjector::Instance().Disarm();
+
+    // A retry opens the log and group commits ack again.
+    ASSERT_TRUE(engine.Recover().ok());
+    ASSERT_NE(engine.wal(), nullptr);
+    ASSERT_TRUE(engine.ApplyBatch(InsertBatch({1})).ok());
+    EXPECT_EQ(engine.durable_lsn(), 1u);
+  }
+  ExpectRecoversExactly(dir, {1});
+}
+
 // --- Live-snapshot guard ---------------------------------------------------
 
 TEST_F(WalTest, RecoverAndLoadRefuseWhileSnapshotsLive) {

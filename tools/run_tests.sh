@@ -26,6 +26,10 @@
 #            replication suite (codecs, convergence, snapshot
 #            bootstrap, torn streams, fault sweeps); the same tests
 #            also run under asan and tsan via their labels
+#   bench  — Release build of the bench/workloads CMake package in a tree
+#            of its own, runs its bench-labelled tests: the workload
+#            oracle test and a tiny smoke run of every workload, so each
+#            workload's answer checks run against the current engine
 #
 # Usage: tools/run_tests.sh [config ...]
 #   tools/run_tests.sh                # debug + asan + ubsan + tsan
@@ -97,8 +101,14 @@ run_config() {
       configure_and_build "$prefix-debug" -DCMAKE_BUILD_TYPE=Debug
       (cd "$prefix-debug" && ctest --output-on-failure -L repl -j)
       ;;
+    bench)
+      cmake -B "$prefix-bench" -S "$repo_root/bench/workloads" \
+        -DCMAKE_BUILD_TYPE=Release >/dev/null
+      cmake --build "$prefix-bench" -j
+      (cd "$prefix-bench" && ctest --output-on-failure -L bench -j)
+      ;;
     *)
-      echo "error: unknown config '$config' (debug|asan|ubsan|tsan|fault|obs|server|vector|wal|ivm|repl)" >&2
+      echo "error: unknown config '$config' (debug|asan|ubsan|tsan|fault|obs|server|vector|wal|ivm|repl|bench)" >&2
       exit 1
       ;;
   esac
