@@ -214,6 +214,13 @@ void Engine::RegisterBuiltinMetrics() {
         return nail_engine_ != nullptr ? nail_engine_->ivm_delta_rows_out()
                                        : 0;
       });
+  metrics_.RegisterPullCounter(
+      "gluenail_nail_ivm_old_state_rows_total",
+      "rows copied into old-state overrides by incremental refreshes",
+      [this] {
+        return nail_engine_ != nullptr ? nail_engine_->ivm_old_state_rows()
+                                       : 0;
+      });
 
   // Process-wide planner and persistence counters (free-function layers).
   metrics_.RegisterPullCounter(
@@ -799,7 +806,8 @@ Result<std::string> Engine::ExplainStatement(std::string_view statement,
     out += StrCat("nail refresh: mode=", info.mode);
     if (!info.fallback.empty()) out += StrCat(" fallback=", info.fallback);
     out += StrCat(" delta_rows_in=", info.delta_rows_in,
-                  " delta_rows_out=", info.delta_rows_out, "\n");
+                  " delta_rows_out=", info.delta_rows_out,
+                  " old_state_rows=", info.old_state_rows, "\n");
   }
   return out;
 }

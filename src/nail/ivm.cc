@@ -10,11 +10,13 @@
 ///    derivation counts, maintained by joining each rule's body with the
 ///    changed relation's net delta in one position (exact because the
 ///    other positions are unchanged — old state == new state);
-///  * recursive SCCs run *DRed* (delete-and-rederive): over-delete via
-///    delta-restricted semi-naive (reading erased relations through a
-///    live ∪ erased old-state over-approximation), erase, rederive
-///    survivors through a deletion-set semi-join fixpoint, then seed the
-///    ordinary semi-naive fixpoint with the insertions.
+///  * recursive SCCs run *DRed* (delete-and-rederive) at a cost
+///    proportional to the delta, not to the changed relations:
+///    over-delete via delta-restricted semi-naive over the live relations
+///    (a live ∪ erased old-state copy is built only for a rule that reads
+///    two or more positions with erased rows), erase, rederive in one
+///    deletion-set semi-join pass, then run the ordinary semi-naive
+///    fixpoint once over the rederived tuples and the insertions.
 ///
 /// Everything here is *optimistic*: any structural condition the
 /// algorithms cannot handle (aggregates in rules, negation over a changed
@@ -179,13 +181,16 @@ struct NailEngine::IvmCtx {
   /// Memo nets to mirror into published HiLog instances, in SCC order.
   std::vector<std::pair<int, const Net*>> publish;
   /// DRed old-state over-approximation per changed relation:
-  /// live ∪ erased ⊇ old (also ⊇ new — safe for over-deletion).
+  /// live ∪ erased ⊇ old (also ⊇ new — safe for over-deletion). Built only
+  /// for relations a rule reads at two or more positions with erased rows.
   std::unordered_map<uint64_t, std::unique_ptr<Relation>> unions;
   /// Counting backfill: exact pre-delta copies of changed EDB relations
   /// (live − inserted ∪ erased).
   std::unordered_map<uint64_t, std::unique_ptr<Relation>> old_state;
 
   uint64_t rows_out = 0;
+  /// Rows copied into `unions` and `old_state` (NailRefreshInfo).
+  uint64_t old_state_rows = 0;
   bool used_counting = false;
   bool used_dred = false;
   std::string fallback;
@@ -546,6 +551,7 @@ Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
       if (live != nullptr) old->CopyFrom(*live);
       for (RowView t : net->inserted) old->Erase(t);
       for (RowView t : net->erased) old->Insert(t);
+      ctx.old_state_rows += old->size();
       ctx.old_state[key] = std::move(old);
     }
     for (int p : backfill) {
@@ -613,6 +619,7 @@ Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
   }
 
   info->delta_rows_out = ctx.rows_out;
+  info->old_state_rows = ctx.old_state_rows;
   info->mode = ctx.used_counting && ctx.used_dred ? "counting+dred"
                : ctx.used_dred                    ? "dred"
                : ctx.used_counting                ? "counting"
@@ -776,31 +783,43 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
   renv.nail = this;
 
   // ---- Phase 1: over-delete. Derivations lost to erased external rows,
-  // then propagated through the SCC. Non-delta reads of changed external
-  // relations go through live ∪ erased copies: a superset of the old
-  // state, so nothing deletable is missed (extra deletions rederive).
+  // then propagated through the SCC. The memos stay unpatched throughout,
+  // so internal positions read exactly the old state. External positions
+  // read the live relations, which hold at least old − erased: a
+  // derivation that also uses an erased row at another position j is
+  // found by j's seed pass, which reads the internal positions from the
+  // unpatched memo. That argument fails only when one rule has two or
+  // more external positions with erased rows (each seed pass would then
+  // need the other position's erased rows); only those relations are
+  // read through a live ∪ erased copy. Extra matches through inserted
+  // rows are filtered by memo->Contains or rederived below.
   Executor del_exec(exec_->program(), edb_, idb_, pool_, renv, bopts);
   std::unordered_map<TermId, Relation*> del_ov;
   for (int p : sccp) {
     for (int r : program_.preds[static_cast<size_t>(p)].rules) {
       const IvmRule& ir = ivm_rules_[static_cast<size_t>(r)];
+      std::vector<const IvmRule::Pos*> erased_pos;
       for (const IvmRule::Pos& pos : ir.positions) {
         if (is_internal(pos)) continue;
-        uint64_t key = RelKey(pos.rel, pos.arity);
-        IvmCtx::Net* net = ctx->Find(key);
-        if (net == nullptr || net->erased.empty()) continue;
+        IvmCtx::Net* net = ctx->Find(RelKey(pos.rel, pos.arity));
+        if (net != nullptr && !net->erased.empty()) erased_pos.push_back(&pos);
+      }
+      if (erased_pos.size() < 2) continue;
+      for (const IvmRule::Pos* pos : erased_pos) {
+        uint64_t key = RelKey(pos->rel, pos->arity);
         auto uit = ctx->unions.find(key);
         if (uit == ctx->unions.end()) {
-          auto u = std::make_unique<Relation>("$ivm$old+", pos.arity);
-          Relation* live = pos.nail_pred >= 0
-                               ? idb_->Find(pos.rel, pos.arity)
-                               : edb_->Find(pos.rel, pos.arity);
+          auto u = std::make_unique<Relation>("$ivm$old+", pos->arity);
+          Relation* live = pos->nail_pred >= 0
+                               ? idb_->Find(pos->rel, pos->arity)
+                               : edb_->Find(pos->rel, pos->arity);
           if (live != nullptr) u->CopyFrom(*live);
-          u->UnionAll(net->erased);
+          u->UnionAll(ctx->Find(key)->erased);
+          ctx->old_state_rows += u->size();
           uit = ctx->unions.emplace(key, std::move(u)).first;
         }
-        del_exec.AddReadOverride(pos.rel, uit->second.get());
-        del_ov[pos.rel] = uit->second.get();
+        del_exec.AddReadOverride(pos->rel, uit->second.get());
+        del_ov[pos->rel] = uit->second.get();
       }
     }
   }
@@ -827,9 +846,8 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
       }
     }
   }
-  // Propagate deletions through internal positions. The memos stay
-  // unpatched throughout this phase, so non-delta internal reads see
-  // exactly the old state (deleted tuples included — textbook DRed).
+  // Propagate deletions through internal positions (textbook DRed: the
+  // non-delta internal reads include the deleted tuples).
   bool progress = true;
   while (progress) {
     progress = false;
@@ -863,83 +881,60 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
     }
   }
 
-  // ---- Phase 2: erase the over-deleted tuples, then rederive survivors
-  // through the deletion-set semi-join plans against the *deleted* memo
-  // state (plus the new EDB / patched upstream memos). A rederived tuple
-  // leaves the deletion set and re-enters the memo, enabling more
-  // rederivations, to fixpoint.
+  // ---- Phase 2: erase the over-deleted tuples. Rows appended to a memo
+  // from here on (rederived or inserted) are the candidate net inserts,
+  // and they double as the fixpoint's seeds in the delta relations.
+  std::unordered_map<int, uint32_t> marker;
   for (int p : sccp) {
     const NailPred& pred = program_.preds[static_cast<size_t>(p)];
     Relation* memo = idb_->GetOrCreate(pred.storage, pred.columns());
     for (RowView t : *dset[p]) memo->Erase(t);
-  }
-  Executor red_exec(exec_->program(), edb_, idb_, pool_, renv, bopts);
-  std::unordered_map<TermId, Relation*> red_ov;
-  for (int p : sccp) {
-    red_exec.AddReadOverride(ivm_dset_names_[static_cast<size_t>(p)],
-                             dset[p].get());
-    red_ov[ivm_dset_names_[static_cast<size_t>(p)]] = dset[p].get();
-  }
-  bool rprogress = true;
-  while (rprogress) {
-    rprogress = false;
-    for (int p : sccp) {
-      if (dset[p]->empty()) continue;
-      const NailPred& pred = program_.preds[static_cast<size_t>(p)];
-      Relation* memo = idb_->GetOrCreate(pred.storage, pred.columns());
-      for (int r : pred.rules) {
-        if (dset[p]->empty()) break;
-        const IvmRule& ir = ivm_rules_[static_cast<size_t>(r)];
-        BuildIndexesFor(ir.rederive, edb_, idb_, red_ov);
-        std::vector<Tuple> found;
-        GLUENAIL_RETURN_NOT_OK(RunPlanHeads(
-            &red_exec, ir.rederive, ir.head_cols.size(), pool_,
-            [&](Tuple t) { found.push_back(std::move(t)); }));
-        for (Tuple& t : found) {
-          if (dset[p]->Erase(t)) {
-            memo->Insert(t);
-            rprogress = true;
-          }
-        }
-      }
-    }
-  }
-
-  // ---- Phase 3: insertions. Rows appended from here on are the
-  // candidate net inserts (rederived tuples re-entered the arena in phase
-  // 2, below these markers, and are not net changes).
-  std::unordered_map<int, uint32_t> marker;
-  for (int p : sccp) {
-    const NailPred& pred = program_.preds[static_cast<size_t>(p)];
-    marker[p] = idb_->GetOrCreate(pred.storage, pred.columns())->num_rows();
+    marker[p] = memo->num_rows();
     idb_->GetOrCreate(pred.delta_storage, pred.columns())->Clear();
     idb_->GetOrCreate(pred.newdelta_storage, pred.columns())->Clear();
   }
-  Executor ins_exec(exec_->program(), edb_, idb_, pool_, renv, bopts);
-  std::unordered_map<TermId, Relation*> ins_ov;
+
+  // ---- Phase 3: seeds. Per rule, one rederive pass — the deletion-set
+  // semi-join against the remaining memo and the new EDB — and the
+  // insertions joined through each external position. Whatever a seed
+  // enables, rederived or new, the fixpoint below derives. Rederived
+  // tuples stay in the deletion set so the net-change step counts them
+  // as washes.
   bool seeded = false;
+  Executor seed_exec(exec_->program(), edb_, idb_, pool_, renv, bopts);
+  std::unordered_map<TermId, Relation*> seed_ov;
+  for (int p : sccp) {
+    TermId dname = ivm_dset_names_[static_cast<size_t>(p)];
+    seed_exec.AddReadOverride(dname, dset[p].get());
+    seed_ov[dname] = dset[p].get();
+  }
   for (int p : sccp) {
     const NailPred& pred = program_.preds[static_cast<size_t>(p)];
     Relation* memo = idb_->GetOrCreate(pred.storage, pred.columns());
     Relation* delta = idb_->GetOrCreate(pred.delta_storage, pred.columns());
+    auto seed = [&](Tuple t) {
+      if (memo->Insert(t)) {
+        delta->Insert(t);
+        seeded = true;
+      }
+    };
     for (int r : pred.rules) {
       const IvmRule& ir = ivm_rules_[static_cast<size_t>(r)];
+      if (!dset[p]->empty()) {
+        BuildIndexesFor(ir.rederive, edb_, idb_, seed_ov);
+        GLUENAIL_RETURN_NOT_OK(RunPlanHeads(
+            &seed_exec, ir.rederive, ir.head_cols.size(), pool_, seed));
+      }
       for (size_t k = 0; k < ir.positions.size(); ++k) {
         const IvmRule::Pos& pos = ir.positions[k];
         if (is_internal(pos)) continue;
         IvmCtx::Net* net = ctx->Find(RelKey(pos.rel, pos.arity));
         if (net == nullptr || net->inserted.empty()) continue;
-        ins_exec.AddReadOverride(pos.scope_name, &net->inserted);
-        ins_ov[pos.scope_name] = &net->inserted;
-        BuildIndexesFor(ir.delta_plans[k], edb_, idb_, ins_ov);
+        seed_exec.AddReadOverride(pos.scope_name, &net->inserted);
+        seed_ov[pos.scope_name] = &net->inserted;
+        BuildIndexesFor(ir.delta_plans[k], edb_, idb_, seed_ov);
         GLUENAIL_RETURN_NOT_OK(RunPlanHeads(
-            &ins_exec, ir.delta_plans[k], ir.head_cols.size(), pool_,
-            [&](Tuple t) {
-              if (memo->Insert(t)) {
-                delta->Insert(t);
-                seeded = true;
-              }
-            }));
+            &seed_exec, ir.delta_plans[k], ir.head_cols.size(), pool_, seed));
       }
     }
   }
@@ -949,8 +944,9 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
     GLUENAIL_RETURN_NOT_OK(RunSccFixpoint(s));
   }
 
-  // ---- Net change: appended live rows are inserts; what remains of the
-  // deletion set is erased — unless phase 3 re-derived it (a wash).
+  // ---- Net change: an appended live row that is in the deletion set is
+  // a wash (back through the rederive pass or the fixpoint); the other
+  // appended rows are inserts; what remains of the deletion set is erased.
   for (int p : sccp) {
     const NailPred& pred = program_.preds[static_cast<size_t>(p)];
     Relation* memo = idb_->GetOrCreate(pred.storage, pred.columns());

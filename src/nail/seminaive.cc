@@ -187,6 +187,8 @@ Status NailEngine::Refresh() {
                                std::memory_order_relaxed);
         ivm_rows_out_.fetch_add(info.delta_rows_out,
                                 std::memory_order_relaxed);
+        ivm_old_state_rows_.fetch_add(info.old_state_rows,
+                                      std::memory_order_relaxed);
         info.seq = refresh_count_;
         info.incremental = true;
         {

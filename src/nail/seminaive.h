@@ -67,6 +67,10 @@ struct NailRefreshInfo {
   /// EDB delta rows consumed / memo rows changed by a delta refresh.
   uint64_t delta_rows_in = 0;
   uint64_t delta_rows_out = 0;
+  /// Rows a delta refresh copied into old-state overrides: DRed's
+  /// live ∪ erased copies and the counting backfill's pre-delta copies.
+  /// 0 when every read could use the live relations.
+  uint64_t old_state_rows = 0;
 };
 
 class NailEngine : public NailEvaluator {
@@ -162,6 +166,11 @@ class NailEngine : public NailEvaluator {
   }
   uint64_t ivm_delta_rows_out() const {
     return ivm_rows_out_.load(std::memory_order_relaxed);
+  }
+  /// Cumulative rows copied into old-state overrides by delta refreshes
+  /// (NailRefreshInfo::old_state_rows).
+  uint64_t ivm_old_state_rows() const {
+    return ivm_old_state_rows_.load(std::memory_order_relaxed);
   }
   /// Monotone refresh sequence number (== refresh_count, atomic so query
   /// observability can compare before/after without the engine lock).
@@ -335,6 +344,7 @@ class NailEngine : public NailEvaluator {
   std::atomic<uint64_t> ivm_fallback_count_{0};
   std::atomic<uint64_t> ivm_rows_in_{0};
   std::atomic<uint64_t> ivm_rows_out_{0};
+  std::atomic<uint64_t> ivm_old_state_rows_{0};
   std::atomic<uint64_t> refresh_seq_{0};
   mutable std::mutex info_mu_;
   NailRefreshInfo last_refresh_;

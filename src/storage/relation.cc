@@ -209,7 +209,15 @@ void Relation::CopyFrom(const Relation& src) {
     version_.fetch_add(1, std::memory_order_acq_rel);
     return;
   }
-  for (RowView t : src) Insert(t);
+  // Dead rows: src's sketches may carry erase debt, so the live rows are
+  // observed afresh — but src is still duplicate-free, so they append
+  // without a dedup probe into a table sized once.
+  dedup_.Reserve(src.size(),
+                 [this](uint32_t r) { return HashRow(arena_.row(r)); });
+  std::vector<uint32_t> rows;
+  rows.reserve(src.size());
+  src.CollectLiveRows(0, src.num_rows(), &rows);
+  AppendDistinctRows(src, rows);
 }
 
 std::vector<Tuple> Relation::SortedTuples(const TermPool& pool) const {

@@ -164,9 +164,10 @@ class Relation {
   /// Inserts every tuple of \p src; returns the number actually added.
   size_t UnionAll(const Relation& src);
 
-  /// Replaces contents with a copy of \p src (arity must match). When the
-  /// source has no dead rows this copies whole arena chunks and bulk-loads
-  /// the dedup table without per-row probing.
+  /// Replaces contents with a copy of \p src (arity must match), never
+  /// probing the dedup table per row: when the source has no dead rows
+  /// this copies whole arena chunks and its statistics; otherwise it
+  /// appends the live rows as AppendDistinctRows does.
   void CopyFrom(const Relation& src);
 
   /// Live tuples in canonical (term-order) sorted order; for deterministic

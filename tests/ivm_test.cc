@@ -2,7 +2,8 @@
 /// incremental-vs-full equality across insert-only / erase-only / mixed
 /// batches on non-recursive, recursive (transitive closure over cyclic
 /// graphs), stratified-negation, and HiLog-parameterized programs; both
-/// execution strategies and the 4-thread parallel fixpoint; fallback
+/// execution strategies and the 4-thread parallel fixpoint; a randomized
+/// DRed differential over seven recursive programs; fallback
 /// behavior (delta fraction, dropped captures, unstructured writes);
 /// salvage-recovery invalidation; metrics/EXPLAIN surfacing; and
 /// concurrent readers during refresh (the tsan target).
@@ -12,6 +13,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
+#include <random>
 #include <set>
 #include <thread>
 #include <vector>
@@ -343,6 +346,176 @@ TEST(IvmParallel, FourThreadFixpoint) {
   pair.Check("path(X, Y)");
 }
 
+// --- Randomized differential DRed ------------------------------------------
+
+/// Whether a program's delta refreshes copy rows into old-state
+/// overrides (NailRefreshInfo::old_state_rows).
+enum class OldStateCopies { kNever, kSome, kDependsOnBatches };
+
+/// One recursive program for the randomized suite: its EDB relations
+/// (all binary, over a small integer domain), the goals compared after
+/// every batch, and what its refreshes copy.
+struct RandomDredCase {
+  const char* name;
+  const char* program;
+  std::vector<std::string> edb;
+  std::vector<std::string> goals;
+  OldStateCopies copies;
+};
+
+std::vector<RandomDredCase> RandomDredCases() {
+  return {
+      {"RightLinearTc", R"(
+module kb;
+edb edge(X,Y);
+path(X,Y) :- edge(X,Y).
+path(X,Z) :- path(X,Y) & edge(Y,Z).
+end
+)",
+       {"edge"}, {"path(X, Y)"}, OldStateCopies::kNever},
+      {"LeftLinearTc", R"(
+module kb;
+edb edge(X,Y);
+path(X,Y) :- edge(X,Y).
+path(X,Z) :- edge(X,Y) & path(Y,Z).
+end
+)",
+       {"edge"}, {"path(X, Y)"}, OldStateCopies::kNever},
+      {"NonlinearTc", R"(
+module kb;
+edb edge(X,Y);
+path(X,Y) :- edge(X,Y).
+path(X,Z) :- path(X,Y) & path(Y,Z).
+end
+)",
+       {"edge"}, {"path(X, Y)"}, OldStateCopies::kNever},
+      // par is read twice in both sg rules: the union path stays.
+      {"SameGeneration", R"(
+module kb;
+edb par(X,Y);
+sg(X,Y) :- par(X,P) & par(Y,P).
+sg(X,Y) :- par(X,XP) & sg(XP,YP) & par(Y,YP).
+end
+)",
+       {"par"}, {"sg(X, Y)"}, OldStateCopies::kSome},
+      {"MutualRecursion", R"(
+module kb;
+edb edge(X,Y);
+odd(X,Y) :- edge(X,Y).
+odd(X,Z) :- even(X,Y) & edge(Y,Z).
+even(X,Z) :- odd(X,Y) & edge(Y,Z).
+end
+)",
+       {"edge"}, {"odd(X, Y)", "even(X, Y)"}, OldStateCopies::kNever},
+      // e1 and e2 change in the same batches: a batch erasing rows of
+      // both reads them through old-state copies.
+      {"TwoChangedRelations", R"(
+module kb;
+edb e1(X,Y), e2(X,Y);
+r(X,Y) :- e1(X,Y).
+r(X,Z) :- r(X,Y) & e1(Y,W) & e2(W,Z).
+end
+)",
+       {"e1", "e2"}, {"r(X, Y)"}, OldStateCopies::kDependsOnBatches},
+      // link is a non-recursive memo patched by counting (whose backfill
+      // copies the old state); reach's DRed reads link's net change.
+      {"UpstreamMemo", R"(
+module kb;
+edb edge(X,Y);
+link(X,Y) :- edge(X,Y) & X != Y.
+reach(X,Y) :- link(X,Y).
+reach(X,Z) :- reach(X,Y) & link(Y,Z).
+end
+)",
+       {"edge"}, {"link(X, Y)", "reach(X, Y)"}, OldStateCopies::kSome},
+  };
+}
+
+/// Applies seeded random insert/erase batches to an IvmPair and compares
+/// every goal after every batch. Returns the number of batches that
+/// changed the EDB.
+int RunRandomBatches(IvmPair* pair, const RandomDredCase& c, uint32_t seed,
+                     int batches) {
+  std::mt19937 rng(seed);
+  const int domain = 6 + static_cast<int>(seed % 5);  // 6..10 nodes
+  std::set<std::string> present;
+  auto random_fact = [&] {
+    const std::string& rel = c.edb[rng() % c.edb.size()];
+    return StrCat(rel, "(", rng() % domain, ",", rng() % domain, ")");
+  };
+
+  // Initial graph, then the first (full) materialization.
+  MutationBatch init;
+  for (int i = 0; i < domain * 2; ++i) {
+    std::string f = random_fact();
+    if (present.insert(f).second) init.Insert(f);
+  }
+  pair->Apply(init);
+  for (const std::string& g : c.goals) pair->Check(g);
+
+  int changed = 0;
+  for (int b = 0; b < batches; ++b) {
+    MutationBatch batch;
+    std::set<std::string> touched;
+    const int ops = 1 + static_cast<int>(rng() % 6);
+    for (int i = 0; i < ops; ++i) {
+      if (!present.empty() && rng() % 2 == 0) {
+        auto it = present.begin();
+        std::advance(it, rng() % present.size());
+        if (!touched.insert(*it).second) continue;
+        batch.Erase(*it);
+        present.erase(it);
+      } else {
+        std::string f = random_fact();
+        if (present.count(f) != 0 || !touched.insert(f).second) continue;
+        batch.Insert(f);
+        present.insert(f);
+      }
+    }
+    if (!touched.empty()) ++changed;
+    pair->Apply(batch);
+    for (const std::string& g : c.goals) pair->Check(g);
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << c.name << " seed " << seed << " diverged at batch "
+                    << b;
+      return changed;
+    }
+  }
+  return changed;
+}
+
+class IvmRandomDredTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(IvmRandomDredTest, MatchesFullRecompute) {
+  for (const RandomDredCase& c : RandomDredCases()) {
+    SCOPED_TRACE(c.name);
+    for (uint32_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+      EngineOptions base;
+      base.num_threads = GetParam();
+      IvmPair pair(base);
+      pair.Load(c.program);
+      int changed = RunRandomBatches(&pair, c, seed, 40);
+      if (HasFailure()) return;
+      // Every batch after the first materialization was a delta refresh:
+      // no structural fallback, no error fallback.
+      EXPECT_EQ(pair.nail()->full_refresh_count(), 1u) << "seed " << seed;
+      EXPECT_EQ(pair.nail()->delta_refresh_count(),
+                static_cast<uint64_t>(changed))
+          << "seed " << seed;
+      if (c.copies == OldStateCopies::kNever) {
+        EXPECT_EQ(pair.nail()->ivm_old_state_rows(), 0u) << "seed " << seed;
+      } else if (c.copies == OldStateCopies::kSome) {
+        EXPECT_GT(pair.nail()->ivm_old_state_rows(), 0u) << "seed " << seed;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, IvmRandomDredTest, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 1 ? "Serial" : "FourThreads";
+                         });
+
 // --- Fallback guards -------------------------------------------------------
 
 TEST(IvmFallback, AutoRecomputesWhenDeltaFractionExceeded) {
@@ -501,6 +674,10 @@ TEST(IvmObs, MetricsExposeDeltaVsFullCounts) {
             std::string::npos);
   EXPECT_NE(metrics.find("gluenail_nail_ivm_delta_rows_in_total"),
             std::string::npos);
+  // Insert-only TC reads every changed relation live: nothing copied.
+  EXPECT_NE(metrics.find("gluenail_nail_ivm_old_state_rows_total 0"),
+            std::string::npos)
+      << metrics;
 }
 
 TEST(IvmObs, ExplainAnalyzeShowsRefreshMode) {
@@ -517,6 +694,7 @@ TEST(IvmObs, ExplainAnalyzeShowsRefreshMode) {
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_NE(out->find("nail refresh: mode=dred"), std::string::npos) << *out;
   EXPECT_NE(out->find("delta_rows_in=1"), std::string::npos) << *out;
+  EXPECT_NE(out->find("old_state_rows=0"), std::string::npos) << *out;
   // The first ANALYZE *wrote* reached/1 — an ad-hoc statement the delta
   // log never saw — so the second one must show a watermark-forced full
   // recompute, not an incremental patch.

@@ -401,6 +401,39 @@ TEST_F(RelationTest, CopyFromSlowPathPreservesStats) {
   }
 }
 
+TEST_F(RelationTest, CopyFromSourceWithDeadRowsIsAUsableRelation) {
+  // A source with dead rows takes the probe-free append path: the copy
+  // must hold exactly the live rows, keep rejecting duplicates, and keep
+  // erasing through its dedup table.
+  Relation src("src", 2);
+  for (int i = 0; i < 300; ++i) src.Insert(T({i, i % 11}));
+  for (int i = 0; i < 300; i += 3) src.Erase(T({i, i % 11}));
+  ASSERT_EQ(src.size(), 200u);
+  ASSERT_NE(src.num_rows(), src.size());
+
+  Relation dst("dst", 2);
+  dst.Insert(T({-1, -1}));  // replaced by the copy
+  dst.CopyFrom(src);
+  EXPECT_EQ(dst.size(), 200u);
+  EXPECT_EQ(dst.num_rows(), 200u);  // only live rows are copied
+  EXPECT_FALSE(dst.Contains(T({-1, -1})));
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_EQ(dst.Contains(T({i, i % 11})), i % 3 != 0) << i;
+  }
+  EXPECT_EQ(dst.SortedTuples(pool_), src.SortedTuples(pool_));
+
+  EXPECT_FALSE(dst.Insert(T({1, 1})));  // a copied row
+  EXPECT_TRUE(dst.Insert(T({0, 0})));   // a row erased from the source
+  EXPECT_TRUE(dst.Erase(T({2, 2})));
+  EXPECT_FALSE(dst.Contains(T({2, 2})));
+  EXPECT_FALSE(dst.Erase(T({2, 2})));
+  EXPECT_EQ(dst.size(), 200u);
+  std::vector<uint32_t> hits;
+  dst.Select(0b01, T({4}), &hits);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(dst.row(hits[0])[1], pool_.MakeInt(4));
+}
+
 TEST_F(RelationTest, UnionDiffMaintainsStatsIncrementally) {
   // UnionDiff inserts through the normal path, so stats must equal the
   // row-by-row reference on destination, and the delta must carry stats

@@ -20,8 +20,9 @@
 #            their labels
 #   ivm    — Debug build, runs only the ivm-labelled incremental view
 #            maintenance suite (counting/DRed differential checks,
-#            fallback guards, recovery invalidation); the same tests
-#            also run under asan and tsan via their labels
+#            randomized DRed differentials, fallback guards, recovery
+#            invalidation, the DRed allocation-fault sweep); ivm_test
+#            also runs under asan and tsan via its labels
 #   repl   — Debug build, runs only the repl-labelled log-shipping
 #            replication suite (codecs, convergence, snapshot
 #            bootstrap, torn streams, fault sweeps); the same tests
