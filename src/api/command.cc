@@ -202,9 +202,7 @@ Response Session::Execute(const Command& cmd) {
     }
 
     case CommandKind::kMutate: {
-      if (engine_->replica()) {
-        return Response::Error(engine_->ReplicaWriteFence("mutate"));
-      }
+      // ApplyBatch and ExecuteStatement fence replicas themselves.
       Response resp;
       if (!cmd.batch.empty()) {
         // The durable write path: when a WAL is configured the batch is
@@ -244,16 +242,27 @@ Response Session::Execute(const Command& cmd) {
             StrCat("loaded: ", FormatCompileStats(engine_->compile_stats())));
       }
       if (cmd.source.empty()) {
-        Status s = engine_->LoadEdbFile(cmd.path);
+        Status s = engine_->LoadEdbFile(cmd.path).status();
         if (!s.ok()) return Response::Error(std::move(s));
         return Response::Ok(StrCat("edb loaded from ", cmd.path));
       }
+      // Inline facts take the one durable write path: validated whole into
+      // a staging database (v2 sections or headerless facts), then applied
+      // as one insert batch — logged and delta-captured. A replica refuses
+      // before parsing, so a refused load interns nothing.
+      if (engine_->replica()) {
+        return Response::Error(engine_->ReplicaWriteFence("LoadEdbText"));
+      }
+      Database staged(&engine_->pool_);
       std::istringstream in(cmd.source);
-      Status s = engine_->Mutate(
-          [&](Database* edb, Database* /*idb*/, TermPool* /*pool*/) {
-            return LoadDatabase(edb, in);
-          });
+      Status s = LoadDatabase(&staged, in);
       if (!s.ok()) return Response::Error(std::move(s));
+      MutationBatch batch;
+      staged.ForEach([&](TermId name, uint32_t, Relation* rel) {
+        for (RowView row : *rel) batch.Insert(engine_->pool_, name, row);
+      });
+      Result<MutationBatch::ApplyReport> r = engine_->ApplyBatch(batch);
+      if (!r.ok()) return Response::Error(r.status());
       return Response::Ok("edb loaded");
     }
 

@@ -96,7 +96,9 @@ struct WireQueryOptions {
 /// What kLoad loads.
 enum class LoadTarget : uint8_t {
   kProgram = 0,  ///< Glue-Nail source (replaces the loaded program)
-  kEdb = 1,      ///< §10 fact file (merged into the EDB)
+  /// §10 facts merged into the EDB: inline text becomes one insert batch
+  /// (Engine::ApplyBatch); a file is bulk-loaded and checkpointed.
+  kEdb = 1,
 };
 
 /// A tagged request. Only the fields of the active kind matter; the

@@ -1,8 +1,6 @@
 #include "src/api/engine.h"
 
-#include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 
@@ -36,17 +34,7 @@ class ControlScope {
   Executor* exec_;
 };
 
-ExecControl MakeControl(const QueryOptions& options) {
-  ExecControl ctl;
-  ctl.deadline = options.deadline;
-  ctl.cancel = options.cancel;
-  ctl.limits = options.limits;
-  return ctl;
-}
-
 }  // namespace
-
-Engine::Engine() : Engine(EngineOptions{}) {}
 
 Engine::Engine(EngineOptions options)
     : options_(options),
@@ -82,186 +70,6 @@ void Engine::RegisterBuiltinMetrics() {
       "queries over EngineOptions::slow_query_threshold");
   m_query_latency_ = metrics_.RegisterHistogram(
       "gluenail_query_latency_ns", "end-to-end query latency in nanoseconds");
-
-  // Pull metrics: values the subsystems already maintain. The callbacks
-  // run under DumpMetrics' shared lock, so they must read lock-free state
-  // (atomics, the thread-safe pool) and never re-lock state_mu_.
-  metrics_.RegisterPullGauge("gluenail_termpool_terms",
-                             "terms interned in the pool", [this] {
-                               return static_cast<int64_t>(pool_.size());
-                             });
-  metrics_.RegisterPullGauge("gluenail_storage_relations",
-                             "relations across the EDB and IDB", [this] {
-                               return static_cast<int64_t>(
-                                   StorageStatsNoLock().relations);
-                             });
-  metrics_.RegisterPullGauge("gluenail_storage_live_tuples",
-                             "live tuples across every relation", [this] {
-                               return static_cast<int64_t>(
-                                   StorageStatsNoLock().live_tuples);
-                             });
-  metrics_.RegisterPullGauge("gluenail_storage_arena_bytes",
-                             "bytes held by arenas, dedup tables, indexes",
-                             [this] {
-                               return static_cast<int64_t>(
-                                   StorageStatsNoLock().arena_bytes);
-                             });
-  metrics_.RegisterPullCounter(
-      "gluenail_storage_scan_rows_total", "rows visited by full scans",
-      [this] { return StorageStatsNoLock().scan_rows; });
-  metrics_.RegisterPullCounter(
-      "gluenail_storage_index_lookups_total", "keyed index lookups",
-      [this] { return StorageStatsNoLock().index_lookups; });
-  metrics_.RegisterPullCounter(
-      "gluenail_storage_index_probe_rows_total",
-      "rows walked along index probe chains",
-      [this] { return StorageStatsNoLock().index_probe_rows; });
-  metrics_.RegisterPullCounter(
-      "gluenail_storage_indexes_built_total", "hash indexes built",
-      [this] { return StorageStatsNoLock().indexes_built; });
-  metrics_.RegisterPullCounter(
-      "gluenail_storage_dedup_probes_total", "dedup-table probe steps",
-      [this] { return StorageStatsNoLock().dedup_probes; });
-  metrics_.RegisterPullCounter(
-      "gluenail_storage_stats_rebuilds_total",
-      "NDV-sketch rebuilds (erase churn or compaction)",
-      [this] { return StorageStatsNoLock().stats_rebuilds; });
-
-  // Writer-path executor counters (the long-lived executor; read sessions'
-  // ephemeral executors are not aggregated here).
-  auto exec_stat = [this](uint64_t ExecStats::* field) {
-    return [this, field]() -> uint64_t {
-      return executor_ != nullptr ? executor_->stats().*field : 0;
-    };
-  };
-  metrics_.RegisterPullCounter("gluenail_exec_statements_total",
-                               "statement plans executed",
-                               exec_stat(&ExecStats::statements));
-  metrics_.RegisterPullCounter("gluenail_exec_records_produced_total",
-                               "binding records produced",
-                               exec_stat(&ExecStats::records_produced));
-  metrics_.RegisterPullCounter(
-      "gluenail_exec_rows_scanned_total",
-      "rows visited answering matches (scan + probe chains)",
-      exec_stat(&ExecStats::rows_scanned));
-  metrics_.RegisterPullCounter("gluenail_exec_control_checks_total",
-                               "full guardrail checks",
-                               exec_stat(&ExecStats::control_checks));
-  metrics_.RegisterPullCounter("gluenail_exec_pipeline_breaks_total",
-                               "pipelined-strategy materialization points",
-                               exec_stat(&ExecStats::pipeline_breaks));
-  metrics_.RegisterPullCounter("gluenail_exec_duplicates_removed_total",
-                               "records dropped by dedup-at-breaks",
-                               exec_stat(&ExecStats::duplicates_removed));
-  metrics_.RegisterPullCounter("gluenail_exec_batch_segments_total",
-                               "batch-at-a-time segments run",
-                               exec_stat(&ExecStats::batch_segments));
-  metrics_.RegisterPullCounter(
-      "gluenail_exec_batch_rows_total",
-      "binding records entering batch segments",
-      exec_stat(&ExecStats::batch_rows));
-
-  // Semi-naive driver counters.
-  metrics_.RegisterPullCounter(
-      "gluenail_nail_refreshes_total", "NAIL! memo refreshes", [this] {
-        return nail_engine_ != nullptr ? nail_engine_->refresh_count() : 0;
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_nail_iterations_total", "semi-naive fixpoint iterations",
-      [this] {
-        return nail_engine_ != nullptr ? nail_engine_->iteration_count() : 0;
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_nail_parallel_batches_total",
-      "parallel fixpoint iterations dispatched to workers", [this] {
-        return nail_engine_ != nullptr ? nail_engine_->parallel_batches() : 0;
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_nail_replans_total",
-      "mid-evaluation SCC replans on cardinality drift", [this] {
-        return nail_engine_ != nullptr ? nail_engine_->replan_count() : 0;
-      });
-  // Incremental view maintenance: how often refreshes were served from
-  // captured deltas vs. recomputed, and how much the deltas moved.
-  metrics_.RegisterPullCounter(
-      "gluenail_nail_delta_refresh_total",
-      "NAIL! memo refreshes patched incrementally from captured deltas",
-      [this] {
-        return nail_engine_ != nullptr ? nail_engine_->delta_refresh_count()
-                                       : 0;
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_nail_full_refresh_total",
-      "NAIL! memo refreshes recomputed from scratch", [this] {
-        return nail_engine_ != nullptr ? nail_engine_->full_refresh_count()
-                                       : 0;
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_nail_ivm_fallbacks_total",
-      "full recomputes forced while delta maintenance was enabled", [this] {
-        return nail_engine_ != nullptr ? nail_engine_->ivm_fallback_count()
-                                       : 0;
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_nail_ivm_delta_rows_in_total",
-      "EDB delta rows consumed by incremental refreshes", [this] {
-        return nail_engine_ != nullptr ? nail_engine_->ivm_delta_rows_in()
-                                       : 0;
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_nail_ivm_delta_rows_out_total",
-      "memo rows changed by incremental refreshes", [this] {
-        return nail_engine_ != nullptr ? nail_engine_->ivm_delta_rows_out()
-                                       : 0;
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_nail_ivm_old_state_rows_total",
-      "rows copied into old-state overrides by incremental refreshes",
-      [this] {
-        return nail_engine_ != nullptr ? nail_engine_->ivm_old_state_rows()
-                                       : 0;
-      });
-
-  // Process-wide planner and persistence counters (free-function layers).
-  metrics_.RegisterPullCounter(
-      "gluenail_planner_bodies_planned_total",
-      "statement bodies ordered by the physical planner", [] {
-        return GlobalPlannerCounters().bodies_planned.load(
-            std::memory_order_relaxed);
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_planner_index_builds_scheduled_total",
-      "planner-decided index builds", [] {
-        return GlobalPlannerCounters().index_builds_scheduled.load(
-            std::memory_order_relaxed);
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_persist_saves_total", "successful database file saves", [] {
-        return GlobalPersistenceCounters().saves.load(
-            std::memory_order_relaxed);
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_persist_save_failures_total", "failed database file saves",
-      [] {
-        return GlobalPersistenceCounters().save_failures.load(
-            std::memory_order_relaxed);
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_persist_loads_total", "successful database file loads", [] {
-        return GlobalPersistenceCounters().loads.load(
-            std::memory_order_relaxed);
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_persist_load_failures_total", "failed database file loads",
-      [] {
-        return GlobalPersistenceCounters().load_failures.load(
-            std::memory_order_relaxed);
-      });
-
-  // Durability: engine-owned commit counters plus pulls over the commit
-  // log's and the recovery layer's own counters. commit_log_ is guarded
-  // like executor_: the callbacks run under DumpMetrics' shared lock, and
-  // only exclusive holders replace the pointer.
   m_wal_commits_ = metrics_.RegisterCounter(
       "gluenail_wal_commits_total",
       "mutation batches committed through the WAL write path");
@@ -270,30 +78,18 @@ void Engine::RegisterBuiltinMetrics() {
       "mutation batches rejected or not made durable");
   m_checkpoints_ = metrics_.RegisterCounter(
       "gluenail_checkpoints_total", "checkpoint saves with WAL rotation");
+
+  // Each subsystem registers its own pulls. They run under DumpMetrics'
+  // shared lock, which is what keeps executor_, nail_engine_ and
+  // commit_log_ from being replaced mid-read.
+  RegisterStorageMetrics(&metrics_, &pool_, &edb_, &idb_);
+  Executor::RegisterMetrics(&metrics_, &executor_);
+  NailEngine::RegisterMetrics(&metrics_, &nail_engine_);
+  RegisterPlannerMetrics(&metrics_);
+  RegisterPersistenceMetrics(&metrics_);
   m_wal_group_size_ = CommitLog::RegisterMetrics(
       &metrics_, [this] { return commit_log_.get(); });
-  metrics_.RegisterPullCounter(
-      "gluenail_recovery_runs_total", "successful crash recoveries", [] {
-        return GlobalRecoveryCounters().recoveries.load(
-            std::memory_order_relaxed);
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_recovery_failures_total", "failed crash recoveries", [] {
-        return GlobalRecoveryCounters().failures.load(
-            std::memory_order_relaxed);
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_recovery_records_replayed_total",
-      "WAL records replayed during recovery", [] {
-        return GlobalRecoveryCounters().records_replayed.load(
-            std::memory_order_relaxed);
-      });
-  metrics_.RegisterPullCounter(
-      "gluenail_recovery_torn_bytes_total",
-      "torn-tail bytes discarded during recovery", [] {
-        return GlobalRecoveryCounters().torn_bytes.load(
-            std::memory_order_relaxed);
-      });
+  RegisterRecoveryMetrics(&metrics_);
 
   // Replication (replica side; the primary's stream counters live in the
   // server that owns the subscriber connections). The watermarks are
@@ -317,12 +113,7 @@ void Engine::RegisterBuiltinMetrics() {
         });
     metrics_.RegisterPullGauge(
         "gluenail_repl_lag", "primary durable LSN minus applied LSN",
-        [this] {
-          uint64_t primary = replica_primary_lsn();
-          uint64_t applied = replica_applied_lsn();
-          return static_cast<int64_t>(primary > applied ? primary - applied
-                                                        : 0);
-        });
+        [this] { return static_cast<int64_t>(replica_lag()); });
   }
 }
 
@@ -332,26 +123,6 @@ std::string Engine::DumpMetrics(MetricsFormat format) const {
   std::shared_lock<std::shared_mutex> lock(state_mu_);
   return format == MetricsFormat::kJson ? metrics_.RenderJson()
                                         : metrics_.RenderPrometheus();
-}
-
-void Engine::BeginQueryObs(QueryObs* obs, bool want_trace) {
-  obs->start = std::chrono::steady_clock::now();
-  obs->want_trace = want_trace;
-  obs->active = want_trace || options_.slow_query_threshold.count() > 0;
-  if (!obs->active) return;
-  obs->scope.emplace(&obs->sink);
-}
-
-void Engine::SampleReplanBaseline(QueryObs* obs) {
-  // Separate from BeginQueryObs: sessions install the sink before taking
-  // the engine lock (to trace the read-upgrade NAIL! refresh), but the
-  // nail_engine_ pointer itself may only be dereferenced under the lock —
-  // a concurrent LoadProgram can swap it.
-  if (!obs->active) return;
-  obs->replans_before =
-      nail_engine_ != nullptr ? nail_engine_->replan_count() : 0;
-  obs->refresh_seq_before =
-      nail_engine_ != nullptr ? nail_engine_->refresh_seq() : 0;
 }
 
 void Engine::FinishQueryObs(QueryObs* obs, std::string_view query,
@@ -376,26 +147,24 @@ void Engine::FinishQueryObs(QueryObs* obs, std::string_view query,
     SlowQueryEntry entry;
     entry.query = trace->query;
     entry.seconds = static_cast<double>(total_ns) * 1e-9;
-    const uint64_t replans_now =
-        nail_engine_ != nullptr ? nail_engine_->replan_count() : 0;
-    entry.replans = replans_now - obs->replans_before;
-    if (nail_engine_ != nullptr &&
-        nail_engine_->refresh_seq() != obs->refresh_seq_before) {
-      // This query paid for a memo refresh; record how it ran.
-      NailRefreshInfo info = nail_engine_->last_refresh();
-      entry.nail_refresh_mode = info.mode;
-      if (!info.fallback.empty()) {
-        entry.nail_refresh_mode += StrCat(" (", info.fallback, ")");
+    if (nail_engine_ != nullptr) {
+      entry.replans = nail_engine_->replan_count() - obs->replans_before;
+      if (nail_engine_->refresh_seq() != obs->refresh_seq_before) {
+        // This query paid for a memo refresh; record how it ran.
+        NailRefreshInfo info = nail_engine_->last_refresh();
+        entry.nail_refresh_mode = info.mode;
+        if (!info.fallback.empty()) {
+          entry.nail_refresh_mode += StrCat(" (", info.fallback, ")");
+        }
+        entry.nail_delta_rows_in = info.delta_rows_in;
+        entry.nail_delta_rows_out = info.delta_rows_out;
       }
-      entry.nail_delta_rows_in = info.delta_rows_in;
-      entry.nail_delta_rows_out = info.delta_rows_out;
     }
     entry.plan = trace->plan;
     entry.top_spans = TopSpansByDuration(trace->spans, 3);
     m_slow_queries_->Add(1);
     slow_log_.Record(std::move(entry));
   }
-  obs->active = false;
 }
 
 Session Engine::OpenSession() { return Session(this); }
@@ -456,12 +225,8 @@ Status Engine::LoadProgramLocked(std::string_view source) {
   // are meaningless (the first refresh rebases the log).
   ivm_log_.Invalidate();
 
-  RuntimeEnv env;
-  env.io = io_;
-  env.hosts = &hosts_;
-  env.nail = nail_engine_.get();
   executor_ = std::make_unique<Executor>(&linked_->program, &edb_, &idb_,
-                                         &pool_, env, options_.exec);
+                                         &pool_, Env(), options_.exec);
   nail_engine_->set_executor(executor_.get());
 
   for (const auto& [name, tuple] : linked_->facts) {
@@ -489,13 +254,8 @@ Status Engine::LoadProgramLocked(std::string_view source) {
 }
 
 Status Engine::LoadProgramFile(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.is_open()) {
-    return Status::IoError(StrCat("cannot open ", path));
-  }
-  std::ostringstream text;
-  text << f.rdbuf();
-  return LoadProgram(text.str()).WithContext(path);
+  GLUENAIL_ASSIGN_OR_RETURN(std::string text, ReadFileText(path));
+  return LoadProgram(text).WithContext(path);
 }
 
 Status Engine::EnsureLoadedLocked() {
@@ -530,54 +290,35 @@ Result<CompiledProcedure> Engine::CompileAdhoc(const ast::Statement& stmt) {
                              /*implicit_edb=*/true, &stats_provider_);
 }
 
-Status Engine::ExecuteStatement(std::string_view statement) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  return ExecuteStatementLocked(statement);
-}
-
 Status Engine::ExecuteStatement(std::string_view statement,
                                 const QueryOptions& options) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
-  ExecControl ctl = MakeControl(options);
-  const ExecControl* ctl_ptr = options.guarded() ? &ctl : nullptr;
-  if (ctl_ptr != nullptr) GLUENAIL_RETURN_NOT_OK(ctl.Check());
-  QueryObs obs;
-  BeginQueryObs(&obs, options.trace);
-  SampleReplanBaseline(&obs);
-  Status st;
-  try {
-    ControlScope scope(executor_.get(), ctl_ptr);
-    st = ExecuteStatementLocked(statement);
-  } catch (const std::bad_alloc&) {
-    st = Status::ResourceExhausted("allocation failed during statement");
-  }
-  FinishQueryObs(&obs, statement, &trace_ring_);
-  return st;
+  if (options_.replica) return ReplicaWriteFence("ExecuteStatement");
+  return RunObserved(nullptr, /*statement=*/true, statement, options,
+                     &trace_ring_)
+      .status();
 }
 
-Status Engine::ExecuteStatementLocked(std::string_view statement) {
-  GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
+Status Engine::RunAdhocLocked(std::string_view statement,
+                              std::string* profiled_plans) {
   ScopedSpan parse_span("stmt:parse");
   GLUENAIL_ASSIGN_OR_RETURN(ast::Statement stmt, ParseStatement(statement));
   parse_span.End();
   ScopedSpan compile_span("stmt:compile");
   GLUENAIL_ASSIGN_OR_RETURN(CompiledProcedure proc, CompileAdhoc(stmt));
   compile_span.End();
-  // Under an active sink, profile every plan so the trace captures the
-  // plan text with actual rows. The plans die with `proc`, so the
-  // profiles (keyed by plan pointer) are dropped on every exit path.
-  TraceSink* sink = TraceSink::Current();
-  if (sink != nullptr) {
+  // The profiles are keyed by plan pointer and the plans die with `proc`,
+  // so they are dropped on every exit path.
+  if (profiled_plans != nullptr) {
     for (const StatementPlan& plan : proc.plans) {
       executor_->EnableOpProfile(&plan);
     }
   }
   Frame frame(&proc);
   Status run = executor_->ExecBlock(proc.code, proc, &frame);
-  if (sink != nullptr) {
+  if (profiled_plans != nullptr) {
     for (const StatementPlan& plan : proc.plans) {
-      sink->AppendPlan(PlanToString(plan, pool_, executor_->OpProfile(&plan)));
+      *profiled_plans +=
+          PlanToString(plan, pool_, executor_->OpProfile(&plan));
       executor_->DisableOpProfile(&plan);
     }
   }
@@ -586,35 +327,94 @@ Status Engine::ExecuteStatementLocked(std::string_view statement) {
 
 Result<Engine::QueryResult> Engine::Query(std::string_view goal,
                                           const QueryOptions& options) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
-  ExecControl ctl = MakeControl(options);
-  const ExecControl* ctl_ptr = options.guarded() ? &ctl : nullptr;
-  if (ctl_ptr != nullptr) {
-    // Fail fast on pre-cancelled tokens and already-expired deadlines.
-    GLUENAIL_RETURN_NOT_OK(ctl.Check());
-  }
+  return RunObserved(nullptr, /*statement=*/false, goal, options,
+                     &trace_ring_);
+}
+
+Result<Engine::QueryResult> Engine::RunObserved(Session* reader,
+                                                bool statement,
+                                                std::string_view text,
+                                                const QueryOptions& options,
+                                                TraceRing* ring) {
+  // The sink goes in before the lock: when a session read upgrades to
+  // refresh a stale NAIL! memo, the refresh's fixpoint spans (usually the
+  // dominant cost) belong to this trace. The sink is thread-local, so
+  // installing it early races with nothing.
   QueryObs obs;
-  BeginQueryObs(&obs, options.trace);
-  SampleReplanBaseline(&obs);
+  obs.want_trace = options.trace;
+  obs.active = options.trace || options_.slow_query_threshold.count() > 0;
+  if (obs.active) obs.scope.emplace(&obs.sink);
+  std::unique_lock<std::shared_mutex> writer(state_mu_, std::defer_lock);
+  std::shared_lock<std::shared_mutex> shared(state_mu_, std::defer_lock);
+  if (reader != nullptr) {
+    // Statements write, so they never run under the shared lock.
+    if (statement) return Status::InvalidArgument("statement on a reader");
+    // A session read's latency includes the refresh its upgrade pays for.
+    obs.start = std::chrono::steady_clock::now();
+    GLUENAIL_RETURN_NOT_OK(reader->EnterRead(&shared));
+  } else {
+    writer.lock();
+    GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
+    // Timed from here: waiting for the writer lock is not query latency.
+    obs.start = std::chrono::steady_clock::now();
+  }
+  ExecControl ctl{options.deadline, options.cancel, options.limits};
+  const ExecControl* ctl_ptr = options.guarded() ? &ctl : nullptr;
+  // Fail fast on pre-cancelled tokens and already-expired deadlines.
+  if (ctl_ptr != nullptr) GLUENAIL_RETURN_NOT_OK(ctl.Check());
+  // Under the lock: a concurrent LoadProgram can swap nail_engine_.
+  if (obs.active && nail_engine_ != nullptr) {
+    obs.replans_before = nail_engine_->replan_count();
+    obs.refresh_seq_before = nail_engine_->refresh_seq();
+  }
   // Arena growth reports OOM (real or injected) as bad_alloc; surface it
   // as a status so the engine stays usable. Any half-built NAIL! state is
   // memo-invalid (Refresh unwound) and recomputed on the next demand.
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     try {
-      if (options.strategy == QueryStrategy::kMagic) {
+      if (!statement && options.strategy == QueryStrategy::kMagic) {
+        // Magic evaluation writes only a private scratch IDB, so a shared
+        // reader keeps the EDB read-only.
         ExecOptions eo;
+        eo.read_only_storage = eo.writable_private_idb = reader != nullptr;
         eo.control = ctl_ptr;
-        return QueryMagicWith(goal, eo);
+        return QueryMagicWith(text, eo);
+      }
+      if (reader != nullptr) {
+        Executor exec = ReadExecutor(ctl_ptr);
+        return QueryGoalWith(&exec, text);
       }
       ControlScope scope(executor_.get(), ctl_ptr);
-      return QueryGoalWith(executor_.get(), goal);
+      if (!statement) return QueryGoalWith(executor_.get(), text);
+      // Under an active sink, the trace carries the plans with actual rows.
+      TraceSink* sink = TraceSink::Current();
+      std::string plans;
+      Status run = RunAdhocLocked(text, sink != nullptr ? &plans : nullptr);
+      if (sink != nullptr) sink->AppendPlan(plans);
+      GLUENAIL_RETURN_NOT_OK(run);
+      return QueryResult{};
     } catch (const std::bad_alloc&) {
-      return Status::ResourceExhausted("allocation failed during query");
+      return Status::ResourceExhausted(StrCat(
+          "allocation failed during ", statement ? "statement" : "query"));
     }
   }();
-  FinishQueryObs(&obs, goal, &trace_ring_);
+  FinishQueryObs(&obs, text, ring);
   return result;
+}
+
+Executor Engine::ReadExecutor(const ExecControl* control) {
+  ExecOptions opts = options_.exec;
+  opts.read_only_storage = true;
+  opts.control = control;
+  return Executor(&linked_->program, &edb_, &idb_, &pool_, Env(), opts);
+}
+
+RuntimeEnv Engine::Env() {
+  RuntimeEnv env;
+  env.io = io_;
+  env.hosts = &hosts_;
+  env.nail = nail_engine_.get();
+  return env;
 }
 
 Result<Engine::QueryResult> Engine::QueryGoalWith(Executor* exec,
@@ -772,10 +572,10 @@ Result<std::string> Engine::ExplainStatement(std::string_view statement,
                                              const ExplainOptions& options) {
   std::unique_lock<std::shared_mutex> lock(state_mu_);
   GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
-  GLUENAIL_ASSIGN_OR_RETURN(ast::Statement stmt, ParseStatement(statement));
-  GLUENAIL_ASSIGN_OR_RETURN(CompiledProcedure proc, CompileAdhoc(stmt));
   std::string out;
   if (!options.analyze) {
+    GLUENAIL_ASSIGN_OR_RETURN(ast::Statement stmt, ParseStatement(statement));
+    GLUENAIL_ASSIGN_OR_RETURN(CompiledProcedure proc, CompileAdhoc(stmt));
     for (const StatementPlan& plan : proc.plans) {
       out += PlanToString(plan, pool_);
     }
@@ -783,21 +583,9 @@ Result<std::string> Engine::ExplainStatement(std::string_view statement,
   }
   // ANALYZE: run the statement with per-op row profiling switched on, then
   // render each op's estimate next to the rows it actually produced.
-  for (const StatementPlan& plan : proc.plans) {
-    executor_->EnableOpProfile(&plan);
-  }
   const uint64_t refresh_seq_before =
       nail_engine_ != nullptr ? nail_engine_->refresh_seq() : 0;
-  Frame frame(&proc);
-  Status run = executor_->ExecBlock(proc.code, proc, &frame);
-  if (!run.ok()) {
-    executor_->ClearOpProfiles();
-    return run;
-  }
-  for (const StatementPlan& plan : proc.plans) {
-    out += PlanToString(plan, pool_, executor_->OpProfile(&plan));
-  }
-  executor_->ClearOpProfiles();
+  GLUENAIL_RETURN_NOT_OK(RunAdhocLocked(statement, &out));
   if (nail_engine_ != nullptr &&
       nail_engine_->refresh_seq() != refresh_seq_before) {
     // The statement demanded a stale NAIL! memo; show how the refresh ran
@@ -848,17 +636,7 @@ Result<TermId> Engine::InternTerm(std::string_view text) {
   return ParseGroundTerm(&pool_, text);
 }
 
-Status Engine::Mutate(const std::function<Status(Database*, Database*,
-                                                 TermPool*)>& fn) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  return fn(&edb_, &idb_, &pool_);
-}
-
-Result<EngineSnapshot> Engine::snapshot() {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  GLUENAIL_RETURN_NOT_OK(PrepareForReadLocked());
-  return SnapshotLocked();
-}
+Result<EngineSnapshot> Engine::snapshot() { return OpenSession().Snapshot(); }
 
 EngineSnapshot Engine::SnapshotLocked() {
   EngineSnapshot snap;
@@ -878,23 +656,11 @@ Status Engine::SaveEdbFile(const std::string& path) {
   return SaveDatabaseToFile(edb_, path);
 }
 
-Status Engine::LoadEdbFile(const std::string& path) {
-  return LoadEdbFile(path, LoadOptions{}).status();
-}
-
 Result<LoadReport> Engine::LoadEdbFile(const std::string& path,
                                        const LoadOptions& options) {
+  if (options_.replica) return ReplicaWriteFence("LoadEdbFile");
   std::unique_lock<std::shared_mutex> lock(state_mu_);
-  // Loading replaces relation contents out from under point-in-time
-  // readers' feet semantically (their copies stay valid, but the engine
-  // jumps to a different history mid-conversation) — refuse, like
-  // Recover().
-  const long live = snapshot_token_.use_count() - 1;
-  if (live > 0) {
-    return Status::InvalidArgument(
-        StrCat("cannot load an EDB while ", live,
-               " live snapshot(s) are outstanding; drop them first"));
-  }
+  GLUENAIL_RETURN_NOT_OK(RefuseWhileSnapshotsLive("load an EDB"));
   GLUENAIL_ASSIGN_OR_RETURN(LoadReport report,
                             LoadDatabaseFromFile(&edb_, path, options));
   // The load rewrote relations wholesale (possibly salvaging only part of
@@ -911,11 +677,7 @@ Result<LoadReport> Engine::LoadEdbFile(const std::string& path,
 
 Result<std::vector<Tuple>> Engine::RelationContents(
     std::string_view name_term, uint32_t arity) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  if (nail_engine_ != nullptr) {
-    GLUENAIL_RETURN_NOT_OK(nail_engine_->EnsureAllNail());
-  }
-  return RelationContentsLocked(name_term, arity);
+  return OpenSession().RelationContents(name_term, arity);
 }
 
 Result<std::vector<Tuple>> Engine::RelationContentsLocked(
@@ -948,30 +710,18 @@ void Engine::ResetExecStats() {
 
 StorageStats Engine::storage_stats() const {
   std::shared_lock<std::shared_mutex> lock(state_mu_);
-  return StorageStatsNoLock();
-}
-
-StorageStats Engine::StorageStatsNoLock() const {
-  StorageStats out;
-  auto add = [&out](TermId, uint32_t, Relation* rel) {
-    ++out.relations;
-    out.live_tuples += rel->size();
-    out.arena_bytes += rel->arena_bytes();
-    const Relation::Counters& c = rel->counters();
-    out.dedup_probes += c.dedup_probes.load(std::memory_order_relaxed);
-    out.scan_rows += c.scan_rows.load(std::memory_order_relaxed);
-    out.index_lookups += c.index_lookups.load(std::memory_order_relaxed);
-    out.index_probe_rows +=
-        c.index_probe_rows.load(std::memory_order_relaxed);
-    out.indexes_built += c.indexes_built.load(std::memory_order_relaxed);
-    out.stats_rebuilds += c.stats_rebuilds.load(std::memory_order_relaxed);
-  };
-  edb_.ForEach(add);
-  idb_.ForEach(add);
-  return out;
+  return CollectStorageStats(edb_, idb_);
 }
 
 // --- Durability ------------------------------------------------------------
+
+Status Engine::RefuseWhileSnapshotsLive(std::string_view what) const {
+  const long live = snapshot_token_.use_count() - 1;
+  if (live == 0) return Status::OK();
+  return Status::InvalidArgument(
+      StrCat("cannot ", what, " while ", live,
+             " live snapshot(s) are outstanding; drop them first"));
+}
 
 std::string Engine::checkpoint_path() const {
   return StrCat(options_.data_dir, "/checkpoint.facts");
@@ -991,7 +741,10 @@ std::optional<RecoveryReport> Engine::last_recovery() const {
   return last_recovery_;
 }
 
-Status Engine::OpenCommitLogLocked(std::unique_ptr<Wal> wal) {
+Status Engine::OpenCommitLogLocked(uint64_t first_lsn, bool fresh) {
+  GLUENAIL_ASSIGN_OR_RETURN(std::unique_ptr<Wal> wal,
+                            fresh ? Wal::Create(wal_path(), first_lsn)
+                                  : Wal::Open(wal_path(), first_lsn));
   CommitLogOptions opts;
   opts.durability = options_.durability;
   opts.fsync_interval = options_.wal_fsync_interval;
@@ -1034,8 +787,13 @@ Result<MutationBatch::ApplyReport> Engine::ApplyBatch(
       return commit_failed(applied.status().WithContext(
           "applied to log but not memory; recovery will replay it"));
     }
+    // Counted under the lock, so Recover (which takes it exclusively)
+    // sees every commit that may still touch `log`.
+    ++commits_in_flight_;
   }
-  GLUENAIL_RETURN_NOT_OK(commit_failed(log->Await(ticket)));
+  Status acked = log->Await(ticket);
+  --commits_in_flight_;
+  GLUENAIL_RETURN_NOT_OK(commit_failed(std::move(acked)));
   m_wal_commits_->Add();
   return applied;
 }
@@ -1060,12 +818,20 @@ Status Engine::CheckpointLocked() {
   } else if (options_.durability != DurabilityLevel::kNone) {
     // Durability configured but Recover() never ran (fresh directory
     // bootstrap): bring the log up now.
-    GLUENAIL_ASSIGN_OR_RETURN(std::unique_ptr<Wal> wal,
-                              Wal::Create(wal_path(), 1));
-    GLUENAIL_RETURN_NOT_OK(OpenCommitLogLocked(std::move(wal)));
+    GLUENAIL_RETURN_NOT_OK(OpenCommitLogLocked(1, /*fresh=*/true));
   }
   m_checkpoints_->Add();
   return Status::OK();
+}
+
+void Engine::ClearEdbLocked() {
+  // In place, so relation version counters stay monotone: cached NAIL!
+  // memos and relation snapshots key off versions. Captured deltas describe
+  // the discarded history; a refresh against them could serve memo rows
+  // the replacement (possibly salvaged) EDB never derived.
+  edb_.ForEach([](TermId, uint32_t, Relation* rel) { rel->Clear(); });
+  if (nail_engine_ != nullptr) nail_engine_->Invalidate();
+  ivm_log_.Invalidate();
 }
 
 Result<RecoveryReport> Engine::Recover() {
@@ -1073,27 +839,18 @@ Result<RecoveryReport> Engine::Recover() {
   if (options_.data_dir.empty()) {
     return Status::InvalidArgument("Recover needs EngineOptions::data_dir");
   }
-  // Refuse while point-in-time readers are live: their copies would stay
-  // valid, but the engine swapping to a different history underneath a
-  // reader mid-conversation is exactly the confusion snapshots exist to
-  // prevent.
-  const long live = snapshot_token_.use_count() - 1;
-  if (live > 0) {
-    return Status::InvalidArgument(
-        StrCat("cannot recover while ", live,
-               " live snapshot(s) are outstanding; drop them first"));
+  GLUENAIL_RETURN_NOT_OK(RefuseWhileSnapshotsLive("recover"));
+  // A commit between its append and its ack still uses the log that the
+  // reset below destroys.
+  const uint64_t in_flight = commits_in_flight_.load();
+  if (in_flight > 0) {
+    return Status::FailedPrecondition(
+        StrCat("cannot recover while ", in_flight,
+               " commit(s) await their ack; retry once they finish"));
   }
-  commit_log_.reset();  // drains in-flight commits, closes the log
-  // Clear in place so relation version counters stay monotone — cached
-  // NAIL! memos and relation snapshots key off versions, and a fresh
-  // Database would reset them.
-  edb_.ForEach([](TermId, uint32_t, Relation* rel) { rel->Clear(); });
+  commit_log_.reset();  // drains the log's tail and closes it
+  ClearEdbLocked();
   idb_.ForEach([](TermId, uint32_t, Relation* rel) { rel->Clear(); });
-  if (nail_engine_ != nullptr) nail_engine_->Invalidate();
-  // Pre-recovery deltas describe the pre-crash history; a refresh against
-  // them could serve memo rows the recovered (possibly salvaged) EDB never
-  // derived. Drop them before the rebuild below.
-  ivm_log_.Invalidate();
 
   RecoveryOptions ropts;
   ropts.mode = options_.wal_recovery;
@@ -1102,18 +859,13 @@ Result<RecoveryReport> Engine::Recover() {
       RecoverDatabase(&edb_, &pool_, checkpoint_path(), wal_path(), ropts));
 
   if (options_.durability != DurabilityLevel::kNone) {
-    std::unique_ptr<Wal> wal;
     if (report.needs_reset) {
       // The old log is damaged past repair: capture the salvaged truth as
       // a fresh checkpoint and rotate to a clean log.
       GLUENAIL_RETURN_NOT_OK(SaveDatabaseToFile(edb_, checkpoint_path()));
-      GLUENAIL_ASSIGN_OR_RETURN(
-          wal, Wal::Create(wal_path(), report.last_lsn + 1));
-    } else {
-      GLUENAIL_ASSIGN_OR_RETURN(
-          wal, Wal::Open(wal_path(), report.last_lsn + 1));
     }
-    GLUENAIL_RETURN_NOT_OK(OpenCommitLogLocked(std::move(wal)));
+    GLUENAIL_RETURN_NOT_OK(
+        OpenCommitLogLocked(report.last_lsn + 1, report.needs_reset));
   }
   last_recovery_ = report;
   return report;
@@ -1145,9 +897,8 @@ Status Engine::ApplyReplicatedBatch(uint64_t lsn,
         StrCat("replicated lsn ", lsn, " does not advance applied lsn ",
                applied, "; stream out of order"));
   }
-  GLUENAIL_RETURN_NOT_OK(batch.Validate(&pool_));
-  Result<MutationBatch::ApplyReport> report = ApplyBatchCapturedLocked(batch);
-  if (!report.ok()) return report.status();
+  // Apply validates every op before the first one changes the EDB.
+  GLUENAIL_RETURN_NOT_OK(ApplyBatchCapturedLocked(batch).status());
   repl_applied_lsn_.store(lsn, std::memory_order_release);
   if (m_repl_batches_ != nullptr) m_repl_batches_->Add();
   return Status::OK();
@@ -1160,12 +911,7 @@ Status Engine::ResetFromCheckpointImage(uint64_t covers_lsn,
     return Status::InvalidArgument(
         "ResetFromCheckpointImage on a non-replica engine");
   }
-  const long live = snapshot_token_.use_count() - 1;
-  if (live > 0) {
-    return Status::InvalidArgument(
-        StrCat("cannot bootstrap while ", live,
-               " live snapshot(s) are outstanding; drop them first"));
-  }
+  GLUENAIL_RETURN_NOT_OK(RefuseWhileSnapshotsLive("bootstrap"));
   // Validate into a scratch database first: the in-place clear below is
   // destructive, so a torn or corrupt image must be rejected before it
   // can take down the replica's current (stale but consistent) state.
@@ -1174,14 +920,10 @@ Status Engine::ResetFromCheckpointImage(uint64_t covers_lsn,
   std::istringstream in{std::string(image)};
   GLUENAIL_RETURN_NOT_OK(
       LoadDatabase(&staged, in).WithContext("checkpoint image"));
-  // Same in-place clear Recover uses, keeping relation versions monotone
-  // for cached memos and snapshots.
-  edb_.ForEach([](TermId, uint32_t, Relation* rel) { rel->Clear(); });
+  ClearEdbLocked();
   std::istringstream again{std::string(image)};
   GLUENAIL_RETURN_NOT_OK(
       LoadDatabase(&edb_, again).WithContext("checkpoint image"));
-  if (nail_engine_ != nullptr) nail_engine_->Invalidate();
-  ivm_log_.Invalidate();
   repl_applied_lsn_.store(covers_lsn, std::memory_order_release);
   if (m_repl_bootstraps_ != nullptr) m_repl_bootstraps_->Add();
   return Status::OK();
@@ -1198,18 +940,7 @@ Result<Engine::CheckpointImage> Engine::ReadCheckpointImage() const {
   }
   CheckpointImage img;
   img.covers_lsn = commit_log_->wal().start_lsn() - 1;
-  std::ifstream in(checkpoint_path(), std::ios::binary);
-  if (!in) {
-    return Status::IoError(
-        StrCat("cannot open checkpoint '", checkpoint_path(), "'"));
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    return Status::IoError(
-        StrCat("error reading checkpoint '", checkpoint_path(), "'"));
-  }
-  img.bytes = std::move(buf).str();
+  GLUENAIL_ASSIGN_OR_RETURN(img.bytes, ReadFileText(checkpoint_path()));
   return img;
 }
 

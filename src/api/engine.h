@@ -28,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -131,10 +130,16 @@ class EngineSnapshot {
   std::shared_ptr<const int> guard_;
 };
 
+/// The facade over one deductive database: a term pool, the EDB, the
+/// NAIL! memos (IDB), the linked program, and the commit log. Every EDB
+/// write that can be logged goes through ApplyBatch (AddFact, inline EDB
+/// loads and wire batches all become MutationBatches), so it is validated,
+/// logged with the configured ack, delta-captured for IVM and fenced on
+/// replicas. Bulk file loads checkpoint instead. Each subsystem registers
+/// its own metrics into metrics().
 class Engine {
  public:
-  Engine();
-  explicit Engine(EngineOptions options);
+  explicit Engine(EngineOptions options = {});
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -156,16 +161,6 @@ class Engine {
   /// thread-safe, so this is callable from any thread at any time.
   Result<TermId> InternTerm(std::string_view text);
 
-  /// Runs \p fn with exclusive access to the raw databases and pool — the
-  /// explicit escape hatch for callers that need more than terms() /
-  /// InternTerm() / snapshot() / AddFact(). Structured fact-level updates
-  /// should prefer a MutationBatch dispatched through
-  /// Session::Execute(Command) — the serializable surface the wire
-  /// protocol, the REPL, and (soon) the WAL share; this hook remains the
-  /// thin unstructured shim underneath it.
-  Status Mutate(const std::function<Status(Database* edb, Database* idb,
-                                           TermPool* pool)>& fn);
-
   // --- Write entry points (serialized behind the writer lock) ------------
 
   /// Registers a foreign procedure (§10 future work: the foreign-language
@@ -182,12 +177,11 @@ class Engine {
 
   /// Executes one ad-hoc Glue statement (assignment or repeat loop)
   /// against the loaded program's exports, the EDB, and the NAIL!
-  /// predicates. Unknown plain names resolve to EDB relations.
-  Status ExecuteStatement(std::string_view statement);
-  /// ExecuteStatement with guardrails and tracing (QueryOptions::trace
-  /// lands the statement's trace in the engine's trace ring).
+  /// predicates. Unknown plain names resolve to EDB relations. \p options
+  /// carries guardrails and tracing (QueryOptions::trace lands the
+  /// statement's trace in the engine's trace ring). Refused on a replica.
   Status ExecuteStatement(std::string_view statement,
-                          const QueryOptions& options);
+                          const QueryOptions& options = {});
 
   /// Answer set of a conjunctive goal, e.g. "path(1,X) & X != 3".
   struct QueryResult {
@@ -196,15 +190,11 @@ class Engine {
     /// Distinct answers in canonical term order.
     std::vector<Tuple> rows;
   };
-  /// Convenience shim over the unified Command surface: equivalent to
-  /// OpenSession().Execute(Command::Query(goal)) but running on the writer
-  /// path with full QueryOptions (cancel tokens, absolute deadlines).
-  Result<QueryResult> Query(std::string_view goal) {
-    return Query(goal, QueryOptions{});
-  }
-  /// Query with an explicit evaluation strategy (kBottomUp | kMagic).
+  /// Like OpenSession().Execute(Command::Query(goal)), but on the writer
+  /// path with full QueryOptions: the evaluation strategy (kBottomUp |
+  /// kMagic), cancel tokens, absolute deadlines.
   Result<QueryResult> Query(std::string_view goal,
-                            const QueryOptions& options);
+                            const QueryOptions& options = {});
 
   /// Calls an exported procedure by name on \p inputs (each of the
   /// procedure's bound arity); returns the full (bound+free) result rows.
@@ -227,14 +217,15 @@ class Engine {
   Status AddFact(std::string_view fact);
 
   /// §10: EDB persistence between runs. Saves are crash-safe (temp file +
-  /// fsync + atomic rename); loads are all-or-nothing under kStrict.
+  /// fsync + atomic rename); loads are all-or-nothing under kStrict. A load
+  /// bypasses the WAL and checkpoints right after instead; it is refused on
+  /// a replica.
   Status SaveEdbFile(const std::string& path);
-  Status LoadEdbFile(const std::string& path);
-  /// Load with explicit recovery options (RecoveryMode::kSalvage keeps the
-  /// checksummed-good relations of a torn file); reports what was loaded
-  /// and what was dropped.
+  /// \p options picks the recovery mode (RecoveryMode::kSalvage keeps the
+  /// checksummed-good relations of a torn file); the report says what was
+  /// loaded and what was dropped.
   Result<LoadReport> LoadEdbFile(const std::string& path,
-                                 const LoadOptions& options);
+                                 const LoadOptions& options = {});
 
   // --- Durability (EngineOptions::data_dir + durability) ------------------
 
@@ -243,15 +234,15 @@ class Engine {
   /// returns only once the ack's promise holds (kGroupCommit/kSync: the
   /// record is fsynced; kAsync: it is logged; kNone / no WAL: it is
   /// applied). This is the single write path the wire protocol, the REPL,
-  /// and AddFact share when durability is on.
+  /// inline EDB loads and AddFact share.
   Result<MutationBatch::ApplyReport> ApplyBatch(const MutationBatch& batch);
 
   /// Rebuilds the EDB from the data directory: loads the checkpoint,
   /// replays the WAL tail (EngineOptions::wal_recovery decides how much
   /// damage is tolerated), and opens the log for appending. Refuses while
   /// live EngineSnapshots are outstanding — readers must drop their views
-  /// of the old history first. Call once at boot, before serving: no
-  /// ApplyBatch may be in flight.
+  /// of the old history first — and with FailedPrecondition while a commit
+  /// is in flight (an ApplyBatch still waiting for its ack).
   Result<RecoveryReport> Recover();
 
   /// Writes an atomic checkpoint of the EDB to the data directory and
@@ -304,6 +295,11 @@ class Engine {
   }
   uint64_t replica_primary_lsn() const {
     return repl_primary_lsn_.load(std::memory_order_acquire);
+  }
+  uint64_t replica_lag() const {
+    const uint64_t primary = replica_primary_lsn();
+    const uint64_t applied = replica_applied_lsn();
+    return primary > applied ? primary - applied : 0;
   }
   /// Records the primary's durable LSN from a heartbeat (replication
   /// client only).
@@ -363,8 +359,7 @@ class Engine {
   /// Per-query observability state: a sink installed thread-locally for
   /// the query's duration (when tracing is on, explicitly or via the armed
   /// slow-query log) plus the timing needed by the latency histogram and
-  /// the slow-query check. Lives on the caller's stack; Begin/Finish
-  /// bracket one query or statement.
+  /// the slow-query check. Lives on RunObserved's stack.
   struct QueryObs {
     bool active = false;      ///< a sink is installed
     bool want_trace = false;  ///< push the finished trace to \p ring
@@ -377,26 +372,44 @@ class Engine {
     uint64_t refresh_seq_before = 0;
     std::optional<TraceScope> scope;
   };
-  void BeginQueryObs(QueryObs* obs, bool want_trace);
-  /// Records the replan counter the query started from, so the slow-query
-  /// entry can report replans-during-query. Requires state_mu_ held (any
-  /// mode) — unlike BeginQueryObs, which may run before the lock.
-  void SampleReplanBaseline(QueryObs* obs);
   /// Observes latency, pushes the trace to \p ring (explicit traces only),
   /// and records a slow-query entry when over threshold. \p ring may be
   /// the engine's or a session's.
   void FinishQueryObs(QueryObs* obs, std::string_view query, TraceRing* ring);
+  /// The one guarded, observed run of a query or statement, shared by
+  /// Query, ExecuteStatement and Session::Query: the observation bracket,
+  /// the lock (shared through \p reader's EnterRead when \p reader is set,
+  /// else exclusive), the fail-fast guardrail check, the run, and
+  /// bad_alloc turned into ResourceExhausted. A statement answers an empty
+  /// QueryResult and runs only on the writer path (a \p reader with a
+  /// statement is InvalidArgument). Latency is timed from after the
+  /// writer lock, or from before a reader's EnterRead, so a session read
+  /// counts the memo refresh it pays for. \p ring receives explicit
+  /// traces.
+  Result<QueryResult> RunObserved(Session* reader, bool statement,
+                                  std::string_view text,
+                                  const QueryOptions& options,
+                                  TraceRing* ring);
+  /// A private executor over read-only storage, for shared-lock reads.
+  Executor ReadExecutor(const ExecControl* control);
+  /// The runtime environment executors run in (I/O, hosts, NAIL!).
+  RuntimeEnv Env();
   void RegisterBuiltinMetrics();
-  /// storage_stats() body without locking (for metric pull callbacks,
-  /// which run under DumpMetrics' shared lock).
-  StorageStats StorageStatsNoLock() const;
+  /// Refuses to \p what (swap the EDB to another history) while
+  /// EngineSnapshots are outstanding: their copies stay valid, but a
+  /// reader mid-conversation must not see the engine jump underneath it.
+  Status RefuseWhileSnapshotsLive(std::string_view what) const;
 
   Status EnsureLoadedLocked();
   /// Compiles an ad-hoc statement by wrapping it in a throwaway procedure.
   Result<CompiledProcedure> CompileAdhoc(const ast::Statement& stmt);
 
   Status LoadProgramLocked(std::string_view source);
-  Status ExecuteStatementLocked(std::string_view statement);
+  /// Parses, compiles and runs an ad-hoc statement on the writer-path
+  /// executor. With \p profiled_plans set, every plan is profiled and
+  /// rendered into it with actual rows (EXPLAIN ANALYZE, traces).
+  Status RunAdhocLocked(std::string_view statement,
+                        std::string* profiled_plans);
   /// Applies \p batch with every actual change captured into ivm_log_ and
   /// the log sealed at the post-batch EDB snapshot. The single apply behind
   /// ApplyBatch (logged or not) and ApplyReplicatedBatch.
@@ -422,8 +435,13 @@ class Engine {
 
   // --- Durability internals (the commit pipeline and its lock protocol
   // live in src/storage/commit_log.h) -----------------------------------
-  /// Wraps \p wal in commit_log_ with the configured durability.
-  Status OpenCommitLogLocked(std::unique_ptr<Wal> wal);
+  /// Opens the log at wal_path() (\p fresh: truncate and start at
+  /// \p first_lsn) and wraps it in commit_log_ with the configured
+  /// durability.
+  Status OpenCommitLogLocked(uint64_t first_lsn, bool fresh);
+  /// Empties the EDB before Recover or a bootstrap replaces it, and drops
+  /// the NAIL! memos and captured deltas derived from the old contents.
+  void ClearEdbLocked();
   /// Checkpoint body; requires state_mu_ held exclusively.
   Status CheckpointLocked();
 
@@ -443,10 +461,11 @@ class Engine {
   std::unique_ptr<LinkedProgram> linked_;
   std::unique_ptr<NailEngine> nail_engine_;
   /// Captured EDB deltas feeding delta-driven memo maintenance
-  /// (src/nail/ivm.cc): the structured write path records every tuple that
-  /// actually changed into it; the NAIL! refresh consumes and rebases it.
-  /// Recover / LoadEdbFile invalidate it explicitly; unstructured writes
-  /// (Mutate, ad-hoc statements) are caught by its version watermark.
+  /// (src/nail/ivm.cc): ApplyBatch records every tuple that actually
+  /// changed into it; the NAIL! refresh consumes and rebases it. Recover /
+  /// LoadEdbFile invalidate it explicitly; writes outside ApplyBatch (Glue
+  /// statements and procedures, LoadProgram module facts) are caught by
+  /// its version watermark.
   DeltaLog ivm_log_;
   std::unique_ptr<Executor> executor_;
   IoEnv io_;
@@ -458,6 +477,10 @@ class Engine {
   /// (Recover, the first Checkpoint); commits Await it after releasing
   /// state_mu_.
   std::unique_ptr<CommitLog> commit_log_;
+  /// Commits appended under state_mu_ whose ack ApplyBatch still awaits
+  /// after releasing it. Recover refuses while it is above zero, since it
+  /// destroys the log they wait on.
+  std::atomic<uint64_t> commits_in_flight_{0};
   /// Live-snapshot guard: SnapshotLocked hands each EngineSnapshot a copy;
   /// use_count() - 1 is the number of outstanding snapshots Recover must
   /// refuse over.

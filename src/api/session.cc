@@ -23,55 +23,8 @@ Status Session::EnterRead(std::shared_lock<std::shared_mutex>* lock) {
 
 Result<Engine::QueryResult> Session::Query(std::string_view goal,
                                            const QueryOptions& options) {
-  // Install the sink before entering read state: when this session is the
-  // reader that upgrades to refresh a stale NAIL! memo, the refresh's
-  // fixpoint spans (usually the dominant cost) belong to this trace. The
-  // sink is thread-local, so pre-lock installation races with nothing.
-  Engine::QueryObs obs;
-  engine_->BeginQueryObs(&obs, options.trace);
-  std::shared_lock<std::shared_mutex> lock(engine_->state_mu_,
-                                           std::defer_lock);
-  GLUENAIL_RETURN_NOT_OK(EnterRead(&lock));
-  engine_->SampleReplanBaseline(&obs);
-  ExecControl ctl;
-  ctl.deadline = options.deadline;
-  ctl.cancel = options.cancel;
-  ctl.limits = options.limits;
-  const ExecControl* ctl_ptr = options.guarded() ? &ctl : nullptr;
-  if (ctl_ptr != nullptr) {
-    // Fail fast on pre-cancelled tokens / expired deadlines, before any
-    // evaluation. A cancelled read releases the shared lock via RAII, so
-    // the engine stays clean for the next query on this session.
-    GLUENAIL_RETURN_NOT_OK(ctl.Check());
-  }
-  Result<Engine::QueryResult> result =
-      [&]() -> Result<Engine::QueryResult> {
-    try {
-      if (options.strategy == QueryStrategy::kMagic) {
-        // Magic evaluation writes only a private scratch IDB; the shared
-        // EDB stays read-only.
-        ExecOptions opts;
-        opts.read_only_storage = true;
-        opts.writable_private_idb = true;
-        opts.control = ctl_ptr;
-        return engine_->QueryMagicWith(goal, opts);
-      }
-      ExecOptions opts = engine_->options_.exec;
-      opts.read_only_storage = true;
-      opts.control = ctl_ptr;
-      RuntimeEnv env;
-      env.io = engine_->io_;
-      env.hosts = &engine_->hosts_;
-      env.nail = engine_->nail_engine_.get();
-      Executor exec(&engine_->linked_->program, &engine_->edb_,
-                    &engine_->idb_, &engine_->pool_, env, opts);
-      return engine_->QueryGoalWith(&exec, goal);
-    } catch (const std::bad_alloc&) {
-      return Status::ResourceExhausted("allocation failed during query");
-    }
-  }();
-  engine_->FinishQueryObs(&obs, goal, ring_.get());
-  return result;
+  return engine_->RunObserved(this, /*statement=*/false, goal, options,
+                              ring_.get());
 }
 
 Result<std::vector<Tuple>> Session::Call(std::string_view name,
@@ -79,14 +32,7 @@ Result<std::vector<Tuple>> Session::Call(std::string_view name,
   std::shared_lock<std::shared_mutex> lock(engine_->state_mu_,
                                            std::defer_lock);
   GLUENAIL_RETURN_NOT_OK(EnterRead(&lock));
-  ExecOptions opts = engine_->options_.exec;
-  opts.read_only_storage = true;
-  RuntimeEnv env;
-  env.io = engine_->io_;
-  env.hosts = &engine_->hosts_;
-  env.nail = engine_->nail_engine_.get();
-  Executor exec(&engine_->linked_->program, &engine_->edb_, &engine_->idb_,
-                &engine_->pool_, env, opts);
+  Executor exec = engine_->ReadExecutor(/*control=*/nullptr);
   return engine_->CallWith(&exec, name, inputs);
 }
 

@@ -11,6 +11,8 @@
 
 namespace gluenail {
 
+class MetricsRegistry;
+
 struct CompileStats {
   uint64_t modules = 0;
   uint64_t procedures = 0;          ///< user procedures
@@ -39,6 +41,17 @@ struct StorageStats {
   /// NDV-sketch rebuilds triggered by erase churn or compaction.
   uint64_t stats_rebuilds = 0;
 };
+
+/// Sums StorageStats over every relation of \p edb and \p idb. Callers
+/// hold the engine lock in any mode: the walk reads relation sizes and
+/// atomic counters only.
+StorageStats CollectStorageStats(const Database& edb, const Database& idb);
+
+/// Registers gluenail_termpool_terms and the gluenail_storage_* pulls.
+/// \p pool, \p edb and \p idb must outlive \p registry; exports run
+/// under the engine's shared lock.
+void RegisterStorageMetrics(MetricsRegistry* registry, const TermPool* pool,
+                            const Database* edb, const Database* idb);
 
 /// One-line human-readable summary (README quickstart prints this).
 std::string FormatCompileStats(const CompileStats& stats);

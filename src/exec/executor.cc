@@ -7,10 +7,48 @@
 #include "src/common/strings.h"
 #include "src/exec/ops.h"
 #include "src/exec/vector/batch_runner.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/runtime/arith.h"
 
 namespace gluenail {
+
+void Executor::RegisterMetrics(MetricsRegistry* registry,
+                               const std::unique_ptr<Executor>* slot) {
+  struct Pull {
+    const char* name;
+    const char* help;
+    uint64_t ExecStats::* field;
+  };
+  static constexpr Pull kPulls[] = {
+      {"gluenail_exec_statements_total", "statement plans executed",
+       &ExecStats::statements},
+      {"gluenail_exec_records_produced_total", "binding records produced",
+       &ExecStats::records_produced},
+      {"gluenail_exec_rows_scanned_total",
+       "rows visited answering matches (scan + probe chains)",
+       &ExecStats::rows_scanned},
+      {"gluenail_exec_control_checks_total", "full guardrail checks",
+       &ExecStats::control_checks},
+      {"gluenail_exec_pipeline_breaks_total",
+       "pipelined-strategy materialization points",
+       &ExecStats::pipeline_breaks},
+      {"gluenail_exec_duplicates_removed_total",
+       "records dropped by dedup-at-breaks", &ExecStats::duplicates_removed},
+      {"gluenail_exec_batch_segments_total", "batch-at-a-time segments run",
+       &ExecStats::batch_segments},
+      {"gluenail_exec_batch_rows_total",
+       "binding records entering batch segments", &ExecStats::batch_rows},
+  };
+  // Two-word captures fit std::function's inline buffer: engines are
+  // created often, and a heap cell per metric fragments the heap.
+  for (const Pull& p : kPulls) {
+    registry->RegisterPullCounter(
+        p.name, p.help, [slot, field = p.field]() -> uint64_t {
+          return *slot != nullptr ? (*slot)->stats().*field : 0;
+        });
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Batch-mode selection

@@ -15,6 +15,7 @@
 #ifndef GLUENAIL_EXEC_EXECUTOR_H_
 #define GLUENAIL_EXEC_EXECUTOR_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -29,6 +30,8 @@
 #include "src/storage/database.h"
 
 namespace gluenail {
+
+class MetricsRegistry;
 
 struct ExecOptions {
   enum class Strategy { kMaterialized, kPipelined };
@@ -175,6 +178,11 @@ class Executor {
 
   ExecStats& stats() { return stats_; }
   const ExecStats& stats() const { return stats_; }
+  /// Registers the gluenail_exec_* pulls over the stats of the executor
+  /// in \p slot, read at export time (an empty slot reads as zero). The
+  /// slot must outlive \p registry.
+  static void RegisterMetrics(MetricsRegistry* registry,
+                              const std::unique_ptr<Executor>* slot);
   const ExecOptions& options() const { return options_; }
 
   // --- Per-op profiling (EXPLAIN ANALYZE) --------------------------------

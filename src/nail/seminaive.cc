@@ -6,10 +6,59 @@
 
 #include "src/common/strings.h"
 #include "src/nail/nail_to_glue.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/plan/planner.h"
 
 namespace gluenail {
+
+void NailEngine::RegisterMetrics(MetricsRegistry* registry,
+                                 const std::unique_ptr<NailEngine>* slot) {
+  struct Pull {
+    const char* name;
+    const char* help;
+    uint64_t (NailEngine::*read)() const;
+  };
+  static constexpr Pull kPulls[] = {
+      {"gluenail_nail_refreshes_total", "NAIL! memo refreshes",
+       &NailEngine::refresh_count},
+      {"gluenail_nail_iterations_total", "semi-naive fixpoint iterations",
+       &NailEngine::iteration_count},
+      {"gluenail_nail_parallel_batches_total",
+       "parallel fixpoint iterations dispatched to workers",
+       &NailEngine::parallel_batches},
+      {"gluenail_nail_replans_total",
+       "mid-evaluation SCC replans on cardinality drift",
+       &NailEngine::replan_count},
+      {"gluenail_nail_delta_refresh_total",
+       "NAIL! memo refreshes patched incrementally from captured deltas",
+       &NailEngine::delta_refresh_count},
+      {"gluenail_nail_full_refresh_total",
+       "NAIL! memo refreshes recomputed from scratch",
+       &NailEngine::full_refresh_count},
+      {"gluenail_nail_ivm_fallbacks_total",
+       "full recomputes forced while delta maintenance was enabled",
+       &NailEngine::ivm_fallback_count},
+      {"gluenail_nail_ivm_delta_rows_in_total",
+       "EDB delta rows consumed by incremental refreshes",
+       &NailEngine::ivm_delta_rows_in},
+      {"gluenail_nail_ivm_delta_rows_out_total",
+       "memo rows changed by incremental refreshes",
+       &NailEngine::ivm_delta_rows_out},
+      {"gluenail_nail_ivm_old_state_rows_total",
+       "rows copied into old-state overrides by incremental refreshes",
+       &NailEngine::ivm_old_state_rows},
+  };
+  // Two-word captures (the slot and a table row) fit std::function's
+  // inline buffer: engines are created often, and a heap cell per metric
+  // fragments the heap.
+  for (const Pull& p : kPulls) {
+    registry->RegisterPullCounter(
+        p.name, p.help, [slot, row = &p]() -> uint64_t {
+          return *slot != nullptr ? ((**slot).*row->read)() : 0;
+        });
+  }
+}
 
 Status NailEngine::CompileDirect(const Scope* builtin_scope,
                                  const PlannerOptions& opts,
@@ -160,7 +209,7 @@ Status NailEngine::Refresh() {
       // untrusted regardless of what the log captured.
       info.fallback = "invalidated";
     } else if (!delta_log_->Covers(base, live)) {
-      // Some change bypassed capture (Mutate, ad-hoc updates, Clear…);
+      // Some change bypassed capture (Glue updates, module facts, Clear…);
       // relation versions are monotone so the watermark gives it away.
       info.fallback = "stale-memo";
     } else if (delta_log_->any_dropped()) {

@@ -40,6 +40,8 @@
 
 namespace gluenail {
 
+class MetricsRegistry;
+
 enum class NailMode { kDirect, kCompiledGlue, kNaive };
 
 /// Incremental view maintenance policy (docs/ARCHITECTURE.md,
@@ -177,6 +179,11 @@ class NailEngine : public NailEvaluator {
   uint64_t refresh_seq() const {
     return refresh_seq_.load(std::memory_order_acquire);
   }
+  /// Registers the gluenail_nail_* pulls over the counters of the engine
+  /// in \p slot, read at export time (an empty slot reads as zero). The
+  /// slot must outlive \p registry.
+  static void RegisterMetrics(MetricsRegistry* registry,
+                              const std::unique_ptr<NailEngine>* slot);
   /// Copy of the last refresh's outcome (internally mutexed — safe to
   /// call while another thread holds the engine lock and refreshes).
   NailRefreshInfo last_refresh() const {

@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gluenail {
@@ -103,6 +104,14 @@ class MetricsRegistry {
   /// Export-time callbacks for values a subsystem already counts itself.
   void RegisterPullCounter(std::string name, std::string help,
                            std::function<uint64_t()> read);
+  /// A pull counter over an atomic that outlives the registry (the
+  /// process-wide counters of the free-function layers), read relaxed.
+  void RegisterPullCounter(std::string name, std::string help,
+                           const std::atomic<uint64_t>* value) {
+    RegisterPullCounter(std::move(name), std::move(help), [value] {
+      return value->load(std::memory_order_relaxed);
+    });
+  }
   void RegisterPullGauge(std::string name, std::string help,
                          std::function<int64_t()> read);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/analysis/reorder.h"
+#include "src/obs/metrics.h"
 #include "src/storage/stats.h"
 
 namespace gluenail {
@@ -208,6 +209,16 @@ Result<std::vector<PhysicalChoice>> AnnotateOrder(
 PlannerCounters& GlobalPlannerCounters() {
   static PlannerCounters counters;
   return counters;
+}
+
+void RegisterPlannerMetrics(MetricsRegistry* registry) {
+  PlannerCounters& c = GlobalPlannerCounters();
+  registry->RegisterPullCounter(
+      "gluenail_planner_bodies_planned_total",
+      "statement bodies ordered by the physical planner", &c.bodies_planned);
+  registry->RegisterPullCounter("gluenail_planner_index_builds_scheduled_total",
+                                "planner-decided index builds",
+                                &c.index_builds_scheduled);
 }
 
 Result<std::vector<PhysicalChoice>> PlanBodyOrder(

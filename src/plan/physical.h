@@ -42,6 +42,8 @@
 
 namespace gluenail {
 
+class MetricsRegistry;
+
 /// Process-wide planner activity counters, exported through the engine's
 /// metrics registry. Global (not per-Engine) because PlanBodyOrder is a free
 /// function shared by every compilation path.
@@ -51,6 +53,8 @@ struct PlannerCounters {
 };
 
 PlannerCounters& GlobalPlannerCounters();
+/// Registers the gluenail_planner_* pulls over GlobalPlannerCounters().
+void RegisterPlannerMetrics(MetricsRegistry* registry);
 
 /// One scheduled subgoal: its position in the written body, the estimated
 /// rows flowing out of it, and whether the planner decided to build the

@@ -445,11 +445,10 @@ void Server::ServeAdminConnection(int fd) {
     std::string body = "ok\n";
     if (engine_->replica()) {
       // Replication lag at a glance, curl-able without a metrics scrape.
-      const uint64_t applied = engine_->replica_applied_lsn();
-      const uint64_t primary = engine_->replica_primary_lsn();
-      body = StrCat("ok\nrole=replica\napplied_lsn=", applied,
-                    "\nprimary_durable_lsn=", primary, "\nlag=",
-                    primary > applied ? primary - applied : 0, "\n");
+      body = StrCat("ok\nrole=replica\napplied_lsn=",
+                    engine_->replica_applied_lsn(), "\nprimary_durable_lsn=",
+                    engine_->replica_primary_lsn(), "\nlag=",
+                    engine_->replica_lag(), "\n");
     }
     SendAll(fd, HttpResponse(200, "OK", "text/plain", body));
   } else if (path == "/metrics") {

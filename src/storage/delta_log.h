@@ -2,22 +2,22 @@
 /// \brief Captured per-relation EDB deltas for incremental view
 /// maintenance (ROADMAP item 2; Brass & Stephan delta pipelines).
 ///
-/// The engine's structured write path (Engine::ApplyBatch, AddFact)
-/// records every tuple that actually changed an EDB relation into this
-/// log as net insert/erase row sets. The NAIL! refresh planner consumes
-/// them to run counting / DRed maintenance instead of a full recompute
-/// (src/nail/ivm.cc).
+/// The engine's structured write path (Engine::ApplyBatch, which AddFact
+/// and inline EDB loads use) records every tuple that actually changed an
+/// EDB relation into this log as net insert/erase row sets. The NAIL!
+/// refresh planner consumes them to run counting / DRed maintenance
+/// instead of a full recompute (src/nail/ivm.cc).
 ///
 /// Validity is watermark-based: after each captured batch the log seals
 /// itself at the EDB's (relation count, version-sum) snapshot. Relation
 /// versions are bumped by *every* content change — Insert, Erase, Clear
 /// of a non-empty relation, Compact, CopyFrom — so any mutation that
-/// bypassed capture (Engine::Mutate, ad-hoc `++p` statements, direct
-/// Relation calls) leaves the watermark behind the live snapshot and the
-/// next refresh detects it and recomputes from scratch. Recover and
-/// LoadEdbFile additionally invalidate explicitly (belt and braces: a
-/// salvage recovery must never serve memo rows derived from
-/// pre-recovery deltas).
+/// bypassed capture (Glue statements and procedures such as `++p`,
+/// LoadProgram module facts, direct Relation calls) leaves the watermark
+/// behind the live snapshot and the next refresh detects it and
+/// recomputes from scratch. Recover and LoadEdbFile additionally
+/// invalidate explicitly (belt and braces: a salvage recovery must never
+/// serve memo rows derived from pre-recovery deltas).
 ///
 /// Captured rows are *net* deltas against the base snapshot: an insert
 /// that cancels a captured erase (or vice versa) removes the earlier

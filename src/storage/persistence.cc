@@ -16,6 +16,7 @@
 
 #include "src/common/fault_injector.h"
 #include "src/common/strings.h"
+#include "src/obs/metrics.h"
 
 namespace gluenail {
 
@@ -465,6 +466,18 @@ PersistenceCounters& GlobalPersistenceCounters() {
   return counters;
 }
 
+void RegisterPersistenceMetrics(MetricsRegistry* registry) {
+  PersistenceCounters& c = GlobalPersistenceCounters();
+  registry->RegisterPullCounter("gluenail_persist_saves_total",
+                                "successful database file saves", &c.saves);
+  registry->RegisterPullCounter("gluenail_persist_save_failures_total",
+                                "failed database file saves", &c.save_failures);
+  registry->RegisterPullCounter("gluenail_persist_loads_total",
+                                "successful database file loads", &c.loads);
+  registry->RegisterPullCounter("gluenail_persist_load_failures_total",
+                                "failed database file loads", &c.load_failures);
+}
+
 Status SaveDatabaseToFile(const Database& db, const std::string& path) {
   const std::string data = SerializeDatabase(db);
   // Temp file in the target's directory, so the final rename cannot cross
@@ -659,6 +672,18 @@ Result<LoadReport> LoadDatabaseFromFile(Database* db, const std::string& path,
   }
   counters.loads.fetch_add(1, std::memory_order_relaxed);
   return out;
+}
+
+Result<std::string> ReadFileText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) {
+    return Status::IoError(
+        StrCat("open '", path, "': ", std::strerror(errno)));
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  if (in.bad()) return Status::IoError(StrCat("read '", path, "' failed"));
+  return std::move(buf).str();
 }
 
 Status LoadDatabaseFromFile(Database* db, const std::string& path) {

@@ -50,6 +50,8 @@
 
 namespace gluenail {
 
+class MetricsRegistry;
+
 /// Process-wide persistence activity counters, exported through the engine's
 /// metrics registry. Global (not per-Engine) because the file-level save/load
 /// entry points are free functions.
@@ -61,6 +63,8 @@ struct PersistenceCounters {
 };
 
 PersistenceCounters& GlobalPersistenceCounters();
+/// Registers the gluenail_persist_* pulls over GlobalPersistenceCounters().
+void RegisterPersistenceMetrics(MetricsRegistry* registry);
 
 /// How loading reacts to a corrupt or torn file.
 enum class RecoveryMode {
@@ -115,6 +119,10 @@ Result<LoadReport> LoadDatabase(Database* db, std::istream& is,
                                 const LoadOptions& options);
 
 Status LoadDatabaseFromFile(Database* db, const std::string& path);
+
+/// The bytes of the file at \p path; an IoError names the path when it
+/// cannot be opened or read.
+Result<std::string> ReadFileText(const std::string& path);
 Result<LoadReport> LoadDatabaseFromFile(Database* db, const std::string& path,
                                         const LoadOptions& options);
 

@@ -2,12 +2,8 @@
 
 #include <sys/stat.h>
 
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
 #include "src/common/strings.h"
+#include "src/obs/metrics.h"
 #include "src/storage/mutation_batch.h"
 #include "src/storage/wal.h"
 
@@ -18,21 +14,6 @@ namespace {
 bool FileExists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
-}
-
-Status ReadFileText(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IoError(
-        StrCat("open '", path, "': ", std::strerror(errno)));
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
-    return Status::IoError(StrCat("read '", path, "' failed"));
-  }
-  *out = buf.str();
-  return Status::OK();
 }
 
 /// Parses + applies one WAL record's payload. `where` labels errors.
@@ -57,6 +38,20 @@ Status ReplayRecord(Database* db, TermPool* pool, const WalScanRecord& rec,
 RecoveryCounters& GlobalRecoveryCounters() {
   static RecoveryCounters counters;
   return counters;
+}
+
+void RegisterRecoveryMetrics(MetricsRegistry* registry) {
+  RecoveryCounters& c = GlobalRecoveryCounters();
+  registry->RegisterPullCounter("gluenail_recovery_runs_total",
+                                "successful crash recoveries", &c.recoveries);
+  registry->RegisterPullCounter("gluenail_recovery_failures_total",
+                                "failed crash recoveries", &c.failures);
+  registry->RegisterPullCounter("gluenail_recovery_records_replayed_total",
+                                "WAL records replayed during recovery",
+                                &c.records_replayed);
+  registry->RegisterPullCounter("gluenail_recovery_torn_bytes_total",
+                                "torn-tail bytes discarded during recovery",
+                                &c.torn_bytes);
 }
 
 std::string RecoveryReport::Summary() const {
@@ -119,8 +114,7 @@ Result<RecoveryReport> RecoverDatabase(Database* db, TermPool* pool,
     return report;
   }
   report.wal_found = true;
-  std::string data;
-  GLUENAIL_RETURN_NOT_OK(ReadFileText(wal_path, &data));
+  GLUENAIL_ASSIGN_OR_RETURN(std::string data, ReadFileText(wal_path));
   Result<WalScanResult> scanned = ScanWalBuffer(data);
   if (!scanned.ok()) {
     if (options.mode == RecoveryMode::kStrict) {

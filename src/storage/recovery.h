@@ -34,6 +34,8 @@
 
 namespace gluenail {
 
+class MetricsRegistry;
+
 /// Process-wide recovery activity, exported through the engine's metrics
 /// registry (global because recovery is a free function, like the
 /// persistence counters).
@@ -46,6 +48,8 @@ struct RecoveryCounters {
 };
 
 RecoveryCounters& GlobalRecoveryCounters();
+/// Registers the gluenail_recovery_* pulls over GlobalRecoveryCounters().
+void RegisterRecoveryMetrics(MetricsRegistry* registry);
 
 struct RecoveryOptions {
   RecoveryMode mode = RecoveryMode::kStrict;

@@ -13,6 +13,7 @@
 
 #include "src/api/engine.h"
 #include "src/api/session.h"
+#include "src/common/strings.h"
 
 namespace gluenail {
 namespace {
@@ -78,18 +79,15 @@ TEST(ConcurrencyTest, SnapshotsNeverObserveTornMultiRelationWrites) {
   constexpr int kReaders = 4;
   std::atomic<bool> done{false};
 
-  // The writer inserts a(i) and b(i) together under one writer-lock
-  // critical section; a consistent snapshot must always show |a| == |b|.
+  // The writer inserts a(i) and b(i) together as one two-op batch; a
+  // consistent snapshot must always show |a| == |b|.
   std::thread writer([&engine, &done] {
     for (int i = 1; i <= kWrites; ++i) {
-      Status s = engine.Mutate([i](Database* edb, Database*, TermPool* pool) {
-        edb->GetOrCreate(pool->MakeSymbol("a"), 1)
-            ->Insert(Tuple{pool->MakeInt(i)});
-        edb->GetOrCreate(pool->MakeSymbol("b"), 1)
-            ->Insert(Tuple{pool->MakeInt(i)});
-        return Status::OK();
-      });
-      ASSERT_TRUE(s.ok()) << s;
+      MutationBatch batch;
+      batch.Insert(StrCat("a(", i, ")"));
+      batch.Insert(StrCat("b(", i, ")"));
+      Result<MutationBatch::ApplyReport> r = engine.ApplyBatch(batch);
+      ASSERT_TRUE(r.ok()) << r.status();
     }
     done.store(true);
   });
@@ -362,12 +360,7 @@ TEST(ConcurrencyTest, RelationVersionReadableWhileWriterMutates) {
 
   std::thread writer([&engine, &done] {
     for (int i = 1; i <= 500; ++i) {
-      Status s = engine.Mutate([i](Database* edb, Database*, TermPool* pool) {
-        edb->GetOrCreate(pool->MakeSymbol("v"), 1)
-            ->Insert(Tuple{pool->MakeInt(i)});
-        return Status::OK();
-      });
-      ASSERT_TRUE(s.ok());
+      ASSERT_TRUE(engine.AddFact(StrCat("v(", i, ")")).ok());
     }
     done.store(true);
   });
@@ -405,14 +398,11 @@ TEST(ConcurrencyTest, ConcurrentTracedSessionsRecordPrivateTraces) {
   // see no races and every session must end up with its own trace.
   Engine engine;
   constexpr int kFacts = 200;
-  Status s = engine.Mutate([](Database* edb, Database*, TermPool* pool) {
-    Relation* e = edb->GetOrCreate(pool->MakeSymbol("edge"), 2);
-    for (int i = 0; i < kFacts; ++i) {
-      e->Insert(Tuple{pool->MakeInt(i), pool->MakeInt(i + 1)});
-    }
-    return Status::OK();
-  });
-  ASSERT_TRUE(s.ok()) << s;
+  MutationBatch edges;
+  for (int i = 0; i < kFacts; ++i) {
+    edges.Insert(StrCat("edge(", i, ",", i + 1, ")"));
+  }
+  ASSERT_TRUE(engine.ApplyBatch(edges).ok());
 
   constexpr int kThreads = 6;
   constexpr int kQueries = 25;

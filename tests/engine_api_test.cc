@@ -223,17 +223,39 @@ TEST(EngineApiTest, ParseErrorsSurfaceWithLocation) {
 }
 
 TEST(EngineApiTest, IndexPolicyOptionReachesRelations) {
-  EngineOptions opts;
-  opts.index_policy = IndexPolicy::kNeverIndex;
-  Engine engine(opts);
-  ASSERT_TRUE(engine.AddFact("p(1).").ok());
-  Status s = engine.Mutate([](Database* edb, Database*, TermPool* pool) {
-    Relation* rel = edb->Find(pool->MakeSymbol("p"), 1);
-    if (rel == nullptr) return Status::NotFound("p/1");
-    EXPECT_EQ(rel->index_policy(), IndexPolicy::kNeverIndex);
-    return Status::OK();
-  });
-  ASSERT_TRUE(s.ok()) << s;
+  // Three keyed reads of a 20-row EDB relation. kAlwaysIndex indexes on the
+  // first read; kAdaptive scans once and indexes on the second, when its
+  // scan cost has reached the build cost (20 rows at the default factor);
+  // kNeverIndex scans every time. The storage counters tell them apart,
+  // so a policy lost between EngineOptions and the relation fails here.
+  struct Case {
+    IndexPolicy policy;
+    uint64_t indexes_built;
+    uint64_t index_lookups;
+    uint64_t scan_rows;
+  };
+  for (const Case& c : {Case{IndexPolicy::kAlwaysIndex, 1, 3, 0},
+                        Case{IndexPolicy::kAdaptive, 1, 2, 20},
+                        Case{IndexPolicy::kNeverIndex, 0, 0, 60}}) {
+    SCOPED_TRACE(static_cast<int>(c.policy));
+    EngineOptions opts;
+    opts.index_policy = c.policy;
+    Engine engine(opts);
+    MutationBatch batch;
+    for (int i = 0; i < 20; ++i) {
+      batch.Insert(StrCat("p(", i, ",", i + 1, ")"));
+    }
+    ASSERT_TRUE(engine.ApplyBatch(batch).ok());
+    for (int read = 0; read < 3; ++read) {
+      Result<Engine::QueryResult> r = engine.Query("p(3, Y)");
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->rows.size(), 1u);
+    }
+    const StorageStats stats = engine.storage_stats();
+    EXPECT_EQ(stats.indexes_built, c.indexes_built);
+    EXPECT_EQ(stats.index_lookups, c.index_lookups);
+    EXPECT_EQ(stats.scan_rows, c.scan_rows);
+  }
 }
 
 TEST(EngineApiTest, DedupOptionObservableInStats) {

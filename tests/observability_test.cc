@@ -3,17 +3,23 @@
 /// bounded rings), the slow-query log, and two cross-cutting invariants —
 /// per-op trace rows must equal EXPLAIN ANALYZE actual rows on both
 /// executor strategies, and the planner must pick a good join order on a
-/// relation whose NDV sketches went through heavy erase churn.
+/// relation whose NDV sketches went through heavy erase churn. A golden
+/// list pins the metric catalog (name, type, help) of a default and a
+/// replica engine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/api/engine.h"
 #include "src/api/session.h"
+#include "src/common/strings.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slow_query.h"
 #include "src/obs/trace.h"
@@ -89,6 +95,207 @@ TEST(MetricsTest, EngineDumpCoversAllLayersAndCountsQueries) {
 
   std::string json = engine.DumpMetrics(MetricsFormat::kJson);
   EXPECT_NE(json.find("\"gluenail_queries_total\""), std::string::npos);
+}
+
+// --- Metric catalog golden -------------------------------------------------
+
+/// One catalog entry: what a scraper sees of a metric, minus its value.
+struct CatalogEntry {
+  std::string name;
+  std::string type;
+  std::string help;
+  bool operator==(const CatalogEntry&) const = default;
+  bool operator<(const CatalogEntry& o) const { return name < o.name; }
+};
+
+void PrintTo(const CatalogEntry& e, std::ostream* os) {
+  *os << e.name << " (" << e.type << "): " << e.help;
+}
+
+/// Every (name, type, help) an engine exports, sorted by name. Name and
+/// type come from the JSON dump; the JSON form carries no help text, so
+/// help comes from the Prometheus `# HELP` line of the same metric. The
+/// two dumps must name the same metrics with the same types.
+std::vector<CatalogEntry> Catalog(const Engine& engine) {
+  std::map<std::string, CatalogEntry> from_prom;
+  std::istringstream prom(engine.DumpMetrics(MetricsFormat::kPrometheus));
+  std::string line;
+  while (std::getline(prom, line)) {
+    for (const std::string prefix : {"# HELP ", "# TYPE "}) {
+      if (line.rfind(prefix, 0) != 0) continue;
+      std::string rest = line.substr(prefix.size());
+      const size_t space = rest.find(' ');
+      CatalogEntry& e = from_prom[rest.substr(0, space)];
+      e.name = rest.substr(0, space);
+      (prefix == "# HELP " ? e.help : e.type) = rest.substr(space + 1);
+    }
+  }
+  std::vector<CatalogEntry> out;
+  const std::string json = engine.DumpMetrics(MetricsFormat::kJson);
+  const std::string name_key = "{\"name\":\"";
+  const std::string type_key = "\",\"type\":\"";
+  for (size_t pos = json.find(name_key); pos != std::string::npos;
+       pos = json.find(name_key, pos + 1)) {
+    const size_t name_begin = pos + name_key.size();
+    const size_t name_end = json.find(type_key, name_begin);
+    const size_t type_begin = name_end + type_key.size();
+    CatalogEntry e;
+    e.name = json.substr(name_begin, name_end - name_begin);
+    e.type = json.substr(type_begin, json.find('"', type_begin) - type_begin);
+    auto it = from_prom.find(e.name);
+    EXPECT_NE(it, from_prom.end()) << e.name << " missing from Prometheus";
+    if (it != from_prom.end()) {
+      EXPECT_EQ(it->second.type, e.type) << e.name;
+      e.help = it->second.help;
+    }
+    out.push_back(std::move(e));
+  }
+  EXPECT_EQ(out.size(), from_prom.size());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The catalog of a default engine. A change to this list is a change to
+/// the scrape contract: rename or retype a metric only on purpose.
+const std::vector<CatalogEntry>& DefaultCatalog() {
+  static const auto* catalog = new std::vector<CatalogEntry>{
+    {"gluenail_checkpoints_total", "counter",
+     "checkpoint saves with WAL rotation"},
+    {"gluenail_exec_batch_rows_total", "counter",
+     "binding records entering batch segments"},
+    {"gluenail_exec_batch_segments_total", "counter",
+     "batch-at-a-time segments run"},
+    {"gluenail_exec_control_checks_total", "counter",
+     "full guardrail checks"},
+    {"gluenail_exec_duplicates_removed_total", "counter",
+     "records dropped by dedup-at-breaks"},
+    {"gluenail_exec_pipeline_breaks_total", "counter",
+     "pipelined-strategy materialization points"},
+    {"gluenail_exec_records_produced_total", "counter",
+     "binding records produced"},
+    {"gluenail_exec_rows_scanned_total", "counter",
+     "rows visited answering matches (scan + probe chains)"},
+    {"gluenail_exec_statements_total", "counter",
+     "statement plans executed"},
+    {"gluenail_nail_delta_refresh_total", "counter",
+     "NAIL! memo refreshes patched incrementally from captured deltas"},
+    {"gluenail_nail_full_refresh_total", "counter",
+     "NAIL! memo refreshes recomputed from scratch"},
+    {"gluenail_nail_iterations_total", "counter",
+     "semi-naive fixpoint iterations"},
+    {"gluenail_nail_ivm_delta_rows_in_total", "counter",
+     "EDB delta rows consumed by incremental refreshes"},
+    {"gluenail_nail_ivm_delta_rows_out_total", "counter",
+     "memo rows changed by incremental refreshes"},
+    {"gluenail_nail_ivm_fallbacks_total", "counter",
+     "full recomputes forced while delta maintenance was enabled"},
+    {"gluenail_nail_ivm_old_state_rows_total", "counter",
+     "rows copied into old-state overrides by incremental refreshes"},
+    {"gluenail_nail_parallel_batches_total", "counter",
+     "parallel fixpoint iterations dispatched to workers"},
+    {"gluenail_nail_refreshes_total", "counter",
+     "NAIL! memo refreshes"},
+    {"gluenail_nail_replans_total", "counter",
+     "mid-evaluation SCC replans on cardinality drift"},
+    {"gluenail_persist_load_failures_total", "counter",
+     "failed database file loads"},
+    {"gluenail_persist_loads_total", "counter",
+     "successful database file loads"},
+    {"gluenail_persist_save_failures_total", "counter",
+     "failed database file saves"},
+    {"gluenail_persist_saves_total", "counter",
+     "successful database file saves"},
+    {"gluenail_planner_bodies_planned_total", "counter",
+     "statement bodies ordered by the physical planner"},
+    {"gluenail_planner_index_builds_scheduled_total", "counter",
+     "planner-decided index builds"},
+    {"gluenail_queries_total", "counter",
+     "queries and traced statements executed"},
+    {"gluenail_queries_traced_total", "counter",
+     "queries traced explicitly (QueryOptions::trace)"},
+    {"gluenail_query_latency_ns", "histogram",
+     "end-to-end query latency in nanoseconds"},
+    {"gluenail_recovery_failures_total", "counter",
+     "failed crash recoveries"},
+    {"gluenail_recovery_records_replayed_total", "counter",
+     "WAL records replayed during recovery"},
+    {"gluenail_recovery_runs_total", "counter",
+     "successful crash recoveries"},
+    {"gluenail_recovery_torn_bytes_total", "counter",
+     "torn-tail bytes discarded during recovery"},
+    {"gluenail_slow_queries_total", "counter",
+     "queries over EngineOptions::slow_query_threshold"},
+    {"gluenail_storage_arena_bytes", "gauge",
+     "bytes held by arenas, dedup tables, indexes"},
+    {"gluenail_storage_dedup_probes_total", "counter",
+     "dedup-table probe steps"},
+    {"gluenail_storage_index_lookups_total", "counter",
+     "keyed index lookups"},
+    {"gluenail_storage_index_probe_rows_total", "counter",
+     "rows walked along index probe chains"},
+    {"gluenail_storage_indexes_built_total", "counter",
+     "hash indexes built"},
+    {"gluenail_storage_live_tuples", "gauge",
+     "live tuples across every relation"},
+    {"gluenail_storage_relations", "gauge",
+     "relations across the EDB and IDB"},
+    {"gluenail_storage_scan_rows_total", "counter",
+     "rows visited by full scans"},
+    {"gluenail_storage_stats_rebuilds_total", "counter",
+     "NDV-sketch rebuilds (erase churn or compaction)"},
+    {"gluenail_termpool_terms", "gauge",
+     "terms interned in the pool"},
+    {"gluenail_wal_append_failures_total", "counter",
+     "failed WAL appends"},
+    {"gluenail_wal_appended_bytes_total", "counter",
+     "bytes appended to the WAL"},
+    {"gluenail_wal_appends_total", "counter",
+     "records appended to the WAL"},
+    {"gluenail_wal_commit_failures_total", "counter",
+     "mutation batches rejected or not made durable"},
+    {"gluenail_wal_commits_total", "counter",
+     "mutation batches committed through the WAL write path"},
+    {"gluenail_wal_group_commit_batches", "histogram",
+     "batches made durable per fsync (group-commit amortization)"},
+    {"gluenail_wal_rotations_total", "counter",
+     "WAL rotations behind checkpoints"},
+    {"gluenail_wal_sync_failures_total", "counter",
+     "failed WAL fsyncs (log marked broken)"},
+    {"gluenail_wal_syncs_total", "counter",
+     "WAL fsyncs"},
+  };
+  return *catalog;
+}
+
+/// What a replica engine exports on top of the default catalog.
+const std::vector<CatalogEntry>& ReplicaOnlyCatalog() {
+  static const auto* catalog = new std::vector<CatalogEntry>{
+    {"gluenail_repl_applied_lsn", "gauge",
+     "highest primary LSN applied on this replica"},
+    {"gluenail_repl_batches_applied_total", "counter",
+     "WAL batches shipped from the primary and applied"},
+    {"gluenail_repl_lag", "gauge",
+     "primary durable LSN minus applied LSN"},
+    {"gluenail_repl_primary_durable_lsn", "gauge",
+     "primary's durable LSN as of its last heartbeat"},
+    {"gluenail_repl_snapshot_bootstraps_total", "counter",
+     "checkpoint-image bootstraps (requested LSN rotated away)"},
+  };
+  return *catalog;
+}
+
+TEST(MetricsTest, CatalogMatchesGoldenList) {
+  Engine engine;
+  EXPECT_EQ(Catalog(engine), DefaultCatalog());
+
+  EngineOptions replica_opts;
+  replica_opts.replica = true;
+  Engine replica(replica_opts);
+  std::vector<CatalogEntry> want = DefaultCatalog();
+  want.insert(want.end(), ReplicaOnlyCatalog().begin(),
+              ReplicaOnlyCatalog().end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(Catalog(replica), want);
 }
 
 // --- Tracing -------------------------------------------------------------
@@ -333,31 +540,28 @@ INSTANTIATE_TEST_SUITE_P(BothStrategies, ExplainVsTraceTest,
 
 TEST(PlannerChurnTest, JoinOrderStaysGoodAfterEraseChurn) {
   Engine engine;
-  Status s = engine.Mutate([](Database* edb, Database*, TermPool* pool) {
-    Relation* a = edb->GetOrCreate(pool->MakeSymbol("a"), 1);
-    for (int i = 0; i < 10; ++i) a->Insert(Tuple{pool->MakeInt(i)});
-    Relation* mid = edb->GetOrCreate(pool->MakeSymbol("mid"), 2);
-    for (int i = 0; i < 1000; ++i) {
-      mid->Insert(Tuple{pool->MakeInt(i % 500), pool->MakeInt(i)});
-    }
-    // big/2 goes through heavy churn: 10k distinct keys inserted and
-    // erased again, then 10k rows over just 5 keys. Before the staleness
-    // fix the NDV sketch stayed saturated near 10k, making `big` look
-    // ultra-selective (est ≈ 10 rows out) so the planner joined it before
-    // `mid` — a 20000-row mistake at execution time.
-    Relation* big = edb->GetOrCreate(pool->MakeSymbol("big"), 2);
-    for (int i = 0; i < 10000; ++i) {
-      big->Insert(Tuple{pool->MakeInt(i), pool->MakeInt(i)});
-    }
-    for (int i = 0; i < 10000; ++i) {
-      big->Erase(Tuple{pool->MakeInt(i), pool->MakeInt(i)});
-    }
-    for (int i = 0; i < 10000; ++i) {
-      big->Insert(Tuple{pool->MakeInt(i % 5), pool->MakeInt(i)});
-    }
-    return Status::OK();
-  });
-  ASSERT_TRUE(s.ok()) << s;
+  MutationBatch batch;
+  for (int i = 0; i < 10; ++i) batch.Insert(StrCat("a(", i, ")"));
+  for (int i = 0; i < 1000; ++i) {
+    batch.Insert(StrCat("mid(", i % 500, ",", i, ")"));
+  }
+  // big/2 goes through heavy churn: 10k distinct keys inserted and erased
+  // again, then 10k rows over just 5 keys. Before the staleness fix the
+  // NDV sketch stayed saturated near 10k, making `big` look
+  // ultra-selective (est ≈ 10 rows out) so the planner joined it before
+  // `mid` — a 20000-row mistake at execution time.
+  for (int i = 0; i < 10000; ++i) {
+    batch.Insert(StrCat("big(", i, ",", i, ")"));
+  }
+  for (int i = 0; i < 10000; ++i) {
+    batch.Erase(StrCat("big(", i, ",", i, ")"));
+  }
+  for (int i = 0; i < 10000; ++i) {
+    batch.Insert(StrCat("big(", i % 5, ",", i, ")"));
+  }
+  Result<MutationBatch::ApplyReport> applied = engine.ApplyBatch(batch);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_EQ(applied->erased, 10000u);
 
   // With fresh stats: est(mid after a) = 10 * 1000/500 = 20 rows, while
   // est(big after a) = 10 * 10000/5 = 20000 rows — mid must come first.

@@ -1,7 +1,9 @@
 /// \file replication_test.cc
 /// \brief Log-shipping replication suite: payload codecs, the replica
-/// write fence, primary->replica convergence to byte-identical query
-/// results (EDB and IVM-maintained IDB), rotated-log snapshot bootstrap,
+/// write fence (batches, inline and file EDB loads, statements),
+/// primary->replica convergence to byte-identical query results (EDB and
+/// IVM-maintained IDB), inline EDB loads shipped like batches, rotated-log
+/// snapshot bootstrap,
 /// torn-stream and primary-restart recovery, and the fault-injector
 /// sweep proving a replica only ever holds an acked-durable prefix.
 
@@ -196,6 +198,40 @@ TEST_F(ReplTest, ReplicaRefusesMutationsWithFailedPrecondition) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
+TEST_F(ReplTest, ReplicaFencesEveryEdbWriteCommand) {
+  // Inline and file EDB loads and Glue statements write the EDB too: each
+  // is answered with wire error 10 and leaves the replica's EDB as the
+  // stream built it.
+  const std::string file = FreshDir("fence") + "/edb.facts";
+  {
+    Engine source;
+    ASSERT_TRUE(source.AddFact("f(7).").ok());
+    ASSERT_TRUE(source.SaveEdbFile(file).ok());
+  }
+  Engine replica(ReplicaOpts());
+  ASSERT_TRUE(replica.ApplyReplicatedBatch(1, InsertBatch({1})).ok());
+  Server server(&replica, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  // A refused write is refused before its text is parsed: no term of
+  // `f(fenced_only_symbol).` reaches the replica's pool.
+  const size_t terms_before = replica.terms().size();
+  for (const Command& cmd :
+       {Command::LoadEdbText("f(fenced_only_symbol)."),
+        Command::LoadEdbFile(file),
+        Command::MutateStatement("f(X) += X = 3.")}) {
+    SCOPED_TRACE(CommandKindToString(cmd.kind));
+    Result<WireResponse> r = client->Execute(cmd);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(static_cast<int>(WireErrorFromStatus(r->status.code())), 10)
+        << r->status;
+  }
+  EXPECT_EQ(replica.terms().size(), terms_before);
+  EXPECT_EQ(Facts(&replica), std::set<int>{1});
+  server.Stop();
+}
+
 // --- Convergence (the differential test) ----------------------------------
 
 constexpr char kGraphProgram[] = R"(
@@ -272,6 +308,32 @@ TEST_F(ReplTest, ReplicaConvergesToByteIdenticalQueryResults) {
   tail.Stop();
   replica_server.Stop();
   primary_server.Stop();
+}
+
+TEST_F(ReplTest, InlineEdbLoadReachesTheReplica) {
+  // An inline load is an insert batch on the primary's one durable write
+  // path, so it ships like any other commit.
+  const std::string dir = FreshDir("inline_load");
+  Engine primary(PrimaryOpts(dir));
+  ASSERT_TRUE(primary.Recover().ok());
+  Server server(&primary, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Engine replica(ReplicaOpts());
+  ReplicationClient tail(&replica, TailOpts(server.port()));
+  ASSERT_TRUE(tail.Start().ok());
+
+  Result<Client> client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  Result<WireResponse> r =
+      client->Execute(Command::LoadEdbText("f(1).\nf(2).\nf(3).\n"));
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_TRUE(r->ok()) << r->status;
+  ASSERT_TRUE(WaitUntil([&] { return CaughtUp(&primary, &replica); }));
+  EXPECT_EQ(Facts(&replica), (std::set<int>{1, 2, 3}));
+  EXPECT_EQ(replica.replica_applied_lsn(), 1u);  // one load, one record
+
+  tail.Stop();
+  server.Stop();
 }
 
 // --- Snapshot bootstrap ----------------------------------------------------

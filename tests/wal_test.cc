@@ -3,7 +3,9 @@
 /// damage, crash-point sweeps driven by the fault injector (with a shadow
 /// oracle asserting recovery yields exactly the acked prefix), checkpoint
 /// rotation, group commit under 8 concurrent writer sessions (the tsan
-/// target), and the live-snapshot guard on Recover/LoadEdbFile.
+/// target), inline EDB loads on the same durable path, Recover refusing
+/// while commits are in flight, and the live-snapshot guard on
+/// Recover/LoadEdbFile.
 ///
 /// The sweep invariants, from wal.h's failure semantics:
 ///  * single ArmNth fault on append/fsync/rename: recovered == acked;
@@ -463,6 +465,44 @@ TEST_F(WalTest, CrashPointSweepFailedFsync) {
   }
 }
 
+TEST_F(WalTest, CrashPointSweepInlineEdbLoad) {
+  // An inline EDB load is one insert batch on the durable write path: a
+  // failed WAL write or fsync errors the whole load, and recovery yields
+  // exactly the loads that acked. n grows until a run finishes without
+  // the fault firing.
+  for (FaultOp op : {FaultOp::kWrite, FaultOp::kFsync}) {
+    for (uint64_t nth = 1;; ++nth) {
+      SCOPED_TRACE(StrCat(op == FaultOp::kWrite ? "kWrite" : "kFsync",
+                          " nth=", nth));
+      ASSERT_LT(nth, 32u) << "the fault never stopped firing";
+      const std::string dir =
+          FreshDir(StrCat("sweep_load", static_cast<int>(op), "_", nth));
+      std::set<int> acked;
+      bool fired = false;
+      {
+        Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
+        ASSERT_TRUE(engine.Recover().ok());
+        Session session = engine.OpenSession();
+        FaultInjector::Instance().ArmNth(op, nth);
+        for (int i = 0; i < 8; i += 2) {
+          Response r = session.Execute(Command::LoadEdbText(
+              StrCat("f(", i, ").\nf(", i + 1, ").\n")));
+          if (r.ok()) acked.insert({i, i + 1});
+        }
+        fired = FaultInjector::Instance().injected(op) > 0;
+        FaultInjector::Instance().Disarm();
+        EXPECT_EQ(Facts(&engine), acked);  // a failed load never hit memory
+      }
+      ExpectRecoversExactly(dir, acked);
+      if (!fired) {
+        EXPECT_EQ(acked.size(), 8u);
+        break;
+      }
+      EXPECT_LT(acked.size(), 8u);
+    }
+  }
+}
+
 TEST_F(WalTest, CheckpointHealRestartsGroupCommitFsyncs) {
   // Regression: a failed fsync rolls the log's next LSN back before the
   // checkpoint heal rotates. The heal must re-seed the engine's durability
@@ -707,6 +747,62 @@ TEST_F(WalTest, CommitPumpStartFailureIsReturnedAndLogClosed) {
     EXPECT_EQ(engine.durable_lsn(), 1u);
   }
   ExpectRecoversExactly(dir, {1});
+}
+
+// --- Recover against in-flight commits ------------------------------------
+
+TEST_F(WalTest, RecoverRefusesWhileCommitsAreInFlight) {
+  // Recover replaces the commit log, which a commit between its append
+  // and its ack still uses. While four group-commit writers run, every
+  // Recover either succeeds or refuses with FailedPrecondition, and no
+  // acked batch is lost.
+  const std::string dir = FreshDir("recover_race");
+  constexpr int kWriters = 4;
+  constexpr int kBatches = 40;
+  std::set<int> acked;
+  {
+    Engine engine(DurableOpts(dir, DurabilityLevel::kGroupCommit));
+    ASSERT_TRUE(engine.Recover().ok());
+    std::atomic<int> writers_left{kWriters};
+    std::vector<std::set<int>> acked_by(kWriters);
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&engine, &writers_left, &acked_by, w] {
+        for (int i = 0; i < kBatches; ++i) {
+          const int key = w * 1000 + i;
+          Result<MutationBatch::ApplyReport> r =
+              engine.ApplyBatch(InsertBatch({key}));
+          EXPECT_TRUE(r.ok()) << r.status();
+          if (r.ok()) acked_by[w].insert(key);
+        }
+        writers_left.fetch_sub(1);
+      });
+    }
+    int recovered = 0;
+    int refused = 0;
+    while (writers_left.load() > 0) {
+      Result<RecoveryReport> r = engine.Recover();
+      if (r.ok()) {
+        ++recovered;
+      } else {
+        EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+            << r.status();
+        ++refused;
+      }
+      std::this_thread::yield();
+    }
+    for (std::thread& t : writers) t.join();
+    EXPECT_GT(recovered + refused, 0);
+    for (const std::set<int>& keys : acked_by) {
+      acked.insert(keys.begin(), keys.end());
+    }
+    EXPECT_EQ(acked.size(), static_cast<size_t>(kWriters * kBatches));
+    EXPECT_EQ(Facts(&engine), acked);
+    // Quiescent again: Recover proceeds and keeps every acked batch.
+    ASSERT_TRUE(engine.Recover().ok());
+    EXPECT_EQ(Facts(&engine), acked);
+  }
+  ExpectRecoversExactly(dir, acked);
 }
 
 // --- Live-snapshot guard ---------------------------------------------------

@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--edb") {
-      gluenail::Status s = engine.LoadEdbFile(next());
+      gluenail::Status s = engine.LoadEdbFile(next()).status();
       if (!s.ok()) return Fail(s);
     } else if (arg == "-e") {
       ran_batch = true;

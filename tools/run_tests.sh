@@ -8,6 +8,8 @@
 #   tsan   — -DGLUENAIL_TSAN=ON, runs the tsan-labelled concurrency tests
 #   fault  — Debug build, runs only the faultinject-labelled matrix
 #   obs    — Debug build, runs only the obs-labelled observability suite
+#            (metrics, traces, the slow-query log, and the golden list of
+#            every metric's name, type and help text)
 #   server — Debug build, runs only the server-labelled service-layer
 #            suite (framing, codecs, end-to-end socket tests); the same
 #            tests also run under tsan via their tsan label
@@ -15,16 +17,19 @@
 #            differential suite; the same tests also run under asan and
 #            tsan via their labels
 #   wal    — Debug build, runs only the wal-labelled durability suite
-#            (crash-point sweeps, torn-tail/mid-log recovery, group
-#            commit); the same tests also run under asan and tsan via
-#            their labels
+#            (crash-point sweeps over batches and inline EDB loads,
+#            torn-tail/mid-log recovery, group commit, Recover racing
+#            four group-commit writers); the same tests also run under
+#            asan and tsan via their labels
 #   ivm    — Debug build, runs only the ivm-labelled incremental view
 #            maintenance suite (counting/DRed differential checks,
 #            randomized DRed differentials, fallback guards, recovery
-#            invalidation, the DRed allocation-fault sweep); ivm_test
+#            invalidation, inline EDB loads refreshed by delta, the
+#            DRed allocation-fault sweep); ivm_test
 #            also runs under asan and tsan via its labels
 #   repl   — Debug build, runs only the repl-labelled log-shipping
-#            replication suite (codecs, convergence, snapshot
+#            replication suite (codecs, the write fence on every EDB
+#            write command, convergence, inline loads shipped, snapshot
 #            bootstrap, torn streams, fault sweeps); the same tests
 #            also run under asan and tsan via their labels
 #   bench  — Release build of the bench/workloads CMake package in a tree
