@@ -1,5 +1,7 @@
 #include "src/exec/bindings.h"
 
+#include <map>
+
 namespace gluenail {
 
 namespace {
@@ -44,6 +46,25 @@ size_t DedupRecords(RecordSet* set) {
   set->records = std::move(out_records);
   set->groups = std::move(out_groups);
   return removed;
+}
+
+void RefineGroups(RecordSet* set, const std::vector<int>& key_slots) {
+  std::map<std::pair<uint32_t, Record>, uint32_t> ids;
+  std::vector<uint32_t> new_groups(set->records.size());
+  uint32_t next = 0;
+  for (size_t i = 0; i < set->records.size(); ++i) {
+    uint32_t g = set->groups.empty() ? 0 : set->groups[i];
+    Record key;
+    key.reserve(key_slots.size());
+    for (int slot : key_slots) {
+      key.push_back(set->records[i][static_cast<size_t>(slot)]);
+    }
+    auto [it, inserted] = ids.try_emplace({g, std::move(key)}, next);
+    if (inserted) ++next;
+    new_groups[i] = it->second;
+  }
+  set->groups = std::move(new_groups);
+  set->num_groups = next == 0 ? 1 : next;
 }
 
 }  // namespace gluenail

@@ -47,6 +47,11 @@ struct RecordSet {
 /// elimination statistic.
 size_t DedupRecords(RecordSet* set);
 
+/// group_by (§3.3.1): refines \p set's groups by the values in
+/// \p key_slots, so a cascade of group_bys partitions ever finer. New ids
+/// are dense and numbered in first-occurrence order.
+void RefineGroups(RecordSet* set, const std::vector<int>& key_slots);
+
 }  // namespace gluenail
 
 #endif  // GLUENAIL_EXEC_BINDINGS_H_

@@ -1,6 +1,5 @@
 #include "src/exec/executor.h"
 
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -172,27 +171,6 @@ Status Executor::ApplyAggregate(const StatementPlan& plan, const PlanOp& op,
     }
   }
   *set = std::move(out);
-  return Status::OK();
-}
-
-Status Executor::ApplyGroupBy(const PlanOp& op, RecordSet* set) {
-  // Refine existing groups by the key slots; cascade semantics (§3.3.1).
-  std::map<std::pair<uint32_t, Tuple>, uint32_t> ids;
-  std::vector<uint32_t> new_groups(set->records.size());
-  uint32_t next = 0;
-  for (size_t i = 0; i < set->records.size(); ++i) {
-    uint32_t g = set->groups.empty() ? 0 : set->groups[i];
-    Tuple key;
-    key.reserve(op.group_slots.size());
-    for (int slot : op.group_slots) {
-      key.push_back(set->records[i][static_cast<size_t>(slot)]);
-    }
-    auto [it, inserted] = ids.try_emplace({g, std::move(key)}, next);
-    if (inserted) ++next;
-    new_groups[i] = it->second;
-  }
-  set->groups = std::move(new_groups);
-  set->num_groups = next == 0 ? 1 : next;
   return Status::OK();
 }
 

@@ -372,7 +372,6 @@ class Executor {
   /// Barrier ops over a whole record set.
   Status ApplyAggregate(const StatementPlan& plan, const PlanOp& op,
                         RecordSet* set);
-  Status ApplyGroupBy(const PlanOp& op, RecordSet* set);
   Status ApplyCall(const StatementPlan& plan, const PlanOp& op, Frame* frame,
                    const RecordSet& in, RecordSet* out);
   Status ApplyUpdate(const StatementPlan& plan, const PlanOp& op,

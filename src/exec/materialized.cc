@@ -65,7 +65,7 @@ Status Executor::RunMaterialized(const StatementPlan& plan, Frame* frame,
         GLUENAIL_RETURN_NOT_OK(ApplyAggregate(plan, op, &cur));
         break;
       case OpKind::kGroupBy:
-        GLUENAIL_RETURN_NOT_OK(ApplyGroupBy(op, &cur));
+        RefineGroups(&cur, op.group_slots);
         break;
       case OpKind::kCall: {
         RecordSet next;

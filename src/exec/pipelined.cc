@@ -104,7 +104,7 @@ Status Executor::RunPipelined(const StatementPlan& plan, Frame* frame,
           GLUENAIL_RETURN_NOT_OK(ApplyAggregate(plan, op, &cur));
           break;
         case OpKind::kGroupBy:
-          GLUENAIL_RETURN_NOT_OK(ApplyGroupBy(op, &cur));
+          RefineGroups(&cur, op.group_slots);
           break;
         case OpKind::kCall: {
           RecordSet next;
