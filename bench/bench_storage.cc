@@ -50,6 +50,26 @@ void BM_InsertDedup(benchmark::State& state) {
 }
 BENCHMARK(BM_InsertDedup)->Arg(4096)->Arg(65536);
 
+/// Every pair of n ids, then a re-insert of each: a graph closure's
+/// shape. Both columns take dense TermIds, so the low bits of the row
+/// hash barely change from row to row, unlike Fill's (i/8, i) rows.
+void BM_InsertDense(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  TermPool pool;
+  std::vector<TermId> ids = Ints(&pool, n);
+  for (auto _ : state) {
+    Relation r("r", 2);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (TermId x : ids) {
+        for (TermId y : ids) r.Insert(Tuple{x, y});
+      }
+    }
+    benchmark::DoNotOptimize(r.size());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n * n);
+}
+BENCHMARK(BM_InsertDense)->Arg(180);
+
 /// The headline: build a relation, index it, then one keyed probe per
 /// distinct key with the matching rows consumed. This is the inner loop
 /// of every join the executors run.

@@ -14,6 +14,7 @@ StorageStats CollectStorageStats(const Database& edb, const Database& idb) {
     out.live_tuples += rel->size();
     out.arena_bytes += rel->arena_bytes();
     const Relation::Counters& c = rel->counters();
+    out.dedup_lookups += c.dedup_lookups.load(std::memory_order_relaxed);
     out.dedup_probes += c.dedup_probes.load(std::memory_order_relaxed);
     out.scan_rows += c.scan_rows.load(std::memory_order_relaxed);
     out.index_lookups += c.index_lookups.load(std::memory_order_relaxed);
@@ -72,6 +73,10 @@ void RegisterStorageMetrics(MetricsRegistry* registry, const TermPool* pool,
       "gluenail_storage_indexes_built_total", "hash indexes built",
       StoragePull<&StorageStats::indexes_built>(edb, idb));
   registry->RegisterPullCounter(
+      "gluenail_storage_dedup_lookups_total",
+      "dedup-table lookups (insert and contains probes)",
+      StoragePull<&StorageStats::dedup_lookups>(edb, idb));
+  registry->RegisterPullCounter(
       "gluenail_storage_dedup_probes_total", "dedup-table probe steps",
       StoragePull<&StorageStats::dedup_probes>(edb, idb));
   registry->RegisterPullCounter(
@@ -100,9 +105,16 @@ std::string FormatExecStats(const ExecStats& stats) {
 }
 
 std::string FormatStorageStats(const StorageStats& stats) {
+  double probes_per_lookup =
+      stats.dedup_lookups == 0
+          ? 0.0
+          : static_cast<double>(stats.dedup_probes) /
+                static_cast<double>(stats.dedup_lookups);
   return StrCat(stats.relations, " relations, ", stats.live_tuples,
                 " tuples, ", stats.arena_bytes, " arena bytes, ",
-                stats.dedup_probes, " dedup probes, ", stats.scan_rows,
+                stats.dedup_lookups, " dedup lookups, ", stats.dedup_probes,
+                " dedup probes (", probes_per_lookup, " per lookup), ",
+                stats.scan_rows,
                 " scan rows, ", stats.index_lookups, " index lookups, ",
                 stats.index_probe_rows, " probe rows, ", stats.indexes_built,
                 " indexes built, ", stats.stats_rebuilds, " stats rebuilds");

@@ -31,6 +31,10 @@ struct StorageStats {
   uint64_t live_tuples = 0;
   /// Bytes currently held by tuple arenas, dedup tables, and indexes.
   uint64_t arena_bytes = 0;
+  /// Dedup-table lookups (insert and contains probes) and the slots they
+  /// inspected: their ratio is the mean probe length, ~1-2 for a healthy
+  /// table.
+  uint64_t dedup_lookups = 0;
   uint64_t dedup_probes = 0;
   uint64_t scan_rows = 0;
   uint64_t index_lookups = 0;

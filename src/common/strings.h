@@ -53,6 +53,17 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
   return seed;
 }
 
+/// splitmix64's step and finalizer: every input bit reaches every output
+/// bit. HashCombine over small dense TermIds leaves the low bits nearly
+/// constant, so anything that indexes by low bits (RowIdTable home slots,
+/// the NDV sketch's bitmap) mixes first.
+inline uint64_t Mix64(uint64_t v) {
+  uint64_t z = v + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 }  // namespace gluenail
 
 #endif  // GLUENAIL_COMMON_STRINGS_H_

@@ -10,7 +10,6 @@
 #define GLUENAIL_EXEC_BINDINGS_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/strings.h"
@@ -35,6 +34,7 @@ struct RecordSet {
   }
   bool empty() const { return records.empty(); }
   size_t size() const { return records.size(); }
+  uint32_t group(size_t i) const { return groups.empty() ? 0 : groups[i]; }
 
   void Add(Record rec, uint32_t group) {
     records.push_back(std::move(rec));
@@ -43,8 +43,8 @@ struct RecordSet {
 };
 
 /// Removes duplicate (record, group) pairs in place, preserving first
-/// occurrences. Returns the number removed — §9's early duplicate
-/// elimination statistic.
+/// occurrences and their order. Returns the number removed — §9's early
+/// duplicate elimination statistic.
 size_t DedupRecords(RecordSet* set);
 
 /// group_by (§3.3.1): refines \p set's groups by the values in

@@ -1,5 +1,6 @@
 #include "src/exec/executor.h"
 
+#include <cassert>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -137,40 +138,46 @@ Result<Relation*> Executor::ResolveWrite(const PredicateAccess& access,
 
 Status Executor::ApplyAggregate(const StatementPlan& plan, const PlanOp& op,
                                 RecordSet* set) {
-  // One accumulator per group; aggregates see one contribution per
+  // One accumulator per group id; aggregates see one contribution per
   // supplementary tuple (§3.3), never a projection.
-  std::unordered_map<uint32_t, Aggregator> accs;
-  for (size_t i = 0; i < set->records.size(); ++i) {
-    uint32_t g = set->groups.empty() ? 0 : set->groups[i];
-    auto [it, unused] = accs.try_emplace(g, op.agg, pool_);
-    GLUENAIL_ASSIGN_OR_RETURN(
-        TermId v, EvalExpr(plan, op.agg_arg, set->records[i], pool_));
-    GLUENAIL_RETURN_NOT_OK(it->second.Add(v));
+  std::vector<Record>& recs = set->records;
+  std::vector<Aggregator> accs(set->num_groups, Aggregator(op.agg, pool_));
+  for (size_t i = 0; i < recs.size(); ++i) {
+    uint32_t g = set->group(i);
+    assert(g < accs.size());
+    GLUENAIL_ASSIGN_OR_RETURN(TermId v,
+                              EvalExpr(plan, op.agg_arg, recs[i], pool_));
+    GLUENAIL_RETURN_NOT_OK(accs[g].Add(v));
   }
-  std::unordered_map<uint32_t, TermId> results;
-  for (auto& [g, acc] : accs) {
-    GLUENAIL_ASSIGN_OR_RETURN(TermId v, acc.Finish(pool_));
-    results.emplace(g, v);
+  // A group a filter emptied has no record left and gets no value.
+  std::vector<TermId> results(accs.size(), kNullTerm);
+  for (size_t g = 0; g < accs.size(); ++g) {
+    if (accs[g].count() == 0) continue;
+    GLUENAIL_ASSIGN_OR_RETURN(results[g], accs[g].Finish(pool_));
   }
-  RecordSet out;
-  out.num_groups = set->num_groups;
-  for (size_t i = 0; i < set->records.size(); ++i) {
-    uint32_t g = set->groups.empty() ? 0 : set->groups[i];
-    TermId value = results.at(g);
+  // Bind or filter in place, compacting kept records to the front.
+  size_t kept = 0;
+  for (size_t i = 0; i < recs.size(); ++i) {
+    uint32_t g = set->group(i);
+    TermId value = results[g];
     if (op.bind_slot >= 0) {
-      Record rec = set->records[i];
-      rec[static_cast<size_t>(op.bind_slot)] = value;
-      out.Add(std::move(rec), g);
+      recs[i][static_cast<size_t>(op.bind_slot)] = value;
     } else {
       // "T = min(T)" with T bound: filter, i.e. the §3.3 aggregation+join.
-      GLUENAIL_ASSIGN_OR_RETURN(
-          TermId lhs, EvalExpr(plan, op.lhs, set->records[i], pool_));
+      GLUENAIL_ASSIGN_OR_RETURN(TermId lhs,
+                                EvalExpr(plan, op.lhs, recs[i], pool_));
       GLUENAIL_ASSIGN_OR_RETURN(
           bool eq, EvalCompare(*pool_, ast::CompareOp::kEq, lhs, value));
-      if (eq) out.Add(set->records[i], g);
+      if (!eq) continue;
     }
+    if (kept != i) {
+      recs[kept] = std::move(recs[i]);
+      if (!set->groups.empty()) set->groups[kept] = g;
+    }
+    ++kept;
   }
-  *set = std::move(out);
+  recs.resize(kept);
+  if (!set->groups.empty()) set->groups.resize(kept);
   return Status::OK();
 }
 
@@ -231,7 +238,7 @@ Status Executor::ApplyCall(const StatementPlan& plan, const PlanOp& op,
   for (size_t i = 0; i < in.records.size(); ++i) {
     auto it = by_prefix.find(rec_keys[i]);
     if (it == by_prefix.end()) continue;
-    uint32_t g = in.groups.empty() ? 0 : in.groups[i];
+    uint32_t g = in.group(i);
     Record rec = in.records[i];
     for (RowView t : it->second) {
       BindUndo undo;

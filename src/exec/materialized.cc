@@ -42,7 +42,7 @@ Status Executor::RunMaterialized(const StatementPlan& plan, Frame* frame,
               batcher->RunSegment(idx, idx + 1, cur, &next));
         } else {
           for (size_t i = 0; i < cur.records.size(); ++i) {
-            uint32_t g = cur.groups.empty() ? 0 : cur.groups[i];
+            uint32_t g = cur.group(i);
             GLUENAIL_RETURN_NOT_OK(runner.Stream(
                 op, &cur.records[i], g, [&](Record* rec, uint32_t group) {
                   runner.CountRow(op);

@@ -75,7 +75,7 @@ Status Executor::RunPipelined(const StatementPlan& plan, Frame* frame,
           GLUENAIL_RETURN_NOT_OK(batcher->RunSegment(s, e, cur, &next));
         } else {
           for (size_t r = 0; r < cur.records.size(); ++r) {
-            uint32_t g = cur.groups.empty() ? 0 : cur.groups[r];
+            uint32_t g = cur.group(r);
             GLUENAIL_RETURN_NOT_OK(StreamSegment(&runner, plan.ops, s, e,
                                                  &cur.records[r], g, &next));
           }

@@ -164,8 +164,7 @@ Status BatchRunner::RunSegment(size_t begin, size_t end, const RecordSet& in,
   seed_.Reset(width_);
   Status st = Status::OK();
   for (size_t i = 0; i < in.records.size(); ++i) {
-    seed_.PushLane(in.records[i].data(),
-                   in.groups.empty() ? 0 : in.groups[i]);
+    seed_.PushLane(in.records[i].data(), in.group(i));
     if (seed_.full()) {
       st = Push(begin, end, &seed_, out);
       seed_.ClearLanes();

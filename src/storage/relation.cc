@@ -15,6 +15,7 @@ uint32_t Relation::FindRow(RowView t, uint64_t hash) const {
   uint32_t r = dedup_.Find(
       hash, [&](uint32_t row_id) { return RowEquals(arena_.row(row_id), t); },
       &probes);
+  counters_.dedup_lookups.fetch_add(1, std::memory_order_relaxed);
   counters_.dedup_probes.fetch_add(probes, std::memory_order_relaxed);
   return r;
 }

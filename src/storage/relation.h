@@ -220,6 +220,7 @@ class Relation {
     std::atomic<uint64_t> index_lookups{0}; ///< keyed selections via index
     std::atomic<uint64_t> index_probe_rows{0};  ///< probe-chain rows walked
     std::atomic<uint64_t> indexes_built{0}; ///< indexes built (any policy)
+    std::atomic<uint64_t> dedup_lookups{0}; ///< dedup-table lookups
     std::atomic<uint64_t> dedup_probes{0};  ///< dedup slots inspected
     std::atomic<uint64_t> stats_rebuilds{0};  ///< NDV sketch rebuilds
   };

@@ -1,12 +1,17 @@
 /// \file row_table.h
 /// \brief Open-addressing hash table over row ids; keys live in the arena.
 ///
-/// A RowIdTable stores nothing but 32-bit row ids: hashing and equality
-/// are supplied per call by the owner (Relation or HashIndex), which
-/// resolves a row id to its columns through the TupleArena. That makes the
-/// table the copy-free replacement for `unordered_map<Tuple, ...>` — no
-/// duplicate tuple keys, no per-node allocation, linear probing over a
-/// power-of-two slot array.
+/// A RowIdTable stores nothing but 32-bit row ids: the key hash and
+/// equality are supplied per call by the owner (Relation, HashIndex, or an
+/// executor barrier op), which resolves a row id to its key through its own
+/// storage. That makes the table the copy-free replacement for
+/// `unordered_map<Tuple, ...>` — no duplicate tuple keys, no per-node
+/// allocation, linear probing over a power-of-two slot array.
+///
+/// The owner's hash is a HashCombine chain over small dense TermIds, whose
+/// low bits barely change from key to key. The table therefore mixes every
+/// hash with Mix64 before masking it to a home slot; without that, dense
+/// keys pile into a few long probe clusters.
 ///
 /// Deletion uses tombstones; they are recycled by the next rehash (growth
 /// keeps slots at most ~70% occupied by live entries + tombstones).
@@ -18,6 +23,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "src/common/strings.h"
 
 namespace gluenail {
 
@@ -42,7 +49,7 @@ class RowIdTable {
   uint32_t Find(uint64_t hash, EqFn&& eq, uint64_t* probes = nullptr) const {
     if (slots_.empty()) return kNoRow;
     size_t mask = slots_.size() - 1;
-    size_t i = static_cast<size_t>(hash) & mask;
+    size_t i = Home(hash, mask);
     uint64_t n = 0;
     while (true) {
       ++n;
@@ -65,7 +72,7 @@ class RowIdTable {
   uint32_t* FindSlot(uint64_t hash, EqFn&& eq) {
     if (slots_.empty()) return nullptr;
     size_t mask = slots_.size() - 1;
-    size_t i = static_cast<size_t>(hash) & mask;
+    size_t i = Home(hash, mask);
     while (true) {
       uint32_t s = slots_[i];
       if (s == kNoRow) return nullptr;
@@ -83,7 +90,7 @@ class RowIdTable {
       Rehash(hash_of);
     }
     size_t mask = slots_.size() - 1;
-    size_t i = static_cast<size_t>(hash) & mask;
+    size_t i = Home(hash, mask);
     while (slots_[i] != kNoRow && slots_[i] != kTombstone) {
       i = (i + 1) & mask;
     }
@@ -98,7 +105,7 @@ class RowIdTable {
   uint32_t Erase(uint64_t hash, EqFn&& eq) {
     if (slots_.empty()) return kNoRow;
     size_t mask = slots_.size() - 1;
-    size_t i = static_cast<size_t>(hash) & mask;
+    size_t i = Home(hash, mask);
     while (true) {
       uint32_t s = slots_[i];
       if (s == kNoRow) return kNoRow;
@@ -132,6 +139,10 @@ class RowIdTable {
   }
 
  private:
+  static size_t Home(uint64_t hash, size_t mask) {
+    return static_cast<size_t>(Mix64(hash)) & mask;
+  }
+
   template <typename HashFn>
   void Rehash(HashFn&& hash_of) {
     // Grow only when live entries (not tombstones) demand it; otherwise
@@ -148,7 +159,7 @@ class RowIdTable {
     size_t mask = new_cap - 1;
     for (uint32_t s : old) {
       if (s == kNoRow || s == kTombstone) continue;
-      size_t i = static_cast<size_t>(hash_of(s)) & mask;
+      size_t i = Home(hash_of(s), mask);
       while (slots_[i] != kNoRow) i = (i + 1) & mask;
       slots_[i] = s;
     }

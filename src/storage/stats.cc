@@ -2,25 +2,14 @@
 
 #include <cmath>
 
+#include "src/common/strings.h"
+
 namespace gluenail {
 
-namespace {
-
-/// splitmix64 finalizer: TermIds are small dense integers, so they need a
-/// strong mix before indexing a 4096-bit bitmap or adjacent ids would land
-/// in adjacent bits and the occupancy model would still hold — but the
-/// mixed form also decorrelates the column sketches from the dedup hash.
-uint64_t MixTermId(TermId value) {
-  uint64_t z = static_cast<uint64_t>(value) + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 void ColumnNdvSketch::Observe(TermId value) {
-  uint32_t bit = static_cast<uint32_t>(MixTermId(value)) & (kBits - 1);
+  // TermIds are small dense integers: unmixed, adjacent ids would land in
+  // adjacent bits and the occupancy model would not hold.
+  uint32_t bit = static_cast<uint32_t>(Mix64(value)) & (kBits - 1);
   uint64_t word = words_[bit / 64];
   uint64_t mask = 1ull << (bit % 64);
   if ((word & mask) == 0) {

@@ -15,10 +15,6 @@
 namespace gluenail {
 namespace {
 
-uint32_t GroupOf(const RecordSet& set, size_t i) {
-  return set.groups.empty() ? 0 : set.groups[i];
-}
-
 /// Renders a record set as "1,2/0 3,4/1": record values, then group.
 std::string Render(const RecordSet& set) {
   std::string out;
@@ -28,7 +24,7 @@ std::string Render(const RecordSet& set) {
       if (j != 0) out += ",";
       out += std::to_string(set.records[i][j]);
     }
-    out += "/" + std::to_string(GroupOf(set, i));
+    out += "/" + std::to_string(set.group(i));
   }
   return out;
 }
@@ -96,7 +92,7 @@ TEST(DedupRecordsTest, LargeDenseSetMatchesReference) {
   EXPECT_EQ(removed, 6000u - expect.size());
   ASSERT_EQ(set.size(), expect.size());
   for (size_t i = 0; i < set.size(); ++i) {
-    EXPECT_EQ(std::make_tuple(GroupOf(set, i), set.records[i][0],
+    EXPECT_EQ(std::make_tuple(set.group(i), set.records[i][0],
                               set.records[i][1]),
               expect[i])
         << i;

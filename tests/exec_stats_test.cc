@@ -128,10 +128,15 @@ TEST(ExecStatsTest, StorageStatsAggregateCounters) {
   EXPECT_GE(s.live_tuples, 57u);
   EXPECT_GT(s.arena_bytes, 0u);
   EXPECT_GT(s.dedup_probes, 50u);
+  // Every AddFact costs one dedup lookup, and each lookup inspects at
+  // least one slot.
+  EXPECT_GE(s.dedup_lookups, 100u);
+  EXPECT_GE(s.dedup_probes, s.dedup_lookups);
   // The keyed body match went through either a scan or an index.
   EXPECT_GT(s.scan_rows + s.index_lookups, 0u);
   std::string line = FormatStorageStats(s);
   EXPECT_NE(line.find("arena bytes"), std::string::npos);
+  EXPECT_NE(line.find("per lookup"), std::string::npos);
 }
 
 TEST(ExecStatsTest, PerOpRowCountersBothStrategies) {

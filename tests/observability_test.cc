@@ -227,6 +227,8 @@ const std::vector<CatalogEntry>& DefaultCatalog() {
      "queries over EngineOptions::slow_query_threshold"},
     {"gluenail_storage_arena_bytes", "gauge",
      "bytes held by arenas, dedup tables, indexes"},
+    {"gluenail_storage_dedup_lookups_total", "counter",
+     "dedup-table lookups (insert and contains probes)"},
     {"gluenail_storage_dedup_probes_total", "counter",
      "dedup-table probe steps"},
     {"gluenail_storage_index_lookups_total", "counter",

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "src/storage/index.h"
+#include "src/storage/row_table.h"
 #include "src/term/term_pool.h"
 
 namespace gluenail {
@@ -284,9 +288,138 @@ TEST_F(RelationTest, DedupProbeCounterAdvances) {
   Relation r("p", 1);
   r.Insert(T({1}));
   uint64_t before = r.counters().dedup_probes;
+  EXPECT_EQ(r.counters().dedup_lookups, 1u);
   r.Contains(T({1}));
   r.Insert(T({1}));  // duplicate probe
   EXPECT_GT(r.counters().dedup_probes, before);
+  EXPECT_EQ(r.counters().dedup_lookups, 3u);
+}
+
+// --- Dense keys ------------------------------------------------------------
+//
+// TermIds are small and dense, so the low bits of a row's HashCombine
+// hash barely change from row to row. A table that masks those bits to a
+// home slot without mixing them first piles the rows of a graph closure
+// into a few long probe clusters (thousands of probes per lookup).
+
+using Pairs = std::vector<std::pair<int64_t, int64_t>>;
+
+Pairs AllPairs(int64_t n) {
+  Pairs out;
+  for (int64_t x = 0; x < n; ++x) {
+    for (int64_t y = 0; y < n; ++y) out.emplace_back(x, y);
+  }
+  return out;
+}
+
+/// Every ordered pair of nodes on one level of a full binary tree of the
+/// given depth (nodes numbered breadth-first from 0): the same-generation
+/// closure.
+Pairs SameGenerationPairs(int depth) {
+  Pairs out;
+  for (int level = 0; level <= depth; ++level) {
+    int64_t first = (int64_t{1} << level) - 1;
+    int64_t last = (int64_t{1} << (level + 1)) - 1;
+    for (int64_t x = first; x < last; ++x) {
+      for (int64_t y = first; y < last; ++y) out.emplace_back(x, y);
+    }
+  }
+  return out;
+}
+
+/// Interns each pair the way the batch parser interns the fact
+/// `edge(x,y)`: its arguments, then the fact term itself, so the TermIds
+/// of the row columns interleave with compound ids as in a real load.
+std::vector<Tuple> InternFacts(TermPool* pool, const Pairs& pairs) {
+  std::vector<Tuple> rows;
+  rows.reserve(pairs.size());
+  for (auto [x, y] : pairs) {
+    Tuple row = {pool->MakeInt(x), pool->MakeInt(y)};
+    pool->MakeCompound("edge", row);
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// Inserts every row, then looks each one up again (Contains, and a
+/// duplicate Insert). Returns dedup probes per lookup over the lookups.
+double DedupProbesPerLookup(const std::vector<Tuple>& rows) {
+  Relation r("edge", 2);
+  for (const Tuple& t : rows) EXPECT_TRUE(r.Insert(t));
+  const Relation::Counters& c = r.counters();
+  uint64_t probes = c.dedup_probes;
+  uint64_t lookups = c.dedup_lookups;
+  EXPECT_EQ(lookups, rows.size());
+  for (const Tuple& t : rows) {
+    EXPECT_TRUE(r.Contains(t));
+    EXPECT_FALSE(r.Insert(t));
+  }
+  EXPECT_EQ(r.size(), rows.size());
+  EXPECT_EQ(c.dedup_lookups - lookups, 2 * rows.size());
+  return static_cast<double>(c.dedup_probes - probes) /
+         static_cast<double>(c.dedup_lookups - lookups);
+}
+
+TEST_F(RelationTest, DedupHoldsUpOnAllPairsOf180) {
+  // The closure of TC over a 180-cycle: 32,400 tuples.
+  double ppl = DedupProbesPerLookup(InternFacts(&pool_, AllPairs(180)));
+  EXPECT_LE(ppl, 4.0);
+}
+
+TEST_F(RelationTest, DedupHoldsUpOnSameGenerationPairs) {
+  std::vector<Tuple> rows =
+      InternFacts(&pool_, SameGenerationPairs(/*depth=*/7));
+  ASSERT_EQ(rows.size(), 21845u);
+  EXPECT_LE(DedupProbesPerLookup(rows), 4.0);
+}
+
+TEST_F(RelationTest, DedupHoldsUpOnAllPairsOf45) {
+  // The closure of TC over K_45.
+  EXPECT_LE(DedupProbesPerLookup(InternFacts(&pool_, AllPairs(45))), 4.0);
+}
+
+TEST_F(RelationTest, IndexHeadTableHoldsUpOnDenseKeys) {
+  // A HashIndex head table over two columns of a three-column relation:
+  // one entry per distinct key, hashed with HashProjected as
+  // HashIndex::Add does, probed through RowIdTable::Find.
+  const ColumnMask mask = 0b101;
+  TupleArena arena(3);
+  RowIdTable heads;
+  auto hash_of = [&](uint32_t r) { return HashProjected(mask, arena.row(r)); };
+  for (auto [x, y] : AllPairs(180)) {
+    TermId tx = pool_.MakeInt(x);
+    TermId ty = pool_.MakeInt(y);
+    Tuple row = {tx, pool_.MakeCompound("edge", Tuple{tx, ty}), ty};
+    uint32_t id = arena.Append(row);
+    heads.Insert(hash_of(id), id, hash_of);
+  }
+  ASSERT_EQ(heads.size(), 180u * 180u);
+  uint64_t probes = 0;
+  Tuple key(2);
+  for (uint32_t r = 0; r < arena.num_rows(); ++r) {
+    RowView row = arena.row(r);
+    key[0] = row[0];
+    key[1] = row[2];
+    uint32_t found = heads.Find(
+        HashProjected(mask, row),
+        [&](uint32_t h) { return ProjectedEquals(mask, arena.row(h), key); },
+        &probes);
+    ASSERT_EQ(found, r);
+  }
+  EXPECT_LE(static_cast<double>(probes) / arena.num_rows(), 4.0);
+}
+
+TEST(NdvSketchTest, EstimatesArePinned) {
+  // The sketch indexes its bitmap by Mix64 of the TermId; these values
+  // were recorded with the sketch's original private mixer, and must not
+  // move when the mixer is shared with RowIdTable.
+  ColumnNdvSketch dense, sparse, saturated;
+  for (TermId v = 0; v < 3000; ++v) dense.Observe(v);
+  for (TermId v = 0; v < 200; ++v) sparse.Observe(v * 7919 + 13);
+  for (TermId v = 0; v < 100000; ++v) saturated.Observe(v);
+  EXPECT_DOUBLE_EQ(dense.Estimate(), 3063.14654300853);
+  EXPECT_DOUBLE_EQ(sparse.Estimate(), 205.04781601553626);
+  EXPECT_DOUBLE_EQ(saturated.Estimate(), 34069.570218882429);
 }
 
 // --- NDV statistics under churn (the cost-model staleness fix) -------------

@@ -4,7 +4,11 @@
 #
 #   debug  — plain Debug build, full ctest suite
 #   asan   — -DGLUENAIL_ASAN=ON, runs the asan-labelled storage tests
-#   ubsan  — -DGLUENAIL_UBSAN=ON, runs the ubsan-labelled planner tests
+#            (relation_test includes the dense-key probe-length checks on
+#            the dedup and index head tables) and barrier_ops_test (record
+#            dedup, group_by and aggregates compacting in place)
+#   ubsan  — -DGLUENAIL_UBSAN=ON, runs the ubsan-labelled planner tests,
+#            plus relation_test's dense-key checks and barrier_ops_test
 #   tsan   — -DGLUENAIL_TSAN=ON, runs the tsan-labelled concurrency tests
 #   fault  — Debug build, runs only the faultinject-labelled matrix
 #   obs    — Debug build, runs only the obs-labelled observability suite
