@@ -81,7 +81,7 @@ Result<TermId> EvalExpr(const StatementPlan& plan, ExprId id,
 }
 
 bool MatchTerm(const MatchNode& node, TermId value, const TermPool& pool,
-               Record* rec, BindUndo* undo) {
+               std::span<TermId> rec, BindUndo* undo) {
   switch (node.kind) {
     case MatchNode::Kind::kWildcard:
       return true;
@@ -89,12 +89,12 @@ bool MatchTerm(const MatchNode& node, TermId value, const TermPool& pool,
       return value == node.const_term;
     case MatchNode::Kind::kBind: {
       size_t slot = static_cast<size_t>(node.slot);
-      undo->emplace_back(node.slot, (*rec)[slot]);
-      (*rec)[slot] = value;
+      if (undo != nullptr) undo->emplace_back(node.slot, rec[slot]);
+      rec[slot] = value;
       return true;
     }
     case MatchNode::Kind::kCheck:
-      return (*rec)[static_cast<size_t>(node.slot)] == value;
+      return rec[static_cast<size_t>(node.slot)] == value;
     case MatchNode::Kind::kStruct: {
       if (!pool.IsCompound(value)) return false;
       size_t arity = node.children.size() - 1;
@@ -116,17 +116,18 @@ bool MatchTerm(const MatchNode& node, TermId value, const TermPool& pool,
 }
 
 bool MatchColumns(const std::vector<MatchNode>& patterns, RowView tuple,
-                  const TermPool& pool, Record* rec, BindUndo* undo) {
+                  const TermPool& pool, std::span<TermId> rec,
+                  BindUndo* undo) {
   for (size_t i = 0; i < patterns.size(); ++i) {
     if (!MatchTerm(patterns[i], tuple[i], pool, rec, undo)) return false;
   }
   return true;
 }
 
-void UnbindAll(const BindUndo& undo, Record* rec) {
+void UnbindAll(const BindUndo& undo, std::span<TermId> rec) {
   // Restore in reverse so repeated bindings of one slot unwind correctly.
   for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-    (*rec)[static_cast<size_t>(it->first)] = it->second;
+    rec[static_cast<size_t>(it->first)] = it->second;
   }
 }
 

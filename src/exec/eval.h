@@ -25,18 +25,20 @@ Result<TermId> EvalExpr(const StatementPlan& plan, ExprId id,
 /// tuples so one scratch record serves a whole scan.
 using BindUndo = std::vector<std::pair<int, TermId>>;
 
-/// Matches \p value against \p node. kBind entries write into \p rec and
-/// log into \p undo; the caller unwinds with UnbindAll on failure or after
-/// consuming the match.
+/// Matches \p value against \p node. kBind entries write into \p rec (a
+/// Record or a batch lane) and, when \p undo is non-null, log the value
+/// they overwrote; the caller unwinds with UnbindAll on failure or after
+/// consuming the match. Callers that drop \p rec on failure pass null.
 bool MatchTerm(const MatchNode& node, TermId value, const TermPool& pool,
-               Record* rec, BindUndo* undo);
+               std::span<TermId> rec, BindUndo* undo);
 
 /// Matches \p tuple column-wise against \p patterns (same length).
 bool MatchColumns(const std::vector<MatchNode>& patterns, RowView tuple,
-                  const TermPool& pool, Record* rec, BindUndo* undo);
+                  const TermPool& pool, std::span<TermId> rec,
+                  BindUndo* undo);
 
 /// Reverts the bindings recorded in \p undo (restores previous values).
-void UnbindAll(const BindUndo& undo, Record* rec);
+void UnbindAll(const BindUndo& undo, std::span<TermId> rec);
 
 }  // namespace gluenail
 

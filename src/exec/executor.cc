@@ -5,8 +5,6 @@
 #include <unordered_set>
 
 #include "src/common/strings.h"
-#include "src/exec/ops.h"
-#include "src/exec/vector/batch_runner.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/runtime/arith.h"
@@ -48,22 +46,6 @@ void Executor::RegisterMetrics(MetricsRegistry* registry,
           return *slot != nullptr ? (*slot)->stats().*field : 0;
         });
   }
-}
-
-// ---------------------------------------------------------------------------
-// Batch-mode selection
-// ---------------------------------------------------------------------------
-
-bool Executor::UseBatchFor(const StatementPlan& plan, const PlanOp& op) const {
-  switch (options_.batch_mode) {
-    case ExecOptions::BatchMode::kOff:
-      return false;
-    case ExecOptions::BatchMode::kAlways:
-      return BatchRunner::OpEligible(plan, op);
-    case ExecOptions::BatchMode::kAuto:
-      return op.batch && BatchRunner::OpEligible(plan, op);
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -182,8 +164,7 @@ Status Executor::ApplyAggregate(const StatementPlan& plan, const PlanOp& op,
 }
 
 Status Executor::ApplyCall(const StatementPlan& plan, const PlanOp& op,
-                           Frame* frame, const RecordSet& in,
-                           RecordSet* out) {
+                           const RecordSet& in, RecordSet* out) {
   // Project the sup onto the bound arguments, dedupe, call ONCE (§4).
   Relation input("call_in", op.callee_bound_arity);
   std::vector<Tuple> rec_keys;
@@ -234,7 +215,6 @@ Status Executor::ApplyCall(const StatementPlan& plan, const PlanOp& op,
     Tuple prefix(t.begin(), t.begin() + op.callee_bound_arity);
     by_prefix[std::move(prefix)].push_back(t);
   }
-  OpRunner runner(this, plan, frame);
   for (size_t i = 0; i < in.records.size(); ++i) {
     auto it = by_prefix.find(rec_keys[i]);
     if (it == by_prefix.end()) continue;
@@ -245,14 +225,14 @@ Status Executor::ApplyCall(const StatementPlan& plan, const PlanOp& op,
       bool ok = true;
       for (size_t c = 0; c < op.call_out_patterns.size(); ++c) {
         if (!MatchTerm(op.call_out_patterns[c],
-                       t[op.callee_bound_arity + c], *pool_, &rec,
+                       t[op.callee_bound_arity + c], *pool_, rec,
                        &undo)) {
           ok = false;
           break;
         }
       }
       if (ok) out->Add(rec, g);
-      UnbindAll(undo, &rec);
+      UnbindAll(undo, rec);
     }
   }
   out->num_groups = in.num_groups;
@@ -530,7 +510,7 @@ Result<bool> Executor::EvalCond(const CondPlan& cond, Frame* frame) {
         BindUndo undo;
         for (RowView t : *rel) {
           undo.clear();
-          if (MatchColumns(cond.patterns, t, *pool_, &dummy, &undo)) {
+          if (MatchColumns(cond.patterns, t, *pool_, dummy, &undo)) {
             exists = true;
             break;
           }

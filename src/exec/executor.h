@@ -3,14 +3,16 @@
 ///
 /// Two statement execution strategies, selected by ExecOptions::strategy:
 ///  * kMaterialized — realizes every supplementary relation sup_i (§3.2);
-///  * kPipelined — nested-join streaming that fuses runs of pipelineable
-///    ops and breaks (materializes) at aggregates, group_by, procedure
-///    calls, and body updates, optionally eliminating duplicates at each
-///    break ("removing duplicates early has always been advantageous",
-///    §9).
+///  * kPipelined — fuses runs of pipelineable ops and breaks
+///    (materializes) at aggregates, group_by, procedure calls, and body
+///    updates, optionally eliminating duplicates at each break ("removing
+///    duplicates early has always been advantageous", §9).
 ///
-/// Both strategies share the op semantics; differential tests in
-/// tests/executor_strategies_test.cc hold them equal.
+/// The strategies differ only in where they materialize: both run every
+/// match, negation and comparison through the one batch runner
+/// (exec/vector/batch_runner.h), single ops for kMaterialized and whole
+/// barrier-free runs for kPipelined. tests/strategies_property_test.cc
+/// holds them equal.
 
 #ifndef GLUENAIL_EXEC_EXECUTOR_H_
 #define GLUENAIL_EXEC_EXECUTOR_H_
@@ -36,15 +38,6 @@ class MetricsRegistry;
 struct ExecOptions {
   enum class Strategy { kMaterialized, kPipelined };
   Strategy strategy = Strategy::kPipelined;
-  /// Whether pipelineable ops run batch-at-a-time (exec/vector/: blocks of
-  /// up to 4096 binding records with selection vectors) or tuple-at-a-time
-  /// (exec/ops.h). kAuto follows the planner's per-op PlanOp::batch hint
-  /// (est_rows-driven, so it compounds with the cost model); kAlways and
-  /// kOff force one side for A/B benches and differential tests. Either
-  /// way, ops the batch runner cannot express (dynamic HiLog access,
-  /// structural patterns) take the tuple path.
-  enum class BatchMode { kAuto, kOff, kAlways };
-  BatchMode batch_mode = BatchMode::kAuto;
   /// Eliminate duplicate binding records at every materialization point
   /// (§9). Turning this off is the bench E2 baseline.
   bool dedup_at_breaks = true;
@@ -86,9 +79,9 @@ struct ExecStats {
   /// probe-chain rows — the quantity ResourceLimits::max_rows_scanned
   /// bounds per query.
   uint64_t rows_scanned = 0;
-  /// Batch-at-a-time segments run and the records that entered them —
-  /// nonzero proves the vectorized path engaged (tests assert on it the
-  /// way parallel_batches proves the worker pool engaged).
+  /// Batch-runner segments run and the binding records that entered them
+  /// (one segment per op under kMaterialized, per barrier-free run under
+  /// kPipelined).
   uint64_t batch_segments = 0;
   uint64_t batch_rows = 0;
 
@@ -251,7 +244,7 @@ class Executor {
 
   /// Cheap inner-loop probe: a full cancel/deadline check every 4096th
   /// call, a pointer test otherwise. Row loops that were already charged
-  /// for their rows (via SelectRows) call this per row.
+  /// for their rows (by a keyed probe) call this per row.
   Status TickControl() {
     const ExecControl* c = control();
     if (c == nullptr) return Status::OK();
@@ -260,28 +253,17 @@ class Executor {
     return c->Check();
   }
 
-  /// Per-batch row accounting, shared by every charging path. Scan loops
-  /// (per row), keyed selections (per probe, scanned or probe-chain rows),
-  /// and batch segments (per chunk) all feed one accumulator; a full
-  /// check — cancel, deadline, and the row budget — runs once every
-  /// kRowCheckInterval accumulated rows, so an overrun is detected within
-  /// one batch window regardless of which path charged the rows.
+  /// Per-batch row accounting. Keyed selections (per probe, scanned or
+  /// probe-chain rows), full scans (per chunk) and negation's existence
+  /// scans (per lane) all feed one accumulator; a full check — cancel,
+  /// deadline, and the row budget — runs once every kRowCheckInterval
+  /// accumulated rows, so an overrun is detected within one batch window.
   static constexpr uint64_t kRowCheckInterval = 4096;
 
-  /// Per-row probe for full-scan loops that visit rows one at a time.
-  Status TickScanRow() {
-    ++stats_.rows_scanned;
-    const ExecControl* c = control();
-    if (c == nullptr) return Status::OK();
-    ++rows_budget_used_;
-    if (++rows_since_check_ < kRowCheckInterval) return Status::OK();
-    return FlushRowAccounting(c);
-  }
-
   /// Bulk charge for rows a selection or batch visited (scanned rows or
-  /// index probe-chain rows). Same per-batch check cadence as TickScanRow:
-  /// an oversized charge (>= one check interval) is checked immediately,
-  /// smaller ones accumulate toward the next check.
+  /// index probe-chain rows): an oversized charge (>= one check interval)
+  /// is checked immediately, smaller ones accumulate toward the next
+  /// check.
   Status ChargeScanRows(uint64_t n) {
     stats_.rows_scanned += n;
     const ExecControl* c = control();
@@ -292,7 +274,7 @@ class Executor {
     return FlushRowAccounting(c);
   }
 
-  /// The deferred full check behind TickScanRow/ChargeScanRows: resets the
+  /// The deferred full check behind ChargeScanRows: resets the
   /// interval accumulator, then runs cancel/deadline and the row budget
   /// against everything charged so far.
   Status FlushRowAccounting(const ExecControl* c) {
@@ -334,15 +316,8 @@ class Executor {
   /// Display name for op \p idx of \p plan ("op2:match edge").
   std::string OpSpanName(const StatementPlan& plan, size_t idx) const;
 
-  // --- Shared op helpers (ops.cc, vector/batch_runner.cc) ---------------
-  friend class OpRunner;
+  // --- The op runner (vector/batch_runner.cc) ---------------------------
   friend class BatchRunner;
-
-  /// Whether \p op should run batch-at-a-time under the current
-  /// BatchMode: the planner hint for kAuto, forced for kAlways — in both
-  /// cases gated on the batch runner being able to express the op
-  /// (defined in executor.cc to keep the vector layer out of this header).
-  bool UseBatchFor(const StatementPlan& plan, const PlanOp& op) const;
 
   /// Resolves a static-name relation access for reading. May return
   /// nullptr: the relation does not exist, i.e. it is empty.
@@ -352,27 +327,10 @@ class Executor {
   Result<Relation*> ResolveWrite(const PredicateAccess& access, Frame* frame,
                                  TermId dynamic_name);
 
-  /// Keyed selection honoring read_only_storage: the mutable Select path
-  /// (adaptive index building) for writers, SelectConst for shared
-  /// readers. Every row the selection visits — scanned or walked along an
-  /// index probe chain — is charged against the row-scan budget, so
-  /// index-heavy queries cannot dodge ResourceLimits::max_rows_scanned.
-  Status SelectRows(Relation* rel, ColumnMask mask, RowView key,
-                    std::vector<uint32_t>* out) {
-    uint64_t visited = 0;
-    if (options_.read_only_storage) {
-      const Relation* crel = rel;
-      crel->SelectConst(mask, key, out, &visited);
-    } else {
-      rel->Select(mask, key, out, &visited);
-    }
-    return ChargeScanRows(visited);
-  }
-
   /// Barrier ops over a whole record set.
   Status ApplyAggregate(const StatementPlan& plan, const PlanOp& op,
                         RecordSet* set);
-  Status ApplyCall(const StatementPlan& plan, const PlanOp& op, Frame* frame,
+  Status ApplyCall(const StatementPlan& plan, const PlanOp& op,
                    const RecordSet& in, RecordSet* out);
   Status ApplyUpdate(const StatementPlan& plan, const PlanOp& op,
                      Frame* frame, RecordSet* set);
@@ -407,9 +365,8 @@ class Executor {
   /// Rows charged against the current control's max_rows_scanned budget;
   /// reset by set_control so each guarded query starts at zero.
   uint64_t rows_budget_used_ = 0;
-  /// Rows charged since the last full check; every charging path (per-row
-  /// ticks, probe charges, batch charges) accumulates here and flushes at
-  /// kRowCheckInterval.
+  /// Rows charged since the last full check; every charge accumulates
+  /// here and flushes at kRowCheckInterval.
   uint64_t rows_since_check_ = 0;
   /// Name -> replacement relation for reads (parallel delta partitions).
   std::unordered_map<TermId, Relation*> read_overrides_;

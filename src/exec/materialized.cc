@@ -3,12 +3,11 @@
 ///
 /// This is the literal §3.2 semantics: sup_0 = {ε}; op i maps sup_{i-1} to
 /// sup_i, fully computed before op i+1 starts. Execution stops as soon as
-/// a supplementary relation is empty.
-
-#include <optional>
+/// a supplementary relation is empty. Each pipelineable op is a
+/// single-op batch-runner segment, so duplicates can be eliminated
+/// between any two ops.
 
 #include "src/exec/executor.h"
-#include "src/exec/ops.h"
 #include "src/exec/vector/batch_runner.h"
 
 namespace gluenail {
@@ -18,39 +17,18 @@ Status Executor::RunMaterialized(const StatementPlan& plan, Frame* frame,
   RecordSet cur;
   cur.Add(Record(static_cast<size_t>(plan.num_slots), kNullTerm), 0);
 
-  OpRunner runner(this, plan, frame);
-  // Lazily constructed: most statements never take the batch path.
-  std::optional<BatchRunner> batcher;
-  for (const PlanOp& op : plan.ops) {
+  BatchRunner runner(this, plan, frame);
+  for (size_t idx = 0; idx < plan.ops.size(); ++idx) {
     if (cur.empty()) break;  // §3.2: empty sup stops the statement
     GLUENAIL_RETURN_NOT_OK(CheckControl(cur.records.size()));
+    const PlanOp& op = plan.ops[idx];
     switch (op.kind) {
       case OpKind::kMatch:
       case OpKind::kNegMatch:
       case OpKind::kCompare: {
         RecordSet next;
         next.num_groups = cur.num_groups;
-        if (UseBatchFor(plan, op)) {
-          // Batch-at-a-time: single-op segments here, because this
-          // strategy dedups between ops and a fused segment would skip
-          // those intermediate dedups.
-          if (!batcher) batcher.emplace(this, plan, frame);
-          ++stats_.batch_segments;
-          stats_.batch_rows += cur.records.size();
-          size_t idx = static_cast<size_t>(&op - plan.ops.data());
-          GLUENAIL_RETURN_NOT_OK(
-              batcher->RunSegment(idx, idx + 1, cur, &next));
-        } else {
-          for (size_t i = 0; i < cur.records.size(); ++i) {
-            uint32_t g = cur.group(i);
-            GLUENAIL_RETURN_NOT_OK(runner.Stream(
-                op, &cur.records[i], g, [&](Record* rec, uint32_t group) {
-                  runner.CountRow(op);
-                  next.Add(*rec, group);
-                  return Status::OK();
-                }));
-          }
-        }
+        GLUENAIL_RETURN_NOT_OK(runner.RunSegment(idx, idx + 1, cur, &next));
         cur = std::move(next);
         break;
       }
@@ -69,7 +47,7 @@ Status Executor::RunMaterialized(const StatementPlan& plan, Frame* frame,
         break;
       case OpKind::kCall: {
         RecordSet next;
-        GLUENAIL_RETURN_NOT_OK(ApplyCall(plan, op, frame, cur, &next));
+        GLUENAIL_RETURN_NOT_OK(ApplyCall(plan, op, cur, &next));
         cur = std::move(next);
         break;
       }

@@ -58,6 +58,13 @@ class LaneBuffer {
     return data_.data() + off;
   }
 
+  /// Drops the last lane: a structural match that failed after binding
+  /// into its freshly pushed copy.
+  void PopLane() {
+    data_.resize(data_.size() - width_);
+    groups_.pop_back();
+  }
+
   /// Compress: keeps exactly the lanes whose indexes appear in \p sel
   /// (which must be ascending), discarding the rest in place.
   void KeepOnly(const std::vector<uint32_t>& sel) {

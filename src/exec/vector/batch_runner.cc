@@ -5,25 +5,10 @@
 
 namespace gluenail {
 
-bool BatchRunner::OpEligible(const StatementPlan& plan, const PlanOp& op) {
-  (void)plan;
-  switch (op.kind) {
-    case OpKind::kCompare:
-      return true;
-    case OpKind::kMatch:
-    case OpKind::kNegMatch: {
-      // Dynamic (HiLog) accesses resolve the relation per record and may
-      // enumerate predicates; structural patterns recurse into compound
-      // terms. Both keep the tuple path.
-      if (op.access.kind == PredicateAccess::Kind::kDynamic) return false;
-      for (const MatchNode& m : op.col_patterns) {
-        if (m.kind == MatchNode::Kind::kStruct) return false;
-      }
-      return true;
-    }
-    default:
-      return false;
-  }
+bool IsInternalPredicateName(const TermPool& pool, TermId name) {
+  TermId root = name;
+  while (pool.IsCompound(root)) root = pool.Functor(root);
+  return pool.IsSymbol(root) && StartsWith(pool.SymbolName(root), "$");
 }
 
 BatchRunner::Operand BatchRunner::CompileOperand(ExprId e) const {
@@ -52,44 +37,47 @@ void BatchRunner::CompileOp(size_t k) {
     st.rhs = CompileOperand(op.rhs);
     return;
   }
+  bool structural = false;
+  for (const MatchNode& m : op.col_patterns) {
+    structural |= m.kind == MatchNode::Kind::kStruct;
+  }
   // kMatch / kNegMatch: flatten the column patterns into check/bind
   // actions. Pattern matching uses raw TermId equality (interned ground
   // terms), so every check compiles to one integer compare. A kCheck
   // against a slot first bound by an earlier column of the same op cannot
   // read the lane (the bind is only applied on emit), so it becomes a
-  // row-column equality instead — the tuple path gets the same effect from
-  // its in-record bind + undo log.
+  // row-column equality instead. Structural ops keep their constant
+  // checks and match every other column into the lane itself, where such
+  // a kCheck reads the earlier bind directly.
   std::vector<std::pair<int, uint32_t>> bound_here;
   for (uint32_t c = 0; c < op.col_patterns.size(); ++c) {
     const MatchNode& m = op.col_patterns[c];
-    switch (m.kind) {
-      case MatchNode::Kind::kWildcard:
-        break;
-      case MatchNode::Kind::kConst:
-        st.const_checks.push_back({c, m.const_term});
-        break;
-      case MatchNode::Kind::kBind:
-        st.binds.push_back({c, m.slot});
-        bound_here.emplace_back(m.slot, c);
-        break;
-      case MatchNode::Kind::kCheck: {
-        uint32_t other = UINT32_MAX;
-        for (const auto& [slot, col] : bound_here) {
-          if (slot == m.slot) {
-            other = col;
-            break;
-          }
-        }
-        if (other != UINT32_MAX) {
-          st.coleq_checks.push_back({c, other});
-        } else {
-          st.slot_checks.push_back({c, m.slot});
-        }
+    if (m.kind == MatchNode::Kind::kWildcard) continue;
+    if (m.kind == MatchNode::Kind::kConst) {
+      st.const_checks.push_back({c, m.const_term});
+      continue;
+    }
+    if (structural) {
+      st.struct_cols.push_back(c);
+      continue;
+    }
+    if (m.kind == MatchNode::Kind::kBind) {
+      st.binds.push_back({c, m.slot});
+      bound_here.emplace_back(m.slot, c);
+      continue;
+    }
+    // kCheck.
+    uint32_t other = UINT32_MAX;
+    for (const auto& [slot, col] : bound_here) {
+      if (slot == m.slot) {
+        other = col;
         break;
       }
-      case MatchNode::Kind::kStruct:
-        // Unreachable: OpEligible rejects structural patterns.
-        break;
+    }
+    if (other != UINT32_MAX) {
+      st.coleq_checks.push_back({c, other});
+    } else {
+      st.slot_checks.push_back({c, m.slot});
     }
   }
   if (op.bound_mask != 0) {
@@ -107,6 +95,26 @@ void BatchRunner::CompileOp(size_t k) {
       }
     }
   }
+}
+
+bool BatchRunner::BindRow(const PlanOp& op, const OpState& st,
+                          const TermId* row, TermId* ol) const {
+  for (const ColBind& b : st.binds) ol[b.slot] = row[b.col];
+  for (uint32_t c : st.struct_cols) {
+    if (!MatchTerm(op.col_patterns[c], row[c], *exec_->pool_, {ol, width_},
+                   nullptr)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool BatchRunner::RowMatchesLane(const PlanOp& op, OpState& st,
+                                 const TermId* row, const TermId* lane) {
+  if (!RowPassesLane(st, row, lane)) return false;
+  if (st.struct_cols.empty()) return true;
+  st.probe.assign(lane, lane + width_);
+  return BindRow(op, st, row, st.probe.data());
 }
 
 Result<TermId> BatchRunner::FetchOperand(const Operand& o,
@@ -154,12 +162,28 @@ Status BatchRunner::BuildKey(const PlanOp& op, OpState& st,
   return Status::OK();
 }
 
+Result<std::span<const uint32_t>> BatchRunner::Probe(const PlanOp& op,
+                                                     OpState& st,
+                                                     Relation* rel) {
+  // Shared readers never build indexes or touch adaptive statistics.
+  uint64_t visited = 0;
+  std::span<const uint32_t> rows =
+      exec_->options_.read_only_storage
+          ? static_cast<const Relation*>(rel)->SelectSpanConst(
+                op.bound_mask, st.key, &st.rows, &visited)
+          : rel->SelectSpan(op.bound_mask, st.key, &st.rows, &visited);
+  GLUENAIL_RETURN_NOT_OK(exec_->ChargeScanRows(visited));
+  return rows;
+}
+
 Status BatchRunner::RunSegment(size_t begin, size_t end, const RecordSet& in,
                                RecordSet* out) {
+  ++exec_->stats_.batch_segments;
+  exec_->stats_.batch_rows += in.records.size();
   for (size_t k = begin; k < end; ++k) {
     CompileOp(k);
-    out_bufs_[k].Reset(width_);
-    emitted_[k] = 0;
+    states_[k].out.Reset(width_);
+    states_[k].emitted = 0;
   }
   seed_.Reset(width_);
   Status st = Status::OK();
@@ -172,13 +196,13 @@ Status BatchRunner::RunSegment(size_t begin, size_t end, const RecordSet& in,
     }
   }
   if (st.ok() && !seed_.empty()) st = Push(begin, end, &seed_, out);
-  // Account per-op actual rows in one bulk call per op: same totals as the
-  // tuple path's per-record CountRow, flushed even when the segment aborts
-  // so EXPLAIN ANALYZE sees the rows produced before the error.
+  // Account per-op actual rows in one bulk call per op, flushed even when
+  // the segment aborts so EXPLAIN ANALYZE sees the rows produced before
+  // the error.
   for (size_t k = begin; k < end; ++k) {
-    if (emitted_[k] != 0) {
-      exec_->CountOpRows(plan_, plan_.ops[k], emitted_[k]);
-      emitted_[k] = 0;
+    if (states_[k].emitted != 0) {
+      exec_->CountOpRows(plan_, plan_.ops[k], states_[k].emitted);
+      states_[k].emitted = 0;
     }
   }
   return st;
@@ -203,23 +227,23 @@ Status BatchRunner::Push(size_t k, size_t end, LaneBuffer* batch,
   switch (op.kind) {
     case OpKind::kCompare:
       GLUENAIL_RETURN_NOT_OK(RunCompare(op, st, batch));
-      emitted_[k] += batch->count();
+      st.emitted += batch->count();
       return Push(k + 1, end, batch, out);
     case OpKind::kNegMatch:
       GLUENAIL_RETURN_NOT_OK(RunNegMatch(op, st, batch));
-      emitted_[k] += batch->count();
+      st.emitted += batch->count();
       return Push(k + 1, end, batch, out);
     case OpKind::kMatch: {
-      GLUENAIL_ASSIGN_OR_RETURN(Relation * rel,
-                                exec_->ResolveRead(op.access, frame_));
-      if (rel == nullptr || rel->empty()) return Status::OK();
-      LaneBuffer* ob = &out_bufs_[k];
-      ob->ClearLanes();
-      GLUENAIL_RETURN_NOT_OK(
-          op.bound_mask != 0
-              ? RunMatchKeyed(op, st, rel, *batch, k, end, ob, out)
-              : RunMatchScan(op, st, rel, *batch, k, end, ob, out));
-      return FlushDown(k, end, ob, out);
+      st.out.ClearLanes();
+      if (op.access.kind == PredicateAccess::Kind::kDynamic) {
+        GLUENAIL_RETURN_NOT_OK(RunDynamicMatch(op, st, *batch, k, end, out));
+      } else {
+        GLUENAIL_ASSIGN_OR_RETURN(Relation * rel,
+                                  exec_->ResolveRead(op.access, frame_));
+        GLUENAIL_RETURN_NOT_OK(
+            RunMatch(op, st, rel, *batch, 0, batch->count(), k, end, out));
+      }
+      return FlushDown(k, end, &st.out, out);
     }
     default:
       return Status::Internal("barrier op in batch segment");
@@ -229,33 +253,90 @@ Status BatchRunner::Push(size_t k, size_t end, LaneBuffer* batch,
 Status BatchRunner::FlushDown(size_t k, size_t end, LaneBuffer* ob,
                               RecordSet* out) {
   if (ob->empty()) return Status::OK();
-  emitted_[k] += ob->count();
+  states_[k].emitted += ob->count();
   Status st = Push(k + 1, end, ob, out);
   ob->ClearLanes();
   return st;
 }
 
+Result<Relation*> BatchRunner::ResolveDynamic(const PlanOp& op,
+                                              const TermId* lane) {
+  GLUENAIL_ASSIGN_OR_RETURN(
+      TermId name,
+      EvalExpr(plan_, op.access.name_expr, {lane, width_}, exec_->pool_));
+  Relation* rel = exec_->edb_->Find(name, op.access.arity);
+  if (rel == nullptr && exec_->env_.nail != nullptr) {
+    GLUENAIL_RETURN_NOT_OK(exec_->env_.nail->EnsureAllNail());
+    rel = exec_->idb_->Find(name, op.access.arity);
+  }
+  return rel;
+}
+
+Status BatchRunner::RunMatch(const PlanOp& op, OpState& st, Relation* rel,
+                             const LaneBuffer& in, size_t lo, size_t hi,
+                             size_t k, size_t end, RecordSet* out) {
+  if (rel == nullptr || rel->empty()) return Status::OK();
+  return op.bound_mask != 0
+             ? RunMatchKeyed(op, st, rel, in, lo, hi, k, end, out)
+             : RunMatchScan(op, st, rel, in, lo, hi, k, end, out);
+}
+
+Status BatchRunner::RunDynamicMatch(const PlanOp& op, OpState& st,
+                                    const LaneBuffer& in, size_t k,
+                                    size_t end, RecordSet* out) {
+  if (op.access.name_expr != kNoExpr) {
+    for (size_t l = 0; l < in.count(); ++l) {
+      GLUENAIL_ASSIGN_OR_RETURN(Relation * rel,
+                                ResolveDynamic(op, in.lane(l)));
+      GLUENAIL_RETURN_NOT_OK(RunMatch(op, st, rel, in, l, l + 1, k, end, out));
+    }
+    return Status::OK();
+  }
+  // Unbound name variables: enumerate every candidate predicate of the
+  // right arity — paper §5.1: "predicate variables can only range over
+  // predicate names", which are always finitely many. The name pattern
+  // binds into a one-lane seed that the kernels then run over.
+  const MatchNode& name_pattern =
+      plan_.name_patterns[static_cast<size_t>(op.access.name_pattern_index)];
+  for (size_t l = 0; l < in.count(); ++l) {
+    if (exec_->env_.nail != nullptr) {
+      GLUENAIL_RETURN_NOT_OK(exec_->env_.nail->EnsureAllNail());
+    }
+    for (Database* db : {exec_->edb_, exec_->idb_}) {
+      if (db == nullptr) continue;
+      for (auto& [name, rel] : db->RelationsWithArity(op.access.arity)) {
+        if (IsInternalPredicateName(*exec_->pool_, name)) continue;
+        st.seed.Reset(width_);
+        TermId* seed = st.seed.PushLane(in.lane(l), in.group(l));
+        if (!MatchTerm(name_pattern, name, *exec_->pool_, {seed, width_},
+                       nullptr)) {
+          continue;
+        }
+        GLUENAIL_RETURN_NOT_OK(RunMatch(op, st, rel, st.seed, 0, 1, k, end, out));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Status BatchRunner::RunMatchKeyed(const PlanOp& op, OpState& st,
                                   Relation* rel, const LaneBuffer& in,
-                                  size_t k, size_t end, LaneBuffer* ob,
+                                  size_t lo, size_t hi, size_t k, size_t end,
                                   RecordSet* out) {
-  // Planner-decided index build, same gating as the tuple path.
+  // Planner-decided index build (§10 folded into planning): build before
+  // the first probe instead of waiting for the adaptive policy to amortize
+  // scans. Shared readers never build; kNeverIndex still wins.
   if (op.build_index && !exec_->options_.read_only_storage &&
       rel->index_policy() != IndexPolicy::kNeverIndex) {
     rel->EnsureIndex(op.bound_mask);
   }
-  const bool read_only = exec_->options_.read_only_storage;
-  for (size_t l = 0; l < in.count(); ++l) {
+  LaneBuffer* ob = &st.out;
+  for (size_t l = lo; l < hi; ++l) {
     const TermId* lane = in.lane(l);
     const uint32_t group = in.group(l);
     GLUENAIL_RETURN_NOT_OK(BuildKey(op, st, lane));
-    uint64_t visited = 0;
-    std::span<const uint32_t> rows =
-        read_only
-            ? static_cast<const Relation*>(rel)->SelectSpanConst(
-                  op.bound_mask, st.key, &st.rows, &visited)
-            : rel->SelectSpan(op.bound_mask, st.key, &st.rows, &visited);
-    GLUENAIL_RETURN_NOT_OK(exec_->ChargeScanRows(visited));
+    GLUENAIL_ASSIGN_OR_RETURN(std::span<const uint32_t> rows,
+                              Probe(op, st, rel));
     for (uint32_t r : rows) {
       GLUENAIL_RETURN_NOT_OK(exec_->TickControl());
       const TermId* row = rel->row(r).data();
@@ -263,7 +344,10 @@ Status BatchRunner::RunMatchKeyed(const PlanOp& op, OpState& st,
         continue;
       }
       TermId* ol = ob->PushLane(lane, group);
-      for (const ColBind& b : st.binds) ol[b.slot] = row[b.col];
+      if (!BindRow(op, st, row, ol)) {
+        ob->PopLane();
+        continue;
+      }
       if (ob->full()) GLUENAIL_RETURN_NOT_OK(FlushDown(k, end, ob, out));
     }
   }
@@ -271,20 +355,21 @@ Status BatchRunner::RunMatchKeyed(const PlanOp& op, OpState& st,
 }
 
 Status BatchRunner::RunMatchScan(const PlanOp& op, OpState& st, Relation* rel,
-                                 const LaneBuffer& in, size_t k, size_t end,
-                                 LaneBuffer* ob, RecordSet* out) {
+                                 const LaneBuffer& in, size_t lo, size_t hi,
+                                 size_t k, size_t end, RecordSet* out) {
   const TupleArena& arena = rel->arena();
   const bool has_static =
       !st.const_checks.empty() || !st.coleq_checks.empty();
+  LaneBuffer* ob = &st.out;
   for (uint32_t c = 0; c < arena.num_chunks(); ++c) {
     st.rows.clear();
     rel->CollectLiveRows(arena.chunk_begin(c), arena.chunk_end(c), &st.rows);
     if (st.rows.empty()) continue;
-    // Tuple-path parity: a full scan visits every live row once per input
-    // record; one bulk charge per (chunk, batch) covers the same total and
-    // flushes the guardrail check on the same 4096-row cadence.
+    // A full scan visits every live row once per input lane; one bulk
+    // charge per (chunk, batch) flushes the guardrail check on the 4096-row
+    // cadence.
     GLUENAIL_RETURN_NOT_OK(
-        exec_->ChargeScanRows(uint64_t{st.rows.size()} * in.count()));
+        exec_->ChargeScanRows(uint64_t{st.rows.size()} * (hi - lo)));
     // Lane-independent checks (constants, same-op column equalities) run
     // once per chunk, not once per lane.
     const std::vector<uint32_t>* rows = &st.rows;
@@ -296,14 +381,17 @@ Status BatchRunner::RunMatchScan(const PlanOp& op, OpState& st, Relation* rel,
       if (st.sel.empty()) continue;
       rows = &st.sel;
     }
-    for (size_t l = 0; l < in.count(); ++l) {
+    for (size_t l = lo; l < hi; ++l) {
       const TermId* lane = in.lane(l);
       const uint32_t group = in.group(l);
       for (uint32_t r : *rows) {
         const TermId* row = rel->row(r).data();
         if (!RowPassesLane(st, row, lane)) continue;
         TermId* ol = ob->PushLane(lane, group);
-        for (const ColBind& b : st.binds) ol[b.slot] = row[b.col];
+        if (!BindRow(op, st, row, ol)) {
+          ob->PopLane();
+          continue;
+        }
         if (ob->full()) GLUENAIL_RETURN_NOT_OK(FlushDown(k, end, ob, out));
       }
     }
@@ -313,60 +401,71 @@ Status BatchRunner::RunMatchScan(const PlanOp& op, OpState& st, Relation* rel,
 
 Status BatchRunner::RunNegMatch(const PlanOp& op, OpState& st,
                                 LaneBuffer* batch) {
-  GLUENAIL_ASSIGN_OR_RETURN(Relation * rel,
-                            exec_->ResolveRead(op.access, frame_));
-  if (rel == nullptr || rel->empty()) return Status::OK();  // all survive
   st.sel.clear();
-  if (op.bound_mask != 0) {
-    const bool read_only = exec_->options_.read_only_storage;
+  if (op.access.kind == PredicateAccess::Kind::kDynamic) {
     for (size_t l = 0; l < batch->count(); ++l) {
-      const TermId* lane = batch->lane(l);
+      GLUENAIL_ASSIGN_OR_RETURN(Relation * rel,
+                                ResolveDynamic(op, batch->lane(l)));
+      GLUENAIL_RETURN_NOT_OK(SelectUnmatched(op, st, rel, *batch, l, l + 1));
+    }
+  } else {
+    GLUENAIL_ASSIGN_OR_RETURN(Relation * rel,
+                              exec_->ResolveRead(op.access, frame_));
+    GLUENAIL_RETURN_NOT_OK(
+        SelectUnmatched(op, st, rel, *batch, 0, batch->count()));
+  }
+  batch->KeepOnly(st.sel);
+  return Status::OK();
+}
+
+Status BatchRunner::SelectUnmatched(const PlanOp& op, OpState& st,
+                                    Relation* rel, const LaneBuffer& batch,
+                                    size_t lo, size_t hi) {
+  if (rel == nullptr || rel->empty()) {  // every lane survives
+    for (size_t l = lo; l < hi; ++l) st.sel.push_back(static_cast<uint32_t>(l));
+    return Status::OK();
+  }
+  if (op.bound_mask != 0) {
+    for (size_t l = lo; l < hi; ++l) {
+      const TermId* lane = batch.lane(l);
       GLUENAIL_RETURN_NOT_OK(BuildKey(op, st, lane));
-      uint64_t visited = 0;
-      std::span<const uint32_t> rows =
-          read_only
-              ? static_cast<const Relation*>(rel)->SelectSpanConst(
-                    op.bound_mask, st.key, &st.rows, &visited)
-              : rel->SelectSpan(op.bound_mask, st.key, &st.rows, &visited);
-      GLUENAIL_RETURN_NOT_OK(exec_->ChargeScanRows(visited));
+      GLUENAIL_ASSIGN_OR_RETURN(std::span<const uint32_t> rows,
+                                Probe(op, st, rel));
       bool found = false;
       for (uint32_t r : rows) {
         const TermId* row = rel->row(r).data();
-        if (RowPassesStatic(st, row) && RowPassesLane(st, row, lane)) {
+        if (RowPassesStatic(st, row) && RowMatchesLane(op, st, row, lane)) {
           found = true;
           break;
         }
       }
       if (!found) st.sel.push_back(static_cast<uint32_t>(l));
     }
-  } else {
-    st.rows.clear();
-    rel->CollectLiveRows(0, rel->num_rows(), &st.rows);
-    st.row_ok.assign(st.rows.size(), 0);
-    for (size_t i = 0; i < st.rows.size(); ++i) {
-      st.row_ok[i] =
-          RowPassesStatic(st, rel->row(st.rows[i]).data()) ? 1 : 0;
-    }
-    for (size_t l = 0; l < batch->count(); ++l) {
-      const TermId* lane = batch->lane(l);
-      // Tuple-path parity: the existence scan visits live rows in order
-      // and stops at the first match, charging every row it looked at
-      // (including the matching one).
-      uint64_t visited = 0;
-      bool found = false;
-      for (size_t i = 0; i < st.rows.size(); ++i) {
-        ++visited;
-        if (st.row_ok[i] == 0) continue;
-        if (RowPassesLane(st, rel->row(st.rows[i]).data(), lane)) {
-          found = true;
-          break;
-        }
-      }
-      GLUENAIL_RETURN_NOT_OK(exec_->ChargeScanRows(visited));
-      if (!found) st.sel.push_back(static_cast<uint32_t>(l));
-    }
+    return Status::OK();
   }
-  batch->KeepOnly(st.sel);
+  st.rows.clear();
+  rel->CollectLiveRows(0, rel->num_rows(), &st.rows);
+  st.row_ok.assign(st.rows.size(), 0);
+  for (size_t i = 0; i < st.rows.size(); ++i) {
+    st.row_ok[i] = RowPassesStatic(st, rel->row(st.rows[i]).data()) ? 1 : 0;
+  }
+  for (size_t l = lo; l < hi; ++l) {
+    const TermId* lane = batch.lane(l);
+    // The existence scan visits live rows in order and stops at the first
+    // match, charging every row it looked at (including the matching one).
+    uint64_t visited = 0;
+    bool found = false;
+    for (size_t i = 0; i < st.rows.size(); ++i) {
+      ++visited;
+      if (st.row_ok[i] == 0) continue;
+      if (RowMatchesLane(op, st, rel->row(st.rows[i]).data(), lane)) {
+        found = true;
+        break;
+      }
+    }
+    GLUENAIL_RETURN_NOT_OK(exec_->ChargeScanRows(visited));
+    if (!found) st.sel.push_back(static_cast<uint32_t>(l));
+  }
   return Status::OK();
 }
 

@@ -1,12 +1,14 @@
 /// \file batch_runner.h
 /// \brief Batch-at-a-time execution of pipelineable op segments.
 ///
-/// BatchRunner is the vectorized counterpart of OpRunner: it drives a
-/// contiguous segment of kMatch / kNegMatch / kCompare ops over blocks of
-/// up to kBatchLanes binding records at once. Per-op it compiles the
+/// BatchRunner is the one implementation of the pipelineable ops: it
+/// drives a contiguous segment of kMatch / kNegMatch / kCompare ops over
+/// blocks of up to kBatchLanes binding records at once. Both strategies
+/// call it — the materialized one with single-op segments, the pipelined
+/// one with each barrier-free run — so they differ only in where
+/// supplementary relations are materialized (§9). Per op it compiles the
 /// column patterns into flat check/bind actions once, then runs tight
-/// row-id loops instead of the tuple path's per-record virtual emit +
-/// MatchColumns + undo-log machinery:
+/// row-id loops:
 ///
 ///  * compare and negated match filter their input batch in place
 ///    (selection vector + compress);
@@ -15,11 +17,15 @@
 ///    batch rather than one per record;
 ///  * full scans walk the relation one arena chunk at a time, running the
 ///    lane-independent checks (constants, same-op column equalities) once
-///    per chunk instead of once per lane.
+///    per chunk instead of once per lane;
+///  * structural (compound-term) columns are matched with MatchTerm
+///    straight into the pushed copy of the lane, which is dropped again
+///    when the match fails;
+///  * a dynamic (HiLog) access resolves its relation per lane and runs the
+///    same kernels over that one lane — the degenerate batch.
 ///
-/// Semantics, per-op actual row counts (EXPLAIN ANALYZE), and the
-/// rows-scanned guardrail accounting are identical to the tuple path by
-/// construction; tests/vector_exec_test.cc holds the two equal.
+/// Per-op actual row counts (EXPLAIN ANALYZE) and the rows-scanned
+/// guardrail accounting are exact; tests/vector_exec_test.cc pins them.
 
 #ifndef GLUENAIL_EXEC_VECTOR_BATCH_RUNNER_H_
 #define GLUENAIL_EXEC_VECTOR_BATCH_RUNNER_H_
@@ -31,6 +37,10 @@
 
 namespace gluenail {
 
+/// True for predicate names reserved by the implementation (NAIL! storage
+/// and delta relations): hidden from dynamic (HiLog) enumeration.
+bool IsInternalPredicateName(const TermPool& pool, TermId name);
+
 class BatchRunner {
  public:
   BatchRunner(Executor* exec, const StatementPlan& plan, Frame* frame)
@@ -38,21 +48,12 @@ class BatchRunner {
         plan_(plan),
         frame_(frame),
         width_(static_cast<uint32_t>(plan.num_slots)),
-        states_(plan.ops.size()),
-        out_bufs_(plan.ops.size()),
-        emitted_(plan.ops.size(), 0) {}
+        states_(plan.ops.size()) {}
 
-  /// Whether the batch runner can express \p op at all: pipelineable ops
-  /// except dynamic (HiLog) accesses and structural column patterns, which
-  /// stay on the tuple path.
-  static bool OpEligible(const StatementPlan& plan, const PlanOp& op);
-
-  /// Runs plan.ops[begin, end) — all batch-eligible, no barriers — over
-  /// every record of \p in, appending the surviving extended records to
-  /// \p out. Equivalent to streaming each record through the segment with
-  /// OpRunner, including per-op actual-rows accounting and guardrail
-  /// charges; only the order of \p out may differ (batched, not
-  /// depth-first).
+  /// Runs plan.ops[begin, end) — no barriers — over every record of \p in,
+  /// appending the surviving extended records to \p out, with per-op
+  /// actual-rows accounting and guardrail charges. The order of \p out is
+  /// batched, not depth-first.
   Status RunSegment(size_t begin, size_t end, const RecordSet& in,
                     RecordSet* out);
 
@@ -107,6 +108,11 @@ class BatchRunner {
     std::vector<ColColEq> coleq_checks;   // lane-independent
     std::vector<ColSlotEq> slot_checks;   // per lane
     std::vector<ColBind> binds;
+    /// Ops with a structural column: every non-constant column, matched
+    /// in column order by MatchTerm into the lane (binds, checks and
+    /// compound terms alike); the flat actions above then hold only the
+    /// constant checks.
+    std::vector<uint32_t> struct_cols;
     bool fast_key = false;
     std::vector<KeyPart> key_parts;
     // Compare operands.
@@ -117,6 +123,14 @@ class BatchRunner {
     std::vector<uint32_t> sel;   // selection vector (row ids or lane idxs)
     std::vector<uint8_t> row_ok;  // per-row static-check results (negmatch)
     Tuple key;
+    Record probe;     // lane copy a structural negation matches into
+    LaneBuffer seed;  // one-lane input of a HiLog name enumeration
+    /// Gather buffer (kMatch output); at any moment at most one Push per
+    /// op is live, fully flushed before it returns.
+    LaneBuffer out;
+    /// Rows emitted since the last CountOpRows flush: counted in bulk, one
+    /// CountOpRows call per op per segment.
+    uint64_t emitted = 0;
   };
 
   void CompileOp(size_t k);
@@ -140,6 +154,15 @@ class BatchRunner {
     }
     return true;
   }
+  /// Writes \p row's bindings into the lane copy \p ol: the bind columns
+  /// of a flat op, or the MatchTerm of every structural-op column. False
+  /// iff a structural match fails (\p ol is then partly written).
+  bool BindRow(const PlanOp& op, const OpState& st, const TermId* row,
+               TermId* ol) const;
+  /// Negation's existence test for one row already past the static
+  /// checks: the lane checks, then the structural match into a copy.
+  bool RowMatchesLane(const PlanOp& op, OpState& st, const TermId* row,
+                      const TermId* lane);
 
   Result<TermId> FetchOperand(const Operand& o, const TermId* lane) const;
 
@@ -149,29 +172,42 @@ class BatchRunner {
   /// Counts the lanes of \p ob as op k's output and pushes them onward.
   Status FlushDown(size_t k, size_t end, LaneBuffer* ob, RecordSet* out);
 
+  /// The relation a dynamic (HiLog) access with a bound name reads for
+  /// \p lane: the EDB first, then the refreshed IDB; null = empty.
+  Result<Relation*> ResolveDynamic(const PlanOp& op, const TermId* lane);
+
+  /// Matches lanes [lo, hi) of \p in against \p rel (null = empty).
+  Status RunMatch(const PlanOp& op, OpState& st, Relation* rel,
+                  const LaneBuffer& in, size_t lo, size_t hi, size_t k,
+                  size_t end, RecordSet* out);
+  /// A dynamic match: per lane, the named relation, or every visible
+  /// relation whose name matches the op's name pattern.
+  Status RunDynamicMatch(const PlanOp& op, OpState& st, const LaneBuffer& in,
+                         size_t k, size_t end, RecordSet* out);
   Status RunMatchKeyed(const PlanOp& op, OpState& st, Relation* rel,
-                       const LaneBuffer& in, size_t k, size_t end,
-                       LaneBuffer* ob, RecordSet* out);
+                       const LaneBuffer& in, size_t lo, size_t hi, size_t k,
+                       size_t end, RecordSet* out);
   Status RunMatchScan(const PlanOp& op, OpState& st, Relation* rel,
-                      const LaneBuffer& in, size_t k, size_t end,
-                      LaneBuffer* ob, RecordSet* out);
+                      const LaneBuffer& in, size_t lo, size_t hi, size_t k,
+                      size_t end, RecordSet* out);
   Status RunNegMatch(const PlanOp& op, OpState& st, LaneBuffer* batch);
+  /// Appends to st.sel the lanes of [lo, hi) with no match in \p rel.
+  Status SelectUnmatched(const PlanOp& op, OpState& st, Relation* rel,
+                         const LaneBuffer& batch, size_t lo, size_t hi);
   Status RunCompare(const PlanOp& op, OpState& st, LaneBuffer* batch);
 
   Status BuildKey(const PlanOp& op, OpState& st, const TermId* lane);
+  /// The probe of a keyed match or negation: st.key's rows in \p rel,
+  /// every visited row charged against the row-scan budget.
+  Result<std::span<const uint32_t>> Probe(const PlanOp& op, OpState& st,
+                                          Relation* rel);
 
   Executor* exec_;
   const StatementPlan& plan_;
   Frame* frame_;
   uint32_t width_;
+  /// Indexed by op position.
   std::vector<OpState> states_;
-  /// Per-op gather buffers (kMatch output), indexed by op position; at any
-  /// moment at most one Push per op is live, fully flushed before return.
-  std::vector<LaneBuffer> out_bufs_;
-  /// Rows emitted per op since the last CountOpRows flush: the batch path
-  /// counts in bulk (one CountOpRows call per op per segment) but the
-  /// totals match the tuple path's per-record CountRow exactly.
-  std::vector<uint64_t> emitted_;
   LaneBuffer seed_;
 };
 

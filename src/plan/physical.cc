@@ -105,9 +105,6 @@ struct CostedStep {
   double est_out = 0;
   bool build_index = false;
   bool is_call = false;
-  /// Estimated work clears PlannerOptions::batch_min_work, so the op is
-  /// worth running batch-at-a-time (PlanOp::batch).
-  bool batch = false;
 };
 
 CostedStep EstimateStep(const ast::Subgoal& g, const SubgoalInfo& info,
@@ -119,8 +116,6 @@ CostedStep EstimateStep(const ast::Subgoal& g, const SubgoalInfo& info,
       // A binding '=' passes every record through; anything else filters.
       // 0.5 is the classic "unknown predicate" selectivity.
       out.est_out = info.binds.empty() ? est_in * 0.5 : est_in;
-      // A filter's work is one evaluation per input record.
-      out.batch = est_in >= opts.batch_min_work;
       return out;
     case ast::SubgoalKind::kAtom:
       if (IsProcCall(info)) {
@@ -151,11 +146,6 @@ CostedStep EstimateStep(const ast::Subgoal& g, const SubgoalInfo& info,
                      : 10.0;  // default: each bound column keeps 1/10th
     selectivity /= ndv;
   }
-
-  // A match's (or negated match's) work scales with input rows times the
-  // rows each input visits — the quantity that must clear batch_min_work
-  // before batch-at-a-time execution amortizes its setup.
-  out.batch = est_in * rel_rows >= opts.batch_min_work;
 
   if (g.kind == ast::SubgoalKind::kNegatedAtom) {
     // Negation filters the input; a bigger relation rejects more. Cap the
@@ -194,9 +184,6 @@ Result<std::vector<PhysicalChoice>> AnnotateOrder(
     // The syntactic model predates planned builds; leave the runtime
     // adaptive policy in charge there so the A/B isolates ordering.
     choice.build_index = false;
-    // Batch mode, by contrast, is orthogonal to ordering, so both cost
-    // models annotate it: the A/B stays an ordering comparison.
-    choice.batch = step.batch;
     out.push_back(choice);
     est_in = step.est_out;
     for (const std::string& v : info.binds) bound.insert(v);
@@ -243,13 +230,11 @@ Result<std::vector<PhysicalChoice>> PlanBodyOrder(
   BoundSet bound = initially_bound;
   double est_in = 1.0;
 
-  auto emit = [&](size_t idx, double est_out, bool build_index,
-                  bool batch) -> Status {
+  auto emit = [&](size_t idx, double est_out, bool build_index) -> Status {
     PhysicalChoice choice;
     choice.body_index = idx;
     choice.est_rows = est_out;
     choice.build_index = build_index;
-    choice.batch = batch;
     if (build_index) {
       GlobalPlannerCounters().index_builds_scheduled.fetch_add(
           1, std::memory_order_relaxed);
@@ -328,20 +313,20 @@ Result<std::vector<PhysicalChoice>> PlanBodyOrder(
         // logical planner report the first binding violation precisely.
         for (size_t idx : pending) {
           GLUENAIL_RETURN_NOT_OK(
-              emit(idx, est_in, /*build_index=*/false, /*batch=*/false));
+              emit(idx, est_in, /*build_index=*/false));
         }
         break;
       }
       size_t chosen = pending[best_pos];
       pending.erase(pending.begin() + static_cast<ptrdiff_t>(best_pos));
-      GLUENAIL_RETURN_NOT_OK(emit(chosen, best_step.est_out,
-                                  best_step.build_index, best_step.batch));
+      GLUENAIL_RETURN_NOT_OK(
+          emit(chosen, best_step.est_out, best_step.build_index));
     }
 
     if (seg_end < body.size()) {
       // The barrier itself: pass-through estimate, no planned build.
       GLUENAIL_RETURN_NOT_OK(
-          emit(seg_end, est_in, /*build_index=*/false, /*batch=*/false));
+          emit(seg_end, est_in, /*build_index=*/false));
       seg_start = seg_end + 1;
     } else {
       seg_start = body.size();

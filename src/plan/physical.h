@@ -63,9 +63,6 @@ struct PhysicalChoice {
   size_t body_index = 0;
   double est_rows = -1;
   bool build_index = false;
-  /// Estimated work is large enough that batch-at-a-time execution
-  /// (exec/vector/) amortizes its setup — see PlannerOptions::batch_min_work.
-  bool batch = false;
 };
 
 /// Orders the subgoals of one statement body. Honors opts.reorder (off =

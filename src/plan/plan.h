@@ -141,13 +141,6 @@ struct PlanOp {
   /// adaptive policy folded into planning; the runtime policy remains the
   /// fallback when this is false).
   bool build_index = false;
-  /// Physical-planner decision: run this op batch-at-a-time (the
-  /// vectorized executor in exec/vector/) because the estimated work is
-  /// large enough to amortize batch setup. Honored under
-  /// ExecOptions::BatchMode::kAuto; kAlways/kOff override it. Ops the
-  /// batch runner cannot express (dynamic HiLog access, structural
-  /// patterns) fall back to tuple-at-a-time regardless.
-  bool batch = false;
 
   // -- kMatch / kNegMatch / kUpdate: the relation being read or written.
   PredicateAccess access;

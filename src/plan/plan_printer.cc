@@ -137,7 +137,6 @@ void AppendOp(const PlanOp& op, const TermPool& pool, std::string* out) {
   }
   if (op.fixed) out->append("  ; fixed");
   if (op.build_index) out->append("  ; build-index");
-  if (op.batch) out->append("  ; batch");
 }
 
 /// The est/actual annotation: estimates are fractional internally but read

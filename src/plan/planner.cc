@@ -77,12 +77,6 @@ class StatementPlanner {
                        (op.kind == OpKind::kMatch ||
                         op.kind == OpKind::kNegMatch) &&
                        op.bound_mask != 0;
-      // Batch execution only exists for the three pipelineable op kinds;
-      // the runtime additionally falls back per op when the batch runner
-      // cannot express it (dynamic access, structural patterns).
-      op.batch = choice.batch && (op.kind == OpKind::kMatch ||
-                                  op.kind == OpKind::kNegMatch ||
-                                  op.kind == OpKind::kCompare);
     }
 
     GLUENAIL_RETURN_NOT_OK(PlanHead(a, is_return));

@@ -47,13 +47,6 @@ struct PlannerOptions {
   /// Assumed row count for relations the stats provider cannot answer for
   /// (locals, `in`, dynamic predicates, relations not yet created).
   double default_relation_rows = 1000.0;
-
-  /// Minimum estimated work (input rows x relation rows for matches,
-  /// input rows for filters) before the physical phase marks an op for
-  /// batch-at-a-time execution (PlanOp::batch). One arena chunk — 4096
-  /// rows — is the point where batch setup amortizes; below it the
-  /// tuple-at-a-time path wins.
-  double batch_min_work = 4096.0;
 };
 
 /// Compiles one assignment statement.

@@ -21,36 +21,29 @@ namespace {
 
 struct Config {
   ExecOptions::Strategy strategy;
-  ExecOptions::BatchMode batch;
   IndexPolicy policy = IndexPolicy::kAdaptive;
   int threads = 1;
 };
 
 std::string ConfigName(const Config& c) {
   return StrCat("strategy=", static_cast<int>(c.strategy),
-                " batch=", static_cast<int>(c.batch),
                 " policy=", static_cast<int>(c.policy),
                 " threads=", c.threads);
 }
 
 const ExecOptions::Strategy kStrategies[] = {
     ExecOptions::Strategy::kMaterialized, ExecOptions::Strategy::kPipelined};
-const ExecOptions::BatchMode kModes[] = {ExecOptions::BatchMode::kOff,
-                                         ExecOptions::BatchMode::kAlways};
 
 std::vector<Config> AllConfigs() {
   std::vector<Config> out;
   for (auto strategy : kStrategies) {
-    for (auto batch : kModes) {
-      for (auto policy : {IndexPolicy::kNeverIndex, IndexPolicy::kAdaptive,
-                          IndexPolicy::kAlwaysIndex}) {
-        out.push_back(Config{strategy, batch, policy});
-      }
-      // Parallel fixpoint workers drive the same op path over delta
-      // partitions.
-      out.push_back(
-          Config{strategy, batch, IndexPolicy::kAdaptive, /*threads=*/4});
+    for (auto policy : {IndexPolicy::kNeverIndex, IndexPolicy::kAdaptive,
+                        IndexPolicy::kAlwaysIndex}) {
+      out.push_back(Config{strategy, policy});
     }
+    // Parallel fixpoint workers drive the same op path over delta
+    // partitions.
+    out.push_back(Config{strategy, IndexPolicy::kAdaptive, /*threads=*/4});
   }
   return out;
 }
@@ -59,16 +52,13 @@ std::vector<Config> AllConfigs() {
 /// fixed number (the adaptive policy's conversion point is kept out).
 std::vector<Config> PinnedPolicyConfigs(IndexPolicy policy) {
   std::vector<Config> out;
-  for (auto strategy : kStrategies) {
-    for (auto batch : kModes) out.push_back(Config{strategy, batch, policy});
-  }
+  for (auto strategy : kStrategies) out.push_back(Config{strategy, policy});
   return out;
 }
 
 std::unique_ptr<Engine> MakeEngine(const Config& c) {
   EngineOptions opts;
   opts.exec.strategy = c.strategy;
-  opts.exec.batch_mode = c.batch;
   opts.index_policy = c.policy;
   opts.num_threads = c.threads;
   return std::make_unique<Engine>(opts);
@@ -293,72 +283,40 @@ TEST(OpGoldenTest, ChunkBoundaryRowCounts) {
       facts += StrCat("big(", i, ",", i % 97, ").\n");
     }
     for (auto strategy : kStrategies) {
-      for (auto batch : kModes) {
-        std::unique_ptr<Engine> engine =
-            MakeEngine(Config{strategy, batch});
-        std::string src =
-            "module kb;\nedb big(X,Y);\n"
-            "hit(X) :- big(X,Y) & Y < 3.\n"
-            "last(X) :- big(X,Y) & X > " + StrCat(n - 3) + ".\n" +
-            facts + "end\n";
-        ASSERT_TRUE(engine->LoadProgram(src).ok());
-        Result<Engine::QueryResult> all = engine->Query("big(X,Y)");
-        ASSERT_TRUE(all.ok()) << all.status();
-        EXPECT_EQ(all->rows.size(), static_cast<size_t>(n)) << "n=" << n;
-        Result<Engine::QueryResult> hit = engine->Query("hit(X)");
-        Result<Engine::QueryResult> last = engine->Query("last(X)");
-        ASSERT_TRUE(hit.ok() && last.ok());
-        EXPECT_EQ(Pin(engine.get(), *hit) + "|" + Pin(engine.get(), *last),
-                  pins[idx])
-            << "n=" << n << " " << ConfigName(Config{strategy, batch});
-      }
+      std::unique_ptr<Engine> engine = MakeEngine(Config{strategy});
+      std::string src =
+          "module kb;\nedb big(X,Y);\n"
+          "hit(X) :- big(X,Y) & Y < 3.\n"
+          "last(X) :- big(X,Y) & X > " + StrCat(n - 3) + ".\n" +
+          facts + "end\n";
+      ASSERT_TRUE(engine->LoadProgram(src).ok());
+      Result<Engine::QueryResult> all = engine->Query("big(X,Y)");
+      ASSERT_TRUE(all.ok()) << all.status();
+      EXPECT_EQ(all->rows.size(), static_cast<size_t>(n)) << "n=" << n;
+      Result<Engine::QueryResult> hit = engine->Query("hit(X)");
+      Result<Engine::QueryResult> last = engine->Query("last(X)");
+      ASSERT_TRUE(hit.ok() && last.ok());
+      EXPECT_EQ(Pin(engine.get(), *hit) + "|" + Pin(engine.get(), *last),
+                pins[idx])
+          << "n=" << n << " " << ConfigName(Config{strategy});
     }
     ++idx;
   }
 }
 
-TEST(BatchStatsTest, AlwaysEngagesAndOffDoesNot) {
-  for (auto strategy : {ExecOptions::Strategy::kMaterialized,
-                        ExecOptions::Strategy::kPipelined}) {
-    for (auto batch : {ExecOptions::BatchMode::kOff,
-                       ExecOptions::BatchMode::kAlways}) {
-      std::unique_ptr<Engine> engine = MakeEngine(Config{strategy, batch});
-      for (int i = 0; i < 50; ++i) {
-        ASSERT_TRUE(
-            engine->AddFact(StrCat("e(", i, ",", i + 1, ").")).ok());
-      }
-      Result<Engine::QueryResult> r = engine->Query("e(X,Y) & Y > 10");
-      ASSERT_TRUE(r.ok()) << r.status();
-      if (batch == ExecOptions::BatchMode::kAlways) {
-        EXPECT_GT(engine->exec_stats().batch_segments, 0u);
-        EXPECT_GT(engine->exec_stats().batch_rows, 0u);
-      } else {
-        EXPECT_EQ(engine->exec_stats().batch_segments, 0u);
-        EXPECT_EQ(engine->exec_stats().batch_rows, 0u);
-      }
+TEST(BatchStatsTest, AlwaysEngages) {
+  // Every pipelineable op runs through the batch runner: one segment per
+  // op under kMaterialized, one per barrier-free run under kPipelined.
+  for (auto strategy : kStrategies) {
+    std::unique_ptr<Engine> engine = MakeEngine(Config{strategy});
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(engine->AddFact(StrCat("e(", i, ",", i + 1, ").")).ok());
     }
+    Result<Engine::QueryResult> r = engine->Query("e(X,Y) & Y > 10");
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_GT(engine->exec_stats().batch_segments, 0u);
+    EXPECT_GT(engine->exec_stats().batch_rows, 0u);
   }
-}
-
-TEST(BatchStatsTest, AutoFollowsPlannerEstimate) {
-  // kAuto (the default) takes the batch path only where the planner's
-  // est_rows clears PlannerOptions::batch_min_work. A 5000-row full scan
-  // qualifies; a 10-row relation does not.
-  Engine big;  // defaults: kAuto, statistics cost model
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(big.AddFact(StrCat("big(", i, ",", i % 7, ").")).ok());
-  }
-  Result<Engine::QueryResult> r = big.Query("big(X,Y) & Y > 3");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_GT(big.exec_stats().batch_segments, 0u);
-
-  Engine tiny;
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(tiny.AddFact(StrCat("tiny(", i, ",", i % 7, ").")).ok());
-  }
-  Result<Engine::QueryResult> t = tiny.Query("tiny(X,Y) & Y > 3");
-  ASSERT_TRUE(t.ok()) << t.status();
-  EXPECT_EQ(tiny.exec_stats().batch_segments, 0u);
 }
 
 TEST(OpAccountingTest, ExplainAnalyzeActualRows) {
@@ -366,23 +324,21 @@ TEST(OpAccountingTest, ExplainAnalyzeActualRows) {
   // segment, with the same totals as one count per emitted record.
   const std::string want = "97,5000,4899";
   for (auto strategy : kStrategies) {
-    for (auto batch : kModes) {
-      std::unique_ptr<Engine> engine = MakeEngine(Config{strategy, batch});
-      for (int i = 0; i < 5000; ++i) {
-        ASSERT_TRUE(
-            engine->AddFact(StrCat("big(", i, ",", i % 97, ").")).ok());
-        if (i % 50 == 0) {
-          ASSERT_TRUE(engine->AddFact(StrCat("sel(", i % 97, ").")).ok());
-        }
+    std::unique_ptr<Engine> engine = MakeEngine(Config{strategy});
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_TRUE(
+          engine->AddFact(StrCat("big(", i, ",", i % 97, ").")).ok());
+      if (i % 50 == 0) {
+        ASSERT_TRUE(engine->AddFact(StrCat("sel(", i % 97, ").")).ok());
       }
-      ExplainOptions opts;
-      opts.analyze = true;
-      Result<std::string> plan = engine->ExplainStatement(
-          "out(X) := big(X, Y) & sel(Y) & X > 100.", opts);
-      ASSERT_TRUE(plan.ok()) << plan.status();
-      EXPECT_EQ(Actuals(*plan), want)
-          << ConfigName(Config{strategy, batch}) << "\n" << *plan;
     }
+    ExplainOptions opts;
+    opts.analyze = true;
+    Result<std::string> plan = engine->ExplainStatement(
+        "out(X) := big(X, Y) & sel(Y) & X > 100.", opts);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(Actuals(*plan), want)
+        << ConfigName(Config{strategy}) << "\n" << *plan;
   }
 }
 
@@ -417,28 +373,25 @@ TEST(OpAccountingTest, BudgetCatchesAccumulatedSmallProbes) {
   // chains 60 rows), but 100 probes accumulate past it, and the deferred
   // check must still enforce the budget — small charges cannot slip under
   // a per-call threshold because there is no per-call threshold.
-  for (auto batch : kModes) {
-    EngineOptions opts;
-    opts.exec.batch_mode = batch;
-    opts.index_policy = IndexPolicy::kAlwaysIndex;
-    Engine engine(opts);
-    for (int key = 0; key < 100; ++key) {
-      ASSERT_TRUE(engine.AddFact(StrCat("k(", key, ").")).ok());
-      for (int j = 0; j < 60; ++j) {
-        ASSERT_TRUE(
-            engine.AddFact(StrCat("d(", key, ",", j, ").")).ok());
-      }
+  EngineOptions opts;
+  opts.index_policy = IndexPolicy::kAlwaysIndex;
+  Engine engine(opts);
+  for (int key = 0; key < 100; ++key) {
+    ASSERT_TRUE(engine.AddFact(StrCat("k(", key, ").")).ok());
+    for (int j = 0; j < 60; ++j) {
+      ASSERT_TRUE(
+          engine.AddFact(StrCat("d(", key, ",", j, ").")).ok());
     }
-    QueryOptions qopts;
-    qopts.limits.max_rows_scanned = 1000;
-    Result<Engine::QueryResult> r = engine.Query("k(X) & d(X,Y)", qopts);
-    EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status();
-    // The same query fits comfortably under a budget sized for it.
-    qopts.limits.max_rows_scanned = 50'000;
-    Result<Engine::QueryResult> ok = engine.Query("k(X) & d(X,Y)", qopts);
-    ASSERT_TRUE(ok.ok()) << ok.status();
-    EXPECT_EQ(ok->rows.size(), 6000u);
   }
+  QueryOptions qopts;
+  qopts.limits.max_rows_scanned = 1000;
+  Result<Engine::QueryResult> r = engine.Query("k(X) & d(X,Y)", qopts);
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status();
+  // The same query fits comfortably under a budget sized for it.
+  qopts.limits.max_rows_scanned = 50'000;
+  Result<Engine::QueryResult> ok = engine.Query("k(X) & d(X,Y)", qopts);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->rows.size(), 6000u);
 }
 
 // ---------------------------------------------------------------------------
