@@ -1,5 +1,7 @@
 #include "src/exec/vector/batch_runner.h"
 
+#include <algorithm>
+
 #include "src/common/strings.h"
 #include "src/runtime/arith.h"
 
@@ -49,7 +51,6 @@ void BatchRunner::CompileOp(size_t k) {
   // row-column equality instead. Structural ops keep their constant
   // checks and match every other column into the lane itself, where such
   // a kCheck reads the earlier bind directly.
-  std::vector<std::pair<int, uint32_t>> bound_here;
   for (uint32_t c = 0; c < op.col_patterns.size(); ++c) {
     const MatchNode& m = op.col_patterns[c];
     if (m.kind == MatchNode::Kind::kWildcard) continue;
@@ -63,19 +64,14 @@ void BatchRunner::CompileOp(size_t k) {
     }
     if (m.kind == MatchNode::Kind::kBind) {
       st.binds.push_back({c, m.slot});
-      bound_here.emplace_back(m.slot, c);
       continue;
     }
-    // kCheck.
-    uint32_t other = UINT32_MAX;
-    for (const auto& [slot, col] : bound_here) {
-      if (slot == m.slot) {
-        other = col;
-        break;
-      }
-    }
-    if (other != UINT32_MAX) {
-      st.coleq_checks.push_back({c, other});
+    // kCheck: against an earlier column's bind, or the lane's slot.
+    auto bound_here = std::find_if(
+        st.binds.begin(), st.binds.end(),
+        [&](const ColBind& b) { return b.slot == m.slot; });
+    if (bound_here != st.binds.end()) {
+      st.coleq_checks.push_back({c, bound_here->col});
     } else {
       st.slot_checks.push_back({c, m.slot});
     }
