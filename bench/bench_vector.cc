@@ -1,19 +1,22 @@
 /// \file bench_vector.cc
-/// \brief Experiment E16: batch-at-a-time vs. tuple-at-a-time execution.
+/// \brief Experiment E16: the batch-at-a-time operator path on the
+/// join/scan hot path.
 ///
-/// The join/scan hot path A/B from the vectorized-execution work
-/// (src/exec/vector/): identical engines and plans, batch_mode forced
-/// kOff (classic tuple-at-a-time streaming) vs. kAlways (lane buffers +
-/// selection vectors, one emit per 4096-lane batch). Sized at 10k / 100k
-/// / 1M rows; the acceptance bar is >= 2x throughput on the 1M-row
-/// join/scan shape (BM_JoinScan), and every shape requires both modes to
-/// produce the same answer.
+/// Every match, negation and comparison runs through the batch runner
+/// (src/exec/vector/): lane buffers + selection vectors, one emit per
+/// 4096-lane batch. Sized at 10k / 100k / 1M rows, and every shape checks
+/// its answer.
+///
+/// History: until the per-record tuple path was deleted, each shape ran
+/// twice, tuple-at-a-time and batched, and this file recorded the
+/// tuple-vs-batch speedups (about 2x on the 1M-row BM_JoinScan). Those
+/// rows are history; the file now tracks the one path over time.
 ///
 /// Heads are kept small on purpose: inserting a large result relation
-/// costs the same in either mode and would dilute the pipeline A/B into
-/// a storage benchmark. BM_KeyedProbeJoin is the deliberately
-/// memory-bound counterpoint — index probe chains over a 1M-row arena
-/// miss cache in both modes, so batching only trims the dispatch slice.
+/// would turn the pipeline measurement into a storage benchmark.
+/// BM_KeyedProbeJoin is the deliberately memory-bound counterpoint —
+/// index probe chains over a 1M-row arena miss cache, so batching only
+/// trims the dispatch slice.
 
 #include <benchmark/benchmark.h>
 
@@ -21,13 +24,6 @@
 
 namespace gluenail {
 namespace {
-
-ExecOptions::BatchMode Mode(int64_t arg) {
-  return arg != 0 ? ExecOptions::BatchMode::kAlways
-                  : ExecOptions::BatchMode::kOff;
-}
-
-const char* ModeName(int64_t arg) { return arg != 0 ? "batch" : "tuple"; }
 
 /// Values cycle over [0, kVals) so filter selectivities are exact.
 constexpr int kVals = 1000;
@@ -45,10 +41,8 @@ void RequireRows(Engine* engine, const std::string& goal, size_t expect) {
 /// two selective (4 of every 1000 rows survive). The pipelineable run the
 /// batch runner fuses into one lane-at-a-time segment.
 void BM_ScanFilterChain(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(1));
-  EngineOptions opts;
-  opts.exec.batch_mode = Mode(state.range(0));
-  Engine engine(opts);
+  const int rows = static_cast<int>(state.range(0));
+  Engine engine;
   for (int i = 0; i < rows; ++i) {
     bench::Require(engine.AddFact(StrCat("big(", i, ",", i % kVals, ").")));
   }
@@ -59,21 +53,22 @@ void BM_ScanFilterChain(benchmark::State& state) {
   }
   RequireRows(&engine, "out(X)", static_cast<size_t>(rows / kVals) * 4);
   state.SetItemsProcessed(state.iterations() * rows);
-  state.SetLabel(StrCat(ModeName(state.range(0)), "/rows=", rows));
+  state.SetLabel(StrCat("rows=", rows));
 }
 BENCHMARK(BM_ScanFilterChain)
-    ->ArgsProduct({{0, 1}, {10'000, 100'000, 1'000'000}})
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond);
 
 /// The headline join/scan shape: scan big, filter down to the last 2999
 /// rows, then join the survivors against a 1000-row dimension keyed on
-/// its first column. The syntactic cost model pins the written order so
-/// both modes run the identical scan-driven plan (plan choice is E13's
+/// its first column. The syntactic cost model pins the written order, so
+/// every run uses the same scan-driven plan (plan choice is E13's
 /// experiment, not this one).
 void BM_JoinScan(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(1));
+  const int rows = static_cast<int>(state.range(0));
   EngineOptions opts;
-  opts.exec.batch_mode = Mode(state.range(0));
   opts.planner.cost_model = PlannerOptions::CostModel::kSyntactic;
   Engine engine(opts);
   for (int i = 0; i < rows; ++i) {
@@ -91,21 +86,21 @@ void BM_JoinScan(benchmark::State& state) {
   // dim payloads.
   RequireRows(&engine, "out(P)", 10);
   state.SetItemsProcessed(state.iterations() * rows);
-  state.SetLabel(StrCat(ModeName(state.range(0)), "/rows=", rows));
+  state.SetLabel(StrCat("rows=", rows));
 }
 BENCHMARK(BM_JoinScan)
-    ->ArgsProduct({{0, 1}, {10'000, 100'000, 1'000'000}})
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond);
 
 /// Probe-heavy join: 1000 driver rows each probing a chain of rows/1000
 /// matches keyed into big, filtered selectively afterwards. Walking the
-/// probe chains misses cache in both modes — the memory-bound bound on
-/// what batching can buy.
+/// probe chains misses cache — the memory-bound bound on what batching
+/// can buy.
 void BM_KeyedProbeJoin(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(1));
-  EngineOptions opts;
-  opts.exec.batch_mode = Mode(state.range(0));
-  Engine engine(opts);
+  const int rows = static_cast<int>(state.range(0));
+  Engine engine;
   for (int i = 0; i < rows; ++i) {
     bench::Require(engine.AddFact(StrCat("big(", i, ",", i % kVals, ").")));
   }
@@ -119,20 +114,20 @@ void BM_KeyedProbeJoin(benchmark::State& state) {
   }
   RequireRows(&engine, "out(P)", 10);
   state.SetItemsProcessed(state.iterations() * rows);
-  state.SetLabel(StrCat(ModeName(state.range(0)), "/rows=", rows));
+  state.SetLabel(StrCat("rows=", rows));
 }
 BENCHMARK(BM_KeyedProbeJoin)
-    ->ArgsProduct({{0, 1}, {10'000, 100'000, 1'000'000}})
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond);
 
 /// Negation over the scan path: for every driver row, prove absence in a
 /// half-sized relation. Exercises the batched existence check with
 /// per-lane early exit.
 void BM_NegationScan(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(1));
-  EngineOptions opts;
-  opts.exec.batch_mode = Mode(state.range(0));
-  Engine engine(opts);
+  const int rows = static_cast<int>(state.range(0));
+  Engine engine;
   for (int i = 0; i < rows; ++i) {
     bench::Require(engine.AddFact(StrCat("n(", i, ").")));
     if (i % 2 == 0) bench::Require(engine.AddFact(StrCat("odd(", i, ").")));
@@ -143,10 +138,11 @@ void BM_NegationScan(benchmark::State& state) {
   }
   RequireRows(&engine, "out(X)", static_cast<size_t>(rows / 2));
   state.SetItemsProcessed(state.iterations() * rows);
-  state.SetLabel(StrCat(ModeName(state.range(0)), "/rows=", rows));
+  state.SetLabel(StrCat("rows=", rows));
 }
 BENCHMARK(BM_NegationScan)
-    ->ArgsProduct({{0, 1}, {10'000, 100'000}})
+    ->Arg(10'000)
+    ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -110,6 +110,12 @@ TEST(ExplainTest, ShowsLoopStructureViaStats) {
   EXPECT_NE(plan->find("match edb q"), std::string::npos) << *plan;
 }
 
+QueryOptions MagicOptions() {
+  QueryOptions opts;
+  opts.strategy = QueryStrategy::kMagic;
+  return opts;
+}
+
 TEST(QueryMagicTest, BoundQueryMatchesPlainQuery) {
   Engine engine;
   ASSERT_TRUE(engine.LoadProgram(R"(
@@ -144,7 +150,7 @@ edge(1,2). edge(2,3).
 end
 )").ok());
   Result<Engine::QueryResult> r =
-      engine.Query("path(1, _)", {QueryStrategy::kMagic});
+      engine.Query("path(1, _)", MagicOptions());
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->rows.size(), 2u);
 }
@@ -157,13 +163,13 @@ edb e(X);
 p(X) :- e(X).
 end
 )").ok());
-  EXPECT_TRUE(engine.Query("p(X) & p(Y)", {QueryStrategy::kMagic})
+  EXPECT_TRUE(engine.Query("p(X) & p(Y)", MagicOptions())
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(engine.Query("p(X + 1)", {QueryStrategy::kMagic})
+  EXPECT_TRUE(engine.Query("p(X + 1)", MagicOptions())
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(engine.Query("zzz(X)", {QueryStrategy::kMagic})
+  EXPECT_TRUE(engine.Query("zzz(X)", MagicOptions())
                   .status()
                   .IsInvalidArgument());
 }

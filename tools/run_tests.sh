@@ -2,13 +2,18 @@
 # Builds and runs the test suite across the build configurations the CI
 # matrix cares about:
 #
-#   debug  — plain Debug build, full ctest suite
+#   debug  — Debug build with -Werror (warnings fail the build), full
+#            ctest suite; fault/obs/server/vector/wal/ivm/repl share its
+#            build tree
 #   asan   — -DGLUENAIL_ASAN=ON, runs the asan-labelled storage tests
 #            (relation_test includes the dense-key probe-length checks on
-#            the dedup and index head tables) and barrier_ops_test (record
-#            dedup, group_by and aggregates compacting in place)
+#            the dedup and index head tables), barrier_ops_test (record
+#            dedup, group_by and aggregates compacting in place), and the
+#            operator golden suite plus hilog_test and cross_feature_test
+#            (structural and HiLog matches on raw lane pointers)
 #   ubsan  — -DGLUENAIL_UBSAN=ON, runs the ubsan-labelled planner tests,
-#            plus relation_test's dense-key checks and barrier_ops_test
+#            plus relation_test's dense-key checks, barrier_ops_test,
+#            hilog_test and cross_feature_test
 #   tsan   — -DGLUENAIL_TSAN=ON, runs the tsan-labelled concurrency tests
 #   fault  — Debug build, runs only the faultinject-labelled matrix
 #   obs    — Debug build, runs only the obs-labelled observability suite
@@ -17,9 +22,11 @@
 #   server — Debug build, runs only the server-labelled service-layer
 #            suite (framing, codecs, end-to-end socket tests); the same
 #            tests also run under tsan via their tsan label
-#   vector — Debug build, runs only the vector-labelled batch-vs-tuple
-#            differential suite; the same tests also run under asan and
-#            tsan via their labels
+#   vector — Debug build, runs only the vector-labelled operator golden
+#            suite (pinned answers, actual= rows and rows_scanned,
+#            structural and HiLog ops) plus hilog_test and
+#            cross_feature_test; the same tests also run under asan, and
+#            under tsan or ubsan via their labels
 #   wal    — Debug build, runs only the wal-labelled durability suite
 #            (crash-point sweeps over batches and inline EDB loads,
 #            torn-tail/mid-log recovery, group commit, Recover racing
@@ -55,6 +62,10 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 prefix="${TEST_BUILD_PREFIX:-$repo_root/build}"
 
+# Every config that shares the build-debug tree configures it the same way,
+# so switching between them never reconfigures it.
+debug_flags=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=-Werror)
+
 configure_and_build() {
   local dir="$1"; shift
   cmake -B "$dir" -S "$repo_root" "$@" >/dev/null
@@ -65,7 +76,7 @@ run_config() {
   local config="$1"
   case "$config" in
     debug)
-      configure_and_build "$prefix-debug" -DCMAKE_BUILD_TYPE=Debug
+      configure_and_build "$prefix-debug" "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -j)
       ;;
     asan)
@@ -84,31 +95,31 @@ run_config() {
       (cd "$prefix-tsan" && ctest --output-on-failure -L tsan -j)
       ;;
     fault)
-      configure_and_build "$prefix-debug" -DCMAKE_BUILD_TYPE=Debug
+      configure_and_build "$prefix-debug" "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L faultinject -j)
       ;;
     obs)
-      configure_and_build "$prefix-debug" -DCMAKE_BUILD_TYPE=Debug
+      configure_and_build "$prefix-debug" "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L obs -j)
       ;;
     server)
-      configure_and_build "$prefix-debug" -DCMAKE_BUILD_TYPE=Debug
+      configure_and_build "$prefix-debug" "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L server -j)
       ;;
     vector)
-      configure_and_build "$prefix-debug" -DCMAKE_BUILD_TYPE=Debug
+      configure_and_build "$prefix-debug" "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L vector -j)
       ;;
     wal)
-      configure_and_build "$prefix-debug" -DCMAKE_BUILD_TYPE=Debug
+      configure_and_build "$prefix-debug" "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L wal -j)
       ;;
     ivm)
-      configure_and_build "$prefix-debug" -DCMAKE_BUILD_TYPE=Debug
+      configure_and_build "$prefix-debug" "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L ivm -j)
       ;;
     repl)
-      configure_and_build "$prefix-debug" -DCMAKE_BUILD_TYPE=Debug
+      configure_and_build "$prefix-debug" "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L repl -j)
       ;;
     bench)
