@@ -308,7 +308,8 @@ Status BatchRunner::RunDynamicMatch(const PlanOp& op, OpState& st,
                        nullptr)) {
           continue;
         }
-        GLUENAIL_RETURN_NOT_OK(RunMatch(op, st, rel, st.seed, 0, 1, k, end, out));
+        GLUENAIL_RETURN_NOT_OK(
+            RunMatch(op, st, rel, st.seed, 0, 1, k, end, out));
       }
     }
   }

@@ -250,7 +250,8 @@ TEST(OpGoldenTest, GroupedAggregatesAroundOps) {
       },
       {{"tot(G,S)", "9 rows #9c152801cc797241"},
        {"tot(G,S) & S > 100", "9 rows #9c152801cc797241"},
-       {"cnt(G,C)", "(0,14);(1,13);(2,17);(3,18);(4,8);(5,12);(6,11);(7,5);(8,11)"}});
+       {"cnt(G,C)",
+        "(0,14);(1,13);(2,17);(3,18);(4,8);(5,12);(6,11);(7,5);(8,11)"}});
 }
 
 TEST(OpGoldenTest, StructuralPatternsMixedWithFlatOps) {
@@ -465,9 +466,11 @@ TEST(HiLogGoldenTest, BoundNameMatch) {
   src += "end\n";
   ExpectShapes(src, {
       // Unbound column: each lane scans its own relation.
-      {"dept(D, S) & S(E) & E > 50", "D,E", "36 rows #63972eaf7473ab88", "7,225,36", 232, 232},
+      {"dept(D, S) & S(E) & E > 50", "D,E",
+       "36 rows #63972eaf7473ab88", "7,225,36", 232, 232},
       // Bound column: each lane probes its own relation.
-      {"want(E) & dept(D, S) & S(E)", "D,E", "48 rows #7d730277aa9aa3dd", "7,91,48", 3023, 146},
+      {"want(E) & dept(D, S) & S(E)", "D,E",
+       "48 rows #7d730277aa9aa3dd", "7,91,48", 3023, 146},
   });
 }
 
@@ -486,12 +489,15 @@ end
   ExpectShapes(src, {
       {"P(X, Y)", "P,X,Y", "19 rows #4e445da7c579260f", "19", 99, 51},
       // Bound first column: a keyed probe per enumerated relation.
-      {"P(1, Y)", "P,Y", "(edge,2);(path,1);(path,2);(path,3);(path,4);(rel,7)", "6", 99, 38},
+      {"P(1, Y)", "P,Y",
+       "(edge,2);(path,1);(path,2);(path,3);(path,4);(rel,7)", "6", 99, 38},
       // A name variable checked again by a column of the same op.
       {"P(X, X)", "P,X", "(path,1);(path,2);(path,3);(rel,2)", "4", 99, 51},
       // Compound name pattern: a HiLog family with an unbound parameter.
-      {"students(C)(S)", "C,S", "(cs101,jones);(cs99,green);(cs99,wilson)", "3", 83, 35},
-      {"edge(A, B) & P(A, B)", "P,A,B", "8 rows #914ec4ad7d9801ba", "4,8", 160, 44},
+      {"students(C)(S)", "C,S",
+       "(cs101,jones);(cs99,green);(cs99,wilson)", "3", 83, 35},
+      {"edge(A, B) & P(A, B)", "P,A,B",
+       "8 rows #914ec4ad7d9801ba", "4,8", 160, 44},
   }, {"students(cs99)(wilson).", "students(cs99)(green).",
       "students(cs101)(jones)."});
 }
@@ -507,9 +513,11 @@ TEST(HiLogGoldenTest, NegatedDynamicAccess) {
   src += "end\n";
   ExpectShapes(src, {
       // Keyed existence per lane; the missing set keeps every lane.
-      {"cand(V) & set_of(K, S) & !S(V)", "K,V", "96 rows #c7b89ceadb1b1ee8", "3,120,96", 1083, 147},
+      {"cand(V) & set_of(K, S) & !S(V)", "K,V",
+       "96 rows #c7b89ceadb1b1ee8", "3,120,96", 1083, 147},
       // Pure existence scan per lane.
-      {"cand(V) & V < 3 & set_of(K, S) & !S(_)", "K,V", "(0,z,nowhere);(1,z,nowhere);(2,z,nowhere)", "3,1,40,3", 45, 45},
+      {"cand(V) & V < 3 & set_of(K, S) & !S(_)", "K,V",
+       "(0,z,nowhere);(1,z,nowhere);(2,z,nowhere)", "3,1,40,3", 45, 45},
   });
 }
 
@@ -527,7 +535,8 @@ bad(f(1, a)). bad(f(3, b)). bad(g(2, a)).
 end
 )";
   ExpectShapes(src, {
-      {"shape(rect(pt(X1,Y1), pt(X2,Y2)))", "X1,Y1,X2,Y2", "(0,0,3,4);(1,1,1,5);(2,7,2,7)", "3", 6, 6},
+      {"shape(rect(pt(X1,Y1), pt(X2,Y2)))", "X1,Y1,X2,Y2",
+       "(0,0,3,4);(1,1,1,5);(2,7,2,7)", "3", 6, 6},
       // A variable repeated inside one structure.
       {"shape(rect(pt(X,Y), pt(X,Z)))", "X,Y,Z", "(1,1,5);(2,7,7)", "2", 6, 6},
       {"shape(rect(P, P))", "P", "(pt(2,7))", "1", 6, 6},
@@ -561,9 +570,12 @@ TEST(StructuralGoldenTest, InputStraddlesBatchLanes) {
   }
   src += "end\n";
   ExpectShapes(src, {
-      {"k(I, J) & box(J, pair(A, B)) & A < B", "I,A,B", "1400 rows #efa66b82a6bec930", "97,14,1400", 70147, 1547},
-      {"k(I, J) & box(J, pair(A, A))", "I,A", "5700 rows #8c5764fd1ccd67c0", "57,5700", 285147, 5847},
-      {"bag(I, single(I))", "I", "2500 rows #2d2f8e2c47ff519e", "2500", 5000, 5000},
+      {"k(I, J) & box(J, pair(A, B)) & A < B", "I,A,B",
+       "1400 rows #efa66b82a6bec930", "97,14,1400", 70147, 1547},
+      {"k(I, J) & box(J, pair(A, A))", "I,A",
+       "5700 rows #8c5764fd1ccd67c0", "57,5700", 285147, 5847},
+      {"bag(I, single(I))", "I",
+       "2500 rows #2d2f8e2c47ff519e", "2500", 5000, 5000},
   });
 }
 
