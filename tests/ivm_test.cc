@@ -3,9 +3,9 @@
 /// batches on non-recursive, recursive (transitive closure over cyclic
 /// graphs), stratified-negation, and HiLog-parameterized programs; both
 /// execution strategies and the 4-thread parallel fixpoint; a randomized
-/// DRed differential over seven recursive programs; fallback
-/// behavior (delta fraction, dropped captures, unstructured writes,
-/// inline EDB loads captured like batches);
+/// differential over seven recursive and three non-recursive programs;
+/// fallback behavior (delta fraction, dropped captures, unstructured
+/// writes, inline EDB loads captured like batches);
 /// salvage-recovery invalidation; metrics/EXPLAIN surfacing; and
 /// concurrent readers during refresh (the tsan target).
 
@@ -353,15 +353,19 @@ TEST(IvmParallel, FourThreadFixpoint) {
 /// overrides (NailRefreshInfo::old_state_rows).
 enum class OldStateCopies { kNever, kSome, kDependsOnBatches };
 
-/// One recursive program for the randomized suite: its EDB relations
-/// (all binary, over a small integer domain), the goals compared after
-/// every batch, and what its refreshes copy.
+/// One program for the randomized suite: its EDB relations (all binary,
+/// over a small integer domain), the goals compared after every batch,
+/// and what its refreshes copy.
 struct RandomDredCase {
   const char* name;
   const char* program;
   std::vector<std::string> edb;
   std::vector<std::string> goals;
   OldStateCopies copies;
+  /// Counting maintenance recomputes some of this program's batches
+  /// (counting-multi-delta), so only its answers are checked, not that
+  /// every batch was a delta refresh.
+  bool may_fall_back = false;
 };
 
 std::vector<RandomDredCase> RandomDredCases() {
@@ -429,6 +433,34 @@ reach(X,Z) :- reach(X,Y) & link(Y,Z).
 end
 )",
        {"edge"}, {"link(X, Y)", "reach(X, Y)"}, OldStateCopies::kSome},
+      // Non-recursive SCCs. a and b churn in the same batches, so a rule
+      // can read two changed positions.
+      {"NonRecursiveJoin", R"(
+module kb;
+edb a(X,Y), b(X,Y);
+j(X,Z) :- a(X,Y) & b(Y,Z).
+end
+)",
+       {"a", "b"}, {"j(X, Z)"}, OldStateCopies::kDependsOnBatches, true},
+      // par is read twice: every par change is a two-position delta.
+      {"SelfJoin", R"(
+module kb;
+edb par(X,Y);
+gp(X,Z) :- par(X,Y) & par(Y,Z).
+end
+)",
+       {"par"}, {"gp(X, Z)"}, OldStateCopies::kDependsOnBatches, true},
+      // seen projects a wildcard away (many event rows, one seen row);
+      // both reads seen's net change next to the event change.
+      {"WildcardProjection", R"(
+module kb;
+edb event(X,Y);
+seen(N) :- event(_,N).
+both(N) :- seen(N) & event(N,_).
+end
+)",
+       {"event"}, {"seen(N)", "both(N)"}, OldStateCopies::kDependsOnBatches,
+       true},
   };
 }
 
@@ -497,6 +529,7 @@ TEST_P(IvmRandomDredTest, MatchesFullRecompute) {
       pair.Load(c.program);
       int changed = RunRandomBatches(&pair, c, seed, 40);
       if (HasFailure()) return;
+      if (c.may_fall_back) continue;
       // Every batch after the first materialization was a delta refresh:
       // no structural fallback, no error fallback.
       EXPECT_EQ(pair.nail()->full_refresh_count(), 1u) << "seed " << seed;
