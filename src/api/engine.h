@@ -368,7 +368,7 @@ class Engine {
     uint64_t replans_before = 0;
     /// NAIL! refresh sequence at query start; a different value at finish
     /// means this query paid for a memo refresh, and the slow-query entry
-    /// reports how it ran (full vs. counting vs. DRed, delta sizes).
+    /// reports how it ran (full vs. DRed, delta sizes).
     uint64_t refresh_seq_before = 0;
     std::optional<TraceScope> scope;
   };

@@ -44,9 +44,8 @@ struct EngineOptions {
   // --- Incremental view maintenance (src/nail/ivm.cc,
   // docs/ARCHITECTURE.md "Incremental view maintenance") ------------------
   /// How stale NAIL! memos are refreshed. kAuto (the default) patches the
-  /// memo from captured EDB deltas — counting maintenance for
-  /// non-recursive predicates, DRed for recursive SCCs — whenever the
-  /// structured write path (ApplyBatch / AddFact) captured every change
+  /// memo from captured EDB deltas — DRed over every affected SCC —
+  /// whenever the structured write path (ApplyBatch / AddFact) captured every change
   /// since the last refresh and the deltas are small; anything else falls
   /// back to the full recompute. kOff restores the old
   /// always-recompute behavior; kForce skips the delta-size guard

@@ -4,38 +4,34 @@
 ///
 /// When the engine's structured write path captured every EDB change since
 /// the memo's snapshot (storage/delta_log.h), a stale memo is patched
-/// instead of recomputed:
-///
-///  * non-recursive SCCs run *counting* maintenance: exact per-tuple
-///    derivation counts, maintained by joining each rule's body with the
-///    changed relation's net delta in one position (exact because the
-///    other positions are unchanged — old state == new state);
-///  * recursive SCCs run *DRed* (delete-and-rederive) at a cost
-///    proportional to the delta, not to the changed relations:
-///    over-delete via delta-restricted semi-naive over the live relations
-///    (a live ∪ erased old-state copy is built only for a rule that reads
-///    two or more positions with erased rows), erase, rederive in one
-///    deletion-set semi-join pass, then run the ordinary semi-naive
-///    fixpoint once over the rederived tuples and the insertions.
+/// instead of recomputed. Every affected SCC runs *DRed*
+/// (delete-and-rederive) at a cost proportional to the delta, not to the
+/// changed relations: over-delete via delta-restricted semi-naive over the
+/// live relations (a live ∪ erased old-state copy is built only for a rule
+/// that reads two or more positions with erased rows), erase, rederive in
+/// one deletion-set semi-join pass, then run the ordinary semi-naive
+/// fixpoint once over the rederived tuples and the insertions. A
+/// non-recursive SCC is the degenerate case: no internal positions, so
+/// nothing propagates and no fixpoint runs — the seeds go straight into
+/// the memo.
 ///
 /// Everything here is *optimistic*: any structural condition the
-/// algorithms cannot handle (aggregates in rules, negation over a changed
-/// relation, more than one changed position per counting rule, a
-/// derivation-count mismatch) abandons the attempt and falls back to the
-/// full recompute in seminaive.cc, which is always correct. Live EDB and
+/// algorithm cannot handle (aggregates in rules, negation over a changed
+/// relation, a relation name read at two arities) abandons the attempt
+/// and falls back to the full recompute in seminaive.cc, which is always
+/// correct. Live EDB and
 /// memo relations are never mutated to simulate old states — old-state
 /// reads go through private override copies — so an abandoned attempt can
 /// at worst leave the memo partially patched, which the caller handles by
 /// distrusting it (valid_ = false).
 
-#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "src/analysis/binding.h"
 #include "src/common/strings.h"
-#include "src/exec/eval.h"
+#include "src/nail/nail_to_glue.h"
 #include "src/nail/seminaive.h"
 #include "src/obs/trace.h"
 #include "src/plan/planner.h"
@@ -50,44 +46,6 @@ using ast::Term;
 /// (relation name, arity) packed the way DeltaLog keys entries.
 uint64_t RelKey(TermId name, uint32_t arity) {
   return (static_cast<uint64_t>(name) << 32) | arity;
-}
-
-/// Flattens a HiLog predicate-name chain's parameter arguments followed by
-/// the subgoal arguments into one column list (same discipline as
-/// nail_to_glue.cc — the flattened storage layout).
-std::vector<Term> FlattenCols(const Term& pred,
-                              const std::vector<Term>& args) {
-  std::vector<Term> cols;
-  std::vector<const Term*> chain;
-  std::function<void(const Term&)> collect = [&](const Term& t) {
-    if (!t.IsApply()) return;
-    collect(t.functor());
-    for (size_t i = 0; i < t.apply_arity(); ++i) chain.push_back(&t.arg(i));
-  };
-  collect(pred);
-  for (const Term* t : chain) cols.push_back(*t);
-  for (const Term& a : args) cols.push_back(a);
-  return cols;
-}
-
-/// Replaces every wildcard with a fresh `$w<n>` variable so each distinct
-/// matching tuple yields a distinct binding record — the counting
-/// algorithm reads derivation multiplicities straight off the record set.
-void RenameWildcards(Term* t, int* counter) {
-  if (t->IsWildcard()) {
-    *t = Term::Variable(StrCat("$w", (*counter)++));
-    return;
-  }
-  for (Term& c : t->children) RenameWildcards(&c, counter);
-}
-
-void AddVars(const Term& t, std::vector<std::string>* out,
-             std::unordered_set<std::string>* seen) {
-  std::vector<std::string> tmp;
-  t.CollectVariables(&tmp);
-  for (std::string& v : tmp) {
-    if (seen->insert(v).second) out->push_back(std::move(v));
-  }
 }
 
 /// Whether every op of \p plan is something the maintenance joins can run
@@ -137,28 +95,6 @@ void BuildIndexesFor(const StatementPlan& plan, Database* edb, Database* idb,
   }
 }
 
-/// Runs \p plan body-only through \p ex and hands each binding record's
-/// head tuple (the first \p ncols head expressions) to \p f. One call per
-/// record, so multiplicities survive.
-template <typename F>
-Status RunPlanHeads(Executor* ex, const StatementPlan& plan, size_t ncols,
-                    TermPool* pool, F&& f) {
-  Frame frame(nullptr);
-  RecordSet sup;
-  GLUENAIL_RETURN_NOT_OK(ex->ExecuteBodyOnly(plan, &frame, &sup));
-  for (const Record& rec : sup.records) {
-    Tuple t;
-    t.reserve(ncols);
-    for (size_t i = 0; i < ncols; ++i) {
-      GLUENAIL_ASSIGN_OR_RETURN(
-          TermId v, EvalExpr(plan, plan.head.arg_exprs[i], rec, pool));
-      t.push_back(v);
-    }
-    f(std::move(t));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 /// Per-refresh working state. Everything old-state-shaped lives here as
@@ -180,20 +116,15 @@ struct NailEngine::IvmCtx {
   std::unordered_map<uint64_t, std::unique_ptr<Net>> changed;
   /// Memo nets to mirror into published HiLog instances, in SCC order.
   std::vector<std::pair<int, const Net*>> publish;
-  /// DRed old-state over-approximation per changed relation:
+  /// Old-state over-approximation per changed relation:
   /// live ∪ erased ⊇ old (also ⊇ new — safe for over-deletion). Built only
   /// for relations a rule reads at two or more positions with erased rows.
   std::unordered_map<uint64_t, std::unique_ptr<Relation>> unions;
-  /// Counting backfill: exact pre-delta copies of changed EDB relations
-  /// (live − inserted ∪ erased).
-  std::unordered_map<uint64_t, std::unique_ptr<Relation>> old_state;
 
   uint64_t rows_out = 0;
-  /// Rows copied into `unions` and `old_state` (NailRefreshInfo).
+  /// Rows copied into `unions` (NailRefreshInfo::old_state_rows).
   uint64_t old_state_rows = 0;
-  bool used_counting = false;
   bool used_dred = false;
-  std::string fallback;
 
   Net* Find(uint64_t key) {
     auto it = changed.find(key);
@@ -263,31 +194,9 @@ Status NailEngine::EnsureIvmPlans() {
     const ast::NailRule& rule = program_.rules[r];
     bool ok = ir.pred >= 0;
 
-    ir.head_cols = FlattenCols(rule.head_pred, rule.head_args);
+    ir.head_cols = FlattenColumns(rule.head_pred, rule.head_args);
     for (const Term& c : ir.head_cols) {
       if (!c.IsVariable() && !c.IsGround()) ok = false;
-    }
-
-    // Wildcard-free body copy (positive atoms only: a fresh variable in a
-    // negated atom would be unbound and unsafe, and negations are pure
-    // filters so their wildcards cannot inflate multiplicities).
-    ir.body = rule.body;
-    int wc = 0;
-    for (Subgoal& g : ir.body) {
-      if (g.kind != ast::SubgoalKind::kAtom) continue;
-      for (Term& a : g.args) RenameWildcards(&a, &wc);
-    }
-
-    std::unordered_set<std::string> seen;
-    for (const Subgoal& g : ir.body) {
-      if (g.kind == ast::SubgoalKind::kAtom ||
-          g.kind == ast::SubgoalKind::kNegatedAtom) {
-        AddVars(g.pred, &ir.vars, &seen);
-        for (const Term& a : g.args) AddVars(a, &ir.vars, &seen);
-      } else if (g.kind == ast::SubgoalKind::kComparison) {
-        AddVars(g.lhs, &ir.vars, &seen);
-        AddVars(g.rhs, &ir.vars, &seen);
-      }
     }
 
     // Resolve every atom position to its relation: NAIL! memo storage, or
@@ -314,8 +223,8 @@ Status NailEngine::EnsureIvmPlans() {
       pos->nail_pred = -1;
       return true;
     };
-    for (size_t i = 0; ok && i < ir.body.size(); ++i) {
-      const Subgoal& g = ir.body[i];
+    for (size_t i = 0; ok && i < rule.body.size(); ++i) {
+      const Subgoal& g = rule.body[i];
       IvmRule::Pos pos;
       switch (g.kind) {
         case ast::SubgoalKind::kAtom:
@@ -335,29 +244,18 @@ Status NailEngine::EnsureIvmPlans() {
     }
 
     if (ok) {
-      size_t H = ir.head_cols.size();
-      // Synthetic heads: the all-vars head exposes head columns plus every
-      // body variable (one record == one derivation); the rederive head is
-      // just the head columns. Both are assignable reserved kNail names —
-      // assignable so head planning succeeds, though only bodies ever run.
-      std::string hname = StrCat("$ivm$h$", r);
-      uint32_t hv = static_cast<uint32_t>(H + ir.vars.size());
-      PredBinding hb;
-      hb.cls = PredClass::kNail;
-      hb.free_arity = hv;
-      hb.name = pool_->MakeSymbol(hname);
-      hb.assignable = true;
-      scope.Declare(hname, 0, hv, hb);
+      // Synthetic head over the head columns, shared by the delta and
+      // rederive plans: DRed works on sets, so only the head tuple of a
+      // binding record matters. An assignable reserved kNail name, so
+      // head planning succeeds, though only bodies ever run.
+      uint32_t H = static_cast<uint32_t>(ir.head_cols.size());
       std::string rhname = StrCat("$ivm$rh$", r);
       PredBinding rhb;
       rhb.cls = PredClass::kNail;
-      rhb.free_arity = static_cast<uint32_t>(H);
+      rhb.free_arity = H;
       rhb.name = pool_->MakeSymbol(rhname);
       rhb.assignable = true;
-      scope.Declare(rhname, 0, static_cast<uint32_t>(H), rhb);
-
-      std::vector<Term> all_head = ir.head_cols;
-      for (const std::string& v : ir.vars) all_head.push_back(Term::Variable(v));
+      scope.Declare(rhname, 0, H, rhb);
 
       // One delta plan per positive position: that position rotated to the
       // front, redirected to a reserved per-(rule, position) name that the
@@ -373,52 +271,37 @@ Status NailEngine::EnsureIvmPlans() {
         scope.Declare(uname, 0, pos.arity, ub);
 
         ast::Assignment a;
-        a.head_pred = Term::Symbol(hname);
-        a.head_args = all_head;
+        a.head_pred = Term::Symbol(rhname);
+        a.head_args = ir.head_cols;
         a.op = ast::AssignOp::kInsert;
-        Subgoal dg = ir.body[pos.index];
+        Subgoal dg = rule.body[pos.index];
         if (pos.nail_pred >= 0) {
           // Memo positions flatten HiLog params into columns; EDB delta
           // rows already carry plain argument columns (the params live in
           // the relation name), so those keep their args.
-          std::vector<Term> cols = FlattenCols(dg.pred, dg.args);
+          std::vector<Term> cols = FlattenColumns(dg.pred, dg.args);
           dg.args = std::move(cols);
         }
         dg.pred = Term::Symbol(uname);
         a.body.push_back(std::move(dg));
-        for (size_t j = 0; j < ir.body.size(); ++j) {
-          if (j != pos.index) a.body.push_back(ir.body[j]);
+        for (size_t j = 0; j < rule.body.size(); ++j) {
+          if (j != pos.index) a.body.push_back(rule.body[j]);
         }
         ir.delta_plans.emplace_back();
         if (!plan_either(a, &ir.delta_plans.back())) ok = false;
-      }
-
-      // Counting backfill: the original body under the all-vars head, run
-      // over full (pre-delta, via overrides) relations.
-      if (ok) {
-        ast::Assignment a;
-        a.head_pred = Term::Symbol(hname);
-        a.head_args = all_head;
-        a.op = ast::AssignOp::kInsert;
-        a.body = ir.body;
-        Result<StatementPlan> cp = PlanAssignment(a, env, planner_opts_);
-        if (!cp.ok() || !PlanCapable(*cp)) ok = false;
-        else ir.count_plan = std::move(*cp);
       }
 
       // DRed rederivation: semi-join the head predicate's deletion set
       // against the body — a deleted tuple with a surviving derivation
       // comes back.
       if (ok) {
-        const NailPred& hp = program_.preds[static_cast<size_t>(ir.pred)];
         ast::Assignment a;
         a.head_pred = Term::Symbol(rhname);
         a.head_args = ir.head_cols;
         a.op = ast::AssignOp::kInsert;
         a.body.push_back(Subgoal::Atom(
             Term::Symbol(StrCat("$ivm$dset$", ir.pred)), ir.head_cols));
-        for (const Subgoal& g : ir.body) a.body.push_back(g);
-        (void)hp;
+        for (const Subgoal& g : rule.body) a.body.push_back(g);
         if (!plan_either(a, &ir.rederive)) ok = false;
       }
     }
@@ -498,67 +381,6 @@ Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
     }
   }
 
-  // Possibly-affected predicates, by topological propagation from the
-  // changed EDB keys (memo nets materialize later, but any pred they could
-  // reach is already downstream of a changed key here).
-  std::vector<bool> affected(program_.preds.size(), false);
-  for (const std::vector<int>& sccp : program_.scc_order) {
-    bool any = false;
-    for (int p : sccp) {
-      for (int r : program_.preds[static_cast<size_t>(p)].rules) {
-        const IvmRule& ir = ivm_rules_[static_cast<size_t>(r)];
-        auto touches = [&](const IvmRule::Pos& pos) {
-          if (pos.nail_pred >= 0 &&
-              affected[static_cast<size_t>(pos.nail_pred)]) {
-            return true;
-          }
-          IvmCtx::Net* net = ctx.Find(RelKey(pos.rel, pos.arity));
-          return net != nullptr && net->rows() > 0;
-        };
-        for (const IvmRule::Pos& pos : ir.positions) {
-          if (touches(pos)) affected[static_cast<size_t>(p)] = true;
-        }
-        for (const IvmRule::Pos& pos : ir.negations) {
-          if (touches(pos)) affected[static_cast<size_t>(p)] = true;
-        }
-      }
-      any = any || affected[static_cast<size_t>(p)];
-    }
-    // Mutual recursion: one affected member affects the whole SCC.
-    if (any) {
-      for (int p : sccp) affected[static_cast<size_t>(p)] = true;
-    }
-  }
-
-  // Counting needs pre-delta derivation counts. Backfill them *up front* —
-  // before any memo is patched — so every count_plan run sees the old
-  // state: changed EDB relations through exact old-state copies, upstream
-  // memos as they stand (unpatched == old).
-  std::vector<int> backfill;
-  for (size_t p = 0; p < program_.preds.size(); ++p) {
-    const NailPred& pred = program_.preds[p];
-    if (!affected[p]) continue;
-    if (program_.scc_recursive[static_cast<size_t>(pred.scc)]) continue;
-    if (counts_.count(RelKey(pred.storage, pred.columns())) != 0) continue;
-    backfill.push_back(static_cast<int>(p));
-  }
-  if (!backfill.empty()) {
-    for (const auto& [key, net] : ctx.changed) {
-      TermId name = static_cast<TermId>(key >> 32);
-      uint32_t arity = static_cast<uint32_t>(key);
-      auto old = std::make_unique<Relation>("$ivm$old", arity);
-      Relation* live = edb_->Find(name, arity);
-      if (live != nullptr) old->CopyFrom(*live);
-      for (RowView t : net->inserted) old->Erase(t);
-      for (RowView t : net->erased) old->Insert(t);
-      ctx.old_state_rows += old->size();
-      ctx.old_state[key] = std::move(old);
-    }
-    for (int p : backfill) {
-      GLUENAIL_RETURN_NOT_OK(EnsureCounts(p, &ctx));
-    }
-  }
-
   for (size_t s = 0; s < program_.scc_order.size(); ++s) {
     const std::vector<int>& sccp = program_.scc_order[s];
     bool live_affected = false;
@@ -572,8 +394,8 @@ Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
         for (const IvmRule::Pos& pos : ir.negations) {
           IvmCtx::Net* net = ctx.Find(RelKey(pos.rel, pos.arity));
           if (net != nullptr && net->rows() > 0) {
-            // Negation is not monotone in the delta; neither algorithm
-            // handles a negated premise whose relation changed.
+            // Negation is not monotone in the delta; DRed does not handle
+            // a negated premise whose relation changed.
             info->fallback = "negation-on-delta";
             return Status::OK();
           }
@@ -581,16 +403,7 @@ Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
       }
     }
     if (!live_affected) continue;
-    bool ok = false;
-    if (program_.scc_recursive[s]) {
-      GLUENAIL_RETURN_NOT_OK(RefreshSccDred(s, &ctx, &ok));
-    } else {
-      GLUENAIL_RETURN_NOT_OK(RefreshSccCounting(s, &ctx, &ok));
-    }
-    if (!ok) {
-      info->fallback = ctx.fallback.empty() ? "error" : ctx.fallback;
-      return Status::OK();
-    }
+    GLUENAIL_RETURN_NOT_OK(RefreshSccDred(s, &ctx));
   }
 
   // Patch the published HiLog instances with the final memo nets.
@@ -620,145 +433,12 @@ Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
 
   info->delta_rows_out = ctx.rows_out;
   info->old_state_rows = ctx.old_state_rows;
-  info->mode = ctx.used_counting && ctx.used_dred ? "counting+dred"
-               : ctx.used_dred                    ? "dred"
-               : ctx.used_counting                ? "counting"
-                                                  : "empty";
+  info->mode = ctx.used_dred ? "dred" : "empty";
   *done = true;
   return Status::OK();
 }
 
-Status NailEngine::EnsureCounts(int p, IvmCtx* ctx) {
-  const NailPred& pred = program_.preds[static_cast<size_t>(p)];
-  auto& cnts = counts_[RelKey(pred.storage, pred.columns())];
-  cnts.clear();
-
-  ExecOptions opts = exec_->options();
-  opts.read_only_storage = true;
-  opts.writable_private_idb = false;
-  RuntimeEnv renv;
-  renv.nail = this;
-  Executor ex(exec_->program(), edb_, idb_, pool_, renv, opts);
-  std::unordered_map<TermId, Relation*> ov;
-  for (const auto& [key, old] : ctx->old_state) {
-    TermId name = static_cast<TermId>(key >> 32);
-    ex.AddReadOverride(name, old.get());
-    ov[name] = old.get();
-  }
-  for (int r : pred.rules) {
-    const IvmRule& ir = ivm_rules_[static_cast<size_t>(r)];
-    BuildIndexesFor(ir.count_plan, edb_, idb_, ov);
-    GLUENAIL_RETURN_NOT_OK(RunPlanHeads(
-        &ex, ir.count_plan, ir.head_cols.size(), pool_,
-        [&](Tuple t) { ++cnts[std::move(t)]; }));
-  }
-  return Status::OK();
-}
-
-Status NailEngine::RefreshSccCounting(size_t s, IvmCtx* ctx, bool* ok) {
-  *ok = false;
-  ScopedSpan span("nail:ivm-counting");
-  ctx->used_counting = true;
-
-  ExecOptions opts = exec_->options();
-  opts.read_only_storage = true;
-  opts.writable_private_idb = false;
-  RuntimeEnv renv;
-  renv.nail = this;
-  Executor ex(exec_->program(), edb_, idb_, pool_, renv, opts);
-  std::unordered_map<TermId, Relation*> ov;
-
-  for (int p : program_.scc_order[s]) {
-    const NailPred& pred = program_.preds[static_cast<size_t>(p)];
-    uint64_t skey = RelKey(pred.storage, pred.columns());
-    auto cit = counts_.find(skey);
-    if (cit == counts_.end()) {
-      ctx->fallback = "error";
-      return Status::OK();
-    }
-    auto& cnts = cit->second;
-    Relation* memo = idb_->GetOrCreate(pred.storage, pred.columns());
-
-    // Derivation-count delta for this pred across all its rules.
-    std::unordered_map<Tuple, int64_t, TupleHash> dc;
-    for (int r : pred.rules) {
-      const IvmRule& ir = ivm_rules_[static_cast<size_t>(r)];
-      std::vector<size_t> changed_pos;
-      for (size_t k = 0; k < ir.positions.size(); ++k) {
-        IvmCtx::Net* net =
-            ctx->Find(RelKey(ir.positions[k].rel, ir.positions[k].arity));
-        if (net != nullptr && net->rows() > 0) changed_pos.push_back(k);
-      }
-      if (changed_pos.empty()) continue;
-      if (changed_pos.size() > 1) {
-        // Counting is exact only when a single position changed (the
-        // others then read identical old and new states). Multi-position
-        // deltas would need staged old/new joins — fall back instead.
-        ctx->fallback = "counting-multi-delta";
-        return Status::OK();
-      }
-      size_t k = changed_pos[0];
-      const IvmRule::Pos& pos = ir.positions[k];
-      IvmCtx::Net* net = ctx->Find(RelKey(pos.rel, pos.arity));
-      const StatementPlan& plan = ir.delta_plans[k];
-      for (int side = 0; side < 2; ++side) {
-        Relation* drel = side == 0 ? &net->inserted : &net->erased;
-        int64_t sign = side == 0 ? 1 : -1;
-        if (drel->empty()) continue;
-        ex.AddReadOverride(pos.scope_name, drel);
-        ov[pos.scope_name] = drel;
-        BuildIndexesFor(plan, edb_, idb_, ov);
-        GLUENAIL_RETURN_NOT_OK(RunPlanHeads(
-            &ex, plan, ir.head_cols.size(), pool_,
-            [&](Tuple t) { dc[std::move(t)] += sign; }));
-      }
-    }
-
-    auto out = std::make_unique<IvmCtx::Net>(pred.columns());
-    for (auto& [t, d] : dc) {
-      if (d == 0) continue;
-      auto it = cnts.find(t);
-      int64_t c = it == cnts.end() ? 0 : it->second;
-      int64_t nc = c + d;
-      if (nc < 0) {
-        ctx->fallback = "count-mismatch";
-        return Status::OK();
-      }
-      if (nc == 0) {
-        cnts.erase(it);
-        if (!memo->Erase(t)) {
-          ctx->fallback = "count-mismatch";
-          return Status::OK();
-        }
-        out->erased.Insert(t);
-      } else {
-        if (it == cnts.end()) {
-          cnts.emplace(t, nc);
-        } else {
-          it->second = nc;
-        }
-        if (c == 0) {
-          if (!memo->Insert(t)) {
-            ctx->fallback = "count-mismatch";
-            return Status::OK();
-          }
-          out->inserted.Insert(t);
-        }
-      }
-    }
-    if (span.active()) span.AddRows(out->rows());
-    ctx->rows_out += out->rows();
-    if (out->rows() > 0) {
-      ctx->publish.emplace_back(p, out.get());
-      ctx->changed[skey] = std::move(out);
-    }
-  }
-  *ok = true;
-  return Status::OK();
-}
-
-Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
-  *ok = false;
+Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
   ScopedSpan span("nail:ivm-dred");
   ctx->used_dred = true;
   const std::vector<int>& sccp = program_.scc_order[s];
@@ -767,11 +447,17 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
     return pos.nail_pred >= 0 && internal.count(pos.nail_pred) != 0;
   };
 
+  // A non-recursive SCC is the degenerate case: no internal positions, so
+  // no deletion propagates and no fixpoint runs — its seeds go straight
+  // into the memo, and it needs no propagation or $delta relations.
+  const bool recursive = !scc_plans_[s].iterate.empty();
+
   // Deletion sets and per-round propagation deltas.
   std::unordered_map<int, std::unique_ptr<Relation>> dset, ddelta, dnext;
   for (int p : sccp) {
     uint32_t cols = program_.preds[static_cast<size_t>(p)].columns();
     dset[p] = std::make_unique<Relation>("$ivm$D", cols);
+    if (!recursive) continue;
     ddelta[p] = std::make_unique<Relation>("$ivm$Dd", cols);
     dnext[p] = std::make_unique<Relation>("$ivm$Dn", cols);
   }
@@ -836,10 +522,9 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
         del_exec.AddReadOverride(pos.scope_name, &net->erased);
         del_ov[pos.scope_name] = &net->erased;
         BuildIndexesFor(ir.delta_plans[k], edb_, idb_, del_ov);
-        GLUENAIL_RETURN_NOT_OK(RunPlanHeads(
-            &del_exec, ir.delta_plans[k], ir.head_cols.size(), pool_,
-            [&](Tuple t) {
-              if (memo->Contains(t) && dset[p]->Insert(t)) {
+        GLUENAIL_RETURN_NOT_OK(
+            RunPlanHeads(&del_exec, ir.delta_plans[k], pool_, [&](Tuple t) {
+              if (memo->Contains(t) && dset[p]->Insert(t) && recursive) {
                 ddelta[p]->Insert(t);
               }
             }));
@@ -848,7 +533,7 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
   }
   // Propagate deletions through internal positions (textbook DRed: the
   // non-delta internal reads include the deleted tuples).
-  bool progress = true;
+  bool progress = recursive;
   while (progress) {
     progress = false;
     for (int p : sccp) dnext[p]->Clear();
@@ -865,9 +550,8 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
           del_exec.AddReadOverride(pos.scope_name, cur);
           del_ov[pos.scope_name] = cur;
           BuildIndexesFor(ir.delta_plans[k], edb_, idb_, del_ov);
-          GLUENAIL_RETURN_NOT_OK(RunPlanHeads(
-              &del_exec, ir.delta_plans[k], ir.head_cols.size(), pool_,
-              [&](Tuple t) {
+          GLUENAIL_RETURN_NOT_OK(
+              RunPlanHeads(&del_exec, ir.delta_plans[k], pool_, [&](Tuple t) {
                 if (memo->Contains(t) && dset[p]->Insert(t)) {
                   dnext[p]->Insert(t);
                 }
@@ -883,13 +567,15 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
 
   // ---- Phase 2: erase the over-deleted tuples. Rows appended to a memo
   // from here on (rederived or inserted) are the candidate net inserts,
-  // and they double as the fixpoint's seeds in the delta relations.
+  // and in a recursive SCC they double as the fixpoint's seeds in the
+  // delta relations.
   std::unordered_map<int, uint32_t> marker;
   for (int p : sccp) {
     const NailPred& pred = program_.preds[static_cast<size_t>(p)];
     Relation* memo = idb_->GetOrCreate(pred.storage, pred.columns());
     for (RowView t : *dset[p]) memo->Erase(t);
     marker[p] = memo->num_rows();
+    if (!recursive) continue;
     idb_->GetOrCreate(pred.delta_storage, pred.columns())->Clear();
     idb_->GetOrCreate(pred.newdelta_storage, pred.columns())->Clear();
   }
@@ -911,9 +597,11 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
   for (int p : sccp) {
     const NailPred& pred = program_.preds[static_cast<size_t>(p)];
     Relation* memo = idb_->GetOrCreate(pred.storage, pred.columns());
-    Relation* delta = idb_->GetOrCreate(pred.delta_storage, pred.columns());
+    Relation* delta =
+        recursive ? idb_->GetOrCreate(pred.delta_storage, pred.columns())
+                  : nullptr;
     auto seed = [&](Tuple t) {
-      if (memo->Insert(t)) {
+      if (memo->Insert(t) && delta != nullptr) {
         delta->Insert(t);
         seeded = true;
       }
@@ -922,8 +610,8 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
       const IvmRule& ir = ivm_rules_[static_cast<size_t>(r)];
       if (!dset[p]->empty()) {
         BuildIndexesFor(ir.rederive, edb_, idb_, seed_ov);
-        GLUENAIL_RETURN_NOT_OK(RunPlanHeads(
-            &seed_exec, ir.rederive, ir.head_cols.size(), pool_, seed));
+        GLUENAIL_RETURN_NOT_OK(
+            RunPlanHeads(&seed_exec, ir.rederive, pool_, seed));
       }
       for (size_t k = 0; k < ir.positions.size(); ++k) {
         const IvmRule::Pos& pos = ir.positions[k];
@@ -933,13 +621,13 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
         seed_exec.AddReadOverride(pos.scope_name, &net->inserted);
         seed_ov[pos.scope_name] = &net->inserted;
         BuildIndexesFor(ir.delta_plans[k], edb_, idb_, seed_ov);
-        GLUENAIL_RETURN_NOT_OK(RunPlanHeads(
-            &seed_exec, ir.delta_plans[k], ir.head_cols.size(), pool_, seed));
+        GLUENAIL_RETURN_NOT_OK(
+            RunPlanHeads(&seed_exec, ir.delta_plans[k], pool_, seed));
       }
     }
   }
   if (seeded) {
-    // The seeds feed the ordinary semi-naive engine — same fixpoint loop,
+    // The seeds of a recursive SCC feed the ordinary semi-naive engine — same fixpoint loop,
     // same parallel partitioned path, as a full refresh.
     GLUENAIL_RETURN_NOT_OK(RunSccFixpoint(s));
   }
@@ -967,7 +655,6 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok) {
       ctx->changed[skey] = std::move(out);
     }
   }
-  *ok = true;
   return Status::OK();
 }
 

@@ -30,23 +30,6 @@ std::vector<Term> Wildcards(uint32_t n) {
   return out;
 }
 
-/// Flattens the HiLog parameter arguments of a predicate-name chain
-/// followed by the subgoal arguments into one column list.
-std::vector<Term> FlattenColumns(const Term& pred,
-                                 const std::vector<Term>& args) {
-  std::vector<Term> cols;
-  std::vector<const Term*> chain;
-  std::function<void(const Term&)> collect = [&](const Term& t) {
-    if (!t.IsApply()) return;
-    collect(t.functor());
-    for (size_t i = 0; i < t.apply_arity(); ++i) chain.push_back(&t.arg(i));
-  };
-  collect(pred);
-  for (const Term* t : chain) cols.push_back(*t);
-  for (const Term& a : args) cols.push_back(a);
-  return cols;
-}
-
 /// True if the subgoal is a positive atom referencing pred \p target
 /// within \p program.
 bool IsRecursiveRef(const NailProgram& program, const Subgoal& g,
@@ -73,6 +56,21 @@ int PredOf(const NailProgram& program, const Subgoal& g) {
 }
 
 }  // namespace
+
+std::vector<ast::Term> FlattenColumns(const ast::Term& pred,
+                                      const std::vector<ast::Term>& args) {
+  std::vector<ast::Term> cols;
+  std::vector<const ast::Term*> chain;
+  std::function<void(const ast::Term&)> collect = [&](const ast::Term& t) {
+    if (!t.IsApply()) return;
+    collect(t.functor());
+    for (size_t i = 0; i < t.apply_arity(); ++i) chain.push_back(&t.arg(i));
+  };
+  collect(pred);
+  for (const ast::Term* t : chain) cols.push_back(*t);
+  for (const ast::Term& a : args) cols.push_back(a);
+  return cols;
+}
 
 std::string DeltaScopeName(const NailPred& pred) {
   return StrCat("$delta$", pred.Key());

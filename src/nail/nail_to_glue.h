@@ -38,6 +38,12 @@ void DeclareNailScope(const NailProgram& program, Scope* scope);
 std::string DeltaScopeName(const NailPred& pred);
 std::string NewdeltaScopeName(const NailPred& pred);
 
+/// Flattens the HiLog parameter arguments of a predicate-name chain
+/// followed by the subgoal arguments into one column list (the flattened
+/// storage layout).
+std::vector<ast::Term> FlattenColumns(const ast::Term& pred,
+                                      const std::vector<ast::Term>& args);
+
 /// Statements for one SCC, shared by both evaluation modes.
 struct SccStatements {
   /// All rules over full relations, deltas captured into $delta.

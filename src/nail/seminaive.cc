@@ -193,7 +193,7 @@ Status NailEngine::Refresh() {
   // ---- Delta maintenance first (docs/ARCHITECTURE.md, "Incremental
   // view maintenance"): when the captured delta log covers exactly the
   // span from the memoized snapshot to the live EDB, patch the memos
-  // with counting/DRed instead of recomputing from scratch.
+  // with DRed instead of recomputing from scratch.
   NailRefreshInfo info;
   bool ivm_enabled = ivm_mode_ != IvmMode::kOff && delta_log_ != nullptr;
   // The naive mode is an ablation baseline — it must keep measuring the
@@ -288,10 +288,7 @@ Status NailEngine::Refresh() {
   // (impossible: refreshes run under the engine's writer lock).
   snapshot_ = EdbSnapshot();
   valid_ = true;
-  // The memo was rebuilt from scratch: derivation counts no longer match
-  // it (rebuilt lazily on the next counting refresh), and the delta log
-  // restarts against the fresh memo.
-  MarkCountsStale();
+  // The memo was rebuilt from scratch: the delta log restarts against it.
   if (delta_log_ != nullptr) {
     delta_log_->Rebase(EdbVersion{snapshot_.first, snapshot_.second});
   }
@@ -514,30 +511,14 @@ Status NailEngine::ParallelIterate(const StatementPlan& plan,
     Executor worker(exec_->program(), edb_, idb_, pool_, env, opts);
     worker.AddReadOverride(info.delta_name,
                            parts[static_cast<size_t>(w)].get());
-    Frame frame(nullptr);
-    RecordSet sup;
-    Status st = worker.ExecuteBodyOnly(plan, &frame, &sup);
-    if (!st.ok()) {
-      worker_status[static_cast<size_t>(w)] = st;
-      return;
-    }
     std::unordered_set<Tuple, TupleHash> seen;
     std::vector<Tuple>& out = found[static_cast<size_t>(w)];
-    for (const Record& rec : sup.records) {
-      Tuple t;
-      t.reserve(head.arg_exprs.size());
-      for (ExprId e : head.arg_exprs) {
-        Result<TermId> v = EvalExpr(plan, e, rec, pool_);
-        if (!v.ok()) {
-          worker_status[static_cast<size_t>(w)] = v.status();
-          return;
-        }
-        t.push_back(*v);
-      }
-      if (!storage->Contains(t) && seen.insert(t).second) {
-        out.push_back(std::move(t));
-      }
-    }
+    worker_status[static_cast<size_t>(w)] =
+        RunPlanHeads(&worker, plan, pool_, [&](Tuple t) {
+          if (!storage->Contains(t) && seen.insert(t).second) {
+            out.push_back(std::move(t));
+          }
+        });
     worker_span.AddRows(out.size());
   });
   if (parent_sink != nullptr) {

@@ -29,7 +29,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/exec/executor.h"
@@ -58,20 +57,21 @@ struct NailRefreshInfo {
   /// refresh_count() after this refresh; 0 = no refresh yet.
   uint64_t seq = 0;
   bool incremental = false;
-  /// "full" | "counting" | "dred" | "counting+dred" | "empty" (a delta
-  /// refresh whose net delta touched no memo).
+  /// "full" | "dred" | "empty" (a delta refresh whose net delta touched
+  /// no memo).
   std::string mode = "full";
   /// Why a full recompute ran although IVM was enabled ("" otherwise):
   /// "stale-memo", "invalidated", "delta-dropped", "delta-fraction",
-  /// "unsupported-rule", "negation-on-delta", "counting-multi-delta",
-  /// "count-mismatch", "arity-overload", "error", "mode".
+  /// "unsupported-rule", "negation-on-delta", "arity-overload", "error",
+  /// "mode".
   std::string fallback;
   /// EDB delta rows consumed / memo rows changed by a delta refresh.
   uint64_t delta_rows_in = 0;
   uint64_t delta_rows_out = 0;
   /// Rows a delta refresh copied into old-state overrides: DRed's
-  /// live ∪ erased copies and the counting backfill's pre-delta copies.
-  /// 0 when every read could use the live relations.
+  /// live ∪ erased copies, made only for a rule that reads two or more
+  /// positions with erased rows. 0 when every read could use the live
+  /// relations.
   uint64_t old_state_rows = 0;
 };
 
@@ -119,8 +119,8 @@ class NailEngine : public NailEvaluator {
 
   /// Wires delta-driven maintenance: on staleness, when \p log covers
   /// exactly the span between the memo's snapshot and the live EDB, the
-  /// refresh runs counting (non-recursive SCCs) / DRed (recursive SCCs)
-  /// against the captured deltas instead of recomputing from scratch.
+  /// refresh runs DRed over every affected SCC against the captured
+  /// deltas instead of recomputing from scratch.
   /// Requires the direct plans (CompileDirect). \p log may outlive or be
   /// null (null disables).
   void ConfigureIvm(IvmMode mode, double max_delta_fraction, DeltaLog* log) {
@@ -148,7 +148,7 @@ class NailEngine : public NailEvaluator {
     return replan_count_.load(std::memory_order_relaxed);
   }
 
-  /// Refreshes served from captured deltas (counting/DRed) vs. full
+  /// Refreshes served from captured deltas (DRed) vs. full
   /// recomputations, and fulls that ran *despite* a usable-looking delta
   /// (dropped/oversized/structurally unsupported). Atomics: sampled by
   /// metrics scrapes and query observability without the engine lock.
@@ -246,6 +246,12 @@ class NailEngine : public NailEvaluator {
   /// worker pool; falls back is handled by the caller.
   Status ParallelIterate(const StatementPlan& plan, const IterInfo& info,
                          Relation* delta);
+  /// Runs \p plan body-only through \p ex and hands each binding record's
+  /// head tuple to \p f — the one head-evaluation loop of the parallel
+  /// workers and the delta-maintenance passes (ivm.cc).
+  template <typename F>
+  static Status RunPlanHeads(Executor* ex, const StatementPlan& plan,
+                             TermPool* pool, F&& f);
 
   /// Sum of delta relation sizes for one SCC (the iterate plans' input).
   uint64_t SccDeltaRows(const std::vector<int>& preds) const;
@@ -270,15 +276,11 @@ class NailEngine : public NailEvaluator {
 
   // ---- Incremental view maintenance (src/nail/ivm.cc) ----------------
 
-  /// One rule compiled for delta maintenance: every wildcard renamed to a
-  /// fresh variable (so distinct matching tuples always yield distinct
-  /// binding records — exact derivation multiplicities), the flattened
-  /// head columns (HiLog params ++ args), and the full body variable list.
+  /// One rule compiled for delta maintenance: the flattened head columns
+  /// (HiLog params ++ args), its atom positions, and its plans.
   struct IvmRule {
-    int pred = -1;                   ///< index into program_.preds
-    std::vector<ast::Subgoal> body;  ///< wildcard-free copy
+    int pred = -1;  ///< index into program_.preds
     std::vector<ast::Term> head_cols;
-    std::vector<std::string> vars;  ///< all body variables, in order
     /// A positive body atom over a NAIL! memo or EDB relation. Delta
     /// variants rotate one of these to the front, redirected to the
     /// reserved name `scope_name` (read-overridden to a delta relation at
@@ -296,12 +298,8 @@ class NailEngine : public NailEvaluator {
     std::vector<Pos> negations;
     /// Per entry of `positions`: the body with that position first reading
     /// its reserved name, planned with reordering off (delta-proportional
-    /// cost), under a synthetic all-vars head (head_cols ++ vars) run
-    /// body-only.
+    /// cost), under a synthetic head over head_cols, run body-only.
     std::vector<StatementPlan> delta_plans;
-    /// Original body under the all-vars head — counting backfill
-    /// (EnsureCounts) runs it over full relations.
-    StatementPlan count_plan;
     /// DRed rederivation: the per-pred deletion set prepended to the
     /// original body (semi-join on the head variables), head = head_cols.
     StatementPlan rederive;
@@ -317,16 +315,10 @@ class NailEngine : public NailEvaluator {
   /// EDB and published instances are patched. On *done=false (structural
   /// fallback recorded in info->fallback) the caller runs the full path.
   Status RefreshIncremental(NailRefreshInfo* info, bool* done);
-  /// Counting maintenance for a non-recursive SCC / DRed for a recursive
-  /// one. Both record the SCC's own net memo delta in the ctx change map
-  /// for downstream SCCs. *ok=false requests whole-refresh fallback.
-  Status RefreshSccCounting(size_t s, IvmCtx* ctx, bool* ok);
-  Status RefreshSccDred(size_t s, IvmCtx* ctx, bool* ok);
-  /// Backfills derivation counts for non-recursive pred \p p by running
-  /// each rule's count_plan against the *pre-delta* EDB state (ctx carries
-  /// old-state overrides for changed relations).
-  Status EnsureCounts(int p, IvmCtx* ctx);
-  void MarkCountsStale() { counts_.clear(); }
+  /// DRed for SCC \p s, recursive or not. Records the SCC's own net memo
+  /// delta in the ctx change map for downstream SCCs; an error status
+  /// requests whole-refresh fallback.
+  Status RefreshSccDred(size_t s, IvmCtx* ctx);
 
   IvmMode ivm_mode_ = IvmMode::kOff;
   double ivm_max_fraction_ = 0.25;
@@ -338,13 +330,6 @@ class NailEngine : public NailEvaluator {
   /// Reserved deletion-set names, parallel to program_.preds (the
   /// rederive plans' first subgoal, read-overridden per refresh).
   std::vector<TermId> ivm_dset_names_;
-  /// Derivation counts for non-recursive preds: storage-key ->
-  /// (memo row -> count). An entry's *presence* means the pred is
-  /// backfilled (possibly with an empty inner map). Cleared on any full
-  /// refresh (MarkCountsStale) and rebuilt lazily against pre-delta state.
-  std::unordered_map<uint64_t,
-                     std::unordered_map<Tuple, int64_t, TupleHash>>
-      counts_;
 
   std::atomic<uint64_t> delta_refresh_count_{0};
   std::atomic<uint64_t> full_refresh_count_{0};
@@ -356,6 +341,25 @@ class NailEngine : public NailEvaluator {
   mutable std::mutex info_mu_;
   NailRefreshInfo last_refresh_;
 };
+
+template <typename F>
+Status NailEngine::RunPlanHeads(Executor* ex, const StatementPlan& plan,
+                                TermPool* pool, F&& f) {
+  Frame frame(nullptr);
+  RecordSet sup;
+  GLUENAIL_RETURN_NOT_OK(ex->ExecuteBodyOnly(plan, &frame, &sup));
+  const std::vector<ExprId>& exprs = plan.head.arg_exprs;
+  for (const Record& rec : sup.records) {
+    Tuple t;
+    t.reserve(exprs.size());
+    for (ExprId e : exprs) {
+      GLUENAIL_ASSIGN_OR_RETURN(TermId v, EvalExpr(plan, e, rec, pool));
+      t.push_back(v);
+    }
+    f(std::move(t));
+  }
+  return Status::OK();
+}
 
 }  // namespace gluenail
 

@@ -31,9 +31,9 @@ struct SlowQueryEntry {
   std::vector<std::pair<std::string, uint64_t>> top_spans;
   /// When the query triggered a NAIL! memo refresh: how it ran — "full"
   /// (with the fallback reason in parentheses when IVM was on) or the
-  /// incremental mode ("counting" | "dred" | "counting+dred" | "empty") —
-  /// plus the EDB delta rows consumed and memo rows changed. Empty when
-  /// the query hit a fresh memo.
+  /// incremental mode ("dred" | "empty") — plus the EDB delta rows
+  /// consumed and memo rows changed. Empty when the query hit a fresh
+  /// memo.
   std::string nail_refresh_mode;
   uint64_t nail_delta_rows_in = 0;
   uint64_t nail_delta_rows_out = 0;

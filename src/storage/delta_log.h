@@ -5,8 +5,8 @@
 /// The engine's structured write path (Engine::ApplyBatch, which AddFact
 /// and inline EDB loads use) records every tuple that actually changed an
 /// EDB relation into this log as net insert/erase row sets. The NAIL!
-/// refresh planner consumes them to run counting / DRed maintenance
-/// instead of a full recompute (src/nail/ivm.cc).
+/// refresh planner consumes them to run DRed maintenance instead of a
+/// full recompute (src/nail/ivm.cc).
 ///
 /// Validity is watermark-based: after each captured batch the log seals
 /// itself at the EDB's (relation count, version-sum) snapshot. Relation

@@ -116,38 +116,39 @@ edge(4,5).
 end
 )";
 
-// --- Counting (non-recursive SCCs) -----------------------------------------
+// --- Non-recursive SCCs (the degenerate DRed case) -------------------------
 
-TEST(IvmCounting, InsertOnlyBatches) {
+TEST(IvmNonRecursive, InsertOnlyBatches) {
   IvmPair pair;
   pair.Load(kJoinProgram);
   pair.Check("enrolled(S, T)");  // first (full) materialization
   pair.Apply(Batch({"takes(jones, cs101)"}));
   pair.Check("enrolled(S, T)");
-  EXPECT_EQ(pair.nail()->last_refresh().mode, "counting");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
   EXPECT_GE(pair.nail()->delta_refresh_count(), 1u);
   pair.Apply(Batch({"takes(smith, cs99)", "takes(smith, cs101)"}));
   pair.Check("enrolled(S, T)");
-  EXPECT_EQ(pair.nail()->last_refresh().mode, "counting");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
 }
 
-TEST(IvmCounting, EraseKeepsMultiplySupportedTuples) {
+TEST(IvmNonRecursive, EraseKeepsMultiplySupportedTuples) {
   IvmPair pair;
   pair.Load(kJoinProgram);
   // enrolled(wilson, databases) will be derivable through BOTH cs99 and
-  // cs98: erasing one support must keep the tuple (the counting core).
+  // cs98: erasing one support must keep the tuple (over-deleted, then
+  // rederived).
   pair.Apply(Batch({"offered(cs98, databases)", "takes(wilson, cs98)"}));
   pair.Check("enrolled(S, T)");
   pair.Apply(Batch({}, {"takes(wilson, cs99)"}));
   pair.Check("enrolled(S, T)");
-  EXPECT_EQ(pair.nail()->last_refresh().mode, "counting");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
   // Now drop the last support; the tuple must go.
   pair.Apply(Batch({}, {"takes(wilson, cs98)"}));
   pair.Check("enrolled(S, T)");
-  EXPECT_EQ(pair.nail()->last_refresh().mode, "counting");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
 }
 
-TEST(IvmCounting, MixedBatch) {
+TEST(IvmNonRecursive, MixedBatch) {
   IvmPair pair;
   pair.Load(kJoinProgram);
   pair.Check("enrolled(S, T)");
@@ -158,10 +159,10 @@ TEST(IvmCounting, MixedBatch) {
   pair.Check("enrolled(S, T)");
 }
 
-TEST(IvmCounting, SelfJoinFallsBackCorrectly) {
-  // grandparent reads parent in two positions; a parent delta changes
-  // both at once, which single-delta counting cannot patch — the refresh
-  // must fall back and still be right.
+TEST(IvmNonRecursive, SelfJoinStaysIncremental) {
+  // grandparent reads parent in two positions, so a parent delta changes
+  // both at once. Inserts join through each position against the new
+  // state; an erase over-deletes through a live ∪ erased copy of parent.
   IvmPair pair;
   pair.Load(R"(
 module kb;
@@ -174,8 +175,12 @@ end
   pair.Check("grandparent(X, Z)");
   pair.Apply(Batch({"parent(homer, lisa)"}));
   pair.Check("grandparent(X, Z)");
-  EXPECT_EQ(pair.nail()->last_refresh().mode, "full");
-  EXPECT_EQ(pair.nail()->last_refresh().fallback, "counting-multi-delta");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
+  EXPECT_EQ(pair.nail()->last_refresh().old_state_rows, 0u);
+  pair.Apply(Batch({"parent(lisa, maggie)"}, {"parent(abe, homer)"}));
+  pair.Check("grandparent(X, Z)");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
+  EXPECT_GT(pair.nail()->last_refresh().old_state_rows, 0u);
 }
 
 // --- DRed (recursive SCCs) -------------------------------------------------
@@ -267,10 +272,10 @@ end
 )");
   pair.Check("ok_likes(X, Y)");
   // Only likes changes; banned (the negated relation) is untouched, so
-  // counting applies.
+  // the refresh stays incremental.
   pair.Apply(Batch({"likes(a, pasta)"}, {"likes(a, pizza)"}));
   pair.Check("ok_likes(X, Y)");
-  EXPECT_EQ(pair.nail()->last_refresh().mode, "counting");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
 }
 
 // --- HiLog published instances ---------------------------------------------
@@ -293,7 +298,7 @@ end
   pair.Check("students(cs99)(S)");
   pair.Check("students(cs101)(S)");
   pair.Check("students(C)(S)");
-  EXPECT_EQ(pair.nail()->last_refresh().mode, "counting");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
 }
 
 // --- Execution strategies and the parallel fixpoint ------------------------
@@ -362,10 +367,6 @@ struct RandomDredCase {
   std::vector<std::string> edb;
   std::vector<std::string> goals;
   OldStateCopies copies;
-  /// Counting maintenance recomputes some of this program's batches
-  /// (counting-multi-delta), so only its answers are checked, not that
-  /// every batch was a delta refresh.
-  bool may_fall_back = false;
 };
 
 std::vector<RandomDredCase> RandomDredCases() {
@@ -422,8 +423,9 @@ r(X,Z) :- r(X,Y) & e1(Y,W) & e2(W,Z).
 end
 )",
        {"e1", "e2"}, {"r(X, Y)"}, OldStateCopies::kDependsOnBatches},
-      // link is a non-recursive memo patched by counting (whose backfill
-      // copies the old state); reach's DRed reads link's net change.
+      // link is a non-recursive memo; reach's DRed reads link's net
+      // change. No rule reads two positions with erased rows, so nothing
+      // is copied.
       {"UpstreamMemo", R"(
 module kb;
 edb edge(X,Y);
@@ -432,7 +434,7 @@ reach(X,Y) :- link(X,Y).
 reach(X,Z) :- reach(X,Y) & link(Y,Z).
 end
 )",
-       {"edge"}, {"link(X, Y)", "reach(X, Y)"}, OldStateCopies::kSome},
+       {"edge"}, {"link(X, Y)", "reach(X, Y)"}, OldStateCopies::kNever},
       // Non-recursive SCCs. a and b churn in the same batches, so a rule
       // can read two changed positions.
       {"NonRecursiveJoin", R"(
@@ -441,15 +443,16 @@ edb a(X,Y), b(X,Y);
 j(X,Z) :- a(X,Y) & b(Y,Z).
 end
 )",
-       {"a", "b"}, {"j(X, Z)"}, OldStateCopies::kDependsOnBatches, true},
-      // par is read twice: every par change is a two-position delta.
+       {"a", "b"}, {"j(X, Z)"}, OldStateCopies::kDependsOnBatches},
+      // par is read twice: every par change is a two-position delta, and
+      // every erase reads par through a live ∪ erased copy.
       {"SelfJoin", R"(
 module kb;
 edb par(X,Y);
 gp(X,Z) :- par(X,Y) & par(Y,Z).
 end
 )",
-       {"par"}, {"gp(X, Z)"}, OldStateCopies::kDependsOnBatches, true},
+       {"par"}, {"gp(X, Z)"}, OldStateCopies::kSome},
       // seen projects a wildcard away (many event rows, one seen row);
       // both reads seen's net change next to the event change.
       {"WildcardProjection", R"(
@@ -459,8 +462,7 @@ seen(N) :- event(_,N).
 both(N) :- seen(N) & event(N,_).
 end
 )",
-       {"event"}, {"seen(N)", "both(N)"}, OldStateCopies::kDependsOnBatches,
-       true},
+       {"event"}, {"seen(N)", "both(N)"}, OldStateCopies::kDependsOnBatches},
   };
 }
 
@@ -529,7 +531,6 @@ TEST_P(IvmRandomDredTest, MatchesFullRecompute) {
       pair.Load(c.program);
       int changed = RunRandomBatches(&pair, c, seed, 40);
       if (HasFailure()) return;
-      if (c.may_fall_back) continue;
       // Every batch after the first materialization was a delta refresh:
       // no structural fallback, no error fallback.
       EXPECT_EQ(pair.nail()->full_refresh_count(), 1u) << "seed " << seed;

@@ -20,10 +20,11 @@
 #                                      # writers per durability level,
 #                                      # recovered state verified
 #                                      #   -> BENCH_wal.json
-#   tools/run_bench.sh bench_ivm       # incremental (counting/DRed) vs
-#                                      # full memo refresh over a 1M-tuple
-#                                      # closure, batch sizes 1/64/4096,
-#                                      # results verified identical
+#   tools/run_bench.sh bench_ivm       # incremental (DRed) vs full memo
+#                                      # refresh over a 1M-tuple closure
+#                                      # and a non-recursive join, batch
+#                                      # sizes 1/64/4096, results verified
+#                                      # identical
 #                                      #   -> BENCH_ivm.json
 #   tools/run_bench.sh bench_repl      # read throughput on 1/2/4 WAL-
 #                                      # tailing replicas vs the write-
