@@ -38,7 +38,7 @@ build_dir="${BENCH_BUILD_DIR:-$repo_root/build-release}"
 out_dir="${BENCH_OUT_DIR:-$repo_root}"
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$build_dir" -j >/dev/null
+cmake --build "$build_dir" -j "$(nproc)" >/dev/null
 
 if [ "$#" -gt 0 ]; then
   benches=("$@")

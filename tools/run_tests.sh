@@ -8,12 +8,14 @@
 #   asan   — -DGLUENAIL_ASAN=ON, runs the asan-labelled storage tests
 #            (relation_test includes the dense-key probe-length checks on
 #            the dedup and index head tables), barrier_ops_test (record
-#            dedup, group_by and aggregates compacting in place), and the
+#            dedup, group_by and aggregates compacting in place), the
 #            operator golden suite plus hilog_test and cross_feature_test
-#            (structural and HiLog matches on raw lane pointers)
+#            (structural and HiLog matches on raw lane pointers), and the
+#            IVM suite with its allocation-fault sweep
 #   ubsan  — -DGLUENAIL_UBSAN=ON, runs the ubsan-labelled planner tests,
 #            plus relation_test's dense-key checks, barrier_ops_test,
-#            hilog_test and cross_feature_test
+#            hilog_test, cross_feature_test and the IVM suite with its
+#            allocation-fault sweep
 #   tsan   — -DGLUENAIL_TSAN=ON, runs the tsan-labelled concurrency tests
 #   fault  — Debug build, runs only the faultinject-labelled matrix
 #   obs    — Debug build, runs only the obs-labelled observability suite
@@ -33,11 +35,11 @@
 #            four group-commit writers); the same tests also run under
 #            asan and tsan via their labels
 #   ivm    — Debug build, runs only the ivm-labelled incremental view
-#            maintenance suite (counting/DRed differential checks,
+#            maintenance suite (DRed differential checks,
 #            randomized DRed differentials, fallback guards, recovery
 #            invalidation, inline EDB loads refreshed by delta, the
-#            DRed allocation-fault sweep); ivm_test
-#            also runs under asan and tsan via its labels
+#            DRed allocation-fault sweep); both also run under asan and
+#            ubsan, and ivm_test under tsan, via their labels
 #   repl   — Debug build, runs only the repl-labelled log-shipping
 #            replication suite (codecs, the write fence on every EDB
 #            write command, convergence, inline loads shipped, snapshot
@@ -56,7 +58,9 @@
 #
 # Build trees are kept per-config under build-<config>/ (override the
 # prefix with $TEST_BUILD_PREFIX) so switching configs never thrashes one
-# cache.
+# cache. A config that runs one label builds only that label's tests (test
+# names equal target names), so a sanitizer tree holds a few test
+# binaries, not the whole project.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -66,66 +70,79 @@ prefix="${TEST_BUILD_PREFIX:-$repo_root/build}"
 # so switching between them never reconfigures it.
 debug_flags=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=-Werror)
 
+# configure_and_build <dir> <label> [cmake args...]: configures <dir>,
+# then builds the targets of the tests labelled <label>, or every target
+# when <label> is empty.
 configure_and_build() {
-  local dir="$1"; shift
+  local dir="$1" label="$2"; shift 2
   cmake -B "$dir" -S "$repo_root" "$@" >/dev/null
-  cmake --build "$dir" -j
+  local targets=()
+  if [ -n "$label" ]; then
+    mapfile -t targets < <(cd "$dir" && ctest -N -L "$label" |
+      sed -n 's/^ *Test *#[0-9]*: //p')
+    if [ "${#targets[@]}" -eq 0 ]; then
+      echo "error: no test carries label '$label'" >&2
+      exit 1
+    fi
+    targets=(--target "${targets[@]}")
+  fi
+  cmake --build "$dir" -j "$(nproc)" "${targets[@]}"
 }
 
 run_config() {
   local config="$1"
   case "$config" in
     debug)
-      configure_and_build "$prefix-debug" "${debug_flags[@]}"
+      configure_and_build "$prefix-debug" "" "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -j)
       ;;
     asan)
-      configure_and_build "$prefix-asan" -DCMAKE_BUILD_TYPE=Debug \
+      configure_and_build "$prefix-asan" asan -DCMAKE_BUILD_TYPE=Debug \
         -DGLUENAIL_ASAN=ON
       (cd "$prefix-asan" && ctest --output-on-failure -L asan -j)
       ;;
     ubsan)
-      configure_and_build "$prefix-ubsan" -DCMAKE_BUILD_TYPE=Debug \
+      configure_and_build "$prefix-ubsan" ubsan -DCMAKE_BUILD_TYPE=Debug \
         -DGLUENAIL_UBSAN=ON
       (cd "$prefix-ubsan" && ctest --output-on-failure -L ubsan -j)
       ;;
     tsan)
-      configure_and_build "$prefix-tsan" -DCMAKE_BUILD_TYPE=Debug \
+      configure_and_build "$prefix-tsan" tsan -DCMAKE_BUILD_TYPE=Debug \
         -DGLUENAIL_TSAN=ON
       (cd "$prefix-tsan" && ctest --output-on-failure -L tsan -j)
       ;;
     fault)
-      configure_and_build "$prefix-debug" "${debug_flags[@]}"
+      configure_and_build "$prefix-debug" faultinject "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L faultinject -j)
       ;;
     obs)
-      configure_and_build "$prefix-debug" "${debug_flags[@]}"
+      configure_and_build "$prefix-debug" obs "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L obs -j)
       ;;
     server)
-      configure_and_build "$prefix-debug" "${debug_flags[@]}"
+      configure_and_build "$prefix-debug" server "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L server -j)
       ;;
     vector)
-      configure_and_build "$prefix-debug" "${debug_flags[@]}"
+      configure_and_build "$prefix-debug" vector "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L vector -j)
       ;;
     wal)
-      configure_and_build "$prefix-debug" "${debug_flags[@]}"
+      configure_and_build "$prefix-debug" wal "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L wal -j)
       ;;
     ivm)
-      configure_and_build "$prefix-debug" "${debug_flags[@]}"
+      configure_and_build "$prefix-debug" ivm "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L ivm -j)
       ;;
     repl)
-      configure_and_build "$prefix-debug" "${debug_flags[@]}"
+      configure_and_build "$prefix-debug" repl "${debug_flags[@]}"
       (cd "$prefix-debug" && ctest --output-on-failure -L repl -j)
       ;;
     bench)
       cmake -B "$prefix-bench" -S "$repo_root/bench/workloads" \
         -DCMAKE_BUILD_TYPE=Release >/dev/null
-      cmake --build "$prefix-bench" -j
+      cmake --build "$prefix-bench" -j "$(nproc)"
       (cd "$prefix-bench" && ctest --output-on-failure -L bench -j)
       ;;
     *)
