@@ -306,7 +306,6 @@ Status NailEngine::EnsureIvmPlans() {
       }
     }
 
-    ir.ok = ok;
     all_ok = all_ok && ok;
   }
   ivm_program_capable_ = all_ok && !program_.rules.empty();

@@ -303,7 +303,6 @@ class NailEngine : public NailEvaluator {
     /// DRed rederivation: the per-pred deletion set prepended to the
     /// original body (semi-join on the head variables), head = head_cols.
     StatementPlan rederive;
-    bool ok = false;  ///< false => whole-program IVM fallback
   };
 
   /// Per-refresh working state (net change map, scratch executors, union
