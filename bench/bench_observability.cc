@@ -53,8 +53,7 @@ BENCHMARK(BM_Query_Join)
     ->ArgName("trace");
 
 /// Fixpoint workload: transitive closure on a chain, where the semi-naive
-/// driver's per-iteration spans (and worker-sink merges when parallel)
-/// dominate the trace.
+/// driver's per-iteration spans dominate the trace.
 void BM_Query_Fixpoint(benchmark::State& state) {
   Engine engine;
   bench::Require(

@@ -190,13 +190,6 @@ Status Engine::LoadProgram(std::string_view source) {
 
 Status Engine::LoadProgramLocked(std::string_view source) {
   auto start = std::chrono::steady_clock::now();
-  if (options_.num_threads > 1 &&
-      options_.nail_mode == NailMode::kCompiledGlue) {
-    // The parallel evaluator partitions the direct fixpoint; the generated
-    // Glue driver cannot be split.
-    return Status::InvalidArgument(
-        "nail_mode kCompiledGlue cannot run with num_threads > 1");
-  }
   GLUENAIL_ASSIGN_OR_RETURN(ast::Program parsed, ParseProgram(source));
 
   LinkOptions link_opts;
@@ -210,7 +203,6 @@ Status Engine::LoadProgramLocked(std::string_view source) {
   nail_engine_ = std::make_unique<NailEngine>(linked_->nail, &edb_, &idb_,
                                               &pool_);
   nail_engine_->set_mode(options_.nail_mode);
-  nail_engine_->set_num_threads(options_.num_threads);
   // The direct plans serve every delta refresh, so they are compiled in
   // every mode; kCompiledGlue only adds its generated driver for full
   // refreshes.

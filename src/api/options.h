@@ -33,13 +33,6 @@ struct EngineOptions {
   /// Back-end index policy for newly created relations (§10).
   IndexPolicy index_policy = IndexPolicy::kAdaptive;
   AdaptiveConfig adaptive;
-  /// Worker threads for the parallel semi-naive evaluator: each fixpoint
-  /// iteration partitions the delta across this many workers. 1 (the
-  /// default) is exactly the old serial behavior. Values > 1 need the
-  /// direct or naive NAIL! mode: the compiled-Glue driver runs the fixpoint
-  /// through generated Glue procedures, which the partitioner cannot
-  /// split, so LoadProgram refuses kCompiledGlue with num_threads > 1.
-  int num_threads = 1;
 
   // --- Incremental view maintenance (src/nail/ivm.cc,
   // docs/ARCHITECTURE.md "Incremental view maintenance") ------------------

@@ -45,11 +45,11 @@ struct ExecOptions {
   int max_call_depth = 512;
   /// Guard against non-terminating repeat loops.
   uint64_t max_loop_iterations = 10'000'000;
-  /// Read-only discipline for concurrent reader sessions and parallel
-  /// evaluation workers: keyed selections go through SelectConst (never
-  /// build indexes or touch adaptive statistics), NAIL! reads assume the
-  /// IDB is already fresh, and any statement that writes a shared relation
-  /// fails with a runtime error.
+  /// Read-only discipline for concurrent reader sessions and the
+  /// body-only executors of delta maintenance: keyed selections go through
+  /// SelectConst (never build indexes or touch adaptive statistics), NAIL!
+  /// reads assume the IDB is already fresh, and any statement that writes
+  /// a shared relation fails with a runtime error.
   bool read_only_storage = false;
   /// Exception to read_only_storage for magic-sets evaluation: the IDB
   /// passed to this executor is a private scratch database, so kNail writes
@@ -154,8 +154,8 @@ class Executor {
   /// Redirects the I/O builtins (tests and examples script stdin/stdout).
   void set_io(const IoEnv& io) { env_.io = io; }
 
-  /// Substitutes the relation read for \p name (any arity) — the parallel
-  /// semi-naive workers point the delta predicate at their partition.
+  /// Substitutes the relation read for \p name (any arity) — delta
+  /// maintenance points a rule position's reserved name at a delta.
   void AddReadOverride(TermId name, Relation* rel) {
     read_overrides_[name] = rel;
   }
@@ -368,7 +368,7 @@ class Executor {
   /// Rows charged since the last full check; every charge accumulates
   /// here and flushes at kRowCheckInterval.
   uint64_t rows_since_check_ = 0;
-  /// Name -> replacement relation for reads (parallel delta partitions).
+  /// Name -> replacement relation for reads (delta-maintenance deltas).
   std::unordered_map<TermId, Relation*> read_overrides_;
   /// Plans under EXPLAIN ANALYZE profiling -> actual rows per op index.
   std::unordered_map<const StatementPlan*, std::vector<uint64_t>>

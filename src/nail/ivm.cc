@@ -73,7 +73,7 @@ bool PlanCapable(const StatementPlan& plan) {
 
 /// Body-only executors read through SelectConst, which never builds
 /// indexes — so build any keyed index up front, where the writer path
-/// would have built it adaptively (mirrors ParallelIterate).
+/// would have built it adaptively.
 void BuildIndexesFor(const StatementPlan& plan, Database* edb, Database* idb,
                      const std::unordered_map<TermId, Relation*>& overrides) {
   for (const PlanOp& op : plan.ops) {
@@ -626,8 +626,8 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
     }
   }
   if (seeded) {
-    // The seeds of a recursive SCC feed the ordinary semi-naive engine — same fixpoint loop,
-    // same parallel partitioned path, as a full refresh.
+    // The seeds of a recursive SCC feed the same semi-naive fixpoint loop
+    // as a full refresh.
     GLUENAIL_RETURN_NOT_OK(RunSccFixpoint(s));
   }
 

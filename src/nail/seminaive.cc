@@ -1,8 +1,6 @@
 #include "src/nail/seminaive.h"
 
 #include <memory>
-#include <optional>
-#include <unordered_set>
 
 #include "src/common/strings.h"
 #include "src/nail/nail_to_glue.h"
@@ -24,9 +22,6 @@ void NailEngine::RegisterMetrics(MetricsRegistry* registry,
        &NailEngine::refresh_count},
       {"gluenail_nail_iterations_total", "semi-naive fixpoint iterations",
        &NailEngine::iteration_count},
-      {"gluenail_nail_parallel_batches_total",
-       "parallel fixpoint iterations dispatched to workers",
-       &NailEngine::parallel_batches},
       {"gluenail_nail_replans_total",
        "mid-evaluation SCC replans on cardinality drift",
        &NailEngine::replan_count},
@@ -93,7 +88,6 @@ Status NailEngine::CompileDirect(const Scope* builtin_scope,
     for (const ast::Assignment& a : stmts.iterate) {
       GLUENAIL_ASSIGN_OR_RETURN(StatementPlan plan,
                                 PlanAssignment(a, env, opts));
-      scc_plans_[s].iterate_info.push_back(AnalyzeIterate(plan));
       scc_plans_[s].iterate.push_back(std::move(plan));
       scc_plans_[s].iterate_asts.push_back(a);
     }
@@ -138,7 +132,6 @@ Status NailEngine::MaybeReplanScc(SccPlans* plans,
     GLUENAIL_ASSIGN_OR_RETURN(
         StatementPlan plan,
         PlanAssignment(plans->iterate_asts[i], env, planner_opts_));
-    plans->iterate_info[i] = AnalyzeIterate(plan);
     plans->iterate[i] = std::move(plan);
   }
   plans->last_planned_delta = cur;
@@ -346,21 +339,8 @@ Status NailEngine::RunSccFixpoint(size_t s) {
       const NailPred& pred = program_.preds[static_cast<size_t>(p)];
       idb_->GetOrCreate(pred.newdelta_storage, pred.columns())->Clear();
     }
-    for (size_t i = 0; i < plans.iterate.size(); ++i) {
-      const StatementPlan& plan = plans.iterate[i];
-      const IterInfo& info = plans.iterate_info[i];
-      Relation* delta = nullptr;
-      if (num_threads_ > 1 && info.parallel_ok) {
-        delta = idb_->Find(info.delta_name, info.delta_arity);
-      }
-      // Partitioning pays off only when the delta can feed every worker;
-      // tiny deltas (and all barrier statements) take the serial path.
-      if (delta != nullptr &&
-          delta->size() >= static_cast<size_t>(num_threads_)) {
-        GLUENAIL_RETURN_NOT_OK(ParallelIterate(plan, info, delta));
-      } else {
-        GLUENAIL_RETURN_NOT_OK(exec_->ExecuteStatementPlan(plan, &frame));
-      }
+    for (const StatementPlan& plan : plans.iterate) {
+      GLUENAIL_RETURN_NOT_OK(exec_->ExecuteStatementPlan(plan, &frame));
     }
     bool done = true;
     for (int p : preds) {
@@ -378,167 +358,6 @@ Status NailEngine::RunSccFixpoint(size_t s) {
     }
     if (done) break;
   }
-  return Status::OK();
-}
-
-NailEngine::IterInfo NailEngine::AnalyzeIterate(
-    const StatementPlan& plan) const {
-  IterInfo info;
-  const HeadPlan& head = plan.head;
-  if (head.is_return || head.op != ast::AssignOp::kInsert ||
-      head.access.kind != PredicateAccess::Kind::kNail ||
-      head.delta_access.kind != PredicateAccess::Kind::kNail) {
-    return info;
-  }
-  std::unordered_set<TermId> delta_names;
-  for (const NailPred& pred : program_.preds) {
-    delta_names.insert(pred.delta_storage);
-  }
-  int delta_ops = 0;
-  for (const PlanOp& op : plan.ops) {
-    switch (op.kind) {
-      case OpKind::kMatch:
-        if (op.access.kind != PredicateAccess::Kind::kEdb &&
-            op.access.kind != PredicateAccess::Kind::kNail) {
-          return info;
-        }
-        if (op.access.kind == PredicateAccess::Kind::kNail &&
-            delta_names.count(op.access.name) != 0) {
-          ++delta_ops;
-          info.delta_name = op.access.name;
-          info.delta_arity = op.access.arity;
-        }
-        break;
-      case OpKind::kCompare:
-        break;
-      default:
-        // kNegMatch marks a stratified-negation barrier; aggregates,
-        // group_by, calls, and body updates are pipeline barriers. All of
-        // them keep the statement on the serial path.
-        return info;
-    }
-  }
-  info.parallel_ok = delta_ops == 1 && info.delta_name != kNullTerm;
-  if (!info.parallel_ok) {
-    info.delta_name = kNullTerm;
-    info.delta_arity = 0;
-  }
-  return info;
-}
-
-Status NailEngine::ParallelIterate(const StatementPlan& plan,
-                                   const IterInfo& info, Relation* delta) {
-  const HeadPlan& head = plan.head;
-  Relation* storage = idb_->GetOrCreate(head.access.name, head.access.arity);
-  Relation* newdelta =
-      idb_->GetOrCreate(head.delta_access.name, head.delta_access.arity);
-
-  // Workers read shared relations strictly through SelectConst, which
-  // never builds indexes — so build any keyed index up front, serially,
-  // where the serial path would have built it adaptively.
-  for (const PlanOp& op : plan.ops) {
-    if (op.kind != OpKind::kMatch && op.kind != OpKind::kNegMatch) continue;
-    if (op.bound_mask == 0 || op.access.name == info.delta_name) continue;
-    Database* db =
-        op.access.kind == PredicateAccess::Kind::kEdb ? edb_ : idb_;
-    Relation* rel = db->Find(op.access.name, op.access.arity);
-    if (rel != nullptr && rel->index_policy() != IndexPolicy::kNeverIndex &&
-        rel->size() >= 64) {
-      rel->EnsureIndex(op.bound_mask);
-    }
-  }
-
-  if (workers_ == nullptr) {
-    workers_ = std::make_unique<WorkerPool>(num_threads_);
-  }
-  int k = num_threads_;
-  if (static_cast<size_t>(k) > delta->size()) {
-    k = static_cast<int>(delta->size());
-  }
-
-  // Contiguous-range partition of the delta: harvest the live row ids in
-  // one pass, then bulk-load each worker's partition from its slice. The
-  // delta is duplicate-free and the partitions start empty, so the loader
-  // can skip the per-tuple dedup probe the old round-robin Insert paid.
-  // Deterministic given the delta's (deterministic) insertion order.
-  std::vector<uint32_t> live;
-  live.reserve(delta->size());
-  delta->CollectLiveRows(0, delta->num_rows(), &live);
-  std::vector<std::unique_ptr<Relation>> parts;
-  parts.reserve(static_cast<size_t>(k));
-  const size_t per = live.size() / static_cast<size_t>(k);
-  const size_t extra = live.size() % static_cast<size_t>(k);
-  size_t begin = 0;
-  for (int w = 0; w < k; ++w) {
-    parts.push_back(std::make_unique<Relation>(delta->name(), delta->arity()));
-    size_t len = per + (static_cast<size_t>(w) < extra ? 1 : 0);
-    parts.back()->AppendDistinctRows(
-        *delta, std::span<const uint32_t>(live).subspan(begin, len));
-    begin += len;
-  }
-
-  // Each worker evaluates the body against frozen shared state, with the
-  // delta subgoal redirected to its partition, and keeps only candidate
-  // head tuples not already in storage. Any derivation that would need a
-  // tuple merged this same round still appears: its premises are then in
-  // storage ∪ newdelta, so the delta rule refires next round.
-  std::vector<std::vector<Tuple>> found(static_cast<size_t>(k));
-  std::vector<Status> worker_status(static_cast<size_t>(k));
-  // Tracing across the fork/join: each worker records into its own sink
-  // (sharing the parent's clock epoch) installed thread-locally on the
-  // worker thread, so recording needs no mutex; after the barrier the
-  // children merge under the span open on this thread (the iteration).
-  TraceSink* parent_sink = TraceSink::Current();
-  std::vector<std::unique_ptr<TraceSink>> worker_sinks;
-  if (parent_sink != nullptr) {
-    worker_sinks.reserve(static_cast<size_t>(k));
-    for (int w = 0; w < k; ++w) {
-      worker_sinks.push_back(std::make_unique<TraceSink>(
-          static_cast<uint32_t>(w + 1), parent_sink->epoch()));
-    }
-  }
-  workers_->Run(k, [&](int w) {
-    std::optional<TraceScope> trace_scope;
-    if (parent_sink != nullptr) {
-      trace_scope.emplace(worker_sinks[static_cast<size_t>(w)].get());
-    }
-    ScopedSpan worker_span("nail:worker");
-    ExecOptions opts = exec_->options();
-    opts.read_only_storage = true;
-    opts.writable_private_idb = false;
-    RuntimeEnv env;
-    env.nail = this;
-    Executor worker(exec_->program(), edb_, idb_, pool_, env, opts);
-    worker.AddReadOverride(info.delta_name,
-                           parts[static_cast<size_t>(w)].get());
-    std::unordered_set<Tuple, TupleHash> seen;
-    std::vector<Tuple>& out = found[static_cast<size_t>(w)];
-    worker_status[static_cast<size_t>(w)] =
-        RunPlanHeads(&worker, plan, pool_, [&](Tuple t) {
-          if (!storage->Contains(t) && seen.insert(t).second) {
-            out.push_back(std::move(t));
-          }
-        });
-    worker_span.AddRows(out.size());
-  });
-  if (parent_sink != nullptr) {
-    int32_t attach = parent_sink->current_open();
-    for (auto& sink : worker_sinks) {
-      parent_sink->Merge(std::move(*sink), attach);
-    }
-  }
-  for (const Status& st : worker_status) {
-    GLUENAIL_RETURN_NOT_OK(st);
-  }
-
-  // Serial merge: uniondiff the per-worker buffers into storage, capturing
-  // genuinely new tuples into newdelta for the next round.
-  for (const std::vector<Tuple>& buf : found) {
-    for (const Tuple& t : buf) {
-      if (storage->Insert(t)) newdelta->Insert(t);
-    }
-  }
-  ++parallel_batches_;
   return Status::OK();
 }
 

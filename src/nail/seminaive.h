@@ -11,8 +11,8 @@
 /// Three modes:
 ///  * kDirect — the default and the engine's runtime path: C++ drives the
 ///    semi-naive fixpoint per SCC over compiled rule-version plans. Full
-///    refreshes, delta (IVM) refreshes and the parallel fixpoint all run
-///    through RunSccFixpoint;
+///    and delta (IVM) refreshes both reach their fixpoint through the one
+///    serial loop, RunSccFixpoint;
 ///  * kCompiledGlue — the paper's architecture, kept as the E10 artifact:
 ///    generated Glue procedures (nail_to_glue.h) run the full fixpoint
 ///    through the ordinary Glue executor, repeat/until and all;
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "src/exec/executor.h"
-#include "src/exec/worker_pool.h"
 #include "src/nail/rule_graph.h"
 #include "src/plan/planner.h"
 #include "src/storage/delta_log.h"
@@ -99,11 +98,6 @@ class NailEngine : public NailEvaluator {
   void set_mode(NailMode mode) { mode_ = mode; }
   NailMode mode() const { return mode_; }
 
-  /// Parallelism for the direct semi-naive fixpoint: each iteration's delta
-  /// is partitioned across \p n workers (1 = the exact serial path).
-  void set_num_threads(int n) { num_threads_ = n < 1 ? 1 : n; }
-  int num_threads() const { return num_threads_; }
-
   /// True when the memoized IDB matches the current EDB — i.e. reads can
   /// proceed without evaluation. Callers use this to decide whether a
   /// shared (read) lock suffices.
@@ -138,9 +132,6 @@ class NailEngine : public NailEvaluator {
   uint64_t refresh_count() const { return refresh_count_; }
   /// Fixpoint iterations across refreshes (direct/naive modes).
   uint64_t iteration_count() const { return iteration_count_; }
-  /// Iterate statements executed through the parallel partitioned path
-  /// (tests assert the parallel evaluator actually engaged).
-  uint64_t parallel_batches() const { return parallel_batches_; }
   /// Mid-fixpoint replans of iterate bodies triggered by observed delta
   /// sizes drifting from what the plans were costed against. Atomic so
   /// query observability can sample it before taking the engine lock.
@@ -199,8 +190,8 @@ class NailEngine : public NailEvaluator {
   Status Publish();
   /// Runs SCC \p s's semi-naive fixpoint loop (deltas already seeded by
   /// the caller: init statements for a full refresh, captured/derived
-  /// deltas for an incremental one). Shared by RefreshDirect and the
-  /// incremental DRed/insert-propagation phases.
+  /// deltas for an incremental one). The one serial fixpoint loop of the
+  /// direct mode, shared by RefreshDirect and DRed's insertion phase.
   Status RunSccFixpoint(size_t s);
   /// (relation count, sum of versions) over the EDB — monotone snapshot.
   std::pair<uint64_t, uint64_t> EdbSnapshot() const;
@@ -214,21 +205,10 @@ class NailEngine : public NailEvaluator {
   NailMode mode_ = NailMode::kDirect;
   int driver_proc_ = -1;
 
-  /// Static analysis of one iterate statement for the parallel path.
-  struct IterInfo {
-    /// The single delta subgoal's relation (the partitioned input);
-    /// kNullTerm when the statement is not parallel-eligible.
-    TermId delta_name = kNullTerm;
-    uint32_t delta_arity = 0;
-    bool parallel_ok = false;
-  };
-
   /// Per-SCC compiled plans (direct/naive modes).
   struct SccPlans {
     std::vector<StatementPlan> init;
     std::vector<StatementPlan> iterate;
-    /// Parallel to `iterate`.
-    std::vector<IterInfo> iterate_info;
     /// Naive mode: the original rules over full relations, delta-free.
     std::vector<StatementPlan> naive;
     /// The iterate statements' ASTs, kept so the fixpoint can replan them
@@ -240,15 +220,9 @@ class NailEngine : public NailEvaluator {
   std::vector<SccPlans> scc_plans_;
   std::unique_ptr<Scope> nail_scope_;
 
-  /// Classifies an iterate statement; called once at compile time.
-  IterInfo AnalyzeIterate(const StatementPlan& plan) const;
-  /// Runs one iterate statement by partitioning its delta across the
-  /// worker pool; falls back is handled by the caller.
-  Status ParallelIterate(const StatementPlan& plan, const IterInfo& info,
-                         Relation* delta);
   /// Runs \p plan body-only through \p ex and hands each binding record's
-  /// head tuple to \p f — the one head-evaluation loop of the parallel
-  /// workers and the delta-maintenance passes (ivm.cc).
+  /// head tuple to \p f — the head-evaluation loop of every
+  /// delta-maintenance pass (ivm.cc).
   template <typename F>
   static Status RunPlanHeads(Executor* ex, const StatementPlan& plan,
                              TermPool* pool, F&& f);
@@ -268,11 +242,7 @@ class NailEngine : public NailEvaluator {
   std::pair<uint64_t, uint64_t> snapshot_{0, 0};
   uint64_t refresh_count_ = 0;
   uint64_t iteration_count_ = 0;
-  uint64_t parallel_batches_ = 0;
   std::atomic<uint64_t> replan_count_{0};
-  int num_threads_ = 1;
-  /// Lazily created when num_threads_ > 1 and a parallel batch runs.
-  std::unique_ptr<WorkerPool> workers_;
 
   // ---- Incremental view maintenance (src/nail/ivm.cc) ----------------
 

@@ -65,8 +65,7 @@ int32_t TraceSink::StartSpan(std::string name) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - epoch_)
           .count());
-  span.parent = current_open();
-  span.tid = tid_;
+  span.parent = open_.empty() ? -1 : open_.back();
   int32_t idx = static_cast<int32_t>(spans_.size());
   spans_.push_back(std::move(span));
   open_.push_back(idx);
@@ -95,21 +94,6 @@ void TraceSink::AppendPlan(const std::string& text) {
   plan_ += text;
 }
 
-void TraceSink::Merge(TraceSink&& child, int32_t attach_parent) {
-  int32_t offset = static_cast<int32_t>(spans_.size());
-  for (TraceSpan& s : child.spans_) {
-    if (spans_.size() >= kMaxSpans) {
-      ++dropped_;
-      continue;
-    }
-    s.parent = s.parent < 0 ? attach_parent : s.parent + offset;
-    spans_.push_back(std::move(s));
-  }
-  dropped_ += child.dropped_;
-  child.spans_.clear();
-  child.open_.clear();
-}
-
 QueryTrace TraceSink::Finish(std::string query, uint64_t total_ns) {
   QueryTrace out;
   out.query = std::move(query);
@@ -126,8 +110,8 @@ QueryTrace TraceSink::Finish(std::string query, uint64_t total_ns) {
 
 std::string QueryTrace::RenderTree() const {
   std::string out = StrCat("trace: ", query, "  (", FormatMs(total_ns), ")\n");
-  // Children in recording order; a parent index past the vector (possible
-  // only when the span cap dropped a parent mid-merge) renders as a root.
+  // Children in recording order; a parent index past the vector renders
+  // as a root.
   std::vector<std::vector<size_t>> children(spans.size());
   std::vector<size_t> roots;
   for (size_t i = 0; i < spans.size(); ++i) {
@@ -149,7 +133,6 @@ std::string QueryTrace::RenderTree() const {
     out += s.name;
     out += StrCat("  ", FormatMs(s.dur_ns));
     if (s.rows != 0) out += StrCat("  rows=", s.rows);
-    if (s.tid != 0) out += StrCat("  tid=", s.tid);
     out += "\n";
     const std::vector<size_t>& kids = children[idx];
     for (size_t k = kids.size(); k > 0; --k) {
@@ -168,8 +151,10 @@ std::string QueryTrace::RenderTree() const {
 std::string QueryTrace::RenderChromeJson() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
+  // Every span is recorded on the query's thread; the format requires a
+  // tid all the same.
   auto emit = [&](const std::string& name, uint64_t start_ns, uint64_t dur_ns,
-                  uint32_t tid, uint64_t rows) {
+                  uint64_t rows) {
     if (!first) out += ",";
     first = false;
     char ts[64];
@@ -178,12 +163,12 @@ std::string QueryTrace::RenderChromeJson() const {
     std::snprintf(dur, sizeof(dur), "%.3f", static_cast<double>(dur_ns) / 1e3);
     out += StrCat("{\"name\":\"", JsonEscape(name),
                   "\",\"cat\":\"gluenail\",\"ph\":\"X\",\"ts\":", ts,
-                  ",\"dur\":", dur, ",\"pid\":1,\"tid\":", tid,
+                  ",\"dur\":", dur, ",\"pid\":1,\"tid\":0",
                   ",\"args\":{\"rows\":", rows, "}}");
   };
-  emit(query.empty() ? "query" : query, 0, total_ns, 0, 0);
+  emit(query.empty() ? "query" : query, 0, total_ns, 0);
   for (const TraceSpan& s : spans) {
-    emit(s.name, s.start_ns, s.dur_ns, s.tid, s.rows);
+    emit(s.name, s.start_ns, s.dur_ns, s.rows);
   }
   out += "]}";
   return out;

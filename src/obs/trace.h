@@ -10,11 +10,6 @@
 /// is a no-op when none is installed, so untraced queries pay one
 /// thread-local load per span site and nothing else.
 ///
-/// Parallel semi-naive workers get their own sinks (sharing the parent's
-/// clock epoch) installed on the worker threads, so recording is mutex-free
-/// end to end; the driver merges them into the parent at the fixpoint
-/// barrier, re-parenting worker roots under the open iteration span.
-///
 /// Finished traces become immutable QueryTrace objects held by shared_ptr
 /// in a bounded TraceRing (one per Engine, one per Session), rendered as an
 /// indented tree (`:trace last`) or as Chrome `trace_event` JSON that loads
@@ -43,13 +38,12 @@ namespace gluenail {
 
 /// One timed event. Spans form a tree via parent indices into the owning
 /// sink/trace's span vector; times are nanoseconds relative to the trace
-/// epoch so worker-recorded spans line up with the query thread's.
+/// epoch.
 struct TraceSpan {
   std::string name;
   uint64_t start_ns = 0;
   uint64_t dur_ns = 0;
   int32_t parent = -1;  ///< index of the enclosing span, -1 for roots
-  uint32_t tid = 0;     ///< 0 = query thread, 1.. = semi-naive workers
   uint64_t rows = 0;    ///< rows produced/visited, when the site knows
 };
 
@@ -69,15 +63,10 @@ struct QueryTrace {
 };
 
 /// Collects spans for one query on one thread. Not thread-safe by design:
-/// each thread records into its own sink (installed via TraceScope) and
-/// sinks are merged at barriers.
+/// each thread records into its own sink (installed via TraceScope).
 class TraceSink {
  public:
   TraceSink() : epoch_(std::chrono::steady_clock::now()) {}
-  /// Worker-sink constructor: shares the parent's epoch so merged spans
-  /// share one timeline.
-  TraceSink(uint32_t tid, std::chrono::steady_clock::time_point epoch)
-      : tid_(tid), epoch_(epoch) {}
 
   /// The sink installed on this thread, or null when nothing traces.
   static TraceSink* Current();
@@ -88,22 +77,9 @@ class TraceSink {
   void EndSpan(int32_t idx);
   void AddRows(int32_t idx, uint64_t rows);
 
-  /// Index of the innermost open span (-1 when none) — the attach point
-  /// for merging worker sinks recorded during the current span.
-  int32_t current_open() const {
-    return open_.empty() ? -1 : open_.back();
-  }
-
-  std::chrono::steady_clock::time_point epoch() const { return epoch_; }
-
   /// Appends rendered plan text (accumulates across the statements of one
   /// query; separated by blank lines).
   void AppendPlan(const std::string& text);
-
-  /// Steals \p child's spans, re-parenting its roots under
-  /// \p attach_parent (-1 keeps them roots). Called at a barrier, after
-  /// the child's thread is done recording.
-  void Merge(TraceSink&& child, int32_t attach_parent);
 
   /// Freezes everything recorded so far into an immutable trace.
   QueryTrace Finish(std::string query, uint64_t total_ns);
@@ -113,7 +89,6 @@ class TraceSink {
  private:
   static constexpr size_t kMaxSpans = 4096;
 
-  uint32_t tid_ = 0;
   std::chrono::steady_clock::time_point epoch_;
   std::vector<TraceSpan> spans_;
   std::vector<int32_t> open_;

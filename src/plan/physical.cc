@@ -158,7 +158,7 @@ CostedStep EstimateStep(const ast::Subgoal& g, const SubgoalInfo& info,
   // Planned index build (§10 folded into the planner): pays off when the
   // key is probed more than once against a relation big enough that a
   // scan per probe beats the build cost. 64 rows matches the threshold
-  // the parallel semi-naive driver already uses.
+  // delta maintenance uses for its up-front index builds.
   out.build_index = atom.stored && bound_cols > 0 && est_in >= 2.0 &&
                     atom.known && atom.card.rows >= 64;
   return out;

@@ -132,13 +132,6 @@ class Relation {
     return {scratch->data(), scratch->size()};
   }
 
-  /// Bulk-appends \p rows of \p src, which the caller guarantees are
-  /// distinct and absent from this relation (e.g. a slice of a
-  /// duplicate-free relation into a fresh partition): one arena append and
-  /// dedup insert per row, no dedup probe. The parallel semi-naive
-  /// partitioner's batch loader.
-  void AppendDistinctRows(const Relation& src, std::span<const uint32_t> rows);
-
   // --- Index management --------------------------------------------------
 
   const HashIndex* FindIndex(ColumnMask mask) const;
@@ -167,7 +160,7 @@ class Relation {
   /// Replaces contents with a copy of \p src (arity must match), never
   /// probing the dedup table per row: when the source has no dead rows
   /// this copies whole arena chunks and its statistics; otherwise it
-  /// appends the live rows as AppendDistinctRows does.
+  /// appends the live rows without a dedup probe.
   void CopyFrom(const Relation& src);
 
   /// Live tuples in canonical (term-order) sorted order; for deterministic
@@ -241,6 +234,11 @@ class Relation {
   uint32_t FindRow(RowView t, uint64_t hash) const;
   /// Appends a row known to be absent: arena + dedup + indexes + version.
   void AppendNewRow(RowView t, uint64_t hash);
+  /// Bulk-appends \p rows of \p src, which the caller guarantees are
+  /// distinct and absent from this relation: one arena append and dedup
+  /// insert per row, no dedup probe. CopyFrom's loader for a source with
+  /// dead rows.
+  void AppendDistinctRows(const Relation& src, std::span<const uint32_t> rows);
 
   std::string name_;
   uint32_t arity_;

@@ -1,8 +1,8 @@
 /// Concurrency tests for the thread-safe engine core: concurrent term
 /// interning, snapshot isolation (one writer, N readers, no torn state),
-/// the read-only session discipline, and the parallel semi-naive
-/// evaluator's determinism against the serial baseline. Built and run
-/// under ThreadSanitizer via -DGLUENAIL_TSAN=ON (ctest -L tsan).
+/// the read-only session discipline, and traced sessions recording
+/// private traces. Built and run under ThreadSanitizer via
+/// -DGLUENAIL_TSAN=ON (ctest -L tsan).
 
 #include <gtest/gtest.h>
 
@@ -238,116 +238,6 @@ end
   snap->idb().ForEach([&](TermId, uint32_t, const RelationSnapshot& rel) {
     EXPECT_EQ(rel.name.find("$magic"), std::string::npos) << rel.name;
   });
-}
-
-// --- Parallel semi-naive determinism -------------------------------------
-
-std::string DenseGraphModule() {
-  // A deterministic pseudo-random graph: enough fan-out that fixpoint
-  // deltas comfortably exceed the worker count.
-  std::string facts;
-  constexpr int kNodes = 120;
-  for (int i = 0; i < kNodes; ++i) {
-    facts += "edge(" + std::to_string(i) + "," +
-             std::to_string((i * 7 + 3) % kNodes) + ").\n";
-    facts += "edge(" + std::to_string(i) + "," +
-             std::to_string((i * 13 + 5) % kNodes) + ").\n";
-  }
-  return "module kb;\nedb edge(X,Y);\n"
-         "path(X,Y) :- edge(X,Y).\n"
-         "path(X,Z) :- path(X,Y) & edge(Y,Z).\n" +
-         facts + "end\n";
-}
-
-std::vector<Tuple> EvalRows(int num_threads, const std::string& module,
-                            std::string_view goal,
-                            uint64_t* parallel_batches = nullptr) {
-  EngineOptions opts;
-  opts.nail_mode = NailMode::kDirect;
-  opts.num_threads = num_threads;
-  Engine engine(opts);
-  Status s = engine.LoadProgram(module);
-  EXPECT_TRUE(s.ok()) << s;
-  Result<Engine::QueryResult> r = engine.Query(goal);
-  EXPECT_TRUE(r.ok()) << r.status();
-  if (parallel_batches != nullptr) {
-    *parallel_batches = engine.nail_engine()->parallel_batches();
-  }
-  return r.ok() ? r->rows : std::vector<Tuple>{};
-}
-
-TEST(ConcurrencyTest, ParallelTransitiveClosureMatchesSerial) {
-  const std::string module = DenseGraphModule();
-  std::vector<Tuple> serial = EvalRows(1, module, "path(X,Y)");
-  uint64_t batches = 0;
-  std::vector<Tuple> parallel = EvalRows(4, module, "path(X,Y)", &batches);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);  // byte-identical canonical rows
-  EXPECT_GT(batches, 0u) << "parallel evaluator never engaged";
-}
-
-TEST(ConcurrencyTest, ParallelSameGenerationMatchesSerial) {
-  // Non-linear recursion (E7's same-generation shape): two delta rules
-  // per iteration, each partitioned independently.
-  std::string facts;
-  constexpr int kFan = 3, kDepth = 4;
-  int next = 1;
-  std::vector<int> frontier = {0};
-  for (int d = 0; d < kDepth; ++d) {
-    std::vector<int> children;
-    for (int p : frontier) {
-      for (int c = 0; c < kFan; ++c) {
-        facts += "up(" + std::to_string(next) + "," + std::to_string(p) +
-                 ").\n";
-        facts += "down(" + std::to_string(p) + "," + std::to_string(next) +
-                 ").\n";
-        children.push_back(next++);
-      }
-    }
-    frontier = std::move(children);
-  }
-  const std::string module =
-      "module kb;\nedb up(X,Y);\nedb down(X,Y);\nedb flat(X,Y);\n"
-      "sg(X,Y) :- flat(X,Y).\n"
-      "sg(X,Y) :- up(X,X1) & sg(X1,Y1) & down(Y1,Y).\n" +
-      facts + "flat(0,0).\nend\n";
-
-  std::vector<Tuple> serial = EvalRows(1, module, "sg(X,Y)");
-  uint64_t batches = 0;
-  std::vector<Tuple> parallel = EvalRows(4, module, "sg(X,Y)", &batches);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
-  EXPECT_GT(batches, 0u);
-}
-
-TEST(ConcurrencyTest, ParallelWithStratifiedNegationMatchesSerial) {
-  // The negation stratum falls back to the serial path; the recursive
-  // stratum still parallelizes. Results must match exactly.
-  const std::string module =
-      "module kb;\nedb edge(X,Y);\nedb node(X);\n"
-      "path(X,Y) :- edge(X,Y).\n"
-      "path(X,Z) :- path(X,Y) & edge(Y,Z).\n"
-      "unreached(X) :- node(X) & !path(0,X).\n"
-      "node(0). node(1). node(2). node(3). node(4). node(5). node(6). "
-      "node(7). node(8). node(9).\n"
-      "edge(0,1). edge(1,2). edge(2,3). edge(3,1). edge(5,6). edge(6,7).\n"
-      "end\n";
-  std::vector<Tuple> serial = EvalRows(1, module, "unreached(X)");
-  std::vector<Tuple> parallel = EvalRows(4, module, "unreached(X)");
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(ConcurrencyTest, CompiledGlueWithNumThreadsIsRefused) {
-  // The generated Glue driver cannot be partitioned, so the engine refuses
-  // the combination instead of switching modes behind the caller's back.
-  EngineOptions opts;
-  opts.nail_mode = NailMode::kCompiledGlue;
-  opts.num_threads = 4;
-  Engine engine(opts);
-  Status s = engine.LoadProgram(DenseGraphModule());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
-  EXPECT_EQ(engine.program(), nullptr);
 }
 
 // --- Atomic relation versions --------------------------------------------

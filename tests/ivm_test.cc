@@ -2,7 +2,7 @@
 /// incremental-vs-full equality across insert-only / erase-only / mixed
 /// batches on non-recursive, recursive (transitive closure over cyclic
 /// graphs), stratified-negation, and HiLog-parameterized programs; both
-/// execution strategies and the 4-thread parallel fixpoint; a randomized
+/// execution strategies; a randomized
 /// differential over seven recursive and three non-recursive programs;
 /// fallback behavior (delta fraction, dropped captures, unstructured
 /// writes, inline EDB loads captured like batches);
@@ -232,6 +232,27 @@ TEST(IvmDred, MixedBatchesOnCycle) {
   pair.Check("path(X, Y)");
 }
 
+TEST(IvmDred, ChainGraftedOntoCycle) {
+  IvmPair pair;
+  pair.Load(kTcProgram);
+  pair.Check("path(X, Y)");
+  // A batch whose insertion phase runs a long fixpoint: a 64-edge chain
+  // grafted onto the cycle, then cut off again.
+  std::vector<std::string> chain;
+  for (int i = 0; i < 64; ++i) {
+    chain.push_back(StrCat("edge(", 100 + i, ",", 101 + i, ")"));
+  }
+  chain.push_back("edge(3,100)");
+  MutationBatch grow;
+  for (const std::string& f : chain) grow.Insert(f);
+  pair.Apply(grow);
+  pair.Check("path(1, Y)");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
+  pair.Apply(Batch({}, {"edge(3,100)"}));
+  pair.Check("path(1, Y)");
+  pair.Check("path(X, Y)");
+}
+
 // --- Stratified negation ---------------------------------------------------
 
 TEST(IvmNegation, NegatedRelationChangeFallsBackCorrectly) {
@@ -301,7 +322,7 @@ end
   EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
 }
 
-// --- Execution strategies and the parallel fixpoint ------------------------
+// --- Execution strategies --------------------------------------------------
 
 class IvmStrategyTest
     : public ::testing::TestWithParam<ExecOptions::Strategy> {};
@@ -328,29 +349,6 @@ INSTANTIATE_TEST_SUITE_P(
                  ? "Materialized"
                  : "Pipelined";
     });
-
-TEST(IvmParallel, FourThreadFixpoint) {
-  EngineOptions base;
-  base.num_threads = 4;
-  IvmPair pair(base);
-  pair.Load(kTcProgram);
-  pair.Check("path(X, Y)");
-  // A batch big enough that DRed's phase-3 fixpoint partitions its deltas
-  // across the workers: a long chain grafted onto the cycle.
-  std::vector<std::string> chain;
-  for (int i = 0; i < 64; ++i) {
-    chain.push_back(StrCat("edge(", 100 + i, ",", 101 + i, ")"));
-  }
-  chain.push_back("edge(3,100)");
-  MutationBatch grow;
-  for (const std::string& f : chain) grow.Insert(f);
-  pair.Apply(grow);
-  pair.Check("path(1, Y)");
-  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
-  pair.Apply(Batch({}, {"edge(3,100)"}));
-  pair.Check("path(1, Y)");
-  pair.Check("path(X, Y)");
-}
 
 // --- Randomized differential DRed ------------------------------------------
 
@@ -519,15 +517,11 @@ int RunRandomBatches(IvmPair* pair, const RandomDredCase& c, uint32_t seed,
   return changed;
 }
 
-class IvmRandomDredTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(IvmRandomDredTest, MatchesFullRecompute) {
+TEST(IvmRandomDredTest, MatchesFullRecompute) {
   for (const RandomDredCase& c : RandomDredCases()) {
     SCOPED_TRACE(c.name);
     for (uint32_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
-      EngineOptions base;
-      base.num_threads = GetParam();
-      IvmPair pair(base);
+      IvmPair pair;
       pair.Load(c.program);
       int changed = RunRandomBatches(&pair, c, seed, 40);
       if (HasFailure()) return;
@@ -545,11 +539,6 @@ TEST_P(IvmRandomDredTest, MatchesFullRecompute) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, IvmRandomDredTest, ::testing::Values(1, 4),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return info.param == 1 ? "Serial" : "FourThreads";
-                         });
 
 // --- Fallback guards -------------------------------------------------------
 

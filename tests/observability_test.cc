@@ -191,8 +191,6 @@ const std::vector<CatalogEntry>& DefaultCatalog() {
      "full recomputes forced while delta maintenance was enabled"},
     {"gluenail_nail_ivm_old_state_rows_total", "counter",
      "rows copied into old-state overrides by incremental refreshes"},
-    {"gluenail_nail_parallel_batches_total", "counter",
-     "parallel fixpoint iterations dispatched to workers"},
     {"gluenail_nail_refreshes_total", "counter",
      "NAIL! memo refreshes"},
     {"gluenail_nail_replans_total", "counter",

@@ -1,9 +1,9 @@
 /// Golden suite for the operator path (src/exec/vector/): matches,
 /// negations and comparisons — including structural column patterns and
 /// dynamic (HiLog) accesses — pinned to recorded answers, EXPLAIN ANALYZE
-/// actual= rows and exact ExecStats::rows_scanned, on both strategies,
-/// every index policy, and serial and parallel fixpoints. Long answers
-/// are pinned as "<rows> rows #<fnv-1a>" of their rendering.
+/// actual= rows and exact ExecStats::rows_scanned, on both strategies and
+/// every index policy. Long answers are pinned as "<rows> rows #<fnv-1a>"
+/// of their rendering.
 
 #include <gtest/gtest.h>
 
@@ -22,13 +22,11 @@ namespace {
 struct Config {
   ExecOptions::Strategy strategy;
   IndexPolicy policy = IndexPolicy::kAdaptive;
-  int threads = 1;
 };
 
 std::string ConfigName(const Config& c) {
   return StrCat("strategy=", static_cast<int>(c.strategy),
-                " policy=", static_cast<int>(c.policy),
-                " threads=", c.threads);
+                " policy=", static_cast<int>(c.policy));
 }
 
 const ExecOptions::Strategy kStrategies[] = {
@@ -41,9 +39,6 @@ std::vector<Config> AllConfigs() {
                         IndexPolicy::kAlwaysIndex}) {
       out.push_back(Config{strategy, policy});
     }
-    // Parallel fixpoint workers drive the same op path over delta
-    // partitions.
-    out.push_back(Config{strategy, IndexPolicy::kAdaptive, /*threads=*/4});
   }
   return out;
 }
@@ -60,7 +55,6 @@ std::unique_ptr<Engine> MakeEngine(const Config& c) {
   EngineOptions opts;
   opts.exec.strategy = c.strategy;
   opts.index_policy = c.policy;
-  opts.num_threads = c.threads;
   return std::make_unique<Engine>(opts);
 }
 
