@@ -51,10 +51,6 @@ Result<EngineSnapshot> Session::Snapshot() {
   return engine_->SnapshotLocked();
 }
 
-Status Session::ExecuteStatement(std::string_view statement) {
-  return engine_->ExecuteStatement(statement);
-}
-
 Status Session::AddFact(std::string_view fact) {
   return engine_->AddFact(fact);
 }

@@ -11,8 +11,9 @@
 /// first reader transparently upgrades to the writer lock, refreshes, and
 /// retries — later readers piggyback on the fresh state.
 ///
-/// Write operations (ExecuteStatement, AddFact) delegate to the Engine's
-/// writer path and serialize behind the single-writer lock.
+/// AddFact delegates to the Engine's writer path and serializes behind the
+/// single-writer lock; other writes go through the Engine itself
+/// (Engine::ExecuteStatement, Engine::ApplyBatch).
 ///
 /// Sessions are cheap to copy and carry no state of their own; the Engine
 /// must outlive every session. A single Session instance may be shared by
@@ -58,7 +59,6 @@ class Session {
 
   // --- Writes (serialized behind the engine's writer lock) ---------------
 
-  Status ExecuteStatement(std::string_view statement);
   Status AddFact(std::string_view fact);
 
   // --- Observability -----------------------------------------------------

@@ -5,8 +5,6 @@
 
 namespace gluenail {
 
-int ColumnMaskArity(ColumnMask mask) { return std::popcount(mask); }
-
 void ExtractKey(ColumnMask mask, RowView row, Tuple* key) {
   key->clear();
   for (size_t i = 0; i < row.size(); ++i) {

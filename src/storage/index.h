@@ -25,9 +25,6 @@ namespace gluenail {
 /// Relations are limited to 32 columns, far beyond any real program.
 using ColumnMask = uint32_t;
 
-/// Number of set bits in \p mask.
-int ColumnMaskArity(ColumnMask mask);
-
 /// Extracts the key (columns of \p mask, ascending) from \p row into \p key.
 void ExtractKey(ColumnMask mask, RowView row, Tuple* key);
 
