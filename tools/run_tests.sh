@@ -10,12 +10,13 @@
 #            the dedup and index head tables), barrier_ops_test (record
 #            dedup, group_by and aggregates compacting in place), the
 #            operator golden suite plus hilog_test and cross_feature_test
-#            (structural and HiLog matches on raw lane pointers), and the
-#            IVM suite with its allocation-fault sweep
+#            (structural and HiLog matches on raw lane pointers), the
+#            IVM suite with its allocation-fault sweep, and the fixpoint
+#            oracle suites (nail_reference_test, magic_test)
 #   ubsan  — -DGLUENAIL_UBSAN=ON, runs the ubsan-labelled planner tests,
 #            plus relation_test's dense-key checks, barrier_ops_test,
-#            hilog_test, cross_feature_test and the IVM suite with its
-#            allocation-fault sweep
+#            hilog_test, cross_feature_test, the IVM suite with its
+#            allocation-fault sweep, and the fixpoint oracle suites
 #   tsan   — -DGLUENAIL_TSAN=ON, runs the tsan-labelled concurrency tests
 #   fault  — Debug build, runs only the faultinject-labelled matrix
 #   obs    — Debug build, runs only the obs-labelled observability suite
@@ -89,61 +90,71 @@ configure_and_build() {
   cmake --build "$dir" -j "$(nproc)" "${targets[@]}"
 }
 
+# run_ctest <dir> [label]: runs the tests of <dir> (only those labelled
+# <label>, when given) with one job per CPU. The job count is explicit
+# because a bare `ctest -j` runs the tests one at a time on CMake 3.25.
+run_ctest() {
+  local dir="$1" label="${2:-}"
+  local args=(--output-on-failure -j "$(nproc)")
+  if [ -n "$label" ]; then args+=(-L "$label"); fi
+  (cd "$dir" && ctest "${args[@]}")
+}
+
 run_config() {
   local config="$1"
   case "$config" in
     debug)
       configure_and_build "$prefix-debug" "" "${debug_flags[@]}"
-      (cd "$prefix-debug" && ctest --output-on-failure -j)
+      run_ctest "$prefix-debug"
       ;;
     asan)
       configure_and_build "$prefix-asan" asan -DCMAKE_BUILD_TYPE=Debug \
         -DGLUENAIL_ASAN=ON
-      (cd "$prefix-asan" && ctest --output-on-failure -L asan -j)
+      run_ctest "$prefix-asan" asan
       ;;
     ubsan)
       configure_and_build "$prefix-ubsan" ubsan -DCMAKE_BUILD_TYPE=Debug \
         -DGLUENAIL_UBSAN=ON
-      (cd "$prefix-ubsan" && ctest --output-on-failure -L ubsan -j)
+      run_ctest "$prefix-ubsan" ubsan
       ;;
     tsan)
       configure_and_build "$prefix-tsan" tsan -DCMAKE_BUILD_TYPE=Debug \
         -DGLUENAIL_TSAN=ON
-      (cd "$prefix-tsan" && ctest --output-on-failure -L tsan -j)
+      run_ctest "$prefix-tsan" tsan
       ;;
     fault)
       configure_and_build "$prefix-debug" faultinject "${debug_flags[@]}"
-      (cd "$prefix-debug" && ctest --output-on-failure -L faultinject -j)
+      run_ctest "$prefix-debug" faultinject
       ;;
     obs)
       configure_and_build "$prefix-debug" obs "${debug_flags[@]}"
-      (cd "$prefix-debug" && ctest --output-on-failure -L obs -j)
+      run_ctest "$prefix-debug" obs
       ;;
     server)
       configure_and_build "$prefix-debug" server "${debug_flags[@]}"
-      (cd "$prefix-debug" && ctest --output-on-failure -L server -j)
+      run_ctest "$prefix-debug" server
       ;;
     vector)
       configure_and_build "$prefix-debug" vector "${debug_flags[@]}"
-      (cd "$prefix-debug" && ctest --output-on-failure -L vector -j)
+      run_ctest "$prefix-debug" vector
       ;;
     wal)
       configure_and_build "$prefix-debug" wal "${debug_flags[@]}"
-      (cd "$prefix-debug" && ctest --output-on-failure -L wal -j)
+      run_ctest "$prefix-debug" wal
       ;;
     ivm)
       configure_and_build "$prefix-debug" ivm "${debug_flags[@]}"
-      (cd "$prefix-debug" && ctest --output-on-failure -L ivm -j)
+      run_ctest "$prefix-debug" ivm
       ;;
     repl)
       configure_and_build "$prefix-debug" repl "${debug_flags[@]}"
-      (cd "$prefix-debug" && ctest --output-on-failure -L repl -j)
+      run_ctest "$prefix-debug" repl
       ;;
     bench)
       cmake -B "$prefix-bench" -S "$repo_root/bench/workloads" \
         -DCMAKE_BUILD_TYPE=Release >/dev/null
       cmake --build "$prefix-bench" -j "$(nproc)"
-      (cd "$prefix-bench" && ctest --output-on-failure -L bench -j)
+      run_ctest "$prefix-bench" bench
       ;;
     *)
       echo "error: unknown config '$config' (debug|asan|ubsan|tsan|fault|obs|server|vector|wal|ivm|repl|bench)" >&2
