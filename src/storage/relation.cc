@@ -172,16 +172,6 @@ size_t Relation::UnionDiff(const Relation& src, Relation* delta) {
   return added;
 }
 
-void Relation::AppendDistinctRows(const Relation& src,
-                                  std::span<const uint32_t> rows) {
-  assert(src.arity() == arity_);
-  assert(&src != this);
-  for (uint32_t r : rows) {
-    RowView t = src.row(r);
-    AppendNewRow(t, HashRow(t));
-  }
-}
-
 size_t Relation::UnionAll(const Relation& src) {
   return UnionDiff(src, nullptr);
 }
@@ -218,7 +208,10 @@ void Relation::CopyFrom(const Relation& src) {
   std::vector<uint32_t> rows;
   rows.reserve(src.size());
   src.CollectLiveRows(0, src.num_rows(), &rows);
-  AppendDistinctRows(src, rows);
+  for (uint32_t r : rows) {
+    RowView t = src.row(r);
+    AppendNewRow(t, HashRow(t));
+  }
 }
 
 std::vector<Tuple> Relation::SortedTuples(const TermPool& pool) const {

@@ -234,11 +234,6 @@ class Relation {
   uint32_t FindRow(RowView t, uint64_t hash) const;
   /// Appends a row known to be absent: arena + dedup + indexes + version.
   void AppendNewRow(RowView t, uint64_t hash);
-  /// Bulk-appends \p rows of \p src, which the caller guarantees are
-  /// distinct and absent from this relation: one arena append and dedup
-  /// insert per row, no dedup probe. CopyFrom's loader for a source with
-  /// dead rows.
-  void AppendDistinctRows(const Relation& src, std::span<const uint32_t> rows);
 
   std::string name_;
   uint32_t arity_;
