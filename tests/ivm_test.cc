@@ -2,12 +2,11 @@
 /// incremental-vs-full equality across insert-only / erase-only / mixed
 /// batches on non-recursive, recursive (transitive closure over cyclic
 /// graphs), stratified-negation, and HiLog-parameterized programs; both
-/// execution strategies; a randomized
-/// differential over seven recursive and three non-recursive programs;
-/// fallback behavior (delta fraction, dropped captures, unstructured
-/// writes, inline EDB loads captured like batches);
-/// salvage-recovery invalidation; metrics/EXPLAIN surfacing; and
-/// concurrent readers during refresh (the tsan target).
+/// execution strategies; a randomized differential over seven recursive
+/// and three non-recursive programs; fallback behavior (delta fraction,
+/// dropped captures, unstructured writes, inline EDB loads captured like
+/// batches); salvage-recovery invalidation; metrics/EXPLAIN surfacing;
+/// and concurrent readers during refresh (the tsan target).
 
 #include <gtest/gtest.h>
 
