@@ -76,10 +76,33 @@ class IvmPair {
         << ivm_->nail_engine()->last_refresh().fallback << "')";
   }
 
+  /// Compares the stored relation \p name / \p arity, read by name.
+  void CheckContents(std::string_view name, uint32_t arity) {
+    EXPECT_EQ(Contents(ivm_.get(), name, arity),
+              Contents(full_.get(), name, arity))
+        << "relation " << name << "/" << arity << " diverged";
+  }
+
   Engine* ivm() { return ivm_.get(); }
   NailEngine* nail() { return ivm_->nail_engine(); }
 
  private:
+  static std::string Contents(Engine* engine, std::string_view name,
+                              uint32_t arity) {
+    Result<std::vector<Tuple>> rows = engine->RelationContents(name, arity);
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    if (!rows.ok()) return "<error>";
+    std::string out;
+    for (const Tuple& t : *rows) {
+      if (!out.empty()) out += ";";
+      for (size_t j = 0; j < t.size(); ++j) {
+        if (j != 0) out += ",";
+        out += engine->terms().ToString(t[j]);
+      }
+    }
+    return out;
+  }
+
   std::unique_ptr<Engine> ivm_;
   std::unique_ptr<Engine> full_;
 };
@@ -250,6 +273,54 @@ TEST(IvmDred, ChainGraftedOntoCycle) {
   pair.Apply(Batch({}, {"edge(3,100)"}));
   pair.Check("path(1, Y)");
   pair.Check("path(X, Y)");
+}
+
+TEST(IvmDred, EdbRelationSharesAMemoName) {
+  // An EDB relation path/2 beside the NAIL! memo path/2: rules and queries
+  // name the memo, so EDB path rows must never reach src.
+  IvmPair pair;
+  pair.Load(R"(
+module kb;
+edb edge(X,Y);
+path(X,Y) :- edge(X,Y).
+path(X,Z) :- path(X,Y) & edge(Y,Z).
+src(X) :- path(X,Y).
+edge(1,2).
+edge(2,3).
+end
+)");
+  pair.Check("src(X)");
+  pair.Apply(Batch({"path(7,8)"}));
+  pair.Check("src(X)");
+  pair.Check("path(X, Y)");
+  pair.Apply(Batch({"path(9,9)", "edge(3,4)"}, {"path(7,8)"}));
+  pair.Check("src(X)");
+  pair.Check("path(X, Y)");
+  pair.Apply(Batch({}, {"path(9,9)", "edge(1,2)"}));
+  pair.Check("src(X)");
+  pair.Check("path(X, Y)");
+}
+
+TEST(IvmDred, MemoReadByNameAfterDelta) {
+  // After a delta refresh the memo is readable by its own name, both
+  // directly and through a predicate variable.
+  IvmPair pair;
+  pair.Load(kTcProgram);
+  pair.Apply(Batch({"rel(path)"}));
+  auto check = [&pair] {
+    pair.CheckContents("path", 2);
+    pair.Check("P(1,Y) & rel(P)");
+  };
+  check();
+  pair.Apply(Batch({"edge(5,6)"}));
+  check();
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
+  pair.Apply(Batch({}, {"edge(3,1)"}));
+  check();
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
+  pair.Apply(Batch({"edge(6,1)", "edge(3,1)"}, {"edge(2,3)"}));
+  check();
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
 }
 
 // --- Stratified negation ---------------------------------------------------

@@ -403,6 +403,27 @@ end
   EXPECT_TRUE(s.IsCompileError()) << s;
 }
 
+TEST_P(NailTest, RuleDereferenceSeesEdbOnly) {
+  // While a refresh runs, a predicate variable in a NAIL! rule ranges over
+  // the EDB only, bound or enumerated: no memo is readable by name until
+  // the refresh is done, whatever order the SCCs run in.
+  Load(R"(
+module kb;
+edb edge(X,Y), rel(E);
+path(X,Y) :- edge(X,Y).
+path(X,Z) :- path(X,Y) & edge(Y,Z).
+via(X,Y) :- rel(E) & E(X,Y).
+any(E,X,Y) :- E(X,Y).
+rel(path).
+edge(1,2).
+edge(2,3).
+end
+)");
+  EXPECT_EQ(Ask("via(X,Y)"), "");
+  EXPECT_EQ(Ask("any(E,X,Y)"), "edge,1,2;edge,2,3");
+  EXPECT_EQ(Ask("path(1,Y)"), "2;3");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, NailTest,
     ::testing::Values(NailMode::kDirect, NailMode::kCompiledGlue,
