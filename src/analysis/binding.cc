@@ -78,6 +78,15 @@ bool StaticPredName(const ast::Term& t, std::string* root_name,
   return false;
 }
 
+void CollectPredParams(const ast::Term& pred,
+                       std::vector<const ast::Term*>* out) {
+  if (!pred.IsApply()) return;
+  CollectPredParams(pred.functor(), out);
+  for (size_t i = 0; i < pred.apply_arity(); ++i) {
+    out->push_back(&pred.arg(i));
+  }
+}
+
 Result<TermId> InternGroundTerm(TermPool* pool, const ast::Term& t) {
   switch (t.kind) {
     case ast::TermKind::kInt:

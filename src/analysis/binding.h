@@ -79,6 +79,11 @@ Result<TermId> InternGroundTerm(TermPool* pool, const ast::Term& t);
 bool StaticPredName(const ast::Term& t, std::string* root_name,
                     uint32_t* param_arity);
 
+/// Collects the HiLog parameter argument terms of a predicate-name chain:
+/// for f(a)(B) yields [a, B] in column order.
+void CollectPredParams(const ast::Term& pred,
+                       std::vector<const ast::Term*>* out);
+
 }  // namespace gluenail
 
 #endif  // GLUENAIL_ANALYSIS_BINDING_H_

@@ -600,8 +600,8 @@ Status Engine::AddFact(std::string_view fact) {
   return ApplyBatch(batch).status();
 }
 
-Result<MutationBatch::ApplyReport> Engine::ApplyBatchCapturedLocked(
-    const MutationBatch& batch) {
+MutationBatch::ApplyReport Engine::ApplyBatchCapturedLocked(
+    const MutationBatch::Resolved& ops) {
   MutationBatch::ChangeObserver observer =
       [this](MutationBatch::OpKind kind, TermId name, uint32_t arity,
              RowView row) {
@@ -611,15 +611,9 @@ Result<MutationBatch::ApplyReport> Engine::ApplyBatchCapturedLocked(
           ivm_log_.CaptureErase(name, arity, row);
         }
       };
-  Result<MutationBatch::ApplyReport> applied =
-      batch.Apply(&edb_, &pool_, &observer);
-  if (applied.ok()) {
-    ivm_log_.SealBatch(SnapshotEdbVersion(edb_));
-  } else {
-    // A failed apply can leave a captured prefix the watermark will never
-    // catch up to; drop it.
-    ivm_log_.Invalidate();
-  }
+  MutationBatch::ApplyReport applied =
+      MutationBatch::ApplyResolved(ops, &edb_, &observer);
+  ivm_log_.SealBatch(SnapshotEdbVersion(edb_));
   return applied;
 }
 
@@ -757,28 +751,26 @@ Result<MutationBatch::ApplyReport> Engine::ApplyBatch(
 
   CommitLog* log = nullptr;
   CommitLog::Ticket ticket;
-  Result<MutationBatch::ApplyReport> applied =
-      MutationBatch::ApplyReport{};
+  MutationBatch::ApplyReport applied;
   {
     std::unique_lock<std::shared_mutex> lock(state_mu_);
+    // Resolve every op first, so a malformed batch is never logged and
+    // never half-applied.
+    Result<MutationBatch::Resolved> ops = batch.Resolve(&pool_);
     // Durability off: the batch is just a structured multi-op apply.
-    if (commit_log_ == nullptr) return ApplyBatchCapturedLocked(batch);
+    if (commit_log_ == nullptr) {
+      GLUENAIL_RETURN_NOT_OK(ops.status());
+      return ApplyBatchCapturedLocked(*ops);
+    }
+    GLUENAIL_RETURN_NOT_OK(commit_failed(ops.status()));
     log = commit_log_.get();
-    // Write-ahead: validate (so a malformed batch is never logged), log,
-    // then apply to memory. The apply happens before the ack wait so the
-    // writer lock is released during the fsync — the whole point of group
-    // commit.
-    GLUENAIL_RETURN_NOT_OK(commit_failed(batch.Validate(&pool_)));
+    // Write-ahead: log, then apply to memory. The apply happens before the
+    // ack wait so the writer lock is released during the fsync — the whole
+    // point of group commit.
     Result<CommitLog::Ticket> appended = log->Append(batch);
     if (!appended.ok()) return commit_failed(appended.status());
     ticket = *appended;
-    applied = ApplyBatchCapturedLocked(batch);
-    if (!applied.ok()) {
-      // Validate passed, so this cannot happen short of an engine bug —
-      // but if it does, the log now has a record memory does not reflect.
-      return commit_failed(applied.status().WithContext(
-          "applied to log but not memory; recovery will replay it"));
-    }
+    applied = ApplyBatchCapturedLocked(*ops);
     // Counted under the lock, so Recover (which takes it exclusively)
     // sees every commit that may still touch `log`.
     ++commits_in_flight_;
@@ -889,8 +881,10 @@ Status Engine::ApplyReplicatedBatch(uint64_t lsn,
         StrCat("replicated lsn ", lsn, " does not advance applied lsn ",
                applied, "; stream out of order"));
   }
-  // Apply validates every op before the first one changes the EDB.
-  GLUENAIL_RETURN_NOT_OK(ApplyBatchCapturedLocked(batch).status());
+  // Every op resolves before the first one changes the EDB.
+  GLUENAIL_ASSIGN_OR_RETURN(MutationBatch::Resolved ops,
+                            batch.Resolve(&pool_));
+  ApplyBatchCapturedLocked(ops);
   repl_applied_lsn_.store(lsn, std::memory_order_release);
   if (m_repl_batches_ != nullptr) m_repl_batches_->Add();
   return Status::OK();
@@ -904,7 +898,7 @@ Status Engine::ResetFromCheckpointImage(uint64_t covers_lsn,
         "ResetFromCheckpointImage on a non-replica engine");
   }
   GLUENAIL_RETURN_NOT_OK(RefuseWhileSnapshotsLive("bootstrap"));
-  // Validate into a scratch database first: the in-place clear below is
+  // Parse into a scratch database first: the in-place clear below is
   // destructive, so a torn or corrupt image must be rejected before it
   // can take down the replica's current (stale but consistent) state.
   // Interning into the engine's pool is harmless — pools are append-only.
@@ -913,9 +907,10 @@ Status Engine::ResetFromCheckpointImage(uint64_t covers_lsn,
   GLUENAIL_RETURN_NOT_OK(
       LoadDatabase(&staged, in).WithContext("checkpoint image"));
   ClearEdbLocked();
-  std::istringstream again{std::string(image)};
-  GLUENAIL_RETURN_NOT_OK(
-      LoadDatabase(&edb_, again).WithContext("checkpoint image"));
+  // Relations the image holds empty are created too.
+  staged.ForEach([this](TermId name, uint32_t arity, Relation* rel) {
+    edb_.GetOrCreate(name, arity)->UnionAll(*rel);
+  });
   repl_applied_lsn_.store(covers_lsn, std::memory_order_release);
   if (m_repl_bootstraps_ != nullptr) m_repl_bootstraps_->Add();
   return Status::OK();

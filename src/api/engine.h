@@ -410,11 +410,11 @@ class Engine {
   /// rendered into it with actual rows (EXPLAIN ANALYZE, traces).
   Status RunAdhocLocked(std::string_view statement,
                         std::string* profiled_plans);
-  /// Applies \p batch with every actual change captured into ivm_log_ and
-  /// the log sealed at the post-batch EDB snapshot. The single apply behind
-  /// ApplyBatch (logged or not) and ApplyReplicatedBatch.
-  Result<MutationBatch::ApplyReport> ApplyBatchCapturedLocked(
-      const MutationBatch& batch);
+  /// Applies a resolved batch with every actual change captured into
+  /// ivm_log_ and the log sealed at the post-batch EDB snapshot. The single
+  /// apply behind ApplyBatch (logged or not) and ApplyReplicatedBatch.
+  MutationBatch::ApplyReport ApplyBatchCapturedLocked(
+      const MutationBatch::Resolved& ops);
 
   /// True when reads can proceed under a shared lock: a program is linked
   /// and the NAIL! materialization matches the current EDB.

@@ -52,17 +52,23 @@ void Executor::RegisterMetrics(MetricsRegistry* registry,
 // Relation resolution
 // ---------------------------------------------------------------------------
 
-Result<Relation*> Executor::ResolveRead(const PredicateAccess& access,
-                                        Frame* frame) {
-  if (!read_overrides_.empty() &&
-      (access.kind == PredicateAccess::Kind::kEdb ||
-       access.kind == PredicateAccess::Kind::kNail)) {
-    auto it = read_overrides_.find(access.name);
+Relation* Executor::FindStored(const PredicateAccess& access) const {
+  Store store = access.kind == PredicateAccess::Kind::kNail ? Store::kIdb
+                                                             : Store::kEdb;
+  if (!read_overrides_.empty()) {
+    auto it = read_overrides_.find(
+        StoredRelationKey(store, access.name, access.arity));
     if (it != read_overrides_.end()) return it->second;
   }
+  return (store == Store::kIdb ? idb_ : edb_)->Find(access.name,
+                                                     access.arity);
+}
+
+Result<Relation*> Executor::ResolveRead(const PredicateAccess& access,
+                                        Frame* frame) {
   switch (access.kind) {
     case PredicateAccess::Kind::kEdb:
-      return edb_->Find(access.name, access.arity);
+      return FindStored(access);
     case PredicateAccess::Kind::kLocal:
       return frame->local(access.local_index);
     case PredicateAccess::Kind::kIn:
@@ -70,8 +76,9 @@ Result<Relation*> Executor::ResolveRead(const PredicateAccess& access,
     case PredicateAccess::Kind::kNail: {
       if (options_.read_only_storage && !options_.writable_private_idb) {
         // The engine guarantees the IDB is fresh before a read-only
-        // executor runs, so a plain lookup suffices.
-        return idb_->Find(access.name, access.arity);
+        // executor runs (delta maintenance installs its read overrides on
+        // one), so a plain lookup suffices.
+        return FindStored(access);
       }
       if (env_.nail == nullptr) {
         return Status::Internal("NAIL! predicate read without an evaluator");

@@ -107,9 +107,13 @@ class NailEvaluator {
   /// the current EDB and returns it (lives in the IDB database).
   virtual Result<Relation*> EnsureNail(TermId storage_name,
                                        uint32_t arity) = 0;
-  /// Refreshes every NAIL! predicate and its published HiLog instances —
-  /// needed before dynamic predicate dereferencing.
+  /// Refreshes every NAIL! memo (each readable by its own name) and the
+  /// published instances of parameterized predicates — needed before a
+  /// dynamic dereference reads the IDB by name.
   virtual Status EnsureAllNail() = 0;
+  /// True while a refresh runs. Memos are then incomplete, so a dynamic
+  /// dereference reads the EDB only.
+  virtual bool evaluating() const = 0;
 };
 
 /// Everything the executor reaches outside the plan: streams, host
@@ -154,11 +158,18 @@ class Executor {
   /// Redirects the I/O builtins (tests and examples script stdin/stdout).
   void set_io(const IoEnv& io) { env_.io = io; }
 
-  /// Substitutes the relation read for \p name (any arity) — delta
-  /// maintenance points a rule position's reserved name at a delta.
-  void AddReadOverride(TermId name, Relation* rel) {
-    read_overrides_[name] = rel;
+  /// Substitutes the relation read for the stored relation (\p store,
+  /// \p name, \p arity) — delta maintenance points a rule position's
+  /// reserved name at a delta.
+  void AddReadOverride(Store store, TermId name, uint32_t arity,
+                       Relation* rel) {
+    read_overrides_[StoredRelationKey(store, name, arity)] = rel;
   }
+
+  /// The stored relation a kEdb or kNail \p access reads, after read
+  /// overrides and without refreshing any memo; nullptr when it does not
+  /// exist.
+  Relation* FindStored(const PredicateAccess& access) const;
 
   const CompiledProgram* program() const { return program_; }
 
@@ -368,8 +379,9 @@ class Executor {
   /// Rows charged since the last full check; every charge accumulates
   /// here and flushes at kRowCheckInterval.
   uint64_t rows_since_check_ = 0;
-  /// Name -> replacement relation for reads (delta-maintenance deltas).
-  std::unordered_map<TermId, Relation*> read_overrides_;
+  /// StoredRelationKey -> replacement relation for reads
+  /// (delta-maintenance deltas).
+  std::unordered_map<uint64_t, Relation*> read_overrides_;
   /// Plans under EXPLAIN ANALYZE profiling -> actual rows per op index.
   std::unordered_map<const StatementPlan*, std::vector<uint64_t>>
       op_profiles_;

@@ -261,8 +261,9 @@ Result<Relation*> BatchRunner::ResolveDynamic(const PlanOp& op,
       TermId name,
       EvalExpr(plan_, op.access.name_expr, {lane, width_}, exec_->pool_));
   Relation* rel = exec_->edb_->Find(name, op.access.arity);
-  if (rel == nullptr && exec_->env_.nail != nullptr) {
-    GLUENAIL_RETURN_NOT_OK(exec_->env_.nail->EnsureAllNail());
+  NailEvaluator* nail = exec_->env_.nail;
+  if (rel == nullptr && nail != nullptr && !nail->evaluating()) {
+    GLUENAIL_RETURN_NOT_OK(nail->EnsureAllNail());
     rel = exec_->idb_->Find(name, op.access.arity);
   }
   return rel;
@@ -294,12 +295,15 @@ Status BatchRunner::RunDynamicMatch(const PlanOp& op, OpState& st,
   // binds into a one-lane seed that the kernels then run over.
   const MatchNode& name_pattern =
       plan_.name_patterns[static_cast<size_t>(op.access.name_pattern_index)];
+  // While a refresh runs, the memos are incomplete: the EDB only.
+  NailEvaluator* nail = exec_->env_.nail;
+  bool edb_only = nail != nullptr && nail->evaluating();
   for (size_t l = 0; l < in.count(); ++l) {
-    if (exec_->env_.nail != nullptr) {
-      GLUENAIL_RETURN_NOT_OK(exec_->env_.nail->EnsureAllNail());
+    if (nail != nullptr && !edb_only) {
+      GLUENAIL_RETURN_NOT_OK(nail->EnsureAllNail());
     }
     for (Database* db : {exec_->edb_, exec_->idb_}) {
-      if (db == nullptr) continue;
+      if (db == nullptr || (edb_only && db == exec_->idb_)) continue;
       for (auto& [name, rel] : db->RelationsWithArity(op.access.arity)) {
         if (IsInternalPredicateName(*exec_->pool_, name)) continue;
         st.seed.Reset(width_);

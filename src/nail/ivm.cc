@@ -15,15 +15,20 @@
 /// nothing propagates and no fixpoint runs — the seeds go straight into
 /// the memo.
 ///
+/// Every relation — EDB relation, memo, or the reserved name a rule
+/// position reads through — is identified by (store, name, arity), both
+/// in the change map and in the executor's read overrides, so an EDB
+/// relation that shares a memo's name and arity, or a name read at two
+/// arities, stays apart.
+///
 /// Everything here is *optimistic*: any structural condition the
 /// algorithm cannot handle (aggregates in rules, negation over a changed
-/// relation, a relation name read at two arities) abandons the attempt
-/// and falls back to the full recompute in seminaive.cc, which is always
-/// correct. Live EDB and
-/// memo relations are never mutated to simulate old states — old-state
-/// reads go through private override copies — so an abandoned attempt can
-/// at worst leave the memo partially patched, which the caller handles by
-/// distrusting it (valid_ = false).
+/// relation) abandons the attempt and falls back to the full recompute in
+/// seminaive.cc, which is always correct. Live EDB and memo relations are
+/// never mutated to simulate old states — old-state reads go through
+/// private override copies — so an abandoned attempt can at worst leave
+/// the memo partially patched, which the caller handles by distrusting it
+/// (valid_ = false).
 
 #include <unordered_map>
 #include <unordered_set>
@@ -42,11 +47,6 @@ namespace {
 
 using ast::Subgoal;
 using ast::Term;
-
-/// (relation name, arity) packed the way DeltaLog keys entries.
-uint64_t RelKey(TermId name, uint32_t arity) {
-  return (static_cast<uint64_t>(name) << 32) | arity;
-}
 
 /// Whether every op of \p plan is something the maintenance joins can run
 /// body-only over frozen storage: matches/negations on EDB or NAIL!
@@ -73,21 +73,13 @@ bool PlanCapable(const StatementPlan& plan) {
 
 /// Body-only executors read through SelectConst, which never builds
 /// indexes — so build any keyed index up front, where the writer path
-/// would have built it adaptively.
-void BuildIndexesFor(const StatementPlan& plan, Database* edb, Database* idb,
-                     const std::unordered_map<TermId, Relation*>& overrides) {
+/// would have built it adaptively. \p ex resolves each read, overrides
+/// included.
+void BuildIndexesFor(const StatementPlan& plan, const Executor& ex) {
   for (const PlanOp& op : plan.ops) {
     if (op.kind != OpKind::kMatch && op.kind != OpKind::kNegMatch) continue;
     if (op.bound_mask == 0) continue;
-    Relation* rel = nullptr;
-    auto it = overrides.find(op.access.name);
-    if (it != overrides.end()) {
-      rel = it->second;
-    } else if (op.access.kind == PredicateAccess::Kind::kEdb) {
-      rel = edb->Find(op.access.name, op.access.arity);
-    } else if (op.access.kind == PredicateAccess::Kind::kNail) {
-      rel = idb->Find(op.access.name, op.access.arity);
-    }
+    Relation* rel = ex.FindStored(op.access);
     if (rel != nullptr && rel->index_policy() != IndexPolicy::kNeverIndex &&
         rel->size() >= 64) {
       rel->EnsureIndex(op.bound_mask);
@@ -110,11 +102,12 @@ struct NailEngine::IvmCtx {
     uint64_t rows() const { return inserted.size() + erased.size(); }
   };
 
-  /// RelKey -> net change. Seeded from the delta log's EDB captures;
-  /// memo storage keys are appended as their SCCs complete, so downstream
-  /// SCCs see upstream memo deltas uniformly.
+  /// StoredRelationKey -> net change. Seeded from the delta log's EDB
+  /// captures; memo keys are appended as their SCCs complete, so
+  /// downstream SCCs see upstream memo deltas uniformly.
   std::unordered_map<uint64_t, std::unique_ptr<Net>> changed;
-  /// Memo nets to mirror into published HiLog instances, in SCC order.
+  /// Nets of parameterized memos, to mirror into their published HiLog
+  /// instances, in SCC order.
   std::vector<std::pair<int, const Net*>> publish;
   /// Old-state over-approximation per changed relation:
   /// live ∪ erased ⊇ old (also ⊇ new — safe for over-deletion). Built only
@@ -214,6 +207,7 @@ Status NailEngine::EnsureIvmPlans() {
         pos->rel = dep.storage;
         pos->arity = dep.columns();
         pos->nail_pred = dp;
+        pos->store = Store::kIdb;
         return true;
       }
       Result<TermId> nm = InternGroundTerm(pool_, g.pred);
@@ -340,7 +334,8 @@ Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
     auto net = std::make_unique<IvmCtx::Net>(arity);
     net->inserted.CopyFrom(d.inserted);
     net->erased.CopyFrom(d.erased);
-    ctx.changed[RelKey(name, arity)] = std::move(net);
+    ctx.changed[StoredRelationKey(Store::kEdb, name, arity)] =
+        std::move(net);
   });
   info->delta_rows_in = rows_in;
   if (span.active()) span.AddRows(rows_in);
@@ -354,32 +349,6 @@ Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
     return Status::OK();
   }
 
-  // Executor read overrides are keyed by relation *name* only. If a
-  // changed relation's name is read at more than one arity anywhere in
-  // the program, a name-keyed override would cross-wire the arities.
-  {
-    std::unordered_map<TermId, uint32_t> read_arity;
-    std::unordered_set<TermId> overloaded;
-    auto note = [&](const IvmRule::Pos& pos) {
-      auto [it, inserted] = read_arity.emplace(pos.rel, pos.arity);
-      if (!inserted && it->second != pos.arity) overloaded.insert(pos.rel);
-    };
-    for (const IvmRule& ir : ivm_rules_) {
-      for (const IvmRule::Pos& pos : ir.positions) note(pos);
-      for (const IvmRule::Pos& pos : ir.negations) note(pos);
-    }
-    for (const auto& [key, net] : ctx.changed) {
-      TermId name = static_cast<TermId>(key >> 32);
-      uint32_t arity = static_cast<uint32_t>(key);
-      auto it = read_arity.find(name);
-      if (overloaded.count(name) != 0 ||
-          (it != read_arity.end() && it->second != arity)) {
-        info->fallback = "arity-overload";
-        return Status::OK();
-      }
-    }
-  }
-
   for (size_t s = 0; s < program_.scc_order.size(); ++s) {
     const std::vector<int>& sccp = program_.scc_order[s];
     bool live_affected = false;
@@ -387,11 +356,11 @@ Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
       for (int r : program_.preds[static_cast<size_t>(p)].rules) {
         const IvmRule& ir = ivm_rules_[static_cast<size_t>(r)];
         for (const IvmRule::Pos& pos : ir.positions) {
-          IvmCtx::Net* net = ctx.Find(RelKey(pos.rel, pos.arity));
+          IvmCtx::Net* net = ctx.Find(pos.key());
           if (net != nullptr && net->rows() > 0) live_affected = true;
         }
         for (const IvmRule::Pos& pos : ir.negations) {
-          IvmCtx::Net* net = ctx.Find(RelKey(pos.rel, pos.arity));
+          IvmCtx::Net* net = ctx.Find(pos.key());
           if (net != nullptr && net->rows() > 0) {
             // Negation is not monotone in the delta; DRed does not handle
             // a negated premise whose relation changed.
@@ -409,12 +378,6 @@ Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
   for (const auto& [p, net] : ctx.publish) {
     const NailPred& pred = program_.preds[static_cast<size_t>(p)];
     TermId root = pool_->MakeSymbol(pred.root);
-    if (pred.params == 0) {
-      Relation* pub = idb_->GetOrCreate(root, pred.arity);
-      for (RowView t : net->erased) pub->Erase(t);
-      for (RowView t : net->inserted) pub->Insert(t);
-      continue;
-    }
     for (RowView t : net->erased) {
       std::vector<TermId> params(t.begin(), t.begin() + pred.params);
       TermId name = pool_->MakeCompound(root, params);
@@ -479,32 +442,30 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
   // read through a live ∪ erased copy. Extra matches through inserted
   // rows are filtered by memo->Contains or rederived below.
   Executor del_exec(exec_->program(), edb_, idb_, pool_, renv, bopts);
-  std::unordered_map<TermId, Relation*> del_ov;
   for (int p : sccp) {
     for (int r : program_.preds[static_cast<size_t>(p)].rules) {
       const IvmRule& ir = ivm_rules_[static_cast<size_t>(r)];
       std::vector<const IvmRule::Pos*> erased_pos;
       for (const IvmRule::Pos& pos : ir.positions) {
         if (is_internal(pos)) continue;
-        IvmCtx::Net* net = ctx->Find(RelKey(pos.rel, pos.arity));
+        IvmCtx::Net* net = ctx->Find(pos.key());
         if (net != nullptr && !net->erased.empty()) erased_pos.push_back(&pos);
       }
       if (erased_pos.size() < 2) continue;
       for (const IvmRule::Pos* pos : erased_pos) {
-        uint64_t key = RelKey(pos->rel, pos->arity);
+        uint64_t key = pos->key();
         auto uit = ctx->unions.find(key);
         if (uit == ctx->unions.end()) {
           auto u = std::make_unique<Relation>("$ivm$old+", pos->arity);
-          Relation* live = pos->nail_pred >= 0
-                               ? idb_->Find(pos->rel, pos->arity)
-                               : edb_->Find(pos->rel, pos->arity);
+          Relation* live = (pos->store == Store::kIdb ? idb_ : edb_)
+                               ->Find(pos->rel, pos->arity);
           if (live != nullptr) u->CopyFrom(*live);
           u->UnionAll(ctx->Find(key)->erased);
           ctx->old_state_rows += u->size();
           uit = ctx->unions.emplace(key, std::move(u)).first;
         }
-        del_exec.AddReadOverride(pos->rel, uit->second.get());
-        del_ov[pos->rel] = uit->second.get();
+        del_exec.AddReadOverride(pos->store, pos->rel, pos->arity,
+                                 uit->second.get());
       }
     }
   }
@@ -516,11 +477,11 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
       for (size_t k = 0; k < ir.positions.size(); ++k) {
         const IvmRule::Pos& pos = ir.positions[k];
         if (is_internal(pos)) continue;
-        IvmCtx::Net* net = ctx->Find(RelKey(pos.rel, pos.arity));
+        IvmCtx::Net* net = ctx->Find(pos.key());
         if (net == nullptr || net->erased.empty()) continue;
-        del_exec.AddReadOverride(pos.scope_name, &net->erased);
-        del_ov[pos.scope_name] = &net->erased;
-        BuildIndexesFor(ir.delta_plans[k], edb_, idb_, del_ov);
+        del_exec.AddReadOverride(Store::kIdb, pos.scope_name, pos.arity,
+                                 &net->erased);
+        BuildIndexesFor(ir.delta_plans[k], del_exec);
         GLUENAIL_RETURN_NOT_OK(
             RunPlanHeads(&del_exec, ir.delta_plans[k], pool_, [&](Tuple t) {
               if (memo->Contains(t) && dset[p]->Insert(t) && recursive) {
@@ -546,9 +507,9 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
           if (!is_internal(pos)) continue;
           Relation* cur = ddelta[pos.nail_pred].get();
           if (cur->empty()) continue;
-          del_exec.AddReadOverride(pos.scope_name, cur);
-          del_ov[pos.scope_name] = cur;
-          BuildIndexesFor(ir.delta_plans[k], edb_, idb_, del_ov);
+          del_exec.AddReadOverride(Store::kIdb, pos.scope_name, pos.arity,
+                                   cur);
+          BuildIndexesFor(ir.delta_plans[k], del_exec);
           GLUENAIL_RETURN_NOT_OK(
               RunPlanHeads(&del_exec, ir.delta_plans[k], pool_, [&](Tuple t) {
                 if (memo->Contains(t) && dset[p]->Insert(t)) {
@@ -587,11 +548,10 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
   // as washes.
   bool seeded = false;
   Executor seed_exec(exec_->program(), edb_, idb_, pool_, renv, bopts);
-  std::unordered_map<TermId, Relation*> seed_ov;
   for (int p : sccp) {
-    TermId dname = ivm_dset_names_[static_cast<size_t>(p)];
-    seed_exec.AddReadOverride(dname, dset[p].get());
-    seed_ov[dname] = dset[p].get();
+    seed_exec.AddReadOverride(Store::kIdb,
+                              ivm_dset_names_[static_cast<size_t>(p)],
+                              dset[p]->arity(), dset[p].get());
   }
   for (int p : sccp) {
     const NailPred& pred = program_.preds[static_cast<size_t>(p)];
@@ -608,18 +568,18 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
     for (int r : pred.rules) {
       const IvmRule& ir = ivm_rules_[static_cast<size_t>(r)];
       if (!dset[p]->empty()) {
-        BuildIndexesFor(ir.rederive, edb_, idb_, seed_ov);
+        BuildIndexesFor(ir.rederive, seed_exec);
         GLUENAIL_RETURN_NOT_OK(
             RunPlanHeads(&seed_exec, ir.rederive, pool_, seed));
       }
       for (size_t k = 0; k < ir.positions.size(); ++k) {
         const IvmRule::Pos& pos = ir.positions[k];
         if (is_internal(pos)) continue;
-        IvmCtx::Net* net = ctx->Find(RelKey(pos.rel, pos.arity));
+        IvmCtx::Net* net = ctx->Find(pos.key());
         if (net == nullptr || net->inserted.empty()) continue;
-        seed_exec.AddReadOverride(pos.scope_name, &net->inserted);
-        seed_ov[pos.scope_name] = &net->inserted;
-        BuildIndexesFor(ir.delta_plans[k], edb_, idb_, seed_ov);
+        seed_exec.AddReadOverride(Store::kIdb, pos.scope_name, pos.arity,
+                                  &net->inserted);
+        BuildIndexesFor(ir.delta_plans[k], seed_exec);
         GLUENAIL_RETURN_NOT_OK(
             RunPlanHeads(&seed_exec, ir.delta_plans[k], pool_, seed));
       }
@@ -649,9 +609,9 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
     if (span.active()) span.AddRows(out->rows());
     ctx->rows_out += out->rows();
     if (out->rows() > 0) {
-      uint64_t skey = RelKey(pred.storage, pred.columns());
-      ctx->publish.emplace_back(p, out.get());
-      ctx->changed[skey] = std::move(out);
+      if (pred.params > 0) ctx->publish.emplace_back(p, out.get());
+      ctx->changed[StoredRelationKey(Store::kIdb, pred.storage,
+                                     pred.columns())] = std::move(out);
     }
   }
   return Status::OK();

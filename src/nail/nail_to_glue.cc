@@ -1,7 +1,5 @@
 #include "src/nail/nail_to_glue.h"
 
-#include <functional>
-
 #include "src/analysis/binding.h"
 #include "src/common/strings.h"
 
@@ -59,16 +57,11 @@ int PredOf(const NailProgram& program, const Subgoal& g) {
 
 std::vector<ast::Term> FlattenColumns(const ast::Term& pred,
                                       const std::vector<ast::Term>& args) {
+  std::vector<const ast::Term*> params;
+  CollectPredParams(pred, &params);
   std::vector<ast::Term> cols;
-  std::vector<const ast::Term*> chain;
-  std::function<void(const ast::Term&)> collect = [&](const ast::Term& t) {
-    if (!t.IsApply()) return;
-    collect(t.functor());
-    for (size_t i = 0; i < t.apply_arity(); ++i) chain.push_back(&t.arg(i));
-  };
-  collect(pred);
-  for (const ast::Term* t : chain) cols.push_back(*t);
-  for (const ast::Term& a : args) cols.push_back(a);
+  for (const ast::Term* t : params) cols.push_back(*t);
+  cols.insert(cols.end(), args.begin(), args.end());
   return cols;
 }
 

@@ -39,7 +39,10 @@ Result<NailProgram> BuildNailProgram(std::vector<ast::NailRule> rules,
       pred.root = root;
       pred.params = params;
       pred.arity = arity;
-      pred.storage = MakeStorageName(pool, "$nail", pred);
+      // A parameterless predicate is stored under its own name; a
+      // parameterized one is flattened into a reserved relation.
+      pred.storage = params == 0 ? pool->MakeSymbol(root)
+                                 : MakeStorageName(pool, "$nail", pred);
       pred.delta_storage = MakeStorageName(pool, "$delta", pred);
       pred.newdelta_storage = MakeStorageName(pool, "$newdelta", pred);
       id = static_cast<int>(prog.preds.size());
@@ -84,21 +87,13 @@ Result<NailProgram> BuildNailProgram(std::vector<ast::NailRule> rules,
           prog.deps[static_cast<size_t>(head)].emplace_back(dep, negated);
         }
         // Otherwise an EDB relation: no edge.
-      } else {
-        // Dynamic predicate: conservatively depends on every NAIL!
-        // predicate whose published instances have this arity.
-        if (negated) {
-          return Status::CompileError(
-              StrCat("negated dynamic predicate in NAIL! rule: !",
-                     ast::ToString(g.pred), "(...) — its stratum cannot be "
-                     "determined"));
-        }
-        for (size_t p = 0; p < prog.preds.size(); ++p) {
-          if (prog.preds[p].arity == g.args.size()) {
-            prog.deps[static_cast<size_t>(head)].emplace_back(
-                static_cast<int>(p), false);
-          }
-        }
+      } else if (negated) {
+        // A dynamic predicate reads the EDB only while a refresh runs, so
+        // it adds no edge; negating one is still refused.
+        return Status::CompileError(
+            StrCat("negated dynamic predicate in NAIL! rule: !",
+                   ast::ToString(g.pred), "(...) — its stratum cannot be "
+                   "determined"));
       }
     }
   }

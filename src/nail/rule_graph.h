@@ -3,14 +3,16 @@
 ///
 /// A NAIL! predicate is identified by (root symbol, HiLog parameter arity,
 /// argument arity): `path(X,Y)` is path/0/2 and `students(ID)(S)` is
-/// students/1/1. Parameterized predicates evaluate over a *flattened*
+/// students/1/1. A parameterless predicate's memo is the IDB relation
+/// named by its root (path/2), so HiLog dereferencing (paper §5) is one
+/// database lookup. Parameterized predicates evaluate over a *flattened*
 /// storage relation whose columns are the parameters followed by the
 /// arguments; after evaluation each instance is *published* as an ordinary
-/// relation named by the ground name term (students(cs99)) so HiLog
-/// dereferencing (paper §5) is a database lookup.
+/// relation named by the ground name term (students(cs99)).
 ///
-/// Storage relation names are reserved terms: $nail(root, params, arity),
-/// $delta(...), $newdelta(...). They are hidden from HiLog enumeration.
+/// The flattened storage and the semi-naive relations have reserved
+/// names: $nail(root, params, arity), $delta(...), $newdelta(...). They
+/// are hidden from HiLog enumeration.
 
 #ifndef GLUENAIL_NAIL_RULE_GRAPH_H_
 #define GLUENAIL_NAIL_RULE_GRAPH_H_
@@ -29,8 +31,9 @@ struct NailPred {
   std::string root;
   uint32_t params = 0;
   uint32_t arity = 0;
-  /// Flattened storage (params + arity columns) and the semi-naive delta
-  /// relations, all in the IDB database.
+  /// The memo (params + arity columns; the root symbol itself when
+  /// params == 0) and the semi-naive delta relations, all in the IDB
+  /// database.
   TermId storage = kNullTerm;
   TermId delta_storage = kNullTerm;
   TermId newdelta_storage = kNullTerm;
@@ -65,9 +68,9 @@ struct NailProgram {
 
 /// Builds predicates and the dependency graph from \p rules. Rule bodies
 /// may reference EDB relations (anything that is not a rule head),
-/// comparisons, and other NAIL! predicates; dynamic (variable-named)
-/// subgoals conservatively depend on every predicate of matching arity.
-/// Negated dynamic subgoals are rejected (their stratum is undecidable).
+/// comparisons, and other NAIL! predicates. Dynamic (variable-named)
+/// subgoals read the EDB only while a refresh runs, so they add no edge;
+/// negated ones are rejected.
 Result<NailProgram> BuildNailProgram(std::vector<ast::NailRule> rules,
                                      TermPool* pool);
 

@@ -139,17 +139,8 @@ Status NailEngine::MaybeReplanScc(SccPlans* plans,
   return Status::OK();
 }
 
-std::pair<uint64_t, uint64_t> NailEngine::EdbSnapshot() const {
-  uint64_t count = 0, sum = 0;
-  edb_->ForEach([&](TermId, uint32_t, Relation* rel) {
-    ++count;
-    sum += rel->version();
-  });
-  return {count, sum};
-}
-
 Status NailEngine::ClearIdb() {
-  // Storage, deltas, and published instances all live in the IDB database;
+  // Memos, deltas, and published instances all live in the IDB database;
   // recomputation starts from scratch.
   std::vector<std::pair<TermId, uint32_t>> keys;
   idb_->ForEach([&](TermId name, uint32_t arity, Relation*) {
@@ -176,7 +167,7 @@ Status NailEngine::EnsureAllNail() {
 
 Status NailEngine::Refresh() {
   if (program_.empty()) return Status::OK();
-  std::pair<uint64_t, uint64_t> now = EdbSnapshot();
+  EdbVersion now = SnapshotEdbVersion(*edb_);
   if (valid_ && now == snapshot_) return Status::OK();
   if (exec_ == nullptr) {
     return Status::Internal("NailEngine has no executor wired");
@@ -195,13 +186,11 @@ Status NailEngine::Refresh() {
       ivm_enabled && mode_ != NailMode::kNaive && !scc_plans_.empty();
   if (ivm_enabled && !ivm_wired) info.fallback = "mode";
   if (ivm_wired) {
-    EdbVersion base{snapshot_.first, snapshot_.second};
-    EdbVersion live{now.first, now.second};
     if (!valid_) {
       // Invalidate() (Recover, LoadEdbFile, program reload) — the memo is
       // untrusted regardless of what the log captured.
       info.fallback = "invalidated";
-    } else if (!delta_log_->Covers(base, live)) {
+    } else if (!delta_log_->Covers(snapshot_, now)) {
       // Some change bypassed capture (Glue updates, module facts, Clear…);
       // relation versions are monotone so the watermark gives it away.
       info.fallback = "stale-memo";
@@ -223,7 +212,7 @@ Status NailEngine::Refresh() {
         ++refresh_count_;
         snapshot_ = now;
         valid_ = true;
-        delta_log_->Rebase(live);
+        delta_log_->Rebase(now);
         delta_refresh_count_.fetch_add(1, std::memory_order_relaxed);
         ivm_rows_in_.fetch_add(info.delta_rows_in,
                                std::memory_order_relaxed);
@@ -279,12 +268,10 @@ Status NailEngine::Refresh() {
   // Snapshot *after* evaluation: evaluation only writes the IDB, so the
   // EDB snapshot is unchanged unless a concurrent statement interfered
   // (impossible: refreshes run under the engine's writer lock).
-  snapshot_ = EdbSnapshot();
+  snapshot_ = SnapshotEdbVersion(*edb_);
   valid_ = true;
   // The memo was rebuilt from scratch: the delta log restarts against it.
-  if (delta_log_ != nullptr) {
-    delta_log_->Rebase(EdbVersion{snapshot_.first, snapshot_.second});
-  }
+  if (delta_log_ != nullptr) delta_log_->Rebase(snapshot_);
   full_refresh_count_.fetch_add(1, std::memory_order_relaxed);
   if (ivm_enabled && !info.fallback.empty()) {
     ivm_fallback_count_.fetch_add(1, std::memory_order_relaxed);
@@ -402,13 +389,9 @@ Status NailEngine::RefreshCompiled() {
 
 Status NailEngine::Publish() {
   for (const NailPred& pred : program_.preds) {
+    if (pred.params == 0) continue;  // the memo is already stored by name
     Relation* storage = idb_->GetOrCreate(pred.storage, pred.columns());
     TermId root = pool_->MakeSymbol(pred.root);
-    if (pred.params == 0) {
-      Relation* pub = idb_->GetOrCreate(root, pred.arity);
-      pub->CopyFrom(*storage);
-      continue;
-    }
     for (RowView t : *storage) {
       std::vector<TermId> params(t.begin(), t.begin() + pred.params);
       TermId name = pool_->MakeCompound(root, params);

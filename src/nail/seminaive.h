@@ -2,11 +2,11 @@
 /// \brief The NAIL! evaluation engine.
 ///
 /// NAIL! predicates are "computed on demand using the current value of the
-/// EDB" (paper §2). The engine materializes every predicate's flattened
-/// storage relation in the IDB database, memoized against an EDB version
-/// snapshot: any EDB change invalidates the materialization and the next
-/// demand recomputes (relation versions are monotone, so a snapshot is
-/// just the (count, version-sum) pair).
+/// EDB" (paper §2). The engine materializes every predicate's memo in the
+/// IDB database, memoized against an EDB version snapshot: any EDB change
+/// invalidates the materialization and the next demand recomputes
+/// (relation versions are monotone, so a snapshot is just the
+/// (count, version-sum) pair, EdbVersion).
 ///
 /// Three modes:
 ///  * kDirect — the default and the engine's runtime path: C++ drives the
@@ -19,8 +19,12 @@
 ///  * kNaive — ablation baseline for bench E5: every iteration re-derives
 ///    from full relations; no deltas.
 ///
-/// After evaluation, instances of parameterized predicates are *published*
+/// A parameterless predicate's memo is stored under its own name
+/// (path/2), so it is readable by name once a refresh completes. After
+/// evaluation, instances of parameterized predicates are *published*
 /// (students(cs99) as a 1-ary relation, ...) for HiLog dereferencing.
+/// While a refresh runs, a dynamic dereference reads the EDB only
+/// (NailEvaluator::evaluating).
 
 #ifndef GLUENAIL_NAIL_SEMINAIVE_H_
 #define GLUENAIL_NAIL_SEMINAIVE_H_
@@ -61,8 +65,7 @@ struct NailRefreshInfo {
   std::string mode = "full";
   /// Why a full recompute ran although IVM was enabled ("" otherwise):
   /// "stale-memo", "invalidated", "delta-dropped", "delta-fraction",
-  /// "unsupported-rule", "negation-on-delta", "arity-overload", "error",
-  /// "mode".
+  /// "unsupported-rule", "negation-on-delta", "error", "mode".
   std::string fallback;
   /// EDB delta rows consumed / memo rows changed by a delta refresh.
   uint64_t delta_rows_in = 0;
@@ -102,7 +105,8 @@ class NailEngine : public NailEvaluator {
   /// proceed without evaluation. Callers use this to decide whether a
   /// shared (read) lock suffices.
   bool IsFresh() const {
-    return program_.empty() || (valid_ && EdbSnapshot() == snapshot_);
+    return program_.empty() ||
+           (valid_ && SnapshotEdbVersion(*edb_) == snapshot_);
   }
 
   /// Compiled-Glue mode: the index of the generated driver procedure.
@@ -127,6 +131,7 @@ class NailEngine : public NailEvaluator {
   // NailEvaluator:
   Result<Relation*> EnsureNail(TermId storage_name, uint32_t arity) override;
   Status EnsureAllNail() override;
+  bool evaluating() const override { return evaluating_; }
 
   /// Number of refreshes performed, full or delta (for tests/benches).
   uint64_t refresh_count() const { return refresh_count_; }
@@ -187,14 +192,13 @@ class NailEngine : public NailEvaluator {
   Status RefreshDirect();
   Status RefreshNaive();
   Status RefreshCompiled();
+  /// Publishes the instances of parameterized predicates.
   Status Publish();
   /// Runs SCC \p s's semi-naive fixpoint loop (deltas already seeded by
   /// the caller: init statements for a full refresh, captured/derived
   /// deltas for an incremental one). The one serial fixpoint loop of the
   /// direct mode, shared by RefreshDirect and DRed's insertion phase.
   Status RunSccFixpoint(size_t s);
-  /// (relation count, sum of versions) over the EDB — monotone snapshot.
-  std::pair<uint64_t, uint64_t> EdbSnapshot() const;
   Status ClearIdb();
 
   NailProgram program_;
@@ -239,7 +243,7 @@ class NailEngine : public NailEvaluator {
 
   bool valid_ = false;
   bool evaluating_ = false;
-  std::pair<uint64_t, uint64_t> snapshot_{0, 0};
+  EdbVersion snapshot_;
   uint64_t refresh_count_ = 0;
   uint64_t iteration_count_ = 0;
   std::atomic<uint64_t> replan_count_{0};
@@ -261,6 +265,9 @@ class NailEngine : public NailEvaluator {
       uint32_t arity = 0;
       int nail_pred = -1;
       TermId scope_name = kNullTerm;
+      Store store = Store::kEdb;  ///< kIdb when the position reads a memo
+
+      uint64_t key() const { return StoredRelationKey(store, rel, arity); }
     };
     std::vector<Pos> positions;
     /// Negated atoms (rel/arity only), for the

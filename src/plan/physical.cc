@@ -10,17 +10,6 @@ namespace gluenail {
 
 namespace {
 
-/// HiLog parameter argument terms of a predicate-name chain, in column
-/// order (mirrors the logical planner's CollectPredParams).
-void CollectPredParams(const ast::Term& pred,
-                       std::vector<const ast::Term*>* out) {
-  if (!pred.IsApply()) return;
-  CollectPredParams(pred.functor(), out);
-  for (size_t i = 0; i < pred.apply_arity(); ++i) {
-    out->push_back(&pred.arg(i));
-  }
-}
-
 /// Cardinality facts about one atom-shaped subgoal, resolved the same way
 /// the logical planner resolves its access path but without compiling
 /// anything.
@@ -44,6 +33,7 @@ AtomCard ResolveAtomCard(const ast::Subgoal& g, const SubgoalInfo& info,
   AtomCard out;
   for (const ast::Term& a : g.args) out.columns.push_back(&a);
 
+  Store store = Store::kEdb;
   TermId name = kNullTerm;
   uint32_t arity = static_cast<uint32_t>(g.args.size());
   std::string root;
@@ -63,6 +53,7 @@ AtomCard ResolveAtomCard(const ast::Subgoal& g, const SubgoalInfo& info,
         }
         break;
       case PredClass::kNail: {
+        store = Store::kIdb;
         name = info.binding->name;
         arity = info.binding->nail_params + arity;
         out.stored = true;
@@ -87,7 +78,7 @@ AtomCard ResolveAtomCard(const ast::Subgoal& g, const SubgoalInfo& info,
   }
 
   if (name != kNullTerm && env.stats != nullptr) {
-    out.known = env.stats->Estimate(name, arity, &out.card);
+    out.known = env.stats->Estimate(store, name, arity, &out.card);
   }
   return out;
 }

@@ -36,16 +36,6 @@ bool IsAggregateFunctor(const Term& t) {
          AggKindFromName(t.functor().name).has_value();
 }
 
-/// Collects the HiLog parameter argument terms of a predicate-name chain:
-/// for f(a)(B) yields [a, B] in column order.
-void CollectPredParams(const Term& pred, std::vector<const Term*>* out) {
-  if (!pred.IsApply()) return;
-  CollectPredParams(pred.functor(), out);
-  for (size_t i = 0; i < pred.apply_arity(); ++i) {
-    out->push_back(&pred.arg(i));
-  }
-}
-
 class StatementPlanner {
  public:
   StatementPlanner(const CompileEnv& env, const PlannerOptions& opts)

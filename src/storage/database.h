@@ -92,30 +92,33 @@ class Database {
   AdaptiveConfig default_adaptive_cfg_;
 };
 
+/// A map key for the stored relation (store, name, arity).
+inline uint64_t StoredRelationKey(Store store, TermId name, uint32_t arity) {
+  return (static_cast<uint64_t>(name) << 32) |
+         (static_cast<uint64_t>(arity) << 1) | (store == Store::kIdb ? 1 : 0);
+}
+
 /// StatsProvider over an (EDB, IDB) database pair: answers cardinality
-/// queries from live relation statistics, trying the primary database
-/// first. Reads must be externally serialized against writers (the
-/// planner runs under the engine's writer/reader lock, which covers this).
+/// queries from live relation statistics of the store asked for. Reads
+/// must be externally serialized against writers (the planner runs under
+/// the engine's writer/reader lock, which covers this).
 class DatabasePairStatsProvider : public StatsProvider {
  public:
-  DatabasePairStatsProvider(const Database* primary, const Database* secondary)
-      : primary_(primary), secondary_(secondary) {}
+  DatabasePairStatsProvider(const Database* edb, const Database* idb)
+      : edb_(edb), idb_(idb) {}
 
-  bool Estimate(TermId name, uint32_t arity,
+  bool Estimate(Store store, TermId name, uint32_t arity,
                 CardEstimate* out) const override {
     const Relation* rel =
-        primary_ != nullptr ? primary_->Find(name, arity) : nullptr;
-    if (rel == nullptr && secondary_ != nullptr) {
-      rel = secondary_->Find(name, arity);
-    }
+        (store == Store::kEdb ? edb_ : idb_)->Find(name, arity);
     if (rel == nullptr) return false;
     *out = rel->stats().Estimate();
     return true;
   }
 
  private:
-  const Database* primary_;
-  const Database* secondary_;
+  const Database* edb_;
+  const Database* idb_;
 };
 
 }  // namespace gluenail

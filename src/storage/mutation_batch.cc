@@ -72,17 +72,8 @@ std::string MutationBatch::RenderFact(const TermPool& pool, TermId name,
   return out;
 }
 
-Result<MutationBatch::ApplyReport> MutationBatch::Apply(
-    Database* db, TermPool* pool, const ChangeObserver* observer) const {
-  // Validate everything before touching the database: parse every fact and
-  // pin down its (relation, tuple) shape first, so a bad op in the middle
-  // of a batch cannot leave a half-applied prefix behind.
-  struct Resolved {
-    OpKind kind;
-    TermId name;
-    Tuple row;
-  };
-  std::vector<Resolved> resolved;
+Result<MutationBatch::Resolved> MutationBatch::Resolve(TermPool* pool) const {
+  Resolved resolved;
   resolved.reserve(ops_.size());
   for (const Op& op : ops_) {
     Result<TermId> parsed = ParseGroundTerm(pool, op.fact);
@@ -92,18 +83,22 @@ Result<MutationBatch::ApplyReport> MutationBatch::Apply(
     TermId t = *parsed;
     if (pool->IsCompound(t)) {
       std::span<const TermId> args = pool->Args(t);
-      resolved.push_back(
-          Resolved{op.kind, pool->Functor(t), Tuple(args.begin(), args.end())});
+      resolved.push_back(ResolvedOp{op.kind, pool->Functor(t),
+                                    Tuple(args.begin(), args.end())});
     } else if (pool->IsSymbol(t)) {
-      resolved.push_back(Resolved{op.kind, t, Tuple{}});
+      resolved.push_back(ResolvedOp{op.kind, t, Tuple{}});
     } else {
       return Status::InvalidArgument(StrCat(
           "batch op '", op.fact, "': a fact must be a symbol or compound"));
     }
   }
+  return resolved;
+}
 
+MutationBatch::ApplyReport MutationBatch::ApplyResolved(
+    const Resolved& ops, Database* db, const ChangeObserver* observer) {
   ApplyReport report;
-  for (const Resolved& r : resolved) {
+  for (const ResolvedOp& r : ops) {
     uint32_t arity = static_cast<uint32_t>(r.row.size());
     if (r.kind == OpKind::kInsert) {
       if (db->GetOrCreate(r.name, arity)->Insert(r.row)) {
@@ -122,18 +117,10 @@ Result<MutationBatch::ApplyReport> MutationBatch::Apply(
   return report;
 }
 
-Status MutationBatch::Validate(TermPool* pool) const {
-  for (const Op& op : ops_) {
-    Result<TermId> parsed = ParseGroundTerm(pool, op.fact);
-    if (!parsed.ok()) {
-      return parsed.status().WithContext(StrCat("batch op '", op.fact, "'"));
-    }
-    if (!pool->IsCompound(*parsed) && !pool->IsSymbol(*parsed)) {
-      return Status::InvalidArgument(StrCat(
-          "batch op '", op.fact, "': a fact must be a symbol or compound"));
-    }
-  }
-  return Status::OK();
+Result<MutationBatch::ApplyReport> MutationBatch::Apply(Database* db,
+                                                        TermPool* pool) const {
+  GLUENAIL_ASSIGN_OR_RETURN(Resolved ops, Resolve(pool));
+  return ApplyResolved(ops, db, nullptr);
 }
 
 std::string MutationBatch::Serialize() const {

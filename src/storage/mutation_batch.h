@@ -21,10 +21,11 @@
 /// The checksum is FNV-1a 64 over the op lines (each normalized to end in
 /// LF), so a torn or bit-flipped batch is rejected before any op applies.
 ///
-/// Apply is all-or-nothing on validation: every fact is parsed before the
-/// first op touches the database, so a malformed op leaves the database
-/// untouched. (Inserts/erases themselves cannot fail — relations dedupe
-/// and erasing an absent tuple is a no-op.)
+/// Applying is two steps: Resolve parses every fact into a (relation,
+/// tuple) op, failing on the first malformed one, and ApplyResolved runs
+/// the ops. So a malformed op leaves the database untouched, and a commit
+/// parses each fact once. (Inserts/erases themselves cannot fail —
+/// relations dedupe and erasing an absent tuple is a no-op.)
 
 #ifndef GLUENAIL_STORAGE_MUTATION_BATCH_H_
 #define GLUENAIL_STORAGE_MUTATION_BATCH_H_
@@ -89,19 +90,29 @@ class MutationBatch {
       std::function<void(OpKind kind, TermId name, uint32_t arity,
                          RowView row)>;
 
-  /// Validates every op (parse + ground + shape), then applies them in
-  /// order against \p db. All-or-nothing on validation failure.
-  Result<ApplyReport> Apply(Database* db, TermPool* pool) const {
-    return Apply(db, pool, nullptr);
-  }
-  /// Apply with a change observer (may be null).
-  Result<ApplyReport> Apply(Database* db, TermPool* pool,
-                            const ChangeObserver* observer) const;
+  /// One op resolved against a pool: the relation's name term and tuple.
+  struct ResolvedOp {
+    OpKind kind = OpKind::kInsert;
+    TermId name = kNullTerm;
+    Tuple row;
+  };
+  using Resolved = std::vector<ResolvedOp>;
 
-  /// The validation half of Apply, without the apply: parses every op and
-  /// checks its fact shape. The WAL calls this before appending a batch,
-  /// so a malformed batch is rejected up front and never logged.
-  Status Validate(TermPool* pool) const;
+  /// Parses every op (parse + ground + shape) into \p pool. The engine
+  /// resolves a batch before logging it, so a malformed batch is rejected
+  /// up front and never logged.
+  Result<Resolved> Resolve(TermPool* pool) const;
+
+  /// Applies resolved ops in order against \p db, reporting each actual
+  /// change to \p observer (may be null).
+  static ApplyReport ApplyResolved(const Resolved& ops, Database* db,
+                                   const ChangeObserver* observer);
+
+  /// Resolve, then ApplyResolved. All-or-nothing on a malformed op.
+  Result<ApplyReport> Apply(Database* db, TermPool* pool) const;
+
+  /// Resolve without the apply, for callers that only check a batch.
+  Status Validate(TermPool* pool) const { return Resolve(pool).status(); }
 
   /// Checksummed text form (see file comment). Infallible.
   std::string Serialize() const;

@@ -128,14 +128,20 @@ class RelationStats {
   std::vector<ColumnNdvSketch> columns_;
 };
 
+/// The database a stored relation lives in: the EDB, or the IDB of NAIL!
+/// memos and published HiLog instances. A stored relation is identified by
+/// (store, name, arity).
+enum class Store : uint8_t { kEdb, kIdb };
+
 /// Planner-facing cardinality oracle. Implementations answer "how big is
-/// relation (name, arity) right now?" without exposing storage types to the
-/// plan layer. Returns false when the relation is unknown to the provider;
-/// the planner then falls back to a configured default cardinality.
+/// relation (store, name, arity) right now?" without exposing storage
+/// types to the plan layer. Returns false when the relation is unknown to
+/// the provider; the planner then falls back to a configured default
+/// cardinality.
 class StatsProvider {
  public:
   virtual ~StatsProvider() = default;
-  virtual bool Estimate(TermId name, uint32_t arity,
+  virtual bool Estimate(Store store, TermId name, uint32_t arity,
                         CardEstimate* out) const = 0;
 };
 

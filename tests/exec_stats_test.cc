@@ -114,6 +114,26 @@ TEST(ExecStatsTest, HeadTuplesCountNetChanges) {
   EXPECT_EQ(engine.exec_stats().head_tuples, 0u);
 }
 
+TEST(ExecStatsTest, MemoRowsAreStoredOnce) {
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgram(R"(
+module kb;
+edb edge(X,Y);
+path(X,Y) :- edge(X,Y).
+path(X,Z) :- path(X,Y) & edge(Y,Z).
+edge(1,2).
+edge(2,3).
+edge(3,4).
+end
+)").ok());
+  Result<Engine::QueryResult> r = engine.Query("path(X,Y)");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->rows.size(), 6u);
+  // 3 edge rows and 6 path rows: the memo is the IDB relation path/2
+  // itself, with no second copy.
+  EXPECT_EQ(engine.storage_stats().live_tuples, 9u);
+}
+
 TEST(ExecStatsTest, StorageStatsAggregateCounters) {
   Engine engine;
   for (int i = 0; i < 50; ++i) {

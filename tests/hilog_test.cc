@@ -122,8 +122,8 @@ TEST_P(HiLogTest, NegatedDynamicWithBoundName) {
 }
 
 TEST_P(HiLogTest, EnumerationSkipsInternalRelations) {
-  // NAIL! storage relations ($nail/...) must never leak into HiLog
-  // enumeration.
+  // Reserved NAIL! relations ($delta(...), $newdelta(...)) must never
+  // leak into HiLog enumeration.
   ASSERT_TRUE(engine_->LoadProgram(R"(
 module kb;
 edb edge(X,Y);
@@ -132,8 +132,8 @@ path(X,Z) :- path(X,Y) & edge(Y,Z).
 edge(1,2).
 end
 )").ok());
-  // P ranges over binary predicates: edge (EDB) and path (published IDB),
-  // but not $nail$... storage.
+  // P ranges over binary predicates: edge (EDB) and path (the memo, stored
+  // under its own name), but not the semi-naive $delta relations.
   Result<Engine::QueryResult> r = engine_->Query("P(1,2)");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->rows.size(), 2u);

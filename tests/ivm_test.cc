@@ -323,6 +323,31 @@ TEST(IvmDred, MemoReadByNameAfterDelta) {
   EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
 }
 
+TEST(IvmDred, NameReadAtTwoArities) {
+  // e/1 and e/2 are two relations: the change map and the read overrides
+  // key them by (store, name, arity), so a batch on either stays
+  // incremental.
+  IvmPair pair;
+  pair.Load(R"(
+module kb;
+edb e(X), e(X,Y);
+p(X,Y) :- e(X) & e(X,Y).
+e(1).
+e(1,2).
+e(2,3).
+end
+)");
+  pair.Check("p(X, Y)");
+  pair.Apply(Batch({"e(2)"}));
+  pair.Check("p(X, Y)");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
+  EXPECT_EQ(pair.nail()->last_refresh().fallback, "");
+  pair.Apply(Batch({"e(2,4)"}, {"e(1,2)", "e(1)"}));
+  pair.Check("p(X, Y)");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
+  EXPECT_EQ(pair.nail()->last_refresh().fallback, "");
+}
+
 // --- Stratified negation ---------------------------------------------------
 
 TEST(IvmNegation, NegatedRelationChangeFallsBackCorrectly) {

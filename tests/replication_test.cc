@@ -31,6 +31,7 @@
 #include "src/server/replication.h"
 #include "src/server/server.h"
 #include "src/storage/mutation_batch.h"
+#include "src/storage/persistence.h"
 
 namespace gluenail {
 namespace {
@@ -127,6 +128,36 @@ class ReplTest : public ::testing::Test {
   void SetUp() override { FaultInjector::Instance().Disarm(); }
   void TearDown() override { FaultInjector::Instance().Disarm(); }
 };
+
+// --- Checkpoint image bootstrap ---------------------------------------------
+
+TEST_F(ReplTest, CorruptCheckpointImageLeavesReplicaIntact) {
+  // A damaged bootstrap image is refused before the replica clears its
+  // EDB: the rows and the applied LSN stay as they were.
+  TermPool pool;
+  Database source(&pool);
+  Relation* f = source.GetOrCreate(pool.MakeSymbol("f"), 1);
+  for (int k : {1, 2, 3}) f->Insert(Tuple{pool.MakeInt(k)});
+  source.GetOrCreate(pool.MakeSymbol("g"), 2);  // empty, kept
+  const std::string image = SerializeDatabase(source);
+
+  Engine replica(ReplicaOpts());
+  ASSERT_TRUE(replica.ResetFromCheckpointImage(7, image).ok());
+  EXPECT_EQ(Facts(&replica), (std::set<int>{1, 2, 3}));
+  Result<std::vector<Tuple>> g = replica.RelationContents("g", 2);
+  ASSERT_TRUE(g.ok()) << g.status();
+  EXPECT_TRUE(g->empty());
+  EXPECT_EQ(replica.replica_applied_lsn(), 7u);
+
+  std::string torn = image.substr(0, image.size() - 3);
+  std::string flipped = image;
+  flipped[flipped.rfind('3')] = '9';
+  for (const std::string& bad : {torn, flipped}) {
+    EXPECT_FALSE(replica.ResetFromCheckpointImage(9, bad).ok());
+    EXPECT_EQ(Facts(&replica), (std::set<int>{1, 2, 3}));
+    EXPECT_EQ(replica.replica_applied_lsn(), 7u);
+  }
+}
 
 // --- Payload codecs --------------------------------------------------------
 

@@ -61,7 +61,9 @@
 # prefix with $TEST_BUILD_PREFIX) so switching configs never thrashes one
 # cache. A config that runs one label builds only that label's tests (test
 # names equal target names), so a sanitizer tree holds a few test
-# binaries, not the whole project.
+# binaries, not the whole project. The trees are Ninja trees: Ninja builds
+# a label's targets in parallel, where CMake's top-level Makefile
+# (.NOTPARALLEL) builds them one after another.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -71,12 +73,23 @@ prefix="${TEST_BUILD_PREFIX:-$repo_root/build}"
 # so switching between them never reconfigures it.
 debug_flags=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=-Werror)
 
+# configure <dir> <source> [cmake args...]: configures <dir> with Ninja. A
+# tree another generator made is reconfigured from scratch.
+configure() {
+  local dir="$1" src="$2"; shift 2
+  if [ -f "$dir/CMakeCache.txt" ] &&
+    ! grep -qx 'CMAKE_GENERATOR:INTERNAL=Ninja' "$dir/CMakeCache.txt"; then
+    rm -rf "$dir/CMakeCache.txt" "$dir/CMakeFiles"
+  fi
+  cmake -B "$dir" -S "$src" -G Ninja "$@" >/dev/null
+}
+
 # configure_and_build <dir> <label> [cmake args...]: configures <dir>,
 # then builds the targets of the tests labelled <label>, or every target
 # when <label> is empty.
 configure_and_build() {
   local dir="$1" label="$2"; shift 2
-  cmake -B "$dir" -S "$repo_root" "$@" >/dev/null
+  configure "$dir" "$repo_root" "$@"
   local targets=()
   if [ -n "$label" ]; then
     mapfile -t targets < <(cd "$dir" && ctest -N -L "$label" |
@@ -151,8 +164,8 @@ run_config() {
       run_ctest "$prefix-debug" repl
       ;;
     bench)
-      cmake -B "$prefix-bench" -S "$repo_root/bench/workloads" \
-        -DCMAKE_BUILD_TYPE=Release >/dev/null
+      configure "$prefix-bench" "$repo_root/bench/workloads" \
+        -DCMAKE_BUILD_TYPE=Release
       cmake --build "$prefix-bench" -j "$(nproc)"
       run_ctest "$prefix-bench" bench
       ;;
