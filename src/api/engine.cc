@@ -907,10 +907,7 @@ Status Engine::ResetFromCheckpointImage(uint64_t covers_lsn,
   GLUENAIL_RETURN_NOT_OK(
       LoadDatabase(&staged, in).WithContext("checkpoint image"));
   ClearEdbLocked();
-  // Relations the image holds empty are created too.
-  staged.ForEach([this](TermId name, uint32_t arity, Relation* rel) {
-    edb_.GetOrCreate(name, arity)->UnionAll(*rel);
-  });
+  MergeInto(staged, &edb_);
   repl_applied_lsn_.store(covers_lsn, std::memory_order_release);
   if (m_repl_bootstraps_ != nullptr) m_repl_bootstraps_->Add();
   return Status::OK();

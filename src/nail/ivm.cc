@@ -207,7 +207,6 @@ Status NailEngine::EnsureIvmPlans() {
         pos->rel = dep.storage;
         pos->arity = dep.columns();
         pos->nail_pred = dp;
-        pos->store = Store::kIdb;
         return true;
       }
       Result<TermId> nm = InternGroundTerm(pool_, g.pred);
@@ -457,14 +456,14 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
         auto uit = ctx->unions.find(key);
         if (uit == ctx->unions.end()) {
           auto u = std::make_unique<Relation>("$ivm$old+", pos->arity);
-          Relation* live = (pos->store == Store::kIdb ? idb_ : edb_)
+          Relation* live = (pos->nail_pred >= 0 ? idb_ : edb_)
                                ->Find(pos->rel, pos->arity);
           if (live != nullptr) u->CopyFrom(*live);
           u->UnionAll(ctx->Find(key)->erased);
           ctx->old_state_rows += u->size();
           uit = ctx->unions.emplace(key, std::move(u)).first;
         }
-        del_exec.AddReadOverride(pos->store, pos->rel, pos->arity,
+        del_exec.AddReadOverride(pos->store(), pos->rel, pos->arity,
                                  uit->second.get());
       }
     }

@@ -265,9 +265,9 @@ class NailEngine : public NailEvaluator {
       uint32_t arity = 0;
       int nail_pred = -1;
       TermId scope_name = kNullTerm;
-      Store store = Store::kEdb;  ///< kIdb when the position reads a memo
 
-      uint64_t key() const { return StoredRelationKey(store, rel, arity); }
+      Store store() const { return nail_pred >= 0 ? Store::kIdb : Store::kEdb; }
+      uint64_t key() const { return StoredRelationKey(store(), rel, arity); }
     };
     std::vector<Pos> positions;
     /// Negated atoms (rel/arity only), for the

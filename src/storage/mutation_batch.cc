@@ -117,12 +117,6 @@ MutationBatch::ApplyReport MutationBatch::ApplyResolved(
   return report;
 }
 
-Result<MutationBatch::ApplyReport> MutationBatch::Apply(Database* db,
-                                                        TermPool* pool) const {
-  GLUENAIL_ASSIGN_OR_RETURN(Resolved ops, Resolve(pool));
-  return ApplyResolved(ops, db, nullptr);
-}
-
 std::string MutationBatch::Serialize() const {
   uint64_t checksum = 0xcbf29ce484222325ULL;
   std::string body;

@@ -53,9 +53,9 @@ class MutationBatch {
     std::string fact;
   };
 
-  /// What Apply changed. `inserted`/`erased` count tuples that actually
-  /// changed the database (a duplicate insert or absent-tuple erase
-  /// counts as applied but not changed).
+  /// What ApplyResolved changed. `inserted`/`erased` count tuples that
+  /// actually changed the database (a duplicate insert or absent-tuple
+  /// erase counts as applied but not changed).
   struct ApplyReport {
     uint64_t applied = 0;
     uint64_t inserted = 0;
@@ -107,9 +107,6 @@ class MutationBatch {
   /// change to \p observer (may be null).
   static ApplyReport ApplyResolved(const Resolved& ops, Database* db,
                                    const ChangeObserver* observer);
-
-  /// Resolve, then ApplyResolved. All-or-nothing on a malformed op.
-  Result<ApplyReport> Apply(Database* db, TermPool* pool) const;
 
   /// Resolve without the apply, for callers that only check a batch.
   Status Validate(TermPool* pool) const { return Resolve(pool).status(); }

@@ -312,13 +312,6 @@ Status ParseFactInto(Database* db, TermPool* pool, std::string_view line,
       StrCat("line ", line_no, ": a fact must be a symbol or compound"));
 }
 
-/// Unions every relation of \p staged into \p dst, creating as needed.
-void MergeInto(const Database& staged, Database* dst) {
-  staged.ForEach([&](TermId name, uint32_t arity, Relation* rel) {
-    dst->GetOrCreate(name, arity)->UnionAll(*rel);
-  });
-}
-
 struct Section {
   std::string label;        // "edge/2", for reporting
   uint64_t declared_tuples = 0;
@@ -406,6 +399,12 @@ Status LoadSection(const Section& sec, Database* staging, TermPool* pool,
 }
 
 }  // namespace
+
+void MergeInto(const Database& staged, Database* dst) {
+  staged.ForEach([&](TermId name, uint32_t arity, Relation* rel) {
+    dst->GetOrCreate(name, arity)->UnionAll(*rel);
+  });
+}
 
 Result<TermId> ParseGroundTerm(TermPool* pool, std::string_view text) {
   GroundTermReader reader(pool, text);

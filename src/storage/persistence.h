@@ -120,6 +120,10 @@ Result<LoadReport> LoadDatabase(Database* db, std::istream& is,
 
 Status LoadDatabaseFromFile(Database* db, const std::string& path);
 
+/// Unions every relation of \p staged into \p dst, creating as needed;
+/// relations \p staged holds empty are created too.
+void MergeInto(const Database& staged, Database* dst);
+
 /// The bytes of the file at \p path; an IoError names the path when it
 /// cannot be opened or read.
 Result<std::string> ReadFileText(const std::string& path);

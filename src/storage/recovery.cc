@@ -23,12 +23,13 @@ Status ReplayRecord(Database* db, TermPool* pool, const WalScanRecord& rec,
   if (!batch.ok()) {
     return batch.status().WithContext(StrCat("wal record lsn=", rec.lsn));
   }
-  Result<MutationBatch::ApplyReport> applied = batch->Apply(db, pool);
-  if (!applied.ok()) {
-    return applied.status().WithContext(StrCat("wal record lsn=", rec.lsn));
+  Result<MutationBatch::Resolved> ops = batch->Resolve(pool);
+  if (!ops.ok()) {
+    return ops.status().WithContext(StrCat("wal record lsn=", rec.lsn));
   }
   ++report->records_replayed;
-  report->ops_applied += applied->applied;
+  report->ops_applied +=
+      MutationBatch::ApplyResolved(*ops, db, nullptr).applied;
   if (rec.lsn > report->last_lsn) report->last_lsn = rec.lsn;
   return Status::OK();
 }

@@ -122,18 +122,22 @@ TEST_P(HiLogTest, NegatedDynamicWithBoundName) {
 }
 
 TEST_P(HiLogTest, EnumerationSkipsInternalRelations) {
-  // Reserved NAIL! relations ($delta(...), $newdelta(...)) must never
-  // leak into HiLog enumeration.
+  // Reserved NAIL! relations must never leak into HiLog enumeration. The
+  // parameterized reach(X)(Y) is stored flattened as $nail(reach,1,1),
+  // which holds the binary row (1,2); only its published instance reach(1),
+  // of arity 1, is a predicate a query can name.
   ASSERT_TRUE(engine_->LoadProgram(R"(
 module kb;
 edb edge(X,Y);
 path(X,Y) :- edge(X,Y).
 path(X,Z) :- path(X,Y) & edge(Y,Z).
+reach(X)(Y) :- edge(X,Y).
 edge(1,2).
 end
 )").ok());
+  ASSERT_EQ(Ask("reach(1)(Y)"), "2");
   // P ranges over binary predicates: edge (EDB) and path (the memo, stored
-  // under its own name), but not the semi-naive $delta relations.
+  // under its own name), but not $nail(reach,1,1).
   Result<Engine::QueryResult> r = engine_->Query("P(1,2)");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->rows.size(), 2u);

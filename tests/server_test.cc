@@ -452,14 +452,12 @@ TEST(MutationBatchTest, ParseRejectsCorruption) {
 
 TEST(MutationBatchTest, ApplyIsAllOrNothingOnValidation) {
   TermPool pool;
-  Database db(&pool);
   MutationBatch batch;
   batch.Insert("edge(1,2)");
   batch.Insert("X");  // a variable is not a ground fact
-  EXPECT_FALSE(batch.Apply(&db, &pool).ok());
-  // The valid first op must not have leaked into the database.
-  const Relation* edge = db.Find(pool.MakeSymbol("edge"), 2);
-  EXPECT_TRUE(edge == nullptr || edge->size() == 0);
+  // Resolve refuses the batch as a whole and returns no ops, so the valid
+  // first op never reaches ApplyResolved.
+  EXPECT_FALSE(batch.Resolve(&pool).ok());
 }
 
 TEST(MutationBatchTest, InsertEraseCounts) {

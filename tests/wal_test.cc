@@ -277,8 +277,11 @@ TEST_F(WalTest, DuplicateReplayIsIdempotent) {
     ASSERT_TRUE((*wal)->Append(b2).ok());
     ASSERT_TRUE((*wal)->Sync().ok());
   }
-  ASSERT_TRUE(b1.Apply(&db, &pool).ok());
-  ASSERT_TRUE(b2.Apply(&db, &pool).ok());
+  for (const MutationBatch* b : {&b1, &b2}) {
+    Result<MutationBatch::Resolved> ops = b->Resolve(&pool);
+    ASSERT_TRUE(ops.ok());
+    MutationBatch::ApplyResolved(*ops, &db, nullptr);
+  }
   ASSERT_TRUE(SaveDatabaseToFile(db, ckpt).ok());
 
   // Recover from checkpoint + the same (unrotated) log: full overlap.
