@@ -241,5 +241,85 @@ TEST(ExecStatsTest, FixpointReplansOnDeltaDrift) {
   EXPECT_GE(engine.nail_engine()->replan_count(), 1u);
 }
 
+
+/// Golden run-time counters of one guarded statement that mixes every op
+/// kind: match, negation, comparison, a Glue procedure call, a body
+/// update, group_by and an aggregate. Both strategies share one body
+/// loop; these figures pin where each strategy checks its guardrails,
+/// breaks its pipeline, forms batch segments and removes duplicates.
+struct GoldenCounters {
+  ExecOptions::Strategy strategy;
+  bool dedup_at_breaks;
+  uint64_t pipeline_breaks;
+  uint64_t duplicates_removed;
+  uint64_t batch_segments;
+  uint64_t batch_rows;
+  uint64_t records_produced;
+  uint64_t control_checks;
+};
+
+TEST(ExecStatsTest, GoldenCountersPerStrategyAndDedup) {
+  const GoldenCounters kGolden[] = {
+      // One segment per match, negation and comparison, and a guardrail
+      // check before every op, in the statement and in double's body.
+      {ExecOptions::Strategy::kMaterialized, true, 0, 48, 6, 88, 28, 10},
+      {ExecOptions::Strategy::kMaterialized, false, 0, 24, 6, 166, 28, 10},
+      // One segment per barrier-free run; four breaks (call, update,
+      // group_by, aggregate); the mandatory dedup before the aggregate
+      // removes the same 24 records with dedup_at_breaks off.
+      {ExecOptions::Strategy::kPipelined, true, 4, 24, 2, 2, 28, 5},
+      {ExecOptions::Strategy::kPipelined, false, 4, 24, 2, 2, 28, 5},
+  };
+  for (const GoldenCounters& g : kGolden) {
+    SCOPED_TRACE(StrCat(g.strategy == ExecOptions::Strategy::kPipelined
+                            ? "pipelined"
+                            : "materialized",
+                        " dedup=", g.dedup_at_breaks));
+    EngineOptions opts;
+    opts.exec.strategy = g.strategy;
+    opts.exec.dedup_at_breaks = g.dedup_at_breaks;
+    Engine engine(opts);
+    ASSERT_TRUE(engine.LoadProgram(R"(
+module lib;
+export double(X:Y);
+proc double(X:Y)
+  return(X:Y) := in(X) & Y = X * 2.
+end
+end
+)").ok());
+    // a(X, Y, W): X in 0..5, Y in 0..7, and a column W the statement
+    // ignores, so the match emits each (X, Y) binding twice.
+    for (int x = 0; x < 6; ++x) {
+      for (int y = 0; y < 8; ++y) {
+        for (int w = 0; w < 2; ++w) {
+          ASSERT_TRUE(
+              engine.AddFact(StrCat("a(", x, ", ", y, ", ", w, ").")).ok());
+        }
+      }
+    }
+    for (int y = 0; y < 8; y += 3) {
+      ASSERT_TRUE(engine.AddFact(StrCat("b(", y, ").")).ok());
+    }
+    engine.ResetExecStats();
+    QueryOptions guarded;
+    guarded.limits.max_rows_scanned = 1'000'000;
+    Status st = engine.ExecuteStatement(
+        "out(X, S) := a(X, Y, _) & !b(Y) & Y > 1 & double(Y, Z) & "
+        "++log(X, Z) & group_by(X) & S = sum(Z).",
+        guarded);
+    ASSERT_TRUE(st.ok()) << st;
+    const ExecStats& s = engine.exec_stats();
+    EXPECT_EQ(s.pipeline_breaks, g.pipeline_breaks);
+    EXPECT_EQ(s.duplicates_removed, g.duplicates_removed);
+    EXPECT_EQ(s.batch_segments, g.batch_segments);
+    EXPECT_EQ(s.batch_rows, g.batch_rows);
+    EXPECT_EQ(s.records_produced, g.records_produced);
+    EXPECT_EQ(s.control_checks, g.control_checks);
+    Result<Engine::QueryResult> r = engine.Query("out(X, S)");
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->rows.size(), 6u);
+  }
+}
+
 }  // namespace
 }  // namespace gluenail
