@@ -151,12 +151,6 @@ Subgoal Subgoal::Atom(Term pred, std::vector<Term> args, SourceLoc loc) {
   return g;
 }
 
-Subgoal Subgoal::Negated(Term pred, std::vector<Term> args, SourceLoc loc) {
-  Subgoal g = Atom(std::move(pred), std::move(args), loc);
-  g.kind = SubgoalKind::kNegatedAtom;
-  return g;
-}
-
 Subgoal Subgoal::Comparison(Term lhs, CompareOp op, Term rhs, SourceLoc loc) {
   Subgoal g;
   g.kind = SubgoalKind::kComparison;
@@ -164,26 +158,6 @@ Subgoal Subgoal::Comparison(Term lhs, CompareOp op, Term rhs, SourceLoc loc) {
   g.cmp = op;
   g.rhs = std::move(rhs);
   g.loc = loc;
-  return g;
-}
-
-Subgoal Subgoal::GroupBy(std::vector<Term> vars, SourceLoc loc) {
-  Subgoal g;
-  g.kind = SubgoalKind::kGroupBy;
-  g.args = std::move(vars);
-  g.loc = loc;
-  return g;
-}
-
-Subgoal Subgoal::Insert(Term pred, std::vector<Term> args, SourceLoc loc) {
-  Subgoal g = Atom(std::move(pred), std::move(args), loc);
-  g.kind = SubgoalKind::kInsert;
-  return g;
-}
-
-Subgoal Subgoal::Delete(Term pred, std::vector<Term> args, SourceLoc loc) {
-  Subgoal g = Atom(std::move(pred), std::move(args), loc);
-  g.kind = SubgoalKind::kDelete;
   return g;
 }
 

@@ -127,15 +127,8 @@ struct Subgoal {
   SourceLoc loc;
 
   static Subgoal Atom(Term pred, std::vector<Term> args, SourceLoc loc = {});
-  static Subgoal Negated(Term pred, std::vector<Term> args,
-                         SourceLoc loc = {});
   static Subgoal Comparison(Term lhs, CompareOp op, Term rhs,
                             SourceLoc loc = {});
-  static Subgoal GroupBy(std::vector<Term> vars, SourceLoc loc = {});
-  static Subgoal Insert(Term pred, std::vector<Term> args,
-                        SourceLoc loc = {});
-  static Subgoal Delete(Term pred, std::vector<Term> args,
-                        SourceLoc loc = {});
 };
 
 // ---------------------------------------------------------------------------

@@ -195,47 +195,4 @@ std::string PlanToString(const StatementPlan& plan, const TermPool& pool,
   return out;
 }
 
-namespace {
-
-void AppendInstr(const CInstr& instr, const CompiledProcedure& proc,
-                 const TermPool& pool, int indent, std::string* out) {
-  std::string pad(static_cast<size_t>(indent), ' ');
-  if (instr.kind == CInstr::Kind::kExec) {
-    out->append(StrCat(pad, "stmt ", instr.plan_index, ":\n"));
-    std::string body =
-        PlanToString(proc.plans[static_cast<size_t>(instr.plan_index)], pool);
-    // Indent the plan body.
-    size_t start = 0;
-    while (start < body.size()) {
-      size_t nl = body.find('\n', start);
-      out->append(pad);
-      out->append(body, start, nl - start + 1);
-      start = nl + 1;
-    }
-  } else {
-    out->append(StrCat(pad, "repeat\n"));
-    for (const CInstr& inner : instr.body) {
-      AppendInstr(inner, proc, pool, indent + 2, out);
-    }
-    out->append(StrCat(pad, "until <cond>\n"));
-  }
-}
-
-}  // namespace
-
-std::string ProcedureToString(const CompiledProcedure& proc,
-                              const TermPool& pool) {
-  std::string out = StrCat("proc ", proc.module, ".", proc.name, " (",
-                           proc.bound_arity, ":", proc.free_arity, ")",
-                           proc.fixed ? " fixed" : "", "\n");
-  for (size_t i = 0; i < proc.locals.size(); ++i) {
-    out.append(StrCat("  local#", i, " ", proc.locals[i].first, "/",
-                      proc.locals[i].second, "\n"));
-  }
-  for (const CInstr& instr : proc.code) {
-    AppendInstr(instr, proc, pool, 2, &out);
-  }
-  return out;
-}
-
 }  // namespace gluenail

@@ -38,10 +38,6 @@ std::string PlanToString(const StatementPlan& plan, const TermPool& pool);
 std::string PlanToString(const StatementPlan& plan, const TermPool& pool,
                          const std::vector<uint64_t>* actual_rows);
 
-/// Renders a whole compiled procedure: locals, statements, loop structure.
-std::string ProcedureToString(const CompiledProcedure& proc,
-                              const TermPool& pool);
-
 }  // namespace gluenail
 
 #endif  // GLUENAIL_PLAN_PLAN_PRINTER_H_

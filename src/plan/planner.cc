@@ -93,38 +93,13 @@ class StatementPlanner {
 
   // --- Terms ---------------------------------------------------------------
 
-  Result<TermId> GroundTermId(const Term& t) {
-    switch (t.kind) {
-      case TermKind::kInt:
-        return env_.pool->MakeInt(t.int_value);
-      case TermKind::kFloat:
-        return env_.pool->MakeFloat(t.float_value);
-      case TermKind::kSymbol:
-        return env_.pool->MakeSymbol(t.name);
-      case TermKind::kApply: {
-        GLUENAIL_ASSIGN_OR_RETURN(TermId f, GroundTermId(t.functor()));
-        std::vector<TermId> args;
-        for (size_t i = 0; i < t.apply_arity(); ++i) {
-          GLUENAIL_ASSIGN_OR_RETURN(TermId a, GroundTermId(t.arg(i)));
-          args.push_back(a);
-        }
-        if (args.empty()) {
-          return LocError(t.loc, "empty argument list in term");
-        }
-        return env_.pool->MakeCompound(f, args);
-      }
-      default:
-        return LocError(t.loc, "expected a ground term");
-    }
-  }
-
   ExprId AddExpr(ExprNode node) {
     plan_.exprs.push_back(std::move(node));
     return static_cast<ExprId>(plan_.exprs.size() - 1);
   }
 
   Result<ExprId> ConstExpr(const Term& t) {
-    GLUENAIL_ASSIGN_OR_RETURN(TermId id, GroundTermId(t));
+    GLUENAIL_ASSIGN_OR_RETURN(TermId id, InternGroundTerm(env_.pool, t));
     ExprNode n;
     n.kind = ExprKind::kConst;
     n.const_term = id;
@@ -241,7 +216,8 @@ class StatementPlanner {
       case TermKind::kFloat:
       case TermKind::kSymbol: {
         n.kind = MatchNode::Kind::kConst;
-        GLUENAIL_ASSIGN_OR_RETURN(n.const_term, GroundTermId(t));
+        GLUENAIL_ASSIGN_OR_RETURN(n.const_term,
+                                  InternGroundTerm(env_.pool, t));
         return n;
       }
       case TermKind::kVariable: {
@@ -257,7 +233,8 @@ class StatementPlanner {
       case TermKind::kApply: {
         if (t.IsGround()) {
           n.kind = MatchNode::Kind::kConst;
-          GLUENAIL_ASSIGN_OR_RETURN(n.const_term, GroundTermId(t));
+          GLUENAIL_ASSIGN_OR_RETURN(n.const_term,
+                                  InternGroundTerm(env_.pool, t));
           return n;
         }
         if (t.apply_arity() == 0) {
@@ -319,7 +296,8 @@ class StatementPlanner {
         case PredClass::kEdb: {
           if (pred_ground) {
             out.access.kind = PredicateAccess::Kind::kEdb;
-            GLUENAIL_ASSIGN_OR_RETURN(out.access.name, GroundTermId(pred));
+            GLUENAIL_ASSIGN_OR_RETURN(out.access.name,
+                                      InternGroundTerm(env_.pool, pred));
             out.access.arity = static_cast<uint32_t>(args.size());
             return out;
           }
@@ -362,7 +340,8 @@ class StatementPlanner {
       // Ground compound name with no declaration: an EDB family instance,
       // e.g. students(cs99).
       out.access.kind = PredicateAccess::Kind::kEdb;
-      GLUENAIL_ASSIGN_OR_RETURN(out.access.name, GroundTermId(pred));
+      GLUENAIL_ASSIGN_OR_RETURN(out.access.name,
+                                InternGroundTerm(env_.pool, pred));
       out.access.arity = static_cast<uint32_t>(args.size());
       return out;
     }
@@ -708,9 +687,8 @@ Result<CondPlan> PlanUntilCond(const ast::UntilCond& c, const CompileEnv& env,
     default:
       break;
   }
-  // Leaf test. Compile a throwaway assignment-free planner to reuse the
-  // resolution machinery: conditions carry no bindings, so variables act
-  // as wildcards.
+  // Leaf test: resolve the predicate against the scope directly.
+  // Conditions carry no bindings, so variables act as wildcards.
   std::string root;
   uint32_t params = 0;
   if (!StaticPredName(c.pred, &root, &params)) {
@@ -774,30 +752,8 @@ Result<CondPlan> PlanUntilCond(const ast::UntilCond& c, const CompileEnv& env,
     MatchNode n;
     if (col->IsGround()) {
       n.kind = MatchNode::Kind::kConst;
-      // Conditions only contain ground terms or variables; intern here.
-      std::function<Result<TermId>(const ast::Term&)> intern =
-          [&](const ast::Term& t) -> Result<TermId> {
-        switch (t.kind) {
-          case ast::TermKind::kInt:
-            return env.pool->MakeInt(t.int_value);
-          case ast::TermKind::kFloat:
-            return env.pool->MakeFloat(t.float_value);
-          case ast::TermKind::kSymbol:
-            return env.pool->MakeSymbol(t.name);
-          case ast::TermKind::kApply: {
-            GLUENAIL_ASSIGN_OR_RETURN(TermId f, intern(t.functor()));
-            std::vector<TermId> args;
-            for (size_t i = 0; i < t.apply_arity(); ++i) {
-              GLUENAIL_ASSIGN_OR_RETURN(TermId x, intern(t.arg(i)));
-              args.push_back(x);
-            }
-            return env.pool->MakeCompound(f, args);
-          }
-          default:
-            return Status::Internal("non-ground in ground intern");
-        }
-      };
-      GLUENAIL_ASSIGN_OR_RETURN(n.const_term, intern(*col));
+      GLUENAIL_ASSIGN_OR_RETURN(n.const_term,
+                                InternGroundTerm(env.pool, *col));
     } else {
       n.kind = MatchNode::Kind::kWildcard;
     }
