@@ -16,12 +16,12 @@ namespace gluenail {
 
 namespace {
 
-/// Installs a control block on the writer-path executor for the duration
-/// of one guarded call. Safe under the exclusive writer lock: nothing else
+/// Installs a query's control block on the writer-path executor for the
+/// duration of one call. Safe under the exclusive writer lock: nothing else
 /// runs through executor_ while the scope is live.
 class ControlScope {
  public:
-  ControlScope(Executor* exec, const ExecControl* ctl) : exec_(exec) {
+  ControlScope(Executor* exec, ExecControl* ctl) : exec_(exec) {
     if (exec_ != nullptr) exec_->set_control(ctl);
   }
   ~ControlScope() {
@@ -350,8 +350,11 @@ Result<Engine::QueryResult> Engine::RunObserved(Session* reader,
     // Timed from here: waiting for the writer lock is not query latency.
     obs.start = std::chrono::steady_clock::now();
   }
-  ExecControl ctl{options.deadline, options.cancel, options.limits};
-  const ExecControl* ctl_ptr = options.guarded() ? &ctl : nullptr;
+  ExecControl ctl;
+  ctl.deadline = options.deadline;
+  ctl.cancel = options.cancel;
+  ctl.limits = options.limits;
+  ExecControl* ctl_ptr = options.guarded() ? &ctl : nullptr;
   // Fail fast on pre-cancelled tokens and already-expired deadlines.
   if (ctl_ptr != nullptr) GLUENAIL_RETURN_NOT_OK(ctl.Check());
   // Under the lock: a concurrent LoadProgram can swap nail_engine_.
@@ -367,10 +370,10 @@ Result<Engine::QueryResult> Engine::RunObserved(Session* reader,
       if (!statement && options.strategy == QueryStrategy::kMagic) {
         // Magic evaluation writes only a private scratch IDB, so a shared
         // reader keeps the EDB read-only.
-        ExecOptions eo;
-        eo.read_only_storage = eo.writable_private_idb = reader != nullptr;
-        eo.control = ctl_ptr;
-        return QueryMagicWith(text, eo);
+        return QueryMagicWith(text,
+                              reader != nullptr ? StorageAccess::kPrivateIdb
+                                                : StorageAccess::kReadWrite,
+                              ctl_ptr);
       }
       if (reader != nullptr) {
         Executor exec = ReadExecutor(ctl_ptr);
@@ -394,11 +397,11 @@ Result<Engine::QueryResult> Engine::RunObserved(Session* reader,
   return result;
 }
 
-Executor Engine::ReadExecutor(const ExecControl* control) {
-  ExecOptions opts = options_.exec;
-  opts.read_only_storage = true;
-  opts.control = control;
-  return Executor(&linked_->program, &edb_, &idb_, &pool_, Env(), opts);
+Executor Engine::ReadExecutor(ExecControl* control) {
+  Executor exec(&linked_->program, &edb_, &idb_, &pool_, Env(),
+                options_.exec, StorageAccess::kReadOnly);
+  exec.set_control(control);
+  return exec;
 }
 
 RuntimeEnv Engine::Env() {
@@ -448,10 +451,11 @@ Result<Engine::QueryResult> Engine::QueryGoalWith(Executor* exec,
   TraceSink* sink = TraceSink::Current();
   if (sink != nullptr) exec->EnableOpProfile(&plan);
 
-  Frame frame(nullptr);
-  RecordSet sup;
+  // The answers are the head tuples, deduplicated, then sorted.
+  Relation answers("$answers", static_cast<uint32_t>(vars.size()));
   ScopedSpan exec_span("query:execute");
-  Status run = exec->ExecuteBodyOnly(plan, &frame, &sup);
+  Status run = exec->RunPlanHeads(
+      plan, [&answers](Tuple row) { answers.Insert(row); });
   exec_span.End();
   if (sink != nullptr) {
     sink->AppendPlan(PlanToString(plan, pool_, exec->OpProfile(&plan)));
@@ -459,18 +463,7 @@ Result<Engine::QueryResult> Engine::QueryGoalWith(Executor* exec,
   }
   GLUENAIL_RETURN_NOT_OK(run);
 
-  // Evaluate the head expressions per record; dedupe and sort.
   ScopedSpan answers_span("query:answers");
-  Relation answers("$answers", static_cast<uint32_t>(vars.size()));
-  for (const Record& rec : sup.records) {
-    Tuple row;
-    row.reserve(plan.head.arg_exprs.size());
-    for (ExprId e : plan.head.arg_exprs) {
-      GLUENAIL_ASSIGN_OR_RETURN(TermId v, EvalExpr(plan, e, rec, &pool_));
-      row.push_back(v);
-    }
-    answers.Insert(row);
-  }
   QueryResult out;
   out.vars = std::move(vars);
   out.rows = answers.SortedTuples(pool_);
@@ -521,8 +514,9 @@ Result<std::vector<Tuple>> Engine::CallWith(Executor* exec,
   return output.SortedTuples(pool_);
 }
 
-Result<Engine::QueryResult> Engine::QueryMagicWith(
-    std::string_view goal, const ExecOptions& exec_opts) {
+Result<Engine::QueryResult> Engine::QueryMagicWith(std::string_view goal,
+                                                   StorageAccess access,
+                                                   ExecControl* control) {
   GLUENAIL_ASSIGN_OR_RETURN(std::vector<ast::Subgoal> body, ParseGoal(goal));
   if (body.size() != 1 || body[0].kind != ast::SubgoalKind::kAtom ||
       !body[0].pred.IsSymbol()) {
@@ -551,7 +545,8 @@ Result<Engine::QueryResult> Engine::QueryMagicWith(
   }
   GLUENAIL_ASSIGN_OR_RETURN(
       std::vector<Tuple> rows,
-      EvaluateWithMagic(linked_->nail.rules, q, &edb_, &pool_, exec_opts));
+      EvaluateWithMagic(linked_->nail.rules, q, &edb_, &pool_, options_.exec,
+                        access, control));
   for (const Tuple& row : rows) {
     Tuple projected;
     for (size_t c : free_columns) projected.push_back(row[c]);

@@ -390,8 +390,9 @@ class Engine {
                                   std::string_view text,
                                   const QueryOptions& options,
                                   TraceRing* ring);
-  /// A private executor over read-only storage, for shared-lock reads.
-  Executor ReadExecutor(const ExecControl* control);
+  /// A private executor over read-only storage, for shared-lock reads,
+  /// guarded by \p control (null: unguarded).
+  Executor ReadExecutor(ExecControl* control);
   /// The runtime environment executors run in (I/O, hosts, NAIL!).
   RuntimeEnv Env();
   void RegisterBuiltinMetrics();
@@ -427,8 +428,11 @@ class Engine {
   Result<QueryResult> QueryGoalWith(Executor* exec, std::string_view goal);
   Result<std::vector<Tuple>> CallWith(Executor* exec, std::string_view name,
                                       const std::vector<Tuple>& inputs);
+  /// Magic-sets evaluation with the engine's ExecOptions, \p access to
+  /// the shared EDB and the query's \p control.
   Result<QueryResult> QueryMagicWith(std::string_view goal,
-                                     const ExecOptions& exec_opts);
+                                     StorageAccess access,
+                                     ExecControl* control);
   Result<std::vector<Tuple>> RelationContentsLocked(
       std::string_view name_term, uint32_t arity);
   EngineSnapshot SnapshotLocked();

@@ -105,12 +105,17 @@ struct ResourceLimits {
 };
 
 /// The per-query control block the Engine threads through the executors.
-/// Borrowed (never owned) by executors; outlives the query evaluation it
-/// guards.
+/// Borrowed (never owned) by every executor that works for the query;
+/// outlives the query evaluation it guards.
 struct ExecControl {
   Deadline deadline;
   CancelToken cancel;
   ResourceLimits limits;
+  /// The query's one running total of visited rows, which
+  /// max_rows_scanned bounds, and the part of it charged since the last
+  /// full check. Every executor working for the query charges here.
+  uint64_t rows_scanned = 0;
+  uint64_t rows_unchecked = 0;
 
   /// Cancellation + deadline; the cheap check inner loops run.
   Status Check() const {

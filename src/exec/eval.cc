@@ -80,6 +80,18 @@ Result<TermId> EvalExpr(const StatementPlan& plan, ExprId id,
   return Status::Internal("unreachable expression kind");
 }
 
+Result<Tuple> EvalTuple(const StatementPlan& plan,
+                        const std::vector<ExprId>& exprs,
+                        std::span<const TermId> rec, TermPool* pool) {
+  Tuple out;
+  out.reserve(exprs.size());
+  for (ExprId e : exprs) {
+    GLUENAIL_ASSIGN_OR_RETURN(TermId v, EvalExpr(plan, e, rec, pool));
+    out.push_back(v);
+  }
+  return out;
+}
+
 bool MatchTerm(const MatchNode& node, TermId value, const TermPool& pool,
                std::span<TermId> rec, BindUndo* undo) {
   switch (node.kind) {

@@ -21,6 +21,12 @@ namespace gluenail {
 Result<TermId> EvalExpr(const StatementPlan& plan, ExprId id,
                         std::span<const TermId> rec, TermPool* pool);
 
+/// Evaluates \p exprs of \p plan against \p rec, in order, into one
+/// tuple: a head tuple, a body update's tuple or a call's input key.
+Result<Tuple> EvalTuple(const StatementPlan& plan,
+                        const std::vector<ExprId>& exprs,
+                        std::span<const TermId> rec, TermPool* pool);
+
 /// Undo log for bindings made while matching; unwound between candidate
 /// tuples so one scratch record serves a whole scan.
 using BindUndo = std::vector<std::pair<int, TermId>>;

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "src/common/strings.h"
+#include "src/exec/vector/batch_runner.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/runtime/arith.h"
@@ -74,7 +75,7 @@ Result<Relation*> Executor::ResolveRead(const PredicateAccess& access,
     case PredicateAccess::Kind::kIn:
       return frame->in();
     case PredicateAccess::Kind::kNail: {
-      if (options_.read_only_storage && !options_.writable_private_idb) {
+      if (access_ == StorageAccess::kReadOnly) {
         // The engine guarantees the IDB is fresh before a read-only
         // executor runs (delta maintenance installs its read overrides on
         // one), so a plain lookup suffices.
@@ -93,11 +94,11 @@ Result<Relation*> Executor::ResolveRead(const PredicateAccess& access,
 
 Result<Relation*> Executor::ResolveWrite(const PredicateAccess& access,
                                          Frame* frame, TermId dynamic_name) {
-  if (options_.read_only_storage) {
+  if (access_ != StorageAccess::kReadWrite) {
     bool allowed = access.kind == PredicateAccess::Kind::kLocal ||
                    access.kind == PredicateAccess::Kind::kReturn ||
                    (access.kind == PredicateAccess::Kind::kNail &&
-                    options_.writable_private_idb);
+                    access_ == StorageAccess::kPrivateIdb);
     if (!allowed) {
       return Status::RuntimeError(
           "read-only session: the statement writes a shared relation; use a "
@@ -122,8 +123,83 @@ Result<Relation*> Executor::ResolveWrite(const PredicateAccess& access,
 }
 
 // ---------------------------------------------------------------------------
+// The body loop
+// ---------------------------------------------------------------------------
+
+Status Executor::RunBody(const StatementPlan& plan, Frame* frame,
+                         RecordSet* out) {
+  const bool pipelined =
+      options_.strategy == ExecOptions::Strategy::kPipelined;
+  RecordSet cur;
+  cur.Add(Record(static_cast<size_t>(plan.num_slots), kNullTerm), 0);
+
+  BatchRunner runner(this, plan, frame);
+  size_t i = 0;
+  const size_t n = plan.ops.size();
+  while (i < n && !cur.empty()) {
+    GLUENAIL_RETURN_NOT_OK(CheckControl(cur.records.size()));
+    // The pipelineable segment [i, j): one op under kMaterialized, the
+    // whole barrier-free run under kPipelined.
+    size_t j = i;
+    while (j < n && !IsBarrier(plan.ops[j]) && (pipelined || j == i)) ++j;
+    if (j > i) {
+      RecordSet next;
+      next.num_groups = cur.num_groups;
+      GLUENAIL_RETURN_NOT_OK(runner.RunSegment(i, j, cur, &next));
+      cur = std::move(next);
+      if (options_.dedup_at_breaks) {
+        stats_.duplicates_removed += DedupRecords(&cur);
+      }
+      i = j;
+      // kMaterialized checks its guardrails again before the next op;
+      // kPipelined runs the barrier that ended the run straight away.
+      if (!pipelined || cur.empty() || i == n) continue;
+    }
+    // A barrier op: the pipeline breaks here (§9).
+    if (pipelined) ++stats_.pipeline_breaks;
+    const PlanOp& op = plan.ops[i];
+    GLUENAIL_RETURN_NOT_OK(ApplyBarrier(plan, op, frame, &cur));
+    CountOpRows(plan, op, cur.records.size());
+    if (options_.dedup_at_breaks) {
+      stats_.duplicates_removed += DedupRecords(&cur);
+    }
+    ++i;
+  }
+  *out = std::move(cur);
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // Barrier ops
 // ---------------------------------------------------------------------------
+
+Status Executor::ApplyBarrier(const StatementPlan& plan, const PlanOp& op,
+                              Frame* frame, RecordSet* set) {
+  switch (op.kind) {
+    case OpKind::kAggregate:
+      // A supplementary relation is a *relation* (§3.2): duplicates in the
+      // record vector are representation artifacts and must not be visible
+      // to aggregates, so dedup here is mandatory even when the
+      // performance knob has it off elsewhere.
+      if (!options_.dedup_at_breaks) {
+        stats_.duplicates_removed += DedupRecords(set);
+      }
+      return ApplyAggregate(plan, op, set);
+    case OpKind::kGroupBy:
+      RefineGroups(set, op.group_slots);
+      return Status::OK();
+    case OpKind::kCall: {
+      RecordSet next;
+      GLUENAIL_RETURN_NOT_OK(ApplyCall(plan, op, *set, &next));
+      *set = std::move(next);
+      return Status::OK();
+    }
+    case OpKind::kUpdate:
+      return ApplyUpdate(plan, op, frame, set);
+    default:
+      return Status::Internal("non-barrier op at barrier position");
+  }
+}
 
 Status Executor::ApplyAggregate(const StatementPlan& plan, const PlanOp& op,
                                 RecordSet* set) {
@@ -177,12 +253,8 @@ Status Executor::ApplyCall(const StatementPlan& plan, const PlanOp& op,
   std::vector<Tuple> rec_keys;
   rec_keys.reserve(in.records.size());
   for (const Record& rec : in.records) {
-    Tuple key;
-    key.reserve(op.call_in_exprs.size());
-    for (ExprId e : op.call_in_exprs) {
-      GLUENAIL_ASSIGN_OR_RETURN(TermId v, EvalExpr(plan, e, rec, pool_));
-      key.push_back(v);
-    }
+    GLUENAIL_ASSIGN_OR_RETURN(Tuple key,
+                              EvalTuple(plan, op.call_in_exprs, rec, pool_));
     input.Insert(key);
     rec_keys.push_back(std::move(key));
   }
@@ -249,12 +321,8 @@ Status Executor::ApplyCall(const StatementPlan& plan, const PlanOp& op,
 Status Executor::ApplyUpdate(const StatementPlan& plan, const PlanOp& op,
                              Frame* frame, RecordSet* set) {
   for (const Record& rec : set->records) {
-    Tuple tuple;
-    tuple.reserve(op.update_exprs.size());
-    for (ExprId e : op.update_exprs) {
-      GLUENAIL_ASSIGN_OR_RETURN(TermId v, EvalExpr(plan, e, rec, pool_));
-      tuple.push_back(v);
-    }
+    GLUENAIL_ASSIGN_OR_RETURN(Tuple tuple,
+                              EvalTuple(plan, op.update_exprs, rec, pool_));
     TermId dynamic_name = kNullTerm;
     if (op.access.kind == PredicateAccess::Kind::kDynamic) {
       GLUENAIL_ASSIGN_OR_RETURN(dynamic_name,
@@ -286,12 +354,8 @@ Status Executor::ApplyHead(const StatementPlan& plan, Frame* frame,
       return Status::Internal("return head outside a procedure frame");
     }
     for (const Record& rec : sup.records) {
-      Tuple tuple;
-      tuple.reserve(head.arg_exprs.size());
-      for (ExprId e : head.arg_exprs) {
-        GLUENAIL_ASSIGN_OR_RETURN(TermId v, EvalExpr(plan, e, rec, pool_));
-        tuple.push_back(v);
-      }
+      GLUENAIL_ASSIGN_OR_RETURN(Tuple tuple,
+                                EvalTuple(plan, head.arg_exprs, rec, pool_));
       ret->Insert(tuple);
       ++stats_.head_tuples;
     }
@@ -330,12 +394,8 @@ Status Executor::ApplyHead(const StatementPlan& plan, Frame* frame,
         rel->Clear();
       }
     }
-    Tuple tuple;
-    tuple.reserve(head.arg_exprs.size());
-    for (ExprId e : head.arg_exprs) {
-      GLUENAIL_ASSIGN_OR_RETURN(TermId v, EvalExpr(plan, e, rec, pool_));
-      tuple.push_back(v);
-    }
+    GLUENAIL_ASSIGN_OR_RETURN(Tuple tuple,
+                              EvalTuple(plan, head.arg_exprs, rec, pool_));
     new_tuples.emplace_back(rel, std::move(tuple));
   }
 
@@ -392,14 +452,8 @@ Status Executor::ApplyHead(const StatementPlan& plan, Frame* frame,
 Status Executor::ExecuteStatementPlan(const StatementPlan& plan,
                                       Frame* frame) {
   RecordSet final_sup;
-  return ExecuteStatementPlanCapture(plan, frame, &final_sup);
-}
-
-Status Executor::ExecuteStatementPlanCapture(const StatementPlan& plan,
-                                             Frame* frame,
-                                             RecordSet* final_sup) {
-  GLUENAIL_RETURN_NOT_OK(ExecuteBodyOnly(plan, frame, final_sup));
-  return ApplyHead(plan, frame, *final_sup);
+  GLUENAIL_RETURN_NOT_OK(ExecuteBodyOnly(plan, frame, &final_sup));
+  return ApplyHead(plan, frame, final_sup);
 }
 
 Status Executor::ExecuteBodyOnly(const StatementPlan& plan, Frame* frame,
@@ -407,14 +461,12 @@ Status Executor::ExecuteBodyOnly(const StatementPlan& plan, Frame* frame,
   ++stats_.statements;
   final_sup->Clear();
 #if GLUENAIL_TRACE
-  if (TraceSink::Current() != nullptr) {
-    return ExecuteBodyTraced(plan, frame, final_sup);
-  }
+  const bool traced = TraceSink::Current() != nullptr;
+#else
+  const bool traced = false;
 #endif
-  Status st = options_.strategy == ExecOptions::Strategy::kMaterialized
-                  ? RunMaterialized(plan, frame, final_sup)
-                  : RunPipelined(plan, frame, final_sup);
-  GLUENAIL_RETURN_NOT_OK(st);
+  GLUENAIL_RETURN_NOT_OK(traced ? RunBodyTraced(plan, frame, final_sup)
+                                : RunBody(plan, frame, final_sup));
   stats_.records_produced += final_sup->size();
   return Status::OK();
 }
@@ -448,8 +500,8 @@ std::string Executor::OpSpanName(const StatementPlan& plan,
   return name;
 }
 
-Status Executor::ExecuteBodyTraced(const StatementPlan& plan, Frame* frame,
-                                   RecordSet* final_sup) {
+Status Executor::RunBodyTraced(const StatementPlan& plan, Frame* frame,
+                               RecordSet* final_sup) {
   TraceSink* sink = TraceSink::Current();
   ScopedSpan stmt_span("stmt:execute");
   // Borrow (or create) the op profile so the per-op spans report the same
@@ -458,9 +510,7 @@ Status Executor::ExecuteBodyTraced(const StatementPlan& plan, Frame* frame,
   bool created_profile = OpProfile(&plan) == nullptr;
   if (created_profile) EnableOpProfile(&plan);
   std::vector<uint64_t> before = *OpProfile(&plan);
-  Status st = options_.strategy == ExecOptions::Strategy::kMaterialized
-                  ? RunMaterialized(plan, frame, final_sup)
-                  : RunPipelined(plan, frame, final_sup);
+  Status st = RunBody(plan, frame, final_sup);
   const std::vector<uint64_t>* after = OpProfile(&plan);
   if (after != nullptr) {
     for (size_t i = 0; i < after->size(); ++i) {
@@ -472,7 +522,6 @@ Status Executor::ExecuteBodyTraced(const StatementPlan& plan, Frame* frame,
   }
   if (created_profile) DisableOpProfile(&plan);
   GLUENAIL_RETURN_NOT_OK(st);
-  stats_.records_produced += final_sup->size();
   stmt_span.AddRows(final_sup->size());
   return Status::OK();
 }
@@ -559,7 +608,7 @@ Status Executor::ExecBlock(const std::vector<CInstr>& code,
 }
 
 Status Executor::CheckStorageBudgets() {
-  const ExecControl* c = control();
+  const ExecControl* c = control_;
   if (c == nullptr) return Status::OK();
   ++stats_.control_checks;
   GLUENAIL_RETURN_NOT_OK(c->Check());

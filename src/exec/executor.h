@@ -8,11 +8,11 @@
 ///    updates, optionally eliminating duplicates at each break ("removing
 ///    duplicates early has always been advantageous", §9).
 ///
-/// The strategies differ only in where they materialize: both run every
-/// match, negation and comparison through the one batch runner
-/// (exec/vector/batch_runner.h), single ops for kMaterialized and whole
-/// barrier-free runs for kPipelined. tests/strategies_property_test.cc
-/// holds them equal.
+/// The strategies differ only in where they materialize: one body loop
+/// (RunBody) runs both, handing every match, negation and comparison to
+/// the one batch runner (exec/vector/batch_runner.h) in segments of one
+/// op under kMaterialized and of a whole barrier-free run under
+/// kPipelined. tests/strategies_property_test.cc holds them equal.
 
 #ifndef GLUENAIL_EXEC_EXECUTOR_H_
 #define GLUENAIL_EXEC_EXECUTOR_H_
@@ -35,6 +35,8 @@ namespace gluenail {
 
 class MetricsRegistry;
 
+/// The caller's execution choices. Every executor the engine builds,
+/// internal ones included, starts from EngineOptions::exec.
 struct ExecOptions {
   enum class Strategy { kMaterialized, kPipelined };
   Strategy strategy = Strategy::kPipelined;
@@ -45,20 +47,21 @@ struct ExecOptions {
   int max_call_depth = 512;
   /// Guard against non-terminating repeat loops.
   uint64_t max_loop_iterations = 10'000'000;
-  /// Read-only discipline for concurrent reader sessions and the
-  /// body-only executors of delta maintenance: keyed selections go through
-  /// SelectConst (never build indexes or touch adaptive statistics), NAIL!
-  /// reads assume the IDB is already fresh, and any statement that writes
+};
+
+/// What an executor may write, fixed when it is built.
+enum class StorageAccess {
+  /// The writer path: every relation, index builds, adaptive statistics.
+  kReadWrite,
+  /// Concurrent session reads and the passes of delta maintenance: keyed
+  /// selections never build indexes or touch adaptive statistics, NAIL!
+  /// reads assume the IDB is already fresh, and a statement that writes
   /// a shared relation fails with a runtime error.
-  bool read_only_storage = false;
-  /// Exception to read_only_storage for magic-sets evaluation: the IDB
-  /// passed to this executor is a private scratch database, so kNail writes
-  /// and refreshes stay allowed while the shared EDB remains read-only.
-  bool writable_private_idb = false;
-  /// Borrowed per-query guardrails (deadline, cancellation, budgets); null
-  /// when the query is unguarded. The owner (Engine/Session) keeps the
-  /// control alive for the duration of the evaluation.
-  const ExecControl* control = nullptr;
+  kReadOnly,
+  /// Magic-sets evaluation under a shared reader: as kReadOnly, except
+  /// that the executor's IDB is a private scratch database, so NAIL!
+  /// writes and refreshes stay allowed.
+  kPrivateIdb,
 };
 
 /// Run-time counters surfaced through Engine::stats().
@@ -127,13 +130,15 @@ struct RuntimeEnv {
 class Executor {
  public:
   Executor(const CompiledProgram* program, Database* edb, Database* idb,
-           TermPool* pool, RuntimeEnv env, ExecOptions options)
+           TermPool* pool, RuntimeEnv env, ExecOptions options,
+           StorageAccess access = StorageAccess::kReadWrite)
       : program_(program),
         edb_(edb),
         idb_(idb),
         pool_(pool),
         env_(env),
-        options_(options) {}
+        options_(options),
+        access_(access) {}
 
   /// Calls procedure \p index once on the whole \p input relation (§4) and
   /// copies its return relation into \p output.
@@ -145,15 +150,26 @@ class Executor {
   /// ad-hoc statements).
   Status ExecuteStatementPlan(const StatementPlan& plan, Frame* frame);
 
-  /// Executes a statement and also hands the final supplementary relation
-  /// to the caller — the Engine's query API is built on this.
-  Status ExecuteStatementPlanCapture(const StatementPlan& plan, Frame* frame,
-                                     RecordSet* final_sup);
-
   /// Evaluates only the body, leaving the head unapplied: ad-hoc queries
   /// read the final supplementary relation without touching any relation.
   Status ExecuteBodyOnly(const StatementPlan& plan, Frame* frame,
                          RecordSet* final_sup);
+
+  /// Runs \p plan body-only in a procedure-less frame and hands each
+  /// binding record's head tuple to \p f: the answers of an ad-hoc query
+  /// and the derivations of every delta-maintenance pass.
+  template <typename F>
+  Status RunPlanHeads(const StatementPlan& plan, F&& f) {
+    Frame frame(nullptr);
+    RecordSet sup;
+    GLUENAIL_RETURN_NOT_OK(ExecuteBodyOnly(plan, &frame, &sup));
+    for (const Record& rec : sup.records) {
+      GLUENAIL_ASSIGN_OR_RETURN(
+          Tuple t, EvalTuple(plan, plan.head.arg_exprs, rec, pool_));
+      f(std::move(t));
+    }
+    return Status::OK();
+  }
 
   /// Redirects the I/O builtins (tests and examples script stdin/stdout).
   void set_io(const IoEnv& io) { env_.io = io; }
@@ -235,33 +251,24 @@ class Executor {
 
   // --- Query guardrails ---------------------------------------------------
 
-  /// Installs (or clears, with nullptr) a per-query control that overrides
-  /// ExecOptions::control. The Engine's writer path uses this to guard a
-  /// query run through its long-lived executor; callers must clear it when
-  /// the query finishes (see the ControlScope RAII in engine.cc).
-  /// Installing a control restarts the per-query row-scan accounting so a
-  /// long-lived executor's history never counts against a fresh budget.
-  void set_control(const ExecControl* control) {
-    control_override_ = control;
-    rows_budget_used_ = 0;
-    rows_since_check_ = 0;
-  }
-  /// The active guardrails: the per-query override, else the one baked
-  /// into ExecOptions, else null (unguarded).
-  const ExecControl* control() const {
-    return control_override_ != nullptr ? control_override_
-                                        : options_.control;
-  }
+  /// Installs (or clears, with nullptr) the guardrails of the query this
+  /// executor works for. The control is borrowed and carries the query's
+  /// running row total, so every executor that works for one query
+  /// (writer, session reader, magic, delta-maintenance passes) charges
+  /// the same budget. A long-lived executor is cleared when its query
+  /// finishes (see the ControlScope RAII in engine.cc).
+  void set_control(ExecControl* control) { control_ = control; }
+  /// The active guardrails; null when the query is unguarded.
+  ExecControl* control() const { return control_; }
 
   /// Cheap inner-loop probe: a full cancel/deadline check every 4096th
   /// call, a pointer test otherwise. Row loops that were already charged
   /// for their rows (by a keyed probe) call this per row.
   Status TickControl() {
-    const ExecControl* c = control();
-    if (c == nullptr) return Status::OK();
+    if (control_ == nullptr) return Status::OK();
     if ((++control_tick_ & 0xFFF) != 0) return Status::OK();
     ++stats_.control_checks;
-    return c->Check();
+    return control_->Check();
   }
 
   /// Per-batch row accounting. Keyed selections (per probe, scanned or
@@ -272,37 +279,29 @@ class Executor {
   static constexpr uint64_t kRowCheckInterval = 4096;
 
   /// Bulk charge for rows a selection or batch visited (scanned rows or
-  /// index probe-chain rows): an oversized charge (>= one check interval)
-  /// is checked immediately, smaller ones accumulate toward the next
-  /// check.
+  /// index probe-chain rows) against the query's running total: once a
+  /// check interval's worth of rows accumulated (or at once, for an
+  /// oversized charge), a full check runs cancel/deadline and the row
+  /// budget against everything the query charged so far.
   Status ChargeScanRows(uint64_t n) {
     stats_.rows_scanned += n;
-    const ExecControl* c = control();
-    if (c == nullptr) return Status::OK();
-    rows_budget_used_ += n;
-    rows_since_check_ += n;
-    if (rows_since_check_ < kRowCheckInterval) return Status::OK();
-    return FlushRowAccounting(c);
-  }
-
-  /// The deferred full check behind ChargeScanRows: resets the
-  /// interval accumulator, then runs cancel/deadline and the row budget
-  /// against everything charged so far.
-  Status FlushRowAccounting(const ExecControl* c) {
-    rows_since_check_ = 0;
+    if (control_ == nullptr) return Status::OK();
+    control_->rows_scanned += n;
+    control_->rows_unchecked += n;
+    if (control_->rows_unchecked < kRowCheckInterval) return Status::OK();
+    control_->rows_unchecked = 0;
     ++stats_.control_checks;
-    GLUENAIL_RETURN_NOT_OK(c->Check());
-    return c->CheckRowsScanned(rows_budget_used_);
+    GLUENAIL_RETURN_NOT_OK(control_->Check());
+    return control_->CheckRowsScanned(control_->rows_scanned);
   }
 
   /// Op-boundary check: cancel/deadline plus the tuple budget against the
   /// records materialized so far in the current statement.
   Status CheckControl(uint64_t produced) {
-    const ExecControl* c = control();
-    if (c == nullptr) return Status::OK();
+    if (control_ == nullptr) return Status::OK();
     ++stats_.control_checks;
-    GLUENAIL_RETURN_NOT_OK(c->Check());
-    return c->CheckTuples(produced);
+    GLUENAIL_RETURN_NOT_OK(control_->Check());
+    return control_->CheckTuples(produced);
   }
 
   /// Fixpoint-boundary check: cancel/deadline plus both budgets against
@@ -312,18 +311,19 @@ class Executor {
   Status CheckStorageBudgets();
 
  private:
-  // --- Strategy entry points (materialized.cc / pipelined.cc) -----------
-  Status RunMaterialized(const StatementPlan& plan, Frame* frame,
-                         RecordSet* out);
-  Status RunPipelined(const StatementPlan& plan, Frame* frame,
-                      RecordSet* out);
+  /// The body loop of both strategies (§3.2, §9): sup_0 = {ε}, then the
+  /// ops in order, stopping at the first empty supplementary relation.
+  /// Pipelineable ops run as batch-runner segments (one op under
+  /// kMaterialized, the whole barrier-free run under kPipelined); a
+  /// barrier op materializes the supplementary relation.
+  Status RunBody(const StatementPlan& plan, Frame* frame, RecordSet* out);
 
-  /// ExecuteBodyOnly with an active trace sink: wraps the statement in a
-  /// span and emits one child span per op carrying its actual rows (taken
-  /// from the op profile, so trace rows and EXPLAIN ANALYZE agree by
-  /// construction on both strategies).
-  Status ExecuteBodyTraced(const StatementPlan& plan, Frame* frame,
-                           RecordSet* final_sup);
+  /// RunBody with an active trace sink: wraps the statement in a span and
+  /// emits one child span per op carrying its actual rows (taken from the
+  /// op profile, so trace rows and EXPLAIN ANALYZE agree by construction
+  /// on both strategies).
+  Status RunBodyTraced(const StatementPlan& plan, Frame* frame,
+                       RecordSet* final_sup);
   /// Display name for op \p idx of \p plan ("op2:match edge").
   std::string OpSpanName(const StatementPlan& plan, size_t idx) const;
 
@@ -334,11 +334,13 @@ class Executor {
   /// nullptr: the relation does not exist, i.e. it is empty.
   Result<Relation*> ResolveRead(const PredicateAccess& access, Frame* frame);
   /// Resolves for writing, creating EDB/IDB relations on demand. Rejects
-  /// shared-relation writes under ExecOptions::read_only_storage.
+  /// shared-relation writes unless the access is kReadWrite.
   Result<Relation*> ResolveWrite(const PredicateAccess& access, Frame* frame,
                                  TermId dynamic_name);
 
-  /// Barrier ops over a whole record set.
+  /// Applies barrier op \p op to the whole supplementary relation \p set.
+  Status ApplyBarrier(const StatementPlan& plan, const PlanOp& op,
+                      Frame* frame, RecordSet* set);
   Status ApplyAggregate(const StatementPlan& plan, const PlanOp& op,
                         RecordSet* set);
   Status ApplyCall(const StatementPlan& plan, const PlanOp& op,
@@ -369,16 +371,11 @@ class Executor {
   TermPool* pool_;
   RuntimeEnv env_;
   ExecOptions options_;
+  StorageAccess access_;
   ExecStats stats_;
   int call_depth_ = 0;
-  const ExecControl* control_override_ = nullptr;
+  ExecControl* control_ = nullptr;
   uint64_t control_tick_ = 0;
-  /// Rows charged against the current control's max_rows_scanned budget;
-  /// reset by set_control so each guarded query starts at zero.
-  uint64_t rows_budget_used_ = 0;
-  /// Rows charged since the last full check; every charge accumulates
-  /// here and flushes at kRowCheckInterval.
-  uint64_t rows_since_check_ = 0;
   /// StoredRelationKey -> replacement relation for reads
   /// (delta-maintenance deltas).
   std::unordered_map<uint64_t, Relation*> read_overrides_;

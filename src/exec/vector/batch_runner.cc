@@ -164,7 +164,7 @@ Result<std::span<const uint32_t>> BatchRunner::Probe(const PlanOp& op,
   // Shared readers never build indexes or touch adaptive statistics.
   uint64_t visited = 0;
   std::span<const uint32_t> rows =
-      exec_->options_.read_only_storage
+      exec_->access_ != StorageAccess::kReadWrite
           ? static_cast<const Relation*>(rel)->SelectSpanConst(
                 op.bound_mask, st.key, &st.rows, &visited)
           : rel->SelectSpan(op.bound_mask, st.key, &st.rows, &visited);
@@ -327,7 +327,7 @@ Status BatchRunner::RunMatchKeyed(const PlanOp& op, OpState& st,
   // Planner-decided index build (§10 folded into planning): build before
   // the first probe instead of waiting for the adaptive policy to amortize
   // scans. Shared readers never build; kNeverIndex still wins.
-  if (op.build_index && !exec_->options_.read_only_storage &&
+  if (op.build_index && exec_->access_ == StorageAccess::kReadWrite &&
       rel->index_policy() != IndexPolicy::kNeverIndex) {
     rel->EnsureIndex(op.bound_mask);
   }

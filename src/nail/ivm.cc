@@ -423,11 +423,16 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
     dnext[p] = std::make_unique<Relation>("$ivm$Dn", cols);
   }
 
-  ExecOptions bopts = exec_->options();
-  bopts.read_only_storage = true;
-  bopts.writable_private_idb = false;
+  // The passes work for the query that pays for this refresh: the
+  // writer's options and its control, whose row total they charge.
   RuntimeEnv renv;
   renv.nail = this;
+  auto pass_executor = [&] {
+    Executor exec(exec_->program(), edb_, idb_, pool_, renv,
+                  exec_->options(), StorageAccess::kReadOnly);
+    exec.set_control(exec_->control());
+    return exec;
+  };
 
   // ---- Phase 1: over-delete. Derivations lost to erased external rows,
   // then propagated through the SCC. The memos stay unpatched throughout,
@@ -440,7 +445,7 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
   // need the other position's erased rows); only those relations are
   // read through a live ∪ erased copy. Extra matches through inserted
   // rows are filtered by memo->Contains or rederived below.
-  Executor del_exec(exec_->program(), edb_, idb_, pool_, renv, bopts);
+  Executor del_exec = pass_executor();
   for (int p : sccp) {
     for (int r : program_.preds[static_cast<size_t>(p)].rules) {
       const IvmRule& ir = ivm_rules_[static_cast<size_t>(r)];
@@ -482,7 +487,7 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
                                  &net->erased);
         BuildIndexesFor(ir.delta_plans[k], del_exec);
         GLUENAIL_RETURN_NOT_OK(
-            RunPlanHeads(&del_exec, ir.delta_plans[k], pool_, [&](Tuple t) {
+            del_exec.RunPlanHeads(ir.delta_plans[k], [&](Tuple t) {
               if (memo->Contains(t) && dset[p]->Insert(t) && recursive) {
                 ddelta[p]->Insert(t);
               }
@@ -510,7 +515,7 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
                                    cur);
           BuildIndexesFor(ir.delta_plans[k], del_exec);
           GLUENAIL_RETURN_NOT_OK(
-              RunPlanHeads(&del_exec, ir.delta_plans[k], pool_, [&](Tuple t) {
+              del_exec.RunPlanHeads(ir.delta_plans[k], [&](Tuple t) {
                 if (memo->Contains(t) && dset[p]->Insert(t)) {
                   dnext[p]->Insert(t);
                 }
@@ -546,7 +551,7 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
   // tuples stay in the deletion set so the net-change step counts them
   // as washes.
   bool seeded = false;
-  Executor seed_exec(exec_->program(), edb_, idb_, pool_, renv, bopts);
+  Executor seed_exec = pass_executor();
   for (int p : sccp) {
     seed_exec.AddReadOverride(Store::kIdb,
                               ivm_dset_names_[static_cast<size_t>(p)],
@@ -569,7 +574,7 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
       if (!dset[p]->empty()) {
         BuildIndexesFor(ir.rederive, seed_exec);
         GLUENAIL_RETURN_NOT_OK(
-            RunPlanHeads(&seed_exec, ir.rederive, pool_, seed));
+            seed_exec.RunPlanHeads(ir.rederive, seed));
       }
       for (size_t k = 0; k < ir.positions.size(); ++k) {
         const IvmRule::Pos& pos = ir.positions[k];
@@ -580,7 +585,7 @@ Status NailEngine::RefreshSccDred(size_t s, IvmCtx* ctx) {
                                   &net->inserted);
         BuildIndexesFor(ir.delta_plans[k], seed_exec);
         GLUENAIL_RETURN_NOT_OK(
-            RunPlanHeads(&seed_exec, ir.delta_plans[k], pool_, seed));
+            seed_exec.RunPlanHeads(ir.delta_plans[k], seed));
       }
     }
   }

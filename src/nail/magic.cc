@@ -228,7 +228,8 @@ namespace {
 Result<std::vector<Tuple>> RunRulesAndFilter(
     std::vector<NailRule> rules, const std::string& answer_root,
     const MagicQuery& query, Database* edb, TermPool* pool,
-    const ExecOptions& exec_opts) {
+    const ExecOptions& exec_opts, StorageAccess access,
+    ExecControl* control) {
   GLUENAIL_ASSIGN_OR_RETURN(NailProgram prog,
                             BuildNailProgram(std::move(rules), pool));
   Database scratch_idb(pool);
@@ -240,7 +241,9 @@ Result<std::vector<Tuple>> RunRulesAndFilter(
   CompiledProgram empty_program;
   RuntimeEnv env;
   env.nail = &engine;
-  Executor exec(&empty_program, edb, &scratch_idb, pool, env, exec_opts);
+  Executor exec(&empty_program, edb, &scratch_idb, pool, env, exec_opts,
+                access);
+  exec.set_control(control);
   engine.set_executor(&exec);
   GLUENAIL_RETURN_NOT_OK(engine.EnsureAllNail());
 
@@ -268,17 +271,19 @@ Result<std::vector<Tuple>> RunRulesAndFilter(
 
 Result<std::vector<Tuple>> EvaluateWithMagic(
     const std::vector<NailRule>& rules, const MagicQuery& query,
-    Database* edb, TermPool* pool, const ExecOptions& exec_opts) {
+    Database* edb, TermPool* pool, const ExecOptions& exec_opts,
+    StorageAccess access, ExecControl* control) {
   GLUENAIL_ASSIGN_OR_RETURN(MagicProgram magic,
                             MagicTransform(rules, query, pool));
   return RunRulesAndFilter(std::move(magic.rules), magic.answer_pred, query,
-                           edb, pool, exec_opts);
+                           edb, pool, exec_opts, access, control);
 }
 
 Result<std::vector<Tuple>> EvaluateWithoutMagic(
     const std::vector<NailRule>& rules, const MagicQuery& query,
-    Database* edb, TermPool* pool, const ExecOptions& exec_opts) {
-  return RunRulesAndFilter(rules, query.pred, query, edb, pool, exec_opts);
+    Database* edb, TermPool* pool) {
+  return RunRulesAndFilter(rules, query.pred, query, edb, pool, {},
+                           StorageAccess::kReadWrite, nullptr);
 }
 
 }  // namespace gluenail

@@ -53,18 +53,20 @@ Result<MagicProgram> MagicTransform(const std::vector<ast::NailRule>& rules,
 /// Convenience evaluator: transforms, evaluates the transformed program
 /// semi-naively against \p edb (plus the seed), and returns the matching
 /// answer tuples (full query arity, sorted). \p edb is not modified.
-/// Evaluation writes only a private scratch IDB, so read-only callers pass
-/// ExecOptions with read_only_storage + writable_private_idb set and the
-/// shared EDB is never mutated (concurrent reader sessions rely on this).
+/// Evaluation writes only a private scratch IDB, so concurrent reader
+/// sessions pass StorageAccess::kPrivateIdb and the shared EDB is never
+/// mutated. \p control guards the evaluation (null: unguarded).
 Result<std::vector<Tuple>> EvaluateWithMagic(
     const std::vector<ast::NailRule>& rules, const MagicQuery& query,
-    Database* edb, TermPool* pool, const ExecOptions& exec_opts = {});
+    Database* edb, TermPool* pool, const ExecOptions& exec_opts = {},
+    StorageAccess access = StorageAccess::kReadWrite,
+    ExecControl* control = nullptr);
 
 /// Baseline for the same entry point: evaluates \p rules without the
 /// transformation and filters the query predicate on the bound columns.
 Result<std::vector<Tuple>> EvaluateWithoutMagic(
     const std::vector<ast::NailRule>& rules, const MagicQuery& query,
-    Database* edb, TermPool* pool, const ExecOptions& exec_opts = {});
+    Database* edb, TermPool* pool);
 
 }  // namespace gluenail
 

@@ -224,13 +224,6 @@ class NailEngine : public NailEvaluator {
   std::vector<SccPlans> scc_plans_;
   std::unique_ptr<Scope> nail_scope_;
 
-  /// Runs \p plan body-only through \p ex and hands each binding record's
-  /// head tuple to \p f — the head-evaluation loop of every
-  /// delta-maintenance pass (ivm.cc).
-  template <typename F>
-  static Status RunPlanHeads(Executor* ex, const StatementPlan& plan,
-                             TermPool* pool, F&& f);
-
   /// Sum of delta relation sizes for one SCC (the iterate plans' input).
   uint64_t SccDeltaRows(const std::vector<int>& preds) const;
   /// Replans the SCC's iterate statements when the observed delta volume
@@ -317,25 +310,6 @@ class NailEngine : public NailEvaluator {
   mutable std::mutex info_mu_;
   NailRefreshInfo last_refresh_;
 };
-
-template <typename F>
-Status NailEngine::RunPlanHeads(Executor* ex, const StatementPlan& plan,
-                                TermPool* pool, F&& f) {
-  Frame frame(nullptr);
-  RecordSet sup;
-  GLUENAIL_RETURN_NOT_OK(ex->ExecuteBodyOnly(plan, &frame, &sup));
-  const std::vector<ExprId>& exprs = plan.head.arg_exprs;
-  for (const Record& rec : sup.records) {
-    Tuple t;
-    t.reserve(exprs.size());
-    for (ExprId e : exprs) {
-      GLUENAIL_ASSIGN_OR_RETURN(TermId v, EvalExpr(plan, e, rec, pool));
-      t.push_back(v);
-    }
-    f(std::move(t));
-  }
-  return Status::OK();
-}
 
 }  // namespace gluenail
 

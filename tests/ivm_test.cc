@@ -724,6 +724,51 @@ TEST(IvmFallback, OffModeNeverRunsDelta) {
   EXPECT_GE(engine.nail_engine()->full_refresh_count(), 2u);
 }
 
+// --- Guardrails ------------------------------------------------------------
+
+TEST(IvmGuardrail, RowBudgetBoundsTheRefreshAQueryPays) {
+  // A guarded query that finds a memo stale pays for its refresh, full or
+  // by DRed, under the query's own row budget. Budgets are checked every
+  // Executor::kRowCheckInterval rows, so the refresh visits far more.
+  for (IvmMode mode : {IvmMode::kOff, IvmMode::kForce}) {
+    SCOPED_TRACE(mode == IvmMode::kOff ? "full" : "dred");
+    EngineOptions opts;
+    opts.ivm_mode = mode;
+    Engine engine(opts);
+    ASSERT_TRUE(engine.LoadProgram(R"(
+module kb;
+edb a(X,Y);
+edb b(X,Y);
+edb flag(X);
+j(X,Z) :- a(X,Y) & b(Y,Z).
+k(X) :- flag(X).
+flag(1).
+end
+)").ok());
+    MutationBatch load;
+    for (int i = 0; i < 20000; ++i) {
+      load.Insert(StrCat("a(", i, ",", i, ")"));
+      load.Insert(StrCat("b(", i, ",", i, ")"));
+    }
+    ASSERT_TRUE(engine.ApplyBatch(load).ok());
+    ASSERT_TRUE(engine.Query("k(X)").ok());  // warms every memo
+    MutationBatch grow;
+    for (int i = 0; i < 10000; ++i) {
+      grow.Insert(StrCat("a(", 20000 + i, ",", i, ")"));
+    }
+    ASSERT_TRUE(engine.ApplyBatch(grow).ok());
+
+    QueryOptions guarded;
+    guarded.limits.max_rows_scanned = 50;
+    Result<Engine::QueryResult> r = engine.Query("k(X)", guarded);
+    EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status();
+    // The aborted refresh leaves the engine usable.
+    Result<Engine::QueryResult> all = engine.Query("j(X,Z)");
+    ASSERT_TRUE(all.ok()) << all.status();
+    EXPECT_EQ(all->rows.size(), 30000u);
+  }
+}
+
 // --- Recovery invalidation (the salvage regression) ------------------------
 
 std::string FreshDir(const std::string& tag) {
