@@ -933,32 +933,36 @@ end
   for (int k = 0; k <= kBatches; ++k) {
     valid.insert(static_cast<size_t>((k + 2) * (k + 1) / 2));
   }
-  std::atomic<bool> stop{false};
+  // Batches applied so far. Readers re-query only after it moves, racing
+  // the writer's own refresh of that batch: four readers querying
+  // back-to-back would starve the writer's exclusive lock under a
+  // reader-preferring rwlock whenever a query is slow.
+  std::atomic<int> applied{0};
   std::atomic<int> bad{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
       Session session = engine.OpenSession();
-      while (!stop.load(std::memory_order_relaxed)) {
+      int seen = -1;
+      while (seen < kBatches) {
+        applied.wait(seen);
+        seen = applied.load();
         Result<Engine::QueryResult> r = session.Query("path(X,Y)");
         if (!r.ok() || valid.count(r->rows.size()) == 0) {
           bad.fetch_add(1, std::memory_order_relaxed);
         }
-        // Let shared ownership drop to zero between reads: four readers
-        // querying back-to-back can starve the writer's exclusive lock
-        // indefinitely under a reader-preferring rwlock.
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     });
   }
   for (int k = 1; k <= kBatches; ++k) {
     MutationBatch b;
     b.Insert(StrCat("edge(", k, ",", k + 1, ")"));
-    ASSERT_TRUE(engine.ApplyBatch(b).ok());
+    EXPECT_TRUE(engine.ApplyBatch(b).ok());
+    applied.fetch_add(1);
+    applied.notify_all();
     Result<Engine::QueryResult> r = engine.Query("path(X,Y)");
-    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.ok());
   }
-  stop.store(true);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(bad.load(), 0);
   EXPECT_GE(engine.nail_engine()->delta_refresh_count(), 1u);
