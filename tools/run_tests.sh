@@ -50,6 +50,10 @@
 #            of its own, runs its bench-labelled tests: the workload
 #            oracle test and a tiny smoke run of every workload, so each
 #            workload's answer checks run against the current engine
+#   coverage — Debug build with --coverage in a tree of its own, runs the
+#            full ctest suite, then prints (with gcov alone) the fraction
+#            of instrumented src/ lines the suite ran and the ten src/
+#            files with the most lines it left unrun
 #
 # Usage: tools/run_tests.sh [config ...]
 #   tools/run_tests.sh                # debug + asan + ubsan + tsan
@@ -101,6 +105,46 @@ configure_and_build() {
     targets=(--target "${targets[@]}")
   fi
   cmake --build "$dir" -j "$(nproc)" "${targets[@]}"
+}
+
+# report_coverage <dir>: merges the gcov line counts of every object in
+# <dir> (a line counts as run when any object ran it) and prints the src/
+# line fraction and the ten src/ files with the most unrun lines.
+report_coverage() {
+  local dir="$1"
+  find "$dir" -name '*.gcda' -print0 |
+    (cd "$dir" && xargs -0 gcov --stdout 2>/dev/null) |
+    awk -v src="$repo_root/src/" '
+      # gcov text format: "count:line:text"; "-" marks a line with no
+      # code, "#####" or "=====" an instrumented line that never ran.
+      /^ *-: *0:Source:/ {
+        sub(/^ *-: *0:Source:/, ""); file = $0; next
+      }
+      index(file, src) != 1 || !match($0, /^ *[^ :]+: *[0-9]+:/) { next }
+      {
+        split(substr($0, 1, RLENGTH), fld, ":")
+        count = fld[1]; gsub(/ /, "", count)
+        if (count == "-") next
+        key = file SUBSEP (fld[2] + 0)
+        if (!(key in ran)) { ran[key] = 0; lines[file]++ }
+        if (count !~ /^(#####|=====)$/ && !ran[key]) {
+          ran[key] = 1; hit[file]++
+        }
+      }
+      END {
+        for (f in lines) { total += lines[f]; covered += hit[f] }
+        printf "src line coverage: %d of %d lines ran (%.1f%%), %d unrun\n",
+               covered, total, total ? 100 * covered / total : 0,
+               total - covered
+        for (f in lines) {
+          printf "%d %s\n", lines[f] - hit[f], substr(f, length(src) + 1)
+        }
+      }' | {
+        IFS= read -r summary
+        echo "$summary"
+        echo "most unrun lines:"
+        sort -rn | head -10 | awk '{ printf "  %6d  src/%s\n", $1, $2 }'
+      }
 }
 
 # run_ctest <dir> [label]: runs the tests of <dir> (only those labelled
@@ -163,6 +207,14 @@ run_config() {
       configure_and_build "$prefix-debug" repl "${debug_flags[@]}"
       run_ctest "$prefix-debug" repl
       ;;
+    coverage)
+      configure_and_build "$prefix-coverage" "" -DCMAKE_BUILD_TYPE=Debug \
+        -DCMAKE_CXX_FLAGS=--coverage -DCMAKE_EXE_LINKER_FLAGS=--coverage
+      # Counts accumulate across runs; start from zero.
+      find "$prefix-coverage" -name '*.gcda' -delete
+      run_ctest "$prefix-coverage"
+      report_coverage "$prefix-coverage"
+      ;;
     bench)
       configure "$prefix-bench" "$repo_root/bench/workloads" \
         -DCMAKE_BUILD_TYPE=Release
@@ -170,7 +222,7 @@ run_config() {
       run_ctest "$prefix-bench" bench
       ;;
     *)
-      echo "error: unknown config '$config' (debug|asan|ubsan|tsan|fault|obs|server|vector|wal|ivm|repl|bench)" >&2
+      echo "error: unknown config '$config' (debug|asan|ubsan|tsan|fault|obs|server|vector|wal|ivm|repl|bench|coverage)" >&2
       exit 1
       ;;
   esac
