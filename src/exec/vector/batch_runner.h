@@ -3,10 +3,11 @@
 ///
 /// BatchRunner is the one implementation of the pipelineable ops: it
 /// drives a contiguous segment of kMatch / kNegMatch / kCompare ops over
-/// blocks of up to kBatchLanes binding records at once. Both strategies
-/// call it — the materialized one with single-op segments, the pipelined
-/// one with each barrier-free run — so they differ only in where
-/// supplementary relations are materialized (§9). Per op it compiles the
+/// blocks of up to kBatchLanes binding records at once. The executor's one
+/// body loop (Executor::RunBody) calls it with single-op segments under
+/// the materialized strategy and with each barrier-free run under the
+/// pipelined one, so the strategies differ only in where supplementary
+/// relations are materialized (§9). Per op it compiles the
 /// column patterns into flat check/bind actions once, then runs tight
 /// row-id loops:
 ///

@@ -5,8 +5,8 @@
 /// The original system compiled Glue into code for "a small virtual
 /// machine" (paper §9). Here a statement body compiles to a sequence of
 /// PlanOps over the statement's variable slots; conceptually op i computes
-/// supplementary relation sup_i from sup_{i-1} (§3.2). The two executors
-/// (exec/materialized.cc, exec/pipelined.cc) interpret the same plan:
+/// supplementary relation sup_i from sup_{i-1} (§3.2). One executor loop
+/// (Executor::RunBody) interprets the plan under both strategies:
 /// materialized realizes every sup_i; pipelined fuses runs of non-fixed
 /// ops and breaks at fixed ones exactly as §9 describes.
 ///
