@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iterator>
+#include <memory>
 #include <random>
 #include <set>
 #include <thread>
@@ -726,16 +727,14 @@ TEST(IvmFallback, OffModeNeverRunsDelta) {
 
 // --- Guardrails ------------------------------------------------------------
 
-TEST(IvmGuardrail, RowBudgetBoundsTheRefreshAQueryPays) {
-  // A guarded query that finds a memo stale pays for its refresh, full or
-  // by DRed, under the query's own row budget. Budgets are checked every
-  // Executor::kRowCheckInterval rows, so the refresh visits far more.
-  for (IvmMode mode : {IvmMode::kOff, IvmMode::kForce}) {
-    SCOPED_TRACE(mode == IvmMode::kOff ? "full" : "dred");
-    EngineOptions opts;
-    opts.ivm_mode = mode;
-    Engine engine(opts);
-    ASSERT_TRUE(engine.LoadProgram(R"(
+/// An engine whose NAIL! memos were warmed and then went stale: 20,000
+/// a/b pairs, then 10,000 more a rows. The refresh that a read of k(X)
+/// pays for visits far more than 50 rows, full or by DRed.
+std::unique_ptr<Engine> StaleMemoEngine(IvmMode mode) {
+  EngineOptions opts;
+  opts.ivm_mode = mode;
+  auto engine = std::make_unique<Engine>(opts);
+  EXPECT_TRUE(engine->LoadProgram(R"(
 module kb;
 edb a(X,Y);
 edb b(X,Y);
@@ -745,25 +744,62 @@ k(X) :- flag(X).
 flag(1).
 end
 )").ok());
-    MutationBatch load;
-    for (int i = 0; i < 20000; ++i) {
-      load.Insert(StrCat("a(", i, ",", i, ")"));
-      load.Insert(StrCat("b(", i, ",", i, ")"));
-    }
-    ASSERT_TRUE(engine.ApplyBatch(load).ok());
-    ASSERT_TRUE(engine.Query("k(X)").ok());  // warms every memo
-    MutationBatch grow;
-    for (int i = 0; i < 10000; ++i) {
-      grow.Insert(StrCat("a(", 20000 + i, ",", i, ")"));
-    }
-    ASSERT_TRUE(engine.ApplyBatch(grow).ok());
+  MutationBatch load;
+  for (int i = 0; i < 20000; ++i) {
+    load.Insert(StrCat("a(", i, ",", i, ")"));
+    load.Insert(StrCat("b(", i, ",", i, ")"));
+  }
+  EXPECT_TRUE(engine->ApplyBatch(load).ok());
+  EXPECT_TRUE(engine->Query("k(X)").ok());  // warms every memo
+  MutationBatch grow;
+  for (int i = 0; i < 10000; ++i) {
+    grow.Insert(StrCat("a(", 20000 + i, ",", i, ")"));
+  }
+  EXPECT_TRUE(engine->ApplyBatch(grow).ok());
+  return engine;
+}
+
+TEST(IvmGuardrail, RowBudgetBoundsTheRefreshAQueryPays) {
+  // A guarded query that finds a memo stale pays for its refresh, full or
+  // by DRed, under the query's own row budget. Budgets are checked every
+  // Executor::kRowCheckInterval rows, so the refresh visits far more.
+  for (IvmMode mode : {IvmMode::kOff, IvmMode::kForce}) {
+    SCOPED_TRACE(mode == IvmMode::kOff ? "full" : "dred");
+    std::unique_ptr<Engine> engine = StaleMemoEngine(mode);
+    const uint64_t full_before = engine->nail_engine()->full_refresh_count();
 
     QueryOptions guarded;
     guarded.limits.max_rows_scanned = 50;
-    Result<Engine::QueryResult> r = engine.Query("k(X)", guarded);
+    Result<Engine::QueryResult> r = engine->Query("k(X)", guarded);
     EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status();
+    if (mode == IvmMode::kForce) {
+      // DRed's abort is the query's answer: the first budget check fails
+      // it, and no full recompute runs on the spent budget.
+      EXPECT_NE(r.status().message().find(
+                    StrCat(Executor::kRowCheckInterval, " rows visited")),
+                std::string::npos)
+          << r.status();
+      EXPECT_EQ(engine->nail_engine()->full_refresh_count(), full_before);
+    }
     // The aborted refresh leaves the engine usable.
-    Result<Engine::QueryResult> all = engine.Query("j(X,Z)");
+    Result<Engine::QueryResult> all = engine->Query("j(X,Z)");
+    ASSERT_TRUE(all.ok()) << all.status();
+    EXPECT_EQ(all->rows.size(), 30000u);
+  }
+}
+
+TEST(IvmGuardrail, SessionReadPaysItsRefreshUnderItsOwnBudget) {
+  // A session read that finds the memo stale refreshes it under the
+  // writer lock; that refresh runs under the read's guardrails too.
+  for (IvmMode mode : {IvmMode::kOff, IvmMode::kForce}) {
+    SCOPED_TRACE(mode == IvmMode::kOff ? "full" : "dred");
+    std::unique_ptr<Engine> engine = StaleMemoEngine(mode);
+    Session session = engine->OpenSession();
+    QueryOptions guarded;
+    guarded.limits.max_rows_scanned = 50;
+    Result<Engine::QueryResult> r = session.Query("k(X)", guarded);
+    EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status();
+    Result<Engine::QueryResult> all = session.Query("j(X,Z)");
     ASSERT_TRUE(all.ok()) << all.status();
     EXPECT_EQ(all->rows.size(), 30000u);
   }

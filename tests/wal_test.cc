@@ -752,6 +752,119 @@ TEST_F(WalTest, CommitPumpStartFailureIsReturnedAndLogClosed) {
   ExpectRecoversExactly(dir, {1});
 }
 
+// --- Data-directory lifecycle ---------------------------------------------
+
+/// Flips one payload byte of the \p nth record (0-based) of the log at
+/// \p path in place: that record fails its checksum and every later one
+/// stays valid, which is mid-log damage rather than a torn tail.
+void DamageRecord(const std::string& path, int nth) {
+  std::string data = ReadFile(path);
+  size_t at = data.find("GNWR");
+  for (int i = 0; i < nth && at != std::string::npos; ++i) {
+    at = data.find("GNWR", at + 1);
+  }
+  ASSERT_NE(at, std::string::npos);
+  data[at + 30] ^= 0x40;  // inside the record's payload
+  WriteFile(path, data);
+}
+
+TEST_F(WalTest, FailedStrictRecoverAtBootRefusesWritesAndKeepsFiles) {
+  // A strict Recover that refuses mid-log damage leaves the engine without
+  // a log. Until a Recover succeeds, writes are refused rather than acked
+  // unlogged, and no file of the data directory changes.
+  const std::string dir = FreshDir("strict_boot");
+  {
+    Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
+    ASSERT_TRUE(engine.Recover().ok());
+    ASSERT_TRUE(engine.ApplyBatch(InsertBatch({1, 2})).ok());
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    for (int k : {3, 4, 5}) {
+      ASSERT_TRUE(engine.ApplyBatch(InsertBatch({k})).ok());
+    }
+  }
+  DamageRecord(dir + "/wal.log", 1);  // f(4)'s record; f(5)'s follows it
+  const std::string checkpoint = ReadFile(dir + "/checkpoint.facts");
+  const std::string log = ReadFile(dir + "/wal.log");
+  {
+    Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
+    EXPECT_FALSE(engine.Recover().ok());
+    EXPECT_EQ(engine.wal(), nullptr);
+    Result<MutationBatch::ApplyReport> applied =
+        engine.ApplyBatch(InsertBatch({9}));
+    EXPECT_EQ(applied.status().code(), StatusCode::kFailedPrecondition)
+        << applied.status();
+    Status cp = engine.Checkpoint();
+    EXPECT_EQ(cp.code(), StatusCode::kFailedPrecondition) << cp;
+    EXPECT_EQ(engine.durable_lsn(), 0u);
+  }
+  EXPECT_EQ(ReadFile(dir + "/checkpoint.facts"), checkpoint);
+  EXPECT_EQ(ReadFile(dir + "/wal.log"), log);
+
+  EngineOptions salvage = DurableOpts(dir, DurabilityLevel::kSync);
+  salvage.wal_recovery = RecoveryMode::kSalvage;
+  Engine engine(salvage);
+  Result<RecoveryReport> boot = engine.Recover();
+  ASSERT_TRUE(boot.ok()) << boot.status();
+  EXPECT_EQ(Facts(&engine), (std::set<int>{1, 2, 3, 5})) << boot->Summary();
+}
+
+TEST_F(WalTest, FailedStrictRecoverKeepsTheOpenLogAndTheEdb) {
+  // A Recover that fails on an engine whose log is open changes nothing:
+  // the EDB keeps its rows, the log stays open, and the next batch is
+  // durable in it.
+  const std::string dir = FreshDir("strict_open");
+  {
+    Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
+    ASSERT_TRUE(engine.Recover().ok());
+    for (int k : {1, 2, 3}) {
+      ASSERT_TRUE(engine.ApplyBatch(InsertBatch({k})).ok());
+    }
+    DamageRecord(dir + "/wal.log", 1);  // f(2)'s record; f(3)'s follows it
+    EXPECT_FALSE(engine.Recover().ok());
+    ASSERT_NE(engine.wal(), nullptr);
+    EXPECT_EQ(Facts(&engine), (std::set<int>{1, 2, 3}));
+    ASSERT_TRUE(engine.ApplyBatch(InsertBatch({4})).ok());
+    EXPECT_EQ(engine.durable_lsn(), 4u);
+  }
+  EngineOptions salvage = DurableOpts(dir, DurabilityLevel::kSync);
+  salvage.wal_recovery = RecoveryMode::kSalvage;
+  Engine engine(salvage);
+  Result<RecoveryReport> boot = engine.Recover();
+  ASSERT_TRUE(boot.ok()) << boot.status();
+  EXPECT_EQ(Facts(&engine), (std::set<int>{1, 3, 4})) << boot->Summary();
+}
+
+TEST_F(WalTest, WritesBeforeRecoverAreRefusedAndChangeNoFile) {
+  // Only Recover opens the log. Before it, a checkpoint would overwrite an
+  // image the engine never loaded, and a batch would be acked unlogged.
+  const std::string dir = FreshDir("before_recover");
+  {
+    Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
+    ASSERT_TRUE(engine.Recover().ok());
+    ASSERT_TRUE(engine.ApplyBatch(InsertBatch({1})).ok());
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    ASSERT_TRUE(engine.ApplyBatch(InsertBatch({2})).ok());
+    ASSERT_TRUE(engine.SaveEdbFile(dir + "/other.facts").ok());
+  }
+  const std::string checkpoint = ReadFile(dir + "/checkpoint.facts");
+  const std::string log = ReadFile(dir + "/wal.log");
+  Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
+  Result<MutationBatch::ApplyReport> applied =
+      engine.ApplyBatch(InsertBatch({3}));
+  EXPECT_EQ(applied.status().code(), StatusCode::kFailedPrecondition)
+      << applied.status();
+  Status cp = engine.Checkpoint();
+  EXPECT_EQ(cp.code(), StatusCode::kFailedPrecondition) << cp;
+  Result<LoadReport> loaded = engine.LoadEdbFile(dir + "/other.facts");
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
+      << loaded.status();
+  EXPECT_EQ(ReadFile(dir + "/checkpoint.facts"), checkpoint);
+  EXPECT_EQ(ReadFile(dir + "/wal.log"), log);
+
+  ASSERT_TRUE(engine.Recover().ok());
+  EXPECT_EQ(Facts(&engine), (std::set<int>{1, 2}));
+}
+
 // --- Recover against in-flight commits ------------------------------------
 
 TEST_F(WalTest, RecoverRefusesWhileCommitsAreInFlight) {
