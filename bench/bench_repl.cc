@@ -238,6 +238,8 @@ class ReplHarness {
     opts.data_dir = FreshDir();
     opts.durability = DurabilityLevel::kSync;
     primary_engine_ = std::make_unique<Engine>(opts);
+    // Only Recover opens the log the writers commit through.
+    bench::Require(primary_engine_->Recover().status());
     bench::Require(primary_engine_->LoadProgram(Module()));
     primary_server_ =
         std::make_unique<Server>(primary_engine_.get(), ServerOptions{});

@@ -210,9 +210,10 @@ void BM_Recover(benchmark::State& state) {
   for (auto _ : state) {
     TermPool pool;
     Database db(&pool);
-    Result<RecoveryReport> r =
-        RecoverDatabase(&db, &pool, group.dir() + "/checkpoint.facts",
-                        group.dir() + "/wal.log");
+    CommitLogOptions no_log;
+    no_log.durability = DurabilityLevel::kNone;
+    DataDir data_dir(group.dir(), RecoveryMode::kStrict, no_log);
+    Result<RecoveryReport> r = data_dir.Recover(&db, &pool);
     bench::Require(r.status());
     replayed = r->records_replayed;
     benchmark::DoNotOptimize(db.num_relations());

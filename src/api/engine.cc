@@ -16,23 +16,8 @@ namespace gluenail {
 
 namespace {
 
-/// Installs a query's control block on the writer-path executor for the
-/// duration of one call. Safe under the exclusive writer lock: nothing else
-/// runs through executor_ while the scope is live.
-class ControlScope {
- public:
-  ControlScope(Executor* exec, ExecControl* ctl) : exec_(exec) {
-    if (exec_ != nullptr) exec_->set_control(ctl);
-  }
-  ~ControlScope() {
-    if (exec_ != nullptr) exec_->set_control(nullptr);
-  }
-  ControlScope(const ControlScope&) = delete;
-  ControlScope& operator=(const ControlScope&) = delete;
-
- private:
-  Executor* exec_;
-};
+/// Entries the slow-query log keeps before evicting the oldest.
+constexpr size_t kSlowQueryLogCapacity = 64;
 
 }  // namespace
 
@@ -41,20 +26,23 @@ Engine::Engine(EngineOptions options)
       edb_(&pool_),
       idb_(&pool_),
       ivm_log_(options.ivm_max_delta_rows),
+      ivm_capture_([this](MutationBatch::OpKind kind, TermId name,
+                          uint32_t arity, RowView row) {
+        if (kind == MutationBatch::OpKind::kInsert) {
+          ivm_log_.CaptureInsert(name, arity, row);
+        } else {
+          ivm_log_.CaptureErase(name, arity, row);
+        }
+      }),
       trace_ring_(options.trace_ring_capacity),
-      slow_log_(options.slow_query_log_capacity) {
+      slow_log_(kSlowQueryLogCapacity),
+      data_dir_(options.data_dir, options.wal_recovery,
+                CommitLogOptions{options.durability,
+                                 options.wal_fsync_interval,
+                                 options.wal_group_linger, nullptr}) {
   edb_.set_default_index_policy(options_.index_policy);
-  edb_.set_default_adaptive_config(options_.adaptive);
   idb_.set_default_index_policy(options_.index_policy);
-  idb_.set_default_adaptive_config(options_.adaptive);
   RegisterBuiltinMetrics();
-}
-
-Engine::~Engine() {
-  // Stops the pump and drains the log's tail (so a clean shutdown loses
-  // nothing even under kAsync) while the histogram it reports into is
-  // still alive.
-  commit_log_.reset();
 }
 
 void Engine::RegisterBuiltinMetrics() {
@@ -70,26 +58,16 @@ void Engine::RegisterBuiltinMetrics() {
       "queries over EngineOptions::slow_query_threshold");
   m_query_latency_ = metrics_.RegisterHistogram(
       "gluenail_query_latency_ns", "end-to-end query latency in nanoseconds");
-  m_wal_commits_ = metrics_.RegisterCounter(
-      "gluenail_wal_commits_total",
-      "mutation batches committed through the WAL write path");
-  m_wal_commit_failures_ = metrics_.RegisterCounter(
-      "gluenail_wal_commit_failures_total",
-      "mutation batches rejected or not made durable");
-  m_checkpoints_ = metrics_.RegisterCounter(
-      "gluenail_checkpoints_total", "checkpoint saves with WAL rotation");
 
   // Each subsystem registers its own pulls. They run under DumpMetrics'
-  // shared lock, which is what keeps executor_, nail_engine_ and
-  // commit_log_ from being replaced mid-read.
+  // shared lock, which is what keeps executor_, nail_engine_ and the open
+  // commit log from being replaced mid-read.
   RegisterStorageMetrics(&metrics_, &pool_, &edb_, &idb_);
   Executor::RegisterMetrics(&metrics_, &executor_);
   NailEngine::RegisterMetrics(&metrics_, &nail_engine_);
   RegisterPlannerMetrics(&metrics_);
   RegisterPersistenceMetrics(&metrics_);
-  m_wal_group_size_ = CommitLog::RegisterMetrics(
-      &metrics_, [this] { return commit_log_.get(); });
-  RegisterRecoveryMetrics(&metrics_);
+  data_dir_.RegisterMetrics(&metrics_);
 
   // Replication (replica side; the primary's stream counters live in the
   // server that owns the subscriber connections). The watermarks are
@@ -211,8 +189,7 @@ Status Engine::LoadProgramLocked(std::string_view source) {
   if (options_.nail_mode == NailMode::kCompiledGlue) {
     nail_engine_->set_driver_proc(linked_->nail_driver_proc);
   }
-  nail_engine_->ConfigureIvm(options_.ivm_mode,
-                             options_.ivm_max_delta_fraction, &ivm_log_);
+  nail_engine_->ConfigureIvm(options_.ivm_mode, &ivm_log_);
   // A new program means new memos; deltas captured against the old one
   // are meaningless (the first refresh rebases the log).
   ivm_log_.Invalidate();
@@ -263,9 +240,10 @@ bool Engine::ReadReadyLocked() const {
          (nail_engine_ == nullptr || nail_engine_->IsFresh());
 }
 
-Status Engine::PrepareForReadLocked() {
+Status Engine::PrepareForReadLocked(ExecControl* control) {
   GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
   if (nail_engine_ != nullptr) {
+    ControlScope scope(executor_.get(), control);
     GLUENAIL_RETURN_NOT_OK(nail_engine_->EnsureAllNail());
   }
   return Status::OK();
@@ -336,20 +314,8 @@ Result<Engine::QueryResult> Engine::RunObserved(Session* reader,
   obs.want_trace = options.trace;
   obs.active = options.trace || options_.slow_query_threshold.count() > 0;
   if (obs.active) obs.scope.emplace(&obs.sink);
-  std::unique_lock<std::shared_mutex> writer(state_mu_, std::defer_lock);
-  std::shared_lock<std::shared_mutex> shared(state_mu_, std::defer_lock);
-  if (reader != nullptr) {
-    // Statements write, so they never run under the shared lock.
-    if (statement) return Status::InvalidArgument("statement on a reader");
-    // A session read's latency includes the refresh its upgrade pays for.
-    obs.start = std::chrono::steady_clock::now();
-    GLUENAIL_RETURN_NOT_OK(reader->EnterRead(&shared));
-  } else {
-    writer.lock();
-    GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
-    // Timed from here: waiting for the writer lock is not query latency.
-    obs.start = std::chrono::steady_clock::now();
-  }
+  // The control exists before the lock, so the refresh a session read's
+  // upgrade pays for runs under the read's guardrails.
   ExecControl ctl;
   ctl.deadline = options.deadline;
   ctl.cancel = options.cancel;
@@ -357,6 +323,20 @@ Result<Engine::QueryResult> Engine::RunObserved(Session* reader,
   ExecControl* ctl_ptr = options.guarded() ? &ctl : nullptr;
   // Fail fast on pre-cancelled tokens and already-expired deadlines.
   if (ctl_ptr != nullptr) GLUENAIL_RETURN_NOT_OK(ctl.Check());
+  std::unique_lock<std::shared_mutex> writer(state_mu_, std::defer_lock);
+  std::shared_lock<std::shared_mutex> shared(state_mu_, std::defer_lock);
+  if (reader != nullptr) {
+    // Statements write, so they never run under the shared lock.
+    if (statement) return Status::InvalidArgument("statement on a reader");
+    // A session read's latency includes the refresh its upgrade pays for.
+    obs.start = std::chrono::steady_clock::now();
+    GLUENAIL_RETURN_NOT_OK(reader->EnterRead(&shared, ctl_ptr));
+  } else {
+    writer.lock();
+    GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
+    // Timed from here: waiting for the writer lock is not query latency.
+    obs.start = std::chrono::steady_clock::now();
+  }
   // Under the lock: a concurrent LoadProgram can swap nail_engine_.
   if (obs.active && nail_engine_ != nullptr) {
     obs.replans_before = nail_engine_->replan_count();
@@ -595,23 +575,6 @@ Status Engine::AddFact(std::string_view fact) {
   return ApplyBatch(batch).status();
 }
 
-MutationBatch::ApplyReport Engine::ApplyBatchCapturedLocked(
-    const MutationBatch::Resolved& ops) {
-  MutationBatch::ChangeObserver observer =
-      [this](MutationBatch::OpKind kind, TermId name, uint32_t arity,
-             RowView row) {
-        if (kind == MutationBatch::OpKind::kInsert) {
-          ivm_log_.CaptureInsert(name, arity, row);
-        } else {
-          ivm_log_.CaptureErase(name, arity, row);
-        }
-      };
-  MutationBatch::ApplyReport applied =
-      MutationBatch::ApplyResolved(ops, &edb_, &observer);
-  ivm_log_.SealBatch(SnapshotEdbVersion(edb_));
-  return applied;
-}
-
 Result<TermId> Engine::InternTerm(std::string_view text) {
   // The pool is thread-safe; no engine lock required.
   return ParseGroundTerm(&pool_, text);
@@ -633,7 +596,7 @@ Status Engine::SaveEdbFile(const std::string& path) {
   // Flush in-flight commits first so the saved image is at or ahead of the
   // log's durable point (ignore a broken log — memory is the truth, and
   // the save captures it either way).
-  if (commit_log_ != nullptr) (void)commit_log_->Drain();
+  if (data_dir_.log() != nullptr) (void)data_dir_.log()->Drain();
   return SaveDatabaseToFile(edb_, path);
 }
 
@@ -641,6 +604,7 @@ Result<LoadReport> Engine::LoadEdbFile(const std::string& path,
                                        const LoadOptions& options) {
   if (options_.replica) return ReplicaWriteFence("LoadEdbFile");
   std::unique_lock<std::shared_mutex> lock(state_mu_);
+  GLUENAIL_RETURN_NOT_OK(data_dir_.RequireLog("LoadEdbFile"));
   GLUENAIL_RETURN_NOT_OK(RefuseWhileSnapshotsLive("load an EDB"));
   GLUENAIL_ASSIGN_OR_RETURN(LoadReport report,
                             LoadDatabaseFromFile(&edb_, path, options));
@@ -652,7 +616,9 @@ Result<LoadReport> Engine::LoadEdbFile(const std::string& path,
   if (nail_engine_ != nullptr) nail_engine_->Invalidate();
   // Loaded facts bypassed the log; checkpoint immediately so the durable
   // state includes them (otherwise a crash would silently undo the load).
-  if (commit_log_ != nullptr) GLUENAIL_RETURN_NOT_OK(CheckpointLocked());
+  if (data_dir_.log() != nullptr) {
+    GLUENAIL_RETURN_NOT_OK(data_dir_.Checkpoint(edb_));
+  }
   return report;
 }
 
@@ -704,162 +670,66 @@ Status Engine::RefuseWhileSnapshotsLive(std::string_view what) const {
              " live snapshot(s) are outstanding; drop them first"));
 }
 
-std::string Engine::checkpoint_path() const {
-  return StrCat(options_.data_dir, "/checkpoint.facts");
-}
-
-std::string Engine::wal_path() const {
-  return StrCat(options_.data_dir, "/wal.log");
-}
-
 uint64_t Engine::durable_lsn() const {
   std::shared_lock<std::shared_mutex> lock(state_mu_);
-  return commit_log_ != nullptr ? commit_log_->durable_lsn() : 0;
-}
-
-std::optional<RecoveryReport> Engine::last_recovery() const {
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
-  return last_recovery_;
-}
-
-Status Engine::OpenCommitLogLocked(uint64_t first_lsn, bool fresh) {
-  GLUENAIL_ASSIGN_OR_RETURN(std::unique_ptr<Wal> wal,
-                            fresh ? Wal::Create(wal_path(), first_lsn)
-                                  : Wal::Open(wal_path(), first_lsn));
-  CommitLogOptions opts;
-  opts.durability = options_.durability;
-  opts.fsync_interval = options_.wal_fsync_interval;
-  opts.group_linger = options_.wal_group_linger;
-  opts.group_size = m_wal_group_size_;
-  GLUENAIL_ASSIGN_OR_RETURN(commit_log_, CommitLog::Open(std::move(wal), opts));
-  return Status::OK();
+  return data_dir_.log() != nullptr ? data_dir_.log()->durable_lsn() : 0;
 }
 
 Result<MutationBatch::ApplyReport> Engine::ApplyBatch(
     const MutationBatch& batch) {
   if (options_.replica) return ReplicaWriteFence("ApplyBatch");
   if (batch.empty()) return MutationBatch::ApplyReport{};
-  auto commit_failed = [this](Status s) -> Status {
-    if (!s.ok()) m_wal_commit_failures_->Add();
-    return s;
-  };
-
-  CommitLog* log = nullptr;
-  CommitLog::Ticket ticket;
-  MutationBatch::ApplyReport applied;
-  {
-    std::unique_lock<std::shared_mutex> lock(state_mu_);
-    // Resolve every op first, so a malformed batch is never logged and
-    // never half-applied.
-    Result<MutationBatch::Resolved> ops = batch.Resolve(&pool_);
-    // Durability off: the batch is just a structured multi-op apply.
-    if (commit_log_ == nullptr) {
-      GLUENAIL_RETURN_NOT_OK(ops.status());
-      return ApplyBatchCapturedLocked(*ops);
-    }
-    GLUENAIL_RETURN_NOT_OK(commit_failed(ops.status()));
-    log = commit_log_.get();
-    // Write-ahead: log, then apply to memory. The apply happens before the
-    // ack wait so the writer lock is released during the fsync — the whole
-    // point of group commit.
-    Result<CommitLog::Ticket> appended = log->Append(batch);
-    if (!appended.ok()) return commit_failed(appended.status());
-    ticket = *appended;
-    applied = ApplyBatchCapturedLocked(*ops);
-    // Counted under the lock, so Recover (which takes it exclusively)
-    // sees every commit that may still touch `log`.
-    ++commits_in_flight_;
-  }
-  Status acked = log->Await(ticket);
-  --commits_in_flight_;
-  GLUENAIL_RETURN_NOT_OK(commit_failed(std::move(acked)));
-  m_wal_commits_->Add();
-  return applied;
+  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  return data_dir_.Commit(
+      batch, &pool_, lock, [this](const MutationBatch::Resolved& ops) {
+        MutationBatch::ApplyReport applied =
+            MutationBatch::ApplyResolved(ops, &edb_, &ivm_capture_);
+        ivm_log_.SealBatch(SnapshotEdbVersion(edb_));
+        return applied;
+      });
 }
 
 Status Engine::Checkpoint() {
   std::unique_lock<std::shared_mutex> lock(state_mu_);
-  return CheckpointLocked();
+  return data_dir_.Checkpoint(edb_);
 }
 
-Status Engine::CheckpointLocked() {
-  if (options_.data_dir.empty()) {
-    return Status::InvalidArgument(
-        "Checkpoint needs EngineOptions::data_dir");
-  }
-  // The image holds every appended batch (each was applied to memory under
-  // this lock), including batches whose fsync failed — so the rotation
-  // behind it heals a broken log, and waiters on the old log's LSNs are
-  // released by the new epoch.
-  GLUENAIL_RETURN_NOT_OK(SaveDatabaseToFile(edb_, checkpoint_path()));
-  if (commit_log_ != nullptr) {
-    GLUENAIL_RETURN_NOT_OK(commit_log_->Rotate());
-  } else if (options_.durability != DurabilityLevel::kNone) {
-    // Durability configured but Recover() never ran (fresh directory
-    // bootstrap): bring the log up now.
-    GLUENAIL_RETURN_NOT_OK(OpenCommitLogLocked(1, /*fresh=*/true));
-  }
-  m_checkpoints_->Add();
-  return Status::OK();
-}
-
-void Engine::ClearEdbLocked() {
+Status Engine::ReplaceEdbLocked(
+    std::string_view what, const std::function<Status(Database*)>& stage) {
+  GLUENAIL_RETURN_NOT_OK(RefuseWhileSnapshotsLive(what));
+  // Staged, so a failed rebuild leaves the live EDB exactly as it was.
+  // Interning into the engine's pool is harmless: pools are append-only.
+  Database staged(&pool_);
+  GLUENAIL_RETURN_NOT_OK(stage(&staged));
   // In place, so relation version counters stay monotone: cached NAIL!
   // memos and relation snapshots key off versions. Captured deltas describe
   // the discarded history; a refresh against them could serve memo rows
   // the replacement (possibly salvaged) EDB never derived.
   edb_.ForEach([](TermId, uint32_t, Relation* rel) { rel->Clear(); });
+  MergeInto(staged, &edb_);
   if (nail_engine_ != nullptr) nail_engine_->Invalidate();
   ivm_log_.Invalidate();
+  return Status::OK();
 }
 
 Result<RecoveryReport> Engine::Recover() {
   std::unique_lock<std::shared_mutex> lock(state_mu_);
-  if (options_.data_dir.empty()) {
-    return Status::InvalidArgument("Recover needs EngineOptions::data_dir");
-  }
-  GLUENAIL_RETURN_NOT_OK(RefuseWhileSnapshotsLive("recover"));
-  // A commit between its append and its ack still uses the log that the
-  // reset below destroys.
-  const uint64_t in_flight = commits_in_flight_.load();
-  if (in_flight > 0) {
-    return Status::FailedPrecondition(
-        StrCat("cannot recover while ", in_flight,
-               " commit(s) await their ack; retry once they finish"));
-  }
-  commit_log_.reset();  // drains the log's tail and closes it
-  ClearEdbLocked();
-  idb_.ForEach([](TermId, uint32_t, Relation* rel) { rel->Clear(); });
-
-  RecoveryOptions ropts;
-  ropts.mode = options_.wal_recovery;
-  GLUENAIL_ASSIGN_OR_RETURN(
-      RecoveryReport report,
-      RecoverDatabase(&edb_, &pool_, checkpoint_path(), wal_path(), ropts));
-
-  if (options_.durability != DurabilityLevel::kNone) {
-    if (report.needs_reset) {
-      // The old log is damaged past repair: capture the salvaged truth as
-      // a fresh checkpoint and rotate to a clean log.
-      GLUENAIL_RETURN_NOT_OK(SaveDatabaseToFile(edb_, checkpoint_path()));
-    }
-    GLUENAIL_RETURN_NOT_OK(
-        OpenCommitLogLocked(report.last_lsn + 1, report.needs_reset));
-  }
-  last_recovery_ = report;
+  RecoveryReport report;
+  GLUENAIL_RETURN_NOT_OK(
+      ReplaceEdbLocked("recover", [&](Database* staged) -> Status {
+        GLUENAIL_ASSIGN_OR_RETURN(report, data_dir_.Recover(staged, &pool_));
+        return Status::OK();
+      }));
   return report;
 }
 
 // --- Replication ---------------------------------------------------------
 
 Status Engine::ReplicaWriteFence(std::string_view op) const {
-  std::string msg =
-      StrCat(op, " refused: this engine is a read replica; apply "
-                 "mutations at the primary");
-  if (!options_.primary_hint.empty()) {
-    msg = StrCat(msg, " (", options_.primary_hint, ")");
-  }
-  return Status::FailedPrecondition(std::move(msg));
+  const std::string& hint = options_.primary_hint;
+  return Status::FailedPrecondition(
+      StrCat(op, " refused: this engine is a read replica; apply mutations ",
+             "at the primary", hint.empty() ? "" : StrCat(" (", hint, ")")));
 }
 
 Status Engine::ApplyReplicatedBatch(uint64_t lsn,
@@ -876,10 +746,10 @@ Status Engine::ApplyReplicatedBatch(uint64_t lsn,
         StrCat("replicated lsn ", lsn, " does not advance applied lsn ",
                applied, "; stream out of order"));
   }
-  // Every op resolves before the first one changes the EDB.
-  GLUENAIL_ASSIGN_OR_RETURN(MutationBatch::Resolved ops,
-                            batch.Resolve(&pool_));
-  ApplyBatchCapturedLocked(ops);
+  // Recovery replay's apply, plus the IVM capture.
+  GLUENAIL_RETURN_NOT_OK(
+      ApplyLoggedBatch(batch, &pool_, &edb_, &ivm_capture_).status());
+  ivm_log_.SealBatch(SnapshotEdbVersion(edb_));
   repl_applied_lsn_.store(lsn, std::memory_order_release);
   if (m_repl_batches_ != nullptr) m_repl_batches_->Add();
   return Status::OK();
@@ -892,35 +762,23 @@ Status Engine::ResetFromCheckpointImage(uint64_t covers_lsn,
     return Status::InvalidArgument(
         "ResetFromCheckpointImage on a non-replica engine");
   }
-  GLUENAIL_RETURN_NOT_OK(RefuseWhileSnapshotsLive("bootstrap"));
-  // Parse into a scratch database first: the in-place clear below is
-  // destructive, so a torn or corrupt image must be rejected before it
-  // can take down the replica's current (stale but consistent) state.
-  // Interning into the engine's pool is harmless — pools are append-only.
-  Database staged(&pool_);
-  std::istringstream in{std::string(image)};
+  // A torn or corrupt image is rejected before it can take down the
+  // replica's current (stale but consistent) state.
   GLUENAIL_RETURN_NOT_OK(
-      LoadDatabase(&staged, in).WithContext("checkpoint image"));
-  ClearEdbLocked();
-  MergeInto(staged, &edb_);
+      ReplaceEdbLocked("bootstrap", [image](Database* staged) {
+        std::istringstream in{std::string(image)};
+        return LoadDatabase(staged, in).WithContext("checkpoint image");
+      }));
   repl_applied_lsn_.store(covers_lsn, std::memory_order_release);
   if (m_repl_bootstraps_ != nullptr) m_repl_bootstraps_->Add();
   return Status::OK();
 }
 
-Result<Engine::CheckpointImage> Engine::ReadCheckpointImage() const {
-  // Shared lock: CheckpointLocked saves the image and rotates the log
-  // under the exclusive lock, so (file bytes, wal start_lsn) read here are
-  // one consistent pair.
+Result<CheckpointImage> Engine::ReadCheckpointImage() const {
+  // Shared lock: Checkpoint saves the image and rotates the log under the
+  // exclusive lock, so the bytes and the covered LSN are one pair.
   std::shared_lock<std::shared_mutex> lock(state_mu_);
-  if (commit_log_ == nullptr) {
-    return Status::FailedPrecondition(
-        "no WAL open; a primary needs durability on to ship snapshots");
-  }
-  CheckpointImage img;
-  img.covers_lsn = commit_log_->wal().start_lsn() - 1;
-  GLUENAIL_ASSIGN_OR_RETURN(img.bytes, ReadFileText(checkpoint_path()));
-  return img;
+  return data_dir_.ReadCheckpointImage();
 }
 
 }  // namespace gluenail

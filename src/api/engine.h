@@ -28,6 +28,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -131,16 +132,17 @@ class EngineSnapshot {
 };
 
 /// The facade over one deductive database: a term pool, the EDB, the
-/// NAIL! memos (IDB), the linked program, and the commit log. Every EDB
-/// write that can be logged goes through ApplyBatch (AddFact, inline EDB
-/// loads and wire batches all become MutationBatches), so it is validated,
+/// NAIL! memos (IDB), the linked program, and the data directory
+/// (storage/recovery.h: checkpoint, WAL and commit log). Every EDB write
+/// that can be logged goes through ApplyBatch (AddFact, inline EDB loads
+/// and wire batches all become MutationBatches), so it is validated,
 /// logged with the configured ack, delta-captured for IVM and fenced on
-/// replicas. Bulk file loads checkpoint instead. Each subsystem registers
-/// its own metrics into metrics().
+/// replicas. Bulk file loads checkpoint instead. Recover and a replica's
+/// bootstrap rebuild the EDB through one staged swap. Each subsystem
+/// registers its own metrics into metrics().
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
-  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -237,32 +239,36 @@ class Engine {
   /// inline EDB loads and AddFact share.
   Result<MutationBatch::ApplyReport> ApplyBatch(const MutationBatch& batch);
 
-  /// Rebuilds the EDB from the data directory: loads the checkpoint,
-  /// replays the WAL tail (EngineOptions::wal_recovery decides how much
-  /// damage is tolerated), and opens the log for appending. Refuses while
-  /// live EngineSnapshots are outstanding — readers must drop their views
-  /// of the old history first — and with FailedPrecondition while a commit
-  /// is in flight (an ApplyBatch still waiting for its ack).
+  /// Rebuilds the EDB from the data directory (DataDir::Recover): loads
+  /// the checkpoint and replays the WAL tail into a staging copy
+  /// (EngineOptions::wal_recovery decides how much damage is tolerated),
+  /// opens the log for appending, and only then swaps the copy in — the
+  /// same swap a replica's bootstrap uses. A failed Recover leaves the EDB
+  /// and any open log as they were. With durability on, only Recover opens
+  /// the log: until one succeeds, ApplyBatch, Checkpoint and LoadEdbFile
+  /// return FailedPrecondition. Refuses while live EngineSnapshots are
+  /// outstanding — readers must drop their views of the old history first
+  /// — and with FailedPrecondition while a commit is in flight (an
+  /// ApplyBatch still waiting for its ack).
   Result<RecoveryReport> Recover();
 
   /// Writes an atomic checkpoint of the EDB to the data directory and
   /// rotates the WAL behind it (drains in-flight commits first). A broken
   /// log (failed sync) is healed by this: the checkpoint captures the
-  /// in-memory truth and the rotation gives it a fresh file.
+  /// in-memory truth and the rotation gives it a fresh file. Refused with
+  /// FailedPrecondition before Recover, whose image it would overwrite.
   Status Checkpoint();
 
-  /// The open WAL, or nullptr when durability is off. The pointer stays
-  /// valid until the next Recover (Checkpoint rotates in place).
+  /// The open WAL, or nullptr before Recover or with durability off. The
+  /// pointer stays valid until the next Recover (Checkpoint rotates in
+  /// place).
   const Wal* wal() const {
-    return commit_log_ != nullptr ? &commit_log_->wal() : nullptr;
+    return data_dir_.log() != nullptr ? &data_dir_.log()->wal() : nullptr;
   }
   /// Highest LSN known durable (0 = no WAL or nothing synced).
   uint64_t durable_lsn() const;
-  /// The report of the last successful Recover(), if any.
-  std::optional<RecoveryReport> last_recovery() const;
-  /// Paths derived from EngineOptions::data_dir.
-  std::string checkpoint_path() const;
-  std::string wal_path() const;
+  /// EngineOptions::data_dir's checkpoint file.
+  std::string checkpoint_path() const { return data_dir_.checkpoint_path(); }
 
   // --- Replication (EngineOptions::replica; src/server/replication.h) ----
 
@@ -274,16 +280,17 @@ class Engine {
   Status ReplicaWriteFence(std::string_view op) const;
 
   /// Applies one batch shipped from the primary's WAL (replica mode only;
-  /// bypasses the write fence). Runs the same apply/IVM-capture path as
-  /// ApplyBatch, then advances the replica's applied-LSN watermark to
-  /// \p lsn. Out-of-order or replayed LSNs are refused — the stream must
-  /// deliver the primary's durable prefix in order.
+  /// bypasses the write fence) through recovery replay's ApplyLoggedBatch
+  /// with the IVM capture, then advances the replica's applied-LSN
+  /// watermark to \p lsn. Out-of-order or replayed LSNs are refused — the
+  /// stream must deliver the primary's durable prefix in order.
   Status ApplyReplicatedBatch(uint64_t lsn, const MutationBatch& batch);
 
   /// Replaces the EDB wholesale with a primary checkpoint image (snapshot
   /// bootstrap: the replica's cursor was rotated out of the primary's
-  /// log). Refuses while live EngineSnapshots are outstanding, exactly
-  /// like Recover. The applied watermark becomes \p covers_lsn.
+  /// log), staged and swapped in exactly like Recover; a corrupt image
+  /// changes nothing. Refuses while live EngineSnapshots are outstanding.
+  /// The applied watermark becomes \p covers_lsn.
   Status ResetFromCheckpointImage(uint64_t covers_lsn, std::string_view image);
 
   /// Replica progress, readable from any thread: highest LSN applied
@@ -309,12 +316,6 @@ class Engine {
 
   /// Primary side: one consistent (checkpoint image, covered LSN) pair
   /// for bootstrapping a subscriber whose requested LSN was rotated away.
-  /// The image is the checkpoint file's bytes; covers_lsn is the last LSN
-  /// folded into it (wal start_lsn - 1).
-  struct CheckpointImage {
-    uint64_t covers_lsn = 0;
-    std::string bytes;
-  };
   Result<CheckpointImage> ReadCheckpointImage() const;
 
   /// Sorted contents of an EDB relation or NAIL! predicate instance.
@@ -378,8 +379,9 @@ class Engine {
   void FinishQueryObs(QueryObs* obs, std::string_view query, TraceRing* ring);
   /// The one guarded, observed run of a query or statement, shared by
   /// Query, ExecuteStatement and Session::Query: the observation bracket,
-  /// the lock (shared through \p reader's EnterRead when \p reader is set,
-  /// else exclusive), the fail-fast guardrail check, the run, and
+  /// the fail-fast guardrail check, the lock (shared through \p reader's
+  /// EnterRead, whose refresh runs under the query's control, when
+  /// \p reader is set, else exclusive), the run, and
   /// bad_alloc turned into ResourceExhausted. A statement answers an empty
   /// QueryResult and runs only on the writer path (a \p reader with a
   /// statement is InvalidArgument). Latency is timed from after the
@@ -411,17 +413,13 @@ class Engine {
   /// rendered into it with actual rows (EXPLAIN ANALYZE, traces).
   Status RunAdhocLocked(std::string_view statement,
                         std::string* profiled_plans);
-  /// Applies a resolved batch with every actual change captured into
-  /// ivm_log_ and the log sealed at the post-batch EDB snapshot. The single
-  /// apply behind ApplyBatch (logged or not) and ApplyReplicatedBatch.
-  MutationBatch::ApplyReport ApplyBatchCapturedLocked(
-      const MutationBatch::Resolved& ops);
 
   /// True when reads can proceed under a shared lock: a program is linked
   /// and the NAIL! materialization matches the current EDB.
   bool ReadReadyLocked() const;
-  /// Brings the engine into ReadReady state; needs the writer lock.
-  Status PrepareForReadLocked();
+  /// Brings the engine into ReadReady state, refreshing under \p control
+  /// (null: unguarded); needs the writer lock.
+  Status PrepareForReadLocked(ExecControl* control);
 
   /// Goal evaluation through \p exec (the writer path passes executor_,
   /// read sessions pass a private read-only executor).
@@ -437,17 +435,13 @@ class Engine {
       std::string_view name_term, uint32_t arity);
   EngineSnapshot SnapshotLocked();
 
-  // --- Durability internals (the commit pipeline and its lock protocol
-  // live in src/storage/commit_log.h) -----------------------------------
-  /// Opens the log at wal_path() (\p fresh: truncate and start at
-  /// \p first_lsn) and wraps it in commit_log_ with the configured
-  /// durability.
-  Status OpenCommitLogLocked(uint64_t first_lsn, bool fresh);
-  /// Empties the EDB before Recover or a bootstrap replaces it, and drops
-  /// the NAIL! memos and captured deltas derived from the old contents.
-  void ClearEdbLocked();
-  /// Checkpoint body; requires state_mu_ held exclusively.
-  Status CheckpointLocked();
+  /// The one swap behind Recover and a replica bootstrap: refuses to
+  /// \p what while snapshots are live, runs \p stage into a scratch
+  /// database, and only if it succeeds replaces the EDB's contents with it
+  /// in place, dropping the NAIL! memos and captured deltas derived from
+  /// the old contents.
+  Status ReplaceEdbLocked(std::string_view what,
+                          const std::function<Status(Database*)>& stage);
 
   /// Single-writer / shared-reader lock over all engine state. Engine
   /// methods hold it exclusively; Session reads hold it shared.
@@ -465,31 +459,22 @@ class Engine {
   std::unique_ptr<LinkedProgram> linked_;
   std::unique_ptr<NailEngine> nail_engine_;
   /// Captured EDB deltas feeding delta-driven memo maintenance
-  /// (src/nail/ivm.cc): ApplyBatch records every tuple that actually
-  /// changed into it; the NAIL! refresh consumes and rebases it. Recover /
-  /// LoadEdbFile invalidate it explicitly; writes outside ApplyBatch (Glue
-  /// statements and procedures, LoadProgram module facts) are caught by
-  /// its version watermark.
+  /// (src/nail/ivm.cc): ApplyBatch and ApplyReplicatedBatch record every
+  /// tuple that actually changed into it; the NAIL! refresh consumes and
+  /// rebases it. Recover / LoadEdbFile invalidate it explicitly; writes
+  /// outside ApplyBatch (Glue statements and procedures, LoadProgram
+  /// module facts) are caught by its version watermark.
   DeltaLog ivm_log_;
+  /// The observer that records each applied change into ivm_log_.
+  const MutationBatch::ChangeObserver ivm_capture_;
   std::unique_ptr<Executor> executor_;
   IoEnv io_;
   CompileStats compile_stats_;
 
-  // --- Durability --------------------------------------------------------
-  /// The WAL and its commit pipeline; null while durability is off or the
-  /// log is not open yet. Replaced only under state_mu_ held exclusively
-  /// (Recover, the first Checkpoint); commits Await it after releasing
-  /// state_mu_.
-  std::unique_ptr<CommitLog> commit_log_;
-  /// Commits appended under state_mu_ whose ack ApplyBatch still awaits
-  /// after releasing it. Recover refuses while it is above zero, since it
-  /// destroys the log they wait on.
-  std::atomic<uint64_t> commits_in_flight_{0};
   /// Live-snapshot guard: SnapshotLocked hands each EngineSnapshot a copy;
   /// use_count() - 1 is the number of outstanding snapshots Recover must
   /// refuse over.
   std::shared_ptr<const int> snapshot_token_ = std::make_shared<int>(0);
-  std::optional<RecoveryReport> last_recovery_;
 
   // --- Replication -------------------------------------------------------
   /// Replica progress watermarks. Atomics: the replication client writes
@@ -507,15 +492,16 @@ class Engine {
   Counter* m_traced_queries_ = nullptr;
   Counter* m_slow_queries_ = nullptr;
   Histogram* m_query_latency_ = nullptr;
-  Counter* m_wal_commits_ = nullptr;
-  Counter* m_wal_commit_failures_ = nullptr;
-  Counter* m_checkpoints_ = nullptr;
-  /// Batches made durable per fsync — the group-commit amortization,
-  /// directly observable.
-  Histogram* m_wal_group_size_ = nullptr;
   /// Replica-mode handles (registered only when options_.replica).
   Counter* m_repl_batches_ = nullptr;
   Counter* m_repl_bootstraps_ = nullptr;
+
+  /// The checkpoint, the WAL and the commit log over it (storage/
+  /// recovery.h). The open log is replaced only under state_mu_ held
+  /// exclusively (Recover); commits Await it after releasing state_mu_.
+  /// Declared last so the log closes, draining its tail even under kAsync,
+  /// before the metrics it reports into are destroyed.
+  DataDir data_dir_;
 };
 
 }  // namespace gluenail

@@ -32,7 +32,6 @@ struct EngineOptions {
   NailMode nail_mode = NailMode::kDirect;
   /// Back-end index policy for newly created relations (§10).
   IndexPolicy index_policy = IndexPolicy::kAdaptive;
-  AdaptiveConfig adaptive;
 
   // --- Incremental view maintenance (src/nail/ivm.cc,
   // docs/ARCHITECTURE.md "Incremental view maintenance") ------------------
@@ -44,10 +43,6 @@ struct EngineOptions {
   /// always-recompute behavior; kForce skips the delta-size guard
   /// (tests/benches).
   IvmMode ivm_mode = IvmMode::kAuto;
-  /// kAuto's fall-back guard: recompute fully when any relation's captured
-  /// delta exceeds this fraction of its live size (delta joins stop paying
-  /// off well before the delta reaches the base's size).
-  double ivm_max_delta_fraction = 0.25;
   /// Per-relation cap on captured delta rows. An overflowing capture is
   /// dropped (bounded memory) and forces the next refresh to recompute.
   uint64_t ivm_max_delta_rows = 1u << 20;
@@ -61,17 +56,17 @@ struct EngineOptions {
   /// Finished traces kept per ring (the engine has one ring; each session
   /// has its own). Oldest evicted first.
   size_t trace_ring_capacity = 16;
-  /// Entries kept by the slow-query log before eviction.
-  size_t slow_query_log_capacity = 64;
 
   // --- Durability (src/storage/wal.h, docs/ARCHITECTURE.md "Failure
   // model & recovery") ----------------------------------------------------
   /// Directory holding the engine's durable state: `checkpoint.facts`
   /// (atomic EDB image) and `wal.log` (MutationBatch records appended
-  /// since). Empty (the default) disables the WAL entirely; when set and
-  /// durability > kNone, Engine::Recover() rebuilds from it and every
-  /// batch applied through Session::Execute / Engine::ApplyBatch is logged
-  /// before it touches memory.
+  /// since), owned by a DataDir (storage/recovery.h). Empty (the default)
+  /// disables the WAL entirely. When set and durability > kNone,
+  /// Engine::Recover() rebuilds from it and is the only call that opens
+  /// the log; after it, every batch applied through Session::Execute /
+  /// Engine::ApplyBatch is logged before it touches memory, and before it
+  /// ApplyBatch, Checkpoint and LoadEdbFile refuse.
   std::string data_dir;
   /// What a mutation ack promises (see DurabilityLevel): nothing (kNone),
   /// logged-not-yet-synced (kAsync), per-batch fsync (kSync), or shared

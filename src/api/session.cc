@@ -2,7 +2,8 @@
 
 namespace gluenail {
 
-Status Session::EnterRead(std::shared_lock<std::shared_mutex>* lock) {
+Status Session::EnterRead(std::shared_lock<std::shared_mutex>* lock,
+                          ExecControl* control) {
   // Freshness retry loop: probe under a shared lock; if the engine is not
   // read-ready (no program linked yet, or the NAIL! memo is stale),
   // release, refresh under the writer lock, and re-probe. Another writer
@@ -14,7 +15,7 @@ Status Session::EnterRead(std::shared_lock<std::shared_mutex>* lock) {
     lock->unlock();
     {
       std::unique_lock<std::shared_mutex> writer(engine_->state_mu_);
-      GLUENAIL_RETURN_NOT_OK(engine_->PrepareForReadLocked());
+      GLUENAIL_RETURN_NOT_OK(engine_->PrepareForReadLocked(control));
     }
   }
   return Status::RuntimeError(

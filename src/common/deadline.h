@@ -47,7 +47,6 @@ class Deadline {
     out.tp_ = std::chrono::steady_clock::now() + d;
     return out;
   }
-  static Deadline Infinite() { return Deadline(); }
 
   bool infinite() const { return !has_; }
   bool expired() const {

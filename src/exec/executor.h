@@ -222,10 +222,6 @@ class Executor {
   void DisableOpProfile(const StatementPlan* plan) {
     op_profiles_.erase(plan);
   }
-  /// Drops every profile (the keys are plan pointers, so callers must
-  /// clear before a profiled plan dies).
-  void ClearOpProfiles() { op_profiles_.clear(); }
-
   /// Accounts \p n rows produced by \p op (which must live in plan.ops).
   /// Called by both strategies for every emitted record and after every
   /// barrier op; the profile branch is one empty-map test in the common
@@ -256,7 +252,7 @@ class Executor {
   /// running row total, so every executor that works for one query
   /// (writer, session reader, magic, delta-maintenance passes) charges
   /// the same budget. A long-lived executor is cleared when its query
-  /// finishes (see the ControlScope RAII in engine.cc).
+  /// finishes (see ControlScope below).
   void set_control(ExecControl* control) { control_ = control; }
   /// The active guardrails; null when the query is unguarded.
   ExecControl* control() const { return control_; }
@@ -382,6 +378,24 @@ class Executor {
   /// Plans under EXPLAIN ANALYZE profiling -> actual rows per op index.
   std::unordered_map<const StatementPlan*, std::vector<uint64_t>>
       op_profiles_;
+};
+
+/// Installs a query's control block on \p exec (null: no-op) for one
+/// scope. Only for an executor nothing else runs through meanwhile, such
+/// as the writer-path executor under the exclusive writer lock.
+class ControlScope {
+ public:
+  ControlScope(Executor* exec, ExecControl* ctl) : exec_(exec) {
+    if (exec_ != nullptr) exec_->set_control(ctl);
+  }
+  ~ControlScope() {
+    if (exec_ != nullptr) exec_->set_control(nullptr);
+  }
+  ControlScope(const ControlScope&) = delete;
+  ControlScope& operator=(const ControlScope&) = delete;
+
+ private:
+  Executor* exec_;
 };
 
 }  // namespace gluenail

@@ -305,6 +305,11 @@ Status NailEngine::EnsureIvmPlans() {
   return Status::OK();
 }
 
+/// kAuto's fall-back guard: recompute fully when any relation's captured
+/// delta exceeds this fraction of its live size (delta joins stop paying
+/// off well before the delta reaches the base's size).
+constexpr double kMaxDeltaFraction = 0.25;
+
 Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
   *done = false;
   GLUENAIL_RETURN_NOT_OK(EnsureIvmPlans());
@@ -326,7 +331,7 @@ Status NailEngine::RefreshIncremental(NailRefreshInfo* info, bool* done) {
       size_t base = live != nullptr ? live->size() : 0;
       if (base < 256) base = 256;
       if (static_cast<double>(d.rows()) >
-          ivm_max_fraction_ * static_cast<double>(base)) {
+          kMaxDeltaFraction * static_cast<double>(base)) {
         too_big = true;
       }
     }

@@ -198,6 +198,7 @@ Status NailEngine::Refresh() {
       info.fallback = "delta-dropped";
     } else {
       bool done = false;
+      bool alloc_failed = false;
       evaluating_ = true;
       Status ist;
       try {
@@ -206,6 +207,7 @@ Status NailEngine::Refresh() {
         ist = Status::ResourceExhausted(
             "allocation failed during NAIL! delta maintenance");
         done = false;
+        alloc_failed = true;
       }
       evaluating_ = false;
       if (ist.ok() && done) {
@@ -230,10 +232,17 @@ Status NailEngine::Refresh() {
         return Status::OK();
       }
       // A partially applied delta refresh may have left memo storage
-      // inconsistent; distrust it so the full path rebuilds from scratch
-      // (errors on the incremental path are never fatal — the full
-      // recompute below is always a correct answer).
+      // inconsistent; distrust it so a full rebuild runs from scratch.
       valid_ = false;
+      // A guardrail abort (cancel, deadline or budget: the only Cancelled
+      // and ResourceExhausted statuses besides an allocation failure) is
+      // the query's answer; a full recompute would run on the budget the
+      // delta pass already spent, so it waits for the next demand. Any
+      // other error falls back to the full recompute below, which is
+      // always a correct answer.
+      if (!alloc_failed && (ist.IsCancelled() || ist.IsResourceExhausted())) {
+        return ist.WithContext("NAIL! evaluation");
+      }
       if (!ist.ok() && info.fallback.empty()) info.fallback = "error";
     }
   }

@@ -121,9 +121,8 @@ class NailEngine : public NailEvaluator {
   /// deltas instead of recomputing from scratch.
   /// Requires the direct plans (CompileDirect). \p log may outlive or be
   /// null (null disables).
-  void ConfigureIvm(IvmMode mode, double max_delta_fraction, DeltaLog* log) {
+  void ConfigureIvm(IvmMode mode, DeltaLog* log) {
     ivm_mode_ = mode;
-    ivm_max_fraction_ = max_delta_fraction;
     delta_log_ = log;
   }
   IvmMode ivm_mode() const { return ivm_mode_; }
@@ -290,7 +289,6 @@ class NailEngine : public NailEvaluator {
   Status RefreshSccDred(size_t s, IvmCtx* ctx);
 
   IvmMode ivm_mode_ = IvmMode::kOff;
-  double ivm_max_fraction_ = 0.25;
   DeltaLog* delta_log_ = nullptr;
   bool ivm_plans_ready_ = false;
   bool ivm_program_capable_ = false;

@@ -84,8 +84,6 @@ class TraceSink {
   /// Freezes everything recorded so far into an immutable trace.
   QueryTrace Finish(std::string query, uint64_t total_ns);
 
-  size_t span_count() const { return spans_.size(); }
-
  private:
   static constexpr size_t kMaxSpans = 4096;
 

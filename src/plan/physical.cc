@@ -10,6 +10,10 @@ namespace gluenail {
 
 namespace {
 
+/// Assumed row count for relations the stats provider cannot answer for
+/// (locals, `in`, dynamic predicates, relations not yet created).
+constexpr double kDefaultRelationRows = 1000.0;
+
 /// Cardinality facts about one atom-shaped subgoal, resolved the same way
 /// the logical planner resolves its access path but without compiling
 /// anything.
@@ -100,7 +104,7 @@ struct CostedStep {
 
 CostedStep EstimateStep(const ast::Subgoal& g, const SubgoalInfo& info,
                         const CompileEnv& env, const BoundSet& bound,
-                        double est_in, const PlannerOptions& opts) {
+                        double est_in) {
   CostedStep out;
   switch (g.kind) {
     case ast::SubgoalKind::kComparison:
@@ -126,7 +130,7 @@ CostedStep EstimateStep(const ast::Subgoal& g, const SubgoalInfo& info,
 
   AtomCard atom = ResolveAtomCard(g, info, env);
   double rel_rows =
-      atom.known ? atom.card.rows : opts.default_relation_rows;
+      atom.known ? atom.card.rows : kDefaultRelationRows;
   double selectivity = 1.0;
   int bound_cols = 0;
   for (size_t c = 0; c < atom.columns.size(); ++c) {
@@ -159,8 +163,7 @@ CostedStep EstimateStep(const ast::Subgoal& g, const SubgoalInfo& info,
 /// syntactic model and for reorder=false, so EXPLAIN always has est_rows).
 Result<std::vector<PhysicalChoice>> AnnotateOrder(
     const std::vector<size_t>& order, const std::vector<ast::Subgoal>& body,
-    const CompileEnv& env, const BoundSet& initially_bound,
-    const PlannerOptions& opts) {
+    const CompileEnv& env, const BoundSet& initially_bound) {
   std::vector<PhysicalChoice> out;
   out.reserve(order.size());
   BoundSet bound = initially_bound;
@@ -168,7 +171,7 @@ Result<std::vector<PhysicalChoice>> AnnotateOrder(
   for (size_t idx : order) {
     GLUENAIL_ASSIGN_OR_RETURN(SubgoalInfo info,
                               AnalyzeSubgoal(body[idx], env, bound));
-    CostedStep step = EstimateStep(body[idx], info, env, bound, est_in, opts);
+    CostedStep step = EstimateStep(body[idx], info, env, bound, est_in);
     PhysicalChoice choice;
     choice.body_index = idx;
     choice.est_rows = step.est_out;
@@ -213,7 +216,7 @@ Result<std::vector<PhysicalChoice>> PlanBodyOrder(
     } else {
       for (size_t i = 0; i < body.size(); ++i) order.push_back(i);
     }
-    return AnnotateOrder(order, body, env, initially_bound, opts);
+    return AnnotateOrder(order, body, env, initially_bound);
   }
 
   std::vector<PhysicalChoice> out;
@@ -285,7 +288,7 @@ Result<std::vector<PhysicalChoice>> PlanBodyOrder(
           if (conflict) continue;
         }
         CostedStep step =
-            EstimateStep(body[pending[p]], info, env, bound, est_in, opts);
+            EstimateStep(body[pending[p]], info, env, bound, est_in);
         // Rank: relation subgoals before procedure calls (§9), then by
         // ascending estimated output; ties keep written order (pending is
         // sorted by body index, so strict '<' does exactly that).

@@ -22,8 +22,8 @@
 ///   est_out(binder)  = est_in                -- '=' that binds
 ///
 /// Relation cardinalities come from CompileEnv::stats (a StatsProvider,
-/// storage/stats.h); unknown relations fall back to
-/// PlannerOptions::default_relation_rows. Procedure calls rank after all
+/// storage/stats.h); unknown relations fall back to kDefaultRelationRows
+/// (physical.cc). Procedure calls rank after all
 /// relation subgoals regardless of estimate ("Procedure calls are
 /// expensive", §9).
 

@@ -265,11 +265,6 @@ struct CompiledProgram {
   /// "name/arity" -> index for exported procedures (unique names enforced
   /// at link time).
   std::unordered_map<std::string, int> proc_by_export;
-
-  const CompiledProcedure* FindExport(const std::string& key) const {
-    auto it = proc_by_export.find(key);
-    return it == proc_by_export.end() ? nullptr : &procedures[it->second];
-  }
 };
 
 }  // namespace gluenail

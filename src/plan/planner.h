@@ -43,10 +43,6 @@ struct PlannerOptions {
     kStatistics,
   };
   CostModel cost_model = CostModel::kStatistics;
-
-  /// Assumed row count for relations the stats provider cannot answer for
-  /// (locals, `in`, dynamic predicates, relations not yet created).
-  double default_relation_rows = 1000.0;
 };
 
 /// Compiles one assignment statement.

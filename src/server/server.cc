@@ -353,7 +353,7 @@ void Server::ServeReplicationSubscriber(Connection* conn,
     if (next_lsn < tail->start_lsn) {
       // The log was rotated past the replica's position; ship the
       // checkpoint image the rotation folded that prefix into.
-      Result<Engine::CheckpointImage> img = engine_->ReadCheckpointImage();
+      Result<CheckpointImage> img = engine_->ReadCheckpointImage();
       if (!img.ok()) break;
       if (!SendAll(conn->fd,
                    EncodeFrame(FrameType::kReplRecord,

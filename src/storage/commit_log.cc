@@ -37,38 +37,6 @@ Result<std::unique_ptr<CommitLog>> CommitLog::Open(
   return log;
 }
 
-Histogram* CommitLog::RegisterMetrics(
-    MetricsRegistry* registry, std::function<const CommitLog*()> current) {
-  auto wal_count = [current](std::atomic<uint64_t> WalCounters::* field) {
-    return [current, field]() -> uint64_t {
-      const CommitLog* log = current();
-      return log != nullptr ? (log->wal().counters().*field).load(
-                                  std::memory_order_relaxed)
-                            : 0;
-    };
-  };
-  registry->RegisterPullCounter("gluenail_wal_appends_total",
-                                "records appended to the WAL",
-                                wal_count(&WalCounters::appends));
-  registry->RegisterPullCounter("gluenail_wal_appended_bytes_total",
-                                "bytes appended to the WAL",
-                                wal_count(&WalCounters::appended_bytes));
-  registry->RegisterPullCounter("gluenail_wal_append_failures_total",
-                                "failed WAL appends",
-                                wal_count(&WalCounters::append_failures));
-  registry->RegisterPullCounter("gluenail_wal_syncs_total", "WAL fsyncs",
-                                wal_count(&WalCounters::syncs));
-  registry->RegisterPullCounter("gluenail_wal_sync_failures_total",
-                                "failed WAL fsyncs (log marked broken)",
-                                wal_count(&WalCounters::sync_failures));
-  registry->RegisterPullCounter("gluenail_wal_rotations_total",
-                                "WAL rotations behind checkpoints",
-                                wal_count(&WalCounters::rotations));
-  return registry->RegisterHistogram(
-      "gluenail_wal_group_commit_batches",
-      "batches made durable per fsync (group-commit amortization)");
-}
-
 CommitLog::~CommitLog() {
   if (pump_.joinable()) {
     {

@@ -29,7 +29,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -95,13 +94,6 @@ class CommitLog {
   /// an older one. The caller must have saved a checkpoint image holding
   /// every appended batch first, and must not Append concurrently.
   Status Rotate();
-
-  /// Registers the commit pipeline's metrics in \p registry: pulls over
-  /// the WalCounters of whichever log \p current returns at scrape time
-  /// (null: none open), and the batches-per-fsync histogram, returned for
-  /// CommitLogOptions::group_size.
-  static Histogram* RegisterMetrics(
-      MetricsRegistry* registry, std::function<const CommitLog*()> current);
 
   /// Highest LSN known durable in the current epoch.
   uint64_t durable_lsn() const {

@@ -8,7 +8,6 @@ Relation* Database::GetOrCreate(TermId name, uint32_t arity) {
   if (it != relations_.end()) return it->second.get();
   auto rel = std::make_unique<Relation>(pool_->ToString(name), arity);
   rel->set_index_policy(default_policy_);
-  rel->set_adaptive_config(default_adaptive_cfg_);
   Relation* out = rel.get();
   relations_.emplace(key, std::move(rel));
   return out;

@@ -66,10 +66,6 @@ class Database {
   void set_default_index_policy(IndexPolicy policy) {
     default_policy_ = policy;
   }
-  IndexPolicy default_index_policy() const { return default_policy_; }
-  void set_default_adaptive_config(const AdaptiveConfig& cfg) {
-    default_adaptive_cfg_ = cfg;
-  }
 
  private:
   struct Key {
@@ -89,7 +85,6 @@ class Database {
   TermPool* pool_;
   std::unordered_map<Key, std::unique_ptr<Relation>, KeyHash> relations_;
   IndexPolicy default_policy_ = IndexPolicy::kAdaptive;
-  AdaptiveConfig default_adaptive_cfg_;
 };
 
 /// A map key for the stored relation (store, name, arity).

@@ -130,12 +130,6 @@ class DeltaLog {
     return false;
   }
 
-  uint64_t total_rows() const {
-    uint64_t n = 0;
-    for (const auto& [key, delta] : entries_) n += delta->rows();
-    return n;
-  }
-
  private:
   static uint64_t Key(TermId name, uint32_t arity) {
     return (static_cast<uint64_t>(name) << 32) | arity;

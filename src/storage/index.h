@@ -68,9 +68,6 @@ class HashIndex {
   size_t Find(const TupleArena& arena, RowView key,
               std::vector<uint32_t>* out) const;
 
-  /// Number of distinct keys currently indexed.
-  size_t num_keys() const { return heads_.size(); }
-
   /// Bytes allocated for slots and chain links.
   size_t allocated_bytes() const;
 

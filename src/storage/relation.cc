@@ -118,7 +118,7 @@ void Relation::Select(ColumnMask mask, RowView key, std::vector<uint32_t>* out,
       case IndexPolicy::kAdaptive:
         // Paper §10: build the index once the cumulative scanning cost for
         // this column set reaches the cost of building the index.
-        if (access_stats_.ShouldBuild(mask, size(), adaptive_cfg_)) {
+        if (access_stats_.ShouldBuild(mask, size(), AdaptiveConfig{})) {
           idx = EnsureIndex(mask);
         } else {
           access_stats_.RecordScan(mask, size());

@@ -139,8 +139,6 @@ class Relation {
   HashIndex* EnsureIndex(ColumnMask mask);
   void set_index_policy(IndexPolicy policy) { policy_ = policy; }
   IndexPolicy index_policy() const { return policy_; }
-  void set_adaptive_config(const AdaptiveConfig& cfg) { adaptive_cfg_ = cfg; }
-  const AccessStats& access_stats() const { return access_stats_; }
 
   /// Incremental cardinality statistics (row count + per-column NDV),
   /// maintained on the Insert/Erase path — the planner's cost input.
@@ -249,7 +247,6 @@ class Relation {
   std::vector<std::unique_ptr<HashIndex>> indexes_;
 
   IndexPolicy policy_ = IndexPolicy::kAdaptive;
-  AdaptiveConfig adaptive_cfg_;
   AccessStats access_stats_;
   RelationStats stats_;
   mutable Counters counters_;

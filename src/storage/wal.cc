@@ -9,6 +9,7 @@
 
 #include "src/common/fault_injector.h"
 #include "src/common/strings.h"
+#include "src/storage/persistence.h"
 
 namespace gluenail {
 
@@ -91,26 +92,6 @@ Status WriteAll(int fd, std::string_view data, const std::string& path) {
     }
     off += static_cast<size_t>(n);
   }
-  return Status::OK();
-}
-
-Status ReadWholeFile(const std::string& path, std::string* out) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return ErrnoError("open", path);
-  out->clear();
-  char buf[64 * 1024];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status s = ErrnoError("read", path);
-      ::close(fd);
-      return s;
-    }
-    if (n == 0) break;
-    out->append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
   return Status::OK();
 }
 
@@ -205,6 +186,7 @@ Result<WalScanResult> ScanWalBuffer(std::string_view data) {
     return Status::IoError("wal: file header checksum mismatch");
   }
   WalScanResult out;
+  out.scanned_bytes = data.size();
   out.start_lsn = GetU64(data.data() + 8);
   out.valid_bytes = kWalHeaderSize;
   uint64_t expect = out.start_lsn;
@@ -241,22 +223,7 @@ Result<WalScanResult> ScanWalBuffer(std::string_view data) {
 }
 
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
-                                       uint64_t create_start_lsn,
-                                       OpenReport* report) {
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0) {
-    if (errno != ENOENT) return ErrnoError("stat", path);
-    Result<std::unique_ptr<Wal>> created = Create(path, create_start_lsn);
-    if (created.ok() && report != nullptr) {
-      report->created = true;
-      report->start_lsn = create_start_lsn;
-    }
-    return created;
-  }
-
-  std::string data;
-  GLUENAIL_RETURN_NOT_OK(ReadWholeFile(path, &data));
-  GLUENAIL_ASSIGN_OR_RETURN(WalScanResult scan, ScanWalBuffer(data));
+                                       const WalScanResult& scan) {
   if (scan.damage == WalDamage::kMidLog) {
     return Status::IoError(StrCat(
         "wal '", path, "': mid-log corruption (", scan.damage_note,
@@ -273,7 +240,7 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
   wal->next_lsn_ = scan.records.empty() ? scan.start_lsn : scan.last_lsn + 1;
   wal->durable_lsn_ = scan.records.empty() ? 0 : scan.last_lsn;
 
-  uint64_t truncated = data.size() - scan.valid_bytes;
+  const uint64_t truncated = scan.scanned_bytes - scan.valid_bytes;
   if (truncated > 0) {
     // Torn tail from a crashed append: cut the file back to the last
     // record boundary before appending anything after it.
@@ -286,14 +253,6 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
   // on disk — from here durable_lsn_ only advances through Sync().
   if (::fsync(wal->fd_) != 0) return ErrnoError("fsync", path);
   wal->synced_offset_ = wal->offset_;
-
-  if (report != nullptr) {
-    report->created = false;
-    report->start_lsn = scan.start_lsn;
-    report->last_lsn = scan.last_lsn;
-    report->records = scan.records.size();
-    report->truncated_bytes = truncated;
-  }
   return wal;
 }
 
@@ -302,13 +261,18 @@ Result<std::unique_ptr<Wal>> Wal::Create(const std::string& path,
   GLUENAIL_ASSIGN_OR_RETURN(int fd, WriteFreshLog(path, start_lsn));
   std::unique_ptr<Wal> wal(new Wal());
   wal->path_ = path;
-  wal->fd_ = fd;
-  wal->start_lsn_ = start_lsn;
-  wal->next_lsn_ = start_lsn;
-  wal->offset_ = kWalHeaderSize;
-  wal->synced_offset_ = kWalHeaderSize;
-  wal->durable_lsn_ = 0;
+  wal->StartFresh(fd, start_lsn);
   return wal;
+}
+
+void Wal::StartFresh(int fd, uint64_t start_lsn) {
+  fd_ = fd;
+  start_lsn_ = start_lsn;
+  next_lsn_ = start_lsn;
+  offset_ = kWalHeaderSize;
+  synced_offset_ = kWalHeaderSize;
+  durable_lsn_ = 0;
+  broken_ = false;
 }
 
 Wal::~Wal() {
@@ -425,13 +389,7 @@ Status Wal::Rotate(uint64_t start_lsn) {
   if (fd_ < 0) return Status::InvalidArgument("wal is not open");
   GLUENAIL_ASSIGN_OR_RETURN(int fresh, WriteFreshLog(path_, start_lsn));
   ::close(fd_);  // the old log's inode; already renamed over
-  fd_ = fresh;
-  start_lsn_ = start_lsn;
-  next_lsn_ = start_lsn;
-  offset_ = kWalHeaderSize;
-  synced_offset_ = kWalHeaderSize;
-  durable_lsn_ = 0;
-  broken_ = false;
+  StartFresh(fresh, start_lsn);
   counters_.rotations.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -447,8 +405,7 @@ Result<Wal::TailChunk> Wal::ReadRecordsFrom(uint64_t from_lsn) const {
   chunk.start_lsn = start_lsn_;
   chunk.durable_lsn = durable_lsn_;
   if (durable_lsn_ == 0 || from_lsn > durable_lsn_) return chunk;
-  std::string data;
-  GLUENAIL_RETURN_NOT_OK(ReadWholeFile(path_, &data));
+  GLUENAIL_ASSIGN_OR_RETURN(std::string data, ReadFileText(path_));
   // Only the synced prefix ships: a record past synced_offset_ is acked to
   // nobody yet and a sync failure may roll it back, so a replica that
   // applied it would hold state the primary can lose.

@@ -104,9 +104,11 @@ enum class WalDamage {
 };
 
 struct WalScanResult {
+  /// Size of the scanned buffer: the file as it was read.
+  uint64_t scanned_bytes = 0;
   uint64_t start_lsn = 1;
   /// Header + the longest valid record prefix, in bytes. Opening a log
-  /// truncates the file here when damage == kTornTail.
+  /// truncates the file here when it is shorter than scanned_bytes.
   uint64_t valid_bytes = 0;
   uint64_t last_lsn = 0;  ///< last LSN of the valid prefix (0 if none)
   std::vector<WalScanRecord> records;  ///< the valid prefix, in LSN order
@@ -124,22 +126,14 @@ Result<WalScanResult> ScanWalBuffer(std::string_view data);
 
 class Wal {
  public:
-  struct OpenReport {
-    bool created = false;  ///< the log did not exist and was created fresh
-    uint64_t start_lsn = 1;
-    uint64_t last_lsn = 0;
-    uint64_t records = 0;
-    uint64_t truncated_bytes = 0;  ///< torn tail discarded by this open
-  };
-
-  /// Opens \p path for appending, scanning and validating what is already
-  /// there: a torn tail is truncated away (the crash happened mid-append),
-  /// mid-log corruption is refused — recover with RecoveryMode::kSalvage
-  /// and rotate to a fresh log instead. A missing file is created with
-  /// start_lsn = \p create_start_lsn via the atomic temp+rename path.
+  /// Opens \p path for appending behind \p scan, the ScanWalBuffer result
+  /// of the file's bytes as they were read (recovery reads and scans the
+  /// log once and replays from the same scan). A torn tail is truncated
+  /// away (the crash happened mid-append); mid-log corruption is refused —
+  /// recover with RecoveryMode::kSalvage and rotate to a fresh log instead.
+  /// Nothing may write the file between the read and this open.
   static Result<std::unique_ptr<Wal>> Open(const std::string& path,
-                                           uint64_t create_start_lsn = 1,
-                                           OpenReport* report = nullptr);
+                                           const WalScanResult& scan);
 
   /// Atomically replaces \p path with a fresh empty log whose LSNs start
   /// at \p start_lsn (temp file + fsync + rename, like SaveDatabaseToFile)
@@ -211,7 +205,6 @@ class Wal {
   /// current log file, which checkpoint rotation keeps bounded.
   Result<TailChunk> ReadRecordsFrom(uint64_t from_lsn) const;
 
-  const std::string& path() const { return path_; }
   uint64_t start_lsn() const;
   /// LSN the next Append will return.
   uint64_t next_lsn() const;
@@ -226,6 +219,8 @@ class Wal {
  private:
   Wal() = default;
 
+  /// Adopts \p fd, a fresh one-header log, as the whole state.
+  void StartFresh(int fd, uint64_t start_lsn);
   Status TruncateLocked(uint64_t to);
   Status FailSyncLocked(Status cause);
 

@@ -4,8 +4,9 @@
 /// oracle asserting recovery yields exactly the acked prefix), checkpoint
 /// rotation, group commit under 8 concurrent writer sessions (the tsan
 /// target), inline EDB loads on the same durable path, Recover refusing
-/// while commits are in flight, and the live-snapshot guard on
-/// Recover/LoadEdbFile.
+/// while commits are in flight, the live-snapshot guard on
+/// Recover/LoadEdbFile, and the data-directory lifecycle (a failed Recover
+/// changes nothing; writes before Recover are refused).
 ///
 /// The sweep invariants, from wal.h's failure semantics:
 ///  * single ArmNth fault on append/fsync/rename: recovered == acked;
@@ -96,6 +97,13 @@ EngineOptions DurableOpts(const std::string& dir, DurabilityLevel level,
   return opts;
 }
 
+/// A DataDir that only rebuilds: durability kNone opens no log.
+CommitLogOptions NoLog() {
+  CommitLogOptions opts;
+  opts.durability = DurabilityLevel::kNone;
+  return opts;
+}
+
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override { FaultInjector::Instance().Disarm(); }
@@ -181,14 +189,17 @@ TEST_F(WalTest, OpenTruncatesTornTail) {
   }
   // A crashed append: garbage after the last full record.
   const std::string good = ReadFile(path);
-  WriteFile(path, good + "GNWR\x01\x02torn-mid-append");
-  Wal::OpenReport report;
-  Result<std::unique_ptr<Wal>> wal = Wal::Open(path, 1, &report);
+  const std::string torn = good + "GNWR\x01\x02torn-mid-append";
+  WriteFile(path, torn);
+  Result<WalScanResult> read = ScanWalBuffer(torn);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->damage, WalDamage::kTornTail);
+  EXPECT_EQ(read->records.size(), 2u);
+  EXPECT_EQ(read->last_lsn, 2u);
+  Result<std::unique_ptr<Wal>> wal = Wal::Open(path, *read);
   ASSERT_TRUE(wal.ok()) << wal.status();
-  EXPECT_FALSE(report.created);
-  EXPECT_EQ(report.records, 2u);
-  EXPECT_EQ(report.last_lsn, 2u);
-  EXPECT_GT(report.truncated_bytes, 0u);
+  EXPECT_EQ((*wal)->counters().open_truncated_bytes.load(),
+            torn.size() - good.size());
   EXPECT_EQ(FileSize(path), good.size());
   // Appending after the truncation continues the LSN sequence cleanly.
   Result<uint64_t> lsn = (*wal)->Append(InsertBatch({3}));
@@ -227,25 +238,22 @@ TEST_F(WalTest, MidLogCorruptionStrictRefusesSalvageReplays) {
   EXPECT_EQ(scan->salvaged.size(), 2u);
 
   // Open refuses a mid-log-corrupt file outright.
-  EXPECT_FALSE(Wal::Open(path).ok());
+  EXPECT_FALSE(Wal::Open(path, *scan).ok());
 
   // Strict recovery refuses; salvage replays prefix + resynced tail and
   // demands a rotation.
   {
     TermPool pool;
     Database db(&pool);
-    RecoveryOptions strict;
-    Result<RecoveryReport> r =
-        RecoverDatabase(&db, &pool, dir + "/none.facts", path, strict);
+    DataDir strict(dir, RecoveryMode::kStrict, NoLog());
+    Result<RecoveryReport> r = strict.Recover(&db, &pool);
     EXPECT_FALSE(r.ok());
   }
   {
     TermPool pool;
     Database db(&pool);
-    RecoveryOptions salvage;
-    salvage.mode = RecoveryMode::kSalvage;
-    Result<RecoveryReport> r =
-        RecoverDatabase(&db, &pool, dir + "/none.facts", path, salvage);
+    DataDir salvage(dir, RecoveryMode::kSalvage, NoLog());
+    Result<RecoveryReport> r = salvage.Recover(&db, &pool);
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_EQ(r->records_replayed, 4u);  // 1,2 + salvaged 4,5
     EXPECT_EQ(r->records_salvaged, 2u);
@@ -287,7 +295,8 @@ TEST_F(WalTest, DuplicateReplayIsIdempotent) {
   // Recover from checkpoint + the same (unrotated) log: full overlap.
   TermPool pool2;
   Database db2(&pool2);
-  Result<RecoveryReport> r = RecoverDatabase(&db2, &pool2, ckpt, wal_path);
+  DataDir data_dir(dir, RecoveryMode::kStrict, NoLog());
+  Result<RecoveryReport> r = data_dir.Recover(&db2, &pool2);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r->checkpoint_found);
   EXPECT_EQ(r->records_replayed, 2u);
@@ -328,7 +337,6 @@ TEST_F(WalTest, EngineRecoverApplyCrashRecover) {
     ASSERT_TRUE(boot.ok()) << boot.status();
     EXPECT_EQ(boot->records_replayed, 5u);
     EXPECT_EQ(Facts(&engine), acked);
-    ASSERT_TRUE(engine.last_recovery().has_value());
 
     // Checkpoint truncates the log to a bare header behind it.
     ASSERT_TRUE(engine.Checkpoint().ok());
@@ -730,17 +738,13 @@ TEST_F(WalTest, CommitPumpStartFailureIsReturnedAndLogClosed) {
   const std::string dir = FreshDir("pump_start");
   {
     Engine engine(DurableOpts(dir, DurabilityLevel::kGroupCommit));
-    // Both places that open a log: the bootstrap checkpoint and Recover.
-    FaultInjector::Instance().ArmNth(FaultOp::kThreadStart, 1);
-    Status cp = engine.Checkpoint();
-    EXPECT_EQ(cp.code(), StatusCode::kResourceExhausted) << cp;
-    EXPECT_EQ(engine.wal(), nullptr);
+    // Recover is the one place that opens a log.
     FaultInjector::Instance().ArmNth(FaultOp::kThreadStart, 1);
     Result<RecoveryReport> boot = engine.Recover();
     EXPECT_EQ(boot.status().code(), StatusCode::kResourceExhausted)
         << boot.status();
     EXPECT_EQ(engine.wal(), nullptr);
-    EXPECT_EQ(FaultInjector::Instance().injected(FaultOp::kThreadStart), 2u);
+    EXPECT_EQ(FaultInjector::Instance().injected(FaultOp::kThreadStart), 1u);
     FaultInjector::Instance().Disarm();
 
     // A retry opens the log and group commits ack again.
@@ -832,6 +836,38 @@ TEST_F(WalTest, FailedStrictRecoverKeepsTheOpenLogAndTheEdb) {
   Result<RecoveryReport> boot = engine.Recover();
   ASSERT_TRUE(boot.ok()) << boot.status();
   EXPECT_EQ(Facts(&engine), (std::set<int>{1, 3, 4})) << boot->Summary();
+}
+
+TEST_F(WalTest, FailedSalvageResetClosesTheLogItReplaced) {
+  // A salvage reset saves the staged image and replaces wal.log. If it
+  // then fails (here: the new log's pump cannot start), the open log's
+  // file is gone, so the engine keeps no log and refuses writes rather
+  // than append them to an unlinked file.
+  const std::string dir = FreshDir("salvage_reset");
+  EngineOptions opts = DurableOpts(dir, DurabilityLevel::kGroupCommit);
+  opts.wal_recovery = RecoveryMode::kSalvage;
+  Engine engine(opts);
+  ASSERT_TRUE(engine.Recover().ok());
+  for (int k : {1, 2, 3}) {
+    ASSERT_TRUE(engine.ApplyBatch(InsertBatch({k})).ok());
+  }
+  DamageRecord(dir + "/wal.log", 1);  // f(2)'s record
+  FaultInjector::Instance().ArmNth(FaultOp::kThreadStart, 1);
+  Result<RecoveryReport> failed = engine.Recover();
+  FaultInjector::Instance().Disarm();
+  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted)
+      << failed.status();
+  EXPECT_EQ(engine.wal(), nullptr);
+  EXPECT_EQ(Facts(&engine), (std::set<int>{1, 2, 3}));
+  Result<MutationBatch::ApplyReport> refused =
+      engine.ApplyBatch(InsertBatch({4}));
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
+      << refused.status();
+
+  Result<RecoveryReport> boot = engine.Recover();
+  ASSERT_TRUE(boot.ok()) << boot.status();
+  EXPECT_EQ(Facts(&engine), (std::set<int>{1, 3})) << boot->Summary();
+  ASSERT_TRUE(engine.ApplyBatch(InsertBatch({4})).ok());
 }
 
 TEST_F(WalTest, WritesBeforeRecoverAreRefusedAndChangeNoFile) {

@@ -11,12 +11,15 @@
 #            dedup, group_by and aggregates compacting in place), the
 #            operator golden suite plus hilog_test and cross_feature_test
 #            (structural and HiLog matches on raw lane pointers), the
-#            IVM suite with its allocation-fault sweep, and the fixpoint
-#            oracle suites (nail_reference_test, magic_test)
+#            IVM suite with its allocation-fault sweep, the fixpoint
+#            oracle suites (nail_reference_test, magic_test), and the
+#            durable path: wal_test, commit_log_test, replication_test,
+#            persistence_test and engine_api_test
 #   ubsan  — -DGLUENAIL_UBSAN=ON, runs the ubsan-labelled planner tests,
 #            plus relation_test's dense-key checks, barrier_ops_test,
 #            hilog_test, cross_feature_test, the IVM suite with its
-#            allocation-fault sweep, and the fixpoint oracle suites
+#            allocation-fault sweep, the fixpoint oracle suites, and the
+#            same durable-path suites as asan
 #   tsan   — -DGLUENAIL_TSAN=ON, runs the tsan-labelled concurrency tests
 #   fault  — Debug build, runs only the faultinject-labelled matrix
 #   obs    — Debug build, runs only the obs-labelled observability suite
@@ -33,8 +36,9 @@
 #   wal    — Debug build, runs only the wal-labelled durability suite
 #            (crash-point sweeps over batches and inline EDB loads,
 #            torn-tail/mid-log recovery, group commit, Recover racing
-#            four group-commit writers); the same tests also run under
-#            asan and tsan via their labels
+#            four group-commit writers, the data-directory lifecycle);
+#            the same tests also run under asan, ubsan and tsan via
+#            their labels
 #   ivm    — Debug build, runs only the ivm-labelled incremental view
 #            maintenance suite (DRed differential checks,
 #            randomized DRed differentials, fallback guards, recovery
@@ -45,7 +49,7 @@
 #            replication suite (codecs, the write fence on every EDB
 #            write command, convergence, inline loads shipped, snapshot
 #            bootstrap, torn streams, fault sweeps); the same tests
-#            also run under asan and tsan via their labels
+#            also run under asan, ubsan and tsan via their labels
 #   bench  — Release build of the bench/workloads CMake package in a tree
 #            of its own, runs its bench-labelled tests: the workload
 #            oracle test and a tiny smoke run of every workload, so each
