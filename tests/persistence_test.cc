@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "src/common/strings.h"
+#include "src/storage/mutation_batch.h"
 
 namespace gluenail {
 namespace {
@@ -373,6 +379,138 @@ TEST_F(PersistenceTest, LegacySalvageSkipsBadLines) {
   Relation* edge = db_.Find(pool_.MakeSymbol("edge"), 2);
   ASSERT_NE(edge, nullptr);
   EXPECT_EQ(edge->size(), 2u);
+}
+
+// --- Fact resolution golden table ------------------------------------------
+//
+// Every EDB ingest path resolves a fact text to a relation name and a row:
+// MutationBatch::Resolve for commits, WAL replay and replica apply, and the
+// loader for checkpoints, v2 sections, headerless files and inline loads.
+// The tables pin both paths to the same (name, row) and the same errors.
+
+namespace {
+
+struct AcceptedFact {
+  const char* text;      // a batch op; the file line is text + "."
+  const char* resolved;  // "name/arity: arg,arg"
+};
+
+const AcceptedFact kAcceptedFacts[] = {
+    {"edge(1,2)", "edge/2: 1,2"},
+    {"flag", "flag/0: "},
+    {"students(cs99)(wilson)", "students(cs99)/1: wilson"},
+    {"(edge(1,2))", "edge/2: 1,2"},
+    {"(flag)", "flag/0: "},
+    {"'San Francisco'('it\\'s','a\\\\b','x\\ny')",
+     "'San Francisco'/3: 'it\\'s','a\\\\b','x\\ny'"},
+    {"n(-7,0,-0)", "n/3: -7,0,0"},
+    {"t(2.5,-1.5e-3,1e3)", "t/3: 2.5,-0.0015,1000.0"},
+    {"p(f(1,g(a)),b)", "p/2: f(1,g(a)),b"},
+    {"  edge ( 1 , 2 )  ", "edge/2: 1,2"},
+};
+
+struct RejectedFact {
+  const char* text;           // the batch op
+  const char* resolve_error;  // MutationBatch::Resolve's message
+  const char* line;           // the fact line of a v2 section
+  const char* load_error;     // LoadDatabase's message for that section
+};
+
+const RejectedFact kRejectedFacts[] = {
+    {"edge(1,X)",
+     "batch op 'edge(1,X)': variables are not allowed in ground facts at "
+     "offset 7 in \"edge(1,X)\"",
+     "edge(1,X).",
+     "line 3: variables are not allowed in ground facts at offset 7 in "
+     "\"edge(1,X).\""},
+    {"p(1) q",
+     "batch op 'p(1) q': trailing characters after term at offset 5 in "
+     "\"p(1) q\"",
+     "p(1). q", "line 3: trailing characters after term at offset 6 in "
+     "\"p(1). q\""},
+    {"p()", "batch op 'p()': empty argument list at offset 3 in \"p()\"",
+     "p().", "line 3: empty argument list at offset 3 in \"p().\""},
+    {"5", "batch op '5': a fact must be a symbol or compound", "5.",
+     "line 3: a fact must be a symbol or compound"},
+    {"p(1,2", "batch op 'p(1,2': unterminated args at offset 5 in \"p(1,2\"",
+     "p(1,2", "line 3: unterminated args at offset 5 in \"p(1,2\""},
+};
+
+std::string RenderResolved(const TermPool& pool, TermId name, RowView row) {
+  std::string out = StrCat(pool.ToString(name), "/", row.size(), ": ");
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (i != 0) out += ",";
+    pool.AppendTerm(row[i], &out);
+  }
+  return out;
+}
+
+std::string Hex16(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// A v2 file of one section, labelled \p label, holding the one \p line,
+/// with valid checksums, so only the fact reader can refuse it.
+std::string OneLineV2File(const std::string& label, const std::string& line) {
+  std::string facts = line + "\n";
+  std::string body =
+      StrCat("% ", label, ": 1 tuples checksum=",
+             Hex16(Fnv1a64(facts.data(), facts.size())), "\n", facts);
+  return StrCat("%% gluenail-edb v2 relations=1 tuples=1 checksum=",
+                Hex16(Fnv1a64(body.data(), body.size())), "\n", body);
+}
+
+}  // namespace
+
+TEST_F(PersistenceTest, GoldenFactsResolveThroughMutationBatch) {
+  for (const AcceptedFact& f : kAcceptedFacts) {
+    MutationBatch batch;
+    batch.Insert(f.text);
+    Result<MutationBatch::Resolved> ops = batch.Resolve(&pool_);
+    ASSERT_TRUE(ops.ok()) << f.text << ": " << ops.status();
+    ASSERT_EQ(ops->size(), 1u);
+    EXPECT_EQ(RenderResolved(pool_, (*ops)[0].name, (*ops)[0].row),
+              f.resolved)
+        << f.text;
+  }
+  for (const RejectedFact& f : kRejectedFacts) {
+    MutationBatch batch;
+    batch.Insert(f.text);
+    Result<MutationBatch::Resolved> ops = batch.Resolve(&pool_);
+    ASSERT_FALSE(ops.ok()) << f.text;
+    EXPECT_EQ(ops.status().message(), f.resolve_error) << f.text;
+  }
+}
+
+TEST_F(PersistenceTest, GoldenFactsResolveThroughV2SectionLoad) {
+  for (const AcceptedFact& f : kAcceptedFacts) {
+    std::string resolved = f.resolved;
+    std::string label = resolved.substr(0, resolved.find(':'));
+    std::istringstream in(OneLineV2File(label, StrCat(f.text, ".")));
+    TermPool pool;
+    Database db(&pool);
+    Status st = LoadDatabase(&db, in);
+    ASSERT_TRUE(st.ok()) << f.text << ": " << st;
+    std::vector<std::string> got;
+    db.ForEach([&](TermId name, uint32_t, Relation* rel) {
+      for (const Tuple& t : rel->SortedTuples(pool)) {
+        got.push_back(RenderResolved(pool, name, t));
+      }
+    });
+    EXPECT_EQ(got, std::vector<std::string>{f.resolved}) << f.text;
+  }
+  for (const RejectedFact& f : kRejectedFacts) {
+    std::istringstream in(OneLineV2File("p/1", f.line));
+    TermPool pool;
+    Database db(&pool);
+    Status st = LoadDatabase(&db, in);
+    ASSERT_FALSE(st.ok()) << f.line;
+    EXPECT_EQ(st.message(), f.load_error) << f.line;
+    EXPECT_EQ(db.num_relations(), 0u) << f.line;
+  }
 }
 
 TEST_F(PersistenceTest, StreamSaveReportsFailedStream) {
