@@ -781,4 +781,15 @@ Result<CheckpointImage> Engine::ReadCheckpointImage() const {
   return data_dir_.ReadCheckpointImage();
 }
 
+Result<Wal::TailChunk> Engine::ReadWalTail(uint64_t from_lsn) const {
+  // Shared lock: Recover swaps the log under the exclusive lock, so the
+  // log read here stays alive for the whole read.
+  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  if (data_dir_.log() == nullptr) {
+    return Status::FailedPrecondition(
+        "replication needs durability: this server has no WAL to ship");
+  }
+  return data_dir_.log()->wal().ReadRecordsFrom(from_lsn);
+}
+
 }  // namespace gluenail

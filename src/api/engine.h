@@ -261,7 +261,8 @@ class Engine {
 
   /// The open WAL, or nullptr before Recover or with durability off. The
   /// pointer stays valid until the next Recover (Checkpoint rotates in
-  /// place).
+  /// place); a thread that may outlive a Recover reads through
+  /// ReadWalTail instead.
   const Wal* wal() const {
     return data_dir_.log() != nullptr ? &data_dir_.log()->wal() : nullptr;
   }
@@ -317,6 +318,12 @@ class Engine {
   /// Primary side: one consistent (checkpoint image, covered LSN) pair
   /// for bootstrapping a subscriber whose requested LSN was rotated away.
   Result<CheckpointImage> ReadCheckpointImage() const;
+
+  /// Primary side: the durable records from \p from_lsn on
+  /// (Wal::ReadRecordsFrom) of the log open now, read under the shared
+  /// lock, so a subscriber polling across a Recover never holds a log
+  /// Recover replaced. FailedPrecondition when no log is open.
+  Result<Wal::TailChunk> ReadWalTail(uint64_t from_lsn) const;
 
   /// Sorted contents of an EDB relation or NAIL! predicate instance.
   Result<std::vector<Tuple>> RelationContents(std::string_view name_term,

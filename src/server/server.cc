@@ -326,14 +326,16 @@ void Server::ServeReplicationSubscriber(Connection* conn,
   } else if (engine_->replica()) {
     refuse = Status::FailedPrecondition(
         "this server is itself a replica; subscribe to the primary");
-  } else if (engine_->wal() == nullptr) {
-    refuse = Status::FailedPrecondition(
-        "replication needs durability: this server has no WAL to ship");
   }
-  if (!refuse.ok()) {
+  uint64_t next_lsn = from.ok() && *from != 0 ? *from : 1;
+  // Every poll reads the log open at that moment: a Recover on the
+  // primary replaces the log, and the first poll finds whether one exists.
+  Result<Wal::TailChunk> first =
+      refuse.ok() ? engine_->ReadWalTail(next_lsn) : refuse;
+  if (!first.ok()) {
     SendAll(conn->fd,
             EncodeFrame(FrameType::kResponse,
-                        EncodeResponse(Response::Error(refuse),
+                        EncodeResponse(Response::Error(first.status()),
                                        engine_->terms())));
     return;
   }
@@ -343,12 +345,11 @@ void Server::ServeReplicationSubscriber(Connection* conn,
   tv.tv_sec = 1;
   ::setsockopt(conn->fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
   m_repl_subscribers_->Add(1);
-  const Wal* wal = engine_->wal();
-  uint64_t next_lsn = *from == 0 ? 1 : *from;
   uint64_t last_heartbeat = UINT64_MAX;  // forces one initial heartbeat
   bool ok = true;
-  while (ok && running_.load(std::memory_order_acquire)) {
-    Result<Wal::TailChunk> tail = wal->ReadRecordsFrom(next_lsn);
+  for (Result<Wal::TailChunk> tail = std::move(first);
+       running_.load(std::memory_order_acquire);
+       tail = engine_->ReadWalTail(next_lsn)) {
     if (!tail.ok()) break;
     if (next_lsn < tail->start_lsn) {
       // The log was rotated past the replica's position; ship the
@@ -378,7 +379,8 @@ void Server::ServeReplicationSubscriber(Connection* conn,
       next_lsn = rec.lsn + 1;
       progressed = true;
     }
-    if (!ok || progressed) continue;
+    if (!ok) break;
+    if (progressed) continue;
     // Caught up: tell the replica how far the primary's durable
     // watermark is (it measures lag from this), then idle briefly.
     if (tail->durable_lsn != last_heartbeat) {

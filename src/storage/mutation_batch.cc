@@ -75,22 +75,12 @@ std::string MutationBatch::RenderFact(const TermPool& pool, TermId name,
 Result<MutationBatch::Resolved> MutationBatch::Resolve(TermPool* pool) const {
   Resolved resolved;
   resolved.reserve(ops_.size());
+  Tuple row;
   for (const Op& op : ops_) {
-    Result<TermId> parsed = ParseGroundTerm(pool, op.fact);
-    if (!parsed.ok()) {
-      return parsed.status().WithContext(StrCat("batch op '", op.fact, "'"));
-    }
-    TermId t = *parsed;
-    if (pool->IsCompound(t)) {
-      std::span<const TermId> args = pool->Args(t);
-      resolved.push_back(ResolvedOp{op.kind, pool->Functor(t),
-                                    Tuple(args.begin(), args.end())});
-    } else if (pool->IsSymbol(t)) {
-      resolved.push_back(ResolvedOp{op.kind, t, Tuple{}});
-    } else {
-      return Status::InvalidArgument(StrCat(
-          "batch op '", op.fact, "': a fact must be a symbol or compound"));
-    }
+    TermId name = kNullTerm;
+    Status st = ParseFact(pool, op.fact, &name, &row);
+    if (!st.ok()) return st.WithContext(StrCat("batch op '", op.fact, "'"));
+    resolved.push_back(ResolvedOp{op.kind, name, row});
   }
   return resolved;
 }

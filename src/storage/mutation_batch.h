@@ -21,11 +21,16 @@
 /// The checksum is FNV-1a 64 over the op lines (each normalized to end in
 /// LF), so a torn or bit-flipped batch is rejected before any op applies.
 ///
-/// Applying is two steps: Resolve parses every fact into a (relation,
-/// tuple) op, failing on the first malformed one, and ApplyResolved runs
-/// the ops. So a malformed op leaves the database untouched, and a commit
-/// parses each fact once. (Inserts/erases themselves cannot fail —
-/// relations dedupe and erasing an absent tuple is a no-op.)
+/// Applying is two steps: Resolve reads every fact into a (relation name,
+/// row) op, failing on the first malformed one, and ApplyResolved runs the
+/// ops. So a malformed op leaves the database untouched, and a commit
+/// parses each fact once. Resolve reads with the persistence layer's one
+/// fact reader (ParseFact), which interns only the relation name and the
+/// argument terms: the fact itself never becomes a term, so the TermPool
+/// grows only with new names and values, not with every new tuple. The
+/// commit, WAL replay and replica apply all resolve this way. (Inserts/
+/// erases themselves cannot fail — relations dedupe and erasing an absent
+/// tuple is a no-op.)
 
 #ifndef GLUENAIL_STORAGE_MUTATION_BATCH_H_
 #define GLUENAIL_STORAGE_MUTATION_BATCH_H_
@@ -98,9 +103,10 @@ class MutationBatch {
   };
   using Resolved = std::vector<ResolvedOp>;
 
-  /// Parses every op (parse + ground + shape) into \p pool. The engine
-  /// resolves a batch before logging it, so a malformed batch is rejected
-  /// up front and never logged.
+  /// Reads every op with ParseFact (parse + ground + shape), interning
+  /// only names and argument terms into \p pool. The engine resolves a
+  /// batch before logging it, so a malformed batch is rejected up front
+  /// and never logged.
   Result<Resolved> Resolve(TermPool* pool) const;
 
   /// Applies resolved ops in order against \p db, reporting each actual

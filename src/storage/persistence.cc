@@ -27,23 +27,37 @@ namespace {
 ///   term     := primary suffix*
 ///   suffix   := '(' term (',' term)* ')'        // HiLog application
 ///   primary  := number | symbol | quoted | '(' term ')'
+/// It recurses once per nesting level and refuses a term whose
+/// parentheses nest deeper than kMaxTermNesting.
 class GroundTermReader {
  public:
   GroundTermReader(TermPool* pool, std::string_view text)
       : pool_(pool), text_(text) {}
 
   Result<TermId> ReadTerm() {
-    GLUENAIL_ASSIGN_OR_RETURN(TermId t, ReadPrimary());
+    TermId t = kNullTerm;
+    Tuple args;
+    GLUENAIL_RETURN_NOT_OK(ReadApplication(&t, &args));
+    return args.empty() ? t : pool_->MakeCompound(t, args);
+  }
+
+  /// Reads a term as the application of \p name to \p row, interning all
+  /// but that outermost application: `edge(1,2)` gives edge and (1,2),
+  /// `students(cs99)(wilson)` the term students(cs99) and (wilson), `flag`
+  /// flag and (). A parenthesized term reads the same way, so
+  /// `(edge(1,2))` gives edge and (1,2).
+  Status ReadApplication(TermId* name, Tuple* row) {
+    GLUENAIL_RETURN_NOT_OK(ReadPrimary(name, row));
     SkipSpace();
     while (!AtEnd() && Peek() == '(') {
-      GLUENAIL_ASSIGN_OR_RETURN(std::vector<TermId> args, ReadArgs());
-      if (args.empty()) {
+      if (!row->empty()) *name = pool_->MakeCompound(*name, *row);
+      GLUENAIL_RETURN_NOT_OK(ReadArgs(row));
+      if (row->empty()) {
         return Status::ParseError(Context("empty argument list"));
       }
-      t = pool_->MakeCompound(t, args);
       SkipSpace();
     }
-    return t;
+    return Status::OK();
   }
 
   Status ExpectEnd() {
@@ -78,17 +92,34 @@ class GroundTermReader {
     return StrCat(msg, " at offset ", pos_, " in \"", text_, "\"");
   }
 
-  Result<std::vector<TermId>> ReadArgs() {
-    ++pos_;  // consume '('
-    std::vector<TermId> args;
+  /// Consumes the '(' that opens one more nesting level.
+  Status Open() {
+    if (++depth_ > kMaxTermNesting) {
+      return Status::ParseError(Context(
+          StrCat("term nests deeper than ", kMaxTermNesting, " levels")));
+    }
+    ++pos_;
+    return Status::OK();
+  }
+
+  /// Consumes the ')' that closes a nesting level.
+  void Close() {
+    ++pos_;
+    --depth_;
+  }
+
+  /// Reads a parenthesized argument list into \p args (empty for `()`).
+  Status ReadArgs(Tuple* args) {
+    GLUENAIL_RETURN_NOT_OK(Open());
+    args->clear();
     SkipSpace();
     if (!AtEnd() && Peek() == ')') {
-      ++pos_;
-      return args;
+      Close();
+      return Status::OK();
     }
     while (true) {
       GLUENAIL_ASSIGN_OR_RETURN(TermId a, ReadTerm());
-      args.push_back(a);
+      args->push_back(a);
       SkipSpace();
       if (AtEnd()) return Status::ParseError(Context("unterminated args"));
       if (Peek() == ',') {
@@ -96,27 +127,35 @@ class GroundTermReader {
         continue;
       }
       if (Peek() == ')') {
-        ++pos_;
-        return args;
+        Close();
+        return Status::OK();
       }
       return Status::ParseError(Context("expected ',' or ')'"));
     }
   }
 
-  Result<TermId> ReadPrimary() {
+  /// Reads a primary as an application (see ReadApplication); an atom is
+  /// the application of itself to ().
+  Status ReadPrimary(TermId* name, Tuple* row) {
     SkipSpace();
     if (AtEnd()) return Status::ParseError(Context("expected a term"));
     char c = Peek();
     if (c == '(') {
-      ++pos_;
-      GLUENAIL_ASSIGN_OR_RETURN(TermId t, ReadTerm());
+      GLUENAIL_RETURN_NOT_OK(Open());
+      GLUENAIL_RETURN_NOT_OK(ReadApplication(name, row));
       SkipSpace();
       if (AtEnd() || Peek() != ')') {
         return Status::ParseError(Context("expected ')'"));
       }
-      ++pos_;
-      return t;
+      Close();
+      return Status::OK();
     }
+    row->clear();
+    GLUENAIL_ASSIGN_OR_RETURN(*name, ReadAtom(c));
+    return Status::OK();
+  }
+
+  Result<TermId> ReadAtom(char c) {
     if (c == '\'') return ReadQuoted();
     if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
       return ReadNumber();
@@ -216,7 +255,24 @@ class GroundTermReader {
   TermPool* pool_;
   std::string_view text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;
 };
+
+/// The one fact reader: reads \p text as a fact into its relation \p name
+/// and \p row, interning only the name and the argument terms (see
+/// ReadApplication). A fact-file line ends in '.' (\p dotted); a batch op
+/// does not.
+Status ReadFact(TermPool* pool, std::string_view text, bool dotted,
+                TermId* name, Tuple* row) {
+  GroundTermReader reader(pool, text);
+  GLUENAIL_RETURN_NOT_OK(reader.ReadApplication(name, row));
+  if (dotted) GLUENAIL_RETURN_NOT_OK(reader.ExpectDot());
+  GLUENAIL_RETURN_NOT_OK(reader.ExpectEnd());
+  if (row->empty() && !pool->IsSymbol(*name)) {
+    return Status::ParseError("a fact must be a symbol or compound");
+  }
+  return Status::OK();
+}
 
 void AppendFact(const TermPool& pool, TermId name, const Tuple& tuple,
                 std::string* out) {
@@ -284,32 +340,15 @@ Status ErrnoError(std::string_view op, const std::string& path) {
       StrCat(op, " failed for ", path, ": ", std::strerror(errno)));
 }
 
-/// Parses one "name(args)." line into \p db (shared \p pool).
+/// Parses one "name(args)." line into \p db (shared \p pool), reading the
+/// row into the caller's reusable \p row.
 Status ParseFactInto(Database* db, TermPool* pool, std::string_view line,
-                     size_t line_no) {
-  GroundTermReader reader(pool, line);
-  Result<TermId> fact = reader.ReadTerm();
-  if (!fact.ok()) {
-    return fact.status().WithContext(StrCat("line ", line_no));
-  }
-  Status dot = reader.ExpectDot();
-  if (!dot.ok()) return dot.WithContext(StrCat("line ", line_no));
-  GLUENAIL_RETURN_NOT_OK(
-      reader.ExpectEnd().WithContext(StrCat("line ", line_no)));
-  TermId t = *fact;
-  if (pool->IsCompound(t)) {
-    TermId name = pool->Functor(t);
-    std::span<const TermId> args = pool->Args(t);
-    Relation* rel = db->GetOrCreate(name, static_cast<uint32_t>(args.size()));
-    rel->Insert(args);  // span insert: no intermediate Tuple copy
-    return Status::OK();
-  }
-  if (pool->IsSymbol(t)) {
-    db->GetOrCreate(t, 0)->Insert(Tuple{});
-    return Status::OK();
-  }
-  return Status::ParseError(
-      StrCat("line ", line_no, ": a fact must be a symbol or compound"));
+                     size_t line_no, Tuple* row) {
+  TermId name = kNullTerm;
+  GLUENAIL_RETURN_NOT_OK(ReadFact(pool, line, /*dotted=*/true, &name, row)
+                             .WithContext(StrCat("line ", line_no)));
+  db->GetOrCreate(name, static_cast<uint32_t>(row->size()))->Insert(*row);
+  return Status::OK();
 }
 
 struct Section {
@@ -376,8 +415,9 @@ Status LoadSection(const Section& sec, Database* staging, TermPool* pool,
                                   "): checksum mismatch (corrupt file?)"));
   }
   Database scratch(pool);
+  Tuple row;
   for (const auto& [line_no, line] : sec.lines) {
-    GLUENAIL_RETURN_NOT_OK(ParseFactInto(&scratch, pool, line, line_no));
+    GLUENAIL_RETURN_NOT_OK(ParseFactInto(&scratch, pool, line, line_no, &row));
   }
   // Recreate the relation even when empty, so empty relations round-trip.
   size_t slash = sec.label.rfind('/');
@@ -404,6 +444,11 @@ void MergeInto(const Database& staged, Database* dst) {
   staged.ForEach([&](TermId name, uint32_t arity, Relation* rel) {
     dst->GetOrCreate(name, arity)->UnionAll(*rel);
   });
+}
+
+Status ParseFact(TermPool* pool, std::string_view text, TermId* name,
+                 Tuple* row) {
+  return ReadFact(pool, text, /*dotted=*/false, name, row);
 }
 
 Result<TermId> ParseGroundTerm(TermPool* pool, std::string_view text) {
@@ -626,12 +671,13 @@ Result<LoadReport> LoadDatabase(Database* db, std::istream& is,
     }
   } else {
     // --- legacy headerless fact files -----------------------------------
+    Tuple row;
     for (size_t i = 0; i < lines.size(); ++i) {
       const std::string& l = lines[i];
       size_t first = l.find_first_not_of(" \t");
       if (first == std::string::npos) continue;
       if (l[first] == '%' || l[first] == '#') continue;
-      Status st = ParseFactInto(&staging, pool, l, i + 1);
+      Status st = ParseFactInto(&staging, pool, l, i + 1, &row);
       if (!st.ok()) {
         if (!salvage) return st;
         ++report.lines_dropped;

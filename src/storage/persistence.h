@@ -30,9 +30,11 @@
 ///  * RecoveryMode::kSalvage keeps the checksummed-good relations of a
 ///    torn or partially corrupted file and reports what was dropped.
 ///
-/// Every fact is simply a ground term whose functor is the predicate name
-/// and whose arguments are the tuple; the loader therefore needs only a
-/// ground-term reader, implemented here without depending on the full Glue
+/// Every fact is the application of a relation name to a tuple, so one
+/// fact reader (ParseFact) serves the loader and every MutationBatch: it
+/// reads the outermost application straight into (name, row) and interns
+/// only the name and the argument terms, never the whole fact. It is a
+/// ground-term reader implemented here without depending on the full Glue
 /// parser (the storage layer sits below the language front end).
 
 #ifndef GLUENAIL_STORAGE_PERSISTENCE_H_
@@ -43,10 +45,12 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
 #include "src/storage/database.h"
+#include "src/storage/tuple.h"
 
 namespace gluenail {
 
@@ -130,9 +134,24 @@ Result<std::string> ReadFileText(const std::string& path);
 Result<LoadReport> LoadDatabaseFromFile(Database* db, const std::string& path,
                                         const LoadOptions& options);
 
+/// The ground-term reader refuses a term whose parentheses (argument lists
+/// and grouping) nest deeper than this. It recurses once per level, and the
+/// bound keeps that recursion well inside a thread's stack, also at
+/// sanitizer frame sizes.
+inline constexpr size_t kMaxTermNesting = 1000;
+
+/// Reads the ground fact \p text (no trailing '.'; surrounding whitespace
+/// tolerated) into its relation \p name and \p row, interning only the name
+/// and the argument terms. `edge(1,2)` gives edge and (1,2), `flag` flag
+/// and (), and the HiLog `students(cs99)(wilson)` the name term
+/// students(cs99) and (wilson); `(edge(1,2))` reads like `edge(1,2)`.
+/// \p row is cleared first, so a caller can reuse it across facts.
+Status ParseFact(TermPool* pool, std::string_view text, TermId* name,
+                 Tuple* row);
+
 /// Parses one ground term from \p text (the whole string must be consumed,
 /// modulo surrounding whitespace). Exposed for tests and the Engine's
-/// fact-insertion API.
+/// term-interning API.
 Result<TermId> ParseGroundTerm(TermPool* pool, std::string_view text);
 
 }  // namespace gluenail

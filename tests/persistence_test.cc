@@ -513,6 +513,79 @@ TEST_F(PersistenceTest, GoldenFactsResolveThroughV2SectionLoad) {
   }
 }
 
+TEST_F(PersistenceTest, ResolvingFactsInternsOnlyNamesAndArguments) {
+  // 10,000 distinct facts over 100 values add the name and the values to
+  // the pool, not one compound term per fact.
+  MutationBatch batch;
+  std::string file;
+  for (int a = 0; a < 100; ++a) {
+    for (int b = 0; b < 100; ++b) {
+      batch.Insert(StrCat("e(", a, ",", b, ")"));
+      file += StrCat("e(", a, ",", b, ").\n");
+    }
+  }
+  TermPool pool;
+  const size_t before = pool.size();
+  Result<MutationBatch::Resolved> ops = batch.Resolve(&pool);
+  ASSERT_TRUE(ops.ok()) << ops.status();
+  EXPECT_EQ(ops->size(), 10000u);
+  EXPECT_EQ(pool.size() - before, 101u);
+
+  // The loader reads fact lines the same way.
+  TermPool pool2;
+  Database db2(&pool2);
+  std::istringstream in(file);
+  ASSERT_TRUE(LoadDatabase(&db2, in).ok());
+  EXPECT_EQ(db2.Find(pool2.MakeSymbol("e"), 2)->size(), 10000u);
+  EXPECT_EQ(pool2.size(), 101u);
+}
+
+namespace {
+
+/// `p(f(f(...1...)))` with \p levels nested parentheses.
+std::string NestedFact(size_t levels) {
+  std::string fact = "p(";
+  for (size_t i = 1; i < levels; ++i) fact += "f(";
+  fact += "1";
+  fact.append(levels, ')');
+  return fact;
+}
+
+}  // namespace
+
+TEST_F(PersistenceTest, FactNestingIsBoundedOnEveryIngestPath) {
+  TermId name;
+  Tuple row;
+  ASSERT_TRUE(
+      ParseFact(&pool_, NestedFact(kMaxTermNesting), &name, &row).ok());
+  EXPECT_TRUE(ParseGroundTerm(&pool_, NestedFact(kMaxTermNesting)).ok());
+  db_.GetOrCreate(name, static_cast<uint32_t>(row.size()))->Insert(row);
+  TermPool pool2;
+  Database db2(&pool2);
+  RoundTrip(db_, &db2);
+  EXPECT_EQ(SerializeDatabase(db2), SerializeDatabase(db_));
+
+  const std::string bound_msg =
+      StrCat("term nests deeper than ", kMaxTermNesting, " levels");
+  for (size_t levels : {kMaxTermNesting + 1, size_t{100000}}) {
+    const std::string fact = NestedFact(levels);
+    Status st = ParseFact(&pool_, fact, &name, &row);
+    EXPECT_TRUE(st.IsParseError()) << levels;
+    EXPECT_EQ(st.message().rfind(bound_msg, 0), 0u) << levels;
+    EXPECT_FALSE(ParseGroundTerm(&pool_, fact).ok()) << levels;
+    MutationBatch batch;
+    batch.Insert(fact);
+    EXPECT_FALSE(batch.Resolve(&pool_).ok()) << levels;
+    TermPool pool3;
+    Database db3(&pool3);
+    std::istringstream in(fact + ".\n");
+    Status load = LoadDatabase(&db3, in);
+    EXPECT_TRUE(load.IsParseError()) << levels;
+    EXPECT_NE(load.message().find(bound_msg), std::string::npos) << levels;
+    EXPECT_EQ(db3.num_relations(), 0u);
+  }
+}
+
 TEST_F(PersistenceTest, StreamSaveReportsFailedStream) {
   db_.GetOrCreate(pool_.MakeSymbol("edge"), 2)
       ->Insert(Tuple{pool_.MakeInt(1), pool_.MakeInt(2)});

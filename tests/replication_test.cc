@@ -367,6 +367,31 @@ TEST_F(ReplTest, InlineEdbLoadReachesTheReplica) {
   server.Stop();
 }
 
+TEST_F(ReplTest, SubscriberFollowsTheLogAcrossAPrimaryRecover) {
+  // Recover replaces the primary's commit log. A subscriber that kept the
+  // old log would read freed memory and never see later commits; it must
+  // look the current log up on every poll.
+  const std::string dir = FreshDir("recover");
+  Engine primary(PrimaryOpts(dir));
+  ASSERT_TRUE(primary.Recover().ok());
+  Server server(&primary, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Engine replica(ReplicaOpts());
+  ReplicationClient tail(&replica, TailOpts(server.port()));
+  ASSERT_TRUE(tail.Start().ok());
+
+  ASSERT_TRUE(primary.ApplyBatch(InsertBatch({1, 2})).ok());
+  ASSERT_TRUE(WaitUntil([&] { return CaughtUp(&primary, &replica); }));
+  ASSERT_TRUE(primary.Recover().ok());
+  ASSERT_TRUE(primary.ApplyBatch(InsertBatch({3})).ok());
+  ASSERT_TRUE(WaitUntil([&] { return CaughtUp(&primary, &replica); }));
+  EXPECT_EQ(Facts(&replica), Facts(&primary));
+  EXPECT_EQ(Facts(&replica), (std::set<int>{1, 2, 3}));
+
+  tail.Stop();
+  server.Stop();
+}
+
 // --- Snapshot bootstrap ----------------------------------------------------
 
 TEST_F(ReplTest, ReplicaBehindARotatedLogBootstrapsFromTheCheckpoint) {

@@ -543,6 +543,32 @@ TEST_F(ServerTest, MutateThenQueryOverTheWire) {
   EXPECT_EQ(q->rows.size(), 2u);
 }
 
+TEST_F(ServerTest, TooDeeplyNestedFactIsRefusedAndTheConnectionLives) {
+  // A fact nested 100,000 deep fits one frame; the fact reader refuses it
+  // at its nesting bound instead of recursing off the worker's stack.
+  std::string deep = "p(";
+  for (int i = 1; i < 100000; ++i) deep += "f(";
+  deep += "1";
+  deep.append(100000, ')');
+  Client client = MustConnect();
+  MutationBatch bad;
+  bad.Insert(deep);
+  Result<WireResponse> r = client.Execute(Command::MutateBatch(std::move(bad)));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_FALSE(r->ok());
+  EXPECT_EQ(r->status.code(), StatusCode::kParseError);
+  EXPECT_NE(r->status.message().find("term nests deeper than"),
+            std::string::npos);
+
+  MutationBatch good;
+  good.Insert("stock('acme', 42)");
+  Result<WireResponse> m =
+      client.Execute(Command::MutateBatch(std::move(good)));
+  ASSERT_TRUE(m.ok()) << m.status();
+  ASSERT_TRUE(m->ok()) << m->status;
+  EXPECT_EQ(m->inserted, 1u);
+}
+
 TEST_F(ServerTest, LoadProgramTextAndExplain) {
   Client client = MustConnect();
   Result<WireResponse> load = client.Execute(Command::LoadProgramText(R"(
