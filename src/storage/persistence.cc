@@ -27,8 +27,11 @@ namespace {
 ///   term     := primary suffix*
 ///   suffix   := '(' term (',' term)* ')'        // HiLog application
 ///   primary  := number | symbol | quoted | '(' term ')'
-/// It recurses once per nesting level and refuses a term whose
-/// parentheses nest deeper than kMaxTermNesting.
+/// It recurses once per parenthesis level and refuses text whose
+/// parentheses nest deeper than kMaxTermNesting. A HiLog application chain
+/// folds without recursing, but each link is a level of the term it
+/// builds, so the fold counts it toward the same bound: nothing the reader
+/// accepts nests deeper than kMaxTermNesting (see FactLevels).
 class GroundTermReader {
  public:
   GroundTermReader(TermPool* pool, std::string_view text)
@@ -50,7 +53,13 @@ class GroundTermReader {
     GLUENAIL_RETURN_NOT_OK(ReadPrimary(name, row));
     SkipSpace();
     while (!AtEnd() && Peek() == '(') {
-      if (!row->empty()) *name = pool_->MakeCompound(*name, *row);
+      if (!row->empty()) {
+        *name = pool_->MakeCompound(*name, *row);
+        // The next argument list applies the folded name: one level more.
+        if (depth_ + 1 + pool_->Height(*name) > kMaxTermNesting) {
+          return TooDeep();
+        }
+      }
       GLUENAIL_RETURN_NOT_OK(ReadArgs(row));
       if (row->empty()) {
         return Status::ParseError(Context("empty argument list"));
@@ -92,12 +101,14 @@ class GroundTermReader {
     return StrCat(msg, " at offset ", pos_, " in \"", text_, "\"");
   }
 
+  Status TooDeep() const {
+    return Status::ParseError(Context(
+        StrCat("term nests deeper than ", kMaxTermNesting, " levels")));
+  }
+
   /// Consumes the '(' that opens one more nesting level.
   Status Open() {
-    if (++depth_ > kMaxTermNesting) {
-      return Status::ParseError(Context(
-          StrCat("term nests deeper than ", kMaxTermNesting, " levels")));
-    }
+    if (++depth_ > kMaxTermNesting) return TooDeep();
     ++pos_;
     return Status::OK();
   }
@@ -458,8 +469,32 @@ Result<TermId> ParseGroundTerm(TermPool* pool, std::string_view text) {
   return t;
 }
 
-std::string SerializeDatabase(const Database& db) {
+size_t FactLevels(const TermPool& pool, TermId name, RowView row) {
+  if (row.empty()) return pool.Height(name);
+  size_t below = pool.Height(name);
+  for (TermId t : row) below = std::max(below, pool.Height(t));
+  return below + 1;
+}
+
+Result<std::string> SerializeDatabase(const Database& db) {
   const TermPool& pool = *db.pool();
+  // Refuse before sorting or printing, which recurse as deep as the terms.
+  Status readable;
+  db.ForEach([&](TermId name, uint32_t arity, Relation* rel) {
+    size_t levels = pool.Height(name);
+    for (RowView row : *rel) {
+      levels = std::max(levels, FactLevels(pool, name, row));
+    }
+    if (levels <= kMaxTermNesting || !readable.ok()) return;
+    std::string label = pool.Height(name) <= kMaxTermNesting
+                            ? pool.ToString(name)
+                            : std::string("a relation");
+    readable = Status::InvalidArgument(
+        StrCat(label, "/", arity, " holds a fact nested ", levels,
+               " levels deep, past the ", kMaxTermNesting,
+               " levels the loader reads back"));
+  });
+  GLUENAIL_RETURN_NOT_OK(readable);
   // Collect and order relations by printed name for deterministic files.
   std::vector<std::pair<std::string, std::pair<TermId, Relation*>>> rels;
   db.ForEach([&](TermId name, uint32_t arity, Relation* rel) {
@@ -494,7 +529,7 @@ std::string SerializeDatabase(const Database& db) {
 }
 
 Status SaveDatabase(const Database& db, std::ostream& os) {
-  std::string buf = SerializeDatabase(db);
+  GLUENAIL_ASSIGN_OR_RETURN(std::string buf, SerializeDatabase(db));
   os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   os.flush();
   // Stream state after the flush is the only truth about whether the bytes
@@ -523,7 +558,13 @@ void RegisterPersistenceMetrics(MetricsRegistry* registry) {
 }
 
 Status SaveDatabaseToFile(const Database& db, const std::string& path) {
-  const std::string data = SerializeDatabase(db);
+  Result<std::string> serialized = SerializeDatabase(db);
+  if (!serialized.ok()) {
+    GlobalPersistenceCounters().save_failures.fetch_add(
+        1, std::memory_order_relaxed);
+    return serialized.status();
+  }
+  const std::string& data = *serialized;
   // Temp file in the target's directory, so the final rename cannot cross
   // a filesystem boundary (rename(2) is only atomic within one).
   const std::string tmp = StrCat(path, ".tmp.", ::getpid());

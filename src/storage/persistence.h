@@ -100,9 +100,11 @@ struct LoadReport {
 };
 
 /// Serializes every relation of \p db in canonical sorted order, with the
-/// v2 checksummed headers. Infallible; the result is what the save
-/// functions write.
-std::string SerializeDatabase(const Database& db);
+/// v2 checksummed headers; the result is what the save functions write.
+/// InvalidArgument, naming the relation, if a fact (or a relation name)
+/// nests deeper than kMaxTermNesting: the loader would refuse it, so
+/// nothing saved is ever unreadable. Statements can build such a term.
+Result<std::string> SerializeDatabase(const Database& db);
 
 /// Writes SerializeDatabase(db) to \p os and flushes, verifying stream
 /// state afterwards: a full disk or broken pipe surfaces as
@@ -134,11 +136,20 @@ Result<std::string> ReadFileText(const std::string& path);
 Result<LoadReport> LoadDatabaseFromFile(Database* db, const std::string& path,
                                         const LoadOptions& options);
 
-/// The ground-term reader refuses a term whose parentheses (argument lists
-/// and grouping) nest deeper than this. It recurses once per level, and the
-/// bound keeps that recursion well inside a thread's stack, also at
-/// sanitizer frame sizes.
+/// The most levels a fact or term read from text, or saved, may nest: each
+/// argument list and each link of a HiLog application chain is a level
+/// (see TermPool::Height). The ground-term reader recurses once per
+/// parenthesis level, and printing and Compare once per term level; the
+/// bound keeps each well inside a thread's stack, also at sanitizer frame
+/// sizes. The reader refuses anything deeper, and parentheses nested
+/// deeper.
 inline constexpr size_t kMaxTermNesting = 1000;
+
+/// Levels of the fact \p name applied to \p row, as if it were one term:
+/// the name's height for a zero-arity fact, else one more than the highest
+/// of the name and the arguments. The reader reads back every fact of at
+/// most kMaxTermNesting levels.
+size_t FactLevels(const TermPool& pool, TermId name, RowView row);
 
 /// Reads the ground fact \p text (no trailing '.'; surrounding whitespace
 /// tolerated) into its relation \p name and \p row, interning only the name

@@ -1,5 +1,6 @@
 #include "src/term/term_pool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -108,13 +109,16 @@ TermId TermPool::MakeCompound(TermId functor, std::span<const TermId> args) {
   std::unique_lock<std::shared_mutex> lock(shard.mu);
   auto it = shard.map.find(probe);
   if (it != shard.map.end()) return it->second;
+  size_t below = Height(functor);
+  for (TermId a : args) below = std::max(below, Height(a));
   TermId id;
   const TermId* stable;
   {
     std::lock_guard<std::mutex> append(append_mu_);
     stable = InternArgsLocked(args);
     uint32_t payload = static_cast<uint32_t>(compounds_.Append(
-        CompoundRec{functor, stable, static_cast<uint32_t>(args.size())}));
+        CompoundRec{stable, functor, static_cast<uint32_t>(args.size()),
+                    static_cast<uint32_t>(below + 1)}));
     id = AddTermLocked(TermTag::kCompound, payload);
   }
   shard.map.emplace(CompoundKey{functor, {stable, args.size()}}, id);

@@ -109,6 +109,14 @@ class TermPool {
   size_t Arity(TermId id) const {
     return IsCompound(id) ? compounds_[terms_[id].payload].arity : 0;
   }
+  /// Nesting levels of a term: 0 for a number or symbol, and for a
+  /// compound one more than the highest of its functor and arguments, so
+  /// each argument list and each link of a HiLog application chain
+  /// (`p(1)(2)` is 2) is one level. Recursive walks over a term (printing,
+  /// Compare) go this deep.
+  size_t Height(TermId id) const {
+    return IsCompound(id) ? compounds_[terms_[id].payload].height : 0;
+  }
 
   /// Total order over all terms in this pool, used by min/max aggregation
   /// over non-numeric data, by `arbitrary` (smallest term, for determinism)
@@ -135,11 +143,14 @@ class TermPool {
   };
 
   struct CompoundRec {
-    TermId functor = kNullTerm;
     /// Points into arg_arena_ chunks, whose storage is never reallocated.
     const TermId* args = nullptr;
+    TermId functor = kNullTerm;
     uint32_t arity = 0;
+    uint32_t height = 0;
   };
+  // The height fills what was padding: a record costs no more with it.
+  static_assert(sizeof(CompoundRec) <= 24);
 
   struct CompoundKey {
     TermId functor;

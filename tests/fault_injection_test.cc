@@ -191,7 +191,7 @@ class TornFileTest : public FaultInjectionTest {
     edge->Insert(Tuple{pool_.MakeInt(2), pool_.MakeInt(3)});
     Relation* name = good.GetOrCreate(pool_.MakeSymbol("name"), 1);
     name->Insert(Tuple{pool_.MakeSymbol("ok")});
-    std::string text = SerializeDatabase(good);
+    std::string text = *SerializeDatabase(good);
     // Corrupt a digit inside an edge fact, leaving line structure intact.
     size_t at = text.find("edge(1,2).");
     EXPECT_NE(at, std::string::npos);
@@ -238,7 +238,7 @@ TEST_F(TornFileTest, SalvageOfTruncatedFileKeepsCompleteSections) {
   Relation* z = good.GetOrCreate(pool_.MakeSymbol("zeta"), 1);
   z->Insert(Tuple{pool_.MakeInt(1)});
   z->Insert(Tuple{pool_.MakeInt(2)});
-  std::string text = SerializeDatabase(good);
+  std::string text = *SerializeDatabase(good);
   // Tear the file mid-way through the last section (crash during write of
   // a non-atomic saver — exactly what the atomic rename prevents).
   std::string torn = text.substr(0, text.rfind("zeta(2)."));

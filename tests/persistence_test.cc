@@ -213,7 +213,7 @@ void RoundTrip(const Database& db, Database* db2) {
 TEST_F(PersistenceTest, SerializeEmitsChecksummedHeader) {
   db_.GetOrCreate(pool_.MakeSymbol("edge"), 2)
       ->Insert(Tuple{pool_.MakeInt(1), pool_.MakeInt(2)});
-  std::string text = SerializeDatabase(db_);
+  std::string text = *SerializeDatabase(db_);
   EXPECT_TRUE(text.rfind("%% gluenail-edb v2 ", 0) == 0) << text;
   EXPECT_NE(text.find("relations=1"), std::string::npos);
   EXPECT_NE(text.find("tuples=1"), std::string::npos);
@@ -275,7 +275,7 @@ TEST_F(PersistenceTest, RoundTripsArityZeroAndEmptyRelations) {
 TEST_F(PersistenceTest, LoadsCrlfFilesWithValidChecksums) {
   db_.GetOrCreate(pool_.MakeSymbol("edge"), 2)
       ->Insert(Tuple{pool_.MakeInt(1), pool_.MakeInt(2)});
-  std::string text = SerializeDatabase(db_);
+  std::string text = *SerializeDatabase(db_);
   // Simulate a Windows checkout: every LF becomes CRLF.
   std::string crlf;
   for (char c : text) {
@@ -313,7 +313,7 @@ TEST_F(PersistenceTest, RoundTripsRelationLargerThan64kTuples) {
 TEST_F(PersistenceTest, CorruptedFileFailsStrictLoadAllOrNothing) {
   db_.GetOrCreate(pool_.MakeSymbol("edge"), 2)
       ->Insert(Tuple{pool_.MakeInt(1), pool_.MakeInt(2)});
-  std::string text = SerializeDatabase(db_);
+  std::string text = *SerializeDatabase(db_);
   text[text.find("edge(1,2).") + 5] = '7';  // flip a byte in a fact
 
   TermPool pool2;
@@ -329,7 +329,7 @@ TEST_F(PersistenceTest, CorruptedFileFailsStrictLoadAllOrNothing) {
 TEST_F(PersistenceTest, TamperedHeaderCountFailsStrictLoad) {
   db_.GetOrCreate(pool_.MakeSymbol("edge"), 2)
       ->Insert(Tuple{pool_.MakeInt(1), pool_.MakeInt(2)});
-  std::string text = SerializeDatabase(db_);
+  std::string text = *SerializeDatabase(db_);
   size_t at = text.find("relations=1");
   ASSERT_NE(at, std::string::npos);
   text[at + std::string("relations=").size()] = '3';
@@ -551,24 +551,43 @@ std::string NestedFact(size_t levels) {
   return fact;
 }
 
+/// The HiLog chain `p(1)(1)...(1)` with \p levels applications: its
+/// parentheses never nest, but each link is a level.
+std::string ChainFact(size_t levels) {
+  std::string fact = "p";
+  for (size_t i = 0; i < levels; ++i) fact += "(1)";
+  return fact;
+}
+
 }  // namespace
 
 TEST_F(PersistenceTest, FactNestingIsBoundedOnEveryIngestPath) {
-  TermId name;
-  Tuple row;
-  ASSERT_TRUE(
-      ParseFact(&pool_, NestedFact(kMaxTermNesting), &name, &row).ok());
-  EXPECT_TRUE(ParseGroundTerm(&pool_, NestedFact(kMaxTermNesting)).ok());
-  db_.GetOrCreate(name, static_cast<uint32_t>(row.size()))->Insert(row);
-  TermPool pool2;
-  Database db2(&pool2);
-  RoundTrip(db_, &db2);
-  EXPECT_EQ(SerializeDatabase(db2), SerializeDatabase(db_));
+  for (const std::string& fact :
+       {NestedFact(kMaxTermNesting), ChainFact(kMaxTermNesting)}) {
+    TermPool pool;
+    Database db(&pool);
+    TermId name;
+    Tuple row;
+    ASSERT_TRUE(ParseFact(&pool, fact, &name, &row).ok());
+    EXPECT_EQ(FactLevels(pool, name, row), kMaxTermNesting);
+    Result<TermId> term = ParseGroundTerm(&pool, fact);
+    ASSERT_TRUE(term.ok()) << term.status();
+    EXPECT_EQ(pool.Height(*term), kMaxTermNesting);
+    db.GetOrCreate(name, static_cast<uint32_t>(row.size()))->Insert(row);
+    TermPool pool2;
+    Database db2(&pool2);
+    RoundTrip(db, &db2);
+    EXPECT_EQ(*SerializeDatabase(db2), *SerializeDatabase(db));
+  }
 
   const std::string bound_msg =
       StrCat("term nests deeper than ", kMaxTermNesting, " levels");
-  for (size_t levels : {kMaxTermNesting + 1, size_t{100000}}) {
-    const std::string fact = NestedFact(levels);
+  for (const std::string& fact :
+       {NestedFact(kMaxTermNesting + 1), NestedFact(100000),
+        ChainFact(kMaxTermNesting + 1), ChainFact(100000)}) {
+    const size_t levels = fact.size();  // names the case in failures
+    TermId name;
+    Tuple row;
     Status st = ParseFact(&pool_, fact, &name, &row);
     EXPECT_TRUE(st.IsParseError()) << levels;
     EXPECT_EQ(st.message().rfind(bound_msg, 0), 0u) << levels;
@@ -583,6 +602,35 @@ TEST_F(PersistenceTest, FactNestingIsBoundedOnEveryIngestPath) {
     EXPECT_TRUE(load.IsParseError()) << levels;
     EXPECT_NE(load.message().find(bound_msg), std::string::npos) << levels;
     EXPECT_EQ(db3.num_relations(), 0u);
+  }
+}
+
+TEST_F(PersistenceTest, SaveRefusesAFactTheLoaderCouldNotReadBack) {
+  // Statements build terms without reading text, so a relation can hold a
+  // fact deeper than the reader's bound; saving it is refused before any
+  // byte is written, instead of leaving a file that cannot be loaded.
+  for (size_t levels : {kMaxTermNesting + 1, size_t{100000}}) {
+    TermPool pool;
+    Database db(&pool);
+    TermId t = pool.MakeInt(1);
+    for (size_t i = 1; i < levels; ++i) t = pool.MakeCompound("f", {&t, 1});
+    Tuple row{t};
+    db.GetOrCreate(pool.MakeSymbol("p"), 1)->Insert(row);
+    ASSERT_EQ(FactLevels(pool, pool.MakeSymbol("p"), row), levels);
+
+    Result<std::string> text = SerializeDatabase(db);
+    ASSERT_FALSE(text.ok());
+    EXPECT_TRUE(text.status().IsInvalidArgument());
+    EXPECT_EQ(text.status().message(),
+              StrCat("p/1 holds a fact nested ", levels,
+                     " levels deep, past the ", kMaxTermNesting,
+                     " levels the loader reads back"));
+    std::ostringstream out;
+    EXPECT_TRUE(SaveDatabase(db, out).IsInvalidArgument());
+    EXPECT_TRUE(out.str().empty());
+    const std::string path = StrCat(::testing::TempDir(), "deep_", levels);
+    EXPECT_TRUE(SaveDatabaseToFile(db, path).IsInvalidArgument());
+    EXPECT_FALSE(ReadFileText(path).ok());
   }
 }
 

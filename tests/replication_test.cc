@@ -139,7 +139,7 @@ TEST_F(ReplTest, CorruptCheckpointImageLeavesReplicaIntact) {
   Relation* f = source.GetOrCreate(pool.MakeSymbol("f"), 1);
   for (int k : {1, 2, 3}) f->Insert(Tuple{pool.MakeInt(k)});
   source.GetOrCreate(pool.MakeSymbol("g"), 2);  // empty, kept
-  const std::string image = SerializeDatabase(source);
+  const std::string image = *SerializeDatabase(source);
 
   Engine replica(ReplicaOpts());
   ASSERT_TRUE(replica.ResetFromCheckpointImage(7, image).ok());

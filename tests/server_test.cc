@@ -545,28 +545,38 @@ TEST_F(ServerTest, MutateThenQueryOverTheWire) {
 
 TEST_F(ServerTest, TooDeeplyNestedFactIsRefusedAndTheConnectionLives) {
   // A fact nested 100,000 deep fits one frame; the fact reader refuses it
-  // at its nesting bound instead of recursing off the worker's stack.
+  // at its nesting bound instead of recursing off the worker's stack. The
+  // HiLog chain p(1)(1)...(1) nests no parentheses, but each link is a
+  // level of the name it builds, which printing would recurse through.
   std::string deep = "p(";
   for (int i = 1; i < 100000; ++i) deep += "f(";
   deep += "1";
   deep.append(100000, ')');
+  std::string chain = "p";
+  for (int i = 0; i < 100000; ++i) chain += "(1)";
   Client client = MustConnect();
-  MutationBatch bad;
-  bad.Insert(deep);
-  Result<WireResponse> r = client.Execute(Command::MutateBatch(std::move(bad)));
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_FALSE(r->ok());
-  EXPECT_EQ(r->status.code(), StatusCode::kParseError);
-  EXPECT_NE(r->status.message().find("term nests deeper than"),
-            std::string::npos);
+  for (const std::string& fact : {deep, chain}) {
+    MutationBatch bad;
+    bad.Insert(fact);
+    Result<WireResponse> r =
+        client.Execute(Command::MutateBatch(std::move(bad)));
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_FALSE(r->ok());
+    EXPECT_EQ(r->status.code(), StatusCode::kParseError);
+    EXPECT_NE(r->status.message().find("term nests deeper than"),
+              std::string::npos);
 
-  MutationBatch good;
-  good.Insert("stock('acme', 42)");
-  Result<WireResponse> m =
-      client.Execute(Command::MutateBatch(std::move(good)));
-  ASSERT_TRUE(m.ok()) << m.status();
-  ASSERT_TRUE(m->ok()) << m->status;
-  EXPECT_EQ(m->inserted, 1u);
+    MutationBatch good;
+    good.Insert("stock('acme', 42)");
+    Result<WireResponse> m =
+        client.Execute(Command::MutateBatch(std::move(good)));
+    ASSERT_TRUE(m.ok()) << m.status();
+    ASSERT_TRUE(m->ok()) << m->status;
+  }
+  Result<WireResponse> q = client.Execute(Command::Query("stock(N, K)"));
+  ASSERT_TRUE(q.ok()) << q.status();
+  ASSERT_TRUE(q->ok()) << q->status;
+  EXPECT_EQ(q->rows.size(), 1u);
 }
 
 TEST_F(ServerTest, LoadProgramTextAndExplain) {

@@ -97,6 +97,27 @@ TEST_F(TermPoolTest, DeepNestingSurvives) {
   EXPECT_EQ(pool_.IntValue(t), 0);
 }
 
+TEST_F(TermPoolTest, HeightCountsArgumentListsAndHiLogLinks) {
+  TermId one = pool_.MakeInt(1);
+  TermId p = pool_.MakeSymbol("p");
+  EXPECT_EQ(pool_.Height(one), 0u);
+  EXPECT_EQ(pool_.Height(p), 0u);
+  TermId f1 = pool_.MakeCompound("f", {&one, 1});    // f(1)
+  TermId ff1 = pool_.MakeCompound("f", {&f1, 1});    // f(f(1))
+  EXPECT_EQ(pool_.Height(f1), 1u);
+  EXPECT_EQ(pool_.Height(ff1), 2u);
+  TermId g = pool_.MakeCompound("g", std::vector<TermId>{one, ff1, p});
+  EXPECT_EQ(pool_.Height(g), 3u);  // the highest argument decides
+  // HiLog: each application link is a level, whatever the arguments.
+  TermId p1 = pool_.MakeCompound(p, {&one, 1});      // p(1)
+  TermId p11 = pool_.MakeCompound(p1, {&one, 1});    // p(1)(1)
+  TermId p1ff1 = pool_.MakeCompound(p1, {&ff1, 1});  // p(1)(f(f(1)))
+  EXPECT_EQ(pool_.Height(p11), 2u);
+  EXPECT_EQ(pool_.Height(p1ff1), 3u);
+  // Re-interning finds the same record and height.
+  EXPECT_EQ(pool_.Height(pool_.MakeCompound(p1, {&ff1, 1})), 3u);
+}
+
 TEST_F(TermPoolTest, ManyCompoundsKeepStableArgStorage) {
   // Forces many arena chunks; earlier terms must stay readable.
   std::vector<TermId> made;

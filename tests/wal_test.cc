@@ -981,6 +981,39 @@ TEST_F(WalTest, RecoverAndLoadRefuseWhileSnapshotsLive) {
   EXPECT_EQ(Facts(&engine), std::set<int>{1});
 }
 
+TEST_F(WalTest, CheckpointRefusesAFactRecoverCouldNotReadBack) {
+  // A statement builds terms without reading text, so it can store a fact
+  // one level past the fact reader's bound. Checkpoint refuses to save it
+  // and keeps the last checkpoint, so the directory still recovers.
+  const std::string dir = FreshDir("deep_fact");
+  std::string fact = "r(";
+  for (size_t i = 1; i < kMaxTermNesting; ++i) fact += "s(";
+  fact += "0";
+  fact.append(kMaxTermNesting, ')');
+  {
+    Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
+    ASSERT_TRUE(engine.Recover().ok());
+    ASSERT_TRUE(engine.AddFact(fact).ok());
+    ASSERT_TRUE(engine.Checkpoint().ok());  // the bound itself saves
+    ASSERT_TRUE(engine.ExecuteStatement("r(s(X)) := r(X).").ok());
+    Status st = engine.Checkpoint();
+    EXPECT_TRUE(st.IsInvalidArgument()) << st;
+    EXPECT_NE(st.message().find(StrCat("r/1 holds a fact nested ",
+                                       kMaxTermNesting + 1, " levels deep")),
+              std::string::npos)
+        << st;
+  }
+  Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
+  Result<RecoveryReport> boot = engine.Recover();
+  ASSERT_TRUE(boot.ok()) << boot.status();
+  Result<std::vector<Tuple>> rows = engine.RelationContents("r", 1);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), 1u);
+  Result<TermId> r = engine.InternTerm("r");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(FactLevels(engine.terms(), *r, (*rows)[0]), kMaxTermNesting);
+}
+
 TEST_F(WalTest, MalformedBatchNeverReachesTheLog) {
   const std::string dir = FreshDir("malformed");
   Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
