@@ -169,7 +169,7 @@ void CommitLoop(benchmark::State& state, DurabilityLevel level) {
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0 && harness.durable()) {
     state.counters["wal_syncs"] = static_cast<double>(
-        harness.engine().wal()->counters().syncs.load());
+        harness.engine().wal_status().syncs);
     state.counters["durable_lsn"] =
         static_cast<double>(harness.engine().durable_lsn());
   }

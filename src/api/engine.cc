@@ -670,6 +670,19 @@ Status Engine::RefuseWhileSnapshotsLive(std::string_view what) const {
              " live snapshot(s) are outstanding; drop them first"));
 }
 
+Engine::WalStatus Engine::wal_status() const {
+  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  WalStatus status;
+  if (data_dir_.log() == nullptr) return status;
+  const Wal& wal = data_dir_.log()->wal();
+  status.open = true;
+  status.broken = wal.broken();
+  status.durable_lsn = wal.durable_lsn();
+  status.appends = wal.counters().appends.load(std::memory_order_relaxed);
+  status.syncs = wal.counters().syncs.load(std::memory_order_relaxed);
+  return status;
+}
+
 uint64_t Engine::durable_lsn() const {
   std::shared_lock<std::shared_mutex> lock(state_mu_);
   return data_dir_.log() != nullptr ? data_dir_.log()->durable_lsn() : 0;

@@ -259,13 +259,16 @@ class Engine {
   /// FailedPrecondition before Recover, whose image it would overwrite.
   Status Checkpoint();
 
-  /// The open WAL, or nullptr before Recover or with durability off. The
-  /// pointer stays valid until the next Recover (Checkpoint rotates in
-  /// place); a thread that may outlive a Recover reads through
-  /// ReadWalTail instead.
-  const Wal* wal() const {
-    return data_dir_.log() != nullptr ? &data_dir_.log()->wal() : nullptr;
-  }
+  /// What the open WAL reports, copied under the shared lock. Recover
+  /// replaces the log, so the engine hands out copies, never the log.
+  struct WalStatus {
+    bool open = false;    ///< false before Recover or with durability off
+    bool broken = false;  ///< a sync failed; Checkpoint's rotation heals it
+    uint64_t durable_lsn = 0;  ///< of the log itself (0 after a rotation)
+    uint64_t appends = 0;
+    uint64_t syncs = 0;
+  };
+  WalStatus wal_status() const;
   /// Highest LSN known durable (0 = no WAL or nothing synced).
   uint64_t durable_lsn() const;
   /// EngineOptions::data_dir's checkpoint file.

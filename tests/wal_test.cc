@@ -534,21 +534,21 @@ TEST_F(WalTest, CheckpointHealRestartsGroupCommitFsyncs) {
     SweepRun faulted = ApplyNumbered(&engine, 10, 11);  // lsn 4 rolls back
     FaultInjector::Instance().Disarm();
     ASSERT_EQ(faulted.errored.size(), 1u);
-    ASSERT_TRUE(engine.wal()->broken());
+    ASSERT_TRUE(engine.wal_status().broken);
     // The errored batch was applied to memory before its failed ack, so
     // the healing checkpoint's image legitimately captures it.
     expected.insert(10);
 
     ASSERT_TRUE(engine.Checkpoint().ok());
-    ASSERT_FALSE(engine.wal()->broken());
-    EXPECT_EQ(engine.wal()->durable_lsn(), 0u);  // fresh rotated log
+    ASSERT_FALSE(engine.wal_status().broken);
+    EXPECT_EQ(engine.wal_status().durable_lsn, 0u);  // fresh rotated log
 
     // The first post-heal commit reuses the rolled-back LSN 4. Its ack
     // must mean a real fsync of the rotated log reached that LSN, not a
     // comparison against the stale pre-rotation watermark.
     SweepRun after = ApplyNumbered(&engine, 20, 21);
     ASSERT_EQ(after.acked.size(), 1u);
-    EXPECT_GE(engine.wal()->durable_lsn(), 4u)
+    EXPECT_GE(engine.wal_status().durable_lsn, 4u)
         << "acked with no fsync of the rotated log";
     expected.insert(20);
 
@@ -583,7 +583,7 @@ TEST_F(WalTest, CrashPointSweepFailedAppendAndRollback) {
     Result<MutationBatch::ApplyReport> r = engine.ApplyBatch(big);
     FaultInjector::Instance().Disarm();
     EXPECT_FALSE(r.ok());
-    EXPECT_TRUE(engine.wal()->broken());
+    EXPECT_TRUE(engine.wal_status().broken);
     EXPECT_EQ(Facts(&engine), acked);
   }
   ExpectRecoversExactly(dir, acked);
@@ -723,7 +723,7 @@ TEST_F(WalTest, GroupCommitEightConcurrentWriters) {
     EXPECT_EQ(expected.size(),
               static_cast<size_t>(kWriters * kBatchesPerWriter));
     // The fsync count is the amortization: far fewer syncs than commits.
-    EXPECT_LT(engine.wal()->counters().syncs.load(),
+    EXPECT_LT(engine.wal_status().syncs,
               static_cast<uint64_t>(kWriters * kBatchesPerWriter));
   }
   Engine engine(DurableOpts(dir, DurabilityLevel::kGroupCommit));
@@ -743,13 +743,13 @@ TEST_F(WalTest, CommitPumpStartFailureIsReturnedAndLogClosed) {
     Result<RecoveryReport> boot = engine.Recover();
     EXPECT_EQ(boot.status().code(), StatusCode::kResourceExhausted)
         << boot.status();
-    EXPECT_EQ(engine.wal(), nullptr);
+    EXPECT_FALSE(engine.wal_status().open);
     EXPECT_EQ(FaultInjector::Instance().injected(FaultOp::kThreadStart), 1u);
     FaultInjector::Instance().Disarm();
 
     // A retry opens the log and group commits ack again.
     ASSERT_TRUE(engine.Recover().ok());
-    ASSERT_NE(engine.wal(), nullptr);
+    ASSERT_TRUE(engine.wal_status().open);
     ASSERT_TRUE(engine.ApplyBatch(InsertBatch({1})).ok());
     EXPECT_EQ(engine.durable_lsn(), 1u);
   }
@@ -792,7 +792,7 @@ TEST_F(WalTest, FailedStrictRecoverAtBootRefusesWritesAndKeepsFiles) {
   {
     Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
     EXPECT_FALSE(engine.Recover().ok());
-    EXPECT_EQ(engine.wal(), nullptr);
+    EXPECT_FALSE(engine.wal_status().open);
     Result<MutationBatch::ApplyReport> applied =
         engine.ApplyBatch(InsertBatch({9}));
     EXPECT_EQ(applied.status().code(), StatusCode::kFailedPrecondition)
@@ -825,7 +825,7 @@ TEST_F(WalTest, FailedStrictRecoverKeepsTheOpenLogAndTheEdb) {
     }
     DamageRecord(dir + "/wal.log", 1);  // f(2)'s record; f(3)'s follows it
     EXPECT_FALSE(engine.Recover().ok());
-    ASSERT_NE(engine.wal(), nullptr);
+    ASSERT_TRUE(engine.wal_status().open);
     EXPECT_EQ(Facts(&engine), (std::set<int>{1, 2, 3}));
     ASSERT_TRUE(engine.ApplyBatch(InsertBatch({4})).ok());
     EXPECT_EQ(engine.durable_lsn(), 4u);
@@ -857,7 +857,7 @@ TEST_F(WalTest, FailedSalvageResetClosesTheLogItReplaced) {
   FaultInjector::Instance().Disarm();
   EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted)
       << failed.status();
-  EXPECT_EQ(engine.wal(), nullptr);
+  EXPECT_FALSE(engine.wal_status().open);
   EXPECT_EQ(Facts(&engine), (std::set<int>{1, 2, 3}));
   Result<MutationBatch::ApplyReport> refused =
       engine.ApplyBatch(InsertBatch({4}));
@@ -1022,7 +1022,7 @@ TEST_F(WalTest, MalformedBatchNeverReachesTheLog) {
   bad.Insert("f(1)");
   bad.Insert("not a fact ((");
   EXPECT_FALSE(engine.ApplyBatch(bad).ok());
-  EXPECT_EQ(engine.wal()->counters().appends.load(), 0u);
+  EXPECT_EQ(engine.wal_status().appends, 0u);
   EXPECT_EQ(Facts(&engine), std::set<int>{});
 }
 

@@ -118,7 +118,7 @@ int ServeForever(gluenail::Engine* engine, int port, int admin_port,
   std::cout << "gluenail: served " << server.commands_served()
             << " command(s) over " << server.connections_accepted()
             << " connection(s)\n";
-  if (engine->wal() != nullptr) {
+  if (engine->wal_status().open) {
     // Final checkpoint: the next boot replays no log at all.
     gluenail::Status cp = engine->Checkpoint();
     if (!cp.ok()) return Fail(cp);
