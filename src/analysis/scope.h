@@ -16,6 +16,7 @@
 #define GLUENAIL_ANALYSIS_SCOPE_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -108,6 +109,11 @@ struct CompileEnv {
   /// Cardinality oracle for the physical planner; nullptr means no
   /// statistics are available (the planner falls back to defaults).
   const StatsProvider* stats = nullptr;
+  /// Variables bound before the body runs, in slots 0..n-1 in this order:
+  /// the parameters a cached read plan takes its constants in
+  /// (plan/plan_cache.h). The caller seeds their values into the first
+  /// record.
+  std::span<const std::string> parameters;
 };
 
 }  // namespace gluenail

@@ -66,6 +66,7 @@ void Engine::RegisterBuiltinMetrics() {
   Executor::RegisterMetrics(&metrics_, &executor_);
   NailEngine::RegisterMetrics(&metrics_, &nail_engine_);
   RegisterPlannerMetrics(&metrics_);
+  PlanCache::RegisterMetrics(&metrics_, &plan_cache_);
   RegisterPersistenceMetrics(&metrics_);
   data_dir_.RegisterMetrics(&metrics_);
 
@@ -177,6 +178,7 @@ Status Engine::LoadProgramLocked(std::string_view source) {
   GLUENAIL_ASSIGN_OR_RETURN(
       LinkedProgram linked, LinkProgram(parsed, hosts_, &pool_, link_opts));
   linked_ = std::make_unique<LinkedProgram>(std::move(linked));
+  plan_cache_.Invalidate();
 
   nail_engine_ = std::make_unique<NailEngine>(linked_->nail, &edb_, &idb_,
                                               &pool_);
@@ -398,54 +400,42 @@ Result<Engine::QueryResult> Engine::QueryGoalWith(Executor* exec,
   GLUENAIL_ASSIGN_OR_RETURN(std::vector<ast::Subgoal> body, ParseGoal(goal));
   parse_span.End();
 
-  // Head variables: every goal variable, in first-appearance order.
-  std::vector<std::string> vars;
-  for (const ast::Subgoal& g : body) {
-    g.pred.CollectVariables(&vars);
-    for (const ast::Term& a : g.args) a.CollectVariables(&vars);
-    g.lhs.CollectVariables(&vars);
-    g.rhs.CollectVariables(&vars);
-  }
-
-  ast::Assignment a;
-  a.head_pred = ast::Term::Symbol("$query");
-  for (const std::string& v : vars) {
-    a.head_args.push_back(ast::Term::Variable(v));
-  }
-  a.op = ast::AssignOp::kClear;
-  a.body = std::move(body);
-
   CompileEnv env;
   env.pool = &pool_;
   env.scope = linked_->global_scope.get();
   env.implicit_edb = true;
   env.stats = &stats_provider_;
   ScopedSpan plan_span("query:plan");
-  GLUENAIL_ASSIGN_OR_RETURN(StatementPlan plan,
-                            PlanAssignment(a, env, options_.planner));
+  GLUENAIL_ASSIGN_OR_RETURN(
+      PlanCache::Read read,
+      plan_cache_.Plan(std::move(body), env, options_.planner));
   plan_span.End();
+  const StatementPlan& plan = read.entry->plan;
 
-  // Under an active sink, profile the ad-hoc plan so the trace can carry
-  // its plan text with actual rows. The plan is stack-local, so the
-  // profile (keyed by plan pointer) must be dropped on every exit path.
+  // Under an active sink, profile the plan so the trace can carry its plan
+  // text with actual rows. The profile is keyed by plan pointer and the
+  // plan may die with `read`, so it is dropped on every exit path.
   TraceSink* sink = TraceSink::Current();
   if (sink != nullptr) exec->EnableOpProfile(&plan);
 
   // The answers are the head tuples, deduplicated, then sorted.
-  Relation answers("$answers", static_cast<uint32_t>(vars.size()));
+  Relation answers("$answers",
+                   static_cast<uint32_t>(read.entry->vars.size()));
   ScopedSpan exec_span("query:execute");
   Status run = exec->RunPlanHeads(
-      plan, [&answers](Tuple row) { answers.Insert(row); });
+      plan, read.params, [&answers](Tuple row) { answers.Insert(row); });
   exec_span.End();
   if (sink != nullptr) {
-    sink->AppendPlan(PlanToString(plan, pool_, exec->OpProfile(&plan)));
+    std::string text = PlanToString(plan, pool_, exec->OpProfile(&plan));
+    if (read.cached) text.insert(text.size() - 1, "  ; cached");
+    sink->AppendPlan(text);
     exec->DisableOpProfile(&plan);
   }
   GLUENAIL_RETURN_NOT_OK(run);
 
   ScopedSpan answers_span("query:answers");
   QueryResult out;
-  out.vars = std::move(vars);
+  out.vars = read.entry->vars;
   out.rows = answers.SortedTuples(pool_);
   answers_span.AddRows(out.rows.size());
   return out;

@@ -43,6 +43,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/slow_query.h"
 #include "src/obs/trace.h"
+#include "src/plan/plan_cache.h"
 #include "src/storage/commit_log.h"
 #include "src/storage/database.h"
 #include "src/storage/delta_log.h"
@@ -467,6 +468,9 @@ class Engine {
   DatabasePairStatsProvider stats_provider_{&edb_, &idb_};
   std::vector<HostProcedure> hosts_;
   std::unique_ptr<LinkedProgram> linked_;
+  /// One plan per read shape (plan/plan_cache.h), shared by the writer and
+  /// every session; LoadProgram invalidates it.
+  PlanCache plan_cache_;
   std::unique_ptr<NailEngine> nail_engine_;
   /// Captured EDB deltas feeding delta-driven memo maintenance
   /// (src/nail/ivm.cc): ApplyBatch and ApplyReplicatedBatch record every

@@ -1,5 +1,6 @@
 #include "src/exec/executor.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 #include <unordered_set>
@@ -127,11 +128,14 @@ Result<Relation*> Executor::ResolveWrite(const PredicateAccess& access,
 // ---------------------------------------------------------------------------
 
 Status Executor::RunBody(const StatementPlan& plan, Frame* frame,
-                         RecordSet* out) {
+                         RecordSet* out, std::span<const TermId> params) {
   const bool pipelined =
       options_.strategy == ExecOptions::Strategy::kPipelined;
   RecordSet cur;
-  cur.Add(Record(static_cast<size_t>(plan.num_slots), kNullTerm), 0);
+  Record first(static_cast<size_t>(plan.num_slots), kNullTerm);
+  assert(params.size() <= first.size());
+  std::copy(params.begin(), params.end(), first.begin());
+  cur.Add(std::move(first), 0);
 
   BatchRunner runner(this, plan, frame);
   size_t i = 0;
@@ -457,7 +461,8 @@ Status Executor::ExecuteStatementPlan(const StatementPlan& plan,
 }
 
 Status Executor::ExecuteBodyOnly(const StatementPlan& plan, Frame* frame,
-                                 RecordSet* final_sup) {
+                                 RecordSet* final_sup,
+                                 std::span<const TermId> params) {
   ++stats_.statements;
   final_sup->Clear();
 #if GLUENAIL_TRACE
@@ -465,8 +470,9 @@ Status Executor::ExecuteBodyOnly(const StatementPlan& plan, Frame* frame,
 #else
   const bool traced = false;
 #endif
-  GLUENAIL_RETURN_NOT_OK(traced ? RunBodyTraced(plan, frame, final_sup)
-                                : RunBody(plan, frame, final_sup));
+  GLUENAIL_RETURN_NOT_OK(traced
+                             ? RunBodyTraced(plan, frame, final_sup, params)
+                             : RunBody(plan, frame, final_sup, params));
   stats_.records_produced += final_sup->size();
   return Status::OK();
 }
@@ -501,7 +507,8 @@ std::string Executor::OpSpanName(const StatementPlan& plan,
 }
 
 Status Executor::RunBodyTraced(const StatementPlan& plan, Frame* frame,
-                               RecordSet* final_sup) {
+                               RecordSet* final_sup,
+                               std::span<const TermId> params) {
   TraceSink* sink = TraceSink::Current();
   ScopedSpan stmt_span("stmt:execute");
   // Borrow (or create) the op profile so the per-op spans report the same
@@ -510,7 +517,7 @@ Status Executor::RunBodyTraced(const StatementPlan& plan, Frame* frame,
   bool created_profile = OpProfile(&plan) == nullptr;
   if (created_profile) EnableOpProfile(&plan);
   std::vector<uint64_t> before = *OpProfile(&plan);
-  Status st = RunBody(plan, frame, final_sup);
+  Status st = RunBody(plan, frame, final_sup, params);
   const std::vector<uint64_t>* after = OpProfile(&plan);
   if (after != nullptr) {
     for (size_t i = 0; i < after->size(); ++i) {

@@ -18,8 +18,10 @@
 #define GLUENAIL_EXEC_EXECUTOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/deadline.h"
@@ -152,17 +154,28 @@ class Executor {
 
   /// Evaluates only the body, leaving the head unapplied: ad-hoc queries
   /// read the final supplementary relation without touching any relation.
+  /// \p params fill slots 0..n-1 of the first record (the parameters of a
+  /// plan compiled with CompileEnv::parameters).
   Status ExecuteBodyOnly(const StatementPlan& plan, Frame* frame,
-                         RecordSet* final_sup);
+                         RecordSet* final_sup,
+                         std::span<const TermId> params = {});
 
   /// Runs \p plan body-only in a procedure-less frame and hands each
   /// binding record's head tuple to \p f: the answers of an ad-hoc query
   /// and the derivations of every delta-maintenance pass.
   template <typename F>
   Status RunPlanHeads(const StatementPlan& plan, F&& f) {
+    return RunPlanHeads(plan, {}, std::forward<F>(f));
+  }
+
+  /// RunPlanHeads for a parameterized plan, with \p params in its slots
+  /// 0..n-1.
+  template <typename F>
+  Status RunPlanHeads(const StatementPlan& plan,
+                      std::span<const TermId> params, F&& f) {
     Frame frame(nullptr);
     RecordSet sup;
-    GLUENAIL_RETURN_NOT_OK(ExecuteBodyOnly(plan, &frame, &sup));
+    GLUENAIL_RETURN_NOT_OK(ExecuteBodyOnly(plan, &frame, &sup, params));
     for (const Record& rec : sup.records) {
       GLUENAIL_ASSIGN_OR_RETURN(
           Tuple t, EvalTuple(plan, plan.head.arg_exprs, rec, pool_));
@@ -312,14 +325,15 @@ class Executor {
   /// Pipelineable ops run as batch-runner segments (one op under
   /// kMaterialized, the whole barrier-free run under kPipelined); a
   /// barrier op materializes the supplementary relation.
-  Status RunBody(const StatementPlan& plan, Frame* frame, RecordSet* out);
+  Status RunBody(const StatementPlan& plan, Frame* frame, RecordSet* out,
+                 std::span<const TermId> params);
 
   /// RunBody with an active trace sink: wraps the statement in a span and
   /// emits one child span per op carrying its actual rows (taken from the
   /// op profile, so trace rows and EXPLAIN ANALYZE agree by construction
   /// on both strategies).
   Status RunBodyTraced(const StatementPlan& plan, Frame* frame,
-                       RecordSet* final_sup);
+                       RecordSet* final_sup, std::span<const TermId> params);
   /// Display name for op \p idx of \p plan ("op2:match edge").
   std::string OpSpanName(const StatementPlan& plan, size_t idx) const;
 

@@ -6,6 +6,7 @@
 #include "src/nail/nail_to_glue.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/plan/physical.h"
 #include "src/plan/planner.h"
 
 namespace gluenail {
@@ -112,16 +113,14 @@ Status NailEngine::MaybeReplanScc(SccPlans* plans,
   // delta relations held at planning time (empty, at first compile). When
   // the observed delta volume drifts an order of magnitude — in either
   // direction — the chosen join orders may be stale, so recompile the
-  // bodies against live statistics. The 8x hysteresis keeps steady-state
-  // fixpoints replan-free.
+  // bodies against live statistics (RowsDrifted, plan/physical.h).
   if (stats_ == nullptr || !planner_opts_.reorder ||
       planner_opts_.cost_model != PlannerOptions::CostModel::kStatistics) {
     return Status::OK();
   }
   uint64_t cur = SccDeltaRows(preds);
   uint64_t last = plans->last_planned_delta;
-  bool drifted = last == 0 ? cur >= 8 : (cur >= last * 8 || last >= cur * 8);
-  if (!drifted) return Status::OK();
+  if (!RowsDrifted(last, cur)) return Status::OK();
 
   CompileEnv env;
   env.pool = pool_;

@@ -56,6 +56,20 @@ PlannerCounters& GlobalPlannerCounters();
 /// Registers the gluenail_planner_* pulls over GlobalPlannerCounters().
 void RegisterPlannerMetrics(MetricsRegistry* registry);
 
+/// The one re-plan rule: a plan costed against \p planned rows is stale
+/// once the rows it reads number \p now and have drifted at least
+/// kReplanDrift times from \p planned, in either direction (from zero,
+/// once \p now reaches kReplanDrift). The hysteresis keeps steady-state
+/// plans re-plan-free. The semi-naive fixpoint applies it to its delta
+/// volume (nail/seminaive.cc), the read plan cache to every stored
+/// relation a cached plan reads (plan/plan_cache.h).
+inline constexpr uint64_t kReplanDrift = 8;
+inline bool RowsDrifted(uint64_t planned, uint64_t now) {
+  return planned == 0 ? now >= kReplanDrift
+                      : now >= planned * kReplanDrift ||
+                            planned >= now * kReplanDrift;
+}
+
 /// One scheduled subgoal: its position in the written body, the estimated
 /// rows flowing out of it, and whether the planner decided to build the
 /// index for its bound columns before the first probe.

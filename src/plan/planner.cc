@@ -43,6 +43,10 @@ class StatementPlanner {
 
   Result<StatementPlan> Plan(const ast::Assignment& a) {
     plan_.loc = a.loc;
+    for (const std::string& p : env_.parameters) {
+      SlotOf(p);
+      bound_.insert(p);
+    }
 
     bool is_return = a.head_pred.IsSymbol() && a.head_pred.name == "return";
     if (is_return) {

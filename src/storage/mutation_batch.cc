@@ -76,10 +76,12 @@ Result<MutationBatch::Resolved> MutationBatch::Resolve(TermPool* pool) const {
   Resolved resolved;
   resolved.reserve(ops_.size());
   Tuple row;
-  for (const Op& op : ops_) {
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    const Op& op = ops_[i];
     TermId name = kNullTerm;
     Status st = ParseFact(pool, op.fact, &name, &row);
-    if (!st.ok()) return st.WithContext(StrCat("batch op '", op.fact, "'"));
+    // The reader's error quotes the text around the fault, not the op.
+    if (!st.ok()) return st.WithContext(StrCat("batch op ", i));
     resolved.push_back(ResolvedOp{op.kind, name, row});
   }
   return resolved;

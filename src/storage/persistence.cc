@@ -97,8 +97,15 @@ class GroundTermReader {
  private:
   char Peek() const { return text_[pos_]; }
 
+  /// \p msg, the offset, and the text around it: at most kContextRadius
+  /// bytes to each side, so an error does not grow with its input.
   std::string Context(std::string_view msg) const {
-    return StrCat(msg, " at offset ", pos_, " in \"", text_, "\"");
+    constexpr size_t kContextRadius = 40;
+    size_t from = pos_ > kContextRadius ? pos_ - kContextRadius : 0;
+    size_t to = std::min(text_.size(), pos_ + kContextRadius);
+    return StrCat(msg, " at offset ", pos_, " in \"", from > 0 ? "..." : "",
+                  text_.substr(from, to - from),
+                  to < text_.size() ? "..." : "", "\"");
   }
 
   Status TooDeep() const {

@@ -203,6 +203,13 @@ const std::vector<CatalogEntry>& DefaultCatalog() {
      "failed database file saves"},
     {"gluenail_persist_saves_total", "counter",
      "successful database file saves"},
+    {"gluenail_plan_cache_hits_total", "counter",
+     "reads served a cached plan of their shape"},
+    {"gluenail_plan_cache_misses_total", "counter",
+     "reads planned because no plan of their shape was cached"},
+    {"gluenail_plan_cache_replans_total", "counter",
+     "cached read plans planned again after a relation they read drifted "
+     "8x in size"},
     {"gluenail_planner_bodies_planned_total", "counter",
      "statement bodies ordered by the physical planner"},
     {"gluenail_planner_index_builds_scheduled_total", "counter",

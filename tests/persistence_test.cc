@@ -418,21 +418,21 @@ struct RejectedFact {
 
 const RejectedFact kRejectedFacts[] = {
     {"edge(1,X)",
-     "batch op 'edge(1,X)': variables are not allowed in ground facts at "
+     "batch op 0: variables are not allowed in ground facts at "
      "offset 7 in \"edge(1,X)\"",
      "edge(1,X).",
      "line 3: variables are not allowed in ground facts at offset 7 in "
      "\"edge(1,X).\""},
     {"p(1) q",
-     "batch op 'p(1) q': trailing characters after term at offset 5 in "
+     "batch op 0: trailing characters after term at offset 5 in "
      "\"p(1) q\"",
      "p(1). q", "line 3: trailing characters after term at offset 6 in "
      "\"p(1). q\""},
-    {"p()", "batch op 'p()': empty argument list at offset 3 in \"p()\"",
+    {"p()", "batch op 0: empty argument list at offset 3 in \"p()\"",
      "p().", "line 3: empty argument list at offset 3 in \"p().\""},
-    {"5", "batch op '5': a fact must be a symbol or compound", "5.",
+    {"5", "batch op 0: a fact must be a symbol or compound", "5.",
      "line 3: a fact must be a symbol or compound"},
-    {"p(1,2", "batch op 'p(1,2': unterminated args at offset 5 in \"p(1,2\"",
+    {"p(1,2", "batch op 0: unterminated args at offset 5 in \"p(1,2\"",
      "p(1,2", "line 3: unterminated args at offset 5 in \"p(1,2\""},
 };
 
@@ -603,6 +603,45 @@ TEST_F(PersistenceTest, FactNestingIsBoundedOnEveryIngestPath) {
     EXPECT_NE(load.message().find(bound_msg), std::string::npos) << levels;
     EXPECT_EQ(db3.num_relations(), 0u);
   }
+}
+
+TEST_F(PersistenceTest, ReaderErrorsQuoteABoundedWindowOfTheirInput) {
+  // 300,001 bytes nested 100,000 deep: the reader stops at the '(' that
+  // opens level 1,001, offset 2,001, and quotes 40 bytes to each side.
+  const std::string fact = NestedFact(100000);
+  ASSERT_EQ(fact.size(), 300001u);
+  const std::string window =
+      StrCat("at offset 2001 in \"...", fact.substr(1961, 80), "...\"");
+  MutationBatch batch;
+  batch.Insert("edge(1,2)");
+  batch.Insert(fact);
+  Status resolve = batch.Resolve(&pool_).status();
+  EXPECT_TRUE(resolve.IsParseError());
+  EXPECT_LT(resolve.message().size(), 1024u);
+  EXPECT_EQ(resolve.message(),
+            StrCat("batch op 1: term nests deeper than ", kMaxTermNesting,
+                   " levels ", window));
+
+  TermPool pool;
+  Database db(&pool);
+  std::istringstream in(fact + ".\n");
+  Status load = LoadDatabase(&db, in);
+  EXPECT_LT(load.message().size(), 1024u);
+  EXPECT_NE(load.message().find(window), std::string::npos) << load;
+
+  // Near either end, the window stops at the text's edge.
+  TermId name;
+  Tuple row;
+  Status head = ParseFact(&pool_, "p(X)", &name, &row);
+  EXPECT_EQ(head.message(),
+            "variables are not allowed in ground facts at offset 2 in "
+            "\"p(X)\"");
+  const std::string tail = StrCat("p(", std::string(100, 'a'), ",X)");
+  Status end = ParseFact(&pool_, tail, &name, &row);
+  EXPECT_EQ(end.message(),
+            StrCat("variables are not allowed in ground facts at offset 103 "
+                   "in \"...",
+                   tail.substr(63), "\""));
 }
 
 TEST_F(PersistenceTest, SaveRefusesAFactTheLoaderCouldNotReadBack) {

@@ -16,13 +16,15 @@
 #            durable path: wal_test, commit_log_test, replication_test,
 #            persistence_test (with the fact reader's nesting bound) and
 #            engine_api_test, and the term pool (term_pool_test) and the
-#            `read` builtin's ground-term reads (io_builtins_test)
+#            `read` builtin's ground-term reads (io_builtins_test), the
+#            read plan cache (plan_cache_test), EXPLAIN (explain_test) and
+#            the service layer (server_test)
 #   ubsan  — -DGLUENAIL_UBSAN=ON, runs the ubsan-labelled planner tests,
 #            plus relation_test's dense-key checks, barrier_ops_test,
 #            hilog_test, cross_feature_test, the IVM suite with its
 #            allocation-fault sweep, the fixpoint oracle suites, and the
-#            same durable-path, term-pool and `read` builtin suites as
-#            asan
+#            same durable-path, term-pool, `read` builtin, plan-cache and
+#            service-layer suites as asan
 #   tsan   — -DGLUENAIL_TSAN=ON, runs the tsan-labelled concurrency tests
 #   fault  — Debug build, runs only the faultinject-labelled matrix
 #   obs    — Debug build, runs only the obs-labelled observability suite
@@ -30,7 +32,7 @@
 #            every metric's name, type and help text)
 #   server — Debug build, runs only the server-labelled service-layer
 #            suite (framing, codecs, end-to-end socket tests); the same
-#            tests also run under tsan via their tsan label
+#            tests also run under asan, ubsan and tsan via their labels
 #   vector — Debug build, runs only the vector-labelled operator golden
 #            suite (pinned answers, actual= rows and rows_scanned,
 #            structural and HiLog ops) plus hilog_test and
