@@ -1,7 +1,5 @@
 #include "src/api/command.h"
 
-#include <sstream>
-
 #include "src/api/session.h"
 #include "src/common/strings.h"
 
@@ -241,29 +239,15 @@ Response Session::Execute(const Command& cmd) {
         return Response::Ok(
             StrCat("loaded: ", FormatCompileStats(engine_->compile_stats())));
       }
-      if (cmd.source.empty()) {
-        Status s = engine_->LoadEdbFile(cmd.path).status();
-        if (!s.ok()) return Response::Error(std::move(s));
-        return Response::Ok(StrCat("edb loaded from ", cmd.path));
-      }
-      // Inline facts take the one durable write path: validated whole into
-      // a staging database (v2 sections or headerless facts), then applied
-      // as one insert batch — logged and delta-captured. A replica refuses
-      // before parsing, so a refused load interns nothing.
-      if (engine_->replica()) {
-        return Response::Error(engine_->ReplicaWriteFence("LoadEdbText"));
-      }
-      Database staged(&engine_->pool_);
-      std::istringstream in(cmd.source);
-      Status s = LoadDatabase(&staged, in);
-      if (!s.ok()) return Response::Error(std::move(s));
-      MutationBatch batch;
-      staged.ForEach([&](TermId name, uint32_t, Relation* rel) {
-        for (RowView row : *rel) batch.Insert(engine_->pool_, name, row);
-      });
-      Result<MutationBatch::ApplyReport> r = engine_->ApplyBatch(batch);
+      // Both loads stage their facts and commit them as one logged,
+      // delta-captured insert batch; a replica refuses before parsing.
+      Result<LoadReport> r = cmd.source.empty()
+                                 ? engine_->LoadEdbFile(cmd.path)
+                                 : engine_->LoadEdbText(cmd.source);
       if (!r.ok()) return Response::Error(r.status());
-      return Response::Ok("edb loaded");
+      return Response::Ok(cmd.source.empty()
+                              ? StrCat("edb loaded from ", cmd.path)
+                              : std::string("edb loaded"));
     }
 
     case CommandKind::kSave: {

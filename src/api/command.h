@@ -96,8 +96,8 @@ struct WireQueryOptions {
 /// What kLoad loads.
 enum class LoadTarget : uint8_t {
   kProgram = 0,  ///< Glue-Nail source (replaces the loaded program)
-  /// §10 facts merged into the EDB: inline text becomes one insert batch
-  /// (Engine::ApplyBatch); a file is bulk-loaded and checkpointed.
+  /// §10 facts merged into the EDB: inline text (Engine::LoadEdbText) or a
+  /// file (Engine::LoadEdbFile), committed as one logged insert batch.
   kEdb = 1,
 };
 

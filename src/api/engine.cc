@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <mutex>
-#include <sstream>
 
 #include "src/analysis/binding.h"
 #include "src/api/session.h"
@@ -19,6 +18,19 @@ namespace {
 /// Entries the slow-query log keeps before evicting the oldest.
 constexpr size_t kSlowQueryLogCapacity = 64;
 
+/// True when a subgoal of \p body names a NAIL! predicate of \p scope.
+bool ReadsNail(const std::vector<ast::Subgoal>& body, const Scope& scope) {
+  std::string root;
+  uint32_t params = 0;
+  for (const ast::Subgoal& g : body) {
+    if (!StaticPredName(g.pred, &root, &params)) continue;
+    const PredBinding* b =
+        scope.Lookup(root, params, static_cast<uint32_t>(g.args.size()));
+    if (b != nullptr && b->cls == PredClass::kNail) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions options)
@@ -26,14 +38,6 @@ Engine::Engine(EngineOptions options)
       edb_(&pool_),
       idb_(&pool_),
       ivm_log_(options.ivm_max_delta_rows),
-      ivm_capture_([this](MutationBatch::OpKind kind, TermId name,
-                          uint32_t arity, RowView row) {
-        if (kind == MutationBatch::OpKind::kInsert) {
-          ivm_log_.CaptureInsert(name, arity, row);
-        } else {
-          ivm_log_.CaptureErase(name, arity, row);
-        }
-      }),
       trace_ring_(options.trace_ring_capacity),
       slow_log_(kSlowQueryLogCapacity),
       data_dir_(options.data_dir, options.wal_recovery,
@@ -399,6 +403,12 @@ Result<Engine::QueryResult> Engine::QueryGoalWith(Executor* exec,
   ScopedSpan parse_span("query:parse");
   GLUENAIL_ASSIGN_OR_RETURN(std::vector<ast::Subgoal> body, ParseGoal(goal));
   parse_span.End();
+  // The writer path refreshes a stale memo the goal reads before planning
+  // it against the memo's rows (a session read arrives with memos fresh).
+  if (exec == executor_.get() && nail_engine_ != nullptr &&
+      !nail_engine_->IsFresh() && ReadsNail(body, *linked_->global_scope)) {
+    GLUENAIL_RETURN_NOT_OK(nail_engine_->EnsureAllNail());
+  }
 
   CompileEnv env;
   env.pool = &pool_;
@@ -593,22 +603,35 @@ Status Engine::SaveEdbFile(const std::string& path) {
 Result<LoadReport> Engine::LoadEdbFile(const std::string& path,
                                        const LoadOptions& options) {
   if (options_.replica) return ReplicaWriteFence("LoadEdbFile");
+  Database staged(&pool_);
+  return CommitLoad(LoadDatabaseFromFile(&staged, path, options), staged);
+}
+
+Result<LoadReport> Engine::LoadEdbText(std::string_view text,
+                                       const LoadOptions& options) {
+  if (options_.replica) return ReplicaWriteFence("LoadEdbText");
+  Database staged(&pool_);
+  return CommitLoad(LoadDatabase(&staged, text, options), staged);
+}
+
+Result<LoadReport> Engine::CommitLoad(Result<LoadReport> report,
+                                      const Database& staged) {
+  if (!report.ok()) return report;
+  // The staged rows are the ops; the log's record renders them once.
+  const bool logged = options_.durability != DurabilityLevel::kNone;
+  MutationBatch::Resolved ops;
+  MutationBatch record;
+  staged.ForEach([&](TermId name, uint32_t, Relation* rel) {
+    for (RowView row : *rel) {
+      ops.push_back(MutationBatch::ResolvedOp{
+          MutationBatch::OpKind::kInsert, name, Tuple(row.begin(), row.end())});
+      if (logged) record.Insert(pool_, name, row);
+    }
+  });
+  if (ops.empty()) return report;
   std::unique_lock<std::shared_mutex> lock(state_mu_);
-  GLUENAIL_RETURN_NOT_OK(data_dir_.RequireLog("LoadEdbFile"));
-  GLUENAIL_RETURN_NOT_OK(RefuseWhileSnapshotsLive("load an EDB"));
-  GLUENAIL_ASSIGN_OR_RETURN(LoadReport report,
-                            LoadDatabaseFromFile(&edb_, path, options));
-  // The load rewrote relations wholesale (possibly salvaging only part of
-  // a damaged file); captured deltas describe a history that no longer
-  // exists. The version watermark would catch this too — invalidating is
-  // the explicit belt-and-braces the salvage path demands.
-  ivm_log_.Invalidate();
-  if (nail_engine_ != nullptr) nail_engine_->Invalidate();
-  // Loaded facts bypassed the log; checkpoint immediately so the durable
-  // state includes them (otherwise a crash would silently undo the load).
-  if (data_dir_.log() != nullptr) {
-    GLUENAIL_RETURN_NOT_OK(data_dir_.Checkpoint(edb_));
-  }
+  GLUENAIL_RETURN_NOT_OK(
+      data_dir_.Commit(ops, record, lock, &edb_, &ivm_log_).status());
   return report;
 }
 
@@ -652,14 +675,6 @@ StorageStats Engine::storage_stats() const {
 
 // --- Durability ------------------------------------------------------------
 
-Status Engine::RefuseWhileSnapshotsLive(std::string_view what) const {
-  const long live = snapshot_token_.use_count() - 1;
-  if (live == 0) return Status::OK();
-  return Status::InvalidArgument(
-      StrCat("cannot ", what, " while ", live,
-             " live snapshot(s) are outstanding; drop them first"));
-}
-
 Engine::WalStatus Engine::wal_status() const {
   std::shared_lock<std::shared_mutex> lock(state_mu_);
   WalStatus status;
@@ -682,14 +697,11 @@ Result<MutationBatch::ApplyReport> Engine::ApplyBatch(
     const MutationBatch& batch) {
   if (options_.replica) return ReplicaWriteFence("ApplyBatch");
   if (batch.empty()) return MutationBatch::ApplyReport{};
+  // The pool is thread-safe, so the batch is read before the writer lock.
+  GLUENAIL_ASSIGN_OR_RETURN(MutationBatch::Resolved ops,
+                            batch.Resolve(&pool_));
   std::unique_lock<std::shared_mutex> lock(state_mu_);
-  return data_dir_.Commit(
-      batch, &pool_, lock, [this](const MutationBatch::Resolved& ops) {
-        MutationBatch::ApplyReport applied =
-            MutationBatch::ApplyResolved(ops, &edb_, &ivm_capture_);
-        ivm_log_.SealBatch(SnapshotEdbVersion(edb_));
-        return applied;
-      });
+  return data_dir_.Commit(ops, batch, lock, &edb_, &ivm_log_);
 }
 
 Status Engine::Checkpoint() {
@@ -699,7 +711,14 @@ Status Engine::Checkpoint() {
 
 Status Engine::ReplaceEdbLocked(
     std::string_view what, const std::function<Status(Database*)>& stage) {
-  GLUENAIL_RETURN_NOT_OK(RefuseWhileSnapshotsLive(what));
+  // Snapshot copies stay valid, but a reader mid-conversation must not see
+  // the engine jump to another history underneath it.
+  const long live = snapshot_token_.use_count() - 1;
+  if (live > 0) {
+    return Status::InvalidArgument(
+        StrCat("cannot ", what, " while ", live,
+               " live snapshot(s) are outstanding; drop them first"));
+  }
   // Staged, so a failed rebuild leaves the live EDB exactly as it was.
   // Interning into the engine's pool is harmless: pools are append-only.
   Database staged(&pool_);
@@ -709,7 +728,7 @@ Status Engine::ReplaceEdbLocked(
   // the discarded history; a refresh against them could serve memo rows
   // the replacement (possibly salvaged) EDB never derived.
   edb_.ForEach([](TermId, uint32_t, Relation* rel) { rel->Clear(); });
-  MergeInto(staged, &edb_);
+  edb_.MergeFrom(&staged);
   if (nail_engine_ != nullptr) nail_engine_->Invalidate();
   ivm_log_.Invalidate();
   return Status::OK();
@@ -749,10 +768,10 @@ Status Engine::ApplyReplicatedBatch(uint64_t lsn,
         StrCat("replicated lsn ", lsn, " does not advance applied lsn ",
                applied, "; stream out of order"));
   }
-  // Recovery replay's apply, plus the IVM capture.
-  GLUENAIL_RETURN_NOT_OK(
-      ApplyLoggedBatch(batch, &pool_, &edb_, &ivm_capture_).status());
-  ivm_log_.SealBatch(SnapshotEdbVersion(edb_));
+  // Read like recovery replay reads a record, applied like a commit.
+  GLUENAIL_ASSIGN_OR_RETURN(MutationBatch::Resolved ops,
+                            batch.Resolve(&pool_));
+  MutationBatch::ApplyResolved(ops, &edb_, &ivm_log_);
   repl_applied_lsn_.store(lsn, std::memory_order_release);
   if (m_repl_batches_ != nullptr) m_repl_batches_->Add();
   return Status::OK();
@@ -769,8 +788,9 @@ Status Engine::ResetFromCheckpointImage(uint64_t covers_lsn,
   // replica's current (stale but consistent) state.
   GLUENAIL_RETURN_NOT_OK(
       ReplaceEdbLocked("bootstrap", [image](Database* staged) {
-        std::istringstream in{std::string(image)};
-        return LoadDatabase(staged, in).WithContext("checkpoint image");
+        return LoadDatabase(staged, image, LoadOptions{})
+            .status()
+            .WithContext("checkpoint image");
       }));
   repl_applied_lsn_.store(covers_lsn, std::memory_order_release);
   if (m_repl_bootstraps_ != nullptr) m_repl_bootstraps_->Add();

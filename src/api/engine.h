@@ -135,12 +135,12 @@ class EngineSnapshot {
 /// The facade over one deductive database: a term pool, the EDB, the
 /// NAIL! memos (IDB), the linked program, and the data directory
 /// (storage/recovery.h: checkpoint, WAL and commit log). Every EDB write
-/// that can be logged goes through ApplyBatch (AddFact, inline EDB loads
-/// and wire batches all become MutationBatches), so it is validated,
-/// logged with the configured ack, delta-captured for IVM and fenced on
-/// replicas. Bulk file loads checkpoint instead. Recover and a replica's
-/// bootstrap rebuild the EDB through one staged swap. Each subsystem
-/// registers its own metrics into metrics().
+/// that can be logged — ApplyBatch, AddFact, wire batches and the inline
+/// and file EDB loads — is one commit of resolved ops, so it is
+/// validated, logged with the configured ack, delta-captured for IVM and
+/// fenced on replicas. Recover and a replica's bootstrap rebuild the EDB
+/// through one staged swap. Each subsystem registers its own metrics into
+/// metrics().
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -220,14 +220,18 @@ class Engine {
   Status AddFact(std::string_view fact);
 
   /// §10: EDB persistence between runs. Saves are crash-safe (temp file +
-  /// fsync + atomic rename); loads are all-or-nothing under kStrict. A load
-  /// bypasses the WAL and checkpoints right after instead; it is refused on
-  /// a replica.
+  /// fsync + atomic rename).
   Status SaveEdbFile(const std::string& path);
-  /// \p options picks the recovery mode (RecoveryMode::kSalvage keeps the
-  /// checksummed-good relations of a torn file); the report says what was
-  /// loaded and what was dropped.
+  /// Adds a fact file's facts to the EDB: read once into a staging
+  /// database (LoadDatabase; RecoveryMode::kSalvage keeps the good
+  /// sections of a torn file), then committed as one insert batch like
+  /// ApplyBatch's, so a record past Wal::kMaxPayloadBytes is refused.
+  /// Refused on a replica before the file is read. A relation the file
+  /// holds empty is not created.
   Result<LoadReport> LoadEdbFile(const std::string& path,
+                                 const LoadOptions& options = {});
+  /// LoadEdbFile of \p text (Command::LoadEdbText).
+  Result<LoadReport> LoadEdbText(std::string_view text,
                                  const LoadOptions& options = {});
 
   // --- Durability (EngineOptions::data_dir + durability) ------------------
@@ -236,8 +240,9 @@ class Engine {
   /// validated, appended to the WAL, applied to the EDB, and the call
   /// returns only once the ack's promise holds (kGroupCommit/kSync: the
   /// record is fsynced; kAsync: it is logged; kNone / no WAL: it is
-  /// applied). This is the single write path the wire protocol, the REPL,
-  /// inline EDB loads and AddFact share.
+  /// applied). The batch is read (MutationBatch::Resolve) before the
+  /// writer lock; the commit behind it is the one the wire protocol, the
+  /// REPL, AddFact and the inline and file EDB loads share.
   Result<MutationBatch::ApplyReport> ApplyBatch(const MutationBatch& batch);
 
   /// Rebuilds the EDB from the data directory (DataDir::Recover): loads
@@ -246,7 +251,7 @@ class Engine {
   /// opens the log for appending, and only then swaps the copy in — the
   /// same swap a replica's bootstrap uses. A failed Recover leaves the EDB
   /// and any open log as they were. With durability on, only Recover opens
-  /// the log: until one succeeds, ApplyBatch, Checkpoint and LoadEdbFile
+  /// the log: until one succeeds, ApplyBatch, Checkpoint and the EDB loads
   /// return FailedPrecondition. Refuses while live EngineSnapshots are
   /// outstanding — readers must drop their views of the old history first
   /// — and with FailedPrecondition while a commit is in flight (an
@@ -285,10 +290,10 @@ class Engine {
   Status ReplicaWriteFence(std::string_view op) const;
 
   /// Applies one batch shipped from the primary's WAL (replica mode only;
-  /// bypasses the write fence) through recovery replay's ApplyLoggedBatch
-  /// with the IVM capture, then advances the replica's applied-LSN
-  /// watermark to \p lsn. Out-of-order or replayed LSNs are refused — the
-  /// stream must deliver the primary's durable prefix in order.
+  /// bypasses the write fence) like a commit's apply, captured for IVM,
+  /// then advances the replica's applied-LSN watermark to \p lsn.
+  /// Out-of-order or replayed LSNs are refused — the stream must deliver
+  /// the primary's durable prefix in order.
   Status ApplyReplicatedBatch(uint64_t lsn, const MutationBatch& batch);
 
   /// Replaces the EDB wholesale with a primary checkpoint image (snapshot
@@ -409,10 +414,10 @@ class Engine {
   /// The runtime environment executors run in (I/O, hosts, NAIL!).
   RuntimeEnv Env();
   void RegisterBuiltinMetrics();
-  /// Refuses to \p what (swap the EDB to another history) while
-  /// EngineSnapshots are outstanding: their copies stay valid, but a
-  /// reader mid-conversation must not see the engine jump underneath it.
-  Status RefuseWhileSnapshotsLive(std::string_view what) const;
+  /// Commits the rows of a load's \p staged database as one insert batch
+  /// through DataDir::Commit, like ApplyBatch.
+  Result<LoadReport> CommitLoad(Result<LoadReport> report,
+                                const Database& staged);
 
   Status EnsureLoadedLocked();
   /// Compiles an ad-hoc statement by wrapping it in a throwaway procedure.
@@ -473,14 +478,13 @@ class Engine {
   PlanCache plan_cache_;
   std::unique_ptr<NailEngine> nail_engine_;
   /// Captured EDB deltas feeding delta-driven memo maintenance
-  /// (src/nail/ivm.cc): ApplyBatch and ApplyReplicatedBatch record every
-  /// tuple that actually changed into it; the NAIL! refresh consumes and
-  /// rebases it. Recover / LoadEdbFile invalidate it explicitly; writes
-  /// outside ApplyBatch (Glue statements and procedures, LoadProgram
-  /// module facts) are caught by its version watermark.
+  /// (src/nail/ivm.cc): every commit (ApplyBatch and the EDB loads) and
+  /// ApplyReplicatedBatch record every tuple that actually changed into
+  /// it; the NAIL! refresh consumes and rebases it. Recover and a replica
+  /// bootstrap invalidate it explicitly; writes outside a commit (Glue
+  /// statements and procedures, LoadProgram module facts) are caught by
+  /// its version watermark.
   DeltaLog ivm_log_;
-  /// The observer that records each applied change into ivm_log_.
-  const MutationBatch::ChangeObserver ivm_capture_;
   std::unique_ptr<Executor> executor_;
   IoEnv io_;
   CompileStats compile_stats_;

@@ -186,8 +186,8 @@ Status NailEngine::Refresh() {
   if (ivm_enabled && !ivm_wired) info.fallback = "mode";
   if (ivm_wired) {
     if (!valid_) {
-      // Invalidate() (Recover, LoadEdbFile, program reload) — the memo is
-      // untrusted regardless of what the log captured.
+      // Invalidate() (Recover, a replica bootstrap, program reload) — the
+      // memo is untrusted regardless of what the log captured.
       info.fallback = "invalidated";
     } else if (!delta_log_->Covers(snapshot_, now)) {
       // Some change bypassed capture (Glue updates, module facts, Clear…);

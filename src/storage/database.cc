@@ -28,6 +28,21 @@ Status Database::Drop(TermId name, uint32_t arity) {
   return Status::OK();
 }
 
+void Database::MergeFrom(Database* staged) {
+  for (auto& [key, rel] : staged->relations_) {
+    auto [it, moved] = relations_.try_emplace(key, std::move(rel));
+    if (moved) {
+      it->second->set_index_policy(default_policy_);
+      // Erases staged after an insert (a replayed log) leave dead rows; a
+      // union would not have copied them, so the move drops them too.
+      if (it->second->num_rows() != it->second->size()) it->second->Compact();
+    } else {
+      it->second->UnionAll(*rel);
+    }
+  }
+  staged->relations_.clear();
+}
+
 void Database::ForEach(
     const std::function<void(TermId, uint32_t, Relation*)>& fn) const {
   for (const auto& [key, rel] : relations_) {

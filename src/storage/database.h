@@ -45,6 +45,13 @@ class Database {
   /// Removes a relation entirely.
   Status Drop(TermId name, uint32_t arity);
 
+  /// Moves every relation of \p staged (same pool) into this database and
+  /// leaves \p staged empty. A relation this database lacks moves over
+  /// whole (without dead rows), taking this database's default index
+  /// policy; any other is unioned into the relation here, which stays the
+  /// same object, so pointers to it and its version counter survive.
+  void MergeFrom(Database* staged);
+
   /// Invokes \p fn for every relation (iteration order unspecified).
   void ForEach(
       const std::function<void(TermId name, uint32_t arity, Relation*)>& fn)

@@ -15,7 +15,7 @@
 /// bypassed capture (Glue statements and procedures such as `++p`,
 /// LoadProgram module facts, direct Relation calls) leaves the watermark
 /// behind the live snapshot and the next refresh detects it and
-/// recomputes from scratch. Recover and LoadEdbFile additionally
+/// recomputes from scratch. Recover and a replica bootstrap additionally
 /// invalidate explicitly (belt and braces: a salvage recovery must never
 /// serve memo rows derived from pre-recovery deltas).
 ///

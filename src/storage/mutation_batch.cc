@@ -3,6 +3,7 @@
 #include <charconv>
 
 #include "src/common/strings.h"
+#include "src/storage/delta_log.h"
 #include "src/storage/persistence.h"
 
 namespace gluenail {
@@ -59,17 +60,10 @@ void MutationBatch::Push(OpKind kind, std::string_view fact) {
   ops_.push_back(Op{kind, std::string(t)});
 }
 
-std::string MutationBatch::RenderFact(const TermPool& pool, TermId name,
-                                      RowView row) {
-  std::string out = pool.ToString(name);
-  if (row.empty()) return out;
-  out += "(";
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (i != 0) out += ",";
-    pool.AppendTerm(row[i], &out);
-  }
-  out += ")";
-  return out;
+void MutationBatch::Insert(const TermPool& pool, TermId name, RowView row) {
+  std::string fact;
+  AppendFact(pool, name, row, &fact);
+  ops_.push_back(Op{OpKind::kInsert, std::move(fact)});
 }
 
 Result<MutationBatch::Resolved> MutationBatch::Resolve(TermPool* pool) const {
@@ -87,25 +81,27 @@ Result<MutationBatch::Resolved> MutationBatch::Resolve(TermPool* pool) const {
   return resolved;
 }
 
-MutationBatch::ApplyReport MutationBatch::ApplyResolved(
-    const Resolved& ops, Database* db, const ChangeObserver* observer) {
+MutationBatch::ApplyReport MutationBatch::ApplyResolved(const Resolved& ops,
+                                                        Database* db,
+                                                        DeltaLog* capture) {
   ApplyReport report;
   for (const ResolvedOp& r : ops) {
     uint32_t arity = static_cast<uint32_t>(r.row.size());
     if (r.kind == OpKind::kInsert) {
       if (db->GetOrCreate(r.name, arity)->Insert(r.row)) {
         ++report.inserted;
-        if (observer != nullptr) (*observer)(r.kind, r.name, arity, r.row);
+        if (capture != nullptr) capture->CaptureInsert(r.name, arity, r.row);
       }
     } else {
       Relation* rel = db->Find(r.name, arity);
       if (rel != nullptr && rel->Erase(r.row)) {
         ++report.erased;
-        if (observer != nullptr) (*observer)(r.kind, r.name, arity, r.row);
+        if (capture != nullptr) capture->CaptureErase(r.name, arity, r.row);
       }
     }
     ++report.applied;
   }
+  if (capture != nullptr) capture->SealBatch(SnapshotEdbVersion(*db));
   return report;
 }
 

@@ -2,14 +2,10 @@
 /// \brief MutationBatch: an ordered, serializable sequence of insert/erase
 /// operations against named relations.
 ///
-/// This is the shared mutation seam called out in ROADMAP items 1–3: the
-/// wire protocol ships batches from clients, a future write-ahead log will
-/// append them as its record type, and incremental view maintenance will
-/// consume them as deltas. Keeping ops as *ground fact text* (the same
-/// syntax the §10 persistence format stores, e.g. `edge(1,2)`) makes a
-/// batch independent of any particular TermPool: it can be built in one
-/// process, shipped over a socket, and applied against another engine's
-/// pool.
+/// Clients ship batches over the wire, and the WAL and the replication
+/// stream carry them as their record. Ops are *ground fact text* (the §10
+/// persistence syntax, e.g. `edge(1,2)`), so a batch is independent of any
+/// TermPool: built in one process, applied against another engine's pool.
 ///
 /// Serialized form (one batch, checksummed like the v2 EDB format):
 ///
@@ -27,16 +23,16 @@
 /// parses each fact once. Resolve reads with the persistence layer's one
 /// fact reader (ParseFact), which interns only the relation name and the
 /// argument terms: the fact itself never becomes a term, so the TermPool
-/// grows only with new names and values, not with every new tuple. The
-/// commit, WAL replay and replica apply all resolve this way. (Inserts/
-/// erases themselves cannot fail — relations dedupe and erasing an absent
-/// tuple is a no-op.)
+/// grows only with new names and values, not with every new tuple.
+/// ApplyBatch, WAL replay and replica apply all resolve this way; an EDB
+/// load already holds its rows resolved and renders them only as its log
+/// record. (Inserts/erases themselves cannot fail — relations dedupe and
+/// erasing an absent tuple is a no-op.)
 
 #ifndef GLUENAIL_STORAGE_MUTATION_BATCH_H_
 #define GLUENAIL_STORAGE_MUTATION_BATCH_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,6 +42,8 @@
 #include "src/storage/tuple.h"
 
 namespace gluenail {
+
+class DeltaLog;
 
 class MutationBatch {
  public:
@@ -74,26 +72,15 @@ class MutationBatch {
   void Insert(std::string_view fact) { Push(OpKind::kInsert, fact); }
   void Erase(std::string_view fact) { Push(OpKind::kErase, fact); }
 
-  /// Queues an op for a tuple of an existing relation, rendering through
-  /// \p pool: name + (a,b,c) becomes the fact `name(a,b,c)`.
-  void Insert(const TermPool& pool, TermId name, RowView row) {
-    Push(OpKind::kInsert, RenderFact(pool, name, row));
-  }
-  void Erase(const TermPool& pool, TermId name, RowView row) {
-    Push(OpKind::kErase, RenderFact(pool, name, row));
-  }
+  /// Queues the insert of a row it already holds resolved, rendering
+  /// through \p pool: name + (a,b,c) becomes the fact `name(a,b,c)`. An
+  /// EDB load renders its log record this way.
+  void Insert(const TermPool& pool, TermId name, RowView row);
 
   const std::vector<Op>& ops() const { return ops_; }
   bool empty() const { return ops_.empty(); }
   size_t size() const { return ops_.size(); }
   void clear() { ops_.clear(); }
-
-  /// Observes each op that actually changed the database (a duplicate
-  /// insert or absent-tuple erase is not reported). The incremental view
-  /// maintenance layer hangs its delta capture here.
-  using ChangeObserver =
-      std::function<void(OpKind kind, TermId name, uint32_t arity,
-                         RowView row)>;
 
   /// One op resolved against a pool: the relation's name term and tuple.
   struct ResolvedOp {
@@ -109,10 +96,11 @@ class MutationBatch {
   /// and never logged.
   Result<Resolved> Resolve(TermPool* pool) const;
 
-  /// Applies resolved ops in order against \p db, reporting each actual
-  /// change to \p observer (may be null).
+  /// Applies resolved ops in order against \p db. With a \p capture (the
+  /// IVM delta log), records each op that actually changed \p db into it
+  /// and then seals it at \p db's new version.
   static ApplyReport ApplyResolved(const Resolved& ops, Database* db,
-                                   const ChangeObserver* observer);
+                                   DeltaLog* capture);
 
   /// Resolve without the apply, for callers that only check a batch.
   Status Validate(TermPool* pool) const { return Resolve(pool).status(); }
@@ -126,8 +114,6 @@ class MutationBatch {
 
  private:
   void Push(OpKind kind, std::string_view fact);
-  static std::string RenderFact(const TermPool& pool, TermId name,
-                                RowView row);
 
   std::vector<Op> ops_;
 };

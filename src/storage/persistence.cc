@@ -292,20 +292,6 @@ Status ReadFact(TermPool* pool, std::string_view text, bool dotted,
   return Status::OK();
 }
 
-void AppendFact(const TermPool& pool, TermId name, const Tuple& tuple,
-                std::string* out) {
-  pool.AppendTerm(name, out);
-  if (!tuple.empty()) {
-    out->push_back('(');
-    for (size_t i = 0; i < tuple.size(); ++i) {
-      if (i != 0) out->push_back(',');
-      pool.AppendTerm(tuple[i], out);
-    }
-    out->push_back(')');
-  }
-  out->append(".\n");
-}
-
 // --- v2 checksummed framing ------------------------------------------------
 
 constexpr std::string_view kFileMagic = "%% gluenail-edb v2";
@@ -358,88 +344,99 @@ Status ErrnoError(std::string_view op, const std::string& path) {
       StrCat(op, " failed for ", path, ": ", std::strerror(errno)));
 }
 
-/// Parses one "name(args)." line into \p db (shared \p pool), reading the
-/// row into the caller's reusable \p row.
-Status ParseFactInto(Database* db, TermPool* pool, std::string_view line,
-                     size_t line_no, Tuple* row) {
-  TermId name = kNullTerm;
-  GLUENAIL_RETURN_NOT_OK(ReadFact(pool, line, /*dotted=*/true, &name, row)
-                             .WithContext(StrCat("line ", line_no)));
-  db->GetOrCreate(name, static_cast<uint32_t>(row->size()))->Insert(*row);
-  return Status::OK();
+/// The lines of \p text, as getline splits them, each without its
+/// trailing CRs. Line n of the text is element n - 1.
+std::vector<std::string_view> SplitLines(std::string_view text) {
+  std::vector<std::string_view> lines;
+  while (!text.empty()) {
+    size_t eol = text.find('\n');
+    std::string_view line = text.substr(0, eol);
+    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+    while (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    lines.push_back(line);
+  }
+  return lines;
 }
 
+/// One v2 relation section: its header is lines[header], its fact lines
+/// run up to lines[end - 1].
 struct Section {
-  std::string label;        // "edge/2", for reporting
+  std::string_view label;  // "edge/2", for reporting
   uint64_t declared_tuples = 0;
   uint64_t declared_checksum = 0;
-  size_t header_line_no = 0;
-  std::vector<std::pair<size_t, std::string>> lines;  // (line_no, text)
+  size_t header = 0;
+  size_t end = 0;
 };
 
-/// Splits a v2 body (every line after the %% header, \r-stripped) into
-/// sections. Stray lines before the first section header are returned in
-/// \p stray.
-void SplitSections(const std::vector<std::string>& lines,
-                   size_t first_line_no, std::vector<Section>* sections,
-                   std::vector<std::pair<size_t, std::string>>* stray) {
-  Section* cur = nullptr;
-  for (size_t i = 0; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    size_t line_no = first_line_no + i;
-    if (IsSectionHeader(line)) {
-      sections->emplace_back();
-      cur = &sections->back();
-      cur->header_line_no = line_no;
-      FindChecksum(line, &cur->declared_checksum);
-      // "% <label>: <n> tuples checksum=<hex>" — anchor on the trailing
-      // keywords so a ':' inside a quoted relation name cannot confuse us.
-      size_t tup = line.find(" tuples checksum=");
-      size_t colon = line.rfind(": ", tup);
-      if (tup != std::string::npos && colon != std::string::npos &&
-          colon >= 2) {
-        const char* begin = line.data() + colon + 2;
-        const char* end = line.data() + tup;
-        std::from_chars(begin, end, cur->declared_tuples);
-        cur->label = line.substr(2, colon - 2);
-      } else {
-        cur->label = line;
-      }
-      continue;
-    }
-    if (cur == nullptr) {
-      stray->emplace_back(line_no, line);
+/// Splits the v2 body, lines[1..], into sections; the lines before the
+/// first section header are outside any section.
+std::vector<Section> SplitSections(const std::vector<std::string_view>& lines) {
+  std::vector<Section> sections;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    std::string_view line = lines[i];
+    if (!IsSectionHeader(line)) continue;
+    if (!sections.empty()) sections.back().end = i;
+    Section& sec = sections.emplace_back();
+    sec.header = i;
+    sec.end = lines.size();
+    FindChecksum(line, &sec.declared_checksum);
+    // "% <label>: <n> tuples checksum=<hex>" — anchor on the trailing
+    // keywords so a ':' inside a quoted relation name cannot confuse us.
+    size_t tup = line.find(" tuples checksum=");
+    size_t colon = line.rfind(": ", tup);
+    if (colon != std::string_view::npos && colon >= 2 && colon + 2 <= tup) {
+      std::from_chars(line.data() + colon + 2, line.data() + tup,
+                      sec.declared_tuples);
+      sec.label = line.substr(2, colon - 2);
     } else {
-      cur->lines.emplace_back(line_no, line);
+      sec.label = line;
     }
   }
+  return sections;
 }
 
-/// Validates and parses one section into its own scratch database; on
-/// success merges the scratch into \p staging and bumps the report.
-Status LoadSection(const Section& sec, Database* staging, TermPool* pool,
+/// Validates one section and reads every fact of it before inserting any
+/// into \p staging, so a section that fails leaves none of its rows there.
+Status LoadSection(const std::vector<std::string_view>& lines,
+                   const Section& sec, Database* staging,
                    LoadReport* report) {
-  if (sec.lines.size() != sec.declared_tuples) {
+  const size_t facts = sec.end - sec.header - 1;
+  if (facts != sec.declared_tuples) {
     return Status::IoError(
-        StrCat("section ", sec.label, " (line ", sec.header_line_no,
-               "): expected ", sec.declared_tuples, " tuples, found ",
-               sec.lines.size(), " (torn file?)"));
+        StrCat("section ", sec.label, " (line ", sec.header + 1,
+               "): expected ", sec.declared_tuples, " tuples, found ", facts,
+               " (torn file?)"));
   }
   uint64_t h = kFnvSeed;
-  for (const auto& [line_no, line] : sec.lines) h = ChecksumLine(h, line);
+  for (size_t i = sec.header + 1; i < sec.end; ++i) {
+    h = ChecksumLine(h, lines[i]);
+  }
   if (h != sec.declared_checksum) {
     return Status::IoError(StrCat("section ", sec.label, " (line ",
-                                  sec.header_line_no,
+                                  sec.header + 1,
                                   "): checksum mismatch (corrupt file?)"));
   }
-  Database scratch(pool);
+  TermPool* pool = staging->pool();
+  // Each fact read as (name, arity), its row appended to `cells`.
+  std::vector<std::pair<TermId, uint32_t>> read;
+  read.reserve(facts);
+  std::vector<TermId> cells;
   Tuple row;
-  for (const auto& [line_no, line] : sec.lines) {
-    GLUENAIL_RETURN_NOT_OK(ParseFactInto(&scratch, pool, line, line_no, &row));
+  for (size_t i = sec.header + 1; i < sec.end; ++i) {
+    TermId name = kNullTerm;
+    GLUENAIL_RETURN_NOT_OK(ReadFact(pool, lines[i], /*dotted=*/true, &name,
+                                    &row).WithContext(StrCat("line ", i + 1)));
+    read.emplace_back(name, static_cast<uint32_t>(row.size()));
+    cells.insert(cells.end(), row.begin(), row.end());
+  }
+  const TermId* at = cells.data();
+  for (auto [name, arity] : read) {
+    staging->GetOrCreate(name, arity)->Insert(RowView(at, arity));
+    at += arity;
   }
   // Recreate the relation even when empty, so empty relations round-trip.
   size_t slash = sec.label.rfind('/');
-  if (slash != std::string::npos) {
+  if (slash != std::string_view::npos) {
     uint32_t arity = 0;
     const char* begin = sec.label.data() + slash + 1;
     const char* end = sec.label.data() + sec.label.size();
@@ -447,21 +444,26 @@ Status LoadSection(const Section& sec, Database* staging, TermPool* pool,
     if (ec == std::errc() && p == end) {
       Result<TermId> name =
           ParseGroundTerm(pool, sec.label.substr(0, slash));
-      if (name.ok()) scratch.GetOrCreate(*name, arity);
+      if (name.ok()) staging->GetOrCreate(*name, arity);
     }
   }
-  MergeInto(scratch, staging);
   ++report->relations_loaded;
-  report->facts_loaded += sec.lines.size();
+  report->facts_loaded += facts;
   return Status::OK();
 }
 
 }  // namespace
 
-void MergeInto(const Database& staged, Database* dst) {
-  staged.ForEach([&](TermId name, uint32_t arity, Relation* rel) {
-    dst->GetOrCreate(name, arity)->UnionAll(*rel);
-  });
+void AppendFact(const TermPool& pool, TermId name, RowView row,
+                std::string* out) {
+  pool.AppendTerm(name, out);
+  if (row.empty()) return;
+  out->push_back('(');
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (i != 0) out->push_back(',');
+    pool.AppendTerm(row[i], out);
+  }
+  out->push_back(')');
 }
 
 Status ParseFact(TermPool* pool, std::string_view text, TermId* name,
@@ -521,6 +523,7 @@ Result<std::string> SerializeDatabase(const Database& db) {
     facts.clear();
     for (const Tuple& t : rel->SortedTuples(pool)) {
       AppendFact(pool, name, t, &facts);
+      facts += ".\n";
     }
     total_tuples += rel->size();
     body += StrCat("% ", label, ": ", rel->size(), " tuples checksum=",
@@ -638,22 +641,15 @@ Status SaveDatabaseToFile(const Database& db, const std::string& path) {
   return Status::OK();
 }
 
-Result<LoadReport> LoadDatabase(Database* db, std::istream& is,
+Result<LoadReport> LoadDatabase(Database* db, std::string_view text,
                                 const LoadOptions& options) {
   TermPool* pool = db->pool();
   const bool salvage = options.recovery == RecoveryMode::kSalvage;
   LoadReport report;
 
-  // Slurp lines up front (\r-stripped): both checksumming and salvage need
-  // to see the whole file before anything may touch \p db.
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(is, line)) {
-    while (!line.empty() && line.back() == '\r') line.pop_back();
-    lines.push_back(line);
-  }
-  if (is.bad()) return Status::IoError("read failed while loading EDB");
-
+  // Both checksumming and salvage see the whole text before anything may
+  // touch \p db; the lines are views into it.
+  const std::vector<std::string_view> lines = SplitLines(text);
   Database staging(pool);
 
   if (!lines.empty() && StartsWith(lines[0], kFileMagic)) {
@@ -668,10 +664,9 @@ Result<LoadReport> LoadDatabase(Database* db, std::istream& is,
       return Status::ParseError("malformed gluenail-edb v2 header");
     }
 
-    std::vector<std::string> body(lines.begin() + 1, lines.end());
     if (header_ok) {
       uint64_t h = kFnvSeed;
-      for (const std::string& l : body) h = ChecksumLine(h, l);
+      for (size_t i = 1; i < lines.size(); ++i) h = ChecksumLine(h, lines[i]);
       if (h != declared_checksum && !salvage) {
         return Status::IoError(
             "file checksum mismatch (torn or corrupt EDB file); "
@@ -679,59 +674,55 @@ Result<LoadReport> LoadDatabase(Database* db, std::istream& is,
       }
     }
 
-    std::vector<Section> sections;
-    std::vector<std::pair<size_t, std::string>> stray;
-    SplitSections(body, /*first_line_no=*/2, &sections, &stray);
+    const std::vector<Section> sections = SplitSections(lines);
+    const size_t first_section =
+        sections.empty() ? lines.size() : sections[0].header;
 
-    if (!salvage) {
-      if (!stray.empty()) {
-        return Status::ParseError(
-            StrCat("line ", stray.front().first,
-                   ": content outside any relation section"));
-      }
-      if (sections.size() != declared_relations) {
-        return Status::IoError(
-            StrCat("expected ", declared_relations, " relation sections, "
-                   "found ", sections.size(), " (torn file?)"));
-      }
-      for (const Section& sec : sections) {
-        GLUENAIL_RETURN_NOT_OK(LoadSection(sec, &staging, pool, &report));
-      }
-      if (report.facts_loaded != declared_tuples) {
-        return Status::IoError(
-            StrCat("expected ", declared_tuples, " tuples, found ",
-                   report.facts_loaded));
-      }
-    } else {
-      // Salvage: every section stands or falls on its own checksum.
-      for (const auto& [line_no, text] : stray) {
-        ++report.lines_dropped;
-        report.dropped.push_back(
-            StrCat("line ", line_no, ": outside any relation section"));
-      }
-      for (const Section& sec : sections) {
-        Status sec_st = LoadSection(sec, &staging, pool, &report);
-        if (!sec_st.ok()) {
-          ++report.sections_dropped;
-          report.dropped.push_back(sec_st.message());
-        }
-      }
+    if (!salvage && first_section > 1) {
+      return Status::ParseError(
+          "line 2: content outside any relation section");
+    }
+    if (!salvage && sections.size() != declared_relations) {
+      return Status::IoError(
+          StrCat("expected ", declared_relations, " relation sections, "
+                 "found ", sections.size(), " (torn file?)"));
+    }
+    for (size_t i = 1; i < first_section; ++i) {
+      ++report.lines_dropped;
+      report.dropped.push_back(
+          StrCat("line ", i + 1, ": outside any relation section"));
+    }
+    // Under salvage, every section stands or falls on its own checksum.
+    for (const Section& sec : sections) {
+      Status sec_st = LoadSection(lines, sec, &staging, &report);
+      if (sec_st.ok()) continue;
+      if (!salvage) return sec_st;
+      ++report.sections_dropped;
+      report.dropped.push_back(sec_st.message());
+    }
+    if (!salvage && report.facts_loaded != declared_tuples) {
+      return Status::IoError(StrCat("expected ", declared_tuples,
+                                    " tuples, found ", report.facts_loaded));
     }
   } else {
     // --- legacy headerless fact files -----------------------------------
+    TermId name = kNullTerm;
     Tuple row;
     for (size_t i = 0; i < lines.size(); ++i) {
-      const std::string& l = lines[i];
+      std::string_view l = lines[i];
       size_t first = l.find_first_not_of(" \t");
-      if (first == std::string::npos) continue;
+      if (first == std::string_view::npos) continue;
       if (l[first] == '%' || l[first] == '#') continue;
-      Status st = ParseFactInto(&staging, pool, l, i + 1, &row);
+      Status st = ReadFact(pool, l, /*dotted=*/true, &name, &row)
+                      .WithContext(StrCat("line ", i + 1));
       if (!st.ok()) {
         if (!salvage) return st;
         ++report.lines_dropped;
         report.dropped.push_back(st.message());
         continue;
       }
+      staging.GetOrCreate(name, static_cast<uint32_t>(row.size()))
+          ->Insert(row);
       ++report.facts_loaded;
     }
     report.relations_loaded = staging.num_relations();
@@ -739,31 +730,31 @@ Result<LoadReport> LoadDatabase(Database* db, std::istream& is,
 
   // Validation passed (or salvage kept what it could): only now touch the
   // destination. A failed load above returned without mutating *db.
-  MergeInto(staging, db);
+  db->MergeFrom(&staging);
   return report;
 }
 
 Status LoadDatabase(Database* db, std::istream& is) {
-  GLUENAIL_ASSIGN_OR_RETURN(LoadReport report,
-                            LoadDatabase(db, is, LoadOptions{}));
-  (void)report;
-  return Status::OK();
+  std::ostringstream text;
+  text << is.rdbuf();
+  if (is.bad()) return Status::IoError("read failed while loading EDB");
+  return LoadDatabase(db, std::move(text).str(), LoadOptions{}).status();
 }
 
 Result<LoadReport> LoadDatabaseFromFile(Database* db, const std::string& path,
                                         const LoadOptions& options) {
-  PersistenceCounters& counters = GlobalPersistenceCounters();
-  std::ifstream is(path);
-  if (!is.is_open()) {
-    counters.load_failures.fetch_add(1, std::memory_order_relaxed);
-    return Status::IoError(StrCat("cannot open ", path, " for reading"));
+  std::atomic<uint64_t>& failures = GlobalPersistenceCounters().load_failures;
+  Result<std::string> text = ReadFileText(path);
+  if (!text.ok()) {
+    failures.fetch_add(1, std::memory_order_relaxed);
+    return text.status();
   }
-  Result<LoadReport> out = LoadDatabase(db, is, options);
+  Result<LoadReport> out = LoadDatabase(db, *text, options);
   if (!out.ok()) {
-    counters.load_failures.fetch_add(1, std::memory_order_relaxed);
+    failures.fetch_add(1, std::memory_order_relaxed);
     return out.status().WithContext(path);
   }
-  counters.loads.fetch_add(1, std::memory_order_relaxed);
+  GlobalPersistenceCounters().loads.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
 
@@ -780,10 +771,7 @@ Result<std::string> ReadFileText(const std::string& path) {
 }
 
 Status LoadDatabaseFromFile(Database* db, const std::string& path) {
-  GLUENAIL_ASSIGN_OR_RETURN(LoadReport report,
-                            LoadDatabaseFromFile(db, path, LoadOptions{}));
-  (void)report;
-  return Status::OK();
+  return LoadDatabaseFromFile(db, path, LoadOptions{}).status();
 }
 
 }  // namespace gluenail

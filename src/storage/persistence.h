@@ -24,9 +24,10 @@
 ///    fsyncs, and atomically renames over the target — a crash at any
 ///    point leaves either the old complete file or the new complete file,
 ///    never a torn one.
-///  * Loading stages everything into a scratch database and swaps into
-///    the destination only after full validation: a failed load leaves
-///    the destination untouched (all-or-nothing).
+///  * Loading reads each fact once, from views into one text buffer, into
+///    one staging database, and touches the destination only after full
+///    validation (all-or-nothing). A v2 section is read whole before any
+///    of its rows is staged, so a failed section leaves nothing behind.
 ///  * RecoveryMode::kSalvage keeps the checksummed-good relations of a
 ///    torn or partially corrupted file and reports what was dropped.
 ///
@@ -116,19 +117,15 @@ Status SaveDatabase(const Database& db, std::ostream& os);
 /// temp file is removed.
 Status SaveDatabaseToFile(const Database& db, const std::string& path);
 
-/// Reads facts into \p db, creating relations as needed. All-or-nothing:
-/// facts are staged into a scratch database and merged only after the
-/// whole input validates. Existing tuples are kept; duplicates in the
-/// input are harmless (relations dedupe).
-Status LoadDatabase(Database* db, std::istream& is);
-Result<LoadReport> LoadDatabase(Database* db, std::istream& is,
+/// Reads the facts of \p text into \p db, creating relations as needed,
+/// all-or-nothing; the staged relations then move in (Database::MergeFrom).
+/// Existing tuples are kept; duplicates in the input are harmless.
+Result<LoadReport> LoadDatabase(Database* db, std::string_view text,
                                 const LoadOptions& options);
+/// LoadDatabase of everything \p is holds, under kStrict.
+Status LoadDatabase(Database* db, std::istream& is);
 
 Status LoadDatabaseFromFile(Database* db, const std::string& path);
-
-/// Unions every relation of \p staged into \p dst, creating as needed;
-/// relations \p staged holds empty are created too.
-void MergeInto(const Database& staged, Database* dst);
 
 /// The bytes of the file at \p path; an IoError names the path when it
 /// cannot be opened or read.
@@ -159,6 +156,11 @@ size_t FactLevels(const TermPool& pool, TermId name, RowView row);
 /// \p row is cleared first, so a caller can reuse it across facts.
 Status ParseFact(TermPool* pool, std::string_view text, TermId* name,
                  Tuple* row);
+
+/// Appends the fact \p name applied to \p row to \p out, without the
+/// dot: edge and (1,2) give `edge(1,2)`, flag and () give `flag`.
+void AppendFact(const TermPool& pool, TermId name, RowView row,
+                std::string* out);
 
 /// Parses one ground term from \p text (the whole string must be consumed,
 /// modulo surrounding whitespace). Exposed for tests and the Engine's

@@ -18,19 +18,20 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-/// Parses one WAL record's payload and applies it through
-/// ApplyLoggedBatch. Errors are labelled with the record's LSN.
+/// Parses one WAL record's payload and resolves every op before the first
+/// one changes \p db. Errors are labelled with the record's LSN.
 Status ReplayRecord(Database* db, TermPool* pool, const WalScanRecord& rec,
                     RecoveryReport* report) {
   Result<MutationBatch> batch = MutationBatch::Parse(rec.payload);
-  Result<MutationBatch::ApplyReport> applied =
-      batch.ok() ? ApplyLoggedBatch(*batch, pool, db, nullptr)
-                 : Result<MutationBatch::ApplyReport>(batch.status());
-  if (!applied.ok()) {
-    return applied.status().WithContext(StrCat("wal record lsn=", rec.lsn));
+  Result<MutationBatch::Resolved> ops =
+      batch.ok() ? batch->Resolve(pool)
+                 : Result<MutationBatch::Resolved>(batch.status());
+  if (!ops.ok()) {
+    return ops.status().WithContext(StrCat("wal record lsn=", rec.lsn));
   }
   ++report->records_replayed;
-  report->ops_applied += applied->applied;
+  report->ops_applied +=
+      MutationBatch::ApplyResolved(*ops, db, nullptr).applied;
   if (rec.lsn > report->last_lsn) report->last_lsn = rec.lsn;
   return Status::OK();
 }
@@ -153,14 +154,6 @@ std::string RecoveryReport::Summary() const {
   return out;
 }
 
-Result<MutationBatch::ApplyReport> ApplyLoggedBatch(
-    const MutationBatch& record, TermPool* pool, Database* db,
-    const MutationBatch::ChangeObserver* observer) {
-  GLUENAIL_ASSIGN_OR_RETURN(MutationBatch::Resolved ops,
-                            record.Resolve(pool));
-  return MutationBatch::ApplyResolved(ops, db, observer);
-}
-
 // --- DataDir ---------------------------------------------------------------
 
 DataDir::DataDir(std::string dir, RecoveryMode mode,
@@ -227,26 +220,22 @@ std::string DataDir::checkpoint_path() const {
 std::string DataDir::wal_path() const { return StrCat(dir_, "/wal.log"); }
 
 Result<MutationBatch::ApplyReport> DataDir::Commit(
-    const MutationBatch& batch, TermPool* pool,
-    std::unique_lock<std::shared_mutex>& lock,
-    const std::function<MutationBatch::ApplyReport(
-        const MutationBatch::Resolved&)>& apply) {
-  GLUENAIL_RETURN_NOT_OK(RequireLog("ApplyBatch"));
+    const MutationBatch::Resolved& ops, const MutationBatch& record,
+    std::unique_lock<std::shared_mutex>& lock, Database* db,
+    DeltaLog* capture) {
+  GLUENAIL_RETURN_NOT_OK(RequireLog("commit"));
   if (log_ == nullptr) {
-    GLUENAIL_ASSIGN_OR_RETURN(MutationBatch::Resolved ops,
-                              batch.Resolve(pool));
-    return apply(ops);
+    return MutationBatch::ApplyResolved(ops, db, capture);
   }
   auto failed = [this](Status s) -> Status {
     counters_.commit_failures.fetch_add(1, std::memory_order_relaxed);
     return s;
   };
-  Result<MutationBatch::Resolved> ops = batch.Resolve(pool);
-  if (!ops.ok()) return failed(ops.status());
   // Write-ahead: log, then apply to memory, both before the ack wait.
-  Result<CommitLog::Ticket> ticket = log_->Append(batch);
+  Result<CommitLog::Ticket> ticket = log_->Append(record);
   if (!ticket.ok()) return failed(ticket.status());
-  MutationBatch::ApplyReport applied = apply(*ops);
+  MutationBatch::ApplyReport applied =
+      MutationBatch::ApplyResolved(ops, db, capture);
   // Counted under the lock, so Recover (which takes it exclusively) sees
   // every commit that may still touch `log`.
   CommitLog* log = log_.get();

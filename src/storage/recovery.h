@@ -34,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -72,14 +71,6 @@ struct RecoveryReport {
   std::string Summary() const;
 };
 
-/// The one apply of a logged record, shared by recovery replay and the
-/// replica stream: every op of \p record resolves against \p pool before
-/// the first one changes \p db. \p observer (may be null) sees each actual
-/// change; the replica passes the IVM capture, replay passes none.
-Result<MutationBatch::ApplyReport> ApplyLoggedBatch(
-    const MutationBatch& record, TermPool* pool, Database* db,
-    const MutationBatch::ChangeObserver* observer);
-
 /// One consistent (checkpoint image, covered LSN) pair, for bootstrapping
 /// a replica whose requested LSN was rotated away. The image is the
 /// checkpoint file's bytes; covers_lsn is the last LSN folded into it
@@ -108,17 +99,18 @@ class DataDir {
   /// the first Recover.
   void RegisterMetrics(MetricsRegistry* registry);
 
-  /// The one write-ahead commit of \p batch. Under the caller's exclusive
-  /// \p lock it resolves every op against \p pool (a malformed batch is
-  /// never logged and never half-applied), appends the batch to the open
-  /// log and runs \p apply on the resolved ops; then it releases \p lock
-  /// for the ack wait, so other writers append while a group's fsync runs.
-  /// With durability off it only resolves and applies.
+  /// The one write-ahead commit of \p ops, already resolved (so a
+  /// malformed batch is never logged and never half-applied). Under the
+  /// caller's exclusive \p lock it appends \p record, the same ops as
+  /// fact text, to the open log and applies \p ops to \p db, captured
+  /// into \p capture (MutationBatch::ApplyResolved); then it releases
+  /// \p lock for the ack wait, so other writers append while a group's
+  /// fsync runs. With durability off it only applies, and \p record is
+  /// not read.
   Result<MutationBatch::ApplyReport> Commit(
-      const MutationBatch& batch, TermPool* pool,
-      std::unique_lock<std::shared_mutex>& lock,
-      const std::function<MutationBatch::ApplyReport(
-          const MutationBatch::Resolved&)>& apply);
+      const MutationBatch::Resolved& ops, const MutationBatch& record,
+      std::unique_lock<std::shared_mutex>& lock, Database* db,
+      DeltaLog* capture);
 
   /// Stages a rebuild into \p staged (empty, interning into \p pool) from
   /// one read and scan of wal.log; then, with durability on, opens the log

@@ -74,6 +74,38 @@ TEST_F(DatabaseTest, DefaultPolicyAppliedToNewRelations) {
   EXPECT_EQ(r->index_policy(), IndexPolicy::kNeverIndex);
 }
 
+TEST_F(DatabaseTest, MergeFromMovesNewRelationsAndUnionsTheRest) {
+  db_.set_default_index_policy(IndexPolicy::kNeverIndex);
+  TermId p = pool_.MakeSymbol("p");
+  TermId q = pool_.MakeSymbol("q");
+  Tuple one{pool_.MakeInt(1)};
+  Tuple two{pool_.MakeInt(2)};
+  Relation* live_p = db_.GetOrCreate(p, 1);
+  live_p->Insert(one);
+  const uint64_t p_version = live_p->version();
+
+  Database staged(&pool_);
+  staged.GetOrCreate(p, 1)->Insert(two);
+  Relation* staged_q = staged.GetOrCreate(q, 1);
+  staged_q->Insert(one);
+  staged_q->Insert(two);
+  staged_q->Erase(one);  // a dead row the move must not carry over
+  db_.MergeFrom(&staged);
+
+  EXPECT_EQ(staged.num_relations(), 0u);
+  // p existed: unioned into the same object, its version only grew.
+  EXPECT_EQ(db_.Find(p, 1), live_p);
+  EXPECT_EQ(live_p->size(), 2u);
+  EXPECT_GT(live_p->version(), p_version);
+  // q did not: the staged object moved in, compacted, under db_'s policy.
+  Relation* q_rel = db_.Find(q, 1);
+  EXPECT_EQ(q_rel, staged_q);
+  EXPECT_EQ(q_rel->size(), 1u);
+  EXPECT_EQ(q_rel->num_rows(), 1u);
+  EXPECT_TRUE(q_rel->Contains(two));
+  EXPECT_EQ(q_rel->index_policy(), IndexPolicy::kNeverIndex);
+}
+
 TEST_F(DatabaseTest, ForEachVisitsAll) {
   db_.GetOrCreate(pool_.MakeSymbol("a"), 1);
   db_.GetOrCreate(pool_.MakeSymbol("b"), 2);

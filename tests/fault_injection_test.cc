@@ -218,7 +218,7 @@ TEST_F(TornFileTest, SalvageKeepsGoodRelationsAndReportsDrops) {
   std::istringstream in(MakeTornFile());
   LoadOptions opts;
   opts.recovery = RecoveryMode::kSalvage;
-  Result<LoadReport> report = LoadDatabase(&db_, in, opts);
+  Result<LoadReport> report = LoadDatabase(&db_, in.str(), opts);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->relations_loaded, 1u);
   EXPECT_EQ(report->sections_dropped, 1u);
@@ -249,7 +249,7 @@ TEST_F(TornFileTest, SalvageOfTruncatedFileKeepsCompleteSections) {
   LoadOptions opts;
   opts.recovery = RecoveryMode::kSalvage;
   std::istringstream in(torn);
-  Result<LoadReport> report = LoadDatabase(&db_, in, opts);
+  Result<LoadReport> report = LoadDatabase(&db_, in.str(), opts);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->relations_loaded, 1u);
   EXPECT_EQ(report->sections_dropped, 1u);

@@ -850,7 +850,7 @@ TEST(IvmRecovery, RecoverNeverServesPreRecoveryDeltas) {
   EXPECT_EQ(paths->rows.size(), 9u + 6u);
 }
 
-TEST(IvmRecovery, LoadEdbFileInvalidatesDeltas) {
+TEST(IvmRecovery, LoadEdbFileIsCapturedForDeltaRefresh) {
   const std::string dir = FreshDir("load");
   const std::string file = dir + "/dump.facts";
   EngineOptions opts;
@@ -861,16 +861,16 @@ TEST(IvmRecovery, LoadEdbFileInvalidatesDeltas) {
   ASSERT_TRUE(engine.SaveEdbFile(file).ok());
   // Pending captured delta...
   ASSERT_TRUE(engine.ApplyBatch(Batch({"edge(5,6)"})).ok());
-  // ...followed by a bulk load (merge semantics: image facts join the
-  // live EDB). The load bypassed capture wholesale, so even under kForce
-  // the next refresh must recompute rather than patch from a log that
-  // only saw the batch.
+  // ...followed by a file load (merge semantics: image facts join the
+  // live EDB). The load commits its rows as one insert batch, so the log
+  // captured both, and the next refresh patches the memo from them.
   ASSERT_TRUE(engine.LoadEdbFile(file).ok());
   Result<Engine::QueryResult> r = engine.Query("path(X,Y)");
   ASSERT_TRUE(r.ok());
   // Cycle closure (9) + 4~>5, 4~>6, 5~>6 from the appended edge.
   EXPECT_EQ(r->rows.size(), 12u);
-  EXPECT_EQ(engine.nail_engine()->last_refresh().mode, "full");
+  EXPECT_EQ(engine.nail_engine()->last_refresh().mode, "dred");
+  EXPECT_EQ(engine.nail_engine()->last_refresh().fallback, "");
 }
 
 // --- Observability ---------------------------------------------------------

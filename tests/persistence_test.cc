@@ -371,7 +371,7 @@ TEST_F(PersistenceTest, LegacySalvageSkipsBadLines) {
       "edge(2,3).\n");
   LoadOptions opts;
   opts.recovery = RecoveryMode::kSalvage;
-  Result<LoadReport> report = LoadDatabase(&db_, in, opts);
+  Result<LoadReport> report = LoadDatabase(&db_, in.str(), opts);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->facts_loaded, 2u);
   EXPECT_EQ(report->lines_dropped, 1u);
@@ -511,6 +511,35 @@ TEST_F(PersistenceTest, GoldenFactsResolveThroughV2SectionLoad) {
     EXPECT_EQ(st.message(), f.load_error) << f.line;
     EXPECT_EQ(db.num_relations(), 0u) << f.line;
   }
+}
+
+TEST_F(PersistenceTest, SalvageDropsEveryRowOfASectionThatFailsToRead) {
+  // Both sections checksum, so only the fact reader can refuse p/1, at its
+  // second line. Under salvage p/1 is dropped whole: its first row, read
+  // before the failure, is not staged either.
+  auto section = [](const std::string& label, const std::string& facts) {
+    return StrCat("% ", label, ": 2 tuples checksum=",
+                  Hex16(Fnv1a64(facts.data(), facts.size())), "\n", facts);
+  };
+  const std::string body = section("keep/1", "keep(1).\nkeep(2).\n") +
+                           section("p/1", "p(1).\np(X).\n");
+  std::istringstream in(
+      StrCat("%% gluenail-edb v2 relations=2 tuples=4 checksum=",
+             Hex16(Fnv1a64(body.data(), body.size())), "\n", body));
+  LoadOptions opts;
+  opts.recovery = RecoveryMode::kSalvage;
+  Result<LoadReport> report = LoadDatabase(&db_, in.str(), opts);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->relations_loaded, 1u);
+  EXPECT_EQ(report->facts_loaded, 2u);
+  EXPECT_EQ(report->sections_dropped, 1u);
+  ASSERT_EQ(report->dropped.size(), 1u);
+  EXPECT_NE(report->dropped[0].find("line 7: variables"), std::string::npos)
+      << report->dropped[0];
+  EXPECT_EQ(db_.num_relations(), 1u);
+  ASSERT_NE(db_.Find(Term("keep"), 1), nullptr);
+  EXPECT_EQ(db_.Find(Term("keep"), 1)->size(), 2u);
+  EXPECT_EQ(db_.Find(Term("p"), 1), nullptr);
 }
 
 TEST_F(PersistenceTest, ResolvingFactsInternsOnlyNamesAndArguments) {

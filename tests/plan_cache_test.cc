@@ -342,6 +342,24 @@ TEST(PlanCacheTest, LoadProgramInvalidates) {
   EXPECT_EQ(Counter(engine, "gluenail_plan_cache_hits_total"), 1u);
 }
 
+TEST(PlanCacheTest, WriterReadsRefreshAStaleMemoBeforePlanning) {
+  // Engine::Query refreshes the link memo before planning link(1,Y), so
+  // the plan is costed against the memo's rows and link(2,Y) is a hit.
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .LoadProgram("module kb;\nedb edge(X,Y);\n"
+                               "link(X,Y) :- edge(X,Y).\n"
+                               "edge(1,2).\nedge(2,3).\nend\n")
+                  .ok());
+  auto read = [&](const char* goal) {
+    return Render(engine, *engine.Query(goal));
+  };
+  ASSERT_EQ(read("link(1,Y)"), "Y: (2)");
+  ASSERT_EQ(read("link(2,Y)"), "Y: (3)");
+  EXPECT_EQ(Counter(engine, "gluenail_plan_cache_hits_total"), 1u);
+  EXPECT_EQ(Counter(engine, "gluenail_plan_cache_replans_total"), 0u);
+}
+
 TEST(PlanCacheTest, EightfoldGrowthReplansAndTwofoldDoesNot) {
   Engine engine;
   int next = 0;

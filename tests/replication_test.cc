@@ -2,10 +2,10 @@
 /// \brief Log-shipping replication suite: payload codecs, the replica
 /// write fence (batches, inline and file EDB loads, statements),
 /// primary->replica convergence to byte-identical query results (EDB and
-/// IVM-maintained IDB), inline EDB loads shipped like batches, rotated-log
-/// snapshot bootstrap,
-/// torn-stream and primary-restart recovery, and the fault-injector
-/// sweep proving a replica only ever holds an acked-durable prefix.
+/// IVM-maintained IDB), inline and file EDB loads shipped like batches,
+/// rotated-log snapshot bootstrap, torn-stream and primary-restart
+/// recovery, and the fault-injector sweep proving a replica only ever
+/// holds an acked-durable prefix.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <set>
@@ -362,6 +363,40 @@ TEST_F(ReplTest, InlineEdbLoadReachesTheReplica) {
   ASSERT_TRUE(WaitUntil([&] { return CaughtUp(&primary, &replica); }));
   EXPECT_EQ(Facts(&replica), (std::set<int>{1, 2, 3}));
   EXPECT_EQ(replica.replica_applied_lsn(), 1u);  // one load, one record
+
+  tail.Stop();
+  server.Stop();
+}
+
+TEST_F(ReplTest, FileEdbLoadReachesTheReplica) {
+  // A file load commits its facts as one logged batch between the batches
+  // around it, so a caught-up replica receives it in LSN order, without a
+  // snapshot bootstrap.
+  const std::string dir = FreshDir("file_load");
+  const std::string file = dir + "/load.facts";
+  {
+    std::ofstream os(file);
+    os << "f(7).\nf(8).\n";
+  }
+  Engine primary(PrimaryOpts(dir));
+  ASSERT_TRUE(primary.Recover().ok());
+  Server server(&primary, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Engine replica(ReplicaOpts());
+  ReplicationClient tail(&replica, TailOpts(server.port()));
+  ASSERT_TRUE(tail.Start().ok());
+
+  ASSERT_TRUE(primary.ApplyBatch(InsertBatch({1, 2})).ok());
+  ASSERT_TRUE(WaitUntil([&] { return CaughtUp(&primary, &replica); }));
+  Result<LoadReport> loaded = primary.LoadEdbFile(file);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->facts_loaded, 2u);
+  ASSERT_TRUE(primary.ApplyBatch(InsertBatch({3})).ok());
+  ASSERT_TRUE(WaitUntil([&] { return CaughtUp(&primary, &replica); }));
+  EXPECT_EQ(Facts(&primary), (std::set<int>{1, 2, 3, 7, 8}));
+  EXPECT_EQ(Facts(&replica), Facts(&primary));
+  EXPECT_EQ(replica.replica_applied_lsn(), 3u);  // batch, load, batch
+  EXPECT_EQ(tail.snapshots_applied(), 0u);
 
   tail.Stop();
   server.Stop();

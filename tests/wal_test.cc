@@ -3,10 +3,10 @@
 /// damage, crash-point sweeps driven by the fault injector (with a shadow
 /// oracle asserting recovery yields exactly the acked prefix), checkpoint
 /// rotation, group commit under 8 concurrent writer sessions (the tsan
-/// target), inline EDB loads on the same durable path, Recover refusing
-/// while commits are in flight, the live-snapshot guard on
-/// Recover/LoadEdbFile, and the data-directory lifecycle (a failed Recover
-/// changes nothing; writes before Recover are refused).
+/// target), inline and file EDB loads on the same durable path (and past
+/// the WAL record limit), Recover refusing while commits are in flight,
+/// the live-snapshot guard on Recover, and the data-directory lifecycle
+/// (a failed Recover changes nothing; writes before Recover are refused).
 ///
 /// The sweep invariants, from wal.h's failure semantics:
 ///  * single ArmNth fault on append/fsync/rename: recovered == acked;
@@ -477,41 +477,90 @@ TEST_F(WalTest, CrashPointSweepFailedFsync) {
 }
 
 TEST_F(WalTest, CrashPointSweepInlineEdbLoad) {
-  // An inline EDB load is one insert batch on the durable write path: a
-  // failed WAL write or fsync errors the whole load, and recovery yields
-  // exactly the loads that acked. n grows until a run finishes without
-  // the fault firing.
-  for (FaultOp op : {FaultOp::kWrite, FaultOp::kFsync}) {
-    for (uint64_t nth = 1;; ++nth) {
-      SCOPED_TRACE(StrCat(op == FaultOp::kWrite ? "kWrite" : "kFsync",
-                          " nth=", nth));
-      ASSERT_LT(nth, 32u) << "the fault never stopped firing";
-      const std::string dir =
-          FreshDir(StrCat("sweep_load", static_cast<int>(op), "_", nth));
-      std::set<int> acked;
-      bool fired = false;
-      {
-        Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
-        ASSERT_TRUE(engine.Recover().ok());
-        Session session = engine.OpenSession();
-        FaultInjector::Instance().ArmNth(op, nth);
-        for (int i = 0; i < 8; i += 2) {
-          Response r = session.Execute(Command::LoadEdbText(
-              StrCat("f(", i, ").\nf(", i + 1, ").\n")));
-          if (r.ok()) acked.insert({i, i + 1});
+  // An EDB load, inline or from a file, is one insert batch on the durable
+  // write path: a failed WAL write or fsync errors the whole load, and
+  // recovery yields exactly the loads that acked. n grows until a run
+  // finishes without the fault firing.
+  for (bool from_file : {false, true}) {
+    for (FaultOp op : {FaultOp::kWrite, FaultOp::kFsync}) {
+      for (uint64_t nth = 1;; ++nth) {
+        SCOPED_TRACE(StrCat(from_file ? "LoadEdbFile " : "LoadEdbText ",
+                            op == FaultOp::kWrite ? "kWrite" : "kFsync",
+                            " nth=", nth));
+        ASSERT_LT(nth, 32u) << "the fault never stopped firing";
+        const std::string dir =
+            FreshDir(StrCat("sweep_load", from_file ? "f" : "t",
+                            static_cast<int>(op), "_", nth));
+        std::set<int> acked;
+        bool fired = false;
+        {
+          Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
+          ASSERT_TRUE(engine.Recover().ok());
+          Session session = engine.OpenSession();
+          FaultInjector::Instance().ArmNth(op, nth);
+          for (int i = 0; i < 8; i += 2) {
+            const std::string facts =
+                StrCat("f(", i, ").\nf(", i + 1, ").\n");
+            const std::string file = StrCat(dir, "/load", i, ".facts");
+            if (from_file) WriteFile(file, facts);
+            Response r = session.Execute(from_file
+                                             ? Command::LoadEdbFile(file)
+                                             : Command::LoadEdbText(facts));
+            if (r.ok()) acked.insert({i, i + 1});
+          }
+          fired = FaultInjector::Instance().injected(op) > 0;
+          FaultInjector::Instance().Disarm();
+          EXPECT_EQ(Facts(&engine), acked);  // a failed load never hit memory
         }
-        fired = FaultInjector::Instance().injected(op) > 0;
-        FaultInjector::Instance().Disarm();
-        EXPECT_EQ(Facts(&engine), acked);  // a failed load never hit memory
+        ExpectRecoversExactly(dir, acked);
+        if (!fired) {
+          EXPECT_EQ(acked.size(), 8u);
+          break;
+        }
+        EXPECT_LT(acked.size(), 8u);
       }
-      ExpectRecoversExactly(dir, acked);
-      if (!fired) {
-        EXPECT_EQ(acked.size(), 8u);
-        break;
-      }
-      EXPECT_LT(acked.size(), 8u);
     }
   }
+}
+
+TEST_F(WalTest, LoadPastTheWalRecordLimitIsRefusedAndChangesNothing) {
+  // A load's rows are one WAL record, so a load whose record would pass
+  // Wal::kMaxPayloadBytes is refused by the append like any oversized
+  // batch: the EDB, the checkpoint and the log stay as they were.
+  const std::string dir = FreshDir("big_load");
+  const std::string file = dir + "/big.facts";
+  std::string facts;
+  for (int i = 10; i < 20; ++i) facts += StrCat("f(", i, ").\n");
+  WriteFile(file, facts);
+  {
+    Engine engine(DurableOpts(dir, DurabilityLevel::kSync));
+    ASSERT_TRUE(engine.Recover().ok());
+    ASSERT_TRUE(engine.ApplyBatch(InsertBatch({1})).ok());
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    ASSERT_TRUE(engine.ApplyBatch(InsertBatch({2})).ok());
+    const std::string checkpoint = ReadFile(dir + "/checkpoint.facts");
+    const std::string log = ReadFile(dir + "/wal.log");
+
+    const uint64_t prev = Wal::OverrideMaxPayloadForTesting(64);
+    Result<LoadReport> from_file = engine.LoadEdbFile(file);
+    Result<LoadReport> inline_load = engine.LoadEdbText(facts);
+    Wal::OverrideMaxPayloadForTesting(prev);
+
+    for (const Result<LoadReport>* r : {&from_file, &inline_load}) {
+      EXPECT_EQ(r->status().code(), StatusCode::kInvalidArgument)
+          << r->status();
+      EXPECT_NE(r->status().message().find("wal record limit"),
+                std::string::npos)
+          << r->status();
+    }
+    EXPECT_EQ(Facts(&engine), (std::set<int>{1, 2}));
+    EXPECT_EQ(ReadFile(dir + "/checkpoint.facts"), checkpoint);
+    EXPECT_EQ(ReadFile(dir + "/wal.log"), log);
+
+    // Under the default limit the same load commits.
+    ASSERT_TRUE(engine.LoadEdbFile(file).ok());
+  }
+  ExpectRecoversExactly(dir, {1, 2, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19});
 }
 
 TEST_F(WalTest, CheckpointHealRestartsGroupCommitFsyncs) {
@@ -964,21 +1013,28 @@ TEST_F(WalTest, RecoverAndLoadRefuseWhileSnapshotsLive) {
   Engine engine(DurableOpts(dir, DurabilityLevel::kGroupCommit));
   ASSERT_TRUE(engine.Recover().ok());
   ASSERT_TRUE(engine.ApplyBatch(InsertBatch({1})).ok());
-  ASSERT_TRUE(engine.SaveEdbFile(dir + "/manual.facts").ok());
+  WriteFile(dir + "/manual.facts", "f(2).\n");
   {
     Result<EngineSnapshot> snap = engine.snapshot();
     ASSERT_TRUE(snap.ok());
     // A reader holds a point-in-time view: the engine must refuse to swap
     // histories underneath it.
     EXPECT_FALSE(engine.Recover().ok());
-    EXPECT_FALSE(engine.LoadEdbFile(dir + "/manual.facts").ok());
-    // The snapshot itself stays valid and readable.
-    EXPECT_EQ(snap->edb().num_relations(), 1u);
+    // A file load is a commit, like ApplyBatch: it proceeds, and the
+    // snapshot keeps reading the view it was taken at.
+    EXPECT_TRUE(engine.LoadEdbFile(dir + "/manual.facts").ok());
+    EXPECT_EQ(Facts(&engine), (std::set<int>{1, 2}));
+    ASSERT_EQ(snap->edb().num_relations(), 1u);
+    Result<TermId> f = engine.InternTerm("f");
+    ASSERT_TRUE(f.ok());
+    const RelationSnapshot* rel = snap->edb().Find(*f, 1);
+    ASSERT_NE(rel, nullptr);
+    ASSERT_EQ(rel->size(), 1u);
+    EXPECT_EQ(engine.terms().IntValue(rel->tuples[0][0]), 1);
   }
-  // Snapshot dropped: both proceed again.
+  // Snapshot dropped: Recover proceeds again and keeps the load.
   EXPECT_TRUE(engine.Recover().ok());
-  EXPECT_TRUE(engine.LoadEdbFile(dir + "/manual.facts").ok());
-  EXPECT_EQ(Facts(&engine), std::set<int>{1});
+  EXPECT_EQ(Facts(&engine), (std::set<int>{1, 2}));
 }
 
 TEST_F(WalTest, CheckpointRefusesAFactRecoverCouldNotReadBack) {

@@ -14,17 +14,18 @@
 #            IVM suite with its allocation-fault sweep, the fixpoint
 #            oracle suites (nail_reference_test, magic_test), and the
 #            durable path: wal_test, commit_log_test, replication_test,
-#            persistence_test (with the fact reader's nesting bound) and
-#            engine_api_test, and the term pool (term_pool_test) and the
-#            `read` builtin's ground-term reads (io_builtins_test), the
-#            read plan cache (plan_cache_test), EXPLAIN (explain_test) and
-#            the service layer (server_test)
+#            persistence_test (with the fact reader's nesting bound),
+#            engine_api_test and application_test (which reloads the
+#            EDB through LoadEdbFile), and the term pool (term_pool_test)
+#            and the `read` builtin's ground-term reads
+#            (io_builtins_test), the read plan cache (plan_cache_test),
+#            EXPLAIN (explain_test) and the service layer (server_test)
 #   ubsan  — -DGLUENAIL_UBSAN=ON, runs the ubsan-labelled planner tests,
 #            plus relation_test's dense-key checks, barrier_ops_test,
 #            hilog_test, cross_feature_test, the IVM suite with its
 #            allocation-fault sweep, the fixpoint oracle suites, and the
-#            same durable-path, term-pool, `read` builtin, plan-cache and
-#            service-layer suites as asan
+#            same durable-path (application_test included), term-pool,
+#            `read` builtin, plan-cache and service-layer suites as asan
 #   tsan   — -DGLUENAIL_TSAN=ON, runs the tsan-labelled concurrency tests
 #   fault  — Debug build, runs only the faultinject-labelled matrix
 #   obs    — Debug build, runs only the obs-labelled observability suite
