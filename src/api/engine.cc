@@ -3,7 +3,6 @@
 #include <chrono>
 #include <mutex>
 
-#include "src/analysis/binding.h"
 #include "src/api/session.h"
 #include "src/common/strings.h"
 #include "src/nail/magic.h"
@@ -17,19 +16,6 @@ namespace {
 
 /// Entries the slow-query log keeps before evicting the oldest.
 constexpr size_t kSlowQueryLogCapacity = 64;
-
-/// True when a subgoal of \p body names a NAIL! predicate of \p scope.
-bool ReadsNail(const std::vector<ast::Subgoal>& body, const Scope& scope) {
-  std::string root;
-  uint32_t params = 0;
-  for (const ast::Subgoal& g : body) {
-    if (!StaticPredName(g.pred, &root, &params)) continue;
-    const PredBinding* b =
-        scope.Lookup(root, params, static_cast<uint32_t>(g.args.size()));
-    if (b != nullptr && b->cls == PredClass::kNail) return true;
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -108,19 +94,19 @@ std::string Engine::DumpMetrics(MetricsFormat format) const {
                                         : metrics_.RenderPrometheus();
 }
 
-void Engine::FinishQueryObs(QueryObs* obs, std::string_view query,
+void Engine::FinishQueryObs(Request* req, std::string_view query,
                             TraceRing* ring) {
   const auto total_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - obs->start)
+          std::chrono::steady_clock::now() - req->start)
           .count());
   m_queries_->Add(1);
   m_query_latency_->Observe(total_ns);
-  if (!obs->active) return;
-  obs->scope.reset();  // uninstall before freezing
+  if (!req->active) return;
+  req->scope.reset();  // uninstall before freezing
   auto trace = std::make_shared<const QueryTrace>(
-      obs->sink.Finish(std::string(query), total_ns));
-  if (obs->want_trace) {
+      req->sink.Finish(std::string(query), total_ns));
+  if (req->want_trace) {
     m_traced_queries_->Add(1);
     if (ring != nullptr) ring->Push(trace);
   }
@@ -131,17 +117,19 @@ void Engine::FinishQueryObs(QueryObs* obs, std::string_view query,
     entry.query = trace->query;
     entry.seconds = static_cast<double>(total_ns) * 1e-9;
     if (nail_engine_ != nullptr) {
-      entry.replans = nail_engine_->replan_count() - obs->replans_before;
-      if (nail_engine_->refresh_seq() != obs->refresh_seq_before) {
-        // This query paid for a memo refresh; record how it ran.
-        NailRefreshInfo info = nail_engine_->last_refresh();
-        entry.nail_refresh_mode = info.mode;
-        if (!info.fallback.empty()) {
-          entry.nail_refresh_mode += StrCat(" (", info.fallback, ")");
-        }
-        entry.nail_delta_rows_in = info.delta_rows_in;
-        entry.nail_delta_rows_out = info.delta_rows_out;
+      // Saturated: a LoadProgram between a session read's count and its
+      // refresh swaps in an engine whose counters restart.
+      const uint64_t replans = nail_engine_->replan_count();
+      entry.replans = replans - std::min(replans, req->replans_before);
+    }
+    if (auto info = req->PaidRefresh(nail_engine_.get())) {
+      // This query paid for a memo refresh; record how it ran.
+      entry.nail_refresh_mode = info->mode;
+      if (!info->fallback.empty()) {
+        entry.nail_refresh_mode += StrCat(" (", info->fallback, ")");
       }
+      entry.nail_delta_rows_in = info->delta_rows_in;
+      entry.nail_delta_rows_out = info->delta_rows_out;
     }
     entry.plan = trace->plan;
     entry.top_spans = TopSpansByDuration(trace->spans, 3);
@@ -233,161 +221,179 @@ Status Engine::LoadProgramFile(const std::string& path) {
   return LoadProgram(text).WithContext(path);
 }
 
-Status Engine::EnsureLoadedLocked() {
+bool Engine::ReadReadyLocked() const {
+  return nail_engine_ != nullptr && nail_engine_->IsFresh();
+}
+
+Status Engine::PrepareForReadLocked(ExecControl* control) {
   if (linked_ == nullptr) {
     // An empty program: everything ad-hoc against the bare EDB.
     GLUENAIL_RETURN_NOT_OK(LoadProgramLocked("module main; end"));
   }
-  return Status::OK();
+  ControlScope scope(executor_.get(), control);
+  return nail_engine_->EnsureAllNail();
 }
 
-bool Engine::ReadReadyLocked() const {
-  return linked_ != nullptr &&
-         (nail_engine_ == nullptr || nail_engine_->IsFresh());
-}
-
-Status Engine::PrepareForReadLocked(ExecControl* control) {
-  GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
-  if (nail_engine_ != nullptr) {
-    ControlScope scope(executor_.get(), control);
-    GLUENAIL_RETURN_NOT_OK(nail_engine_->EnsureAllNail());
-  }
-  return Status::OK();
-}
-
-Result<CompiledProcedure> Engine::CompileAdhoc(const ast::Statement& stmt) {
+Result<CompiledProcedure> Engine::CompileAdhoc(std::string_view statement) {
+  ScopedSpan parse_span("stmt:parse");
+  GLUENAIL_ASSIGN_OR_RETURN(ast::Statement stmt, ParseStatement(statement));
+  parse_span.End();
+  ScopedSpan compile_span("stmt:compile");
   ast::Procedure proc;
   proc.name = "$adhoc";
   proc.bound_arity = 0;
   proc.free_arity = 0;
-  proc.body.push_back(stmt);
+  proc.body.push_back(std::move(stmt));
   return CompileProcedureAst(proc, *linked_->global_scope, &pool_, "$adhoc",
                              /*fixed=*/true, options_.planner,
                              /*implicit_edb=*/true, &stats_provider_);
 }
 
-Status Engine::ExecuteStatement(std::string_view statement,
-                                const QueryOptions& options) {
-  if (options_.replica) return ReplicaWriteFence("ExecuteStatement");
-  return RunObserved(nullptr, /*statement=*/true, statement, options,
-                     &trace_ring_)
-      .status();
-}
-
-Status Engine::RunAdhocLocked(std::string_view statement,
-                              std::string* profiled_plans) {
-  ScopedSpan parse_span("stmt:parse");
-  GLUENAIL_ASSIGN_OR_RETURN(ast::Statement stmt, ParseStatement(statement));
-  parse_span.End();
-  ScopedSpan compile_span("stmt:compile");
-  GLUENAIL_ASSIGN_OR_RETURN(CompiledProcedure proc, CompileAdhoc(stmt));
-  compile_span.End();
-  // The profiles are keyed by plan pointer and the plans die with `proc`,
-  // so they are dropped on every exit path.
-  if (profiled_plans != nullptr) {
-    for (const StatementPlan& plan : proc.plans) {
-      executor_->EnableOpProfile(&plan);
-    }
-  }
-  Frame frame(&proc);
-  Status run = executor_->ExecBlock(proc.code, proc, &frame);
-  if (profiled_plans != nullptr) {
-    for (const StatementPlan& plan : proc.plans) {
-      *profiled_plans +=
-          PlanToString(plan, pool_, executor_->OpProfile(&plan));
-      executor_->DisableOpProfile(&plan);
-    }
-  }
-  return run;
-}
-
-Result<Engine::QueryResult> Engine::Query(std::string_view goal,
-                                          const QueryOptions& options) {
-  return RunObserved(nullptr, /*statement=*/false, goal, options,
-                     &trace_ring_);
-}
-
-Result<Engine::QueryResult> Engine::RunObserved(Session* reader,
-                                                bool statement,
-                                                std::string_view text,
-                                                const QueryOptions& options,
-                                                TraceRing* ring) {
-  // The sink goes in before the lock: when a session read upgrades to
-  // refresh a stale NAIL! memo, the refresh's fixpoint spans (usually the
-  // dominant cost) belong to this trace. The sink is thread-local, so
-  // installing it early races with nothing.
-  QueryObs obs;
-  obs.want_trace = options.trace;
-  obs.active = options.trace || options_.slow_query_threshold.count() > 0;
-  if (obs.active) obs.scope.emplace(&obs.sink);
-  // The control exists before the lock, so the refresh a session read's
-  // upgrade pays for runs under the read's guardrails.
-  ExecControl ctl;
-  ctl.deadline = options.deadline;
-  ctl.cancel = options.cancel;
-  ctl.limits = options.limits;
-  ExecControl* ctl_ptr = options.guarded() ? &ctl : nullptr;
-  // Fail fast on pre-cancelled tokens and already-expired deadlines.
-  if (ctl_ptr != nullptr) GLUENAIL_RETURN_NOT_OK(ctl.Check());
+template <typename Work>
+std::invoke_result_t<Work&, Engine::Request&> Engine::RunObserved(
+    Session* reader, std::string_view text, const QueryOptions& options,
+    Work&& work) {
+  using Out = std::invoke_result_t<Work&, Request&>;
   std::unique_lock<std::shared_mutex> writer(state_mu_, std::defer_lock);
   std::shared_lock<std::shared_mutex> shared(state_mu_, std::defer_lock);
-  if (reader != nullptr) {
-    // Statements write, so they never run under the shared lock.
-    if (statement) return Status::InvalidArgument("statement on a reader");
-    // A session read's latency includes the refresh its upgrade pays for.
-    obs.start = std::chrono::steady_clock::now();
-    GLUENAIL_RETURN_NOT_OK(reader->EnterRead(&shared, ctl_ptr));
-  } else {
-    writer.lock();
-    GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
-    // Timed from here: waiting for the writer lock is not query latency.
-    obs.start = std::chrono::steady_clock::now();
-  }
-  // Under the lock: a concurrent LoadProgram can swap nail_engine_.
-  if (obs.active && nail_engine_ != nullptr) {
-    obs.replans_before = nail_engine_->replan_count();
-    obs.refresh_seq_before = nail_engine_->refresh_seq();
+  // The sink goes in before the lock: when a request refreshes a stale
+  // NAIL! memo, the refresh's fixpoint spans (usually the dominant cost)
+  // belong to this trace. The sink is thread-local, so installing it
+  // early races with nothing.
+  Request req;
+  req.want_trace = options.trace;
+  req.active = options.trace || options_.slow_query_threshold.count() > 0;
+  if (req.active) req.scope.emplace(&req.sink);
+  // The control exists before the lock, so the refresh the request pays
+  // for runs under its guardrails.
+  if (options.guarded()) {
+    req.ctl.deadline = options.deadline;
+    req.ctl.cancel = options.cancel;
+    req.ctl.limits = options.limits;
+    req.control = &req.ctl;
+    // Fail fast on pre-cancelled tokens and already-expired deadlines.
+    GLUENAIL_RETURN_NOT_OK(req.ctl.Check());
   }
   // Arena growth reports OOM (real or injected) as bad_alloc; surface it
   // as a status so the engine stays usable. Any half-built NAIL! state is
   // memo-invalid (Refresh unwound) and recomputed on the next demand.
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+  Out out = [&]() -> Out {
     try {
-      if (!statement && options.strategy == QueryStrategy::kMagic) {
-        // Magic evaluation writes only a private scratch IDB, so a shared
-        // reader keeps the EDB read-only.
-        return QueryMagicWith(text,
-                              reader != nullptr ? StorageAccess::kPrivateIdb
-                                                : StorageAccess::kReadWrite,
-                              ctl_ptr);
-      }
+      std::optional<Executor> read_exec;
       if (reader != nullptr) {
-        Executor exec = ReadExecutor(ctl_ptr);
-        return QueryGoalWith(&exec, text);
+        // A session read's latency includes the refresh its upgrade pays
+        // for.
+        req.start = std::chrono::steady_clock::now();
+        GLUENAIL_RETURN_NOT_OK(reader->EnterRead(&shared, &req));
+        req.exec = &read_exec.emplace(&linked_->program, &edb_, &idb_, &pool_,
+                                      Env(), options_.exec,
+                                      StorageAccess::kReadOnly);
+      } else {
+        writer.lock();
+        // Timed from here: waiting for the writer lock is not latency.
+        req.start = std::chrono::steady_clock::now();
+        req.CountFrom(nail_engine_.get());
+        GLUENAIL_RETURN_NOT_OK(PrepareForReadLocked(req.control));
+        req.exec = executor_.get();
       }
-      ControlScope scope(executor_.get(), ctl_ptr);
-      if (!statement) return QueryGoalWith(executor_.get(), text);
-      // Under an active sink, the trace carries the plans with actual rows.
-      TraceSink* sink = TraceSink::Current();
-      std::string plans;
-      Status run = RunAdhocLocked(text, sink != nullptr ? &plans : nullptr);
-      if (sink != nullptr) sink->AppendPlan(plans);
-      GLUENAIL_RETURN_NOT_OK(run);
-      return QueryResult{};
+      ControlScope scope(req.exec, req.control);
+      return work(req);
     } catch (const std::bad_alloc&) {
-      return Status::ResourceExhausted(StrCat(
-          "allocation failed during ", statement ? "statement" : "query"));
+      return Status::ResourceExhausted("allocation failed during a request");
     }
   }();
-  FinishQueryObs(&obs, text, ring);
-  return result;
+  // A request refused before it held the lock has nothing to observe.
+  if (writer.owns_lock() || shared.owns_lock()) {
+    FinishQueryObs(&req, text,
+                   reader != nullptr ? reader->ring_.get() : &trace_ring_);
+  }
+  return out;
 }
 
-Executor Engine::ReadExecutor(ExecControl* control) {
-  Executor exec(&linked_->program, &edb_, &idb_, &pool_, Env(),
-                options_.exec, StorageAccess::kReadOnly);
-  exec.set_control(control);
-  return exec;
+Status Engine::ExecuteStatement(std::string_view statement,
+                                const QueryOptions& options) {
+  return RunStatement(statement, options, nullptr).status();
+}
+
+Result<std::string> Engine::ExplainStatement(std::string_view statement,
+                                             const ExplainOptions& options) {
+  return RunStatement(statement, {}, &options);
+}
+
+Result<std::string> Engine::RunStatement(std::string_view statement,
+                                         const QueryOptions& options,
+                                         const ExplainOptions* explain) {
+  // EXPLAIN ANALYZE runs the statement, so a replica refuses it too.
+  const bool runs = explain == nullptr || explain->analyze;
+  if (options_.replica && runs) {
+    return ReplicaWriteFence(explain != nullptr ? "EXPLAIN ANALYZE"
+                                                : "ExecuteStatement");
+  }
+  return RunObserved(
+      nullptr, statement, options, [&](Request& req) -> Result<std::string> {
+        GLUENAIL_ASSIGN_OR_RETURN(CompiledProcedure proc,
+                                  CompileAdhoc(statement));
+        std::string plans;
+        if (!runs) {
+          for (const StatementPlan& plan : proc.plans) {
+            plans += PlanToString(plan, pool_);
+          }
+          return plans;
+        }
+        // Under an active sink the trace carries the plans with actual
+        // rows; EXPLAIN ANALYZE returns them. The profiles are keyed by
+        // plan pointer and the plans die with `proc`, so they are dropped
+        // on every exit path.
+        TraceSink* sink = TraceSink::Current();
+        const bool profile = explain != nullptr || sink != nullptr;
+        for (const StatementPlan& plan : proc.plans) {
+          if (profile) req.exec->EnableOpProfile(&plan);
+        }
+        Frame frame(&proc);
+        Status run = req.exec->ExecBlock(proc.code, proc, &frame);
+        for (const StatementPlan& plan : proc.plans) {
+          if (!profile) break;
+          plans += PlanToString(plan, pool_, req.exec->OpProfile(&plan));
+          req.exec->DisableOpProfile(&plan);
+        }
+        if (sink != nullptr) sink->AppendPlan(plans);
+        GLUENAIL_RETURN_NOT_OK(run);
+        std::optional<NailRefreshInfo> info =
+            req.PaidRefresh(nail_engine_.get());
+        if (explain == nullptr || !info) return plans;
+        // The statement paid for a stale NAIL! memo's refresh; show how it
+        // ran (full vs. delta-driven, and why a fallback recomputed).
+        plans += StrCat("nail refresh: mode=", info->mode);
+        if (!info->fallback.empty()) {
+          plans += StrCat(" fallback=", info->fallback);
+        }
+        plans += StrCat(" delta_rows_in=", info->delta_rows_in,
+                        " delta_rows_out=", info->delta_rows_out,
+                        " old_state_rows=", info->old_state_rows, "\n");
+        return plans;
+      });
+}
+
+Result<Engine::QueryResult> Engine::Query(std::string_view goal,
+                                          const QueryOptions& options) {
+  return QueryFor(nullptr, goal, options);
+}
+
+Result<Engine::QueryResult> Engine::QueryFor(Session* reader,
+                                             std::string_view goal,
+                                             const QueryOptions& options) {
+  return RunObserved(
+      reader, goal, options, [&](Request& req) -> Result<QueryResult> {
+        if (options.strategy != QueryStrategy::kMagic) {
+          return QueryGoalWith(req.exec, goal);
+        }
+        // Magic evaluation writes only a private scratch IDB, so a shared
+        // reader keeps the EDB read-only.
+        return QueryMagicWith(goal,
+                              reader != nullptr ? StorageAccess::kPrivateIdb
+                                                : StorageAccess::kReadWrite,
+                              req.control);
+      });
 }
 
 RuntimeEnv Engine::Env() {
@@ -403,12 +409,6 @@ Result<Engine::QueryResult> Engine::QueryGoalWith(Executor* exec,
   ScopedSpan parse_span("query:parse");
   GLUENAIL_ASSIGN_OR_RETURN(std::vector<ast::Subgoal> body, ParseGoal(goal));
   parse_span.End();
-  // The writer path refreshes a stale memo the goal reads before planning
-  // it against the memo's rows (a session read arrives with memos fresh).
-  if (exec == executor_.get() && nail_engine_ != nullptr &&
-      !nail_engine_->IsFresh() && ReadsNail(body, *linked_->global_scope)) {
-    GLUENAIL_RETURN_NOT_OK(nail_engine_->EnsureAllNail());
-  }
 
   CompileEnv env;
   env.pool = &pool_;
@@ -453,45 +453,47 @@ Result<Engine::QueryResult> Engine::QueryGoalWith(Executor* exec,
 
 Result<std::vector<Tuple>> Engine::Call(std::string_view name,
                                         const std::vector<Tuple>& inputs) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
-  return CallWith(executor_.get(), name, inputs);
+  return CallFor(nullptr, name, inputs);
 }
 
-Result<std::vector<Tuple>> Engine::CallWith(Executor* exec,
-                                            std::string_view name,
-                                            const std::vector<Tuple>& inputs) {
-  // Find an exported procedure with this name (any arity; unique names).
-  int index = -1;
-  std::string prefix = StrCat(name, "/");
-  for (const auto& [key, idx] : linked_->program.proc_by_export) {
-    if (StartsWith(key, prefix)) {
-      if (index >= 0) {
-        return Status::InvalidArgument(
-            StrCat("procedure name '", name, "' is ambiguous; qualify with "
-                   "arity"));
-      }
-      index = idx;
-    }
-  }
-  if (index < 0) {
-    return Status::NotFound(
-        StrCat("no exported procedure named '", name, "'"));
-  }
-  const CompiledProcedure& proc =
-      linked_->program.procedures[static_cast<size_t>(index)];
-  Relation input("in", proc.bound_arity);
-  for (const Tuple& t : inputs) {
-    if (t.size() != proc.bound_arity) {
-      return Status::InvalidArgument(
-          StrCat("input tuple arity ", t.size(), " != bound arity ",
-                 proc.bound_arity, " of ", proc.name));
-    }
-    input.Insert(t);
-  }
-  Relation output("out", proc.arity());
-  GLUENAIL_RETURN_NOT_OK(exec->CallProcedureByIndex(index, input, &output));
-  return output.SortedTuples(pool_);
+Result<std::vector<Tuple>> Engine::CallFor(Session* reader,
+                                           std::string_view name,
+                                           const std::vector<Tuple>& inputs) {
+  return RunObserved(
+      reader, name, QueryOptions{},
+      [&](Request& req) -> Result<std::vector<Tuple>> {
+        // An exported procedure with this name (any arity; unique names).
+        int index = -1;
+        std::string prefix = StrCat(name, "/");
+        for (const auto& [key, idx] : linked_->program.proc_by_export) {
+          if (!StartsWith(key, prefix)) continue;
+          if (index >= 0) {
+            return Status::InvalidArgument(StrCat(
+                "procedure name '", name, "' is ambiguous; qualify with "
+                "arity"));
+          }
+          index = idx;
+        }
+        if (index < 0) {
+          return Status::NotFound(
+              StrCat("no exported procedure named '", name, "'"));
+        }
+        const CompiledProcedure& proc =
+            linked_->program.procedures[static_cast<size_t>(index)];
+        Relation input("in", proc.bound_arity);
+        for (const Tuple& t : inputs) {
+          if (t.size() != proc.bound_arity) {
+            return Status::InvalidArgument(
+                StrCat("input tuple arity ", t.size(), " != bound arity ",
+                       proc.bound_arity, " of ", proc.name));
+          }
+          input.Insert(t);
+        }
+        Relation output("out", proc.arity());
+        GLUENAIL_RETURN_NOT_OK(
+            req.exec->CallProcedureByIndex(index, input, &output));
+        return output.SortedTuples(pool_);
+      });
 }
 
 Result<Engine::QueryResult> Engine::QueryMagicWith(std::string_view goal,
@@ -531,38 +533,6 @@ Result<Engine::QueryResult> Engine::QueryMagicWith(std::string_view goal,
     Tuple projected;
     for (size_t c : free_columns) projected.push_back(row[c]);
     out.rows.push_back(std::move(projected));
-  }
-  return out;
-}
-
-Result<std::string> Engine::ExplainStatement(std::string_view statement,
-                                             const ExplainOptions& options) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  GLUENAIL_RETURN_NOT_OK(EnsureLoadedLocked());
-  std::string out;
-  if (!options.analyze) {
-    GLUENAIL_ASSIGN_OR_RETURN(ast::Statement stmt, ParseStatement(statement));
-    GLUENAIL_ASSIGN_OR_RETURN(CompiledProcedure proc, CompileAdhoc(stmt));
-    for (const StatementPlan& plan : proc.plans) {
-      out += PlanToString(plan, pool_);
-    }
-    return out;
-  }
-  // ANALYZE: run the statement with per-op row profiling switched on, then
-  // render each op's estimate next to the rows it actually produced.
-  const uint64_t refresh_seq_before =
-      nail_engine_ != nullptr ? nail_engine_->refresh_seq() : 0;
-  GLUENAIL_RETURN_NOT_OK(RunAdhocLocked(statement, &out));
-  if (nail_engine_ != nullptr &&
-      nail_engine_->refresh_seq() != refresh_seq_before) {
-    // The statement demanded a stale NAIL! memo; show how the refresh ran
-    // (full vs. delta-driven, and why a fallback recomputed).
-    NailRefreshInfo info = nail_engine_->last_refresh();
-    out += StrCat("nail refresh: mode=", info.mode);
-    if (!info.fallback.empty()) out += StrCat(" fallback=", info.fallback);
-    out += StrCat(" delta_rows_in=", info.delta_rows_in,
-                  " delta_rows_out=", info.delta_rows_out,
-                  " old_state_rows=", info.old_state_rows, "\n");
   }
   return out;
 }

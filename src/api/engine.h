@@ -34,6 +34,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/analysis/resolver.h"
@@ -180,9 +181,10 @@ class Engine {
 
   /// Executes one ad-hoc Glue statement (assignment or repeat loop)
   /// against the loaded program's exports, the EDB, and the NAIL!
-  /// predicates. Unknown plain names resolve to EDB relations. \p options
-  /// carries guardrails and tracing (QueryOptions::trace lands the
-  /// statement's trace in the engine's trace ring). Refused on a replica.
+  /// predicates, planned against memos refreshed from the current EDB.
+  /// Unknown plain names resolve to EDB relations. \p options carries
+  /// guardrails and tracing (QueryOptions::trace lands the statement's
+  /// trace in the engine's trace ring). Refused on a replica.
   Status ExecuteStatement(std::string_view statement,
                           const QueryOptions& options = {});
 
@@ -201,20 +203,21 @@ class Engine {
 
   /// Calls an exported procedure by name on \p inputs (each of the
   /// procedure's bound arity); returns the full (bound+free) result rows.
+  /// Runs in the same bracket as Query: memos refreshed first, observed,
+  /// and an allocation failure answered as ResourceExhausted.
   Result<std::vector<Tuple>> Call(std::string_view name,
                                   const std::vector<Tuple>& inputs);
 
   /// EXPLAIN: compiles \p statement ad-hoc and renders its plan(s) —
   /// access paths, keyed columns, barriers, head action, and the physical
-  /// planner's estimated row count per op.
-  Result<std::string> ExplainStatement(std::string_view statement) {
-    return ExplainStatement(statement, ExplainOptions{});
-  }
-  /// EXPLAIN ANALYZE (options.analyze): additionally *runs* the statement
-  /// — side effects included — and renders actual rows next to each op's
-  /// estimate, so misestimates are visible at a glance.
+  /// planner's estimated row count per op, costed against memos refreshed
+  /// from the current EDB (the plans a statement run would get).
+  /// EXPLAIN ANALYZE (options.analyze): *runs* the statement like
+  /// ExecuteStatement — side effects included, so a replica refuses it —
+  /// and returns the profiled plan text its trace carries: actual rows
+  /// next to each op's estimate, then the NAIL! refresh the run paid for.
   Result<std::string> ExplainStatement(std::string_view statement,
-                                       const ExplainOptions& options);
+                                       const ExplainOptions& options = {});
 
   /// Inserts one ground fact, "edge(1,2)." (trailing dot optional).
   Status AddFact(std::string_view fact);
@@ -373,44 +376,70 @@ class Engine {
  private:
   friend class Session;
 
-  /// Per-query observability state: a sink installed thread-locally for
-  /// the query's duration (when tracing is on, explicitly or via the armed
-  /// slow-query log) plus the timing needed by the latency histogram and
-  /// the slow-query check. Lives on RunObserved's stack.
-  struct QueryObs {
+  /// One request's state in RunObserved: a sink installed thread-locally
+  /// for its duration (when tracing is on, explicitly or via the armed
+  /// slow-query log), the timing the latency histogram and the slow-query
+  /// check need, its guardrails, and the executor its work runs on.
+  struct Request {
     bool active = false;      ///< a sink is installed
-    bool want_trace = false;  ///< push the finished trace to \p ring
+    bool want_trace = false;  ///< push the finished trace to the ring
     TraceSink sink;
     std::chrono::steady_clock::time_point start;
+    /// NAIL! counters read under the lock before the first refresh this
+    /// request may pay for; a different refresh count at finish means it
+    /// paid for one, which the slow-query entry and EXPLAIN ANALYZE report
+    /// (full vs. DRed, delta sizes).
     uint64_t replans_before = 0;
-    /// NAIL! refresh sequence at query start; a different value at finish
-    /// means this query paid for a memo refresh, and the slow-query entry
-    /// reports how it ran (full vs. DRed, delta sizes).
-    uint64_t refresh_seq_before = 0;
+    uint64_t refreshes_before = 0;
     std::optional<TraceScope> scope;
+    ExecControl ctl;
+    ExecControl* control = nullptr;  ///< &ctl when guarded
+    /// The writer-path executor, or a session read's private read-only one.
+    Executor* exec = nullptr;
+
+    void CountFrom(const NailEngine* nail) {
+      if (nail == nullptr) return;
+      replans_before = nail->replan_count();
+      refreshes_before = nail->refresh_count();
+    }
+    /// The refresh this request paid for, if one ran since CountFrom.
+    std::optional<NailRefreshInfo> PaidRefresh(const NailEngine* nail) const {
+      if (nail == nullptr || nail->refresh_count() == refreshes_before) {
+        return std::nullopt;
+      }
+      return nail->last_refresh();
+    }
   };
   /// Observes latency, pushes the trace to \p ring (explicit traces only),
   /// and records a slow-query entry when over threshold. \p ring may be
   /// the engine's or a session's.
-  void FinishQueryObs(QueryObs* obs, std::string_view query, TraceRing* ring);
-  /// The one guarded, observed run of a query or statement, shared by
-  /// Query, ExecuteStatement and Session::Query: the observation bracket,
-  /// the fail-fast guardrail check, the lock (shared through \p reader's
-  /// EnterRead, whose refresh runs under the query's control, when
-  /// \p reader is set, else exclusive), the run, and
-  /// bad_alloc turned into ResourceExhausted. A statement answers an empty
-  /// QueryResult and runs only on the writer path (a \p reader with a
-  /// statement is InvalidArgument). Latency is timed from after the
-  /// writer lock, or from before a reader's EnterRead, so a session read
-  /// counts the memo refresh it pays for. \p ring receives explicit
-  /// traces.
-  Result<QueryResult> RunObserved(Session* reader, bool statement,
-                                  std::string_view text,
-                                  const QueryOptions& options,
-                                  TraceRing* ring);
-  /// A private executor over read-only storage, for shared-lock reads,
-  /// guarded by \p control (null: unguarded).
-  Executor ReadExecutor(ExecControl* control);
+  void FinishQueryObs(Request* req, std::string_view query, TraceRing* ring);
+  /// The one bracket every evaluation entry point runs through (Query,
+  /// Call, ExecuteStatement, ExplainStatement and Session's Query and
+  /// Call): observation, the guardrails and their fail-fast check, the
+  /// lock — shared through \p reader's EnterRead when \p reader is set,
+  /// else exclusive — with every stale memo refreshed under the request's
+  /// guardrails, then \p work(Request&) on the request's executor, with an
+  /// allocation failure anywhere turned into ResourceExhausted. Latency is
+  /// timed from after the writer lock, or from before a reader's
+  /// EnterRead, so both count the refresh they pay for. Explicit traces
+  /// land in \p reader's ring, or the engine's.
+  template <typename Work>
+  std::invoke_result_t<Work&, Request&> RunObserved(
+      Session* reader, std::string_view text, const QueryOptions& options,
+      Work&& work);
+  /// Query and Call through RunObserved; Session's reads pass themselves
+  /// as \p reader.
+  Result<QueryResult> QueryFor(Session* reader, std::string_view goal,
+                               const QueryOptions& options);
+  Result<std::vector<Tuple>> CallFor(Session* reader, std::string_view name,
+                                     const std::vector<Tuple>& inputs);
+  /// An ad-hoc statement on the writer path: run (null \p explain), only
+  /// planned (EXPLAIN) or run with its plans profiled (EXPLAIN ANALYZE).
+  /// Returns the plan text an EXPLAIN asked for.
+  Result<std::string> RunStatement(std::string_view statement,
+                                   const QueryOptions& options,
+                                   const ExplainOptions* explain);
   /// The runtime environment executors run in (I/O, hosts, NAIL!).
   RuntimeEnv Env();
   void RegisterBuiltinMetrics();
@@ -419,29 +448,24 @@ class Engine {
   Result<LoadReport> CommitLoad(Result<LoadReport> report,
                                 const Database& staged);
 
-  Status EnsureLoadedLocked();
-  /// Compiles an ad-hoc statement by wrapping it in a throwaway procedure.
-  Result<CompiledProcedure> CompileAdhoc(const ast::Statement& stmt);
+  /// Parses an ad-hoc statement and compiles it by wrapping it in a
+  /// throwaway procedure.
+  Result<CompiledProcedure> CompileAdhoc(std::string_view statement);
 
   Status LoadProgramLocked(std::string_view source);
-  /// Parses, compiles and runs an ad-hoc statement on the writer-path
-  /// executor. With \p profiled_plans set, every plan is profiled and
-  /// rendered into it with actual rows (EXPLAIN ANALYZE, traces).
-  Status RunAdhocLocked(std::string_view statement,
-                        std::string* profiled_plans);
 
   /// True when reads can proceed under a shared lock: a program is linked
-  /// and the NAIL! materialization matches the current EDB.
+  /// (which gives it a NAIL! engine) and the NAIL! materialization matches
+  /// the current EDB.
   bool ReadReadyLocked() const;
-  /// Brings the engine into ReadReady state, refreshing under \p control
-  /// (null: unguarded); needs the writer lock.
+  /// Brings the engine into ReadReady state, linking an empty program if
+  /// none is loaded and refreshing under \p control (null: unguarded);
+  /// needs the writer lock.
   Status PrepareForReadLocked(ExecControl* control);
 
   /// Goal evaluation through \p exec (the writer path passes executor_,
   /// read sessions pass a private read-only executor).
   Result<QueryResult> QueryGoalWith(Executor* exec, std::string_view goal);
-  Result<std::vector<Tuple>> CallWith(Executor* exec, std::string_view name,
-                                      const std::vector<Tuple>& inputs);
   /// Magic-sets evaluation with the engine's ExecOptions, \p access to
   /// the shared EDB and the query's \p control.
   Result<QueryResult> QueryMagicWith(std::string_view goal,

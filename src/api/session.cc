@@ -3,7 +3,7 @@
 namespace gluenail {
 
 Status Session::EnterRead(std::shared_lock<std::shared_mutex>* lock,
-                          ExecControl* control) {
+                          Engine::Request* req) {
   // Freshness retry loop: probe under a shared lock; if the engine is not
   // read-ready (no program linked yet, or the NAIL! memo is stale),
   // release, refresh under the writer lock, and re-probe. Another writer
@@ -11,11 +11,17 @@ Status Session::EnterRead(std::shared_lock<std::shared_mutex>* lock,
   // because refreshes leave the engine read-ready and writers are finite.
   for (int attempt = 0; attempt < 64; ++attempt) {
     lock->lock();
+    // Counted before any refresh this read pays for, under a lock every
+    // refresh excludes.
+    if (attempt == 0 && req != nullptr) {
+      req->CountFrom(engine_->nail_engine_.get());
+    }
     if (engine_->ReadReadyLocked()) return Status::OK();
     lock->unlock();
     {
       std::unique_lock<std::shared_mutex> writer(engine_->state_mu_);
-      GLUENAIL_RETURN_NOT_OK(engine_->PrepareForReadLocked(control));
+      GLUENAIL_RETURN_NOT_OK(engine_->PrepareForReadLocked(
+          req != nullptr ? req->control : nullptr));
     }
   }
   return Status::RuntimeError(
@@ -24,17 +30,12 @@ Status Session::EnterRead(std::shared_lock<std::shared_mutex>* lock,
 
 Result<Engine::QueryResult> Session::Query(std::string_view goal,
                                            const QueryOptions& options) {
-  return engine_->RunObserved(this, /*statement=*/false, goal, options,
-                              ring_.get());
+  return engine_->QueryFor(this, goal, options);
 }
 
 Result<std::vector<Tuple>> Session::Call(std::string_view name,
                                          const std::vector<Tuple>& inputs) {
-  std::shared_lock<std::shared_mutex> lock(engine_->state_mu_,
-                                           std::defer_lock);
-  GLUENAIL_RETURN_NOT_OK(EnterRead(&lock));
-  Executor exec = engine_->ReadExecutor(/*control=*/nullptr);
-  return engine_->CallWith(&exec, name, inputs);
+  return engine_->CallFor(this, name, inputs);
 }
 
 Result<std::vector<Tuple>> Session::RelationContents(

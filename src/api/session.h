@@ -80,11 +80,12 @@ class Session {
             engine->options_.trace_ring_capacity)) {}
 
   /// Acquires \p lock (shared) with the engine read-ready, upgrading to
-  /// the writer lock to refresh stale state as needed; the refresh runs
-  /// under the read's \p control (null: unguarded). On success the shared
-  /// lock is held.
+  /// the writer lock to refresh stale state as needed. With \p req (a
+  /// request of Engine::RunObserved) the refresh runs under its guardrails
+  /// and its NAIL! counters are read first. On success the shared lock is
+  /// held.
   Status EnterRead(std::shared_lock<std::shared_mutex>* lock,
-                   ExecControl* control = nullptr);
+                   Engine::Request* req = nullptr);
 
   Engine* engine_;
   /// Shared so Session stays cheap to copy (copies see the same ring).

@@ -227,7 +227,6 @@ Status NailEngine::Refresh() {
           std::lock_guard<std::mutex> lock(info_mu_);
           last_refresh_ = info;
         }
-        refresh_seq_.store(refresh_count_, std::memory_order_release);
         return Status::OK();
       }
       // A partially applied delta refresh may have left memo storage
@@ -291,7 +290,6 @@ Status NailEngine::Refresh() {
     std::lock_guard<std::mutex> lock(info_mu_);
     last_refresh_ = info;
   }
-  refresh_seq_.store(refresh_count_, std::memory_order_release);
   return Status::OK();
 }
 

@@ -169,11 +169,6 @@ class NailEngine : public NailEvaluator {
   uint64_t ivm_old_state_rows() const {
     return ivm_old_state_rows_.load(std::memory_order_relaxed);
   }
-  /// Monotone refresh sequence number (== refresh_count, atomic so query
-  /// observability can compare before/after without the engine lock).
-  uint64_t refresh_seq() const {
-    return refresh_seq_.load(std::memory_order_acquire);
-  }
   /// Registers the gluenail_nail_* pulls over the counters of the engine
   /// in \p slot, read at export time (an empty slot reads as zero). The
   /// slot must outlive \p registry.
@@ -304,7 +299,6 @@ class NailEngine : public NailEvaluator {
   std::atomic<uint64_t> ivm_rows_in_{0};
   std::atomic<uint64_t> ivm_rows_out_{0};
   std::atomic<uint64_t> ivm_old_state_rows_{0};
-  std::atomic<uint64_t> refresh_seq_{0};
   mutable std::mutex info_mu_;
   NailRefreshInfo last_refresh_;
 };

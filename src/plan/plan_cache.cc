@@ -119,9 +119,7 @@ std::vector<PlanCache::CostedRelation> CostedRelations(
         })) {
       continue;
     }
-    CardEstimate card;
-    rel.known = stats->Estimate(rel.store, rel.name, rel.arity, &card);
-    rel.rows = rel.known ? static_cast<uint64_t>(card.rows) : 0;
+    rel.known = stats->Rows(rel.store, rel.name, rel.arity, &rel.rows);
     out.push_back(rel);
   }
   return out;
@@ -132,10 +130,9 @@ std::vector<PlanCache::CostedRelation> CostedRelations(
 bool Stale(const std::vector<PlanCache::CostedRelation>& costed,
            const StatsProvider* stats) {
   for (const PlanCache::CostedRelation& rel : costed) {
-    CardEstimate card;
-    bool known = stats->Estimate(rel.store, rel.name, rel.arity, &card);
-    if (known != rel.known ||
-        (known && RowsDrifted(rel.rows, static_cast<uint64_t>(card.rows)))) {
+    uint64_t rows = 0;
+    bool known = stats->Rows(rel.store, rel.name, rel.arity, &rows);
+    if (known != rel.known || (known && RowsDrifted(rel.rows, rows))) {
       return true;
     }
   }

@@ -111,14 +111,22 @@ class DatabasePairStatsProvider : public StatsProvider {
 
   bool Estimate(Store store, TermId name, uint32_t arity,
                 CardEstimate* out) const override {
-    const Relation* rel =
-        (store == Store::kEdb ? edb_ : idb_)->Find(name, arity);
-    if (rel == nullptr) return false;
-    *out = rel->stats().Estimate();
-    return true;
+    const Relation* rel = Find(store, name, arity);
+    if (rel != nullptr) *out = rel->stats().Estimate();
+    return rel != nullptr;
+  }
+  bool Rows(Store store, TermId name, uint32_t arity,
+            uint64_t* rows) const override {
+    const Relation* rel = Find(store, name, arity);
+    if (rel != nullptr) *rows = rel->stats().rows();
+    return rel != nullptr;
   }
 
  private:
+  const Relation* Find(Store store, TermId name, uint32_t arity) const {
+    return (store == Store::kEdb ? edb_ : idb_)->Find(name, arity);
+  }
+
   const Database* edb_;
   const Database* idb_;
 };

@@ -143,6 +143,10 @@ class StatsProvider {
   virtual ~StatsProvider() = default;
   virtual bool Estimate(Store store, TermId name, uint32_t arity,
                         CardEstimate* out) const = 0;
+  /// The live row count alone, without building an estimate's per-column
+  /// NDVs: what a cached plan's drift check reads on every hit.
+  virtual bool Rows(Store store, TermId name, uint32_t arity,
+                    uint64_t* rows) const = 0;
 };
 
 }  // namespace gluenail

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/api/engine.h"
+#include "src/common/strings.h"
 
 namespace gluenail {
 namespace {
@@ -108,6 +109,34 @@ TEST(ExplainTest, ShowsLoopStructureViaStats) {
       "repeat p(X) += q(X). until unchanged(p(_));");
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_NE(plan->find("match edb q"), std::string::npos) << *plan;
+}
+
+TEST(ExplainTest, CostsNailReadsAgainstTheRefreshedMemo) {
+  // EXPLAIN plans a NAIL! read against the memo refreshed from the current
+  // EDB: right after a batch that makes `path` stale it shows the
+  // estimates it shows once the memo is refreshed.
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgram(R"(
+module kb;
+edb edge(X,Y);
+path(X,Y) :- edge(X,Y).
+path(X,Z) :- path(X,Y) & edge(Y,Z).
+edge(0,1). edge(1,2). edge(2,3).
+end
+)").ok());
+  ASSERT_TRUE(engine.Query("path(1,Y)").ok());
+  MutationBatch chain;
+  for (int i = 3; i < 60; ++i) {
+    chain.Insert(StrCat("edge(", i, ",", i + 1, ")"));
+  }
+  ASSERT_TRUE(engine.ApplyBatch(chain).ok());
+  Result<std::string> stale = engine.ExplainStatement("out(Y) := path(1,Y).");
+  ASSERT_TRUE(stale.ok()) << stale.status();
+  ASSERT_TRUE(engine.Query("path(1,Y)").ok());
+  Result<std::string> fresh = engine.ExplainStatement("out(Y) := path(1,Y).");
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_NE(fresh->find("est="), std::string::npos) << *fresh;
+  EXPECT_EQ(*stale, *fresh);
 }
 
 QueryOptions MagicOptions() {

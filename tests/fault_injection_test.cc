@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -394,6 +395,49 @@ TEST_P(GuardrailTest, InjectedAllocFailureSurfacesAsResourceExhausted) {
   Result<Engine::QueryResult> ok = engine->Query("path(0,Y)");
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_EQ(ok->rows.size(), 200u);
+}
+
+TEST_F(FaultInjectionTest, InjectedAllocFailureInExplainAndCallsIsAStatus) {
+  // EXPLAIN ANALYZE and both Call entry points turn an arena allocation
+  // failure into ResourceExhausted like a query does, and the engine
+  // answers the next request of each kind.
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgram(R"(
+module m;
+edb pairs(X,Y);
+export lookup(X:Y);
+proc lookup(X:Y)
+  return(X:Y) := pairs(X,Y).
+end
+pairs(1,10).
+end
+)").ok());
+  Session session = engine.OpenSession();
+  const std::vector<Tuple> one{{*engine.InternTerm("1")}};
+  auto explain_analyze = [&session] {
+    return session.Execute(Command::Explain("out(X,Y) := pairs(X,Y).", true))
+        .status;
+  };
+  const std::vector<std::function<Status()>> requests = {
+      explain_analyze,
+      [&] { return engine.Call("lookup", one).status(); },
+      [&] { return session.Call("lookup", one).status(); },
+  };
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE(i);
+    FaultInjector::Instance().ArmNth(FaultOp::kAlloc, 1);
+    Status failed = Status::OK();
+    EXPECT_NO_THROW(failed = requests[i]());
+    FaultInjector::Instance().Disarm();
+    EXPECT_TRUE(failed.IsResourceExhausted()) << failed;
+    EXPECT_TRUE(requests[i]().ok());
+  }
+  Result<std::vector<Tuple>> rows = session.Call("lookup", one);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->size(), 1u);
+  Result<Engine::QueryResult> out = engine.Query("out(X,Y)");
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(out->rows.size(), 1u);
 }
 
 // --- Row-scan budget (max_rows_scanned) -------------------------------------

@@ -942,6 +942,16 @@ TEST(IvmObs, SlowQueryLogRecordsRefreshMode) {
   EXPECT_TRUE(found);
   EXPECT_NE(engine.slow_query_log().Render().find("nail refresh"),
             std::string::npos);
+
+  // A session read whose upgrade pays for the refresh records it too.
+  ASSERT_TRUE(engine.ApplyBatch(Batch({"edge(6,7)"})).ok());
+  Session session = engine.OpenSession();
+  ASSERT_TRUE(session.Query("path(X,Y)").ok());
+  entries = engine.slow_query_log().Entries();
+  ASSERT_FALSE(entries.empty());
+  EXPECT_EQ(entries.back().query, "path(X,Y)");
+  EXPECT_EQ(entries.back().nail_refresh_mode, "dred");
+  EXPECT_EQ(entries.back().nail_delta_rows_in, 1u);
 }
 
 // --- Concurrent readers during refresh (the tsan target) -------------------

@@ -1,11 +1,11 @@
 /// \file replication_test.cc
 /// \brief Log-shipping replication suite: payload codecs, the replica
-/// write fence (batches, inline and file EDB loads, statements),
-/// primary->replica convergence to byte-identical query results (EDB and
-/// IVM-maintained IDB), inline and file EDB loads shipped like batches,
-/// rotated-log snapshot bootstrap, torn-stream and primary-restart
-/// recovery, and the fault-injector sweep proving a replica only ever
-/// holds an acked-durable prefix.
+/// write fence (batches, inline and file EDB loads, statements, EXPLAIN
+/// ANALYZE), primary->replica convergence to byte-identical query results
+/// (EDB and IVM-maintained IDB), inline and file EDB loads shipped like
+/// batches, rotated-log snapshot bootstrap, torn-stream and
+/// primary-restart recovery, and the fault-injector sweep proving a
+/// replica only ever holds an acked-durable prefix.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -231,9 +231,9 @@ TEST_F(ReplTest, ReplicaRefusesMutationsWithFailedPrecondition) {
 }
 
 TEST_F(ReplTest, ReplicaFencesEveryEdbWriteCommand) {
-  // Inline and file EDB loads and Glue statements write the EDB too: each
-  // is answered with wire error 10 and leaves the replica's EDB as the
-  // stream built it.
+  // Inline and file EDB loads, Glue statements and EXPLAIN ANALYZE (which
+  // runs its statement) write the EDB too: each is answered with wire
+  // error 10 and leaves the replica's EDB as the stream built it.
   const std::string file = FreshDir("fence") + "/edb.facts";
   {
     Engine source;
@@ -252,7 +252,8 @@ TEST_F(ReplTest, ReplicaFencesEveryEdbWriteCommand) {
   for (const Command& cmd :
        {Command::LoadEdbText("f(fenced_only_symbol)."),
         Command::LoadEdbFile(file),
-        Command::MutateStatement("f(X) += X = 3.")}) {
+        Command::MutateStatement("f(X) += X = 3."),
+        Command::Explain("f(X) += X = 3.", /*analyze=*/true)}) {
     SCOPED_TRACE(CommandKindToString(cmd.kind));
     Result<WireResponse> r = client->Execute(cmd);
     ASSERT_TRUE(r.ok()) << r.status();
@@ -260,6 +261,14 @@ TEST_F(ReplTest, ReplicaFencesEveryEdbWriteCommand) {
         << r->status;
   }
   EXPECT_EQ(replica.terms().size(), terms_before);
+  EXPECT_EQ(Facts(&replica), std::set<int>{1});
+  // A plain EXPLAIN runs nothing, so a replica still answers it.
+  Result<WireResponse> plan =
+      client->Execute(Command::Explain("f(X) += X = 3."));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_TRUE(plan->ok()) << plan->status;
+  EXPECT_NE(plan->text.find("head: += edb f/1"), std::string::npos)
+      << plan->text;
   EXPECT_EQ(Facts(&replica), std::set<int>{1});
   server.Stop();
 }
