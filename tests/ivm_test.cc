@@ -69,6 +69,25 @@ class IvmPair {
     EXPECT_EQ(a->erased, b->erased);
   }
 
+  /// Runs one Glue statement on both engines.
+  void Execute(std::string_view statement) {
+    Status a = ivm_->ExecuteStatement(statement);
+    Status b = full_->ExecuteStatement(statement);
+    ASSERT_TRUE(a.ok()) << a;
+    ASSERT_TRUE(b.ok()) << b;
+  }
+
+  /// Calls the exported procedure \p name on both engines with one input
+  /// tuple, each argument interned into the engine's own pool.
+  void Call(std::string_view name, std::vector<std::string_view> args) {
+    for (Engine* engine : {ivm_.get(), full_.get()}) {
+      Tuple input;
+      for (std::string_view a : args) input.push_back(*engine->InternTerm(a));
+      Result<std::vector<Tuple>> r = engine->Call(name, {input});
+      ASSERT_TRUE(r.ok()) << r.status();
+    }
+  }
+
   void Check(std::string_view goal) {
     EXPECT_EQ(Render(ivm_.get(), ivm_->Query(goal)),
               Render(full_.get(), full_->Query(goal)))
@@ -347,6 +366,97 @@ end
   pair.Check("p(X, Y)");
   EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
   EXPECT_EQ(pair.nail()->last_refresh().fallback, "");
+}
+
+// --- Statement writes: every kind of Glue write to the EDB ----------------
+
+/// Runs \p statement, which must change edge/2, on a warmed TC pair and
+/// checks path against the full-recompute oracle.
+void CheckStatementWrite(IvmPair* pair, std::string_view statement) {
+  pair->Check("path(X, Y)");
+  Result<std::vector<Tuple>> before = pair->ivm()->RelationContents("edge", 2);
+  pair->Execute(statement);
+  EXPECT_NE(*pair->ivm()->RelationContents("edge", 2), *before) << statement;
+  pair->Check("path(X, Y)");
+  pair->CheckContents("edge", 2);
+}
+
+TEST(IvmDred, StatementInsert) {
+  IvmPair pair;
+  pair.Load(kTcProgram);
+  CheckStatementWrite(&pair, "edge(X,Y) += X = 5 & Y = 1.");
+}
+
+TEST(IvmDred, StatementErase) {
+  IvmPair pair;
+  pair.Load(kTcProgram);
+  CheckStatementWrite(&pair, "edge(X,Y) -= edge(X,Y) & X = 3.");
+}
+
+TEST(IvmDred, StatementAssign) {
+  IvmPair pair;
+  pair.Load(kTcProgram);
+  // `:=` clears edge and inserts the body's rows: net, edge(4,5) goes.
+  CheckStatementWrite(&pair, "edge(X,Y) := edge(X,Y) & X < 4.");
+}
+
+TEST(IvmDred, StatementUpdateByKey) {
+  IvmPair pair;
+  pair.Load(kTcProgram);
+  // Replaces edge(4,5) by edge(4,1).
+  CheckStatementWrite(&pair, "edge(X,Y) +=[X] X = 4 & Y = 1.");
+}
+
+TEST(IvmDred, StatementBodyUpdates) {
+  IvmPair pair;
+  pair.Load(kTcProgram);
+  // Reverses edge(4,5) through --/++ subgoals; moved/1 is a new relation.
+  CheckStatementWrite(
+      &pair, "moved(X) += edge(X,Y) & X = 4 & --edge(X,Y) & ++edge(Y,X).");
+  pair.CheckContents("moved", 1);
+}
+
+TEST(IvmDred, StatementDynamicHiLogWrite) {
+  IvmPair pair;
+  pair.Load(kTcProgram);
+  pair.Apply(Batch({"rel(edge)"}));
+  CheckStatementWrite(&pair, "R(X,Y) += rel(R) & X = 5 & Y = 2.");
+}
+
+TEST(IvmDred, ProcedureWriteThroughCall) {
+  IvmPair pair;
+  pair.Load(R"(
+module kb;
+edb edge(X,Y);
+export link(X,Y:);
+path(X,Y) :- edge(X,Y).
+path(X,Z) :- path(X,Y) & edge(Y,Z).
+proc link(X,Y:)
+  edge(X,Y) += in(X,Y).
+  return(X,Y:) := in(X,Y).
+end
+edge(1,2).
+edge(2,3).
+edge(4,5).
+end
+)");
+  pair.Check("path(X, Y)");
+  pair.Call("link", {"3", "4"});
+  pair.Check("path(X, Y)");
+  pair.CheckContents("edge", 2);
+}
+
+TEST(IvmDred, RepeatLoopRefreshesMidRequest) {
+  IvmPair pair;
+  pair.Load(kTcProgram);
+  // Each iteration reads the path memo after the previous one wrote edge,
+  // so the memo is refreshed inside the one request: the loop grows a
+  // chain 3 -> 4 -> ... -> 8 one edge per iteration.
+  CheckStatementWrite(&pair,
+                      "repeat edge(X,Y) += path(1,X) & X < 8 & Y = X + 1. "
+                      "until unchanged(edge(_,_));");
+  // edge(3,4), edge(5,6), edge(6,7) and edge(7,8) join the four loaded.
+  EXPECT_EQ(pair.ivm()->RelationContents("edge", 2)->size(), 8u);
 }
 
 // --- Stratified negation ---------------------------------------------------
