@@ -31,6 +31,7 @@ Engine::Engine(EngineOptions options)
                                  options.wal_fsync_interval,
                                  options.wal_group_linger, nullptr}) {
   edb_.set_default_index_policy(options_.index_policy);
+  edb_.set_delta_log(&ivm_log_);
   idb_.set_default_index_policy(options_.index_policy);
   RegisterBuiltinMetrics();
 }
@@ -601,7 +602,7 @@ Result<LoadReport> Engine::CommitLoad(Result<LoadReport> report,
   if (ops.empty()) return report;
   std::unique_lock<std::shared_mutex> lock(state_mu_);
   GLUENAIL_RETURN_NOT_OK(
-      data_dir_.Commit(ops, record, lock, &edb_, &ivm_log_).status());
+      data_dir_.Commit(ops, record, lock, &edb_).status());
   return report;
 }
 
@@ -671,7 +672,7 @@ Result<MutationBatch::ApplyReport> Engine::ApplyBatch(
   GLUENAIL_ASSIGN_OR_RETURN(MutationBatch::Resolved ops,
                             batch.Resolve(&pool_));
   std::unique_lock<std::shared_mutex> lock(state_mu_);
-  return data_dir_.Commit(ops, batch, lock, &edb_, &ivm_log_);
+  return data_dir_.Commit(ops, batch, lock, &edb_);
 }
 
 Status Engine::Checkpoint() {
@@ -693,14 +694,15 @@ Status Engine::ReplaceEdbLocked(
   // Interning into the engine's pool is harmless: pools are append-only.
   Database staged(&pool_);
   GLUENAIL_RETURN_NOT_OK(stage(&staged));
-  // In place, so relation version counters stay monotone: cached NAIL!
-  // memos and relation snapshots key off versions. Captured deltas describe
-  // the discarded history; a refresh against them could serve memo rows
-  // the replacement (possibly salvaged) EDB never derived.
-  edb_.ForEach([](TermId, uint32_t, Relation* rel) { rel->Clear(); });
-  edb_.MergeFrom(&staged);
+  // Captured deltas describe the discarded history; a refresh against them
+  // could serve memo rows the replacement (possibly salvaged) EDB never
+  // derived. Invalidated first, so the swap below captures nothing.
   if (nail_engine_ != nullptr) nail_engine_->Invalidate();
   ivm_log_.Invalidate();
+  // In place, so relation version counters stay monotone: relation
+  // snapshots and `unchanged(p)` key off versions.
+  edb_.ForEach([](TermId, uint32_t, Relation* rel) { rel->Clear(); });
+  edb_.MergeFrom(&staged);
   return Status::OK();
 }
 
@@ -741,7 +743,7 @@ Status Engine::ApplyReplicatedBatch(uint64_t lsn,
   // Read like recovery replay reads a record, applied like a commit.
   GLUENAIL_ASSIGN_OR_RETURN(MutationBatch::Resolved ops,
                             batch.Resolve(&pool_));
-  MutationBatch::ApplyResolved(ops, &edb_, &ivm_log_);
+  MutationBatch::ApplyResolved(ops, &edb_);
   repl_applied_lsn_.store(lsn, std::memory_order_release);
   if (m_repl_batches_ != nullptr) m_repl_batches_->Add();
   return Status::OK();

@@ -501,13 +501,12 @@ class Engine {
   /// every session; LoadProgram invalidates it.
   PlanCache plan_cache_;
   std::unique_ptr<NailEngine> nail_engine_;
-  /// Captured EDB deltas feeding delta-driven memo maintenance
-  /// (src/nail/ivm.cc): every commit (ApplyBatch and the EDB loads) and
-  /// ApplyReplicatedBatch record every tuple that actually changed into
-  /// it; the NAIL! refresh consumes and rebases it. Recover and a replica
-  /// bootstrap invalidate it explicitly; writes outside a commit (Glue
-  /// statements and procedures, LoadProgram module facts) are caught by
-  /// its version watermark.
+  /// The EDB change journal feeding delta-driven memo maintenance
+  /// (src/nail/ivm.cc). Attached to edb_, so every relation records each
+  /// row that really changes, whichever write made it: commits, replica
+  /// apply, Glue statements and procedures. The NAIL! refresh consumes
+  /// and rebases it; LoadProgram, Recover and a replica bootstrap
+  /// invalidate it before they write the EDB.
   DeltaLog ivm_log_;
   std::unique_ptr<Executor> executor_;
   IoEnv io_;

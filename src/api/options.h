@@ -36,10 +36,10 @@ struct EngineOptions {
   // --- Incremental view maintenance (src/nail/ivm.cc,
   // docs/ARCHITECTURE.md "Incremental view maintenance") ------------------
   /// How stale NAIL! memos are refreshed. kAuto (the default) patches the
-  /// memo from captured EDB deltas — DRed over every affected SCC —
-  /// whenever the structured write path (ApplyBatch / AddFact) captured every change
-  /// since the last refresh and the deltas are small; anything else falls
-  /// back to the full recompute. kOff restores the old
+  /// memo from the EDB change journal's net deltas — DRed over every
+  /// affected SCC — when the deltas are small; anything else (an
+  /// overflowed capture, a negated relation that changed, Recover or a
+  /// program reload) falls back to the full recompute. kOff restores the old
   /// always-recompute behavior; kForce skips the delta-size guard
   /// (tests/benches).
   IvmMode ivm_mode = IvmMode::kAuto;

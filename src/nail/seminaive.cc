@@ -165,18 +165,16 @@ Status NailEngine::EnsureAllNail() {
 }
 
 Status NailEngine::Refresh() {
-  if (program_.empty()) return Status::OK();
-  EdbVersion now = SnapshotEdbVersion(*edb_);
-  if (valid_ && now == snapshot_) return Status::OK();
+  if (IsFresh()) return Status::OK();
   if (exec_ == nullptr) {
     return Status::Internal("NailEngine has no executor wired");
   }
   ScopedSpan refresh_span("nail:refresh");
 
   // ---- Delta maintenance first (docs/ARCHITECTURE.md, "Incremental
-  // view maintenance"): when the captured delta log covers exactly the
-  // span from the memoized snapshot to the live EDB, patch the memos
-  // with DRed instead of recomputing from scratch.
+  // view maintenance"): the change journal holds every EDB change since
+  // the memo was built, so patch the memos with DRed instead of
+  // recomputing from scratch.
   NailRefreshInfo info;
   bool ivm_enabled = ivm_mode_ != IvmMode::kOff && delta_log_ != nullptr;
   // The naive mode is an ablation baseline — it must keep measuring the
@@ -185,14 +183,10 @@ Status NailEngine::Refresh() {
       ivm_enabled && mode_ != NailMode::kNaive && !scc_plans_.empty();
   if (ivm_enabled && !ivm_wired) info.fallback = "mode";
   if (ivm_wired) {
-    if (!valid_) {
-      // Invalidate() (Recover, a replica bootstrap, program reload) — the
-      // memo is untrusted regardless of what the log captured.
+    if (!valid_ || !delta_log_->valid()) {
+      // Never built, or invalidated (Recover, a replica bootstrap, program
+      // reload): the memo is untrusted whatever the journal holds.
       info.fallback = "invalidated";
-    } else if (!delta_log_->Covers(snapshot_, now)) {
-      // Some change bypassed capture (Glue updates, module facts, Clear…);
-      // relation versions are monotone so the watermark gives it away.
-      info.fallback = "stale-memo";
     } else if (delta_log_->any_dropped()) {
       info.fallback = "delta-dropped";
     } else {
@@ -211,9 +205,8 @@ Status NailEngine::Refresh() {
       evaluating_ = false;
       if (ist.ok() && done) {
         ++refresh_count_;
-        snapshot_ = now;
         valid_ = true;
-        delta_log_->Rebase(now);
+        delta_log_->Rebase();
         delta_refresh_count_.fetch_add(1, std::memory_order_relaxed);
         ivm_rows_in_.fetch_add(info.delta_rows_in,
                                std::memory_order_relaxed);
@@ -272,13 +265,10 @@ Status NailEngine::Refresh() {
   evaluating_ = false;
   GLUENAIL_RETURN_NOT_OK(st.WithContext("NAIL! evaluation"));
   ++refresh_count_;
-  // Snapshot *after* evaluation: evaluation only writes the IDB, so the
-  // EDB snapshot is unchanged unless a concurrent statement interfered
-  // (impossible: refreshes run under the engine's writer lock).
-  snapshot_ = SnapshotEdbVersion(*edb_);
   valid_ = true;
-  // The memo was rebuilt from scratch: the delta log restarts against it.
-  if (delta_log_ != nullptr) delta_log_->Rebase(snapshot_);
+  // The memo was rebuilt from the live EDB (evaluation writes only the
+  // IDB, under the engine's writer lock): the journal restarts against it.
+  if (delta_log_ != nullptr) delta_log_->Rebase();
   full_refresh_count_.fetch_add(1, std::memory_order_relaxed);
   if (ivm_enabled && !info.fallback.empty()) {
     ivm_fallback_count_.fetch_add(1, std::memory_order_relaxed);

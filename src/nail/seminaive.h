@@ -3,10 +3,10 @@
 ///
 /// NAIL! predicates are "computed on demand using the current value of the
 /// EDB" (paper §2). The engine materializes every predicate's memo in the
-/// IDB database, memoized against an EDB version snapshot: any EDB change
-/// invalidates the materialization and the next demand recomputes
-/// (relation versions are monotone, so a snapshot is just the
-/// (count, version-sum) pair, EdbVersion).
+/// IDB database and keeps it while the EDB change journal (delta_log.h)
+/// records no net change since the refresh that built it; on the next
+/// demand after a change it patches the memo from the journal's deltas
+/// (DRed, src/nail/ivm.cc) or recomputes it.
 ///
 /// Three modes:
 ///  * kDirect — the default and the engine's runtime path: C++ drives the
@@ -64,7 +64,7 @@ struct NailRefreshInfo {
   /// no memo).
   std::string mode = "full";
   /// Why a full recompute ran although IVM was enabled ("" otherwise):
-  /// "stale-memo", "invalidated", "delta-dropped", "delta-fraction",
+  /// "invalidated", "delta-dropped", "delta-fraction",
   /// "unsupported-rule", "negation-on-delta", "error", "mode".
   std::string fallback;
   /// EDB delta rows consumed / memo rows changed by a delta refresh.
@@ -102,11 +102,13 @@ class NailEngine : public NailEvaluator {
   NailMode mode() const { return mode_; }
 
   /// True when the memoized IDB matches the current EDB — i.e. reads can
-  /// proceed without evaluation. Callers use this to decide whether a
-  /// shared (read) lock suffices.
+  /// proceed without evaluation: the memo was built and the change
+  /// journal nets to no change since. Callers use this to decide whether a
+  /// shared (read) lock suffices. Without a journal (magic's one-shot
+  /// scratch engine) a built memo stays fresh until Invalidate.
   bool IsFresh() const {
     return program_.empty() ||
-           (valid_ && SnapshotEdbVersion(*edb_) == snapshot_);
+           (valid_ && (delta_log_ == nullptr || delta_log_->Unchanged()));
   }
 
   /// Compiled-Glue mode: the index of the generated driver procedure.
@@ -115,12 +117,11 @@ class NailEngine : public NailEvaluator {
   /// Forces recomputation on next demand.
   void Invalidate() { valid_ = false; }
 
-  /// Wires delta-driven maintenance: on staleness, when \p log covers
-  /// exactly the span between the memo's snapshot and the live EDB, the
-  /// refresh runs DRed over every affected SCC against the captured
-  /// deltas instead of recomputing from scratch.
-  /// Requires the direct plans (CompileDirect). \p log may outlive or be
-  /// null (null disables).
+  /// Wires the EDB change journal: freshness reads it, every refresh
+  /// rebases it, and unless \p mode is kOff a stale memo is patched by
+  /// DRed over every affected SCC from its deltas instead of recomputed.
+  /// Requires the direct plans (CompileDirect). \p log must outlive the
+  /// engine.
   void ConfigureIvm(IvmMode mode, DeltaLog* log) {
     ivm_mode_ = mode;
     delta_log_ = log;
@@ -230,7 +231,6 @@ class NailEngine : public NailEvaluator {
 
   bool valid_ = false;
   bool evaluating_ = false;
-  EdbVersion snapshot_;
   uint64_t refresh_count_ = 0;
   uint64_t iteration_count_ = 0;
   std::atomic<uint64_t> replan_count_{0};

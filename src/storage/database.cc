@@ -8,9 +8,15 @@ Relation* Database::GetOrCreate(TermId name, uint32_t arity) {
   if (it != relations_.end()) return it->second.get();
   auto rel = std::make_unique<Relation>(pool_->ToString(name), arity);
   rel->set_index_policy(default_policy_);
+  if (log_ != nullptr) rel->AttachLog(log_, name);
   Relation* out = rel.get();
   relations_.emplace(key, std::move(rel));
   return out;
+}
+
+void Database::set_delta_log(DeltaLog* log) {
+  log_ = log;
+  for (auto& [key, rel] : relations_) rel->AttachLog(log, key.name);
 }
 
 Relation* Database::Find(TermId name, uint32_t arity) const {
@@ -24,6 +30,7 @@ Status Database::Drop(TermId name, uint32_t arity) {
     return Status::NotFound(StrCat("no relation ", pool_->ToString(name), "/",
                                    arity, " to drop"));
   }
+  if (log_ != nullptr) it->second->Clear();
   relations_.erase(it);
   return Status::OK();
 }
@@ -36,6 +43,7 @@ void Database::MergeFrom(Database* staged) {
       // Erases staged after an insert (a replayed log) leave dead rows; a
       // union would not have copied them, so the move drops them too.
       if (it->second->num_rows() != it->second->size()) it->second->Compact();
+      if (log_ != nullptr) it->second->AttachLog(log_, key.name);
     } else {
       it->second->UnionAll(*rel);
     }

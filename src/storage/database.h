@@ -36,20 +36,27 @@ class Database {
   TermPool* pool() const { return pool_; }
 
   /// Finds or creates the relation named by \p name with \p arity. A newly
-  /// created relation receives the database's default index policy.
+  /// created relation receives the database's default index policy and
+  /// the change journal, if one is attached.
   Relation* GetOrCreate(TermId name, uint32_t arity);
+
+  /// Attaches \p log to every relation held now, created or adopted
+  /// later, so each row that really changes is recorded there (the
+  /// engine's EDB change journal, delta_log.h).
+  void set_delta_log(DeltaLog* log);
 
   /// Returns the relation, or nullptr if it does not exist.
   Relation* Find(TermId name, uint32_t arity) const;
 
-  /// Removes a relation entirely.
+  /// Removes a relation entirely (its rows are journaled as erased).
   Status Drop(TermId name, uint32_t arity);
 
   /// Moves every relation of \p staged (same pool) into this database and
   /// leaves \p staged empty. A relation this database lacks moves over
   /// whole (without dead rows), taking this database's default index
-  /// policy; any other is unioned into the relation here, which stays the
-  /// same object, so pointers to it and its version counter survive.
+  /// policy and change journal; any other is unioned into the relation
+  /// here, which stays the same object, so pointers to it and its version
+  /// counter survive.
   void MergeFrom(Database* staged);
 
   /// Invokes \p fn for every relation (iteration order unspecified).
@@ -92,6 +99,7 @@ class Database {
   TermPool* pool_;
   std::unordered_map<Key, std::unique_ptr<Relation>, KeyHash> relations_;
   IndexPolicy default_policy_ = IndexPolicy::kAdaptive;
+  DeltaLog* log_ = nullptr;
 };
 
 /// A map key for the stored relation (store, name, arity).

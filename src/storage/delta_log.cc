@@ -2,15 +2,6 @@
 
 namespace gluenail {
 
-EdbVersion SnapshotEdbVersion(const Database& db) {
-  EdbVersion v;
-  db.ForEach([&](TermId, uint32_t, Relation* rel) {
-    ++v.relations;
-    v.version_sum += rel->version();
-  });
-  return v;
-}
-
 DeltaLog::RelDelta* DeltaLog::Entry(TermId name, uint32_t arity) {
   auto& slot = entries_[Key(name, arity)];
   if (slot == nullptr) slot = std::make_unique<RelDelta>(arity);

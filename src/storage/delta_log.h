@@ -1,31 +1,28 @@
 /// \file delta_log.h
-/// \brief Captured per-relation EDB deltas for incremental view
-/// maintenance (ROADMAP item 2; Brass & Stephan delta pipelines).
+/// \brief The EDB change journal: captured per-relation net deltas for
+/// incremental view maintenance (Brass & Stephan delta pipelines; DRed).
 ///
-/// The engine's structured write path (Engine::ApplyBatch, which AddFact
-/// and inline EDB loads use) records every tuple that actually changed an
-/// EDB relation into this log as net insert/erase row sets. The NAIL!
-/// refresh planner consumes them to run DRed maintenance instead of a
-/// full recompute (src/nail/ivm.cc).
+/// The engine attaches its one log to the EDB Database, which attaches it
+/// to every relation it creates or adopts. Relation::Insert, Erase and
+/// Clear record each row that really changes, so every EDB write is
+/// captured whichever layer makes it: ApplyBatch and the EDB loads,
+/// replica apply, Glue statements and procedures (`:=`, `+=[K]`, `++p`,
+/// HiLog writes). The NAIL! refresh planner consumes the deltas to run
+/// DRed maintenance instead of a full recompute (src/nail/ivm.cc), and a
+/// memo is fresh while the log is valid and nets to no change.
 ///
-/// Validity is watermark-based: after each captured batch the log seals
-/// itself at the EDB's (relation count, version-sum) snapshot. Relation
-/// versions are bumped by *every* content change — Insert, Erase, Clear
-/// of a non-empty relation, Compact, CopyFrom — so any mutation that
-/// bypassed capture (Glue statements and procedures such as `++p`,
-/// LoadProgram module facts, direct Relation calls) leaves the watermark
-/// behind the live snapshot and the next refresh detects it and
-/// recomputes from scratch. Recover and a replica bootstrap additionally
-/// invalidate explicitly (belt and braces: a salvage recovery must never
-/// serve memo rows derived from pre-recovery deltas).
+/// An invalid log captures nothing; a refresh rebases it. Recover and a
+/// replica bootstrap invalidate it before they swap the EDB, and
+/// LoadProgram before it inserts module facts, so those writes are never
+/// captured and the next refresh recomputes in full.
 ///
-/// Captured rows are *net* deltas against the base snapshot: an insert
-/// that cancels a captured erase (or vice versa) removes the earlier
-/// entry instead of accumulating both sides. Invariants the maintenance
+/// Captured rows are *net* deltas against the base: an insert that
+/// cancels a captured erase (or vice versa) removes the earlier entry
+/// instead of accumulating both sides. Invariants the maintenance
 /// algorithms rely on: erased ⊆ base, inserted ∩ base = ∅, and
 /// current = base − erased ∪ inserted. Per-relation captures are capped
-/// (Config::max_rows); an overflowing relation drops its row sets and is
-/// marked, which forces the next refresh to full recompute.
+/// (the constructor's max rows); an overflowing relation drops its row
+/// sets and is marked, which forces the next refresh to full recompute.
 
 #ifndef GLUENAIL_STORAGE_DELTA_LOG_H_
 #define GLUENAIL_STORAGE_DELTA_LOG_H_
@@ -34,26 +31,10 @@
 #include <memory>
 #include <unordered_map>
 
-#include "src/storage/database.h"
 #include "src/storage/relation.h"
 #include "src/storage/tuple.h"
 
 namespace gluenail {
-
-/// The EDB's monotone (relation count, version-sum) snapshot — the same
-/// pair NailEngine memoizes against.
-struct EdbVersion {
-  uint64_t relations = 0;
-  uint64_t version_sum = 0;
-  bool operator==(const EdbVersion& o) const {
-    return relations == o.relations && version_sum == o.version_sum;
-  }
-  bool operator!=(const EdbVersion& o) const { return !(*this == o); }
-};
-
-/// Snapshots \p db's version pair (shared by the engine's sealing and the
-/// NAIL! engine's staleness check).
-EdbVersion SnapshotEdbVersion(const Database& db);
 
 class DeltaLog {
  public:
@@ -79,36 +60,29 @@ class DeltaLog {
   void CaptureInsert(TermId name, uint32_t arity, RowView row);
   void CaptureErase(TermId name, uint32_t arity, RowView row);
 
-  /// Seals the captured state at \p watermark — call after each batch
-  /// whose changes were all captured.
-  void SealBatch(const EdbVersion& watermark) {
-    if (valid_) watermark_ = watermark;
-  }
-
   /// Drops everything and marks the log unusable until the next Rebase.
   void Invalidate() {
     valid_ = false;
     entries_.clear();
   }
 
-  /// Called after a refresh: the memo now matches \p base, so deltas
+  /// Called after a refresh: the memo now matches the live EDB, so deltas
   /// accumulate against it from here on.
-  void Rebase(const EdbVersion& base) {
+  void Rebase() {
     entries_.clear();
-    base_ = base;
-    watermark_ = base;
     valid_ = true;
   }
 
   bool valid() const { return valid_; }
-  const EdbVersion& base() const { return base_; }
-  const EdbVersion& watermark() const { return watermark_; }
 
-  /// True when every EDB change between \p base and \p now went through
-  /// capture: the log is valid, accumulates against exactly \p base, and
-  /// its watermark matches the live snapshot \p now.
-  bool Covers(const EdbVersion& base, const EdbVersion& now) const {
-    return valid_ && base_ == base && watermark_ == now;
+  /// True when the EDB holds what it held at the last Rebase: the log is
+  /// valid and every captured delta nets to nothing. O(changed relations).
+  bool Unchanged() const {
+    if (!valid_) return false;
+    for (const auto& [key, delta] : entries_) {
+      if (delta->dropped || delta->rows() != 0) return false;
+    }
+    return true;
   }
 
   const RelDelta* Find(TermId name, uint32_t arity) const {
@@ -138,8 +112,6 @@ class DeltaLog {
 
   uint64_t max_rows_;
   bool valid_ = false;
-  EdbVersion base_;
-  EdbVersion watermark_;
   std::unordered_map<uint64_t, std::unique_ptr<RelDelta>> entries_;
 };
 

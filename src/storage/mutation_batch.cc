@@ -3,7 +3,6 @@
 #include <charconv>
 
 #include "src/common/strings.h"
-#include "src/storage/delta_log.h"
 #include "src/storage/persistence.h"
 
 namespace gluenail {
@@ -82,26 +81,18 @@ Result<MutationBatch::Resolved> MutationBatch::Resolve(TermPool* pool) const {
 }
 
 MutationBatch::ApplyReport MutationBatch::ApplyResolved(const Resolved& ops,
-                                                        Database* db,
-                                                        DeltaLog* capture) {
+                                                        Database* db) {
   ApplyReport report;
   for (const ResolvedOp& r : ops) {
     uint32_t arity = static_cast<uint32_t>(r.row.size());
     if (r.kind == OpKind::kInsert) {
-      if (db->GetOrCreate(r.name, arity)->Insert(r.row)) {
-        ++report.inserted;
-        if (capture != nullptr) capture->CaptureInsert(r.name, arity, r.row);
-      }
+      if (db->GetOrCreate(r.name, arity)->Insert(r.row)) ++report.inserted;
     } else {
       Relation* rel = db->Find(r.name, arity);
-      if (rel != nullptr && rel->Erase(r.row)) {
-        ++report.erased;
-        if (capture != nullptr) capture->CaptureErase(r.name, arity, r.row);
-      }
+      if (rel != nullptr && rel->Erase(r.row)) ++report.erased;
     }
     ++report.applied;
   }
-  if (capture != nullptr) capture->SealBatch(SnapshotEdbVersion(*db));
   return report;
 }
 

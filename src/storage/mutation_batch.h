@@ -43,8 +43,6 @@
 
 namespace gluenail {
 
-class DeltaLog;
-
 class MutationBatch {
  public:
   enum class OpKind : uint8_t { kInsert, kErase };
@@ -96,11 +94,9 @@ class MutationBatch {
   /// and never logged.
   Result<Resolved> Resolve(TermPool* pool) const;
 
-  /// Applies resolved ops in order against \p db. With a \p capture (the
-  /// IVM delta log), records each op that actually changed \p db into it
-  /// and then seals it at \p db's new version.
-  static ApplyReport ApplyResolved(const Resolved& ops, Database* db,
-                                   DeltaLog* capture);
+  /// Applies resolved ops in order against \p db (whose change journal,
+  /// if any, records each op that really changed it).
+  static ApplyReport ApplyResolved(const Resolved& ops, Database* db);
 
   /// Resolve without the apply, for callers that only check a batch.
   Status Validate(TermPool* pool) const { return Resolve(pool).status(); }

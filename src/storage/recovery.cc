@@ -31,7 +31,7 @@ Status ReplayRecord(Database* db, TermPool* pool, const WalScanRecord& rec,
   }
   ++report->records_replayed;
   report->ops_applied +=
-      MutationBatch::ApplyResolved(*ops, db, nullptr).applied;
+      MutationBatch::ApplyResolved(*ops, db).applied;
   if (rec.lsn > report->last_lsn) report->last_lsn = rec.lsn;
   return Status::OK();
 }
@@ -221,11 +221,10 @@ std::string DataDir::wal_path() const { return StrCat(dir_, "/wal.log"); }
 
 Result<MutationBatch::ApplyReport> DataDir::Commit(
     const MutationBatch::Resolved& ops, const MutationBatch& record,
-    std::unique_lock<std::shared_mutex>& lock, Database* db,
-    DeltaLog* capture) {
+    std::unique_lock<std::shared_mutex>& lock, Database* db) {
   GLUENAIL_RETURN_NOT_OK(RequireLog("commit"));
   if (log_ == nullptr) {
-    return MutationBatch::ApplyResolved(ops, db, capture);
+    return MutationBatch::ApplyResolved(ops, db);
   }
   auto failed = [this](Status s) -> Status {
     counters_.commit_failures.fetch_add(1, std::memory_order_relaxed);
@@ -235,7 +234,7 @@ Result<MutationBatch::ApplyReport> DataDir::Commit(
   Result<CommitLog::Ticket> ticket = log_->Append(record);
   if (!ticket.ok()) return failed(ticket.status());
   MutationBatch::ApplyReport applied =
-      MutationBatch::ApplyResolved(ops, db, capture);
+      MutationBatch::ApplyResolved(ops, db);
   // Counted under the lock, so Recover (which takes it exclusively) sees
   // every commit that may still touch `log`.
   CommitLog* log = log_.get();

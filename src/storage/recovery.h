@@ -102,15 +102,14 @@ class DataDir {
   /// The one write-ahead commit of \p ops, already resolved (so a
   /// malformed batch is never logged and never half-applied). Under the
   /// caller's exclusive \p lock it appends \p record, the same ops as
-  /// fact text, to the open log and applies \p ops to \p db, captured
-  /// into \p capture (MutationBatch::ApplyResolved); then it releases
+  /// fact text, to the open log and applies \p ops to \p db
+  /// (MutationBatch::ApplyResolved); then it releases
   /// \p lock for the ack wait, so other writers append while a group's
   /// fsync runs. With durability off it only applies, and \p record is
   /// not read.
   Result<MutationBatch::ApplyReport> Commit(
       const MutationBatch::Resolved& ops, const MutationBatch& record,
-      std::unique_lock<std::shared_mutex>& lock, Database* db,
-      DeltaLog* capture);
+      std::unique_lock<std::shared_mutex>& lock, Database* db);
 
   /// Stages a rebuild into \p staged (empty, interning into \p pool) from
   /// one read and scan of wal.log; then, with durability on, opens the log

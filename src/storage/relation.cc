@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/storage/delta_log.h"
+
 namespace gluenail {
 
 Relation::Relation(std::string name, uint32_t arity)
@@ -28,6 +30,7 @@ void Relation::AppendNewRow(RowView t, uint64_t hash) {
   for (auto& idx : indexes_) idx->Add(arena_, row_id);
   stats_.OnInsert(t);
   version_.fetch_add(1, std::memory_order_acq_rel);
+  if (Capturing()) log_->CaptureInsert(log_name_, arity_, t);
 }
 
 bool Relation::Insert(RowView t) {
@@ -48,6 +51,7 @@ bool Relation::Erase(RowView t) {
   stats_.OnErase();
   if (stats_.NeedsSketchRebuild()) RebuildStatsSketches();
   version_.fetch_add(1, std::memory_order_acq_rel);
+  if (Capturing()) log_->CaptureErase(log_name_, arity_, t);
   return true;
 }
 
@@ -62,8 +66,22 @@ bool Relation::Contains(RowView t) const {
   return FindRow(t, HashRow(t)) != RowIdTable::kNoRow;
 }
 
+bool Relation::Capturing() const { return log_ != nullptr && log_->valid(); }
+
+void Relation::AttachLog(DeltaLog* log, TermId name) {
+  log_ = log;
+  log_name_ = name;
+  if (!Capturing()) return;
+  for (RowView t : *this) log_->CaptureInsert(log_name_, arity_, t);
+}
+
 void Relation::Clear() {
-  if (!dedup_.empty()) version_.fetch_add(1, std::memory_order_acq_rel);
+  if (!dedup_.empty()) {
+    if (Capturing()) {
+      for (RowView t : *this) log_->CaptureErase(log_name_, arity_, t);
+    }
+    version_.fetch_add(1, std::memory_order_acq_rel);
+  }
   arena_.Clear();
   live_.clear();
   dedup_.Clear();
@@ -181,7 +199,7 @@ void Relation::CopyFrom(const Relation& src) {
   assert(&src != this);
   Clear();
   if (src.empty()) return;
-  if (src.num_rows() == src.size()) {
+  if (src.num_rows() == src.size() && !Capturing()) {
     // No dead rows: copy whole arena chunks and bulk-load the dedup table
     // without probing (src is duplicate-free by construction).
     arena_.CopyRowsFrom(src.arena_);
@@ -200,9 +218,10 @@ void Relation::CopyFrom(const Relation& src) {
     version_.fetch_add(1, std::memory_order_acq_rel);
     return;
   }
-  // Dead rows: src's sketches may carry erase debt, so the live rows are
-  // observed afresh — but src is still duplicate-free, so they append
-  // without a dedup probe into a table sized once.
+  // Dead rows (src's sketches may carry erase debt, so the live rows are
+  // observed afresh) or a capturing journal (each row is recorded): src is
+  // still duplicate-free, so the rows append without a dedup probe into a
+  // table sized once.
   dedup_.Reserve(src.size(),
                  [this](uint32_t r) { return HashRow(arena_.row(r)); });
   std::vector<uint32_t> rows;

@@ -44,6 +44,8 @@
 
 namespace gluenail {
 
+class DeltaLog;
+
 class Relation {
  public:
   Relation(std::string name, uint32_t arity);
@@ -68,6 +70,12 @@ class Relation {
   bool Contains(RowView t) const;
   /// Removes all tuples (the effect of a `:=` with an empty body result).
   void Clear();
+
+  /// Records every row that really changes from here on (Insert, Erase,
+  /// Clear, CopyFrom) into \p log under \p name; the rows held now count
+  /// as inserted. The EDB attaches its change journal this way to every
+  /// relation it creates or adopts (delta_log.h).
+  void AttachLog(DeltaLog* log, TermId name);
 
   // --- Row-level access for the executors -------------------------------
 
@@ -233,9 +241,16 @@ class Relation {
   /// Appends a row known to be absent: arena + dedup + indexes + version.
   void AppendNewRow(RowView t, uint64_t hash);
 
+  /// True when a valid change journal is attached.
+  bool Capturing() const;
+
   std::string name_;
   uint32_t arity_;
   std::atomic<uint64_t> version_{0};
+
+  /// The attached change journal and this relation's name in it.
+  DeltaLog* log_ = nullptr;
+  TermId log_name_ = kNullTerm;
 
   /// Row data, stored exactly once.
   TupleArena arena_;

@@ -4,7 +4,7 @@
 /// graphs), stratified-negation, and HiLog-parameterized programs; both
 /// execution strategies; a randomized differential over seven recursive
 /// and three non-recursive programs; fallback behavior (delta fraction,
-/// dropped captures, unstructured writes, inline EDB loads captured like
+/// dropped captures, statement writes and inline EDB loads captured like
 /// batches); salvage-recovery invalidation; metrics/EXPLAIN surfacing;
 /// and concurrent readers during refresh (the tsan target).
 
@@ -370,14 +370,25 @@ end
 
 // --- Statement writes: every kind of Glue write to the EDB ----------------
 
+/// The ivm engine's last refresh was a delta refresh (the statement's
+/// writes were journaled), not a full recompute.
+void ExpectDeltaRefresh(IvmPair* pair) {
+  const NailRefreshInfo info = pair->nail()->last_refresh();
+  EXPECT_TRUE(info.mode == "dred" || info.mode == "empty") << info.mode;
+  EXPECT_EQ(info.fallback, "");
+}
+
 /// Runs \p statement, which must change edge/2, on a warmed TC pair and
 /// checks path against the full-recompute oracle.
 void CheckStatementWrite(IvmPair* pair, std::string_view statement) {
   pair->Check("path(X, Y)");
   Result<std::vector<Tuple>> before = pair->ivm()->RelationContents("edge", 2);
+  const uint64_t fulls = pair->nail()->full_refresh_count();
   pair->Execute(statement);
   EXPECT_NE(*pair->ivm()->RelationContents("edge", 2), *before) << statement;
   pair->Check("path(X, Y)");
+  ExpectDeltaRefresh(pair);
+  EXPECT_EQ(pair->nail()->full_refresh_count(), fulls) << statement;
   pair->CheckContents("edge", 2);
 }
 
@@ -443,6 +454,7 @@ end
   pair.Check("path(X, Y)");
   pair.Call("link", {"3", "4"});
   pair.Check("path(X, Y)");
+  ExpectDeltaRefresh(&pair);
   pair.CheckContents("edge", 2);
 }
 
@@ -746,6 +758,35 @@ TEST(IvmRandomDredTest, MatchesFullRecompute) {
   }
 }
 
+TEST(IvmDred, StatementWritesPayNoFullRefresh) {
+  // A statement's write to a relation no rule reads nets to a journal
+  // entry that touches no memo: every request after it refreshes in mode
+  // `empty` instead of recomputing TC over a 300-edge chain.
+  Engine engine;
+  std::string src = "module kb;\nedb edge(X,Y);\n"
+                    "path(X,Y) :- edge(X,Y).\n"
+                    "path(X,Z) :- path(X,Y) & edge(Y,Z).\n";
+  for (int i = 0; i < 300; ++i) src += StrCat("edge(", i, ",", i + 1, ").\n");
+  src += "end\n";
+  ASSERT_TRUE(engine.LoadProgram(src).ok());
+  NailEngine* nail = engine.nail_engine();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(engine.ExecuteStatement(StrCat("note(X) += X = ", i, ".")).ok());
+    if (i > 0) EXPECT_EQ(nail->last_refresh().mode, "empty") << i;
+  }
+  EXPECT_EQ(nail->full_refresh_count(), 1u);
+  EXPECT_EQ(nail->refresh_count(), 20u);
+  // A writer-path magic-strategy query after a statement write, too.
+  ASSERT_TRUE(engine.ExecuteStatement("note(X) += X = 20.").ok());
+  QueryOptions magic;
+  magic.strategy = QueryStrategy::kMagic;
+  Result<Engine::QueryResult> r = engine.Query("path(290, Y)", magic);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->rows.size(), 10u);
+  EXPECT_EQ(nail->last_refresh().mode, "empty");
+  EXPECT_EQ(nail->full_refresh_count(), 1u);
+}
+
 // --- Fallback guards -------------------------------------------------------
 
 TEST(IvmFallback, AutoRecomputesWhenDeltaFractionExceeded) {
@@ -783,22 +824,24 @@ TEST(IvmFallback, DroppedCaptureRecomputes) {
   EXPECT_EQ(engine.nail_engine()->last_refresh().fallback, "delta-dropped");
 }
 
-TEST(IvmFallback, UnstructuredWriteIsCaughtByWatermark) {
+TEST(IvmFallback, StatementWriteNeedsNoFallback) {
   IvmPair pair;
   pair.Load(kTcProgram);
   pair.Check("path(X, Y)");
   pair.Apply(Batch({"edge(5,6)"}));
   pair.Check("path(X, Y)");
   EXPECT_GE(pair.nail()->delta_refresh_count(), 1u);
-  // An ad-hoc Glue statement writes the EDB outside ApplyBatch, so it
-  // bypasses capture; the version watermark must force the next refresh
-  // to recompute rather than patch from a log that missed this change.
+  // An ad-hoc Glue statement writes the EDB outside ApplyBatch; the
+  // relations journal the erases themselves, so the next refresh patches
+  // the memo from them instead of recomputing it.
+  const uint64_t fulls = pair.nail()->full_refresh_count();
   ASSERT_TRUE(pair.ivm()->ExecuteStatement("edge(X,Y) -= edge(X,Y).").ok());
   Result<Engine::QueryResult> r = pair.ivm()->Query("path(X,Y)");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->rows.empty());
-  EXPECT_EQ(pair.nail()->last_refresh().mode, "full");
-  EXPECT_EQ(pair.nail()->last_refresh().fallback, "stale-memo");
+  EXPECT_EQ(pair.nail()->last_refresh().mode, "dred");
+  EXPECT_EQ(pair.nail()->last_refresh().fallback, "");
+  EXPECT_EQ(pair.nail()->full_refresh_count(), fulls);
 }
 
 TEST(IvmFallback, InlineEdbLoadIsCapturedForDeltaRefresh) {
@@ -1020,15 +1063,15 @@ TEST(IvmObs, ExplainAnalyzeShowsRefreshMode) {
   EXPECT_NE(out->find("nail refresh: mode=dred"), std::string::npos) << *out;
   EXPECT_NE(out->find("delta_rows_in=1"), std::string::npos) << *out;
   EXPECT_NE(out->find("old_state_rows=0"), std::string::npos) << *out;
-  // The first ANALYZE *wrote* reached/1 — an ad-hoc statement the delta
-  // log never saw — so the second one must show a watermark-forced full
-  // recompute, not an incremental patch.
+  // The first ANALYZE *wrote* reached/1, which the journal captured and
+  // no rule reads: the second one's refresh is a delta refresh that
+  // touches no memo, with no fallback.
   Result<std::string> again =
       engine.ExplainStatement("reached(Y) += path(1, Y).", eo);
   ASSERT_TRUE(again.ok());
-  EXPECT_NE(again->find("nail refresh: mode=full fallback=stale-memo"),
-            std::string::npos)
+  EXPECT_NE(again->find("nail refresh: mode=empty"), std::string::npos)
       << *again;
+  EXPECT_EQ(again->find("fallback"), std::string::npos) << *again;
 }
 
 TEST(IvmObs, SlowQueryLogRecordsRefreshMode) {

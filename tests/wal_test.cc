@@ -288,7 +288,7 @@ TEST_F(WalTest, DuplicateReplayIsIdempotent) {
   for (const MutationBatch* b : {&b1, &b2}) {
     Result<MutationBatch::Resolved> ops = b->Resolve(&pool);
     ASSERT_TRUE(ops.ok());
-    MutationBatch::ApplyResolved(*ops, &db, nullptr);
+    MutationBatch::ApplyResolved(*ops, &db);
   }
   ASSERT_TRUE(SaveDatabaseToFile(db, ckpt).ok());
 
