@@ -17,6 +17,30 @@ namespace {
 /// Entries the slow-query log keeps before evicting the oldest.
 constexpr size_t kSlowQueryLogCapacity = 64;
 
+/// Refuses an op whose (name, arity) belongs to a predicate of \p nail: a
+/// NAIL! predicate's rows are derived, never stored, and an EDB row under
+/// its name would answer a dynamic read the memo contradicts. A symbol
+/// name p is p/0/arity, a compound f(p1..pk) is f/k/arity.
+Status RefuseNailRows(const NailProgram& nail, const TermPool& pool,
+                      const MutationBatch::Resolved& ops) {
+  if (nail.empty()) return Status::OK();
+  for (const MutationBatch::ResolvedOp& op : ops) {
+    TermId root = op.name;
+    const auto params = static_cast<uint32_t>(pool.Arity(root));
+    if (pool.IsCompound(root)) root = pool.Functor(root);
+    const auto arity = static_cast<uint32_t>(op.row.size());
+    if (pool.IsSymbol(root) &&
+        nail.FindPred(std::string(pool.SymbolName(root)), params, arity) >=
+            0) {
+      return Status::InvalidArgument(
+          StrCat("cannot write ", pool.ToString(op.name), "/", arity,
+                 " to the EDB: it is a NAIL! predicate of the loaded "
+                 "program"));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions options)
@@ -600,10 +624,17 @@ Result<LoadReport> Engine::CommitLoad(Result<LoadReport> report,
     }
   });
   if (ops.empty()) return report;
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  GLUENAIL_RETURN_NOT_OK(
-      data_dir_.Commit(ops, record, lock, &edb_).status());
+  GLUENAIL_RETURN_NOT_OK(Commit(ops, record).status());
   return report;
+}
+
+Result<MutationBatch::ApplyReport> Engine::Commit(
+    const MutationBatch::Resolved& ops, const MutationBatch& record) {
+  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  if (linked_ != nullptr) {
+    GLUENAIL_RETURN_NOT_OK(RefuseNailRows(linked_->nail, pool_, ops));
+  }
+  return data_dir_.Commit(ops, record, lock, &edb_);
 }
 
 Result<std::vector<Tuple>> Engine::RelationContents(
@@ -671,8 +702,7 @@ Result<MutationBatch::ApplyReport> Engine::ApplyBatch(
   // The pool is thread-safe, so the batch is read before the writer lock.
   GLUENAIL_ASSIGN_OR_RETURN(MutationBatch::Resolved ops,
                             batch.Resolve(&pool_));
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  return data_dir_.Commit(ops, batch, lock, &edb_);
+  return Commit(ops, batch);
 }
 
 Status Engine::Checkpoint() {

@@ -444,9 +444,15 @@ class Engine {
   RuntimeEnv Env();
   void RegisterBuiltinMetrics();
   /// Commits the rows of a load's \p staged database as one insert batch
-  /// through DataDir::Commit, like ApplyBatch.
+  /// through Commit, like ApplyBatch.
   Result<LoadReport> CommitLoad(Result<LoadReport> report,
                                 const Database& staged);
+  /// The one commit of ApplyBatch and the EDB loads: under the writer
+  /// lock, refuses (InvalidArgument, nothing applied or logged) an op
+  /// whose (name, arity) belongs to a NAIL! predicate of the linked
+  /// program, then runs DataDir::Commit of \p ops logged as \p record.
+  Result<MutationBatch::ApplyReport> Commit(
+      const MutationBatch::Resolved& ops, const MutationBatch& record);
 
   /// Parses an ad-hoc statement and compiles it by wrapping it in a
   /// throwaway procedure.

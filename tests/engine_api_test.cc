@@ -54,6 +54,57 @@ TEST(EngineApiTest, AddFactVariants) {
   EXPECT_EQ(r->rows.size(), 2u);
 }
 
+/// Renders \p goal's answers as "a,b;c,d".
+std::string Answers(Engine* engine, std::string_view goal) {
+  Result<Engine::QueryResult> r = engine->Query(goal);
+  EXPECT_TRUE(r.ok()) << r.status();
+  if (!r.ok()) return "<error>";
+  std::string out;
+  for (const Tuple& row : r->rows) {
+    if (!out.empty()) out += ";";
+    for (size_t j = 0; j < row.size(); ++j) {
+      if (j != 0) out += ",";
+      out += engine->terms().ToString(row[j]);
+    }
+  }
+  return out;
+}
+
+TEST(EngineApiTest, EdbWritesUnderANailPredicateAreRefused) {
+  // A stored path(7,8) beside the rule-defined path/2 would answer the
+  // dynamic read rel(P) & P(X,Y) with a row the static read never sees.
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgram(R"(
+module kb;
+edb edge(X,Y), attends(S,C);
+path(X,Y) :- edge(X,Y).
+students(C)(S) :- attends(S,C).
+edge(1,2).
+attends(ann, cs99).
+end
+)").ok());
+  MutationBatch batch;
+  batch.Insert("rel(path)");
+  batch.Insert("path(7,8)");
+  Status st = engine.ApplyBatch(batch).status();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_NE(st.message().find("path/2"), std::string::npos) << st;
+  // Nothing of the refused batch was applied.
+  EXPECT_EQ(Answers(&engine, "rel(P)"), "");
+  // A HiLog family f(p1..pk) is f/k/arity; the loads take the same check.
+  EXPECT_TRUE(engine.AddFact("students(cs99)(bo).").IsInvalidArgument());
+  EXPECT_TRUE(
+      engine.LoadEdbText("path(7,8).\n").status().IsInvalidArgument());
+  // Another arity, or another parameter count, is another relation.
+  EXPECT_TRUE(engine.AddFact("path(7,8,9).").ok());
+  EXPECT_TRUE(engine.AddFact("students(bo).").ok());
+
+  ASSERT_TRUE(engine.AddFact("rel(path).").ok());
+  EXPECT_EQ(Answers(&engine, "path(X,Y)"), "1,2");
+  EXPECT_EQ(Answers(&engine, "rel(P) & P(X,Y)"), "path,1,2");
+  EXPECT_EQ(Answers(&engine, "students(cs99)(S)"), "ann");
+}
+
 TEST(EngineApiTest, RelationContents) {
   Engine engine;
   ASSERT_TRUE(engine.AddFact("p(2).").ok());
