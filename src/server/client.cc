@@ -162,19 +162,10 @@ void Client::Close() {
 
 Result<WireResponse> Client::Execute(const Command& cmd) {
   if (fd_ < 0) return Status::InvalidArgument("client is not connected");
-  std::string frame = EncodeFrame(FrameType::kCommand, EncodeCommand(cmd));
-  size_t off = 0;
-  while (off < frame.size()) {
-    ssize_t n =
-        ::send(fd_, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      Status s = Status::IoError(
-          StrCat("send: ", n < 0 ? std::strerror(errno) : "connection lost"));
-      Close();
-      return s;
-    }
-    off += static_cast<size_t>(n);
+  if (!SendAll(fd_, EncodeFrame(FrameType::kCommand, EncodeCommand(cmd)))) {
+    Status s = Status::IoError(StrCat("send: ", std::strerror(errno)));
+    Close();
+    return s;
   }
   char buf[64 << 10];
   while (true) {

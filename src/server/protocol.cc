@@ -1,6 +1,9 @@
 #include "src/server/protocol.h"
 
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include "src/common/strings.h"
@@ -50,6 +53,21 @@ std::string EncodeFrame(FrameType type, std::string_view payload) {
   PutLE64(&out, Fnv1a64(payload.data(), payload.size()));
   out.append(payload.data(), payload.size());
   return out;
+}
+
+bool SendAll(int fd, std::string_view data) {
+  size_t off = 0;
+  while (off < data.size()) {
+    ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (n == 0) errno = EPIPE;
+      return false;
+    }
+    off += static_cast<size_t>(n);
+  }
+  return true;
 }
 
 Result<std::optional<WireFrame>> FrameDecoder::Next() {

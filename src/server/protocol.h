@@ -65,6 +65,11 @@ struct WireFrame {
 /// Wraps \p payload in a checksummed frame.
 std::string EncodeFrame(FrameType type, std::string_view payload);
 
+/// Writes all of \p data to socket \p fd; false on a broken connection,
+/// with errno saying why. MSG_NOSIGNAL, so a peer that hung up surfaces as
+/// EPIPE, not a process-killing SIGPIPE.
+bool SendAll(int fd, std::string_view data);
+
 /// Incremental frame parser for a byte stream. Feed() arbitrary chunks
 /// (as they arrive from a socket); Next() yields completed frames,
 /// std::nullopt when more bytes are needed, or an error for an

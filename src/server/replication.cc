@@ -89,25 +89,6 @@ Result<uint64_t> DecodeReplHeartbeat(std::string_view payload) {
 
 // --- Replica-side client -------------------------------------------------
 
-namespace {
-
-/// Writes all of \p data; false on a broken connection.
-bool SendAllFd(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
-
 ReplicationClient::ReplicationClient(Engine* engine,
                                      ReplicationClientOptions options)
     : engine_(engine), options_(std::move(options)) {}
@@ -192,7 +173,7 @@ Status ReplicationClient::StreamOnce(bool* progressed) {
   // Resume from exactly after the last applied batch; the primary
   // re-ships everything from there.
   const uint64_t from = engine_->replica_applied_lsn() + 1;
-  if (!SendAllFd(fd, EncodeFrame(FrameType::kReplSubscribe,
+  if (!SendAll(fd, EncodeFrame(FrameType::kReplSubscribe,
                                  EncodeReplSubscribe(from)))) {
     return finish(Status::IoError("subscribe: primary hung up"));
   }

@@ -50,22 +50,6 @@ Result<int> BindListen(uint16_t port, int backlog, uint16_t* bound_port) {
   return fd;
 }
 
-/// Writes all of \p data; false on a broken connection. MSG_NOSIGNAL so a
-/// client that hung up surfaces as EPIPE, not a process-killing SIGPIPE.
-bool SendAll(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 std::string HttpResponse(int code, std::string_view reason,
                          std::string_view content_type,
                          std::string_view body) {
