@@ -538,18 +538,6 @@ Result<std::string> SerializeDatabase(const Database& db) {
   return out;
 }
 
-Status SaveDatabase(const Database& db, std::ostream& os) {
-  GLUENAIL_ASSIGN_OR_RETURN(std::string buf, SerializeDatabase(db));
-  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  os.flush();
-  // Stream state after the flush is the only truth about whether the bytes
-  // left the process; a full disk shows up here, not at write().
-  if (!os.good()) {
-    return Status::IoError("stream write failed while saving EDB");
-  }
-  return Status::OK();
-}
-
 PersistenceCounters& GlobalPersistenceCounters() {
   static PersistenceCounters counters;
   return counters;
@@ -732,13 +720,6 @@ Result<LoadReport> LoadDatabase(Database* db, std::string_view text,
   // destination. A failed load above returned without mutating *db.
   db->MergeFrom(&staging);
   return report;
-}
-
-Status LoadDatabase(Database* db, std::istream& is) {
-  std::ostringstream text;
-  text << is.rdbuf();
-  if (is.bad()) return Status::IoError("read failed while loading EDB");
-  return LoadDatabase(db, std::move(text).str(), LoadOptions{}).status();
 }
 
 Result<LoadReport> LoadDatabaseFromFile(Database* db, const std::string& path,

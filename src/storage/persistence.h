@@ -43,8 +43,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -107,11 +105,6 @@ struct LoadReport {
 /// nothing saved is ever unreadable. Statements can build such a term.
 Result<std::string> SerializeDatabase(const Database& db);
 
-/// Writes SerializeDatabase(db) to \p os and flushes, verifying stream
-/// state afterwards: a full disk or broken pipe surfaces as
-/// Status::IoError, never as a silent truncation.
-Status SaveDatabase(const Database& db, std::ostream& os);
-
 /// Crash-safe save: temp file in the same directory, fsync, atomic
 /// rename. On any failure the previous file content is untouched and the
 /// temp file is removed.
@@ -122,9 +115,7 @@ Status SaveDatabaseToFile(const Database& db, const std::string& path);
 /// Existing tuples are kept; duplicates in the input are harmless.
 Result<LoadReport> LoadDatabase(Database* db, std::string_view text,
                                 const LoadOptions& options);
-/// LoadDatabase of everything \p is holds, under kStrict.
-Status LoadDatabase(Database* db, std::istream& is);
-
+/// LoadDatabaseFromFile under kStrict, status only.
 Status LoadDatabaseFromFile(Database* db, const std::string& path);
 
 /// The bytes of the file at \p path; an IoError names the path when it

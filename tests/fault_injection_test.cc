@@ -207,8 +207,8 @@ class TornFileTest : public FaultInjectionTest {
 TEST_F(TornFileTest, StrictLoadFailsAndLeavesDatabaseUntouched) {
   db_.GetOrCreate(pool_.MakeSymbol("keep"), 1)
       ->Insert(Tuple{pool_.MakeInt(7)});
-  std::istringstream in(MakeTornFile());
-  Status st = LoadDatabase(&db_, in);
+  const std::string in(MakeTornFile());
+  Status st = LoadDatabase(&db_, in, {}).status();
   EXPECT_TRUE(st.IsIoError()) << st;
   // All-or-nothing: nothing from the torn file, existing data intact.
   EXPECT_EQ(db_.num_relations(), 1u);
@@ -216,10 +216,10 @@ TEST_F(TornFileTest, StrictLoadFailsAndLeavesDatabaseUntouched) {
 }
 
 TEST_F(TornFileTest, SalvageKeepsGoodRelationsAndReportsDrops) {
-  std::istringstream in(MakeTornFile());
+  const std::string in(MakeTornFile());
   LoadOptions opts;
   opts.recovery = RecoveryMode::kSalvage;
-  Result<LoadReport> report = LoadDatabase(&db_, in.str(), opts);
+  Result<LoadReport> report = LoadDatabase(&db_, in, opts);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->relations_loaded, 1u);
   EXPECT_EQ(report->sections_dropped, 1u);
@@ -244,13 +244,11 @@ TEST_F(TornFileTest, SalvageOfTruncatedFileKeepsCompleteSections) {
   // a non-atomic saver — exactly what the atomic rename prevents).
   std::string torn = text.substr(0, text.rfind("zeta(2)."));
 
-  std::istringstream strict_in(torn);
-  EXPECT_TRUE(LoadDatabase(&db_, strict_in).IsIoError());
+  EXPECT_TRUE(LoadDatabase(&db_, torn, {}).status().IsIoError());
 
   LoadOptions opts;
   opts.recovery = RecoveryMode::kSalvage;
-  std::istringstream in(torn);
-  Result<LoadReport> report = LoadDatabase(&db_, in.str(), opts);
+  Result<LoadReport> report = LoadDatabase(&db_, torn, opts);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->relations_loaded, 1u);
   EXPECT_EQ(report->sections_dropped, 1u);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -69,14 +68,14 @@ TEST_F(PersistenceTest, ParseGroundTermErrors) {
 }
 
 TEST_F(PersistenceTest, LoadFacts) {
-  std::istringstream in(
+  const std::string in(
       "% a comment\n"
       "edge(1,2).\n"
       "edge(2,3).\n"
       "\n"
       "tolerance(2.5).\n"
       "name('San Francisco').\n");
-  ASSERT_TRUE(LoadDatabase(&db_, in).ok());
+  ASSERT_TRUE(LoadDatabase(&db_, in, {}).ok());
   Relation* edge = db_.Find(pool_.MakeSymbol("edge"), 2);
   ASSERT_NE(edge, nullptr);
   EXPECT_EQ(edge->size(), 2u);
@@ -86,19 +85,19 @@ TEST_F(PersistenceTest, LoadFacts) {
 }
 
 TEST_F(PersistenceTest, LoadZeroArityFact) {
-  std::istringstream in("initialized.\n");
-  ASSERT_TRUE(LoadDatabase(&db_, in).ok());
+  const std::string in("initialized.\n");
+  ASSERT_TRUE(LoadDatabase(&db_, in, {}).ok());
   Relation* r = db_.Find(pool_.MakeSymbol("initialized"), 0);
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->size(), 1u);
 }
 
 TEST_F(PersistenceTest, LoadParameterizedPredicate) {
-  std::istringstream in(
+  const std::string in(
       "students(cs99)(wilson).\n"
       "students(cs99)(green).\n"
       "students(cs101)(jones).\n");
-  ASSERT_TRUE(LoadDatabase(&db_, in).ok());
+  ASSERT_TRUE(LoadDatabase(&db_, in, {}).ok());
   std::vector<TermId> args{pool_.MakeSymbol("cs99")};
   Relation* r = db_.Find(pool_.MakeCompound("students", args), 1);
   ASSERT_NE(r, nullptr);
@@ -106,17 +105,17 @@ TEST_F(PersistenceTest, LoadParameterizedPredicate) {
 }
 
 TEST_F(PersistenceTest, LoadRejectsMissingDot) {
-  std::istringstream in("edge(1,2)\n");
-  Status s = LoadDatabase(&db_, in);
+  const std::string in("edge(1,2)\n");
+  Status s = LoadDatabase(&db_, in, {}).status();
   EXPECT_TRUE(s.IsParseError());
 }
 
 TEST_F(PersistenceTest, LoadRejectsNumberFact) {
-  std::istringstream in("42.\n");
+  const std::string in("42.\n");
   // "42." reads as the float 42.? No: '.' not followed by a digit is the
   // terminator, so this is the integer fact 42 — which is not a valid
   // predicate name.
-  Status s = LoadDatabase(&db_, in);
+  Status s = LoadDatabase(&db_, in, {}).status();
   EXPECT_TRUE(s.IsParseError());
 }
 
@@ -132,13 +131,12 @@ TEST_F(PersistenceTest, SaveLoadRoundTrip) {
   Relation* flag = db_.GetOrCreate(pool_.MakeSymbol("flag"), 0);
   flag->Insert(Tuple{});
 
-  std::ostringstream out;
-  ASSERT_TRUE(SaveDatabase(db_, out).ok());
+  Result<std::string> out = SerializeDatabase(db_);
+  ASSERT_TRUE(out.ok()) << out.status();
 
   TermPool pool2;
   Database db2(&pool2);
-  std::istringstream in(out.str());
-  ASSERT_TRUE(LoadDatabase(&db2, in).ok());
+  ASSERT_TRUE(LoadDatabase(&db2, *out, {}).ok());
 
   Relation* edge2 = db2.Find(pool2.MakeSymbol("edge"), 2);
   ASSERT_NE(edge2, nullptr);
@@ -164,12 +162,11 @@ TEST_F(PersistenceTest, SaveRoundTripsQuotedAndNumericEdgeCases) {
   r->Insert(Tuple{pool_.MakeFloat(1.0)});
   r->Insert(Tuple{pool_.MakeInt(1)});
 
-  std::ostringstream out;
-  ASSERT_TRUE(SaveDatabase(db_, out).ok());
+  Result<std::string> out = SerializeDatabase(db_);
+  ASSERT_TRUE(out.ok()) << out.status();
   TermPool pool2;
   Database db2(&pool2);
-  std::istringstream in(out.str());
-  ASSERT_TRUE(LoadDatabase(&db2, in).ok()) << out.str();
+  ASSERT_TRUE(LoadDatabase(&db2, *out, {}).ok()) << *out;
   Relation* r2 = db2.Find(pool2.MakeSymbol("misc"), 1);
   ASSERT_NE(r2, nullptr);
   EXPECT_EQ(r2->size(), 4u);
@@ -202,10 +199,9 @@ namespace {
 
 /// Round-trips \p db through serialization into \p db2 (fresh pool).
 void RoundTrip(const Database& db, Database* db2) {
-  std::ostringstream out;
-  ASSERT_TRUE(SaveDatabase(db, out).ok());
-  std::istringstream in(out.str());
-  ASSERT_TRUE(LoadDatabase(db2, in).ok()) << out.str();
+  Result<std::string> out = SerializeDatabase(db);
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_TRUE(LoadDatabase(db2, *out, {}).ok()) << *out;
 }
 
 }  // namespace
@@ -284,8 +280,7 @@ TEST_F(PersistenceTest, LoadsCrlfFilesWithValidChecksums) {
   }
   TermPool pool2;
   Database db2(&pool2);
-  std::istringstream in(crlf);
-  ASSERT_TRUE(LoadDatabase(&db2, in).ok());
+  ASSERT_TRUE(LoadDatabase(&db2, crlf, {}).ok());
   Relation* edge = db2.Find(pool2.MakeSymbol("edge"), 2);
   ASSERT_NE(edge, nullptr);
   EXPECT_EQ(edge->size(), 1u);
@@ -320,8 +315,7 @@ TEST_F(PersistenceTest, CorruptedFileFailsStrictLoadAllOrNothing) {
   Database db2(&pool2);
   db2.GetOrCreate(pool2.MakeSymbol("keep"), 1)
       ->Insert(Tuple{pool2.MakeInt(1)});
-  std::istringstream in(text);
-  Status st = LoadDatabase(&db2, in);
+  Status st = LoadDatabase(&db2, text, {}).status();
   EXPECT_TRUE(st.IsIoError()) << st;
   EXPECT_EQ(db2.num_relations(), 1u);  // destination untouched
 }
@@ -335,17 +329,16 @@ TEST_F(PersistenceTest, TamperedHeaderCountFailsStrictLoad) {
   text[at + std::string("relations=").size()] = '3';
   TermPool pool2;
   Database db2(&pool2);
-  std::istringstream in(text);
-  EXPECT_FALSE(LoadDatabase(&db2, in).ok());
+  EXPECT_FALSE(LoadDatabase(&db2, text, {}).ok());
   EXPECT_EQ(db2.num_relations(), 0u);
 }
 
 TEST_F(PersistenceTest, LegacyHeaderlessFilesStillLoad) {
-  std::istringstream in(
+  const std::string in(
       "% hand-written legacy file, no %% header\n"
       "edge(1,2).\n"
       "edge(2,3).\n");
-  ASSERT_TRUE(LoadDatabase(&db_, in).ok());
+  ASSERT_TRUE(LoadDatabase(&db_, in, {}).ok());
   Relation* edge = db_.Find(pool_.MakeSymbol("edge"), 2);
   ASSERT_NE(edge, nullptr);
   EXPECT_EQ(edge->size(), 2u);
@@ -354,24 +347,24 @@ TEST_F(PersistenceTest, LegacyHeaderlessFilesStillLoad) {
 TEST_F(PersistenceTest, LegacyLoadIsAllOrNothingInStrictMode) {
   db_.GetOrCreate(pool_.MakeSymbol("keep"), 1)
       ->Insert(Tuple{pool_.MakeInt(1)});
-  std::istringstream in(
+  const std::string in(
       "edge(1,2).\n"
       "not a fact!!\n"
       "edge(2,3).\n");
-  EXPECT_FALSE(LoadDatabase(&db_, in).ok());
+  EXPECT_FALSE(LoadDatabase(&db_, in, {}).ok());
   // The parse failure on line 2 must not leave line 1 behind.
   EXPECT_EQ(db_.Find(pool_.MakeSymbol("edge"), 2), nullptr);
   EXPECT_EQ(db_.num_relations(), 1u);
 }
 
 TEST_F(PersistenceTest, LegacySalvageSkipsBadLines) {
-  std::istringstream in(
+  const std::string in(
       "edge(1,2).\n"
       "not a fact!!\n"
       "edge(2,3).\n");
   LoadOptions opts;
   opts.recovery = RecoveryMode::kSalvage;
-  Result<LoadReport> report = LoadDatabase(&db_, in.str(), opts);
+  Result<LoadReport> report = LoadDatabase(&db_, in, opts);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->facts_loaded, 2u);
   EXPECT_EQ(report->lines_dropped, 1u);
@@ -489,10 +482,10 @@ TEST_F(PersistenceTest, GoldenFactsResolveThroughV2SectionLoad) {
   for (const AcceptedFact& f : kAcceptedFacts) {
     std::string resolved = f.resolved;
     std::string label = resolved.substr(0, resolved.find(':'));
-    std::istringstream in(OneLineV2File(label, StrCat(f.text, ".")));
+    const std::string in(OneLineV2File(label, StrCat(f.text, ".")));
     TermPool pool;
     Database db(&pool);
-    Status st = LoadDatabase(&db, in);
+    Status st = LoadDatabase(&db, in, {}).status();
     ASSERT_TRUE(st.ok()) << f.text << ": " << st;
     std::vector<std::string> got;
     db.ForEach([&](TermId name, uint32_t, Relation* rel) {
@@ -503,10 +496,10 @@ TEST_F(PersistenceTest, GoldenFactsResolveThroughV2SectionLoad) {
     EXPECT_EQ(got, std::vector<std::string>{f.resolved}) << f.text;
   }
   for (const RejectedFact& f : kRejectedFacts) {
-    std::istringstream in(OneLineV2File("p/1", f.line));
+    const std::string in(OneLineV2File("p/1", f.line));
     TermPool pool;
     Database db(&pool);
-    Status st = LoadDatabase(&db, in);
+    Status st = LoadDatabase(&db, in, {}).status();
     ASSERT_FALSE(st.ok()) << f.line;
     EXPECT_EQ(st.message(), f.load_error) << f.line;
     EXPECT_EQ(db.num_relations(), 0u) << f.line;
@@ -523,12 +516,12 @@ TEST_F(PersistenceTest, SalvageDropsEveryRowOfASectionThatFailsToRead) {
   };
   const std::string body = section("keep/1", "keep(1).\nkeep(2).\n") +
                            section("p/1", "p(1).\np(X).\n");
-  std::istringstream in(
+  const std::string in(
       StrCat("%% gluenail-edb v2 relations=2 tuples=4 checksum=",
              Hex16(Fnv1a64(body.data(), body.size())), "\n", body));
   LoadOptions opts;
   opts.recovery = RecoveryMode::kSalvage;
-  Result<LoadReport> report = LoadDatabase(&db_, in.str(), opts);
+  Result<LoadReport> report = LoadDatabase(&db_, in, opts);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->relations_loaded, 1u);
   EXPECT_EQ(report->facts_loaded, 2u);
@@ -563,8 +556,7 @@ TEST_F(PersistenceTest, ResolvingFactsInternsOnlyNamesAndArguments) {
   // The loader reads fact lines the same way.
   TermPool pool2;
   Database db2(&pool2);
-  std::istringstream in(file);
-  ASSERT_TRUE(LoadDatabase(&db2, in).ok());
+  ASSERT_TRUE(LoadDatabase(&db2, file, {}).ok());
   EXPECT_EQ(db2.Find(pool2.MakeSymbol("e"), 2)->size(), 10000u);
   EXPECT_EQ(pool2.size(), 101u);
 }
@@ -626,8 +618,8 @@ TEST_F(PersistenceTest, FactNestingIsBoundedOnEveryIngestPath) {
     EXPECT_FALSE(batch.Resolve(&pool_).ok()) << levels;
     TermPool pool3;
     Database db3(&pool3);
-    std::istringstream in(fact + ".\n");
-    Status load = LoadDatabase(&db3, in);
+    const std::string in(fact + ".\n");
+    Status load = LoadDatabase(&db3, in, {}).status();
     EXPECT_TRUE(load.IsParseError()) << levels;
     EXPECT_NE(load.message().find(bound_msg), std::string::npos) << levels;
     EXPECT_EQ(db3.num_relations(), 0u);
@@ -653,8 +645,8 @@ TEST_F(PersistenceTest, ReaderErrorsQuoteABoundedWindowOfTheirInput) {
 
   TermPool pool;
   Database db(&pool);
-  std::istringstream in(fact + ".\n");
-  Status load = LoadDatabase(&db, in);
+  const std::string in(fact + ".\n");
+  Status load = LoadDatabase(&db, in, {}).status();
   EXPECT_LT(load.message().size(), 1024u);
   EXPECT_NE(load.message().find(window), std::string::npos) << load;
 
@@ -693,21 +685,10 @@ TEST_F(PersistenceTest, SaveRefusesAFactTheLoaderCouldNotReadBack) {
               StrCat("p/1 holds a fact nested ", levels,
                      " levels deep, past the ", kMaxTermNesting,
                      " levels the loader reads back"));
-    std::ostringstream out;
-    EXPECT_TRUE(SaveDatabase(db, out).IsInvalidArgument());
-    EXPECT_TRUE(out.str().empty());
     const std::string path = StrCat(::testing::TempDir(), "deep_", levels);
     EXPECT_TRUE(SaveDatabaseToFile(db, path).IsInvalidArgument());
     EXPECT_FALSE(ReadFileText(path).ok());
   }
-}
-
-TEST_F(PersistenceTest, StreamSaveReportsFailedStream) {
-  db_.GetOrCreate(pool_.MakeSymbol("edge"), 2)
-      ->Insert(Tuple{pool_.MakeInt(1), pool_.MakeInt(2)});
-  std::ostringstream os;
-  os.setstate(std::ios::badbit);  // simulate a dead sink
-  EXPECT_TRUE(SaveDatabase(db_, os).IsIoError());
 }
 
 }  // namespace

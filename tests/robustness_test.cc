@@ -121,21 +121,21 @@ TEST(RobustnessTest, ReadAtEofIsIoError) {
 TEST(RobustnessTest, PersistenceSkipsCommentsAndBlankLines) {
   TermPool pool;
   Database db(&pool);
-  std::istringstream in(
+  const std::string in(
       "% header comment\n"
       "\n"
       "# hash comment\n"
       "   \t \n"
       "p(1).\n");
-  ASSERT_TRUE(LoadDatabase(&db, in).ok());
+  ASSERT_TRUE(LoadDatabase(&db, in, {}).ok());
   EXPECT_EQ(db.Find(pool.MakeSymbol("p"), 1)->size(), 1u);
 }
 
 TEST(RobustnessTest, PersistenceReportsLineNumbers) {
   TermPool pool;
   Database db(&pool);
-  std::istringstream in("p(1).\nq(broken\n");
-  Status s = LoadDatabase(&db, in);
+  const std::string in("p(1).\nq(broken\n");
+  Status s = LoadDatabase(&db, in, {}).status();
   ASSERT_TRUE(s.IsParseError());
   EXPECT_NE(s.message().find("line 2"), std::string::npos) << s;
 }

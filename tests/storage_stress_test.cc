@@ -6,7 +6,6 @@
 
 #include <random>
 #include <set>
-#include <sstream>
 
 #include "src/storage/persistence.h"
 #include "src/storage/relation.h"
@@ -124,12 +123,11 @@ TEST_P(StorageStressTest, PersistenceRoundTripRandomTerms) {
     rel->Insert(Tuple{random_term(random_term, 0),
                       random_term(random_term, 0)});
   }
-  std::ostringstream out;
-  ASSERT_TRUE(SaveDatabase(db, out).ok());
+  Result<std::string> out = SerializeDatabase(db);
+  ASSERT_TRUE(out.ok()) << out.status();
   TermPool pool2;
   Database db2(&pool2);
-  std::istringstream in(out.str());
-  ASSERT_TRUE(LoadDatabase(&db2, in).ok()) << out.str().substr(0, 400);
+  ASSERT_TRUE(LoadDatabase(&db2, *out, {}).ok()) << out->substr(0, 400);
   Relation* rel2 = db2.Find(pool2.MakeSymbol("facts"), 2);
   ASSERT_NE(rel2, nullptr);
   EXPECT_EQ(rel2->size(), rel->size());
