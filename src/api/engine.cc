@@ -24,11 +24,18 @@ constexpr size_t kSlowQueryLogCapacity = 64;
 Status RefuseNailRows(const NailProgram& nail, const TermPool& pool,
                       const MutationBatch::Resolved& ops) {
   if (nail.empty()) return Status::OK();
+  // A batch mostly repeats one relation: each run of it is looked up once.
+  const MutationBatch::ResolvedOp* checked = nullptr;
   for (const MutationBatch::ResolvedOp& op : ops) {
+    const auto arity = static_cast<uint32_t>(op.row.size());
+    if (checked != nullptr && checked->name == op.name &&
+        checked->row.size() == arity) {
+      continue;
+    }
+    checked = &op;
     TermId root = op.name;
     const auto params = static_cast<uint32_t>(pool.Arity(root));
     if (pool.IsCompound(root)) root = pool.Functor(root);
-    const auto arity = static_cast<uint32_t>(op.row.size());
     if (pool.IsSymbol(root) &&
         nail.FindPred(std::string(pool.SymbolName(root)), params, arity) >=
             0) {

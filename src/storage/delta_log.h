@@ -38,7 +38,7 @@ namespace gluenail {
 
 class DeltaLog {
  public:
-  /// Net delta of one relation since the log's base snapshot.
+  /// Net delta of one relation since the last Rebase.
   struct RelDelta {
     RelDelta(uint32_t arity)
         : inserted("$delta+", arity), erased("$delta-", arity) {}
@@ -83,11 +83,6 @@ class DeltaLog {
       if (delta->dropped || delta->rows() != 0) return false;
     }
     return true;
-  }
-
-  const RelDelta* Find(TermId name, uint32_t arity) const {
-    auto it = entries_.find(Key(name, arity));
-    return it == entries_.end() ? nullptr : it->second.get();
   }
 
   template <typename F>  // F(TermId name, uint32_t arity, const RelDelta&)
