@@ -17,9 +17,10 @@ namespace {
 /// Entries the slow-query log keeps before evicting the oldest.
 constexpr size_t kSlowQueryLogCapacity = 64;
 
-/// Refuses an op whose (name, arity) belongs to a predicate of \p nail: a
-/// NAIL! predicate's rows are derived, never stored, and an EDB row under
-/// its name would answer a dynamic read the memo contradicts. A symbol
+/// Refuses an insert whose (name, arity) belongs to a predicate of \p nail:
+/// a NAIL! predicate's rows are derived, never stored, and an EDB row under
+/// its name would answer a dynamic read the memo contradicts. Erases pass,
+/// so such rows stored before the program loaded can be removed. A symbol
 /// name p is p/0/arity, a compound f(p1..pk) is f/k/arity.
 Status RefuseNailRows(const NailProgram& nail, const TermPool& pool,
                       const MutationBatch::Resolved& ops) {
@@ -27,6 +28,7 @@ Status RefuseNailRows(const NailProgram& nail, const TermPool& pool,
   // A batch mostly repeats one relation: each run of it is looked up once.
   const MutationBatch::ResolvedOp* checked = nullptr;
   for (const MutationBatch::ResolvedOp& op : ops) {
+    if (op.kind != MutationBatch::OpKind::kInsert) continue;
     const auto arity = static_cast<uint32_t>(op.row.size());
     if (checked != nullptr && checked->name == op.name &&
         checked->row.size() == arity) {

@@ -448,9 +448,9 @@ class Engine {
   Result<LoadReport> CommitLoad(Result<LoadReport> report,
                                 const Database& staged);
   /// The one commit of ApplyBatch and the EDB loads: under the writer
-  /// lock, refuses (InvalidArgument, nothing applied or logged) an op
-  /// whose (name, arity) belongs to a NAIL! predicate of the linked
-  /// program, then runs DataDir::Commit of \p ops logged as \p record.
+  /// lock, refuses (InvalidArgument, nothing applied or logged) an
+  /// insert whose (name, arity) belongs to a NAIL! predicate of the
+  /// linked program, then runs DataDir::Commit of \p ops logged as \p record.
   Result<MutationBatch::ApplyReport> Commit(
       const MutationBatch::Resolved& ops, const MutationBatch& record);
 

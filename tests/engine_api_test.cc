@@ -95,6 +95,10 @@ end
   EXPECT_TRUE(engine.AddFact("students(cs99)(bo).").IsInvalidArgument());
   EXPECT_TRUE(
       engine.LoadEdbText("path(7,8).\n").status().IsInvalidArgument());
+  // An erase passes: it can only remove a stored row the memo hides.
+  MutationBatch erase;
+  erase.Erase("path(7,8)");
+  EXPECT_TRUE(engine.ApplyBatch(erase).ok());
   // Another arity, or another parameter count, is another relation.
   EXPECT_TRUE(engine.AddFact("path(7,8,9).").ok());
   EXPECT_TRUE(engine.AddFact("students(bo).").ok());
