@@ -1,5 +1,7 @@
 #include "src/storage/database.h"
 
+#include <cassert>
+
 namespace gluenail {
 
 Relation* Database::GetOrCreate(TermId name, uint32_t arity) {
@@ -15,8 +17,8 @@ Relation* Database::GetOrCreate(TermId name, uint32_t arity) {
 }
 
 void Database::set_delta_log(DeltaLog* log) {
+  assert(relations_.empty());
   log_ = log;
-  for (auto& [key, rel] : relations_) rel->AttachLog(log, key.name);
 }
 
 Relation* Database::Find(TermId name, uint32_t arity) const {
@@ -30,7 +32,6 @@ Status Database::Drop(TermId name, uint32_t arity) {
     return Status::NotFound(StrCat("no relation ", pool_->ToString(name), "/",
                                    arity, " to drop"));
   }
-  if (log_ != nullptr) it->second->Clear();
   relations_.erase(it);
   return Status::OK();
 }

@@ -40,15 +40,16 @@ class Database {
   /// the change journal, if one is attached.
   Relation* GetOrCreate(TermId name, uint32_t arity);
 
-  /// Attaches \p log to every relation held now, created or adopted
-  /// later, so each row that really changes is recorded there (the
-  /// engine's EDB change journal, delta_log.h).
+  /// Attaches \p log to every relation created or adopted from now on, so
+  /// each row that really changes is recorded there (the engine's EDB
+  /// change journal, delta_log.h). Called while the database is empty;
+  /// Drop records nothing.
   void set_delta_log(DeltaLog* log);
 
   /// Returns the relation, or nullptr if it does not exist.
   Relation* Find(TermId name, uint32_t arity) const;
 
-  /// Removes a relation entirely (its rows are journaled as erased).
+  /// Removes a relation entirely.
   Status Drop(TermId name, uint32_t arity);
 
   /// Moves every relation of \p staged (same pool) into this database and

@@ -71,8 +71,8 @@ bool Relation::Capturing() const { return log_ != nullptr && log_->valid(); }
 void Relation::AttachLog(DeltaLog* log, TermId name) {
   log_ = log;
   log_name_ = name;
-  if (!Capturing()) return;
-  for (RowView t : *this) log_->CaptureInsert(log_name_, arity_, t);
+  // Rows held now are not recorded: a journal must see them arrive.
+  assert(empty() || !Capturing());
 }
 
 void Relation::Clear() {
@@ -197,9 +197,10 @@ size_t Relation::UnionAll(const Relation& src) {
 void Relation::CopyFrom(const Relation& src) {
   assert(src.arity() == arity_);
   assert(&src != this);
+  assert(!Capturing());  // The fast path below records nothing.
   Clear();
   if (src.empty()) return;
-  if (src.num_rows() == src.size() && !Capturing()) {
+  if (src.num_rows() == src.size()) {
     // No dead rows: copy whole arena chunks and bulk-load the dedup table
     // without probing (src is duplicate-free by construction).
     arena_.CopyRowsFrom(src.arena_);
@@ -218,10 +219,9 @@ void Relation::CopyFrom(const Relation& src) {
     version_.fetch_add(1, std::memory_order_acq_rel);
     return;
   }
-  // Dead rows (src's sketches may carry erase debt, so the live rows are
-  // observed afresh) or a capturing journal (each row is recorded): src is
-  // still duplicate-free, so the rows append without a dedup probe into a
-  // table sized once.
+  // Dead rows: src's sketches may carry erase debt, so the live rows are
+  // observed afresh — but src is still duplicate-free, so they append
+  // without a dedup probe into a table sized once.
   dedup_.Reserve(src.size(),
                  [this](uint32_t r) { return HashRow(arena_.row(r)); });
   std::vector<uint32_t> rows;

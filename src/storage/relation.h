@@ -72,9 +72,10 @@ class Relation {
   void Clear();
 
   /// Records every row that really changes from here on (Insert, Erase,
-  /// Clear, CopyFrom) into \p log under \p name; the rows held now count
-  /// as inserted. The EDB attaches its change journal this way to every
-  /// relation it creates or adopts (delta_log.h).
+  /// Clear) into \p log under \p name. Attached while the relation is
+  /// empty or the log invalid: the rows held now are not recorded. The EDB
+  /// attaches its change journal this way to every relation it creates or
+  /// adopts (delta_log.h).
   void AttachLog(DeltaLog* log, TermId name);
 
   // --- Row-level access for the executors -------------------------------
