@@ -217,6 +217,26 @@ TEST_F(PersistenceTest, SerializeEmitsChecksummedHeader) {
   EXPECT_NE(text.find("% edge/2: 1 tuples checksum="), std::string::npos);
 }
 
+// The exact checkpoint text of a fixed database, pinned against a file
+// written before the durable writers shared their helpers: one empty
+// relation and one HiLog relation name, so both the section layout and
+// the empty section's checksum (the FNV seed) are fixed.
+TEST_F(PersistenceTest, GoldenCheckpointText) {
+  db_.GetOrCreate(pool_.MakeSymbol("empty"), 2);
+  Relation* students = db_.GetOrCreate(Term("students(cs99)"), 1);
+  students->Insert(Tuple{pool_.MakeSymbol("wilson")});
+  students->Insert(Tuple{pool_.MakeSymbol("adams")});
+  Result<std::string> text = SerializeDatabase(db_);
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_EQ(*text,
+            "%% gluenail-edb v2 relations=2 tuples=2 "
+            "checksum=be67da40a8ea2343\n"
+            "% empty/2: 0 tuples checksum=cbf29ce484222325\n"
+            "% students(cs99)/1: 2 tuples checksum=40415b82d731c7c1\n"
+            "students(cs99)(adams).\n"
+            "students(cs99)(wilson).\n");
+}
+
 TEST_F(PersistenceTest, RoundTripsQuotedSymbolsWithEscapes) {
   Relation* r = db_.GetOrCreate(pool_.MakeSymbol("q"), 1);
   std::vector<std::string> names = {

@@ -82,6 +82,18 @@ TEST(FramingTest, RoundTripsAFrame) {
   EXPECT_EQ(dec.buffered(), 0u);
 }
 
+// The exact bytes of a frame: magic, type, little-endian length and
+// payload checksum, payload. Pinned so that the encoder and decoder
+// cannot drift together.
+TEST(FramingTest, GoldenFrameBytes) {
+  using namespace std::string_literals;
+  EXPECT_EQ(EncodeFrame(FrameType::kCommand, "abc"),
+            "GNP1"s + "\x01"s +                        // magic, kCommand
+                "\x03\x00\x00\x00"s +                 // payload length 3
+                "\x4b\x57\x41\x05\x19\xa2\x1f\xe7"s +  // fnv1a("abc")
+                "abc"s);
+}
+
 TEST(FramingTest, TornDeliveryByteByByte) {
   // A frame arriving one byte at a time must parse exactly once, with
   // Next() reporting "need more" at every interior offset.
@@ -433,6 +445,20 @@ TEST(MutationBatchTest, SerializeParseRoundTrip) {
   ASSERT_TRUE(rt.ok()) << rt.status();
   EXPECT_EQ(rt->size(), 3u);
   EXPECT_EQ(rt->Serialize(), text);
+}
+
+// The exact text of a batch, pinned so that its header, op lines and
+// checksum cannot drift together on the write and parse sides.
+TEST(MutationBatchTest, GoldenSerializedText) {
+  MutationBatch batch;
+  batch.Insert("edge(1,2)");
+  batch.Erase("edge(3,4)");
+  batch.Insert("label(5, 'hello world')");
+  EXPECT_EQ(batch.Serialize(),
+            "%% gluenail-batch v1 ops=3 checksum=1e087d9bbb6f3364\n"
+            "+ edge(1,2)\n"
+            "- edge(3,4)\n"
+            "+ label(5, 'hello world')\n");
 }
 
 TEST(MutationBatchTest, ParseRejectsCorruption) {
