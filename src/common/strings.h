@@ -36,8 +36,13 @@ std::string EscapeQuoted(std::string_view s);
 /// Inverse of EscapeQuoted.
 std::string UnescapeQuoted(std::string_view s);
 
+/// FNV-1a 64's offset basis: the hash of no bytes, and the seed every
+/// checksum in the durable formats starts from.
+inline constexpr uint64_t kFnv1a64Seed = 0xcbf29ce484222325ULL;
+
 /// 64-bit FNV-1a hash, used as the base of all hashing in the storage layer.
-inline uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed = 0xcbf29ce484222325ULL) {
+inline uint64_t Fnv1a64(const void* data, size_t len,
+                        uint64_t seed = kFnv1a64Seed) {
   const auto* p = static_cast<const unsigned char*>(data);
   uint64_t h = seed;
   for (size_t i = 0; i < len; ++i) {
@@ -45,6 +50,29 @@ inline uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed = 0xcbf29ce4
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// Fixed-width little-endian integers, the one layout of every binary
+/// durable and wire format (the WAL's header and records, the wire
+/// frames and their codecs): Put appends, Decode reads from \p p.
+inline void PutFixed32(std::string* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(char((v >> (8 * i)) & 0xff));
+}
+
+inline void PutFixed64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(char((v >> (8 * i)) & 0xff));
+}
+
+inline uint32_t DecodeFixed32(const char* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= uint32_t(uint8_t(p[i])) << (8 * i);
+  return v;
+}
+
+inline uint64_t DecodeFixed64(const char* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= uint64_t(uint8_t(p[i])) << (8 * i);
+  return v;
 }
 
 /// Mixes a 64-bit value into a hash (boost::hash_combine style, 64-bit).

@@ -10,38 +10,6 @@
 
 namespace gluenail {
 
-namespace {
-
-void PutLE32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutLE64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t ReadLE32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-uint64_t ReadLE64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-}  // namespace
-
 // --- Framing -------------------------------------------------------------
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {
@@ -49,8 +17,8 @@ std::string EncodeFrame(FrameType type, std::string_view payload) {
   out.reserve(kFrameHeaderSize + payload.size());
   out.append(kFrameMagic, sizeof(kFrameMagic));
   out.push_back(static_cast<char>(type));
-  PutLE32(&out, static_cast<uint32_t>(payload.size()));
-  PutLE64(&out, Fnv1a64(payload.data(), payload.size()));
+  PutFixed32(&out, static_cast<uint32_t>(payload.size()));
+  PutFixed64(&out, Fnv1a64(payload.data(), payload.size()));
   out.append(payload.data(), payload.size());
   return out;
 }
@@ -87,7 +55,7 @@ Result<std::optional<WireFrame>> FrameDecoder::Next() {
       type > static_cast<uint8_t>(FrameType::kReplHeartbeat)) {
     return Status::InvalidArgument(StrCat("frame: unknown type ", type));
   }
-  uint32_t len = ReadLE32(h + 5);
+  uint32_t len = DecodeFixed32(h + 5);
   if (len > max_payload_) {
     // Reject before any allocation: the declared length never becomes a
     // buffer size until it passes this bound.
@@ -95,7 +63,7 @@ Result<std::optional<WireFrame>> FrameDecoder::Next() {
         "frame: declared payload of ", len, " bytes exceeds the ",
         max_payload_, "-byte limit"));
   }
-  uint64_t declared_checksum = ReadLE64(h + 9);
+  uint64_t declared_checksum = DecodeFixed64(h + 9);
   if (buffered() < kFrameHeaderSize + len) return std::optional<WireFrame>();
   const char* body = h + kFrameHeaderSize;
   uint64_t actual = Fnv1a64(body, len);
@@ -111,8 +79,8 @@ Result<std::optional<WireFrame>> FrameDecoder::Next() {
 
 // --- Scalars / strings ---------------------------------------------------
 
-void ByteWriter::PutU32(uint32_t v) { PutLE32(&out_, v); }
-void ByteWriter::PutU64(uint64_t v) { PutLE64(&out_, v); }
+void ByteWriter::PutU32(uint32_t v) { PutFixed32(&out_, v); }
+void ByteWriter::PutU64(uint64_t v) { PutFixed64(&out_, v); }
 
 void ByteWriter::PutString(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
@@ -130,7 +98,7 @@ Result<uint32_t> ByteReader::GetU32() {
   if (remaining() < 4) {
     return Status::InvalidArgument("payload truncated reading u32");
   }
-  uint32_t v = ReadLE32(data_.data() + pos_);
+  uint32_t v = DecodeFixed32(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
@@ -139,7 +107,7 @@ Result<uint64_t> ByteReader::GetU64() {
   if (remaining() < 8) {
     return Status::InvalidArgument("payload truncated reading u64");
   }
-  uint64_t v = ReadLE64(data_.data() + pos_);
+  uint64_t v = DecodeFixed64(data_.data() + pos_);
   pos_ += 8;
   return v;
 }

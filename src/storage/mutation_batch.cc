@@ -1,7 +1,5 @@
 #include "src/storage/mutation_batch.h"
 
-#include <charconv>
-
 #include "src/common/strings.h"
 #include "src/storage/persistence.h"
 
@@ -21,29 +19,6 @@ std::string_view TrimView(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-/// FNV-1a over \p line normalized to end in exactly one LF — the same
-/// discipline the v2 EDB format uses, so batches survive CRLF translation.
-uint64_t HashLine(uint64_t h, std::string_view line) {
-  h = Fnv1a64(line.data(), line.size(), h);
-  return Fnv1a64("\n", 1, h);
-}
-
-std::string Hex16(uint64_t v) {
-  char buf[17];
-  snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return std::string(buf, 16);
-}
-
-bool ParseU64(std::string_view s, uint64_t* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-bool ParseHex64(std::string_view s, uint64_t* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out, 16);
-  return ec == std::errc() && ptr == s.data() + s.size();
 }
 
 std::string OpLine(const MutationBatch::Op& op) {
@@ -97,11 +72,11 @@ MutationBatch::ApplyReport MutationBatch::ApplyResolved(const Resolved& ops,
 }
 
 std::string MutationBatch::Serialize() const {
-  uint64_t checksum = 0xcbf29ce484222325ULL;
+  uint64_t checksum = kFnv1a64Seed;
   std::string body;
   for (const Op& op : ops_) {
     std::string line = OpLine(op);
-    checksum = HashLine(checksum, line);
+    checksum = ChecksumLine(checksum, line);
     body += line;
     body += "\n";
   }
@@ -121,22 +96,15 @@ Result<MutationBatch> MutationBatch::Parse(std::string_view text) {
   }
   uint64_t declared_ops = 0;
   uint64_t declared_checksum = 0;
-  bool have_ops = false, have_checksum = false;
-  for (std::string_view field :
-       Split(header.substr(kHeaderPrefix.size()), ' ')) {
-    if (field.substr(0, 4) == "ops=") {
-      have_ops = ParseU64(field.substr(4), &declared_ops);
-    } else if (field.substr(0, 9) == "checksum=") {
-      have_checksum = ParseHex64(field.substr(9), &declared_checksum);
-    }
-  }
-  if (!have_ops || !have_checksum) {
+  std::string_view fields = header.substr(kHeaderPrefix.size());
+  if (!ReadHeaderField(fields, "ops=", &declared_ops) ||
+      !ReadHeaderChecksum(fields, &declared_checksum)) {
     return Status::InvalidArgument(
         "mutation batch: header lacks ops=/checksum= fields");
   }
 
   MutationBatch batch;
-  uint64_t checksum = 0xcbf29ce484222325ULL;
+  uint64_t checksum = kFnv1a64Seed;
   std::string_view rest = text.substr(eol + 1);
   while (!rest.empty()) {
     size_t next = rest.find('\n');
@@ -156,7 +124,7 @@ Result<MutationBatch> MutationBatch::Parse(std::string_view text) {
           StrCat("mutation batch: bad op line '", t, "'"));
     }
     batch.ops_.push_back(Op{kind, std::string(TrimView(t.substr(2)))});
-    checksum = HashLine(checksum, OpLine(batch.ops_.back()));
+    checksum = ChecksumLine(checksum, OpLine(batch.ops_.back()));
   }
   if (batch.size() != declared_ops) {
     return Status::InvalidArgument(

@@ -16,6 +16,9 @@
 ///
 /// The checksum is FNV-1a 64 over the op lines (each normalized to end in
 /// LF), so a torn or bit-flipped batch is rejected before any op applies.
+/// The header is written and read with the v2 EDB format's own helpers
+/// (persistence.h: Hex16, ChecksumLine, ReadHeaderField,
+/// ReadHeaderChecksum), so the two text formats cannot drift apart.
 ///
 /// Applying is two steps: Resolve reads every fact into a (relation name,
 /// row) op, failing on the first malformed one, and ApplyResolved runs the

@@ -295,53 +295,10 @@ Status ReadFact(TermPool* pool, std::string_view text, bool dotted,
 // --- v2 checksummed framing ------------------------------------------------
 
 constexpr std::string_view kFileMagic = "%% gluenail-edb v2";
-constexpr uint64_t kFnvSeed = 0xcbf29ce484222325ULL;
-
-std::string Hex16(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf, 16);
-}
-
-/// Checksums are accumulated per logical line as hash(line + '\n') with
-/// trailing '\r' stripped first, so a file that went through CRLF
-/// translation still validates.
-uint64_t ChecksumLine(uint64_t h, std::string_view line) {
-  while (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  h = Fnv1a64(line.data(), line.size(), h);
-  return Fnv1a64("\n", 1, h);
-}
-
-/// Extracts the decimal value of "key=<digits>" from \p line.
-bool FindField(std::string_view line, std::string_view key, uint64_t* out) {
-  size_t at = line.find(key);
-  if (at == std::string_view::npos) return false;
-  const char* begin = line.data() + at + key.size();
-  const char* end = line.data() + line.size();
-  auto [p, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && p != begin;
-}
-
-/// Extracts the 16-hex-digit value of "checksum=<hex>" from \p line.
-bool FindChecksum(std::string_view line, uint64_t* out) {
-  constexpr std::string_view key = "checksum=";
-  size_t at = line.find(key);
-  if (at == std::string_view::npos) return false;
-  const char* begin = line.data() + at + key.size();
-  const char* end = line.data() + line.size();
-  auto [p, ec] = std::from_chars(begin, end, *out, 16);
-  return ec == std::errc() && p == begin + 16;
-}
 
 bool IsSectionHeader(std::string_view line) {
   return StartsWith(line, "% ") &&
          line.find(" tuples checksum=") != std::string_view::npos;
-}
-
-Status ErrnoError(std::string_view op, const std::string& path) {
-  return Status::IoError(
-      StrCat(op, " failed for ", path, ": ", std::strerror(errno)));
 }
 
 /// The lines of \p text, as getline splits them, each without its
@@ -379,7 +336,7 @@ std::vector<Section> SplitSections(const std::vector<std::string_view>& lines) {
     Section& sec = sections.emplace_back();
     sec.header = i;
     sec.end = lines.size();
-    FindChecksum(line, &sec.declared_checksum);
+    ReadHeaderChecksum(line, &sec.declared_checksum);
     // "% <label>: <n> tuples checksum=<hex>" — anchor on the trailing
     // keywords so a ':' inside a quoted relation name cannot confuse us.
     size_t tup = line.find(" tuples checksum=");
@@ -407,7 +364,7 @@ Status LoadSection(const std::vector<std::string_view>& lines,
                "): expected ", sec.declared_tuples, " tuples, found ", facts,
                " (torn file?)"));
   }
-  uint64_t h = kFnvSeed;
+  uint64_t h = kFnv1a64Seed;
   for (size_t i = sec.header + 1; i < sec.end; ++i) {
     h = ChecksumLine(h, lines[i]);
   }
@@ -453,6 +410,102 @@ Status LoadSection(const std::vector<std::string_view>& lines,
 }
 
 }  // namespace
+
+std::string Hex16(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return std::string(buf, 16);
+}
+
+uint64_t ChecksumLine(uint64_t h, std::string_view line) {
+  while (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  h = Fnv1a64(line.data(), line.size(), h);
+  return Fnv1a64("\n", 1, h);
+}
+
+bool ReadHeaderField(std::string_view line, std::string_view key,
+                     uint64_t* out) {
+  size_t at = line.find(key);
+  if (at == std::string_view::npos) return false;
+  const char* begin = line.data() + at + key.size();
+  const char* end = line.data() + line.size();
+  auto [p, ec] = std::from_chars(begin, end, *out);
+  return ec == std::errc() && p != begin;
+}
+
+bool ReadHeaderChecksum(std::string_view line, uint64_t* out) {
+  constexpr std::string_view key = "checksum=";
+  size_t at = line.find(key);
+  if (at == std::string_view::npos) return false;
+  const char* begin = line.data() + at + key.size();
+  const char* end = line.data() + line.size();
+  auto [p, ec] = std::from_chars(begin, end, *out, 16);
+  return ec == std::errc() && p == begin + 16;
+}
+
+Status ErrnoError(std::string_view op, std::string_view path) {
+  return Status::IoError(StrCat(op, " '", path, "': ", std::strerror(errno)));
+}
+
+Status WriteAll(int fd, std::string_view data, const std::string& path) {
+  // Bounded chunks, so a large file spans several write(2) calls and the
+  // fault injector can tear it at any of them, not just at "the" write.
+  constexpr size_t kChunk = 64 * 1024;
+  size_t off = 0;
+  while (off < data.size()) {
+    GLUENAIL_RETURN_NOT_OK(InjectFault(FaultOp::kWrite, path));
+    size_t want = std::min(kChunk, data.size() - off);
+    ssize_t n = ::write(fd, data.data() + off, want);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoError("write", path);
+    }
+    off += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+Status ReplaceFileAtomically(const std::string& path, std::string_view data) {
+  // Temp file in the target's directory, so the final rename cannot cross
+  // a filesystem boundary (rename(2) is only atomic within one).
+  const std::string tmp = StrCat(path, ".tmp.", ::getpid());
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return ErrnoError("open", tmp);
+  auto fail = [&](Status st) {
+    if (fd >= 0) ::close(fd);
+    ::unlink(tmp.c_str());
+    return st;
+  };
+  Status st = WriteAll(fd, data, tmp);
+  if (!st.ok()) return fail(std::move(st));
+  st = InjectFault(FaultOp::kFsync, tmp);
+  if (!st.ok()) return fail(std::move(st));
+  if (::fsync(fd) != 0) return fail(ErrnoError("fsync", tmp));
+  if (::close(fd) != 0) {
+    fd = -1;  // the fd is gone even when close reports an error
+    return fail(ErrnoError("close", tmp));
+  }
+  fd = -1;
+  st = InjectFault(FaultOp::kRename, path);
+  if (!st.ok()) return fail(std::move(st));
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    return fail(ErrnoError("rename", path));
+  }
+  // Durability of the rename itself: fsync the directory. Best-effort and
+  // deliberately not fault-injected — once rename succeeded the new file
+  // is complete and the old one gone, so reporting an error here would
+  // only mislead (the replace can no longer be rolled back).
+  size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd >= 0) {
+    ::fsync(dfd);
+    ::close(dfd);
+  }
+  return Status::OK();
+}
 
 void AppendFact(const TermPool& pool, TermId name, RowView row,
                 std::string* out) {
@@ -557,76 +610,11 @@ void RegisterPersistenceMetrics(MetricsRegistry* registry) {
 
 Status SaveDatabaseToFile(const Database& db, const std::string& path) {
   Result<std::string> serialized = SerializeDatabase(db);
-  if (!serialized.ok()) {
-    GlobalPersistenceCounters().save_failures.fetch_add(
-        1, std::memory_order_relaxed);
-    return serialized.status();
-  }
-  const std::string& data = *serialized;
-  // Temp file in the target's directory, so the final rename cannot cross
-  // a filesystem boundary (rename(2) is only atomic within one).
-  const std::string tmp = StrCat(path, ".tmp.", ::getpid());
-
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    GlobalPersistenceCounters().save_failures.fetch_add(
-        1, std::memory_order_relaxed);
-    return ErrnoError("open", tmp);
-  }
-  auto fail = [&](Status st) {
-    if (fd >= 0) ::close(fd);
-    ::unlink(tmp.c_str());
-    GlobalPersistenceCounters().save_failures.fetch_add(
-        1, std::memory_order_relaxed);
-    return st;
-  };
-
-  // Write in bounded chunks so large databases span several write(2)
-  // calls — both for EINTR robustness and so the fault injector can hit
-  // any write, not just "the" write.
-  constexpr size_t kChunk = 64 * 1024;
-  size_t off = 0;
-  while (off < data.size()) {
-    Status st = InjectFault(FaultOp::kWrite, tmp);
-    if (!st.ok()) return fail(std::move(st));
-    size_t want = std::min(kChunk, data.size() - off);
-    ssize_t n = ::write(fd, data.data() + off, want);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return fail(ErrnoError("write", tmp));
-    }
-    off += static_cast<size_t>(n);
-  }
-
-  Status st = InjectFault(FaultOp::kFsync, tmp);
-  if (!st.ok()) return fail(std::move(st));
-  if (::fsync(fd) != 0) return fail(ErrnoError("fsync", tmp));
-  if (::close(fd) != 0) {
-    fd = -1;  // the fd is gone even when close reports an error
-    return fail(ErrnoError("close", tmp));
-  }
-  fd = -1;
-
-  st = InjectFault(FaultOp::kRename, path);
-  if (!st.ok()) return fail(std::move(st));
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return fail(ErrnoError("rename", path));
-  }
-
-  // Durability of the rename itself: fsync the directory. Best-effort and
-  // deliberately not fault-injected — once rename succeeded the new file
-  // is complete and the old one gone, so reporting an error here would
-  // only mislead (the save can no longer be rolled back).
-  std::string dir = ".";
-  size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos) dir = path.substr(0, slash + 1);
-  int dfd = ::open(dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  GlobalPersistenceCounters().saves.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  Status st = serialized.ok() ? ReplaceFileAtomically(path, *serialized)
+                              : serialized.status();
+  PersistenceCounters& c = GlobalPersistenceCounters();
+  (st.ok() ? c.saves : c.save_failures).fetch_add(1, std::memory_order_relaxed);
+  return st;
 }
 
 Result<LoadReport> LoadDatabase(Database* db, std::string_view text,
@@ -645,15 +633,16 @@ Result<LoadReport> LoadDatabase(Database* db, std::string_view text,
     uint64_t declared_relations = 0;
     uint64_t declared_tuples = 0;
     uint64_t declared_checksum = 0;
-    bool header_ok = FindField(lines[0], "relations=", &declared_relations) &&
-                     FindField(lines[0], "tuples=", &declared_tuples) &&
-                     FindChecksum(lines[0], &declared_checksum);
+    bool header_ok =
+        ReadHeaderField(lines[0], "relations=", &declared_relations) &&
+        ReadHeaderField(lines[0], "tuples=", &declared_tuples) &&
+        ReadHeaderChecksum(lines[0], &declared_checksum);
     if (!header_ok && !salvage) {
       return Status::ParseError("malformed gluenail-edb v2 header");
     }
 
     if (header_ok) {
-      uint64_t h = kFnvSeed;
+      uint64_t h = kFnv1a64Seed;
       for (size_t i = 1; i < lines.size(); ++i) h = ChecksumLine(h, lines[i]);
       if (h != declared_checksum && !salvage) {
         return Status::IoError(

@@ -17,13 +17,18 @@
 /// and a checksum over just that section's fact lines. Checksums are
 /// FNV-1a 64 over lines normalized to LF endings, so files survive CRLF
 /// translation. Headerless files (format v1, and hand-written fact files)
-/// still load.
+/// still load. A MutationBatch's text header (mutation_batch.h) is written
+/// and read with the same helpers: Hex16, ChecksumLine, ReadHeaderField
+/// and ReadHeaderChecksum.
 ///
 /// Crash safety:
-///  * SaveDatabaseToFile writes a temp file in the target's directory,
-///    fsyncs, and atomically renames over the target — a crash at any
-///    point leaves either the old complete file or the new complete file,
-///    never a torn one.
+///  * ReplaceFileAtomically is the one writer of a durable file, the
+///    checkpoint save and the WAL's create and rotate alike: it writes a
+///    temp file in the target's directory, fsyncs, and atomically renames
+///    over the target — a crash at any point leaves either the old
+///    complete file or the new complete file, never a torn one. It and the
+///    WAL's appends write through WriteAll, so every durable byte passes
+///    the same kWrite, kFsync and kRename fault seams.
 ///  * Loading reads each fact once, from views into one text buffer, into
 ///    one staging database, and touches the destination only after full
 ///    validation (all-or-nothing). A v2 section is read whole before any
@@ -105,10 +110,43 @@ struct LoadReport {
 /// nothing saved is ever unreadable. Statements can build such a term.
 Result<std::string> SerializeDatabase(const Database& db);
 
-/// Crash-safe save: temp file in the same directory, fsync, atomic
-/// rename. On any failure the previous file content is untouched and the
-/// temp file is removed.
+/// Crash-safe save: SerializeDatabase, then ReplaceFileAtomically. On any
+/// failure the previous file content is untouched.
 Status SaveDatabaseToFile(const Database& db, const std::string& path);
+
+// --- Durable files -----------------------------------------------------------
+
+/// An IoError "<op> '<path>': <strerror(errno)>".
+Status ErrnoError(std::string_view op, std::string_view path);
+
+/// Writes all of \p data to \p fd in 64 KiB chunks, retrying EINTR; each
+/// chunk first passes the kWrite fault seam, so a large write can be torn
+/// at any chunk. Errors name \p path.
+Status WriteAll(int fd, std::string_view data, const std::string& path);
+
+/// Atomically replaces the file at \p path with \p data: a temp file in
+/// the same directory, WriteAll, the kFsync seam and fsync, close, the
+/// kRename seam and rename, then a best-effort fsync of the directory. On
+/// any failure the previous file is untouched and the temp file removed.
+Status ReplaceFileAtomically(const std::string& path, std::string_view data);
+
+// --- Checksummed text headers ----------------------------------------------
+
+/// \p v as exactly 16 lowercase hex digits, the checksum field's format.
+std::string Hex16(uint64_t v);
+
+/// Folds one line into the FNV-1a 64 checksum \p h (start at kFnv1a64Seed)
+/// as the line without its trailing CRs, then one LF, so a text that went
+/// through CRLF translation still validates.
+uint64_t ChecksumLine(uint64_t h, std::string_view line);
+
+/// Reads the decimal value of the first "<key><digits>" in \p line, \p key
+/// including its '='; false if absent or not a number.
+bool ReadHeaderField(std::string_view line, std::string_view key,
+                     uint64_t* out);
+
+/// Reads the 16 hex digits after the first "checksum=" in \p line.
+bool ReadHeaderChecksum(std::string_view line, uint64_t* out);
 
 /// Reads the facts of \p text into \p db, creating relations as needed,
 /// all-or-nothing; the staged relations then move in (Database::MergeFrom).

@@ -1,10 +1,8 @@
 #include "src/storage/wal.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
 
 #include "src/common/fault_injector.h"
@@ -34,110 +32,20 @@ uint64_t AppendPayloadCap() {
   uint64_t o = g_max_payload_override.load(std::memory_order_relaxed);
   return o == 0 ? Wal::kMaxPayloadBytes : o;
 }
-/// Append writes in chunks so the fault injector can tear a large record
-/// mid-write — the same discipline as SaveDatabaseToFile.
-constexpr size_t kWriteChunk = 64 * 1024;
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(char((v >> (8 * i)) & 0xff));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(char((v >> (8 * i)) & 0xff));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= uint32_t(uint8_t(p[i])) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= uint64_t(uint8_t(p[i])) << (8 * i);
-  return v;
-}
-
-Status ErrnoError(std::string_view op, const std::string& path) {
-  return Status::IoError(
-      StrCat(op, " '", path, "': ", std::strerror(errno)));
-}
 
 std::string EncodeHeader(uint64_t start_lsn) {
   std::string out(kWalMagic, sizeof(kWalMagic));
-  PutU64(&out, start_lsn);
-  PutU64(&out, Fnv1a64(out.data(), out.size()));
+  PutFixed64(&out, start_lsn);
+  PutFixed64(&out, Fnv1a64(out.data(), out.size()));
   return out;
 }
 
 std::string EncodeRecord(uint64_t lsn, std::string_view payload) {
   std::string out(kRecordMagic, sizeof(kRecordMagic));
-  PutU64(&out, lsn);
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU64(&out, Fnv1a64(payload.data(), payload.size()));
+  PutFixed64(&out, lsn);
+  PutFixed32(&out, static_cast<uint32_t>(payload.size()));
+  PutFixed64(&out, Fnv1a64(payload.data(), payload.size()));
   out.append(payload);
-  return out;
-}
-
-/// Writes all of \p data through the kWrite fault seam, in chunks.
-Status WriteAll(int fd, std::string_view data, const std::string& path) {
-  size_t off = 0;
-  while (off < data.size()) {
-    GLUENAIL_RETURN_NOT_OK(InjectFault(FaultOp::kWrite, path));
-    size_t want = std::min(kWriteChunk, data.size() - off);
-    ssize_t n = ::write(fd, data.data() + off, want);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError("write", path);
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-/// Best-effort directory fsync so a freshly renamed log survives a crash
-/// of the directory entry itself (same note as persistence.cc: once the
-/// rename succeeded the log content is safe either way).
-void SyncDirOf(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-}
-
-/// Writes a fresh one-header log to \p path via temp + fsync + rename and
-/// opens the published file for appending. The fault seams mirror
-/// SaveDatabaseToFile's: write, fsync, rename.
-Result<int> WriteFreshLog(const std::string& path, uint64_t start_lsn) {
-  const std::string tmp = StrCat(path, ".tmp");
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return ErrnoError("open", tmp);
-  auto fail = [&](Status s) -> Status {
-    if (fd >= 0) ::close(fd);
-    ::unlink(tmp.c_str());
-    return s;
-  };
-  Status st = WriteAll(fd, EncodeHeader(start_lsn), tmp);
-  if (!st.ok()) return fail(std::move(st));
-  st = InjectFault(FaultOp::kFsync, tmp);
-  if (!st.ok()) return fail(std::move(st));
-  if (::fsync(fd) != 0) return fail(ErrnoError("fsync", tmp));
-  if (::close(fd) != 0) {
-    fd = -1;
-    return fail(ErrnoError("close", tmp));
-  }
-  fd = -1;
-  st = InjectFault(FaultOp::kRename, path);
-  if (!st.ok()) return fail(std::move(st));
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return fail(ErrnoError("rename", path));
-  }
-  SyncDirOf(path);
-  int out = ::open(path.c_str(), O_WRONLY | O_APPEND);
-  if (out < 0) return ErrnoError("open", path);
   return out;
 }
 
@@ -148,9 +56,9 @@ bool ParseRecordAt(std::string_view data, size_t pos, WalScanRecord* rec,
   if (pos + kRecordHeaderSize > data.size()) return false;
   const char* p = data.data() + pos;
   if (std::memcmp(p, kRecordMagic, sizeof(kRecordMagic)) != 0) return false;
-  uint64_t lsn = GetU64(p + 4);
-  uint64_t len = GetU32(p + 12);
-  uint64_t sum = GetU64(p + 16);
+  uint64_t lsn = DecodeFixed64(p + 4);
+  uint64_t len = DecodeFixed32(p + 12);
+  uint64_t sum = DecodeFixed64(p + 16);
   if (len > kMaxPayload) return false;
   if (pos + kRecordHeaderSize + len > data.size()) return false;
   std::string_view payload = data.substr(pos + kRecordHeaderSize, len);
@@ -182,12 +90,12 @@ Result<WalScanResult> ScanWalBuffer(std::string_view data) {
       std::memcmp(data.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
     return Status::IoError("wal: missing or corrupt file header");
   }
-  if (Fnv1a64(data.data(), 16) != GetU64(data.data() + 16)) {
+  if (Fnv1a64(data.data(), 16) != DecodeFixed64(data.data() + 16)) {
     return Status::IoError("wal: file header checksum mismatch");
   }
   WalScanResult out;
   out.scanned_bytes = data.size();
-  out.start_lsn = GetU64(data.data() + 8);
+  out.start_lsn = DecodeFixed64(data.data() + 8);
   out.valid_bytes = kWalHeaderSize;
   uint64_t expect = out.start_lsn;
   size_t off = kWalHeaderSize;
@@ -258,14 +166,18 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
 
 Result<std::unique_ptr<Wal>> Wal::Create(const std::string& path,
                                          uint64_t start_lsn) {
-  GLUENAIL_ASSIGN_OR_RETURN(int fd, WriteFreshLog(path, start_lsn));
   std::unique_ptr<Wal> wal(new Wal());
   wal->path_ = path;
-  wal->StartFresh(fd, start_lsn);
+  GLUENAIL_RETURN_NOT_OK(wal->StartFresh(start_lsn));
   return wal;
 }
 
-void Wal::StartFresh(int fd, uint64_t start_lsn) {
+Status Wal::StartFresh(uint64_t start_lsn) {
+  GLUENAIL_RETURN_NOT_OK(
+      ReplaceFileAtomically(path_, EncodeHeader(start_lsn)));
+  int fd = ::open(path_.c_str(), O_WRONLY | O_APPEND);
+  if (fd < 0) return ErrnoError("open", path_);
+  if (fd_ >= 0) ::close(fd_);  // the old log's inode; already renamed over
   fd_ = fd;
   start_lsn_ = start_lsn;
   next_lsn_ = start_lsn;
@@ -273,6 +185,7 @@ void Wal::StartFresh(int fd, uint64_t start_lsn) {
   synced_offset_ = kWalHeaderSize;
   durable_lsn_ = 0;
   broken_ = false;
+  return Status::OK();
 }
 
 Wal::~Wal() {
@@ -387,9 +300,7 @@ Status Wal::Sync() {
 Status Wal::Rotate(uint64_t start_lsn) {
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ < 0) return Status::InvalidArgument("wal is not open");
-  GLUENAIL_ASSIGN_OR_RETURN(int fresh, WriteFreshLog(path_, start_lsn));
-  ::close(fd_);  // the old log's inode; already renamed over
-  StartFresh(fresh, start_lsn);
+  GLUENAIL_RETURN_NOT_OK(StartFresh(start_lsn));
   counters_.rotations.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }

@@ -136,7 +136,7 @@ class Wal {
                                            const WalScanResult& scan);
 
   /// Atomically replaces \p path with a fresh empty log whose LSNs start
-  /// at \p start_lsn (temp file + fsync + rename, like SaveDatabaseToFile)
+  /// at \p start_lsn (ReplaceFileAtomically, the checkpoint save's writer)
   /// and opens it for appending.
   static Result<std::unique_ptr<Wal>> Create(const std::string& path,
                                              uint64_t start_lsn);
@@ -219,8 +219,10 @@ class Wal {
  private:
   Wal() = default;
 
-  /// Adopts \p fd, a fresh one-header log, as the whole state.
-  void StartFresh(int fd, uint64_t start_lsn);
+  /// Replaces path_ with a fresh one-header log whose LSNs start at
+  /// \p start_lsn (ReplaceFileAtomically), opens it for appending and
+  /// adopts it as the whole state. On failure the open log is kept.
+  Status StartFresh(uint64_t start_lsn);
   Status TruncateLocked(uint64_t to);
   Status FailSyncLocked(Status cause);
 
