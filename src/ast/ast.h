@@ -286,17 +286,11 @@ struct Program {
 // Printing (ast_printer.cc)
 // ---------------------------------------------------------------------------
 
-/// Renders terms/subgoals/statements/modules back to parseable source.
-/// Round-tripping is tested; the NAIL!-to-Glue compiler's output is
-/// inspectable through these.
+/// Renders a term or a subgoal back to parseable source, for error
+/// messages and tests; a printed term re-parses to an equal term
+/// (ast_printer_test).
 std::string ToString(const Term& t);
 std::string ToString(const Subgoal& g);
-std::string ToString(const Assignment& a);
-std::string ToString(const Statement& s);
-std::string ToString(const UntilCond& c);
-std::string ToString(const NailRule& r);
-std::string ToString(const Procedure& p);
-std::string ToString(const Module& m);
 
 }  // namespace ast
 }  // namespace gluenail

@@ -1,5 +1,5 @@
 /// \file ast_printer.cc
-/// \brief Renders AST nodes back to parseable Glue / NAIL! source.
+/// \brief Renders terms and subgoals back to parseable Glue / NAIL! source.
 
 #include <cctype>
 #include <cstdio>
@@ -146,121 +146,6 @@ void AppendSubgoal(const Subgoal& g, std::string* out) {
   }
 }
 
-void AppendBody(const std::vector<Subgoal>& body, std::string* out) {
-  for (size_t i = 0; i < body.size(); ++i) {
-    if (i != 0) out->append(" & ");
-    AppendSubgoal(body[i], out);
-  }
-}
-
-void AppendHead(const Assignment& a, std::string* out) {
-  AppendTerm(a.head_pred, out);
-  if (!a.head_args.empty() || a.head_colon >= 0) {
-    out->push_back('(');
-    for (size_t i = 0; i < a.head_args.size(); ++i) {
-      if (a.head_colon >= 0 && static_cast<size_t>(a.head_colon) == i) {
-        out->push_back(':');
-      } else if (i != 0) {
-        out->push_back(',');
-      }
-      AppendTerm(a.head_args[i], out);
-    }
-    if (a.head_colon >= 0 &&
-        static_cast<size_t>(a.head_colon) == a.head_args.size()) {
-      out->push_back(':');
-    }
-    out->push_back(')');
-  }
-}
-
-void AppendStatement(const Statement& s, int indent, std::string* out);
-
-void AppendAssignment(const Assignment& a, int indent, std::string* out) {
-  out->append(indent, ' ');
-  AppendHead(a, out);
-  out->push_back(' ');
-  out->append(AssignOpName(a.op));
-  if (a.op == AssignOp::kModify) {
-    out->push_back('[');
-    for (size_t i = 0; i < a.modify_key.size(); ++i) {
-      if (i != 0) out->push_back(',');
-      out->append(a.modify_key[i]);
-    }
-    out->push_back(']');
-  }
-  out->push_back(' ');
-  AppendBody(a.body, out);
-  out->append(".\n");
-}
-
-void AppendUntilCond(const UntilCond& c, std::string* out) {
-  switch (c.kind) {
-    case UntilCond::Kind::kUnchanged:
-      out->append("unchanged(");
-      AppendAtomLike(c.pred, c.args, out);
-      out->push_back(')');
-      return;
-    case UntilCond::Kind::kEmpty:
-      out->append("empty(");
-      AppendAtomLike(c.pred, c.args, out);
-      out->push_back(')');
-      return;
-    case UntilCond::Kind::kNonEmpty:
-      AppendAtomLike(c.pred, c.args, out);
-      return;
-    case UntilCond::Kind::kAnd:
-      out->push_back('(');
-      AppendUntilCond(c.children[0], out);
-      out->append(" & ");
-      AppendUntilCond(c.children[1], out);
-      out->push_back(')');
-      return;
-    case UntilCond::Kind::kOr:
-      out->push_back('(');
-      AppendUntilCond(c.children[0], out);
-      out->append(" | ");
-      AppendUntilCond(c.children[1], out);
-      out->push_back(')');
-      return;
-    case UntilCond::Kind::kNot:
-      out->push_back('!');
-      AppendUntilCond(c.children[0], out);
-      return;
-  }
-}
-
-void AppendStatement(const Statement& s, int indent, std::string* out) {
-  if (s.is_assignment()) {
-    AppendAssignment(s.assignment(), indent, out);
-    return;
-  }
-  const RepeatUntil& r = s.repeat();
-  out->append(indent, ' ');
-  out->append("repeat\n");
-  for (const Statement& inner : r.body) {
-    AppendStatement(inner, indent + 2, out);
-  }
-  out->append(indent, ' ');
-  out->append("until ");
-  AppendUntilCond(r.cond, out);
-  out->append(";\n");
-}
-
-void AppendSig(const PredicateSig& sig, std::string* out) {
-  out->append(sig.name);
-  out->push_back('(');
-  for (uint32_t i = 0; i < sig.bound_arity; ++i) {
-    if (i != 0) out->push_back(',');
-    out->append(StrCat("B", i));
-  }
-  out->push_back(':');
-  for (uint32_t i = 0; i < sig.free_arity; ++i) {
-    if (i != 0) out->push_back(',');
-    out->append(StrCat("F", i));
-  }
-  out->push_back(')');
-}
-
 }  // namespace
 
 std::string ToString(const Term& t) {
@@ -272,102 +157,6 @@ std::string ToString(const Term& t) {
 std::string ToString(const Subgoal& g) {
   std::string out;
   AppendSubgoal(g, &out);
-  return out;
-}
-
-std::string ToString(const Assignment& a) {
-  std::string out;
-  AppendAssignment(a, 0, &out);
-  return out;
-}
-
-std::string ToString(const Statement& s) {
-  std::string out;
-  AppendStatement(s, 0, &out);
-  return out;
-}
-
-std::string ToString(const UntilCond& c) {
-  std::string out;
-  AppendUntilCond(c, &out);
-  return out;
-}
-
-std::string ToString(const NailRule& r) {
-  std::string out;
-  AppendAtomLike(r.head_pred, r.head_args, &out);
-  out.append(" :- ");
-  AppendBody(r.body, &out);
-  out.append(".\n");
-  return out;
-}
-
-std::string ToString(const Procedure& p) {
-  std::string out = StrCat("proc ", p.name, "(");
-  for (uint32_t i = 0; i < p.bound_arity; ++i) {
-    if (i != 0) out.push_back(',');
-    out.append(StrCat("B", i));
-  }
-  out.push_back(':');
-  for (uint32_t i = 0; i < p.free_arity; ++i) {
-    if (i != 0) out.push_back(',');
-    out.append(StrCat("F", i));
-  }
-  out.append(")\n");
-  if (!p.locals.empty()) {
-    out.append("rels ");
-    for (size_t i = 0; i < p.locals.size(); ++i) {
-      if (i != 0) out.append(", ");
-      out.append(p.locals[i].name);
-      out.push_back('(');
-      for (uint32_t k = 0; k < p.locals[i].arity; ++k) {
-        if (k != 0) out.push_back(',');
-        out.append(StrCat("A", k));
-      }
-      out.push_back(')');
-    }
-    out.append(";\n");
-  }
-  for (const Statement& s : p.body) {
-    AppendStatement(s, 2, &out);
-  }
-  out.append("end\n");
-  return out;
-}
-
-std::string ToString(const Module& m) {
-  std::string out = StrCat("module ", m.name, ";\n");
-  for (const PredicateSig& e : m.exports) {
-    out.append("export ");
-    AppendSig(e, &out);
-    out.append(";\n");
-  }
-  for (const ImportDecl& i : m.imports) {
-    out.append(StrCat("from ", i.from_module, " import "));
-    AppendSig(i.sig, &out);
-    out.append(";\n");
-  }
-  if (!m.edb.empty()) {
-    out.append("edb ");
-    for (size_t i = 0; i < m.edb.size(); ++i) {
-      if (i != 0) out.append(", ");
-      out.append(m.edb[i].name);
-      out.push_back('(');
-      for (uint32_t k = 0; k < m.edb[i].arity; ++k) {
-        if (k != 0) out.push_back(',');
-        out.append(StrCat("A", k));
-      }
-      out.push_back(')');
-    }
-    out.append(";\n");
-  }
-  for (const NailRule& r : m.rules) {
-    out.append(ToString(r));
-  }
-  for (const Procedure& p : m.procedures) {
-    out.append(ToString(p));
-  }
-  out.append("end\n");
   return out;
 }
 

@@ -253,7 +253,6 @@ std::shared_ptr<const RelationSnapshot> Relation::Snapshot(
   snap->arity = arity_;
   snap->version = v;
   snap->tuples = SortedTuples(pool);
-  snap->stats = stats_.Estimate();
   snap_cache_ = std::move(snap);
   return snap_cache_;
 }

@@ -24,7 +24,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/storage/stats.h"
 #include "src/storage/tuple.h"
 
 namespace gluenail {
@@ -39,9 +38,6 @@ struct RelationSnapshot {
   /// Relation::version() at capture time.
   uint64_t version = 0;
   std::vector<Tuple> tuples;
-  /// Cardinality statistics frozen at capture time, so readers plan
-  /// against the same view they execute against.
-  CardEstimate stats;
 
   size_t size() const { return tuples.size(); }
   bool empty() const { return tuples.empty(); }

@@ -14,8 +14,7 @@
 ///
 /// The physical planner (plan/physical.h) consumes these through the
 /// StatsProvider interface so the plan layer never depends on storage
-/// headers, and RelationSnapshot carries a frozen CardEstimate so read
-/// sessions plan against the same consistent view they execute against.
+/// headers.
 
 #ifndef GLUENAIL_STORAGE_STATS_H_
 #define GLUENAIL_STORAGE_STATS_H_

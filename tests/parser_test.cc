@@ -276,6 +276,35 @@ TEST(ParseStatementTest, NestedRepeat) {
   EXPECT_FALSE(outer.body[0].is_assignment());
 }
 
+TEST(ParseStatementTest, ComparisonAggregateAndGroupByBodies) {
+  Result<Statement> ne = ParseStatement("p(X) := q(X) & X != 3.");
+  ASSERT_TRUE(ne.ok()) << ne.status();
+  EXPECT_EQ(ne->assignment().body[1].cmp, CompareOp::kNe);
+  EXPECT_EQ(ne->assignment().body[1].rhs.kind, TermKind::kInt);
+
+  Result<Statement> min = ParseStatement(
+      "coldest_city(Name) := daily_temp(Name,T) & T = min(T).");
+  ASSERT_TRUE(min.ok()) << min.status();
+  EXPECT_EQ(min->assignment().body[1].rhs.functor().name, "min");
+
+  Result<Statement> avg =
+      ParseStatement("avg(C,A) := g(C,S,G) & group_by(C) & A = mean(G).");
+  ASSERT_TRUE(avg.ok()) << avg.status();
+  ASSERT_EQ(avg->assignment().body.size(), 3u);
+  EXPECT_EQ(avg->assignment().body[1].kind, SubgoalKind::kGroupBy);
+
+  Result<Statement> diff =
+      ParseStatement("d(S,T) := in(S,T) & S(X) & !T(X).");
+  ASSERT_TRUE(diff.ok()) << diff.status();
+  EXPECT_EQ(diff->assignment().body[2].kind, SubgoalKind::kNegatedAtom);
+
+  Result<Statement> until = ParseStatement(
+      "repeat try(K) := possible(K,D). "
+      "until {confirmed(K) | empty(possible(K,D))};");
+  ASSERT_TRUE(until.ok()) << until.status();
+  EXPECT_EQ(until->repeat().cond.children[1].args.size(), 2u);
+}
+
 TEST(ParseStatementTest, MissingDotFails) {
   EXPECT_FALSE(ParseStatement("p(X) := q(X)").ok());
 }
@@ -402,6 +431,29 @@ end
   ASSERT_TRUE(m.ok()) << m.status();
   EXPECT_EQ(m->facts.size(), 2u);
   EXPECT_EQ(m->rules.size(), 2u);
+}
+
+TEST(ParseModuleTest, RulesBesideAProcedure) {
+  Result<ast::Module> m = ParseModule(R"(
+module graph;
+edb e(X,Y);
+export tc_e(X:Y);
+path(X,Y) :- e(X,Y).
+path(X,Z) :- path(X,Y) & e(Y,Z).
+procedure tc_e (X:Y)
+rels connected(X,Y);
+  connected(X,Y):= in(X) & e(X,Y).
+  repeat
+    connected(X,Y)+= connected(X,Z) & e(Z,Y).
+  until unchanged( connected(_,_));
+  return(X:Y):= connected(X,Y).
+end
+end
+)");
+  ASSERT_TRUE(m.ok()) << m.status();
+  EXPECT_EQ(m->rules.size(), 2u);
+  ASSERT_EQ(m->procedures.size(), 1u);
+  EXPECT_EQ(m->procedures[0].body.size(), 3u);
 }
 
 TEST(ParseModuleTest, NonGroundFactFails) {
