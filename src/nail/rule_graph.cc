@@ -17,6 +17,20 @@ TermId MakeStorageName(TermPool* pool, std::string_view kind,
 
 }  // namespace
 
+Status NailProgram::CheckEdbInsert(const TermPool& pool, TermId name,
+                                   uint32_t arity) const {
+  if (empty()) return Status::OK();
+  const auto params = static_cast<uint32_t>(pool.Arity(name));
+  const TermId root = pool.IsCompound(name) ? pool.Functor(name) : name;
+  if (!pool.IsSymbol(root) ||
+      FindPred(pool.SymbolName(root), params, arity) < 0) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      StrCat("cannot write ", pool.ToString(name), "/", arity,
+             " to the EDB: it is a NAIL! predicate of the loaded program"));
+}
+
 Result<NailProgram> BuildNailProgram(std::vector<ast::NailRule> rules,
                                      TermPool* pool) {
   NailProgram prog;
@@ -46,7 +60,8 @@ Result<NailProgram> BuildNailProgram(std::vector<ast::NailRule> rules,
       pred.delta_storage = MakeStorageName(pool, "$delta", pred);
       pred.newdelta_storage = MakeStorageName(pool, "$newdelta", pred);
       id = static_cast<int>(prog.preds.size());
-      prog.pred_index.emplace(pred.Key(), id);
+      prog.pred_index.emplace(
+          PredKey<std::string>{pred.root, pred.params, pred.arity}, id);
       prog.preds.push_back(std::move(pred));
     }
     prog.preds[static_cast<size_t>(id)].rules.push_back(static_cast<int>(r));

@@ -17,7 +17,9 @@
 #ifndef GLUENAIL_NAIL_RULE_GRAPH_H_
 #define GLUENAIL_NAIL_RULE_GRAPH_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -46,22 +48,62 @@ struct NailPred {
   std::string Key() const { return StrCat(root, "/", params, "/", arity); }
 };
 
+/// A predicate's identity (root, params, arity) as a pred_index key. The
+/// map owns its roots (Root = std::string); FindPred looks up with a key
+/// that views its root (std::string_view), so a lookup allocates nothing.
+template <typename Root>
+struct PredKey {
+  Root root;
+  uint32_t params = 0;
+  uint32_t arity = 0;
+};
+
+struct PredKeyHash {
+  using is_transparent = void;
+  template <typename Root>
+  size_t operator()(const PredKey<Root>& k) const {
+    return HashCombine(
+        HashCombine(std::hash<std::string_view>{}(k.root), k.params),
+        k.arity);
+  }
+};
+
+struct PredKeyEq {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const PredKey<A>& a, const PredKey<B>& b) const {
+    return a.params == b.params && a.arity == b.arity &&
+           std::string_view(a.root) == std::string_view(b.root);
+  }
+};
+
 struct NailProgram {
   std::vector<ast::NailRule> rules;
   std::vector<NailPred> preds;
-  /// "root/params/arity" -> index into preds.
-  std::unordered_map<std::string, int> pred_index;
+  /// (root, params, arity) -> index into preds.
+  std::unordered_map<PredKey<std::string>, int, PredKeyHash, PredKeyEq>
+      pred_index;
   /// deps[p] = (q, negated): p's rules read q.
   std::vector<std::vector<std::pair<int, bool>>> deps;
   /// SCCs in evaluation (topological) order; filled by Stratify.
   std::vector<std::vector<int>> scc_order;
   std::vector<bool> scc_recursive;
 
-  int FindPred(const std::string& root, uint32_t params,
-               uint32_t arity) const {
-    auto it = pred_index.find(StrCat(root, "/", params, "/", arity));
+  int FindPred(std::string_view root, uint32_t params, uint32_t arity) const {
+    auto it = pred_index.find(PredKey<std::string_view>{root, params, arity});
     return it == pred_index.end() ? -1 : it->second;
   }
+
+  /// The one rule for EDB rows under a NAIL! name: InvalidArgument if the
+  /// relation \p name / \p arity is one of these predicates (a symbol p
+  /// names p/0/arity, a compound f(p1..pk) f/k/arity), else OK. A NAIL!
+  /// predicate's rows are derived, never stored, and an EDB row under its
+  /// name would answer a dynamic read the memo contradicts. Every EDB
+  /// insert path asks before it writes (Engine::Commit for batches and
+  /// loads, the executor for dynamic HiLog statement writes); erases never
+  /// ask, so rows stored before the program loaded can be removed.
+  Status CheckEdbInsert(const TermPool& pool, TermId name,
+                        uint32_t arity) const;
 
   bool empty() const { return preds.empty(); }
 };
