@@ -17,15 +17,11 @@ namespace {
 /// Entries the slow-query log keeps before evicting the oldest.
 constexpr size_t kSlowQueryLogCapacity = 64;
 
-/// Refuses an insert whose (name, arity) belongs to a predicate of \p nail:
-/// a NAIL! predicate's rows are derived, never stored, and an EDB row under
-/// its name would answer a dynamic read the memo contradicts. Erases pass,
-/// so such rows stored before the program loaded can be removed. A symbol
-/// name p is p/0/arity, a compound f(p1..pk) is f/k/arity.
+/// Refuses a batch or load that inserts under a NAIL! predicate's
+/// (name, arity) (NailProgram::CheckEdbInsert).
 Status RefuseNailRows(const NailProgram& nail, const TermPool& pool,
                       const MutationBatch::Resolved& ops) {
-  if (nail.empty()) return Status::OK();
-  // A batch mostly repeats one relation: each run of it is looked up once.
+  // A batch mostly repeats one relation: each run of it is checked once.
   const MutationBatch::ResolvedOp* checked = nullptr;
   for (const MutationBatch::ResolvedOp& op : ops) {
     if (op.kind != MutationBatch::OpKind::kInsert) continue;
@@ -35,17 +31,7 @@ Status RefuseNailRows(const NailProgram& nail, const TermPool& pool,
       continue;
     }
     checked = &op;
-    TermId root = op.name;
-    const auto params = static_cast<uint32_t>(pool.Arity(root));
-    if (pool.IsCompound(root)) root = pool.Functor(root);
-    if (pool.IsSymbol(root) &&
-        nail.FindPred(std::string(pool.SymbolName(root)), params, arity) >=
-            0) {
-      return Status::InvalidArgument(
-          StrCat("cannot write ", pool.ToString(op.name), "/", arity,
-                 " to the EDB: it is a NAIL! predicate of the loaded "
-                 "program"));
-    }
+    GLUENAIL_RETURN_NOT_OK(nail.CheckEdbInsert(pool, op.name, arity));
   }
   return Status::OK();
 }

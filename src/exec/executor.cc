@@ -94,7 +94,8 @@ Result<Relation*> Executor::ResolveRead(const PredicateAccess& access,
 }
 
 Result<Relation*> Executor::ResolveWrite(const PredicateAccess& access,
-                                         Frame* frame, TermId dynamic_name) {
+                                         Frame* frame, TermId dynamic_name,
+                                         bool insert) {
   if (access_ != StorageAccess::kReadWrite) {
     bool allowed = access.kind == PredicateAccess::Kind::kLocal ||
                    access.kind == PredicateAccess::Kind::kReturn ||
@@ -117,6 +118,10 @@ Result<Relation*> Executor::ResolveWrite(const PredicateAccess& access,
     case PredicateAccess::Kind::kNail:
       return idb_->GetOrCreate(access.name, access.arity);
     case PredicateAccess::Kind::kDynamic:
+      if (insert && env_.nail != nullptr) {
+        GLUENAIL_RETURN_NOT_OK(
+            env_.nail->CheckEdbInsert(dynamic_name, access.arity));
+      }
       return edb_->GetOrCreate(dynamic_name, access.arity);
     default:
       return Status::Internal("unexpected access kind in ResolveWrite");
@@ -324,6 +329,9 @@ Status Executor::ApplyCall(const StatementPlan& plan, const PlanOp& op,
 
 Status Executor::ApplyUpdate(const StatementPlan& plan, const PlanOp& op,
                              Frame* frame, RecordSet* set) {
+  // Every target resolves, and may be refused, before anything is written.
+  std::vector<std::pair<Relation*, Tuple>> updates;
+  updates.reserve(set->records.size());
   for (const Record& rec : set->records) {
     GLUENAIL_ASSIGN_OR_RETURN(Tuple tuple,
                               EvalTuple(plan, op.update_exprs, rec, pool_));
@@ -333,8 +341,12 @@ Status Executor::ApplyUpdate(const StatementPlan& plan, const PlanOp& op,
                                 EvalExpr(plan, op.access.name_expr, rec,
                                          pool_));
     }
-    GLUENAIL_ASSIGN_OR_RETURN(Relation * rel,
-                              ResolveWrite(op.access, frame, dynamic_name));
+    GLUENAIL_ASSIGN_OR_RETURN(
+        Relation * rel,
+        ResolveWrite(op.access, frame, dynamic_name, op.update_insert));
+    updates.emplace_back(rel, std::move(tuple));
+  }
+  for (auto& [rel, tuple] : updates) {
     if (op.update_insert) {
       rel->Insert(tuple);
     } else {
@@ -372,31 +384,35 @@ Status Executor::ApplyHead(const StatementPlan& plan, Frame* frame,
     return Status::OK();
   }
 
-  bool dynamic = head.access.kind == PredicateAccess::Kind::kDynamic;
+  const bool dynamic = head.access.kind == PredicateAccess::Kind::kDynamic;
+  const bool insert = head.op != ast::AssignOp::kDelete;
   Relation* static_rel = nullptr;
   if (!dynamic) {
-    GLUENAIL_ASSIGN_OR_RETURN(static_rel,
-                              ResolveWrite(head.access, frame, kNullTerm));
+    GLUENAIL_ASSIGN_OR_RETURN(
+        static_rel, ResolveWrite(head.access, frame, kNullTerm, insert));
   }
   Relation* delta_rel = nullptr;
   if (head.delta_access.kind != PredicateAccess::Kind::kNone) {
     GLUENAIL_ASSIGN_OR_RETURN(
-        delta_rel, ResolveWrite(head.delta_access, frame, kNullTerm));
+        delta_rel,
+        ResolveWrite(head.delta_access, frame, kNullTerm, /*insert=*/true));
   }
 
-  // Build the head tuples (and their target relation when dynamic).
+  // Build the head tuples (and their target relation when dynamic). Every
+  // target resolves, and may be refused, before anything is written.
   std::vector<std::pair<Relation*, Tuple>> new_tuples;
-  std::unordered_set<TermId> cleared_dynamic;
+  std::unordered_set<Relation*> cleared;
+  if (!dynamic && head.op == ast::AssignOp::kClear) {
+    cleared.insert(static_rel);  // ":=" clears even on an empty body
+  }
   for (const Record& rec : sup.records) {
     Relation* rel = static_rel;
     if (dynamic) {
       GLUENAIL_ASSIGN_OR_RETURN(
           TermId name, EvalExpr(plan, head.access.name_expr, rec, pool_));
-      GLUENAIL_ASSIGN_OR_RETURN(rel, ResolveWrite(head.access, frame, name));
-      if (head.op == ast::AssignOp::kClear &&
-          cleared_dynamic.insert(name).second) {
-        rel->Clear();
-      }
+      GLUENAIL_ASSIGN_OR_RETURN(rel,
+                                ResolveWrite(head.access, frame, name, insert));
+      if (head.op == ast::AssignOp::kClear) cleared.insert(rel);
     }
     GLUENAIL_ASSIGN_OR_RETURN(Tuple tuple,
                               EvalTuple(plan, head.arg_exprs, rec, pool_));
@@ -405,8 +421,7 @@ Status Executor::ApplyHead(const StatementPlan& plan, Frame* frame,
 
   switch (head.op) {
     case ast::AssignOp::kClear:
-      // ":=" overwrites: clear even when the body produced nothing.
-      if (!dynamic) static_rel->Clear();
+      for (Relation* rel : cleared) rel->Clear();
       for (auto& [rel, tuple] : new_tuples) {
         if (rel->Insert(tuple)) ++stats_.head_tuples;
       }

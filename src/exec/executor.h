@@ -119,6 +119,9 @@ class NailEvaluator {
   /// True while a refresh runs. Memos are then incomplete, so a dynamic
   /// dereference reads the EDB only.
   virtual bool evaluating() const = 0;
+  /// The linked program's rule for an EDB insert under \p name / \p arity
+  /// (NailProgram::CheckEdbInsert): a dynamic HiLog write asks it first.
+  virtual Status CheckEdbInsert(TermId name, uint32_t arity) const = 0;
 };
 
 /// Everything the executor reaches outside the plan: streams, host
@@ -344,9 +347,10 @@ class Executor {
   /// nullptr: the relation does not exist, i.e. it is empty.
   Result<Relation*> ResolveRead(const PredicateAccess& access, Frame* frame);
   /// Resolves for writing, creating EDB/IDB relations on demand. Rejects
-  /// shared-relation writes unless the access is kReadWrite.
+  /// shared-relation writes unless the access is kReadWrite, and a dynamic
+  /// \p insert under a NAIL! predicate's (name, arity).
   Result<Relation*> ResolveWrite(const PredicateAccess& access, Frame* frame,
-                                 TermId dynamic_name);
+                                 TermId dynamic_name, bool insert);
 
   /// Applies barrier op \p op to the whole supplementary relation \p set.
   Status ApplyBarrier(const StatementPlan& plan, const PlanOp& op,

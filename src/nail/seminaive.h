@@ -132,6 +132,9 @@ class NailEngine : public NailEvaluator {
   Result<Relation*> EnsureNail(TermId storage_name, uint32_t arity) override;
   Status EnsureAllNail() override;
   bool evaluating() const override { return evaluating_; }
+  Status CheckEdbInsert(TermId name, uint32_t arity) const override {
+    return program_.CheckEdbInsert(*pool_, name, arity);
+  }
 
   /// Number of refreshes performed, full or delta (for tests/benches).
   uint64_t refresh_count() const { return refresh_count_; }

@@ -109,6 +109,50 @@ end
   EXPECT_EQ(Answers(&engine, "students(cs99)(S)"), "ann");
 }
 
+TEST(EngineApiTest, DynamicInsertsUnderANailPredicateAreRefused) {
+  // The batch rule above, for a dynamic HiLog statement write: every
+  // insert form is refused before anything is written, also to the other
+  // relations the same statement names; erases pass.
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgram(R"(
+module kb;
+edb edge(X,Y), attends(S,C);
+path(X,Y) :- edge(X,Y).
+students(C)(S) :- attends(S,C).
+edge(1,2).
+attends(ann, cs99).
+end
+)").ok());
+  ASSERT_TRUE(engine.AddFact("rel(edge).").ok());
+  ASSERT_TRUE(engine.AddFact("rel(path).").ok());
+  ASSERT_TRUE(engine.AddFact("fam(students(cs99)).").ok());
+  for (std::string_view insert : {
+           "R(X,Y) += rel(R) & X = 7 & Y = 8.",
+           "R(X,Y) := rel(R) & X = 7 & Y = 8.",
+           "R(X,Y) +=[X] rel(R) & X = 7 & Y = 8.",
+           "done(1) += rel(R) & ++R(7,8).",
+       }) {
+    Status st = engine.ExecuteStatement(insert);
+    EXPECT_TRUE(st.IsInvalidArgument()) << insert << ": " << st;
+    EXPECT_NE(st.message().find("path/2"), std::string::npos) << st;
+  }
+  EXPECT_TRUE(engine.ExecuteStatement("F(S) += fam(F) & S = bo.")
+                  .IsInvalidArgument());
+  // Nothing was written, not even to edge, which the statements also name.
+  EXPECT_EQ(Answers(&engine, "edge(X,Y)"), "1,2");
+  EXPECT_EQ(Answers(&engine, "students(cs99)(S)"), "ann");
+  EXPECT_TRUE(engine.RelationContents("done", 1).status().IsNotFound());
+  // The static and the dynamic read of path agree.
+  EXPECT_EQ(Answers(&engine, "path(X,Y)"), "1,2");
+  EXPECT_EQ(Answers(&engine, "rel(P) & P(X,Y) & P = path"), "path,1,2");
+  // Erases pass: they can only remove stored rows.
+  EXPECT_TRUE(
+      engine.ExecuteStatement("R(X,Y) -= rel(R) & X = 1 & Y = 2.").ok());
+  EXPECT_TRUE(engine.ExecuteStatement("done(1) += rel(R) & --R(1,2).").ok());
+  EXPECT_EQ(Answers(&engine, "path(X,Y)"), "");
+  EXPECT_EQ(Answers(&engine, "rel(P) & P(X,Y)"), "");
+}
+
 TEST(EngineApiTest, RelationContents) {
   Engine engine;
   ASSERT_TRUE(engine.AddFact("p(2).").ok());

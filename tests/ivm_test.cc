@@ -77,6 +77,15 @@ class IvmPair {
     ASSERT_TRUE(b.ok()) << b;
   }
 
+  /// Runs one Glue statement that both engines must refuse with
+  /// InvalidArgument.
+  void Refuse(std::string_view statement) {
+    Status a = ivm_->ExecuteStatement(statement);
+    Status b = full_->ExecuteStatement(statement);
+    EXPECT_TRUE(a.IsInvalidArgument()) << a;
+    EXPECT_TRUE(b.IsInvalidArgument()) << b;
+  }
+
   /// Calls the exported procedure \p name on both engines with one input
   /// tuple, each argument interned into the engine's own pool.
   void Call(std::string_view name, std::vector<std::string_view> args) {
@@ -297,12 +306,13 @@ TEST(IvmDred, ChainGraftedOntoCycle) {
 
 TEST(IvmDred, EdbRelationSharesAMemoName) {
   // An EDB relation path/2 beside the NAIL! memo path/2: rules and queries
-  // name the memo, so EDB path rows must never reach src. Batches refuse
-  // to insert such rows once the program is linked, so some are written
-  // before; a dynamic HiLog statement still writes them after, and its
-  // (EDB, path, 2) delta reaches DRed beside the edge delta.
+  // name the memo, so EDB path rows must never reach src. Every insert
+  // under the memo's name is refused once the program is linked, so the
+  // rows are written before; erasing them (by batch or by a dynamic HiLog
+  // statement) puts an (EDB, path, 2) delta into DRed beside edge deltas.
   IvmPair pair;
-  pair.Apply(Batch({"path(7,8)", "path(9,9)", "rel(path)"}));
+  pair.Apply(Batch({"path(7,8)", "path(9,9)", "path(70,80)", "path(90,80)",
+                    "rel(path)"}));
   pair.Load(R"(
 module kb;
 edb edge(X,Y);
@@ -319,14 +329,17 @@ end
     EXPECT_EQ(pair.nail()->last_refresh().mode, mode);
   };
   check("full");
-  // Alone, the EDB row changes nothing a rule reads.
-  pair.Execute("R(X,Y) += rel(R) & X = 70 & Y = 80.");
+  // A dynamic HiLog insert under the memo's name is refused.
+  pair.Refuse("R(X,Y) += rel(R) & X = 70 & Y = 81.");
+  // Alone, erasing the EDB row changes nothing a rule reads.
+  pair.Execute("R(X,Y) -= rel(R) & X = 7 & Y = 8.");
   check("empty");
-  // Beside a new edge out of 80, the EDB row must not extend the memo.
-  pair.Execute("R(X,Y) += rel(R) & X = 90 & Y = 80.");
+  // Beside a new edge out of 80, the EDB row path(90,80) must not extend
+  // the memo.
+  pair.Refuse("R(X,Y) := rel(R) & X = 90 & Y = 80.");
   pair.Apply(Batch({"edge(3,4)", "edge(80,81)"}));
   check("dred");
-  pair.Execute("R(X,Y) -= rel(R) & X = 7 & Y = 8.");
+  pair.Execute("R(X,Y) -= rel(R) & X = 90 & Y = 80.");
   pair.Apply(Batch({}, {"edge(1,2)"}));
   check("dred");
   pair.Apply(Batch({"edge(4,9)"}, {"path(9,9)", "path(70,80)"}));
