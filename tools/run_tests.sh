@@ -25,16 +25,23 @@
 #            (procedures_test) and the fault-injection matrix
 #            (fault_injection_test), and the statement writes over NAIL!
 #            programs and module facts that the EDB change journal
-#            records (nail_test, nail_edge_test, module_system_test)
+#            records (nail_test, nail_edge_test, module_system_test),
+#            and the small units every layer leans on: the fixed-width
+#            integer and FNV helpers (strings_test), status codes
+#            (status_test), the REPL with :save through the one atomic
+#            file writer (repl_test) and the term printer
+#            (ast_printer_test)
 #   ubsan  — -DGLUENAIL_UBSAN=ON, runs the ubsan-labelled planner tests,
 #            plus relation_test's dense-key checks, barrier_ops_test,
 #            hilog_test, cross_feature_test, the IVM suite with its
 #            allocation-fault sweep, the fixpoint oracle suites, and the
 #            same durable-path (application_test included), term-pool,
 #            `read` builtin, plan-cache, service-layer, request-bracket
-#            (glue_statements_test, procedures_test, fault_injection_test)
-#            and change-journal (nail_test, nail_edge_test,
-#            module_system_test) suites as asan
+#            (glue_statements_test, procedures_test, fault_injection_test),
+#            change-journal (nail_test, nail_edge_test,
+#            module_system_test), storage-stress and small-unit
+#            (strings_test, status_test, repl_test, ast_printer_test)
+#            suites as asan
 #   tsan   — -DGLUENAIL_TSAN=ON, runs the tsan-labelled concurrency tests
 #   fault  — Debug build, runs only the faultinject-labelled matrix
 #   obs    — Debug build, runs only the obs-labelled observability suite
