@@ -8,7 +8,9 @@
 /// MutationBatch::Serialize() text, which carries its *own* header and
 /// checksum, so a record is double-checked before replay ever applies it.
 ///
-/// File layout (all integers little-endian):
+/// File layout (all integers little-endian, written and read with
+/// common/strings.h's PutFixed/DecodeFixed helpers, as the wire codecs
+/// are):
 ///
 ///     header   "GNWALOG1" | start_lsn u64 | fnv1a(first 16 bytes) u64
 ///     record   "GNWR" | lsn u64 | payload_len u32 | fnv1a(payload) u64
@@ -32,8 +34,12 @@
 ///    the last *synced* offset, so a batch whose commit errored cannot
 ///    reappear after restart. Broken logs refuse further appends until a
 ///    checkpoint rotates in a fresh log.
-///  * Every write / fsync / rename / ftruncate consults the process-wide
-///    FaultInjector first, so tests can crash the log at any point.
+///  * A fresh log (Create, Rotate) is published by the checkpoint save's
+///    own writer, ReplaceFileAtomically (persistence.h), and Append writes
+///    through the same WriteAll, so the log and the checkpoint pass one
+///    set of write / fsync / rename seams. Every write / fsync / rename /
+///    ftruncate consults the process-wide FaultInjector first, so tests
+///    can crash the log at any point.
 ///
 /// Thread safety: all methods are safe to call concurrently. Append holds
 /// the internal mutex for the (buffered) write; Sync runs its fsync
