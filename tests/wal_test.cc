@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -775,6 +776,71 @@ TEST_F(WalTest, CrashPointSweepCheckpointRename) {
       EXPECT_EQ(Facts(&engine), acked);
     }
     ExpectRecoversExactly(dir, acked);
+  }
+}
+
+/// The names in \p dir, but . and ..
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> out;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (struct dirent* e = ::readdir(d)) {
+      std::string name = e->d_name;
+      if (name != "." && name != "..") out.push_back(name);
+    }
+    ::closedir(d);
+  }
+  return out;
+}
+
+TEST_F(WalTest, CreateAndRotateFailureMatrixKeepsTheOpenLog) {
+  // Fail the fresh log's write, fsync or rename: Create leaves no file,
+  // and Rotate leaves the open log byte-identical and appending, with no
+  // temp file behind; a disarmed retry rotates.
+  for (FaultOp op : {FaultOp::kWrite, FaultOp::kFsync, FaultOp::kRename}) {
+    SCOPED_TRACE(StrCat("op=", FaultOpName(op)));
+    const std::string dir = FreshDir(StrCat("rotate_", FaultOpName(op)));
+    const std::string path = dir + "/wal.log";
+
+    FaultInjector::Instance().ArmNth(op, 1);
+    Result<std::unique_ptr<Wal>> failed = Wal::Create(path, 1);
+    EXPECT_TRUE(failed.status().IsIoError()) << failed.status();
+    EXPECT_EQ(FaultInjector::Instance().injected(op), 1u);
+    FaultInjector::Instance().Disarm();
+    EXPECT_TRUE(DirEntries(dir).empty()) << Join(DirEntries(dir), ", ");
+
+    Result<std::unique_ptr<Wal>> wal = Wal::Create(path, 1);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    ASSERT_TRUE((*wal)->Append(InsertBatch({1})).ok());
+    ASSERT_TRUE((*wal)->Sync().ok());
+    const std::string baseline = ReadFile(path);
+
+    FaultInjector::Instance().ArmNth(op, 1);
+    Status st = (*wal)->Rotate(2);
+    EXPECT_TRUE(st.IsIoError()) << st;
+    EXPECT_NE(st.message().find("injected fault"), std::string::npos) << st;
+    EXPECT_EQ(FaultInjector::Instance().injected(op), 1u);
+    FaultInjector::Instance().Disarm();
+    EXPECT_EQ(ReadFile(path), baseline);
+    EXPECT_EQ(DirEntries(dir), std::vector<std::string>{"wal.log"});
+    EXPECT_EQ((*wal)->counters().rotations.load(), 0u);
+
+    // The open log still appends after the failed rotation.
+    Result<uint64_t> lsn = (*wal)->Append(InsertBatch({2}));
+    ASSERT_TRUE(lsn.ok()) << lsn.status();
+    EXPECT_EQ(*lsn, 2u);
+    ASSERT_TRUE((*wal)->Sync().ok());
+    Result<WalScanResult> scan = ScanWalBuffer(ReadFile(path));
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    EXPECT_EQ(scan->records.size(), 2u);
+
+    ASSERT_TRUE((*wal)->Rotate(3).ok());
+    scan = ScanWalBuffer(ReadFile(path));
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    EXPECT_EQ(scan->start_lsn, 3u);
+    EXPECT_TRUE(scan->records.empty());
+    lsn = (*wal)->Append(InsertBatch({3}));
+    ASSERT_TRUE(lsn.ok()) << lsn.status();
+    EXPECT_EQ(*lsn, 3u);
   }
 }
 
