@@ -176,7 +176,12 @@ Status Wal::StartFresh(uint64_t start_lsn) {
   GLUENAIL_RETURN_NOT_OK(
       ReplaceFileAtomically(path_, EncodeHeader(start_lsn)));
   int fd = ::open(path_.c_str(), O_WRONLY | O_APPEND);
-  if (fd < 0) return ErrnoError("open", path_);
+  if (fd < 0) {
+    // The open log's file is already replaced: an append to it would be
+    // acked yet lost, so it refuses appends until a rotation succeeds.
+    if (fd_ >= 0) broken_ = true;
+    return ErrnoError("open", path_);
+  }
   if (fd_ >= 0) ::close(fd_);  // the old log's inode; already renamed over
   fd_ = fd;
   start_lsn_ = start_lsn;

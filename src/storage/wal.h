@@ -181,7 +181,10 @@ class Wal {
   /// Swaps in a fresh empty log starting at \p start_lsn (checkpoint
   /// truncation). The caller must guarantee no concurrent Append/Sync —
   /// the engine calls this under its writer lock after draining commits.
-  /// On failure the old log stays open and intact.
+  /// On failure the old log stays open and intact — unless the fresh log
+  /// was published but could not be opened: then the old log is broken,
+  /// refusing appends that would go to a replaced file, until a rotation
+  /// succeeds.
   Status Rotate(uint64_t start_lsn);
 
   /// One record read back out of the log by ReadRecordsFrom; unlike
@@ -227,7 +230,8 @@ class Wal {
 
   /// Replaces path_ with a fresh one-header log whose LSNs start at
   /// \p start_lsn (ReplaceFileAtomically), opens it for appending and
-  /// adopts it as the whole state. On failure the open log is kept.
+  /// adopts it as the whole state. On failure the open log is kept (see
+  /// Rotate for when it is kept broken).
   Status StartFresh(uint64_t start_lsn);
   Status TruncateLocked(uint64_t to);
   Status FailSyncLocked(Status cause);
