@@ -1,6 +1,7 @@
 /// \file wal_test.cc
-/// \brief Durability suite: WAL format + scan, torn-tail and mid-log
-/// damage, crash-point sweeps driven by the fault injector (with a shadow
+/// \brief Durability suite: WAL format + scan (and the pinned bytes of a
+/// log and of a checkpoint it recovers beside), torn-tail and mid-log
+/// damage, failed log creates and rotations, crash-point sweeps driven by the fault injector (with a shadow
 /// oracle asserting recovery yields exactly the acked prefix), checkpoint
 /// rotation, group commit under 8 concurrent writer sessions (the tsan
 /// target), inline and file EDB loads on the same durable path (and past
